@@ -34,7 +34,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -49,24 +49,27 @@ from .hybrid import (
 )
 from .lattice import lattice_index, simplex_volume
 from .measure import (
+    TWO_PI,
     MonomialChartMetric,
     assemble_limit_measure,
     predicted_mass_asymptotics,
     residual_mass_closed_form,
 )
 from .model import (
+    PRESETS,
     ModelSpecError,
     WeightedSncModel,
-    annulus,
     build_dual_complex,
     coordinate_pencil,
-    fermat_smooth,
+    simplex_model,
     weight_data,
 )
-from .pencil import HypersurfacePencil, sample_pencil
+from .pencil import HypersurfacePencil, PatchEstimate, elliptic_lattice_covolume, sample_pencil
 from .sampler import (
+    FiberSampleResult,
     LocalChart,
     TrigPoly,
+    check_fit_schedule,
     enumerate_point_fiber,
     fit_mass_asymptotics,
     ks_statistic,
@@ -86,15 +89,9 @@ from .skeleton import (
 
 OUTDIR_ENV = "TROPMASS_OUTDIR"
 DEFAULT_OUTDIR = "tropmass-out"
-TWO_PI = 2.0 * math.pi
 
 SAMPLING_COMMANDS = frozenset({"sample", "pushforward", "fit-mass", "polar-check", "verify"})
-MODEL_PRESETS: dict[str, Callable[[int], WeightedSncModel]] = {
-    "annulus": lambda n: annulus(),
-    "fermat_smooth": lambda n: fermat_smooth(),
-    "coordinate_pencil": coordinate_pencil,
-}
-PENCIL_PRESETS = frozenset({"coordinate_pencil", "fermat_smooth"})
+LADDER = tuple(10.0**-k for k in range(2, 7))  # the suites' t schedule, 1e-2..1e-6
 
 
 class ConfigError(ValueError):
@@ -146,21 +143,14 @@ class ExperimentConfig:
                 raise ConfigError("residue values must be finite and >= 0")
 
     def echo(self) -> dict[str, object]:
-        out: dict[str, object] = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = list(v if not v or not isinstance(v[0], tuple) else [list(x) for x in v])
-            if isinstance(v, Fraction):
-                v = str(v)
-            if isinstance(v, tuple):
-                v = list(v)
-            out[f.name] = v if not isinstance(v, list) else [
-                str(x) if isinstance(x, Fraction) else x for x in v
-            ]
-        if self.a is not None:
-            out["a"] = [str(x) for x in self.a]
-        return out
+        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+
+def _plain(v: object) -> object:
+    """JSON-ready form of a config value: tuples as lists, fractions as strings."""
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    return str(v) if isinstance(v, Fraction) else v
 
 
 @dataclass(frozen=True)
@@ -178,16 +168,6 @@ class CheckVerdict:
     discrepancy: float
     limit: float
     detail: str
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "passed": self.passed,
-            "discrepancy": self.discrepancy,
-            "limit": self.limit,
-            "detail": self.detail,
-        }
 
 
 def exact_check(name: str, discrepancy: float, detail: str) -> CheckVerdict:
@@ -231,7 +211,7 @@ class RunReport:
             "config": self.config.echo(),
             "content_hash": self.content_hash,
             "passed": self.passed,
-            "verdicts": [v.as_dict() for v in self.verdicts],
+            "verdicts": [dataclasses.asdict(v) for v in self.verdicts],
             "timings": {name: seconds for name, seconds in self.timings},
             "artifacts": list(self.artifacts),
         }
@@ -264,18 +244,11 @@ def parse_t_schedule(text: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, convert: Callable[[str], object], what: str) -> tuple:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(convert(tok.strip()) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"expected comma-separated rationals, got {text!r}") from None
+        raise ConfigError(f"expected comma-separated {what}, got {text!r}") from None
 
 
 def _parse_residues(items: Sequence[str]) -> tuple[tuple[str, float], ...]:
@@ -288,10 +261,15 @@ def _parse_residues(items: Sequence[str]) -> tuple[tuple[str, float], ...]:
     return tuple(out)
 
 
-def _load_model(cfg: ExperimentConfig) -> tuple[WeightedSncModel, str | None, float | None, bytes]:
-    """Resolve the model argument to a model, optional skeleton anchor, input bytes."""
-    if cfg.model is None:
-        raise ConfigError(f"{cfg.command}: needs --preset NAME or --model FILE")
+Loaded = tuple[WeightedSncModel, str | None, float | None, bytes]
+Outcome = tuple[list[CheckVerdict], list[Path]]
+
+
+def _load_model(cfg: ExperimentConfig) -> Loaded:
+    """Resolve the model argument to a model, optional skeleton anchor and rho, input bytes.
+
+    The input bytes are those of a spec file, empty for a preset.
+    """
     path = Path(cfg.model)
     if path.suffix or path.exists():
         try:
@@ -301,12 +279,18 @@ def _load_model(cfg: ExperimentConfig) -> tuple[WeightedSncModel, str | None, fl
         text = raw.decode("utf-8")
         model, anchor, rho = parse_skeleton_spec(text, name=path.stem)
         return model, anchor, rho, raw
-    if cfg.model not in MODEL_PRESETS:
+    if cfg.model not in PRESETS:
         raise ConfigError(
-            f"unknown preset {cfg.model!r}; choose from {sorted(MODEL_PRESETS)} or pass a spec file"
+            f"unknown preset {cfg.model!r}; choose from {sorted(PRESETS)} or pass a spec file"
         )
-    model = MODEL_PRESETS[cfg.model](cfg.n)
-    return model, None, None, cfg.model.encode()
+    preset = PRESETS[cfg.model]
+    return (preset(cfg.n) if preset is coordinate_pencil else preset()), None, None, b""
+
+
+def _need_model(cfg: ExperimentConfig, loaded: Loaded | None) -> Loaded:
+    if loaded is None:
+        raise ConfigError(f"{cfg.command}: needs --preset NAME or --model FILE")
+    return loaded
 
 
 def _chart_metric(cfg: ExperimentConfig) -> MonomialChartMetric:
@@ -354,11 +338,7 @@ def write_csv(path: Path, rows: Sequence[Mapping[str, object]]) -> None:
 
 
 def _fmt(v: object) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def write_json(path: Path, obj: object) -> None:
@@ -381,8 +361,8 @@ def _slug(cfg: ExperimentConfig) -> str:
 # subcommand runners (verdicts, artifact rows)
 
 
-def _run_dual_complex(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
-    model, _, _, _ = _load_model(cfg)
+def _run_dual_complex(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+    model = _need_model(cfg, loaded)[0]
     dual = build_dual_complex(model)
     rows = [
         {
@@ -410,8 +390,8 @@ def _run_dual_complex(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdi
     return verdicts, [csv_path, json_path]
 
 
-def _run_weights(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
-    model, _, _, _ = _load_model(cfg)
+def _run_weights(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+    model = _need_model(cfg, loaded)[0]
     wd = weight_data(model)
     rows = [
         {"component": c.name, "b": c.b, "a": c.a, "kappa": c.kappa}
@@ -438,12 +418,12 @@ def _run_weights(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], 
     return verdicts, [csv_path, json_path]
 
 
-def _run_limit_measure(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
-    model, _, _, _ = _load_model(cfg)
+def _run_limit_measure(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+    model = _need_model(cfg, loaded)[0]
     masses = {face: value for face, value in cfg.residues} or None
     measure = assemble_limit_measure(model, masses)
     csv_path = out / f"limit-measure-{_slug(cfg)}.csv"
-    csv_path.write_text(measure.to_csv(), encoding="utf-8")
+    write_csv(csv_path, measure.to_rows())
     json_path = out / f"limit-measure-{_slug(cfg)}.json"
     json_path.write_text(measure.to_json(), encoding="utf-8")
     total = measure.total_mass
@@ -458,10 +438,10 @@ def _run_limit_measure(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerd
     return verdicts, [csv_path, json_path]
 
 
-def _run_base_change(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
+def _run_base_change(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
     if cfg.m is None or cfg.m < 1:
         raise ConfigError("base-change: needs --m >= 1")
-    model, _, _, _ = _load_model(cfg)
+    model = _need_model(cfg, loaded)[0]
     report = model_base_change(model, cfg.m)
     csv_path = out / f"base-change-{_slug(cfg)}-m{cfg.m}.csv"
     write_csv(csv_path, report.rows())
@@ -497,16 +477,53 @@ def _chart_limit_mass(metric: MonomialChartMetric) -> float:
     return residual_mass_closed_form(metric) * scale
 
 
-def _sample_chart(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
+def _sweep(
+    metric: MonomialChartMetric, ts: Iterable[float], n: int, seed: int, threads: int
+) -> list[FiberSampleResult]:
+    """Sample the chart's fiber mass at each ``t``, one shard per thread."""
+    return [
+        sample_fiber_measure(LocalChart(metric, t), n, seed, shards=threads, threads=threads)
+        for t in ts
+    ]
+
+
+def _edge_verdicts(
+    patches: Sequence[PatchEstimate], equal_name: str, ks_prefix: str, ks_limit: float
+) -> list[CheckVerdict]:
+    """Equal masses on the tropical edges (worst pairwise gap) and a uniform density on each."""
+    worst = max(
+        (
+            sigmas(p.mass_raw - q.mass_raw, math.hypot(p.stderr_raw, q.stderr_raw))
+            for p, q in combinations(patches, 2)
+        ),
+        default=0.0,
+    )
+    verdicts = [
+        stat_check(
+            equal_name,
+            worst,
+            f"worst pairwise gap {worst:.2f} standard errors across {len(patches)} edges",
+        )
+    ]
+    for p in patches:
+        verdicts.append(
+            bound_check(
+                f"{ks_prefix}-{p.label}",
+                p.ks_uniform if p.ks_uniform is not None else math.inf,
+                ks_limit,
+                f"KS distance of edge {p.label} to the uniform edge density",
+            )
+        )
+    return verdicts
+
+
+def _sample_chart(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
     metric = _chart_metric(cfg)
-    n = cfg.n_samples or 100_000
+    ts = cfg.t_schedule or (1e-4,)
     rows = []
     verdicts = []
     predicted = _chart_limit_mass(metric)
-    for t in cfg.t_schedule or (1e-4,):
-        res = sample_fiber_measure(
-            LocalChart(metric, t), n, cfg.seed, shards=max(cfg.threads, 1), threads=cfg.threads
-        )
+    for t, res in zip(ts, _sweep(metric, ts, cfg.n_samples or 100_000, cfg.seed, cfg.threads)):
         rows.append(
             {
                 "t": t,
@@ -531,15 +548,17 @@ def _sample_chart(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict],
     return verdicts, [csv_path]
 
 
-def _sample_pencil_cmd(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
+def _sample_pencil_cmd(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
     pen = HypersurfacePencil(cfg.model, cfg.n, cfg.epsilon)
+    if pen.n != 2:
+        raise ConfigError(f"sample on a pencil needs --n 2 (plane curves), got --n {pen.n}")
     if len(cfg.t_schedule) != 1:
         raise ConfigError("sample on a pencil needs a single --t value")
     t = cfg.t_schedule[0]
     n = cfg.n_samples or 100_000
     ks_limit = cfg.tolerance if cfg.tolerance is not None else 0.02
     res = sample_pencil(
-        pen, t, n, cfg.seed, bins=cfg.bins or 20, shards=max(cfg.threads, 1), threads=cfg.threads
+        pen, t, n, cfg.seed, bins=cfg.bins or 20, shards=cfg.threads, threads=cfg.threads
     )
     rows = []
     for p in res.patches:
@@ -558,8 +577,6 @@ def _sample_pencil_cmd(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerd
     write_csv(csv_path, rows)
     hist_rows = []
     for p in res.patches:
-        if p.hist_edges is None:
-            continue
         for k in range(len(p.hist_masses)):
             hist_rows.append(
                 {
@@ -580,28 +597,9 @@ def _sample_pencil_cmd(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerd
     ]
     if pen.has_tropical_edges:
         patches = res.patches
-        worst = 0.0
-        for i in range(len(patches)):
-            for j in range(i + 1, len(patches)):
-                gap = abs(patches[i].mass_raw - patches[j].mass_raw)
-                se = math.hypot(patches[i].stderr_raw, patches[j].stderr_raw)
-                worst = max(worst, sigmas(gap, se))
-        verdicts.append(
-            stat_check(
-                "edge-masses-pairwise-equal",
-                worst,
-                f"worst pairwise gap {worst:.2f} standard errors across {len(patches)} edges",
-            )
+        verdicts += _edge_verdicts(
+            patches, "edge-masses-pairwise-equal", "edge-uniformity-ks", ks_limit
         )
-        for p in patches:
-            verdicts.append(
-                bound_check(
-                    f"edge-uniformity-ks-{p.label}",
-                    p.ks_uniform if p.ks_uniform is not None else math.inf,
-                    ks_limit,
-                    f"KS distance of edge {p.label} to the uniform edge density",
-                )
-            )
         finite_t = math.log(1.0 / (t * pen.epsilon)) / math.log(1.0 / t)
         for p in patches:
             sig = sigmas(p.mass - finite_t, p.stderr)
@@ -627,30 +625,13 @@ def _sample_pencil_cmd(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerd
     return verdicts, artifacts
 
 
-def elliptic_lattice_covolume() -> float:
-    """Covolume of the period lattice of the smooth cubic ``sum z_i^3 = 0``.
-
-    The curve is isomorphic to ``y^2 = x^3 - 432``, whose real half-period is
-    ``(1/3) 432^(-1/6) B(1/6, 1/2)``; the lattice is hexagonal, so the
-    covolume is ``Omega^2 sqrt(3)/2``.
-    """
-    omega = (
-        (2.0 / 3.0)
-        * 432.0 ** (-1.0 / 6.0)
-        * math.gamma(1.0 / 6.0)
-        * math.gamma(0.5)
-        / math.gamma(2.0 / 3.0)
-    )
-    return omega * omega * math.sqrt(3.0) / 2.0
+def _run_sample(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+    if cfg.model in HypersurfacePencil.PRESETS:
+        return _sample_pencil_cmd(cfg, out, loaded)
+    return _sample_chart(cfg, out, loaded)
 
 
-def _run_sample(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
-    if cfg.model in PENCIL_PRESETS:
-        return _sample_pencil_cmd(cfg, out)
-    return _sample_chart(cfg, out)
-
-
-def _run_pushforward(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
+def _run_pushforward(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
     metric = _chart_metric(cfg)
     if len(cfg.t_schedule) != 1:
         raise ConfigError("pushforward needs a single --t value")
@@ -659,7 +640,7 @@ def _run_pushforward(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdic
     bins = cfg.bins or 50
     ks_limit = cfg.tolerance if cfg.tolerance is not None else 0.02
     hist = pushforward_histogram(
-        metric, n, bins, cfg.seed, t=t, shards=max(cfg.threads, 1), threads=cfg.threads
+        metric, n, bins, cfg.seed, t=t, shards=cfg.threads, threads=cfg.threads
     )
     residual = residual_mass_closed_form(metric)
     predicted_total = hist.predicted_total(residual)
@@ -706,18 +687,14 @@ def _run_pushforward(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdic
     return verdicts, [csv_path]
 
 
-def _run_fit_mass(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
+def _run_fit_mass(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
     metric = _chart_metric(cfg)
-    if len(cfg.t_schedule) < 3:
-        raise ConfigError("fit-mass needs a t schedule with at least three values")
+    check_fit_schedule(cfg.t_schedule)
     n = cfg.n_samples or 100_000
     rows = []
     points = []
-    for t in cfg.t_schedule:
-        res = sample_fiber_measure(
-            LocalChart(metric, t), n, cfg.seed, shards=max(cfg.threads, 1), threads=cfg.threads
-        )
-        points.append((complex(t), res.mass_raw))
+    for t, res in zip(cfg.t_schedule, _sweep(metric, cfg.t_schedule, n, cfg.seed, cfg.threads)):
+        points.append((res.t, res.mass_raw))
         rows.append(
             {
                 "t": t,
@@ -731,12 +708,7 @@ def _run_fit_mass(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict],
     write_csv(csv_path, rows)
 
     fit = fit_mass_asymptotics(points)
-    model = WeightedSncModel(
-        components=_chart_model_components(metric),
-        strata=_chart_model_strata(metric),
-        name="chart",
-    )
-    pred = predicted_mass_asymptotics(model)
+    pred = predicted_mass_asymptotics(simplex_model(metric.b, metric.a, name="chart"))
     kappa_pred = float(pred["kappa_min"])
     d_pred = int(pred["d"])
     c_pred = float(pred["c"])
@@ -764,39 +736,14 @@ def _run_fit_mass(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict],
     write_json(
         json_path,
         {
-            "fit": fit.as_dict(),
+            "fit": dataclasses.asdict(fit),
             "predicted": {"kappa_min": kappa_pred, "d": d_pred, "c": c_pred},
         },
     )
     return verdicts, [csv_path, json_path]
 
 
-def _chart_model_components(metric: MonomialChartMetric):
-    from .model import Component
-
-    return tuple(
-        Component(f"E{i}", metric.b[i], metric.a[i]) for i in range(len(metric.b))
-    )
-
-
-def _chart_model_strata(metric: MonomialChartMetric):
-    from .model import Stratum
-
-    names = [f"E{i}" for i in range(len(metric.b))]
-    strata = []
-    for size in range(1, len(names) + 1):
-        for combo in _combinations(names, size):
-            strata.append(Stratum(tuple(combo)))
-    return tuple(strata)
-
-
-def _combinations(items: Sequence[str], size: int) -> Iterable[tuple[str, ...]]:
-    from itertools import combinations
-
-    return combinations(items, size)
-
-
-def _run_polar_check(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
+def _run_polar_check(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
     n = cfg.n_samples or 1_000_000
     n_polys = cfg.n_polys or 10
     rel_limit = cfg.tolerance if cfg.tolerance is not None else 0.01
@@ -895,12 +842,12 @@ def polar_battery(
     return verdicts, rows
 
 
-def _run_hybrid_check(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
+def _run_hybrid_check(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
     n_seq = cfg.n_polys or 1000
     seed = cfg.seed if cfg.seed is not None else 0
     verdicts = hybrid_battery(n_seq, seed)
     json_path = out / "hybrid-check.json"
-    write_json(json_path, [v.as_dict() for v in verdicts])
+    write_json(json_path, [dataclasses.asdict(v) for v in verdicts])
     return verdicts, [json_path]
 
 
@@ -1028,8 +975,8 @@ def _random_laurent(rng: np.random.Generator) -> LaurentSeriesPoly:
     return f
 
 
-def _run_skeleton_check(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
-    model, anchor_from_file, rho_from_file, _ = _load_model(cfg)
+def _run_skeleton_check(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+    model, anchor_from_file, rho_from_file, _ = _need_model(cfg, loaded)
     dual = build_dual_complex(model)
     sk = barycentric_subdivide(dual) if cfg.subdivide else TriangulatedSkeleton.from_dual_complex(dual)
     report = pseudomanifold_check(sk)
@@ -1126,9 +1073,7 @@ def suite_annulus_mass(seed: int = 0, quick: bool = False, threads: int = 1) -> 
     metric = MonomialChartMetric(b=(1, 1), a=(Fraction(0), Fraction(0)))
     verdicts = []
     points = []
-    for k in range(2, 7):
-        t = 10.0**-k
-        res = sample_fiber_measure(LocalChart(metric, t), n, seed, shards=max(threads, 1), threads=threads)
+    for k, res in zip(range(2, 7), _sweep(metric, LADDER, n, seed, threads)):
         sig = sigmas(res.mass - 1.0, res.stderr)
         verdicts.append(
             stat_check(
@@ -1137,7 +1082,7 @@ def suite_annulus_mass(seed: int = 0, quick: bool = False, threads: int = 1) -> 
                 f"normalized mass {res.mass:.5f} +- {res.stderr:.2g} vs 1",
             )
         )
-        points.append((complex(t), res.mass_raw))
+        points.append((res.t, res.mass_raw))
     fit = fit_mass_asymptotics(points)
     verdicts.append(
         exact_check("annulus-log-exponent", abs(fit.d_hat - 1), f"d_hat = {fit.d_hat} vs 1")
@@ -1174,9 +1119,7 @@ def suite_chart_residual(seed: int = 0, quick: bool = False, threads: int = 1) -
         )
     ]
     n_final = 50_000 if quick else 500_000
-    res = sample_fiber_measure(
-        LocalChart(metric, 1e-6), n_final, seed, shards=max(threads, 1), threads=threads
-    )
+    (res,) = _sweep(metric, (1e-6,), n_final, seed, threads)
     verdicts.append(
         bound_check(
             "twisted-mass-pi",
@@ -1186,11 +1129,7 @@ def suite_chart_residual(seed: int = 0, quick: bool = False, threads: int = 1) -
         )
     )
     n = 10_000 if quick else 100_000
-    points = []
-    for k in range(2, 7):
-        t = 10.0**-k
-        r = sample_fiber_measure(LocalChart(metric, t), n, seed, shards=max(threads, 1), threads=threads)
-        points.append((complex(t), r.mass_raw))
+    points = [(r.t, r.mass_raw) for r in _sweep(metric, LADDER, n, seed, threads)]
     fit = fit_mass_asymptotics(points)
     verdicts.append(
         exact_check("twisted-log-exponent", abs(fit.d_hat - 0), f"d_hat = {fit.d_hat} vs 0")
@@ -1202,7 +1141,7 @@ def suite_pushforward(seed: int = 0, quick: bool = False, threads: int = 1) -> l
     """Pushforward histogram of the (1,2) chart: mass 1/2, uniform on [0, 1/2]."""
     metric = MonomialChartMetric(b=(1, 2), a=(Fraction(0), Fraction(0)))
     n = 100_000 if quick else 1_000_000
-    hist = pushforward_histogram(metric, n, 50, seed, t=1e-6, shards=max(threads, 1), threads=threads)
+    hist = pushforward_histogram(metric, n, 50, seed, t=1e-6, shards=threads, threads=threads)
     sig = sigmas(hist.total_mass - 0.5, hist.total_stderr)
     e = hist.edges[0]
     lo, hi = float(e[0]), float(e[-1])
@@ -1226,11 +1165,7 @@ def suite_decay(seed: int = 0, quick: bool = False, threads: int = 1) -> list[Ch
     """Chart with decay exponent 1/2: rescaled mass stays bounded."""
     metric = MonomialChartMetric(b=(2, 1), a=(Fraction(1), Fraction(1)))
     n = 20_000 if quick else 100_000
-    rescaled = []
-    for k in range(2, 7):
-        t = 10.0**-k
-        res = sample_fiber_measure(LocalChart(metric, t), n, seed, shards=max(threads, 1), threads=threads)
-        rescaled.append(res.mass_raw / t)
+    rescaled = [r.mass_raw / t for t, r in zip(LADDER, _sweep(metric, LADDER, n, seed, threads))]
     ratio = max(rescaled) / min(rescaled)
     return [
         bound_check(
@@ -1251,8 +1186,6 @@ def suite_polar(seed: int = 0, quick: bool = False, threads: int = 1) -> list[Ch
 
 def suite_base_change(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
     """Exact splitting and pushforward identities for every small b-vector and degree."""
-    from .model import Component, Stratum
-
     bad_split = bad_push = checked = 0
     for length in (1, 2, 3):
         for b in product(range(1, 5), repeat=length):
@@ -1261,14 +1194,7 @@ def suite_base_change(seed: int = 0, quick: bool = False, threads: int = 1) -> l
                 fc = face_base_change(b, m)
                 if fc.e * fc.f * fc.g != m or not fc.consistent:
                     bad_split += 1
-            comps = tuple(Component(f"E{i}", b[i]) for i in range(length))
-            names = [c.name for c in comps]
-            strata = []
-            for size in range(1, length + 1):
-                for combo in _combinations(names, size):
-                    strata.append(Stratum(tuple(combo)))
-            model = WeightedSncModel(comps, tuple(strata), name="bc")
-            measure = assemble_limit_measure(model)
+            measure = assemble_limit_measure(simplex_model(b, name="bc"))
             for m in range(1, 7):
                 if not pushforward_identity_check(measure, m).passed:
                     bad_push += 1
@@ -1290,30 +1216,8 @@ def suite_pencil(seed: int = 0, quick: bool = False, threads: int = 1) -> list[C
     """Triangle degeneration at desk scale: equal edges, uniform edges, constant residues."""
     pen = HypersurfacePencil.coordinate()
     n = 100_000 if quick else 1_000_000
-    res = sample_pencil(pen, 1e-5, n, seed, bins=25, shards=max(threads, 1), threads=threads)
-    patches = res.patches
-    worst = 0.0
-    for i in range(len(patches)):
-        for j in range(i + 1, len(patches)):
-            gap = abs(patches[i].mass_raw - patches[j].mass_raw)
-            se = math.hypot(patches[i].stderr_raw, patches[j].stderr_raw)
-            worst = max(worst, gap / se if se > 0 else math.inf)
-    verdicts = [
-        stat_check(
-            "pencil-edge-masses-equal",
-            worst,
-            f"worst pairwise gap {worst:.2f} standard errors across 3 edges",
-        )
-    ]
-    for p in patches:
-        verdicts.append(
-            bound_check(
-                f"pencil-edge-ks-{p.label}",
-                p.ks_uniform if p.ks_uniform is not None else math.inf,
-                0.02,
-                f"KS distance of edge {p.label} to the uniform edge density",
-            )
-        )
+    res = sample_pencil(pen, 1e-5, n, seed, bins=25, shards=threads, threads=threads)
+    verdicts = _edge_verdicts(res.patches, "pencil-edge-masses-equal", "pencil-edge-ks", 0.02)
     sk = TriangulatedSkeleton.from_dual_complex(build_dual_complex(coordinate_pencil(2)))
     magnitudes = residue_chain_propagate(sk, "E0&E1", 1.0)
     spread = max(magnitudes.values()) - min(magnitudes.values())
@@ -1334,20 +1238,7 @@ def suite_hybrid(seed: int = 0, quick: bool = False, threads: int = 1) -> list[C
 
 def suite_regression(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
     """Non-semistable skeleton: unequal multiplicities force a non-uniform limit."""
-    from .model import Component, Stratum
-
-    model = WeightedSncModel(
-        components=(Component("E0", 1), Component("E1", 2), Component("E2", 4)),
-        strata=(
-            Stratum(("E0",)),
-            Stratum(("E1",)),
-            Stratum(("E2",)),
-            Stratum(("E0", "E1")),
-            Stratum(("E1", "E2")),
-            Stratum(("E0", "E2")),
-        ),
-        name="non-semistable-cycle",
-    )
+    model = simplex_model((1, 2, 4), name="non-semistable-cycle", boundary=True)
     measure = assemble_limit_measure(model)
     weights = {e.face.id_string(): e.weight for e in measure.entries}
     distinct = sorted(set(weights.values()))
@@ -1361,11 +1252,7 @@ def suite_regression(seed: int = 0, quick: bool = False, threads: int = 1) -> li
         )
     ]
 
-    semistable = WeightedSncModel(
-        components=(Component("E0", 1), Component("E1", 1), Component("E2", 1)),
-        strata=model.strata,
-        name="semistable-cycle",
-    )
+    semistable = simplex_model((1, 1, 1), name="semistable-cycle", boundary=True)
     uniform = assemble_limit_measure(semistable)
     u_weights = sorted(set(e.weight for e in uniform.entries))
     verdicts.append(
@@ -1392,7 +1279,7 @@ SUITES: dict[str, Callable[..., list[CheckVerdict]]] = {
 }
 
 
-def _run_verify(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], list[Path]]:
+def _run_verify(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
     if cfg.suite is None:
         raise ConfigError("verify: needs --suite NAME (or --suite list)")
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
@@ -1406,7 +1293,7 @@ def _run_verify(cfg: ExperimentConfig, out: Path) -> tuple[list[CheckVerdict], l
     return verdicts, []
 
 
-RUNNERS: dict[str, Callable[[ExperimentConfig, Path], tuple[list[CheckVerdict], list[Path]]]] = {
+RUNNERS: dict[str, Callable[[ExperimentConfig, Path, Loaded | None], Outcome]] = {
     "dual-complex": _run_dual_complex,
     "weights": _run_weights,
     "limit-measure": _run_limit_measure,
@@ -1425,20 +1312,13 @@ def run(config: ExperimentConfig) -> RunReport:
     """Dispatch a validated configuration and collect the run report."""
     out = Path(config.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    input_bytes = b""
-    if config.model is not None:
-        path = Path(config.model)
-        if path.suffix or path.exists():
-            try:
-                input_bytes = path.read_bytes()
-            except OSError:
-                input_bytes = b""
     t0 = time.perf_counter()
-    verdicts, artifacts = RUNNERS[config.command](config, out)
+    loaded = _load_model(config) if config.model is not None else None
+    verdicts, artifacts = RUNNERS[config.command](config, out, loaded)
     elapsed = time.perf_counter() - t0
     report = RunReport(
         config=config,
-        content_hash=_content_hash(config, input_bytes),
+        content_hash=_content_hash(config, loaded[3] if loaded else b""),
         verdicts=tuple(verdicts),
         timings=((config.command, elapsed),),
         artifacts=tuple(str(p) for p in artifacts),
@@ -1466,7 +1346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     model_args = argparse.ArgumentParser(add_help=False)
     group = model_args.add_mutually_exclusive_group()
-    group.add_argument("--preset", default=None, help=f"model preset: {sorted(MODEL_PRESETS)}")
+    group.add_argument("--preset", default=None, help=f"model preset: {sorted(PRESETS)}")
     group.add_argument("--model", default=None, help="path to a model-spec file")
     model_args.add_argument("--n", type=int, default=2, help="projective dimension for coordinate_pencil")
 
@@ -1513,8 +1393,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     t_schedule: tuple[float, ...] = ()
     if getattr(args, "t", None):
         t_schedule = parse_t_schedule(args.t)
-    b = _parse_int_list(args.b) if getattr(args, "b", None) else None
-    a = _parse_fraction_list(args.a) if getattr(args, "a", None) else None
+    b = _parse_list(args.b, int, "integers") if getattr(args, "b", None) else None
+    a = _parse_list(args.a, Fraction, "rationals") if getattr(args, "a", None) else None
     n_polys = getattr(args, "n_polys", None)
     if getattr(args, "n_sequences", None) is not None:
         n_polys = args.n_sequences

@@ -12,8 +12,6 @@ total fiber mass.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -217,14 +215,6 @@ class SkeletalMeasure:
                 }
             )
         return rows
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        rows = self.to_rows()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return buf.getvalue()
 
     def to_json(self) -> str:
         payload = {

@@ -140,10 +140,7 @@ class WeightedSncModel:
             raise ModelError("pair divisor names must be unique and distinct from components")
 
     def component(self, name: str) -> Component:
-        for c in self.components:
-            if c.name == name:
-                return c
-        raise ModelError(f"unknown component {name!r}")
+        return self.components[self.component_index(name)]
 
     def component_index(self, name: str) -> int:
         for i, c in enumerate(self.components):
@@ -358,13 +355,31 @@ def coordinate_pencil(n: int = 2) -> WeightedSncModel:
     """
     if n < 1:
         raise ModelError("coordinate_pencil requires n >= 1")
-    names = [f"E{i}" for i in range(n + 1)]
-    comps = tuple(Component(nm, 1) for nm in names)
+    return simplex_model((1,) * (n + 1), name=f"coordinate_pencil({n})", boundary=True)
+
+
+def simplex_model(
+    b: Sequence[int],
+    a: Sequence[Fraction] | None = None,
+    name: str = "simplex",
+    boundary: bool = False,
+) -> WeightedSncModel:
+    """Components ``E0..Ep`` with multiplicities ``b`` and weights ``a`` (default 0).
+
+    Every nonempty set of components meets in one connected stratum, listed
+    by size and then in lexicographic order, so the dual complex is the full
+    ``p``-simplex; ``boundary=True`` leaves out the deepest stratum, giving
+    the boundary of the simplex.
+    """
+    names = [f"E{i}" for i in range(len(b))]
+    a = tuple(a) if a is not None else (Fraction(0),) * len(b)
+    comps = tuple(Component(nm, bi, ai) for nm, bi, ai in zip(names, b, a, strict=True))
+    depth = len(names) - 1 if boundary else len(names)
     strata = []
-    for size in range(1, n + 1):
+    for size in range(1, depth + 1):
         for J in _subsets(names, size):
-            strata.append(Stratum(tuple(J)))
-    return WeightedSncModel(comps, tuple(strata), name=f"coordinate_pencil({n})")
+            strata.append(Stratum(J))
+    return WeightedSncModel(comps, tuple(strata), name=name)
 
 
 def _subsets(items: Sequence[str], size: int) -> list[tuple[str, ...]]:

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .measure import TWO_PI
-from .sampler import ks_statistic, uniform_cdf
+from .sampler import _map_shards, _shard_counts, ks_statistic, uniform_cdf
 
 RESIDUAL_TOLERANCE = 1e-10
 _STRATA = 16
@@ -50,8 +51,10 @@ class HypersurfacePencil:
     n: int = 2
     epsilon: float = 0.1
 
+    PRESETS: ClassVar[tuple[str, ...]] = ("coordinate_pencil", "fermat_smooth")
+
     def __post_init__(self) -> None:
-        if self.preset not in ("coordinate_pencil", "fermat_smooth"):
+        if self.preset not in self.PRESETS:
             raise PencilError(f"unknown preset {self.preset!r}")
         if self.n < 1:
             raise PencilError("projective dimension must be at least 1")
@@ -233,7 +236,7 @@ def _sample_patch_route(
     route is this function with fresh randomness (it sees the reflected edge
     coordinate, which the exactly symmetric fiber measure renders harmless).
     """
-    strata = np.repeat(np.arange(_STRATA), _shard_sizes(m, _STRATA))
+    strata = np.repeat(np.arange(_STRATA), _shard_counts(m, _STRATA))
     quantile = (strata + rng.uniform(size=m)) / _STRATA
     if log_scale:
         x = quantile * math.log(1.0 / r_lo)
@@ -280,11 +283,6 @@ def _sample_patch_route(
     }
 
 
-def _shard_sizes(n: int, parts: int) -> list[int]:
-    base, extra = divmod(n, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
-
-
 def sample_pencil(
     pencil: HypersurfacePencil,
     t: complex,
@@ -317,24 +315,17 @@ def sample_pencil(
     log_scale = pencil.has_tropical_edges
 
     seqs = np.random.SeedSequence(seed).spawn(6 * shards)
-    m_route = _shard_sizes(n, 6)
+    m_route = _shard_counts(n, 6)
 
     def run(job: int) -> tuple[int, dict]:
         route = job // shards
-        m = _shard_sizes(m_route[route], shards)[job % shards]
+        m = _shard_counts(m_route[route], shards)[job % shards]
         out = _sample_patch_route(
             a_coeff, b_coeff, m, r_lo, log_scale, np.random.default_rng(seqs[job])
         )
         return route, out
 
-    jobs = range(6 * shards)
-    if threads > 1 and shards > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
+    results = _map_shards(run, 6 * shards, threads)
 
     lam_norm = TWO_PI * math.log(1.0 / abs(t))
     patches: list[PatchEstimate] = []
@@ -433,3 +424,20 @@ def predicted_edge_mass(pencil: HypersurfacePencil) -> float:
     if not pencil.has_tropical_edges:
         raise PencilError("the smooth pencil has no tropical edges")
     return 1.0
+
+
+def elliptic_lattice_covolume() -> float:
+    """Covolume of the period lattice of the smooth cubic ``sum z_i^3 = 0``.
+
+    The curve is isomorphic to ``y^2 = x^3 - 432``, whose real half-period is
+    ``(1/3) 432^(-1/6) B(1/6, 1/2)``; the lattice is hexagonal, so the
+    covolume is ``Omega^2 sqrt(3)/2``.
+    """
+    omega = (
+        (2.0 / 3.0)
+        * 432.0 ** (-1.0 / 6.0)
+        * math.gamma(1.0 / 6.0)
+        * math.gamma(0.5)
+        / math.gamma(2.0 / 3.0)
+    )
+    return omega * omega * math.sqrt(3.0) / 2.0

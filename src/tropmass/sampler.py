@@ -106,6 +106,16 @@ def _shard_counts(n: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
+def _map_shards(run: Callable[[int], object], jobs: int, threads: int) -> list:
+    """``[run(i) for i in range(jobs)]``, spread over ``threads`` threads when both exceed 1."""
+    if threads > 1 and jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, range(jobs)))
+    return [run(i) for i in range(jobs)]
+
+
 def _sample_shard(
     chart: LocalChart,
     n: int,
@@ -217,14 +227,7 @@ def sample_fiber_measure(
     def run(i: int) -> dict:
         return _sample_shard(chart, counts[i], np.random.default_rng(seqs[i]), h, keep_samples)
 
-    if threads > 1 and shards > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, range(shards)))
-    else:
-        parts = [run(i) for i in range(shards)]
-
+    parts = _map_shards(run, shards, threads)
     total = sum(s["sum"] for s in parts)
     sumsq = sum(s["sumsq"] for s in parts)
     n_acc = sum(s["n_accepted"] for s in parts)
@@ -636,16 +639,15 @@ class MassFit:
     confident: bool
     n_points: int
 
-    def as_dict(self) -> dict:
-        return {
-            "kappa_min_hat": self.kappa_min_hat,
-            "d_hat": self.d_hat,
-            "d_raw": self.d_raw,
-            "c_hat": self.c_hat,
-            "residual_rms": self.residual_rms,
-            "confident": self.confident,
-            "n_points": self.n_points,
-        }
+
+def check_fit_schedule(ts: Sequence[complex]) -> None:
+    """Raise `ValueError` unless ``ts`` has at least 4 distinct moduli spanning 3 decades."""
+    distinct = np.unique(np.abs(np.asarray(ts, dtype=complex)))
+    if distinct.size < 4:
+        raise ValueError("need at least 4 distinct |t| values")
+    decades = (np.log10(distinct.max()) - np.log10(distinct.min()))
+    if decades < 3:
+        raise ValueError("need |t| values spanning at least 3 decades")
 
 
 def fit_mass_asymptotics(points: Sequence[tuple[complex, float]]) -> MassFit:
@@ -660,12 +662,7 @@ def fit_mass_asymptotics(points: Sequence[tuple[complex, float]]) -> MassFit:
     ms = np.array([float(v) for _, v in points], dtype=float)
     if np.any(ms <= 0) or np.any((ts <= 0) | (ts >= 1)):
         raise ValueError("need masses > 0 and moduli in (0, 1)")
-    distinct = np.unique(ts)
-    if distinct.size < 4:
-        raise ValueError("need at least 4 distinct |t| values")
-    decades = (np.log10(distinct.max()) - np.log10(distinct.min()))
-    if decades < 3:
-        raise ValueError("need |t| values spanning at least 3 decades")
+    check_fit_schedule(ts)
     log_t = np.log(ts)
     loglog = np.log(-log_t)
     design = np.column_stack([np.ones_like(log_t), log_t, loglog])

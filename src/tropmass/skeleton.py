@@ -42,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import DualComplex, Face, ModelSpecError, WeightedSncModel, parse_model_spec
+from .model import DualComplex, Face, ModelSpecError, WeightedSncModel, _parse_fields, parse_model_spec
 
 
 class SkeletonError(ValueError):
@@ -381,14 +381,7 @@ def parse_skeleton_spec(
         model_lines.append("")
         if not line:
             continue
-        fields: dict[str, str] = {}
-        for token in line.split():
-            if "=" not in token:
-                raise ModelSpecError(lineno, f"skeleton line token {token!r} needs key=value form")
-            key, _, value = token.partition("=")
-            if key in fields:
-                raise ModelSpecError(lineno, f"duplicate skeleton field {key!r}")
-            fields[key] = value
+        fields = _parse_fields(line.split(), lineno)
         unknown = set(fields) - {"residue_anchor", "rho"}
         if unknown:
             raise ModelSpecError(lineno, f"unknown skeleton field(s) {sorted(unknown)!r}")

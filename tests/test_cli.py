@@ -9,10 +9,15 @@ its own section.
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from tropmass import cli
 from tropmass.cli import (
     SUITES,
     ConfigError,
@@ -22,7 +27,7 @@ from tropmass.cli import (
     main,
     parse_t_schedule,
 )
-from tropmass.model import ModelSpecError, coordinate_pencil, format_model_spec
+from tropmass.model import ModelSpecError, coordinate_pencil, format_model_spec, parse_model_spec
 from tropmass.skeleton import parse_skeleton_spec
 
 
@@ -251,6 +256,16 @@ class TestExitCodes:
         assert code == 2
         assert "nope" in err
 
+    def test_pencil_beyond_plane_curves_exits_two(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["sample", "--preset", "coordinate_pencil", "--n", "3", "--t", "1e-4", "--seed", "1"],
+            tmp_path,
+            capsys,
+        )
+        assert code == 2
+        assert "[error]" in err and "--n 2" in err
+        assert not list(tmp_path.glob("sample-*.csv"))
+
     def test_suite_list_prints_registry(self, capsys):
         code = main(["verify", "--suite", "list"])
         out = capsys.readouterr().out
@@ -354,6 +369,16 @@ class TestSubcommands:
         )
         assert code == 2
         assert "4" in err
+
+    def test_fit_mass_needs_three_decades_before_sampling(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["fit-mass", "--preset", "annulus", "--t", "1e-2,5e-3,1e-3,5e-4", "--seed", "4"],
+            tmp_path,
+            capsys,
+        )
+        assert code == 2
+        assert "3 decades" in err
+        assert not list(tmp_path.glob("fit-mass-*.csv"))
 
     def test_polar_check_small(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -483,3 +508,74 @@ class TestSuiteRegistry:
             "pushforward",
             "regression",
         ]
+
+    def test_verify_all_calls_the_samplers_through_cli(self, tmp_path, monkeypatch):
+        # The benchmark's verify-all workload counts effective samples by
+        # wrapping these three names in the cli module; a suite that stops
+        # calling them there would silently zero its ess_per_s.
+        calls = []
+        suite = [None]
+
+        def counting(fn):
+            def call(*args, **kwargs):
+                calls.append(suite[0])
+                return fn(*args, **kwargs)
+
+            return call
+
+        def entering(name, fn):
+            def run_suite(**kwargs):
+                suite[0] = name
+                return fn(**kwargs)
+
+            return run_suite
+
+        for name in ("sample_fiber_measure", "pushforward_histogram", "sample_pencil"):
+            monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+        for name, fn in list(SUITES.items()):
+            monkeypatch.setitem(SUITES, name, entering(name, fn))
+        report = cli.run(
+            ExperimentConfig(command="verify", suite="all", quick=True, seed=0, outdir=str(tmp_path))
+        )
+        assert Counter(calls) == {
+            "annulus-mass": 5,
+            "chart-residual": 6,
+            "pushforward": 1,
+            "decay": 5,
+            "pencil": 1,
+        }
+        assert len(report.verdicts) == 51
+        assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(lang: str) -> list[str]:
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+class TestReadme:
+    def test_spec_blocks_parse(self):
+        model_block, skeleton_block = readme_blocks("ini")
+        model = parse_model_spec(model_block)
+        assert [p.name for p in model.pair_divisors] == ["H"]
+        _, anchor, rho = parse_skeleton_spec(model_block + skeleton_block)
+        assert (anchor, rho) == ("E0&E1", 2.0)
+
+    def test_command_lines_parse(self):
+        lines = [
+            line
+            for block in readme_blocks("sh")
+            for line in block.splitlines()
+            if line.startswith("tropmass ")
+        ]
+        assert len(lines) == 13
+        parser = build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+            assert args.command == line.split()[1]

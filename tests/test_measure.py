@@ -149,22 +149,28 @@ class TestAssembleLimitMeasure:
         assert total(r1 + r2) == pytest.approx(total(r1) + total(r2))
         assert total(3 * r1) == pytest.approx(3 * total(r1))
 
-    def test_serialization_roundtrip(self):
+    def test_serialization_roundtrip(self, tmp_path):
         import csv as _csv
-        import io
         import json
 
+        from tropmass.cli import write_csv
+
         measure = assemble_limit_measure(coordinate_pencil(2))
-        rows = list(_csv.DictReader(io.StringIO(measure.to_csv())))
+        write_csv(tmp_path / "m.csv", measure.to_rows())
+        rows = list(_csv.DictReader((tmp_path / "m.csv").open()))
         assert len(rows) == 3
         assert rows[0]["b_sigma"] == "1"
         payload = json.loads(measure.to_json())
         assert payload["total_mass"] == pytest.approx(3.0)
         assert len(payload["entries"]) == 3
 
-    def test_csv_deterministic(self):
+    def test_csv_deterministic(self, tmp_path):
+        from tropmass.cli import write_csv
+
         measure = assemble_limit_measure(coordinate_pencil(2))
-        assert measure.to_csv() == measure.to_csv()
+        write_csv(tmp_path / "a.csv", measure.to_rows())
+        write_csv(tmp_path / "b.csv", measure.to_rows())
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestPredictedMassAsymptotics:

@@ -25,6 +25,7 @@ from tropmass.model import (
     is_subklt,
     load_preset,
     parse_model_spec,
+    simplex_model,
     weight_data,
 )
 
@@ -306,6 +307,16 @@ class TestPresets:
     def test_annulus_shape(self):
         dual = build_dual_complex(annulus())
         assert len(dual.faces) == 3 and dual.dim == 1
+
+    def test_simplex_model_strata(self):
+        full = simplex_model((1, 2, 4), (0, Fraction(1, 2), 1))
+        assert [s.components for s in full.strata] == [
+            ("E0",), ("E1",), ("E2",), ("E0", "E1"), ("E0", "E2"), ("E1", "E2"), ("E0", "E1", "E2"),
+        ]
+        assert [c.a for c in full.components] == [0, Fraction(1, 2), 1]
+        assert simplex_model((1, 1, 1), boundary=True).strata == coordinate_pencil(2).strata
+        with pytest.raises(ValueError):
+            simplex_model((1, 2), (0,))
 
 
 class TestModelSpecFormat:
