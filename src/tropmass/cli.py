@@ -52,7 +52,7 @@ from .measure import (
     TWO_PI,
     MonomialChartMetric,
     assemble_limit_measure,
-    predicted_mass_asymptotics,
+    chart_limit_mass,
     residual_mass_closed_form,
 )
 from .model import (
@@ -338,7 +338,7 @@ def write_csv(path: Path, rows: Sequence[Mapping[str, object]]) -> None:
 
 
 def _fmt(v: object) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
 def write_json(path: Path, obj: object) -> None:
@@ -469,22 +469,11 @@ def _run_base_change(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) ->
     return verdicts, [csv_path]
 
 
-def _chart_limit_mass(metric: MonomialChartMetric) -> float:
-    """Limit of the normalized chart mass: residual times volume over gcd."""
-    active = metric.active_indices()
-    b_active = tuple(metric.b[i] for i in active)
-    scale = float(simplex_volume(b_active) / math.gcd(*b_active))
-    return residual_mass_closed_form(metric) * scale
-
-
 def _sweep(
     metric: MonomialChartMetric, ts: Iterable[float], n: int, seed: int, threads: int
 ) -> list[FiberSampleResult]:
-    """Sample the chart's fiber mass at each ``t``, one shard per thread."""
-    return [
-        sample_fiber_measure(LocalChart(metric, t), n, seed, shards=threads, threads=threads)
-        for t in ts
-    ]
+    """Sample the chart's fiber mass at each ``t``; ``threads`` only sets the speed."""
+    return [sample_fiber_measure(LocalChart(metric, t), n, seed, threads=threads) for t in ts]
 
 
 def _edge_verdicts(
@@ -522,7 +511,7 @@ def _sample_chart(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Ou
     ts = cfg.t_schedule or (1e-4,)
     rows = []
     verdicts = []
-    predicted = _chart_limit_mass(metric)
+    predicted = chart_limit_mass(metric)
     for t, res in zip(ts, _sweep(metric, ts, cfg.n_samples or 100_000, cfg.seed, cfg.threads)):
         rows.append(
             {
@@ -557,9 +546,7 @@ def _sample_pencil_cmd(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) 
     t = cfg.t_schedule[0]
     n = cfg.n_samples or 100_000
     ks_limit = cfg.tolerance if cfg.tolerance is not None else 0.02
-    res = sample_pencil(
-        pen, t, n, cfg.seed, bins=cfg.bins or 20, shards=cfg.threads, threads=cfg.threads
-    )
+    res = sample_pencil(pen, t, n, cfg.seed, bins=cfg.bins or 20, threads=cfg.threads)
     rows = []
     for p in res.patches:
         rows.append(
@@ -639,11 +626,8 @@ def _run_pushforward(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) ->
     n = cfg.n_samples or 100_000
     bins = cfg.bins or 50
     ks_limit = cfg.tolerance if cfg.tolerance is not None else 0.02
-    hist = pushforward_histogram(
-        metric, n, bins, cfg.seed, t=t, shards=cfg.threads, threads=cfg.threads
-    )
-    residual = residual_mass_closed_form(metric)
-    predicted_total = hist.predicted_total(residual)
+    hist = pushforward_histogram(metric, n, bins, cfg.seed, t=t, threads=cfg.threads)
+    predicted_total = chart_limit_mass(metric)
     sig = sigmas(hist.total_mass - predicted_total, hist.total_stderr)
     verdicts = [
         stat_check(
@@ -708,10 +692,10 @@ def _run_fit_mass(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Ou
     write_csv(csv_path, rows)
 
     fit = fit_mass_asymptotics(points)
-    pred = predicted_mass_asymptotics(simplex_model(metric.b, metric.a, name="chart"))
-    kappa_pred = float(pred["kappa_min"])
-    d_pred = int(pred["d"])
-    c_pred = float(pred["c"])
+    wd = weight_data(simplex_model(metric.b, metric.a, name="chart"))
+    kappa_pred = float(wd.kappa_min)
+    d_pred = wd.d
+    c_pred = TWO_PI**d_pred * chart_limit_mass(metric)
     c_rel_limit = cfg.tolerance if cfg.tolerance is not None else 0.02
     verdicts = [
         exact_check(
@@ -1141,7 +1125,7 @@ def suite_pushforward(seed: int = 0, quick: bool = False, threads: int = 1) -> l
     """Pushforward histogram of the (1,2) chart: mass 1/2, uniform on [0, 1/2]."""
     metric = MonomialChartMetric(b=(1, 2), a=(Fraction(0), Fraction(0)))
     n = 100_000 if quick else 1_000_000
-    hist = pushforward_histogram(metric, n, 50, seed, t=1e-6, shards=threads, threads=threads)
+    hist = pushforward_histogram(metric, n, 50, seed, t=1e-6, threads=threads)
     sig = sigmas(hist.total_mass - 0.5, hist.total_stderr)
     e = hist.edges[0]
     lo, hi = float(e[0]), float(e[-1])
@@ -1216,7 +1200,7 @@ def suite_pencil(seed: int = 0, quick: bool = False, threads: int = 1) -> list[C
     """Triangle degeneration at desk scale: equal edges, uniform edges, constant residues."""
     pen = HypersurfacePencil.coordinate()
     n = 100_000 if quick else 1_000_000
-    res = sample_pencil(pen, 1e-5, n, seed, bins=25, shards=threads, threads=threads)
+    res = sample_pencil(pen, 1e-5, n, seed, bins=25, threads=threads)
     verdicts = _edge_verdicts(res.patches, "pencil-edge-masses-equal", "pencil-edge-ks", 0.02)
     sk = TriangulatedSkeleton.from_dual_complex(build_dual_complex(coordinate_pencil(2)))
     magnitudes = residue_chain_propagate(sk, "E0&E1", 1.0)
@@ -1341,7 +1325,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help=f"output directory (default ${OUTDIR_ENV} or ./{DEFAULT_OUTDIR})")
     common.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory for sampling)")
-    common.add_argument("--threads", type=int, default=1, help="sampler shards run in this many threads")
+    common.add_argument("--threads", type=int, default=1, help="sampler chunks run in this many threads (results do not depend on it)")
     common.add_argument("--tolerance", type=float, default=None, help="override the default check tolerance")
 
     model_args = argparse.ArgumentParser(add_help=False)

@@ -156,6 +156,12 @@ def residual_mass_closed_form(chart: MonomialChartMetric, active_dim: int | None
     return mass
 
 
+def chart_limit_mass(chart: MonomialChartMetric) -> float:
+    """Limit of the rescaled chart mass: residual mass times ``Vol / gcd`` of the active ``b``."""
+    b_active = tuple(chart.b[i] for i in chart.active_indices())
+    return residual_mass_closed_form(chart) * float(simplex_volume(b_active) / math.gcd(*b_active))
+
+
 @dataclass(frozen=True)
 class MeasureEntry:
     """One top-dimensional face's contribution to the limit measure."""

@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import simplex_volume
 from .measure import MonomialChartMetric, TWO_PI
 
 
@@ -99,6 +98,13 @@ class FiberSampleResult:
     @property
     def accept_rate(self) -> float:
         return self.n_accepted / self.n_samples
+
+
+# Largest chunk of `sample_fiber_measure`: ``n`` samples always run as
+# ``ceil(n / CHUNK)`` chunks, chunk ``i`` drawing from child ``i`` of
+# ``SeedSequence(seed)``.  2^17 is the smallest power of two at or above the
+# 1e5 samples of the ``--quick`` suites, so each of their calls is one chunk.
+CHUNK = 1 << 17
 
 
 def _shard_counts(n: int, shards: int) -> list[int]:
@@ -203,7 +209,6 @@ def sample_fiber_measure(
     seed: int,
     *,
     h: Callable | None = None,
-    shards: int = 1,
     keep_samples: bool = False,
     threads: int = 1,
 ) -> FiberSampleResult:
@@ -214,20 +219,20 @@ def sample_fiber_measure(
     and ``kappa_ref`` the chart's reference slope.  ``h`` is an optional
     vectorized function of the complex chart coordinates (and transverse
     coordinates, if any); ``h = None`` estimates the total mass.  Sampling is
-    deterministic given ``seed`` and the shard layout; shards use
-    independently derived sub-seeds and merge by summation.
+    deterministic given ``n`` and ``seed``: the samples are drawn in chunks of
+    at most `CHUNK` with independently derived sub-seeds and merged in chunk
+    order, so ``threads`` changes only how many chunks run at once.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if shards < 1:
-        raise ValueError("need at least one shard")
-    counts = _shard_counts(n, shards)
-    seqs = np.random.SeedSequence(seed).spawn(shards)
+    chunks = -(-n // CHUNK)
+    counts = _shard_counts(n, chunks)
+    seqs = np.random.SeedSequence(seed).spawn(chunks)
 
     def run(i: int) -> dict:
         return _sample_shard(chart, counts[i], np.random.default_rng(seqs[i]), h, keep_samples)
 
-    parts = _map_shards(run, shards, threads)
+    parts = _map_shards(run, chunks, threads)
     total = sum(s["sum"] for s in parts)
     sumsq = sum(s["sumsq"] for s in parts)
     n_acc = sum(s["n_accepted"] for s in parts)
@@ -315,10 +320,6 @@ class SimplexHistogram:
         """Chart density of the predicted limit ``R * b_sigma^{-1} * lambda_sigma``."""
         return residual_mass / self.b_active[0]
 
-    def predicted_total(self, residual_mass: float) -> float:
-        vol = simplex_volume(self.b_active)
-        return residual_mass * float(vol / math.gcd(*self.b_active))
-
 
 def pushforward_histogram(
     chart: LocalChart | MonomialChartMetric,
@@ -327,7 +328,6 @@ def pushforward_histogram(
     seed: int,
     *,
     t: complex | None = None,
-    shards: int = 1,
     threads: int = 1,
 ) -> SimplexHistogram:
     """Histogram of the normalized log map of fiber samples, on the active face chart.
@@ -342,9 +342,7 @@ def pushforward_histogram(
     m = chart.metric
     kmin = m.kappa_min
     active = tuple(i for i, k in enumerate(m.kappa) if k == kmin)
-    res = sample_fiber_measure(
-        chart, n, seed, shards=shards, keep_samples=True, threads=threads
-    )
+    res = sample_fiber_measure(chart, n, seed, keep_samples=True, threads=threads)
     coord_indices = active[1:]
     if coord_indices:
         values = res.w[:, list(coord_indices)]
@@ -504,7 +502,7 @@ def polar_full_check(
     area = math.prod(math.pi * r**2 for r in radii)
     vals = f(z) * area
     mean = complex(vals.mean())
-    stderr = float(np.abs(vals - mean).std() / math.sqrt(n))
+    stderr = float(vals.std() / math.sqrt(n))
 
     exact = 0j
     for a_exp, b_exp, coeff in f.terms:
@@ -598,7 +596,7 @@ def polar_fiber_check(
             vals += f(np.column_stack([z0, z1]))
         vals *= TWO_PI * (x1_hi - x1_lo) / b[0] ** 2
         mc = complex(vals.mean())
-        stderr = float(np.abs(vals - vals.mean()).std() / math.sqrt(n))
+        stderr = float(vals.std() / math.sqrt(n))
     else:
         raise NotImplementedError("fiber check implemented for at most 2 coordinates")
 

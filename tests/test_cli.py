@@ -9,6 +9,7 @@ its own section.
 from __future__ import annotations
 
 import json
+import math
 import re
 import shlex
 from collections import Counter
@@ -361,6 +362,17 @@ class TestSubcommands:
         assert fit["fit"]["kappa_min_hat"] == pytest.approx(0.0, abs=1e-9)
         assert fit["fit"]["c_hat"] == pytest.approx(fit["predicted"]["c"], rel=1e-9)
 
+    def test_fit_mass_predicts_the_chart_limit_constant(self, tmp_path, capsys):
+        # d = 0 on the twisted chart, so c is the chart limit mass pi, not 1.
+        code, _, _ = run_cli(
+            ["fit-mass", "--b", "1,1", "--a", "0,1", "--t", "1e-2..1e-6", "--seed", "3"],
+            tmp_path,
+            capsys,
+        )
+        assert code == 0
+        fit = json.loads((tmp_path / "fit-mass-chart-1-1.json").read_text())
+        assert fit["predicted"]["c"] == pytest.approx(math.pi, rel=1e-12)
+
     def test_fit_mass_needs_four_t_values(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["fit-mass", "--preset", "annulus", "--t", "1e-2..1e-4", "--seed", "4"],
@@ -458,6 +470,31 @@ class TestDeterminism:
         assert csvs
         for name in csvs:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_pencil_histogram_csv_has_plain_floats(self, tmp_path, capsys):
+        assert main(self._sample_args(tmp_path)) == 0
+        capsys.readouterr()
+        (hist,) = tmp_path.glob("*-hist.csv")
+        assert "np." not in hist.read_text()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sample", "--b", "1,2", "--a", "0,1", "--t", "1e-4", "--n-samples", "400000"],
+            ["pushforward", "--b", "1,2", "--t", "1e-6", "--n-samples", "1000000", "--bins", "50"],
+            ["sample", "--preset", "coordinate_pencil", "--n", "2", "--t", "1e-5", "--n-samples", "20000"],
+        ],
+        ids=["sample-chart", "pushforward", "sample-pencil"],
+    )
+    def test_threads_do_not_change_csv_bytes(self, tmp_path, capsys, args):
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main([*args, "--seed", "3", "--threads", threads, "--out", str(out)]) == 0
+        capsys.readouterr()
+        csvs = sorted(p.name for p in (tmp_path / "1").glob("*.csv"))
+        assert csvs
+        for name in csvs:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_content_hash_ignores_outdir(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

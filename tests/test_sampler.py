@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropmass.lattice import simplex_volume
-from tropmass.measure import MonomialChartMetric, TWO_PI
+from tropmass.measure import MonomialChartMetric, TWO_PI, chart_limit_mass
 from tropmass.sampler import (
+    CHUNK,
     EmptyFiberError,
     FiberSampleResult,
     LocalChart,
@@ -24,6 +25,7 @@ from tropmass.sampler import (
     polar_full_check,
     pushforward_histogram,
     sample_fiber_measure,
+    _sample_shard,
     uniform_cdf,
 )
 
@@ -156,17 +158,28 @@ class TestFiberMass:
         )
         assert r_rot.mass == pytest.approx(r_pos.mass, rel=1e-12)
 
-    def test_seed_reproducibility_and_shard_merge(self):
+    def test_threads_do_not_change_chunked_result(self):
         c = chart((1, 1), (0, 1), 1e-3)
-        a = sample_fiber_measure(c, 10_000, seed=42, keep_samples=True)
-        b = sample_fiber_measure(c, 10_000, seed=42, keep_samples=True)
-        assert a.mass == b.mass
-        np.testing.assert_array_equal(a.weights, b.weights)
-        sharded = sample_fiber_measure(c, 10_000, seed=42, shards=4)
-        again = sample_fiber_measure(c, 10_000, seed=42, shards=4, threads=4)
-        assert sharded.mass == again.mass
-        # Different layout, same estimand.
-        assert abs(sharded.mass - a.mass) < 4 * (a.stderr + sharded.stderr)
+        runs = [
+            sample_fiber_measure(c, 3 * CHUNK + 5, seed=42, keep_samples=True, threads=k)
+            for k in (1, 2, 3)
+        ]
+        for res in runs[1:]:
+            assert (res.mass, res.stderr) == (runs[0].mass, runs[0].stderr)
+            np.testing.assert_array_equal(res.weights, runs[0].weights)
+            np.testing.assert_array_equal(res.w, runs[0].w)
+        # Merged chunks estimate the same mass as a single chunk.
+        one = sample_fiber_measure(c, 10_000, seed=42)
+        assert abs(runs[0].mass - one.mass) < 4 * (runs[0].stderr + one.stderr)
+
+    def test_single_chunk_is_the_first_child_stream(self):
+        c = chart((1, 2), (0, 1), 1e-3)
+        res = sample_fiber_measure(c, CHUNK, seed=9, keep_samples=True)
+        rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
+        part = _sample_shard(c, CHUNK, rng, None, True)
+        assert res.mass == part["sum"] / CHUNK
+        np.testing.assert_array_equal(res.weights, part["weights"])
+        np.testing.assert_array_equal(res.w, part["w"])
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -191,7 +204,7 @@ class TestPushforwardHistogram:
         predicted_bin = hist.predicted_chart_density(1.0) * 0.5 / 20
         for mass, err in zip(hist.masses, hist.stderrs):
             assert abs(mass - predicted_bin) < max(4 * err, 1e-12)
-        assert hist.predicted_total(1.0) == pytest.approx(0.5)
+        assert chart_limit_mass(MonomialChartMetric(b=(1, 2), a=(0, 0))) == pytest.approx(0.5)
 
     def test_ks_distance_to_uniform_small(self):
         hist = pushforward_histogram(chart((1, 2), (0, 0), 1e-4), 200_000, 20, seed=8)
@@ -254,6 +267,31 @@ class TestPolarChecks:
         f = TrigPoly((((-1, 0), (-1, 0), 1.0 + 0j),))
         with pytest.raises(ValueError):
             polar_full_check((1, 1), f, 100, seed=0)
+
+    def test_stderr_is_that_of_a_complex_mean(self):
+        # sqrt(mean |x - mean|^2 / n), recomputed on the checks' own seeded draws.
+        f = TrigPoly((((1, 0), (0, 0), 1.0 + 0j), ((0, 1), (1, 1), 0.5j)))
+        n, seed, t = 5000, 11, 1e-3 * np.exp(0.4j)
+
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(size=(n, 2))
+        phase = rng.uniform(0.0, TWO_PI, size=(n, 2))
+        full = f(np.sqrt(u) * np.exp(1j * phase)) * math.pi**2
+
+        rng = np.random.default_rng(seed)
+        x1_hi = -math.log(abs(t)) / 2
+        z1 = np.exp(-rng.uniform(0.0, x1_hi, size=n) + 1j * TWO_PI * rng.uniform(size=n))
+        w_mod = t / z1**2
+        z0 = np.abs(w_mod) * np.exp(1j * np.angle(w_mod))
+        fiber = f(np.column_stack([z0, z1])) * TWO_PI * x1_hi
+
+        for res, vals in (
+            (polar_full_check((1, 1), f, n, seed), full),
+            (polar_fiber_check((1, 2), t, f, n, seed), fiber),
+        ):
+            assert res.mc_value == pytest.approx(vals.mean(), rel=1e-12)
+            expected = math.sqrt(np.mean(np.abs(vals - vals.mean()) ** 2) / n)
+            assert res.mc_stderr == pytest.approx(expected, rel=1e-9)
 
     def test_fiber_point_case_exact(self):
         # One-coordinate chart b = 3: three fiber points of mass 1/9.
