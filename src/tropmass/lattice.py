@@ -6,8 +6,9 @@ This module computes, in exact integer/rational arithmetic:
 
 * the lattice-normalized volume of ``sigma``,
 * the index of the rescaling map between the tangent lattices of ``sigma``
-  and of the reduced (all-multiplicities-one) simplex, via an explicit
-  integer normal form (independent of the closed-form product formula),
+  and of the reduced (all-multiplicities-one) simplex, via explicit integer
+  coordinates and a determinant (independent of the closed-form product
+  formula),
 * the constant density of the lattice-normalized Lebesgue measure in the
   standard affine chart that drops one coordinate.
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 
@@ -221,48 +223,17 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _solve_integer_coords(
-    basis: list[tuple[int, ...]], vec: tuple[int, ...]
-) -> list[int]:
-    """Coordinates of ``vec`` in the given lattice basis (must be integral)."""
-    k = len(basis)
-    if k == 0:
-        if any(vec):
-            raise ValueError("nonzero vector in rank-0 lattice")
-        return []
-    n = len(vec)
-    # Solve the overdetermined system basis^T x = vec exactly with Fractions.
-    rows = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(vec[i])] for i in range(n)]
-    # Gauss-Jordan elimination, one pivot row per column.
-    next_row = 0
-    pivots: list[tuple[int, int]] = []
-    for col in range(k):
-        piv = next((i for i in range(next_row, n) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[next_row], rows[piv] = rows[piv], rows[next_row]
-        inv = 1 / rows[next_row][col]
-        rows[next_row] = [x * inv for x in rows[next_row]]
-        for i in range(n):
-            if i != next_row and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[next_row])]
-        pivots.append((next_row, col))
-        next_row += 1
-    x = [Fraction(0)] * k
-    for r, c in pivots:
-        x[c] = rows[r][k]
-    # Consistency check: reconstruct vec.
-    for i in range(n):
-        s = sum((x[j] * basis[j][i] for j in range(k)), start=Fraction(0))
-        if s != vec[i]:
-            raise ValueError("vector not in the lattice spanned by the basis")
-    out = []
-    for v in x:
-        if v.denominator != 1:
-            raise ValueError("vector not in the integer span of the basis")
-        out.append(int(v))
-    return out
+def _reduced_coords(vec: Sequence[int]) -> list[int]:
+    """Coordinates of ``vec`` in ``kernel_basis((1,) * n)``, which is ``{e_{k-1} - e_k}``.
+
+    ``vec = sum_k x_k (e_{k-1} - e_k)`` gives ``x_{j+1} = vec_0 + ... + vec_j``
+    for ``j < n - 1``; ``vec`` lies in the lattice exactly when its entries sum
+    to zero.
+    """
+    partial = list(accumulate(vec))
+    if partial[-1] != 0:
+        raise ValueError("vector not in the lattice spanned by the basis")
+    return partial[:-1]
 
 
 def lattice_index(b: Sequence[int]) -> int:
@@ -272,10 +243,11 @@ def lattice_index(b: Sequence[int]) -> int:
     lattice ``T = {w in Z^{p+1} : sum b_i w_i = 0}`` of the weighted simplex
     into the tangent lattice ``T' = {w in Z^{p+1} : sum w_i = 0}`` of the
     reduced simplex.  This function computes ``[T' : phi(T)]`` by an explicit
-    integer normal-form computation (basis of ``T`` and of ``T'``, change of
-    basis, fraction-free determinant) rather than by the closed-form product
-    formula — so it serves as an independent oracle for `simplex_volume`
-    through the identity ``simplex_volume(b) * lattice_index(b) == 1/p!``.
+    integer computation (basis of ``T``, coordinates of its image in the
+    basis ``{e_{k-1} - e_k}`` of ``T'``, fraction-free determinant) rather
+    than by the closed-form product formula — so it serves as an independent
+    oracle for `simplex_volume` through the identity
+    ``simplex_volume(b) * lattice_index(b) == 1/p!``.
 
     Examples
     --------
@@ -285,11 +257,8 @@ def lattice_index(b: Sequence[int]) -> int:
     6
     """
     b = _validate_multiplicities(b)
-    t_basis = kernel_basis(b)
-    t_red_basis = kernel_basis((1,) * len(b))
-    phi = [tuple(bi * wi for bi, wi in zip(b, v)) for v in t_basis]
-    coords = [_solve_integer_coords(t_red_basis, v) for v in phi]
-    det = _bareiss_det([list(row) for row in coords])
+    coords = [_reduced_coords([bi * wi for bi, wi in zip(b, v)]) for v in kernel_basis(b)]
+    det = _bareiss_det(coords)
     if det == 0:
         raise ValueError("rescaled lattice is degenerate")  # unreachable for valid b
     return abs(det)

@@ -14,9 +14,9 @@ coverage bound ``|u v| >= |A / B| / 2`` away from the unit circles) and
 root-solves the cubic for ``v``; the mirror route swaps the roles.  The
 balance-heuristic weight ``1 / (q_u + q_v)`` stays bounded at ramification
 points of either projection, which is where the plain single-route estimator
-has infinite variance.  Roots come from batched companion-matrix eigenvalues
-polished by two Newton steps; points whose relative residual exceeds 1e-10
-are excluded and counted.
+has infinite variance.  Roots come from Cardano's formula on the depressed
+cubic, vectorised over the batch and polished by two Newton steps; points
+whose relative residual exceeds 1e-10 are excluded and counted.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .sampler import _map_shards, _shard_counts, ks_statistic, uniform_cdf
 
 RESIDUAL_TOLERANCE = 1e-10
 _STRATA = 16
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
 
 
 class PencilError(ValueError):
@@ -180,18 +181,41 @@ def _solve_symmetric_cubic(
 ) -> np.ndarray:
     """Roots in ``v`` of ``A (1 + u^3 + v^3) + B u v = 0`` for a batch of ``u``.
 
-    Returns an ``(n, 3)`` array; companion-matrix eigenvalues polished by two
-    Newton steps on the unscaled equation.
+    Returns an ``(n, 3)`` array.  Divided by ``A`` the equation is the
+    depressed cubic ``v^3 + p v + q = 0`` with ``p = (B/A) u`` and
+    ``q = 1 + u^3``, solved by Cardano's formula: ``s = -q/2 -+ sqrt(q^2/4 +
+    p^3/27)`` with the sign that maximises ``|s|`` (so the sum does not
+    cancel), ``C = s^(1/3)`` and ``v_k = w^k C - p / (3 w^k C)`` for the cube
+    roots of unity ``w^k``.  Each row is first rescaled to ``v = sigma x``
+    with ``|p|/sigma^2 <= 3`` and ``|q|/sigma^3 <= 2``, so ``p^3`` and ``q^2``
+    neither overflow nor underflow for any ``t`` or ``u``.  The root of least
+    modulus, which the difference loses to cancellation when ``|p|`` is
+    large, is taken from the product of the roots, ``-q``.  All roots are then
+    polished by two Newton steps on the unscaled equation.
     """
-    n = u.shape[0]
-    c1 = (b_coeff / a_coeff) * u
-    c0 = 1.0 + u**3
-    comp = np.zeros((n, 3, 3), dtype=complex)
-    comp[:, 1, 0] = 1.0
-    comp[:, 2, 1] = 1.0
-    comp[:, 0, 2] = -c0
-    comp[:, 1, 2] = -c1
-    v = np.linalg.eigvals(comp)
+    p = (b_coeff / a_coeff) * u
+    q = 1.0 + u**3
+    sigma = np.maximum(np.sqrt(np.abs(p) / 3.0), np.cbrt(np.abs(q) / 2.0))
+    sigma[sigma == 0] = 1.0
+    p_third = p / (3.0 * sigma**2)
+    half_q = q / (2.0 * sigma) / sigma / sigma
+    root = np.sqrt(half_q * half_q + p_third * p_third * p_third)
+    root = np.where((half_q.conj() * root).real >= 0, root, -root)
+    s = -(half_q + root)
+    c = np.cbrt(np.abs(s)) * np.exp(1j * np.angle(s) / 3.0)
+    wc = c[:, None] * _CUBE_ROOTS_OF_UNITY
+    # C = 0 would need p = q = 0, which no u satisfies; the guard keeps the
+    # division finite regardless.
+    zero = wc == 0
+    v = sigma[:, None] * np.where(
+        zero, 0.0, wc - p_third[:, None] / np.where(zero, 1.0, wc)
+    )
+    rows = np.arange(u.shape[0])
+    small = np.argmin(np.abs(v), axis=1)
+    pair = v[rows, (small + 1) % 3] * v[rows, (small + 2) % 3]
+    v[rows, small] = np.where(
+        pair == 0, v[rows, small], -q / np.where(pair == 0, 1.0, pair)
+    )
     uu = u[:, None]
     for _ in range(2):
         f = a_coeff * (1.0 + uu**3 + v**3) + b_coeff * uu * v

@@ -412,23 +412,84 @@ def uniform_cdf(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
 # Polar factorization checks
 
 
+# Rows of ``z`` that `TrigPoly` evaluates at once: each block's temporaries
+# take a few hundred kilobytes, whatever the number of points.
+TRIG_BLOCK = 1 << 14
+
+_Term = tuple[tuple[int, ...], tuple[int, ...], complex]
+
+
+def _fold_conjugate_pairs(terms: Sequence[_Term]) -> list[tuple[_Term, bool]]:
+    """Each term once with a flag, set when its partner ``(b, a, conj(c))`` was dropped."""
+    unmatched: dict[_Term, list[int]] = {}
+    folded: list[tuple[_Term, bool]] = []
+    for a_exp, b_exp, coeff in terms:
+        term = (tuple(a_exp), tuple(b_exp), complex(coeff))
+        partners = unmatched.get((term[1], term[0], term[2].conjugate()))
+        if partners:
+            k = partners.pop()
+            folded[k] = (folded[k][0], True)
+            continue
+        unmatched.setdefault(term, []).append(len(folded))
+        folded.append((term, False))
+    return folded
+
+
+def _trig_block(folded: list[tuple[_Term, bool]], z: np.ndarray) -> np.ndarray:
+    """`TrigPoly` value on the rows of one block ``z``."""
+    cols = [np.ascontiguousarray(z[:, i]) for i in range(z.shape[1])]
+    # Per coordinate, the powers [1, z_i, z_i^2, ...] and [1, |z_i|^2, |z_i|^4, ...]
+    # computed so far, shared by all terms.
+    zpow = [[1.0, c] for c in cols]
+    r2pow = [[1.0, c.real * c.real + c.imag * c.imag] for c in cols]
+
+    def raised(powers: list, k: int) -> np.ndarray:
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        return powers[k]
+
+    real = np.zeros(z.shape[0])
+    cplx = np.zeros(z.shape[0], dtype=complex)
+    for (a_exp, b_exp, coeff), paired in folded:
+        phase = modulus = 1.0
+        for i, (ai, bi) in enumerate(zip(a_exp, b_exp)):
+            if ai != bi:
+                zd = raised(zpow[i], abs(ai - bi))
+                phase = phase * (zd if ai > bi else np.conj(zd))
+            k = min(ai, bi)
+            if k:
+                r2k = raised(r2pow[i], abs(k))
+                modulus = modulus * (r2k if k > 0 else 1.0 / r2k)
+        if not paired:
+            cplx += coeff * phase * modulus
+        elif isinstance(phase, np.ndarray):
+            real += 2.0 * (coeff.real * phase.real - coeff.imag * phase.imag) * modulus
+        else:
+            real += 2.0 * coeff.real * modulus
+    return cplx + real
+
+
 @dataclass(frozen=True)
 class TrigPoly:
-    """Finite sum ``f(z) = sum c_{ab} prod_i z_i^{a_i} conj(z_i)^{b_i}``."""
+    """Finite sum ``f(z) = sum c_{ab} prod_i z_i^{a_i} conj(z_i)^{b_i}``.
 
-    terms: tuple[tuple[tuple[int, ...], tuple[int, ...], complex], ...]
+    Evaluated over blocks of `TRIG_BLOCK` rows, each written into one
+    preallocated output.  Each monomial is ``z_i^(a_i - b_i)`` (or
+    ``conj(z_i)^(b_i - a_i)``) times ``|z_i|^(2 min(a_i, b_i))``, with
+    ``|z_i|^2 = re^2 + im^2`` and each power computed once per block.  A term
+    summed with its conjugate partner ``(b, a, conj(c))`` contributes
+    ``2 Re(c m)``, so a Hermitian polynomial evaluates to an exactly real
+    array.
+    """
+
+    terms: tuple[_Term, ...]
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z)
-        out = np.zeros(z.shape[0], dtype=complex)
-        for a_exp, b_exp, coeff in self.terms:
-            term = np.full(z.shape[0], coeff, dtype=complex)
-            for i, (ai, bi) in enumerate(zip(a_exp, b_exp)):
-                if ai:
-                    term *= z[:, i] ** ai
-                if bi:
-                    term *= np.conj(z[:, i]) ** bi
-            out += term
+        folded = _fold_conjugate_pairs(self.terms)
+        out = np.empty(z.shape[0], dtype=complex)
+        for start in range(0, z.shape[0], TRIG_BLOCK):
+            out[start : start + TRIG_BLOCK] = _trig_block(folded, z[start : start + TRIG_BLOCK])
         return out
 
     @staticmethod

@@ -8,6 +8,7 @@ its own section.
 
 from __future__ import annotations
 
+import doctest
 import json
 import math
 import re
@@ -603,6 +604,23 @@ class TestReadme:
         assert [p.name for p in model.pair_divisors] == ["H"]
         _, anchor, rho = parse_skeleton_spec(model_block + skeleton_block)
         assert (anchor, rho) == ("E0&E1", 2.0)
+
+    def test_python_blocks_run(self, tmp_path, monkeypatch, capsys):
+        # Blocks without a prompt run with exec, each in a fresh namespace
+        # inside a temporary directory, so a missing import fails here.
+        monkeypatch.chdir(tmp_path)
+        blocks = [b for b in readme_blocks("python") if ">>>" not in b]
+        assert len(blocks) == 3
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), {"__name__": "__readme__"})
+        assert "->" in capsys.readouterr().out
+
+    def test_doctest_blocks_pass(self, tmp_path, monkeypatch):
+        # The same as `python -m doctest README.md`.
+        monkeypatch.chdir(tmp_path)
+        result = doctest.testfile(str(README), module_relative=False, verbose=False)
+        assert result.attempted == 3
+        assert result.failed == 0
 
     def test_command_lines_parse(self):
         lines = [

@@ -10,8 +10,10 @@ import pytest
 from tropmass.measure import TWO_PI, assemble_limit_measure
 from tropmass.model import coordinate_pencil as coordinate_pencil_model
 from tropmass.pencil import (
+    RESIDUAL_TOLERANCE,
     HypersurfacePencil,
     PencilError,
+    _solve_symmetric_cubic,
     predicted_edge_mass,
     sample_pencil,
     smoothness_check,
@@ -93,6 +95,118 @@ class TestResidueFormGluing:
             f0_w = 3 * a * w**2 + b * s
             ratio = ds_du / f0_w * f2_v
             assert ratio == pytest.approx(1.0, rel=1e-9)
+
+
+def companion_roots(a, b, u):
+    """Reference solver: companion-matrix eigenvalues plus the same two Newton steps."""
+    comp = np.zeros((u.shape[0], 3, 3), dtype=complex)
+    comp[:, 1, 0] = 1.0
+    comp[:, 2, 1] = 1.0
+    comp[:, 0, 2] = -(1.0 + u**3)
+    comp[:, 1, 2] = -(b / a) * u
+    v = np.linalg.eigvals(comp)
+    uu = u[:, None]
+    for _ in range(2):
+        f = a * (1.0 + uu**3 + v**3) + b * uu * v
+        df = 3.0 * a * v**2 + b * uu
+        v = v - np.where(df == 0, 0.0, f / np.where(df == 0, 1.0, df))
+    return v
+
+
+def residual_failures(a, b, u, v):
+    """Roots whose relative residual fails the sampler's filter."""
+    uu = u[:, None]
+    f = a * (1.0 + uu**3 + v**3) + b * uu * v
+    scale = abs(a) * (1.0 + np.abs(uu) ** 3 + np.abs(v) ** 3) + np.abs(b * uu * v)
+    return int(np.sum(~(np.abs(f) <= RESIDUAL_TOLERANCE * scale)))
+
+
+def multiset_rel_error(v, ref):
+    """Largest per-root relative error under the best matching of each row's roots."""
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    errs = [np.max(np.abs(v[:, p] - ref) / np.abs(ref), axis=1) for p in perms]
+    return float(np.max(np.min(errs, axis=0)))
+
+
+def ramification_points(a, b):
+    """The ``u`` where ``q^2/4 + p^3/27 = 0``, i.e. ``x = u^3`` solves ``x^2 + (2 + d) x + 1 = 0``.
+
+    With ``d = 4 (B/A)^3 / 27`` the roots are ``x = -(1 + d/2) -+ sqrt(d (1 + d/4))``,
+    written so that neither sum cancels; their product is 1.
+    """
+    d = 4.0 * (b / a) ** 3 / 27.0
+    h, r = 1.0 + d / 2.0, np.sqrt(d * (1.0 + d / 4.0))
+    x = -h - r if abs(h + r) >= abs(h - r) else -h + r
+    cube_roots = np.exp(2j * math.pi * np.arange(3) / 3)
+    return np.concatenate([y ** (1 / 3) * cube_roots for y in (x, 1 / x)])
+
+
+class TestCubicSolver:
+    CASES = [
+        (HypersurfacePencil.coordinate(), 1e-5),
+        (HypersurfacePencil.coordinate(), 0.3),
+        (HypersurfacePencil.fermat(), 1e-2),
+    ]
+    IDS = ["coordinate-1e-5", "coordinate-0.3", "fermat-1e-2"]
+
+    @staticmethod
+    def annulus_u(a, b, rng, m=4000):
+        """Log-uniform ``u`` on the sampler's annulus, plus its two boundary circles."""
+        ratio = abs(a / b)
+        r_lo = min(ratio, 1.0 / ratio, 1.0) / 4.0
+        phase = np.exp(2j * math.pi * rng.uniform(size=m))
+        radius = np.exp(-rng.uniform(size=m) * math.log(1.0 / r_lo))
+        return np.concatenate([radius * phase, phase, r_lo * phase])
+
+    @staticmethod
+    def near_ramification_u(a, b, rng):
+        ram = ramification_points(a, b)[:, None]
+        return np.concatenate(
+            [
+                (ram * (1.0 + eps * np.exp(2j * math.pi * rng.uniform(size=(1, 40))))).ravel()
+                for eps in (1e-3, 1e-5, 1e-7)
+            ]
+        )
+
+    def check_against_reference(self, a, b, u):
+        v = _solve_symmetric_cubic(a, b, u)
+        ref = companion_roots(a, b, u)
+        assert v.shape == (u.shape[0], 3)
+        assert multiset_rel_error(v, ref) < 1e-10
+        assert residual_failures(a, b, u, v) <= residual_failures(a, b, u, ref)
+
+    @pytest.mark.parametrize("pen, t", CASES, ids=IDS)
+    def test_matches_companion_eigenvalues_on_the_annulus(self, pen, t):
+        a, b = pen.coefficients(t)
+        self.check_against_reference(a, b, self.annulus_u(a, b, np.random.default_rng(5)))
+
+    @pytest.mark.parametrize("pen, t", CASES, ids=IDS)
+    def test_matches_companion_eigenvalues_near_ramification(self, pen, t):
+        # Cardano's discriminant q^2/4 + p^3/27 vanishes here, where the
+        # formula cancels worst.
+        a, b = pen.coefficients(t)
+        self.check_against_reference(a, b, self.near_ramification_u(a, b, np.random.default_rng(6)))
+
+    @pytest.mark.parametrize("pen, t", CASES, ids=IDS)
+    def test_ramification_points_give_a_double_root(self, pen, t):
+        a, b = pen.coefficients(t)
+        u = ramification_points(a, b)
+        v = _solve_symmetric_cubic(a, b, u)
+        uu = u[:, None]
+        scale = abs(a) * (1.0 + np.abs(uu) ** 3 + np.abs(v) ** 3) + np.abs(b * uu * v)
+        f = a * (1.0 + uu**3 + v**3) + b * uu * v
+        assert np.all(np.abs(f) <= 1e-8 * scale)
+        # Rounding u moves a double root by about the square root of the
+        # rounding error, so the pair agrees to a few parts in 1e6 only.
+        gaps = np.abs(v[:, [0, 0, 1]] - v[:, [1, 2, 2]]).min(axis=1)
+        assert np.all(gaps <= 1e-4 * np.abs(v).max(axis=1))
+
+    def test_tiny_t_neither_overflows_nor_fails(self):
+        # p = u / (t eps) reaches 1e151 here, so p^3 would overflow unscaled.
+        a, b = HypersurfacePencil.coordinate().coefficients(1e-150)
+        u = self.annulus_u(a, b, np.random.default_rng(7))
+        self.check_against_reference(a, b, u)
+        assert residual_failures(a, b, u, _solve_symmetric_cubic(a, b, u)) == 0
 
 
 @pytest.fixture(scope="module")

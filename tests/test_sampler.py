@@ -13,6 +13,7 @@ from tropmass.lattice import simplex_volume
 from tropmass.measure import MonomialChartMetric, TWO_PI, chart_limit_mass
 from tropmass.sampler import (
     CHUNK,
+    TRIG_BLOCK,
     EmptyFiberError,
     FiberSampleResult,
     LocalChart,
@@ -241,6 +242,74 @@ class TestKsStatistic:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             ks_statistic(np.array([]), np.array([]), uniform_cdf(0.0, 1.0))
+
+
+def naive_trig_poly(f, z):
+    """Reference: each term's complex powers multiplied out one by one."""
+    out = np.zeros(z.shape[0], dtype=complex)
+    for a_exp, b_exp, coeff in f.terms:
+        term = np.full(z.shape[0], coeff, dtype=complex)
+        for i, (ai, bi) in enumerate(zip(a_exp, b_exp)):
+            term *= z[:, i] ** ai * np.conj(z[:, i]) ** bi
+        out += term
+    return out
+
+
+class TestTrigPoly:
+    POLYS = {
+        "paired": TrigPoly(
+            (((2, 1), (0, 1), 0.3 - 1.2j), ((0, 1), (2, 1), 0.3 + 1.2j), ((1, 1), (1, 1), 0.7 + 0j))
+        ),
+        "unpaired": TrigPoly(
+            (((1, 0), (0, 0), 1.0 + 0j), ((0, 1), (1, 1), 0.5j), ((2, 2), (1, 0), -0.25 + 0j))
+        ),
+        "mixed": TrigPoly(
+            (((1, 2), (2, 0), 1.5 + 0.5j), ((2, 0), (1, 2), 1.5 - 0.5j), ((0, 3), (1, 0), 2.0 - 1j))
+        ),
+        "negative": TrigPoly(
+            (((-1, 2), (1, -2), 0.4 + 0.1j), ((1, -2), (-1, 2), 0.4 - 0.1j), ((-2, 0), (-1, 1), 1j))
+        ),
+        "constant": TrigPoly((((0, 0), (0, 0), 2.5 - 1j),)),
+        "empty": TrigPoly(()),
+    }
+
+    @staticmethod
+    def points(n, k=2, seed=0):
+        rng = np.random.default_rng(seed)
+        radius = rng.uniform(0.2, 1.5, size=(n, k))
+        return radius * np.exp(1j * rng.uniform(0.0, TWO_PI, size=(n, k)))
+
+    @pytest.mark.parametrize("name", list(POLYS))
+    @pytest.mark.parametrize("n", [1, TRIG_BLOCK - 1, TRIG_BLOCK, TRIG_BLOCK + 1])
+    def test_matches_term_by_term_reference(self, name, n):
+        f, z = self.POLYS[name], self.points(n)
+        got, ref = f(z), naive_trig_poly(f, z)
+        assert got.shape == (n,) and got.dtype == complex
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * max(np.abs(ref).max(), 1.0))
+
+    @pytest.mark.parametrize("n", [1, TRIG_BLOCK + 1])
+    def test_one_column_input(self, n):
+        f = TrigPoly(
+            (((3,), (0,), 1.0 + 0j), ((0,), (3,), 1.0 + 0j), ((1,), (2,), 0.5j), ((-1,), (0,), 2.0 + 0j))
+        )
+        z = self.points(n)[:, 0][:, None]
+        np.testing.assert_allclose(f(z), naive_trig_poly(f, z), rtol=1e-12)
+
+    def test_hermitian_polynomial_is_exactly_real(self):
+        rng = np.random.default_rng(3)
+        z = self.points(TRIG_BLOCK + 1)
+        for negative in (False, True):
+            f = TrigPoly.random_hermitian(rng, 2, max_degree=2, n_terms=4, allow_negative=negative)
+            got = f(z)
+            assert np.all(got.imag == 0)
+            np.testing.assert_allclose(got, naive_trig_poly(f, z), rtol=1e-11, atol=1e-11)
+
+    def test_repeated_terms_each_pair_once(self):
+        # Two copies of a term and one of its partner: one pair, one single.
+        term, partner = ((1, 0), (0, 2), 1 + 2j), ((0, 2), (1, 0), 1 - 2j)
+        f = TrigPoly((term, term, partner))
+        z = self.points(50)
+        np.testing.assert_allclose(f(z), naive_trig_poly(f, z), rtol=1e-12)
 
 
 class TestPolarChecks:
