@@ -28,7 +28,14 @@ from typing import ClassVar
 import numpy as np
 
 from .measure import TWO_PI
-from .sampler import _map_shards, _shard_counts, ks_statistic, uniform_cdf
+from .sampler import (
+    _map_shards,
+    _merge_moments,
+    _moments,
+    _shard_counts,
+    ks_statistic,
+    uniform_cdf,
+)
 
 RESIDUAL_TOLERANCE = 1e-10
 _STRATA = 16
@@ -105,6 +112,19 @@ class HypersurfacePencil:
     def has_tropical_edges(self) -> bool:
         return self.preset == "coordinate_pencil"
 
+    @property
+    def t_floor(self) -> float:
+        """Smallest |t| the sampler accepts (0 when every |t| works).
+
+        The degenerating pencil draws ``|u|`` log-uniformly down to the inner
+        radius ``r_lo = |t| eps / 4``, with area density ``1 / (2 pi log(1/r_lo)
+        r^2)``.  Below this floor ``r_lo^2`` is no longer a normal double, that
+        density overflows, and the patch masses come out NaN.
+        """
+        if self.preset == "coordinate_pencil":
+            return 4.0 * math.sqrt(np.finfo(float).tiny) / self.epsilon
+        return 0.0
+
     def validate_t(self, t: complex) -> complex:
         t = complex(t)
         if not 0 < abs(t) <= 0.5:
@@ -113,6 +133,11 @@ class HypersurfacePencil:
             raise PencilError(
                 f"|t| = {abs(t)} too close to the singular radius "
                 f"{self.singular_radius}"
+            )
+        if abs(t) < self.t_floor:
+            raise PencilError(
+                f"|t| = {abs(t)} is below {self.t_floor:.3g}, where the proposal "
+                f"density on the inner circle |u| = |t| eps / 4 overflows"
             )
         return t
 
@@ -181,6 +206,16 @@ def _solve_symmetric_cubic(
 ) -> np.ndarray:
     """Roots in ``v`` of ``A (1 + u^3 + v^3) + B u v = 0`` for a batch of ``u``.
 
+    See `_polished_roots`, which also says which roots pass the residual filter.
+    """
+    return _polished_roots(a_coeff, b_coeff, u)[0]
+
+
+def _polished_roots(
+    a_coeff: complex, b_coeff: complex, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots in ``v`` of ``A (1 + u^3 + v^3) + B u v = 0``, and which of them are trusted.
+
     Returns an ``(n, 3)`` array.  Divided by ``A`` the equation is the
     depressed cubic ``v^3 + p v + q = 0`` with ``p = (B/A) u`` and
     ``q = 1 + u^3``, solved by Cardano's formula: ``s = -q/2 -+ sqrt(q^2/4 +
@@ -191,10 +226,12 @@ def _solve_symmetric_cubic(
     neither overflow nor underflow for any ``t`` or ``u``.  The root of least
     modulus, which the difference loses to cancellation when ``|p|`` is
     large, is taken from the product of the roots, ``-q``.  All roots are then
-    polished by two Newton steps on the unscaled equation.
+    polished by two Newton steps on the unscaled equation.  A root is trusted
+    when its final residual is at most `RESIDUAL_TOLERANCE` times the sum of
+    the moduli of the equation's terms.
     """
     p = (b_coeff / a_coeff) * u
-    q = 1.0 + u**3
+    q = 1.0 + u * u * u
     sigma = np.maximum(np.sqrt(np.abs(p) / 3.0), np.cbrt(np.abs(q) / 2.0))
     sigma[sigma == 0] = 1.0
     p_third = p / (3.0 * sigma**2)
@@ -216,13 +253,22 @@ def _solve_symmetric_cubic(
     v[rows, small] = np.where(
         pair == 0, v[rows, small], -q / np.where(pair == 0, 1.0, pair)
     )
-    uu = u[:, None]
-    for _ in range(2):
-        f = a_coeff * (1.0 + uu**3 + v**3) + b_coeff * uu * v
-        df = 3.0 * a_coeff * v**2 + b_coeff * uu
-        step = np.where(np.abs(df) > 0, f / np.where(df == 0, 1.0, df), 0.0)
-        v = v - step
-    return v
+    # Two Newton steps, then the residual at the polished roots; each pass
+    # takes v^2 and v^3 from one product chain.
+    const = (a_coeff * q)[:, None]
+    bu = (b_coeff * u)[:, None]
+    for step in range(3):
+        v2 = v * v
+        v3 = v2 * v
+        f = const + a_coeff * v3 + bu * v
+        if step == 2:
+            break
+        df = 3.0 * a_coeff * v2 + bu
+        v = v - np.where(np.abs(df) > 0, f / np.where(df == 0, 1.0, df), 0.0)
+    r = np.abs(u)
+    scale = (abs(a_coeff) * (1.0 + r * r * r))[:, None] + abs(a_coeff) * np.abs(v3)
+    scale += np.abs(bu * v)
+    return v, np.abs(f) <= RESIDUAL_TOLERANCE * scale
 
 
 def _annulus_density(r: np.ndarray, r_lo: float, log_scale: bool) -> np.ndarray:
@@ -268,14 +314,9 @@ def _sample_patch_route(
     else:
         rad = np.sqrt(r_lo**2 + quantile * (1.0 - r_lo**2))
     u = rad * np.exp(1j * TWO_PI * rng.uniform(size=m))
-    v = _solve_symmetric_cubic(a_coeff, b_coeff, u)
+    v, residual_ok = _polished_roots(a_coeff, b_coeff, u)
 
     uu = u[:, None]
-    f = a_coeff * (1.0 + uu**3 + v**3) + b_coeff * uu * v
-    scale = np.abs(a_coeff) * (1.0 + np.abs(uu) ** 3 + np.abs(v) ** 3) + np.abs(
-        b_coeff * uu * v
-    )
-    residual_ok = np.abs(f) <= RESIDUAL_TOLERANCE * scale
     in_region = np.abs(v) <= 1.0
     fail_count = int(np.sum(in_region & ~residual_ok))
     keep = in_region & residual_ok
@@ -295,10 +336,11 @@ def _sample_patch_route(
         np.abs(a_coeff) + np.abs(b_coeff)
     )
     grad_min = float(grad[keep].min()) if keep.any() else math.inf
+    _, mean, m2 = _moments(per_sample)
     return {
-        "sum": float(per_sample.sum()),
-        "sumsq": float((per_sample**2).sum()),
         "m": m,
+        "mean": mean,
+        "m2": m2,
         "failures": fail_count,
         "grad_min": grad_min,
         "values": w_edge[keep],
@@ -363,12 +405,9 @@ def sample_pencil(
         n_pts = 0
         for route in (2 * k, 2 * k + 1):
             parts = [out for r, out in results if r == route]
-            m = sum(p["m"] for p in parts)
-            s = sum(p["sum"] for p in parts)
-            sq = sum(p["sumsq"] for p in parts)
-            mean = s / m
+            m, mean, m2 = _merge_moments([(p["m"], p["mean"], p["m2"]) for p in parts])
             mass += mean
-            var += max(sq / m - mean**2, 0.0) / m
+            var += m2 / m / m
             total_failures += sum(p["failures"] for p in parts)
             grad_min = min(grad_min, min(p["grad_min"] for p in parts))
             n_pts += sum(p["n_points"] for p in parts)

@@ -6,11 +6,13 @@ logarithmic polar coordinates the fiber measure factors into a lattice
 measure on the slice polytope ``{sum b_i x_i = log 1/|t|, x_i >= log 1/r_i}``,
 the Haar measure of the subtorus ``{sum b_i theta_i = arg t}``, and weighted
 area measures on the transverse discs.  The samplers here draw from that
-factorization with exact density bookkeeping — slice points by rejection from
-the bounding box of the chart projection, torus points by solving the angular
-relation with a uniform branch choice, transverse radii by inverting the
-radial power law — so every sample carries an unbiased weight for integrals
-against the rescaled measure.
+factorization with exact density bookkeeping — slice points with the active
+coordinates uniform on the simplex of the slack the others leave (uniform
+spacings), torus points by solving the angular relation with a uniform branch
+choice, transverse radii by inverting the radial power law — so every sample
+carries an unbiased weight for integrals against the rescaled measure.  Only
+a chart with two or more non-active coordinates rejects slice points.
+Variances are accumulated as per-chunk means and centred second moments.
 
 The module also provides histogram pushforwards under the normalized log map,
 weighted Kolmogorov-Smirnov statistics against predicted limit densities,
@@ -80,7 +82,9 @@ class FiberSampleResult:
     skeletal limit); ``mass_raw`` the unrescaled fiber mass.  ``w`` holds the
     normalized log coordinates of the kept samples (all ``p + 1`` of them,
     summing to 1 against the multiplicities), ``weights`` their estimator
-    weights.
+    weights; both are ``None`` unless the samples were kept.  The complex
+    chart coordinates are built only for ``h`` or the metric's weight
+    function and are not kept.
     """
 
     t: complex
@@ -93,7 +97,6 @@ class FiberSampleResult:
     d_ref: int
     w: np.ndarray | None = None
     weights: np.ndarray | None = None
-    z: np.ndarray | None = None
 
     @property
     def accept_rate(self) -> float:
@@ -122,6 +125,52 @@ def _map_shards(run: Callable[[int], object], jobs: int, threads: int) -> list:
     return [run(i) for i in range(jobs)]
 
 
+def _moments(x: np.ndarray) -> tuple[int, float, float]:
+    """``(count, mean, M2)`` of ``x``, with ``M2 = sum (x - mean)^2`` taken in two passes.
+
+    The values are first shifted by one of them, so a constant array has its
+    own value as the mean and ``M2 = 0`` exactly.
+    """
+    shift = x[0]
+    d = x - shift
+    dm = d.mean()
+    d -= dm
+    d *= d
+    return x.size, float(shift + dm), float(d.sum())
+
+
+def _merge_moments(parts: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:
+    """Pool ``(count, mean, M2)`` triples in order (Chan, Golub and LeVeque, 1983)."""
+    n, mean, m2 = parts[0]
+    for nb, mb, m2b in parts[1:]:
+        total = n + nb
+        delta = mb - mean
+        mean += delta * nb / total
+        m2 += m2b + delta * delta * n * nb / total
+        n = total
+    return n, mean, m2
+
+
+def _spacings(rng: np.random.Generator, k: int, n: int, total) -> np.ndarray:
+    """``(k, n)`` array whose columns are uniform on ``{s >= 0, sum s = total}``.
+
+    ``total`` is a scalar or one value per column.  Uniform spacings (Devroye,
+    *Non-Uniform Random Variate Generation*, ch. 5): ``k`` standard
+    exponentials scaled by ``total`` over their sum; for ``k = 2`` the
+    spacings ``(U, 1 - U)`` of one uniform.
+    """
+    if k == 1:
+        return np.broadcast_to(total, (1, n))
+    if k == 2:
+        s = np.empty((2, n))
+        np.multiply(rng.random(n), total, out=s[0])
+        np.subtract(total, s[0], out=s[1])
+        return s
+    s = rng.standard_exponential((k, n))
+    s *= total / s.sum(axis=0)
+    return s
+
+
 def _sample_shard(
     chart: LocalChart,
     n: int,
@@ -135,71 +184,87 @@ def _sample_shard(
     big_l = chart.log_inv_t
     ell = np.array([math.log(1.0 / r) for r in m.radii])
     alpha = np.array([float(e) for e in m.exponents()])
-
-    # Bounding box of the slice region in the coordinates x_1..x_p.
     slack = big_l - float(ell @ b)
-    lo = ell[1:]
-    hi = ell[1:] + slack / b[1:]
-    if p == 0:
-        x = np.empty((n, 0))
-        box_vol = 1.0
-    else:
-        x = rng.uniform(lo, hi, size=(n, p))
-        box_vol = float(np.prod(hi - lo))
-    x0 = (big_l - x @ b[1:]) / b[0]
-    accept = x0 >= ell[0] - 1e-12
-    xs = np.column_stack([x0, x]) if p else x0[:, None]
 
-    logw = -2.0 * xs @ alpha
+    # Slice points in the coordinates y_i = b_i (x_i - ell_i) >= 0 with
+    # sum y_i = slack.  Each non-active coordinate is uniform on [0, slack];
+    # the active ones (alpha_i = 0, or the pivot 0 when there is none, which
+    # keeps its exponential factor) are uniform on the simplex of the slack R
+    # left over, whose free coordinates have volume R^(k-1) / (k-1)!.  The
+    # slice measure counts x_1..x_p, hence the Jacobian 1 / prod_{i>=1} b_i.
+    # Only two or more non-active coordinates can overrun the slack and be
+    # rejected.
+    active = [i for i in range(p + 1) if alpha[i] == 0] or [0]
+    others = [i for i in range(p + 1) if i not in active]
+    k = len(active)
+    rate = 2.0 * alpha / b
+    accept = None
+    rest = slack
+    log_decay = 0.0
+    if others:
+        y_others = slack * rng.random((len(others), n))
+        rest = slack - y_others.sum(axis=0)
+        if len(others) > 1:
+            # Rejected rows get weight 0 below; clipping keeps their exp finite.
+            accept = rest >= 0.0
+            rest = np.maximum(rest, 0.0)
+        log_decay = rate[others] @ y_others
+    y_active = _spacings(rng, k, n, rest)
+    if rate[active[0]] != 0:  # the pivot of a chart with no active coordinate
+        log_decay = log_decay + rate[active[0]] * rest
+
     # Transverse radial sampling inverts the power law exactly, so each
     # coordinate contributes its closed-form disc mass as a constant factor.
     trans_factor = 1.0
-    y = None
-    if m.transverse_dim:
-        y = np.empty((n, m.transverse_dim), dtype=complex)
-        for j, (r, c) in enumerate(zip(m.transverse_radii, m.pair_exponents)):
-            cj = float(c)
-            u = rng.uniform(size=n)
-            rad = r * u ** (1.0 / (2.0 - 2.0 * cj))
-            phase = rng.uniform(0.0, TWO_PI, size=n)
-            y[:, j] = rad * np.exp(1j * phase)
-            trans_factor *= math.pi * r ** (2.0 * (1.0 - cj)) / (1.0 - cj)
-
-    z = None
-    if h is not None or keep or m.weight_fn is not None:
+    for r, c in zip(m.transverse_radii, m.pair_exponents):
+        trans_factor *= math.pi * r ** (2.0 - 2.0 * float(c)) / (1.0 - float(c))
+    d_ref = chart.local_active_dim
+    prefactor = (
+        TWO_PI ** (p - d_ref) * chart.lam**d_ref / m.b[0] * trans_factor
+        * slack ** len(others) / math.prod(m.b[1:]) * math.exp(-2.0 * float(alpha @ ell))
+    )
+    weights = prefactor * np.exp(-log_decay)
+    if k > 1:
+        weights = weights * rest ** (k - 1) / math.factorial(k - 1)
+    if keep or h is not None or m.weight_fn is not None:
+        # The log coordinates x_i = ell_i + y_i / b_i, one row per coordinate.
+        x_rows = np.empty((p + 1, n))
+        if others:
+            x_rows[others] = y_others
+        x_rows[active] = y_active
+        x_rows /= b[:, None]
+        x_rows += ell[:, None]
+    if h is not None or m.weight_fn is not None:
         # Angles: theta_1..theta_p uniform, theta_0 solved with a uniform
         # branch choice among the b_0 roots — exact Haar on the subtorus.
         phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
         theta = rng.uniform(size=(n, p))
-        k = rng.integers(0, int(m.b[0]), size=n)
-        theta0 = (phi_t - theta @ b[1:] + k) / b[0]
+        branch = rng.integers(0, int(m.b[0]), size=n)
+        theta0 = (phi_t - theta @ b[1:] + branch) / b[0]
         angles = np.column_stack([theta0, theta]) if p else theta0[:, None]
-        z = np.exp(-xs + TWO_PI * 1j * angles)
+        z = np.exp(TWO_PI * 1j * angles - x_rows.T)
+        args = (z,)
+        if m.transverse_dim:
+            yt = np.empty((n, m.transverse_dim), dtype=complex)
+            for j, (r, c) in enumerate(zip(m.transverse_radii, m.pair_exponents)):
+                rad = r * rng.uniform(size=n) ** (1.0 / (2.0 - 2.0 * float(c)))
+                yt[:, j] = rad * np.exp(1j * rng.uniform(0.0, TWO_PI, size=n))
+            args = (z, yt)
+        if m.weight_fn is not None:
+            weights = weights * np.exp(2.0 * np.asarray(m.weight_fn(*args), dtype=float))
+        if h is not None:
+            weights = weights * np.asarray(h(*args), dtype=float)
+    if accept is not None:
+        weights = np.where(accept, weights, 0.0)
+    weights = np.broadcast_to(weights, (n,))
 
-    vals = np.ones(n)
-    if h is not None:
-        vals = np.asarray(h(z, y) if m.transverse_dim else h(z), dtype=float)
-
-    d_ref = chart.local_active_dim
-    prefactor = TWO_PI ** (p - d_ref) * chart.lam**d_ref / m.b[0] * box_vol * trans_factor
-    gw = np.zeros(n)
-    if m.weight_fn is not None:
-        gw = 2.0 * np.asarray(
-            m.weight_fn(z, y) if m.transverse_dim else m.weight_fn(z), dtype=float
-        )
-    weights = np.where(accept, prefactor * np.exp(logw + gw) * vals, 0.0)
-
-    out = {
-        "sum": float(weights.sum()),
-        "sumsq": float((weights**2).sum()),
-        "n": n,
-        "n_accepted": int(accept.sum()),
-    }
+    _, mean, m2 = _moments(weights)
+    n_accepted = n if accept is None else int(np.count_nonzero(accept))
+    out = {"n": n, "mean": mean, "m2": m2, "n_accepted": n_accepted}
     if keep:
-        out["w"] = (xs / big_l)[accept]
-        out["weights"] = weights[accept]
-        if z is not None:
-            out["z"] = z[accept]
+        x_rows /= big_l
+        out["w"] = (x_rows if accept is None else x_rows[:, accept]).T
+        out["weights"] = np.array(weights if accept is None else weights[accept])
     return out
 
 
@@ -222,6 +287,7 @@ def sample_fiber_measure(
     deterministic given ``n`` and ``seed``: the samples are drawn in chunks of
     at most `CHUNK` with independently derived sub-seeds and merged in chunk
     order, so ``threads`` changes only how many chunks run at once.
+    ``keep_samples`` changes only what is returned, never the estimate.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -233,12 +299,8 @@ def sample_fiber_measure(
         return _sample_shard(chart, counts[i], np.random.default_rng(seqs[i]), h, keep_samples)
 
     parts = _map_shards(run, chunks, threads)
-    total = sum(s["sum"] for s in parts)
-    sumsq = sum(s["sumsq"] for s in parts)
-    n_acc = sum(s["n_accepted"] for s in parts)
-    mean = total / n
-    var = max(sumsq / n - mean**2, 0.0)
-    stderr = math.sqrt(var / n)
+    _, mean, m2 = _merge_moments([(s["n"], s["mean"], s["m2"]) for s in parts])
+    stderr = math.sqrt(m2 / n) / math.sqrt(n)
 
     # Unrescaled fiber mass: divide the rescaling factor back out.
     m = chart.metric
@@ -246,16 +308,15 @@ def sample_fiber_measure(
     unscale = (chart.lam**d_ref / TWO_PI**d_ref) * abs(chart.t) ** (
         -2.0 * float(m.kappa_ref)
     )
-    w = weights = z = None
+    w = weights = None
     if keep_samples:
-        w = np.concatenate([s["w"] for s in parts])
+        # Column-major, like each chunk's ``w``, so copying a column is contiguous.
+        w = np.concatenate([s["w"].T for s in parts], axis=1).T
         weights = np.concatenate([s["weights"] for s in parts])
-        if "z" in parts[0]:
-            z = np.concatenate([s["z"] for s in parts])
     return FiberSampleResult(
         t=chart.t,
         n_samples=n,
-        n_accepted=n_acc,
+        n_accepted=sum(s["n_accepted"] for s in parts),
         mass=mean,
         stderr=stderr,
         mass_raw=mean / unscale,
@@ -263,7 +324,6 @@ def sample_fiber_measure(
         d_ref=d_ref,
         w=w,
         weights=weights,
-        z=z,
     )
 
 
@@ -321,6 +381,41 @@ class SimplexHistogram:
         return residual_mass / self.b_active[0]
 
 
+def _bin_moments(
+    values: np.ndarray, weights: np.ndarray, edges: tuple[np.ndarray, ...], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin masses and standard errors of ``n`` samples, of which ``values`` were kept.
+
+    Column ``j`` of ``values`` is binned on the equal cells of ``edges[j]``,
+    the last cell closed as in `np.histogramdd`; values outside are dropped.
+    The bin indices are computed once.  A bin's mass is the mean over all
+    ``n`` samples of the weight times the bin's indicator; its centred second
+    moment pools the bin's own samples with the ``n - count`` zeros outside
+    it (Chan, Golub and LeVeque), so no ``sum w^2 / n - mean^2`` cancels.
+    """
+    bins = len(edges[0]) - 1
+    flat = np.zeros(values.shape[0], dtype=np.intp)
+    inside = np.ones(values.shape[0], dtype=bool)
+    for j, e in enumerate(edges):
+        lo, hi = float(e[0]), float(e[-1])
+        v = values[:, j]
+        inside &= (v >= lo) & (v <= hi)
+        cell = np.minimum(np.floor((v - lo) * (bins / (hi - lo))), bins - 1)
+        flat *= bins
+        flat += cell.astype(np.intp)
+    if not inside.all():
+        flat, weights = flat[inside], weights[inside]
+    size = bins ** len(edges)
+    counts = np.bincount(flat, minlength=size)
+    sums = np.bincount(flat, weights=weights, minlength=size)
+    within = sums / np.maximum(counts, 1)
+    dev = weights - within[flat]
+    m2 = np.bincount(flat, weights=dev * dev, minlength=size)
+    m2 += within * within * counts * ((n - counts) / n)
+    shape = (bins,) * len(edges)
+    return (sums / n).reshape(shape), (np.sqrt(m2 / n) / math.sqrt(n)).reshape(shape)
+
+
 def pushforward_histogram(
     chart: LocalChart | MonomialChartMetric,
     n: int,
@@ -347,12 +442,7 @@ def pushforward_histogram(
     if coord_indices:
         values = res.w[:, list(coord_indices)]
         edges = tuple(np.linspace(0.0, 1.0 / m.b[i], bins + 1) for i in coord_indices)
-        sums, _ = np.histogramdd(values, bins=edges, weights=res.weights)
-        sumsq, _ = np.histogramdd(values, bins=edges, weights=res.weights**2)
-        # Bin mass = (sum of weights in bin) / n; its standard error is
-        # dominated by the second-moment term for narrow bins.
-        masses = sums / n
-        stderrs = np.sqrt(np.maximum(sumsq / n - masses**2, 0.0) / n)
+        masses, stderrs = _bin_moments(values, res.weights, edges, n)
     else:
         values = res.w[:, :0]
         edges = ()
@@ -384,7 +474,10 @@ def ks_statistic(
     weights = np.asarray(weights, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("no samples")
-    order = np.argsort(values, kind="stable")
+    # Ties may come out in any order: within a run of equal values the
+    # largest gap is at the run's ends, whose cumulative weights do not
+    # depend on the order inside it.
+    order = np.argsort(values)
     v = values[order]
     w = weights[order]
     total = w.sum()

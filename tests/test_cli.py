@@ -268,6 +268,18 @@ class TestExitCodes:
         assert "[error]" in err and "--n 2" in err
         assert not list(tmp_path.glob("sample-*.csv"))
 
+    @pytest.mark.parametrize("t", ["1e-180", "1e-200", "1e-250"])
+    def test_pencil_below_the_t_floor_exits_two(self, tmp_path, capsys, t):
+        code, out, err = run_cli(
+            ["sample", "--preset", "coordinate_pencil", "--t", t, "--n-samples", "6000", "--seed", "0"],
+            tmp_path,
+            capsys,
+        )
+        assert code == 2
+        assert "[error]" in err and "below" in err
+        assert "FAIL" not in out
+        assert not list(tmp_path.glob("sample-*.csv"))
+
     def test_suite_list_prints_registry(self, capsys):
         code = main(["verify", "--suite", "list"])
         out = capsys.readouterr().out
@@ -280,6 +292,21 @@ class TestExitCodes:
 
 
 class TestSubcommands:
+    def test_seven_coordinate_chart_keeps_every_sample(self, tmp_path, capsys):
+        # The full simplex face of b = (1,)*7 has volume 1/6! = 1/720.
+        code, out, _ = run_cli(
+            ["sample", "--b", "1,1,1,1,1,1,1", "--t", "1e-3", "--n-samples", "1000", "--seed", "0"],
+            tmp_path,
+            capsys,
+        )
+        assert code == 0, out
+        (csv_path,) = tmp_path.glob("sample-*.csv")
+        header, row = csv_path.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert float(fields["accept_rate"]) == 1.0
+        assert float(fields["mass"]) == pytest.approx(1.0 / 720.0, rel=1e-9)
+        assert float(fields["stderr"]) == 0.0
+
     def test_weights_artifacts(self, tmp_path, capsys):
         code, _, _ = run_cli(["weights", "--preset", "annulus"], tmp_path, capsys)
         assert code == 0

@@ -62,6 +62,30 @@ class TestPencilConfig:
         with pytest.raises(PencilError):
             pen.validate_t(0.6)
 
+    def test_t_floor_of_the_log_uniform_proposal(self):
+        pen = HypersurfacePencil.coordinate()
+        # The inner radius |t| eps / 4 must square to a normal double.
+        assert (pen.t_floor * pen.epsilon / 4 * (1 + 1e-12)) ** 2 >= np.finfo(float).tiny
+        assert HypersurfacePencil.fermat().t_floor == 0.0
+        for t in (1e-160, 1e-180, 1e-200, 1e-250, 1e-300):
+            with pytest.raises(PencilError, match="below"):
+                sample_pencil(pen, t, 6000, 0)
+
+    @pytest.mark.parametrize("t", [1e-150, "floor"])
+    def test_masses_stay_finite_down_to_the_floor(self, t):
+        pen = HypersurfacePencil.coordinate()
+        t = pen.t_floor if t == "floor" else t
+        res = sample_pencil(pen, t, 6000, 0)
+        assert res.n_failures == 0
+        finite_t = math.log(1.0 / (t * pen.epsilon)) / math.log(1.0 / t)
+        for p in res.patches:
+            assert math.isfinite(p.mass) and math.isfinite(p.stderr) and p.stderr > 0
+            assert abs(p.mass - finite_t) < 5 * p.stderr
+
+    def test_fermat_pencil_has_no_floor(self):
+        res = sample_pencil(HypersurfacePencil.fermat(), 1e-300, 6000, 0)
+        assert all(math.isfinite(p.mass_raw) for p in res.patches)
+
     def test_sampling_dimension_guard(self):
         with pytest.raises(NotImplementedError):
             sample_pencil(HypersurfacePencil.coordinate(n=3), 1e-3, 10_000, seed=0)

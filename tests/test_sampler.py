@@ -26,6 +26,8 @@ from tropmass.sampler import (
     polar_full_check,
     pushforward_histogram,
     sample_fiber_measure,
+    _merge_moments,
+    _moments,
     _sample_shard,
     uniform_cdf,
 )
@@ -178,7 +180,7 @@ class TestFiberMass:
         res = sample_fiber_measure(c, CHUNK, seed=9, keep_samples=True)
         rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
         part = _sample_shard(c, CHUNK, rng, None, True)
-        assert res.mass == part["sum"] / CHUNK
+        assert res.mass == part["mean"]
         np.testing.assert_array_equal(res.weights, part["weights"])
         np.testing.assert_array_equal(res.w, part["w"])
 
@@ -192,6 +194,116 @@ class TestFiberMass:
         res = sample_fiber_measure(chart(b, (0,) * len(b), 10.0**-k), 20_000, seed=17)
         exact = float(simplex_volume(b) / math.gcd(*b))
         assert abs(res.mass - exact) < max(5 * res.stderr, 1e-9)
+
+
+def simplex_integral(f, top, m=200_001):
+    """Midpoint rule for ``integral_0^top f(s) ds``."""
+    s = (np.arange(m) + 0.5) * (top / m)
+    return float(f(s).sum() * (top / m))
+
+
+class TestSliceProposal:
+    """The exact proposal: active coordinates uniform on the simplex of the remaining slack."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_all_ones_charts_accept_everything_at_mass_one_over_p_factorial(self, p):
+        c = chart((1,) * (p + 1), (0,) * (p + 1), 1e-4)
+        res = sample_fiber_measure(c, 20_000, seed=p, keep_samples=True)
+        assert res.accept_rate == 1.0
+        assert res.mass == pytest.approx(1.0 / math.factorial(p), abs=1e-9)
+        assert res.stderr == 0.0
+        # Each coordinate of a uniform point on the standard p-simplex is
+        # Beta(1, p); 1.95 / sqrt(n) is the 0.1% critical KS distance.
+        beta = lambda x: 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** p
+        for i in range(p + 1):
+            assert ks_statistic(res.w[:, i], res.weights, beta) < 1.95 / math.sqrt(20_000)
+
+    def test_mixed_chart_matches_finite_t_quadrature(self):
+        # b = (1, 1, 1), a = (0, 0, 1): d = 1, and the slice integral of
+        # exp(-2 x_2) over {x_1, x_2 >= 0, x_1 + x_2 <= L} is that of
+        # (L - s) exp(-2 s) over [0, L].
+        t = 1e-3
+        c = chart((1, 1, 1), (0, 0, 1), t)
+        big_l = -math.log(t)
+        exact = TWO_PI / big_l * simplex_integral(lambda s: (big_l - s) * np.exp(-2.0 * s), big_l)
+        res = sample_fiber_measure(c, 400_000, seed=5)
+        assert res.accept_rate == 1.0
+        assert abs(res.mass - exact) < 5 * res.stderr
+        assert res.mass == pytest.approx(exact, rel=0.01)
+
+    def test_first_coordinate_non_active(self):
+        # Slopes (1, 0): the mirror image of the vertex chart, exact mass pi (1 - |t|^2).
+        t = 1e-6
+        res = sample_fiber_measure(chart((1, 1), (1, 0), t), 400_000, seed=12)
+        exact = math.pi * (1.0 - t * t)
+        assert res.accept_rate == 1.0
+        assert abs(res.mass - exact) < 5 * res.stderr
+        assert res.mass == pytest.approx(exact, rel=0.02)
+
+    def test_two_non_active_coordinates_keep_the_rejection(self):
+        # a = (0, 1, 1): y_1 + y_2 <= slack holds for half the uniform pairs.
+        # Exact: (2 pi)^2 integral_0^L s exp(-2 s) ds.
+        t = 1e-3
+        big_l = -math.log(t)
+        exact = TWO_PI**2 * simplex_integral(lambda s: s * np.exp(-2.0 * s), big_l)
+        res = sample_fiber_measure(chart((1, 1, 1), (0, 1, 1), t), 400_000, seed=13)
+        assert 0.49 < res.accept_rate < 0.51
+        assert abs(res.mass - exact) < 5 * res.stderr
+        assert res.mass == pytest.approx(exact, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "b, a", [((1, 1, 1), (0, 0, 1)), ((1, 1, 1), (0, 1, 1)), ((2, 1), (1, 1)), ((1, 2, 1), (0, 0, 0))]
+    )
+    def test_keeping_samples_does_not_change_the_estimate(self, b, a):
+        c = chart(b, a, 1e-4)
+        kept = sample_fiber_measure(c, 2 * CHUNK + 7, seed=4, keep_samples=True)
+        plain = sample_fiber_measure(c, 2 * CHUNK + 7, seed=4)
+        assert (kept.mass, kept.stderr, kept.n_accepted) == (plain.mass, plain.stderr, plain.n_accepted)
+        assert plain.w is None and plain.weights is None
+        assert kept.w.shape == (kept.n_accepted, len(b)) and kept.weights.shape == (kept.n_accepted,)
+        # The kept points lie on the slice: sum b_i w_i = 1.
+        np.testing.assert_allclose(kept.w @ np.array(b, dtype=float), 1.0, rtol=1e-12)
+
+
+class TestStableVariance:
+    def test_constant_weights_have_zero_stderr_over_many_chunks(self):
+        for b in ((1, 1, 1, 1), (1, 2, 3)):
+            res = sample_fiber_measure(chart(b, (0,) * len(b), 1e-5), 3 * CHUNK + 5, seed=1)
+            assert res.stderr == 0.0
+            assert res.mass == pytest.approx(float(simplex_volume(b) / math.gcd(*b)), rel=1e-12)
+
+    def test_large_common_offset_matches_two_pass_std(self):
+        # h = 1e8 + |z_0|^2: sum w^2 / n - mean^2 would lose every digit.
+        c = chart((1, 1), (0, 0), 1e-3)
+        n = 2 * CHUNK + 3
+        res = sample_fiber_measure(
+            c, n, seed=6, h=lambda z: 1e8 + np.abs(z[:, 0]) ** 2, keep_samples=True
+        )
+        assert res.accept_rate == 1.0
+        assert res.stderr == pytest.approx(np.std(res.weights) / math.sqrt(n), rel=1e-6)
+        assert res.mass == pytest.approx(np.mean(res.weights), rel=1e-14)
+
+    def test_merged_moments_match_the_pooled_sample(self):
+        rng = np.random.default_rng(8)
+        chunks = [1e9 + rng.normal(size=k) for k in (5, 1000, 1, 77)]
+        n, mean, m2 = _merge_moments([_moments(x) for x in chunks])
+        pooled = np.concatenate(chunks)
+        assert n == pooled.size
+        assert mean == pytest.approx(pooled.mean(), rel=1e-15)
+        assert m2 / n == pytest.approx(np.var(pooled), rel=1e-7)
+        assert _moments(np.full(10, 0.1)) == (10, 0.1, 0.0)
+
+    def test_histogram_stderrs_match_two_pass_reference(self):
+        # Non-constant weights exp(-2 x_2) on the face coordinate w_1.
+        n, bins = 50_000, 10
+        hist = pushforward_histogram(chart((1, 1, 1), (0, 0, 1), 1e-3), n, bins, seed=2)
+        edges = hist.edges[0]
+        cell = np.clip(np.searchsorted(edges, hist.values[:, 0], side="right") - 1, 0, bins - 1)
+        for j in range(bins):
+            x = np.zeros(n)
+            x[: hist.weights.size] = np.where(cell == j, hist.weights, 0.0)
+            assert hist.masses[j] == pytest.approx(x.mean(), rel=1e-9)
+            assert hist.stderrs[j] == pytest.approx(x.std() / math.sqrt(n), rel=1e-6)
 
 
 class TestPushforwardHistogram:
@@ -242,6 +354,16 @@ class TestKsStatistic:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             ks_statistic(np.array([]), np.array([]), uniform_cdf(0.0, 1.0))
+
+    def test_ties_in_any_order_give_the_stable_sort_value(self):
+        rng = np.random.default_rng(5)
+        v = np.round(rng.uniform(size=20_000), 2)  # 101 values, many ties
+        w = rng.exponential(size=v.size)
+        order = np.argsort(v, kind="stable")
+        cum = np.cumsum(w[order]) / w.sum()
+        model = uniform_cdf(0.0, 1.0)(v[order])
+        ref = max(np.abs(cum - model).max(), np.abs(np.concatenate([[0.0], cum[:-1]]) - model).max())
+        assert ks_statistic(v, w, uniform_cdf(0.0, 1.0)) == pytest.approx(ref, abs=1e-12)
 
 
 def naive_trig_poly(f, z):
