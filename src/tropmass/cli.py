@@ -61,6 +61,7 @@ from .model import (
     WeightedSncModel,
     build_dual_complex,
     coordinate_pencil,
+    load_preset,
     simplex_model,
     weight_data,
 )
@@ -68,6 +69,8 @@ from .pencil import HypersurfacePencil, PatchEstimate, elliptic_lattice_covolume
 from .sampler import (
     FiberSampleResult,
     LocalChart,
+    MassFit,
+    SimplexHistogram,
     TrigPoly,
     check_fit_schedule,
     enumerate_point_fiber,
@@ -131,6 +134,8 @@ class ExperimentConfig:
             raise ConfigError("--tolerance must be positive")
         if self.n_samples is not None and self.n_samples < 1:
             raise ConfigError("--n-samples must be positive")
+        if self.n_polys is not None and self.n_polys < 1:
+            raise ConfigError("--n-polys and --n-sequences must be positive")
         if self.bins is not None and self.bins < 1:
             raise ConfigError("--bins must be positive")
         if self.threads < 1:
@@ -206,6 +211,10 @@ class RunReport:
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
+    @property
+    def path(self) -> Path:
+        return Path(self.config.outdir) / f"{self.config.command}-{_slug(self.config)}-report.json"
+
     def to_json(self) -> str:
         payload = {
             "config": self.config.echo(),
@@ -279,12 +288,7 @@ def _load_model(cfg: ExperimentConfig) -> Loaded:
         text = raw.decode("utf-8")
         model, anchor, rho = parse_skeleton_spec(text, name=path.stem)
         return model, anchor, rho, raw
-    if cfg.model not in PRESETS:
-        raise ConfigError(
-            f"unknown preset {cfg.model!r}; choose from {sorted(PRESETS)} or pass a spec file"
-        )
-    preset = PRESETS[cfg.model]
-    return (preset(cfg.n) if preset is coordinate_pencil else preset()), None, None, b""
+    return load_preset(cfg.model, cfg.n), None, None, b""
 
 
 def _need_model(cfg: ExperimentConfig, loaded: Loaded | None) -> Loaded:
@@ -506,35 +510,119 @@ def _edge_verdicts(
     return verdicts
 
 
+def _chart_mass_verdicts(
+    metric: MonomialChartMetric, results: Sequence[FiberSampleResult], names: Sequence[str]
+) -> list[CheckVerdict]:
+    """Each rescaled chart mass against the chart's limit mass."""
+    predicted = chart_limit_mass(metric)
+    return [
+        stat_check(
+            name,
+            sigmas(res.mass - predicted, res.stderr),
+            f"normalized mass {res.mass:.6g} +- {res.stderr:.2g} vs limit mass {predicted:.6g}",
+        )
+        for name, res in zip(names, results, strict=True)
+    ]
+
+
+def _fit_verdicts(
+    metric: MonomialChartMetric,
+    results: Sequence[FiberSampleResult],
+    prefix: str,
+    c_rel_limit: float = 0.02,
+) -> tuple[list[CheckVerdict], MassFit, dict[str, float]]:
+    """Fit ``c |t|^(2 kappa_min) (log 1/|t|)^d`` to the raw masses and check each parameter.
+
+    Returns the verdicts, the fit and the predicted parameters.
+    """
+    fit = fit_mass_asymptotics([(res.t, res.mass_raw) for res in results])
+    wd = weight_data(simplex_model(metric.b, metric.a, name="chart"))
+    kappa_pred = float(wd.kappa_min)
+    d_pred = wd.d
+    c_pred = TWO_PI**d_pred * chart_limit_mass(metric)
+    verdicts = [
+        exact_check(
+            f"{prefix}-log-exponent",
+            abs(fit.d_hat - d_pred),
+            f"d_hat = {fit.d_hat} (raw {fit.d_raw:.4f}) vs predicted d = {d_pred}",
+        ),
+        bound_check(
+            f"{prefix}-decay-exponent",
+            abs(fit.kappa_min_hat - kappa_pred),
+            0.01,
+            f"kappa_hat = {fit.kappa_min_hat:.5f} vs predicted {kappa_pred:g}",
+        ),
+        bound_check(
+            f"{prefix}-leading-constant",
+            abs(fit.c_hat - c_pred) / c_pred if c_pred else math.inf,
+            c_rel_limit,
+            f"c_hat = {fit.c_hat:.6g} vs predicted {c_pred:.6g}",
+        ),
+    ]
+    return verdicts, fit, {"kappa_min": kappa_pred, "d": d_pred, "c": c_pred}
+
+
+def _pushforward_verdicts(
+    metric: MonomialChartMetric,
+    hist: SimplexHistogram,
+    total_name: str,
+    ks_name: str,
+    ks_limit: float,
+) -> list[CheckVerdict]:
+    """Total pushforward mass against the limit mass; on an edge, KS to the uniform density."""
+    predicted = chart_limit_mass(metric)
+    verdicts = [
+        stat_check(
+            total_name,
+            sigmas(hist.total_mass - predicted, hist.total_stderr),
+            f"total {hist.total_mass:.6g} +- {hist.total_stderr:.2g} vs predicted {predicted:.6g}",
+        )
+    ]
+    if len(hist.coord_indices) == 1:
+        lo, hi = float(hist.edges[0][0]), float(hist.edges[0][-1])
+        verdicts.append(
+            bound_check(
+                ks_name,
+                ks_statistic(hist.values[:, 0], hist.weights, uniform_cdf(lo, hi)),
+                ks_limit,
+                f"KS distance to the uniform density on [{lo:g}, {hi:g}]",
+            )
+        )
+    return verdicts
+
+
+def _residue_verdict(
+    sk: TriangulatedSkeleton, anchor: str, rho: float | None, name: str
+) -> tuple[CheckVerdict, dict[str, float]]:
+    """Propagate the anchor's residue through the skeleton; the magnitudes must agree."""
+    magnitudes = residue_chain_propagate(sk, anchor, rho)
+    lo, hi = min(magnitudes.values()), max(magnitudes.values())
+    if lo == hi:
+        detail = f"propagated magnitude {lo:g} on all {len(magnitudes)} cells"
+    else:
+        detail = f"propagated magnitudes range over [{lo:g}, {hi:g}] on {len(magnitudes)} cells"
+    return exact_check(name, hi - lo, detail), magnitudes
+
+
 def _sample_chart(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
     metric = _chart_metric(cfg)
     ts = cfg.t_schedule or (1e-4,)
-    rows = []
-    verdicts = []
-    predicted = chart_limit_mass(metric)
-    for t, res in zip(ts, _sweep(metric, ts, cfg.n_samples or 100_000, cfg.seed, cfg.threads)):
-        rows.append(
-            {
-                "t": t,
-                "n_samples": res.n_samples,
-                "accept_rate": res.accept_rate,
-                "mass": res.mass,
-                "stderr": res.stderr,
-                "mass_raw": res.mass_raw,
-                "stderr_raw": res.stderr_raw,
-            }
-        )
-        sig = sigmas(res.mass - predicted, res.stderr)
-        verdicts.append(
-            stat_check(
-                f"normalized-mass-t{t:g}",
-                sig,
-                f"mass {res.mass:.6g} +- {res.stderr:.2g} vs residual closed form {predicted:.6g}",
-            )
-        )
+    results = _sweep(metric, ts, cfg.n_samples or 100_000, cfg.seed, cfg.threads)
+    rows = [
+        {
+            "t": t,
+            "n_samples": res.n_samples,
+            "accept_rate": res.accept_rate,
+            "mass": res.mass,
+            "stderr": res.stderr,
+            "mass_raw": res.mass_raw,
+            "stderr_raw": res.stderr_raw,
+        }
+        for t, res in zip(ts, results)
+    ]
     csv_path = out / f"sample-{_slug(cfg)}.csv"
     write_csv(csv_path, rows)
-    return verdicts, [csv_path]
+    return _chart_mass_verdicts(metric, results, [f"normalized-mass-t{t:g}" for t in ts]), [csv_path]
 
 
 def _sample_pencil_cmd(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
@@ -627,15 +715,9 @@ def _run_pushforward(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) ->
     bins = cfg.bins or 50
     ks_limit = cfg.tolerance if cfg.tolerance is not None else 0.02
     hist = pushforward_histogram(metric, n, bins, cfg.seed, t=t, threads=cfg.threads)
-    predicted_total = chart_limit_mass(metric)
-    sig = sigmas(hist.total_mass - predicted_total, hist.total_stderr)
-    verdicts = [
-        stat_check(
-            "pushforward-total-mass",
-            sig,
-            f"total {hist.total_mass:.6g} +- {hist.total_stderr:.2g} vs predicted {predicted_total:.6g}",
-        )
-    ]
+    verdicts = _pushforward_verdicts(
+        metric, hist, "pushforward-total-mass", "pushforward-uniformity-ks", ks_limit
+    )
     if len(hist.coord_indices) == 1:
         e = hist.edges[0]
         rows = [
@@ -647,16 +729,6 @@ def _run_pushforward(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) ->
             }
             for k in range(len(hist.masses))
         ]
-        lo, hi = float(e[0]), float(e[-1])
-        ks = ks_statistic(hist.values[:, 0], hist.weights, uniform_cdf(lo, hi))
-        verdicts.append(
-            bound_check(
-                "pushforward-uniformity-ks",
-                ks,
-                ks_limit,
-                f"KS distance to the uniform density on [{lo:g}, {hi:g}]",
-            )
-        )
     else:
         rows = [
             {
@@ -675,55 +747,23 @@ def _run_fit_mass(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Ou
     metric = _chart_metric(cfg)
     check_fit_schedule(cfg.t_schedule)
     n = cfg.n_samples or 100_000
-    rows = []
-    points = []
-    for t, res in zip(cfg.t_schedule, _sweep(metric, cfg.t_schedule, n, cfg.seed, cfg.threads)):
-        points.append((res.t, res.mass_raw))
-        rows.append(
-            {
-                "t": t,
-                "mass_raw": res.mass_raw,
-                "stderr_raw": res.stderr_raw,
-                "mass": res.mass,
-                "stderr": res.stderr,
-            }
-        )
+    results = _sweep(metric, cfg.t_schedule, n, cfg.seed, cfg.threads)
+    rows = [
+        {
+            "t": t,
+            "mass_raw": res.mass_raw,
+            "stderr_raw": res.stderr_raw,
+            "mass": res.mass,
+            "stderr": res.stderr,
+        }
+        for t, res in zip(cfg.t_schedule, results)
+    ]
     csv_path = out / f"fit-mass-{_slug(cfg)}.csv"
     write_csv(csv_path, rows)
-
-    fit = fit_mass_asymptotics(points)
-    wd = weight_data(simplex_model(metric.b, metric.a, name="chart"))
-    kappa_pred = float(wd.kappa_min)
-    d_pred = wd.d
-    c_pred = TWO_PI**d_pred * chart_limit_mass(metric)
     c_rel_limit = cfg.tolerance if cfg.tolerance is not None else 0.02
-    verdicts = [
-        exact_check(
-            "fit-log-exponent",
-            abs(fit.d_hat - d_pred),
-            f"d_hat = {fit.d_hat} (raw {fit.d_raw:.4f}) vs predicted d = {d_pred}",
-        ),
-        bound_check(
-            "fit-decay-exponent",
-            abs(fit.kappa_min_hat - kappa_pred),
-            0.01,
-            f"kappa_hat = {fit.kappa_min_hat:.5f} vs predicted {kappa_pred:g}",
-        ),
-        bound_check(
-            "fit-leading-constant",
-            abs(fit.c_hat - c_pred) / c_pred if c_pred else math.inf,
-            c_rel_limit,
-            f"c_hat = {fit.c_hat:.6g} vs predicted {c_pred:.6g}",
-        ),
-    ]
+    verdicts, fit, predicted = _fit_verdicts(metric, results, "fit", c_rel_limit)
     json_path = out / f"fit-mass-{_slug(cfg)}.json"
-    write_json(
-        json_path,
-        {
-            "fit": dataclasses.asdict(fit),
-            "predicted": {"kappa_min": kappa_pred, "d": d_pred, "c": c_pred},
-        },
-    )
+    write_json(json_path, {"fit": dataclasses.asdict(fit), "predicted": predicted})
     return verdicts, [csv_path, json_path]
 
 
@@ -1012,16 +1052,8 @@ def _run_skeleton_check(cfg: ExperimentConfig, out: Path, loaded: Loaded | None)
         "closed": report.closed,
     }
     if anchor is not None:
-        magnitudes = residue_chain_propagate(sk, anchor, rho)
-        values = sorted(set(magnitudes.values()))
-        spread = values[-1] - values[0]
-        verdicts.append(
-            exact_check(
-                "residue-propagation-constant",
-                spread,
-                f"propagated magnitude {values[0]:g} on all {len(magnitudes)} cells",
-            )
-        )
+        verdict, magnitudes = _residue_verdict(sk, anchor, rho, "residue-propagation-constant")
+        verdicts.append(verdict)
         summary["residue_magnitudes"] = {k: magnitudes[k] for k in sorted(magnitudes)}
     json_path = out / f"skeleton-{_slug(cfg)}.json"
     write_json(json_path, summary)
@@ -1055,39 +1087,9 @@ def suite_annulus_mass(seed: int = 0, quick: bool = False, threads: int = 1) -> 
     """Unit annulus mass at every scale plus the fitted asymptotics."""
     n = 10_000 if quick else 100_000
     metric = MonomialChartMetric(b=(1, 1), a=(Fraction(0), Fraction(0)))
-    verdicts = []
-    points = []
-    for k, res in zip(range(2, 7), _sweep(metric, LADDER, n, seed, threads)):
-        sig = sigmas(res.mass - 1.0, res.stderr)
-        verdicts.append(
-            stat_check(
-                f"annulus-unit-mass-t1e-{k}",
-                sig,
-                f"normalized mass {res.mass:.5f} +- {res.stderr:.2g} vs 1",
-            )
-        )
-        points.append((res.t, res.mass_raw))
-    fit = fit_mass_asymptotics(points)
-    verdicts.append(
-        exact_check("annulus-log-exponent", abs(fit.d_hat - 1), f"d_hat = {fit.d_hat} vs 1")
-    )
-    verdicts.append(
-        bound_check(
-            "annulus-decay-exponent",
-            abs(fit.kappa_min_hat),
-            0.01,
-            f"kappa_hat = {fit.kappa_min_hat:.5f} vs 0",
-        )
-    )
-    verdicts.append(
-        bound_check(
-            "annulus-leading-constant",
-            abs(fit.c_hat - TWO_PI) / TWO_PI,
-            0.02,
-            f"c_hat = {fit.c_hat:.5f} vs 2 pi = {TWO_PI:.5f}",
-        )
-    )
-    return verdicts
+    results = _sweep(metric, LADDER, n, seed, threads)
+    names = [f"annulus-unit-mass-t1e-{k}" for k in range(2, 7)]
+    return _chart_mass_verdicts(metric, results, names) + _fit_verdicts(metric, results, "annulus")[0]
 
 
 def suite_chart_residual(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
@@ -1113,12 +1115,8 @@ def suite_chart_residual(seed: int = 0, quick: bool = False, threads: int = 1) -
         )
     )
     n = 10_000 if quick else 100_000
-    points = [(r.t, r.mass_raw) for r in _sweep(metric, LADDER, n, seed, threads)]
-    fit = fit_mass_asymptotics(points)
-    verdicts.append(
-        exact_check("twisted-log-exponent", abs(fit.d_hat - 0), f"d_hat = {fit.d_hat} vs 0")
-    )
-    return verdicts
+    fit = _fit_verdicts(metric, _sweep(metric, LADDER, n, seed, threads), "twisted")[0]
+    return verdicts + fit[:1]
 
 
 def suite_pushforward(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
@@ -1126,23 +1124,9 @@ def suite_pushforward(seed: int = 0, quick: bool = False, threads: int = 1) -> l
     metric = MonomialChartMetric(b=(1, 2), a=(Fraction(0), Fraction(0)))
     n = 100_000 if quick else 1_000_000
     hist = pushforward_histogram(metric, n, 50, seed, t=1e-6, threads=threads)
-    sig = sigmas(hist.total_mass - 0.5, hist.total_stderr)
-    e = hist.edges[0]
-    lo, hi = float(e[0]), float(e[-1])
-    ks = ks_statistic(hist.values[:, 0], hist.weights, uniform_cdf(0.0, 0.5))
-    return [
-        stat_check(
-            "pushforward-total-half",
-            sig,
-            f"total {hist.total_mass:.6f} +- {hist.total_stderr:.2g} vs 1/2",
-        ),
-        bound_check(
-            "pushforward-uniform-ks",
-            ks,
-            0.02,
-            f"KS distance to the uniform density on [0, 1/2] (support [{lo:g}, {hi:g}])",
-        ),
-    ]
+    return _pushforward_verdicts(
+        metric, hist, "pushforward-total-half", "pushforward-uniform-ks", 0.02
+    )
 
 
 def suite_decay(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
@@ -1203,15 +1187,7 @@ def suite_pencil(seed: int = 0, quick: bool = False, threads: int = 1) -> list[C
     res = sample_pencil(pen, 1e-5, n, seed, bins=25, threads=threads)
     verdicts = _edge_verdicts(res.patches, "pencil-edge-masses-equal", "pencil-edge-ks", 0.02)
     sk = TriangulatedSkeleton.from_dual_complex(build_dual_complex(coordinate_pencil(2)))
-    magnitudes = residue_chain_propagate(sk, "E0&E1", 1.0)
-    spread = max(magnitudes.values()) - min(magnitudes.values())
-    verdicts.append(
-        exact_check(
-            "pencil-residue-propagation-constant",
-            spread,
-            f"propagated magnitudes {sorted(set(magnitudes.values()))} on the 3-cycle",
-        )
-    )
+    verdicts.append(_residue_verdict(sk, "E0&E1", 1.0, "pencil-residue-propagation-constant")[0])
     return verdicts
 
 
@@ -1307,8 +1283,7 @@ def run(config: ExperimentConfig) -> RunReport:
         timings=((config.command, elapsed),),
         artifacts=tuple(str(p) for p in artifacts),
     )
-    report_path = out / f"{config.command}-{_slug(config)}-report.json"
-    report_path.write_text(report.to_json(), encoding="utf-8")
+    report.path.write_text(report.to_json(), encoding="utf-8")
     return report
 
 
@@ -1323,15 +1298,15 @@ def build_parser() -> argparse.ArgumentParser:
         "with Monte-Carlo verification.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help=f"output directory (default ${OUTDIR_ENV} or ./{DEFAULT_OUTDIR})")
+    common.add_argument("--out", dest="outdir", metavar="OUT", default=None, help=f"output directory (default ${OUTDIR_ENV} or ./{DEFAULT_OUTDIR})")
     common.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory for sampling)")
     common.add_argument("--threads", type=int, default=1, help="sampler chunks run in this many threads (results do not depend on it)")
     common.add_argument("--tolerance", type=float, default=None, help="override the default check tolerance")
 
     model_args = argparse.ArgumentParser(add_help=False)
     group = model_args.add_mutually_exclusive_group()
-    group.add_argument("--preset", default=None, help=f"model preset: {sorted(PRESETS)}")
-    group.add_argument("--model", default=None, help="path to a model-spec file")
+    group.add_argument("--preset", dest="model", metavar="NAME", help=f"model preset: {sorted(PRESETS)}")
+    group.add_argument("--model", dest="model", metavar="FILE", help="path to a model-spec file")
     model_args.add_argument("--n", type=int, default=2, help="projective dimension for coordinate_pencil")
 
     chart_args = argparse.ArgumentParser(add_help=False)
@@ -1342,26 +1317,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("dual-complex", parents=[common, model_args], help="faces of the dual complex")
     sub.add_parser("weights", parents=[common, model_args], help="slopes and the active subcomplex")
     p = sub.add_parser("limit-measure", parents=[common, model_args], help="assemble the limit measure")
-    p.add_argument("--residue", action="append", default=[], metavar="FACE=VALUE", help="residual mass of a face")
+    p.add_argument("--residue", dest="residues", action="append", default=[], metavar="FACE=VALUE", help="residual mass of a face")
     p = sub.add_parser("base-change", parents=[common, model_args], help="exact base-change arithmetic")
     p.add_argument("--m", type=int, required=True, help="degree of the base change")
     p = sub.add_parser("sample", parents=[common, model_args, chart_args], help="Monte-Carlo fiber mass")
-    p.add_argument("--t", required=True, help="t value or schedule (1e-2..1e-6 or comma list)")
+    p.add_argument("--t", dest="t_schedule", metavar="T", required=True, help="t value or schedule (1e-2..1e-6 or comma list)")
     p.add_argument("--n-samples", type=int, default=None)
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=0.1, help="pencil modulus")
     p = sub.add_parser("pushforward", parents=[common, model_args, chart_args], help="histogram of the tropical image")
-    p.add_argument("--t", required=True)
+    p.add_argument("--t", dest="t_schedule", metavar="T", required=True)
     p.add_argument("--n-samples", type=int, default=None)
     p.add_argument("--bins", type=int, default=None)
     p = sub.add_parser("fit-mass", parents=[common, model_args, chart_args], help="fit the mass asymptotics")
-    p.add_argument("--t", required=True, help="t schedule, e.g. 1e-2..1e-6")
+    p.add_argument("--t", dest="t_schedule", metavar="T", required=True, help="t schedule, e.g. 1e-2..1e-6")
     p.add_argument("--n-samples", type=int, default=None)
     p = sub.add_parser("polar-check", parents=[common], help="polar decomposition identities")
     p.add_argument("--n-samples", type=int, default=None)
     p.add_argument("--n-polys", type=int, default=None)
     p = sub.add_parser("hybrid-check", parents=[common], help="limit-topology and seminorm checks")
-    p.add_argument("--n-sequences", type=int, default=None)
+    p.add_argument("--n-sequences", dest="n_polys", metavar="N", type=int, default=None)
     p = sub.add_parser("skeleton-check", parents=[common, model_args], help="pseudomanifold and residue checks")
     p.add_argument("--subdivide", action="store_true", help="barycentrically subdivide first")
     p.add_argument("--anchor", default=None, help="anchor cell id for residue propagation")
@@ -1372,39 +1347,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parser values that need converting into their config field's type.
+_CONVERTERS: dict[str, Callable[..., object]] = {
+    "t_schedule": parse_t_schedule,
+    "b": lambda text: _parse_list(text, int, "integers"),
+    "a": lambda text: _parse_list(text, Fraction, "rationals"),
+    "residues": _parse_residues,
+}
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    outdir = args.out or os.environ.get(OUTDIR_ENV) or DEFAULT_OUTDIR
-    t_schedule: tuple[float, ...] = ()
-    if getattr(args, "t", None):
-        t_schedule = parse_t_schedule(args.t)
-    b = _parse_list(args.b, int, "integers") if getattr(args, "b", None) else None
-    a = _parse_list(args.a, Fraction, "rationals") if getattr(args, "a", None) else None
-    n_polys = getattr(args, "n_polys", None)
-    if getattr(args, "n_sequences", None) is not None:
-        n_polys = args.n_sequences
-    return ExperimentConfig(
-        command=args.command,
-        model=getattr(args, "preset", None) or getattr(args, "model", None),
-        b=b,
-        a=a,
-        n=getattr(args, "n", 2),
-        epsilon=getattr(args, "epsilon", 0.1),
-        t_schedule=t_schedule,
-        n_samples=getattr(args, "n_samples", None),
-        n_polys=n_polys,
-        seed=args.seed,
-        bins=getattr(args, "bins", None),
-        tolerance=args.tolerance,
-        threads=args.threads,
-        m=getattr(args, "m", None),
-        residues=_parse_residues(getattr(args, "residue", [])),
-        anchor=getattr(args, "anchor", None),
-        rho=getattr(args, "rho", None),
-        subdivide=getattr(args, "subdivide", False),
-        suite=getattr(args, "suite", None),
-        quick=getattr(args, "quick", False),
-        outdir=outdir,
-    )
+    """Build the config from the parser's values; each parser dest is a config field."""
+    values = {k: v for k, v in vars(args).items() if v is not None}
+    for name, convert in _CONVERTERS.items():
+        if name in values:
+            values[name] = convert(values[name])
+    values["outdir"] = args.outdir or os.environ.get(OUTDIR_ENV) or DEFAULT_OUTDIR
+    return ExperimentConfig(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1423,7 +1382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     for v in report.verdicts:
         status = "pass" if v.passed else "FAIL"
         print(f"[{status}] {v.name}: {v.detail} (discrepancy {v.discrepancy:.4g}, limit {v.limit:g})")
-    print(f"report: {Path(config.outdir) / (config.command + '-' + _slug(config) + '-report.json')}")
+    print(f"report: {report.path}")
     return 0 if report.passed else 1
 
 

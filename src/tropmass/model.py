@@ -395,22 +395,12 @@ PRESETS = {
 }
 
 
-def load_preset(name: str) -> WeightedSncModel:
-    """Look up a preset by name; ``coordinate_pencil(n)`` takes an integer argument."""
-    name = name.strip()
-    if name.endswith(")") and "(" in name:
-        base, arg = name[:-1].split("(", 1)
-        base = base.strip()
-        if base not in PRESETS:
-            raise ModelError(f"unknown preset {base!r}")
-        try:
-            n = int(arg)
-        except ValueError:
-            raise ModelError(f"preset argument must be an integer, got {arg!r}") from None
-        return PRESETS[base](n)
+def load_preset(name: str, n: int = 2) -> WeightedSncModel:
+    """Look up a preset by name; ``n`` is the projective dimension of ``coordinate_pencil``."""
     if name not in PRESETS:
         raise ModelError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    return PRESETS[name]()
+    preset = PRESETS[name]
+    return preset(n) if preset is coordinate_pencil else preset()
 
 
 # ---------------------------------------------------------------------------

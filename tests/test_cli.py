@@ -8,6 +8,7 @@ its own section.
 
 from __future__ import annotations
 
+import dataclasses
 import doctest
 import json
 import math
@@ -105,6 +106,9 @@ class TestExperimentConfig:
             ExperimentConfig(command="sample", seed=1, bins=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(command="sample", seed=1, threads=0)
+        for n_polys in (0, -3):
+            with pytest.raises(ConfigError, match="positive"):
+                ExperimentConfig(command="hybrid-check", n_polys=n_polys)
 
     def test_residues_must_be_finite_nonnegative(self):
         with pytest.raises(ConfigError, match="residue"):
@@ -149,6 +153,13 @@ class TestParser:
             build_parser().parse_args(
                 ["weights", "--preset", "annulus", "--model", "x.model"]
             )
+
+    def test_every_parser_dest_is_a_config_field(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        for name, p in sub.choices.items():
+            dests = {a.dest for a in p._actions} - {"help"}
+            assert dests <= fields, (name, dests - fields)
 
     def test_outdir_env_default(self, monkeypatch):
         monkeypatch.setenv("TROPMASS_OUTDIR", "/tmp/from-env")
@@ -250,6 +261,20 @@ class TestExitCodes:
         code, _, err = run_cli(["weights", "--preset", "banana"], tmp_path, capsys)
         assert code == 2
         assert "banana" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["hybrid-check", "--n-sequences", "-3", "--seed", "0"],
+            ["hybrid-check", "--n-sequences", "0", "--seed", "0"],
+            ["polar-check", "--n-polys", "-4", "--seed", "0"],
+        ],
+    )
+    def test_non_positive_counts_exit_two(self, tmp_path, capsys, args):
+        code, out, err = run_cli(args, tmp_path, capsys)
+        assert code == 2
+        assert "[error]" in err and "positive" in err
+        assert "pass" not in out
 
     def test_unknown_suite_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -609,7 +634,37 @@ class TestSuiteRegistry:
             "decay": 5,
             "pencil": 1,
         }
-        assert len(report.verdicts) == 51
+        assert tuple(v.name for v in report.verdicts) == (
+            "simplex-volume-vs-lattice-index",
+            *(f"annulus-unit-mass-t1e-{k}" for k in range(2, 7)),
+            "annulus-log-exponent",
+            "annulus-decay-exponent",
+            "annulus-leading-constant",
+            "residual-closed-form-pi",
+            "twisted-mass-pi",
+            "twisted-log-exponent",
+            "pushforward-total-half",
+            "pushforward-uniform-ks",
+            "decay-rescaled-mass-bounded",
+            *(f"polar-{kind}-polydisc-{i}" for i in range(5) for kind in ("rel", "sigma")),
+            *(f"polar-{kind}-fiber-{i}" for i in range(5) for kind in ("rel", "sigma")),
+            "point-fiber-b3",
+            "point-fiber-b3-roots",
+            "base-change-splitting",
+            "base-change-pushforward",
+            "pencil-edge-masses-equal",
+            "pencil-edge-ks-E1&E2",
+            "pencil-edge-ks-E0&E2",
+            "pencil-edge-ks-E0&E1",
+            "pencil-residue-propagation-constant",
+            "power-sequence-limits",
+            "random-sequence-classification",
+            "neighborhood-basis-agreement",
+            "seminorm-multiplicative",
+            "parameter-seminorm-is-radius",
+            "non-semistable-weights-non-uniform",
+            "semistable-weights-uniform",
+        )
         assert report.passed
 
 

@@ -297,8 +297,8 @@ class TestPresets:
     def test_load_by_name(self):
         assert load_preset("annulus").name == "annulus"
         assert load_preset("fermat_smooth").name == "fermat_smooth"
-        assert load_preset("coordinate_pencil(3)").name == "coordinate_pencil(3)"
-        assert load_preset("coordinate_pencil") .name == "coordinate_pencil(2)"
+        assert load_preset("coordinate_pencil", 3).name == "coordinate_pencil(3)"
+        assert load_preset("coordinate_pencil").name == "coordinate_pencil(2)"
 
     def test_unknown_preset(self):
         with pytest.raises(ModelError, match="unknown preset"):
@@ -344,8 +344,8 @@ class TestModelSpecFormat:
         assert again.pair_divisors == m.pair_divisors
 
     def test_roundtrip_presets(self):
-        for name in ("annulus", "fermat_smooth", "coordinate_pencil(3)"):
-            m = load_preset(name)
+        for name, n in (("annulus", 2), ("fermat_smooth", 2), ("coordinate_pencil", 3)):
+            m = load_preset(name, n)
             again = parse_model_spec(format_model_spec(m))
             assert again.components == m.components
             assert again.strata == m.strata
