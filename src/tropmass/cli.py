@@ -4,11 +4,12 @@ The ``tropmass`` command exposes the library through subcommands that share a
 small configuration vocabulary (model preset or spec file, ``t``-schedule,
 sample count, seed, bins, tolerance, output directory).  Every run produces a
 `RunReport`: the echoed configuration, a content hash of the inputs, a list
-of check verdicts that each carry a quantitative discrepancy, and coarse
-timings.  Tabular artifacts are written as CSV (deterministic: sorted fields,
-shortest round-trip float formatting, fixed line terminator), nested reports
-as JSON.  Re-running a subcommand with an identical configuration and seed
-reproduces byte-identical CSV files.
+of check verdicts that each carry a quantitative discrepancy, and timings
+(the whole command, and for ``verify`` each suite).  Tabular artifacts are
+written as CSV (deterministic: sorted fields, shortest round-trip float
+formatting, fixed line terminator), nested reports as JSON.  Re-running a
+subcommand with an identical configuration and seed reproduces
+byte-identical CSV files.
 
 Exit status is nonzero exactly when some check fails.  Statistical checks
 fail only beyond three standard errors (unless the check carries its own
@@ -93,7 +94,9 @@ from .skeleton import (
 OUTDIR_ENV = "TROPMASS_OUTDIR"
 DEFAULT_OUTDIR = "tropmass-out"
 
-SAMPLING_COMMANDS = frozenset({"sample", "pushforward", "fit-mass", "polar-check", "verify"})
+SAMPLING_COMMANDS = frozenset(
+    {"sample", "pushforward", "fit-mass", "polar-check", "hybrid-check", "verify"}
+)
 LADDER = tuple(10.0**-k for k in range(2, 7))  # the suites' t schedule, 1e-2..1e-6
 
 
@@ -271,7 +274,11 @@ def _parse_residues(items: Sequence[str]) -> tuple[tuple[str, float], ...]:
 
 
 Loaded = tuple[WeightedSncModel, str | None, float | None, bytes]
-Outcome = tuple[list[CheckVerdict], list[Path]]
+# A runner's verdicts and artifact paths, optionally followed by the
+# ``(name, seconds)`` timings of its stages.
+Outcome = tuple[list[CheckVerdict], list[Path]] | tuple[
+    list[CheckVerdict], list[Path], list[tuple[str, float]]
+]
 
 
 def _load_model(cfg: ExperimentConfig) -> Loaded:
@@ -868,8 +875,7 @@ def polar_battery(
 
 def _run_hybrid_check(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
     n_seq = cfg.n_polys or 1000
-    seed = cfg.seed if cfg.seed is not None else 0
-    verdicts = hybrid_battery(n_seq, seed)
+    verdicts = hybrid_battery(n_seq, cfg.seed)
     json_path = out / "hybrid-check.json"
     write_json(json_path, [dataclasses.asdict(v) for v in verdicts])
     return verdicts, [json_path]
@@ -1247,10 +1253,12 @@ def _run_verify(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outc
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     verdicts: list[CheckVerdict] = []
-    seed = cfg.seed if cfg.seed is not None else 0
+    timings: list[tuple[str, float]] = []
     for name in names:
-        verdicts.extend(SUITES[name](seed=seed, quick=cfg.quick, threads=cfg.threads))
-    return verdicts, []
+        t0 = time.perf_counter()
+        verdicts.extend(SUITES[name](seed=cfg.seed, quick=cfg.quick, threads=cfg.threads))
+        timings.append((f"verify.{name}", time.perf_counter() - t0))
+    return verdicts, [], timings
 
 
 RUNNERS: dict[str, Callable[[ExperimentConfig, Path, Loaded | None], Outcome]] = {
@@ -1274,13 +1282,13 @@ def run(config: ExperimentConfig) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     loaded = _load_model(config) if config.model is not None else None
-    verdicts, artifacts = RUNNERS[config.command](config, out, loaded)
+    verdicts, artifacts, *stages = RUNNERS[config.command](config, out, loaded)
     elapsed = time.perf_counter() - t0
     report = RunReport(
         config=config,
         content_hash=_content_hash(config, loaded[3] if loaded else b""),
         verdicts=tuple(verdicts),
-        timings=((config.command, elapsed),),
+        timings=((config.command, elapsed), *(stages[0] if stages else ())),
         artifacts=tuple(str(p) for p in artifacts),
     )
     report.path.write_text(report.to_json(), encoding="utf-8")

@@ -17,7 +17,11 @@ Variances are accumulated as per-chunk means and centred second moments.
 The module also provides histogram pushforwards under the normalized log map,
 weighted Kolmogorov-Smirnov statistics against predicted limit densities,
 closed-form vs Monte-Carlo checks of the polar factorization identities, and
-a least-squares fit recovering the mass-asymptotics exponents.
+a least-squares fit recovering the mass-asymptotics exponents.  The polar
+checks draw all their uniforms up front, then build, evaluate and pool the
+points one block of `TRIG_BLOCK` rows at a time; their angles go through
+`_unit_phasor`, a table-driven ``e^{2 pi i u}`` within a few ulp of
+``np.exp``.
 """
 
 from __future__ import annotations
@@ -505,11 +509,73 @@ def uniform_cdf(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
 # Polar factorization checks
 
 
-# Rows of ``z`` that `TrigPoly` evaluates at once: each block's temporaries
-# take a few hundred kilobytes, whatever the number of points.
+# Rows that `TrigPoly` and the polar checks evaluate at once: each block's
+# temporaries take a few hundred kilobytes, whatever the number of points.
 TRIG_BLOCK = 1 << 14
 
+
+def _row_blocks(n: int):
+    """Slices of consecutive `TRIG_BLOCK`-row blocks covering ``range(n)``."""
+    return (slice(start, min(start + TRIG_BLOCK, n)) for start in range(0, n, TRIG_BLOCK))
+
+
 _Term = tuple[tuple[int, ...], tuple[int, ...], complex]
+
+# `_unit_phasor` looks ``e^{2 pi i j / K}`` up in a table of K = 2^12 roots of
+# unity.  The first octant comes from libm and the rest by exact symmetries,
+# so every entry is within one ulp.
+_PHASOR_BITS = 12
+
+
+def _phasor_table(bits: int) -> np.ndarray:
+    k = 1 << bits
+    octant = [TWO_PI * j / k for j in range(k // 8 + 1)]
+    cos = np.array([math.cos(a) for a in octant])
+    sin = np.array([math.sin(a) for a in octant])
+    # Angles past pi/4 in the first quadrant are cofunctions of angles below it.
+    quarter = np.concatenate([cos, sin[-2:0:-1]]) + 1j * np.concatenate([sin, cos[-2:0:-1]])
+    return np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
+
+
+_PHASOR_TABLE = _phasor_table(_PHASOR_BITS)
+# Taylor coefficients of cos and sin of the leftover angle 2 pi x / K, |x| <= 1/2,
+# in powers of x.  The first omitted terms are below 3e-18.
+_PHASOR_STEP = TWO_PI / (1 << _PHASOR_BITS)
+_COS_2, _COS_4 = -(_PHASOR_STEP**2) / 2.0, _PHASOR_STEP**4 / 24.0
+_SIN_1, _SIN_3 = _PHASOR_STEP, -(_PHASOR_STEP**3) / 6.0
+
+
+def _unit_phasor(u: np.ndarray, scale) -> np.ndarray:
+    """``scale * e^{2 pi i u}`` for turns ``u`` (any reals of moderate size).
+
+    ``u K`` is split exactly into its nearest integer ``j`` and a remainder
+    ``x`` in ``[-1/2, 1/2]``; the result is the table entry ``j mod K``
+    times ``cos + i sin`` of the leftover angle ``2 pi x / K <= pi / K``,
+    each from a two-term Taylor polynomial, times ``scale``.  Against a
+    long-double reference the error of ``psi = e^{2 pi i u}`` stays below
+    ``2^-52``; it is within ``5 * 2^-52`` of ``np.exp(2j * np.pi * u)`` for
+    ``u`` in ``[0, 1)`` (that reference rounds its argument ``2 pi u``), and
+    ``| |psi| - 1 |`` stays below ``2^-51``.
+    """
+    x = np.multiply(u, 1 << _PHASOR_BITS)
+    j = np.rint(x)
+    x -= j
+    index = j.astype(np.intp)
+    index &= (1 << _PHASOR_BITS) - 1
+    x2 = np.multiply(x, x, out=j)
+    cos = x2 * _COS_4
+    cos += _COS_2
+    cos *= x2
+    cos += 1.0
+    sin = x2  # the buffer is free once cos is done
+    sin *= _SIN_3
+    sin += _SIN_1
+    sin *= x
+    out = np.empty(x.shape, dtype=complex)
+    np.multiply(cos, scale, out=out.real)
+    np.multiply(sin, scale, out=out.imag)
+    out *= _PHASOR_TABLE[index]
+    return out
 
 
 def _fold_conjugate_pairs(terms: Sequence[_Term]) -> list[tuple[_Term, bool]]:
@@ -528,9 +594,8 @@ def _fold_conjugate_pairs(terms: Sequence[_Term]) -> list[tuple[_Term, bool]]:
     return folded
 
 
-def _trig_block(folded: list[tuple[_Term, bool]], z: np.ndarray) -> np.ndarray:
-    """`TrigPoly` value on the rows of one block ``z``."""
-    cols = [np.ascontiguousarray(z[:, i]) for i in range(z.shape[1])]
+def _trig_block(folded: list[tuple[_Term, bool]], cols: Sequence[np.ndarray]) -> np.ndarray:
+    """`TrigPoly` value on one block, given as one contiguous array per coordinate."""
     # Per coordinate, the powers [1, z_i, z_i^2, ...] and [1, |z_i|^2, |z_i|^4, ...]
     # computed so far, shared by all terms.
     zpow = [[1.0, c] for c in cols]
@@ -541,8 +606,9 @@ def _trig_block(folded: list[tuple[_Term, bool]], z: np.ndarray) -> np.ndarray:
             powers.append(powers[-1] * powers[1])
         return powers[k]
 
-    real = np.zeros(z.shape[0])
-    cplx = np.zeros(z.shape[0], dtype=complex)
+    size = cols[0].shape[0]
+    real = np.zeros(size)
+    cplx = np.zeros(size, dtype=complex)
     for (a_exp, b_exp, coeff), paired in folded:
         phase = modulus = 1.0
         for i, (ai, bi) in enumerate(zip(a_exp, b_exp)):
@@ -580,9 +646,10 @@ class TrigPoly:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z)
         folded = _fold_conjugate_pairs(self.terms)
+        cols = [np.ascontiguousarray(z[:, i]) for i in range(z.shape[1])]
         out = np.empty(z.shape[0], dtype=complex)
-        for start in range(0, z.shape[0], TRIG_BLOCK):
-            out[start : start + TRIG_BLOCK] = _trig_block(folded, z[start : start + TRIG_BLOCK])
+        for block in _row_blocks(z.shape[0]):
+            out[block] = _trig_block(folded, [c[block] for c in cols])
         return out
 
     @staticmethod
@@ -628,6 +695,25 @@ class PolarCheckResult:
         return self.abs_discrepancy / max(self.mc_stderr, 1e-300)
 
 
+def _complex_mean(blocks) -> tuple[complex, float]:
+    """Mean and standard error of the mean of complex values given in blocks.
+
+    The real and imaginary parts are pooled separately: the centred second
+    moments with `_moments` and `_merge_moments`, the standard error being
+    ``sqrt(mean |x - mean|^2 / n)``.  The mean is the exactly rounded sum of
+    the block sums over ``n``, since the merged running mean rounds once per
+    block and drifts by a few ulp over a million values.
+    """
+    re, im = [], []
+    for vals in blocks:
+        re.append(_moments(vals.real))
+        im.append(_moments(vals.imag))
+    n, _, m2_re = _merge_moments(re)
+    _, _, m2_im = _merge_moments(im)
+    mean_re, mean_im = (math.fsum(c * m for c, m, _ in parts) / n for parts in (re, im))
+    return complex(mean_re, mean_im), math.sqrt((m2_re + m2_im) / n) / math.sqrt(n)
+
+
 def polar_full_check(
     b: Sequence[int],
     f: TrigPoly,
@@ -637,8 +723,13 @@ def polar_full_check(
 ) -> PolarCheckResult:
     """Check the polar factorization of the polydisc area measure.
 
-    The Monte-Carlo side samples each coordinate area-uniformly on its disc;
-    the closed-form side keeps only the diagonal terms (equal holomorphic and
+    The Monte-Carlo side samples each coordinate area-uniformly on its disc:
+    ``z_i = r_i sqrt(u_i) e^{2 pi i theta_i}`` with the ``(n, k)`` uniforms
+    ``u`` drawn first and the turns ``theta`` second.  The points are built
+    with `_unit_phasor` (within ``5 * 2^-52`` of ``np.exp``), evaluated and
+    pooled one block of `TRIG_BLOCK` rows at a time, so the estimate is that
+    of one unblocked pass over the same draws up to rounding.  The
+    closed-form side keeps only the diagonal terms (equal holomorphic and
     antiholomorphic exponents), each contributing
     ``prod_i pi r_i^{2 a_i + 2} / (a_i + 1)``.
     """
@@ -650,13 +741,22 @@ def polar_full_check(
     ):
         raise ValueError("full-polydisc check needs nonnegative exponents")
     rng = np.random.default_rng(seed)
-    u = rng.uniform(size=(n, k))
-    phase = rng.uniform(0.0, TWO_PI, size=(n, k))
-    z = np.asarray(radii) * np.sqrt(u) * np.exp(1j * phase)
+    u = rng.random((n, k))
+    turns = rng.random((n, k))
+    folded = _fold_conjugate_pairs(f.terms)
     area = math.prod(math.pi * r**2 for r in radii)
-    vals = f(z) * area
-    mean = complex(vals.mean())
-    stderr = float(vals.std() / math.sqrt(n))
+
+    def blocks():
+        for block in _row_blocks(n):
+            cols = [
+                _unit_phasor(turns[block, i], r * np.sqrt(u[block, i]))
+                for i, r in enumerate(radii)
+            ]
+            vals = _trig_block(folded, cols)
+            vals *= area
+            yield vals
+
+    mean, stderr = _complex_mean(blocks())
 
     exact = 0j
     for a_exp, b_exp, coeff in f.terms:
@@ -711,7 +811,11 @@ def polar_fiber_check(
     The Monte-Carlo side parametrizes the fiber by the coordinates
     ``z_1..z_p`` (area-uniform on their admissible annuli, weight
     ``prod area_i / |z_i|^2``) and enumerates the ``b_0`` branches of the
-    remaining coordinate, each carrying mass ``b_0^{-2}``.  The closed-form
+    remaining coordinate, each carrying mass ``b_0^{-2}``.  For ``p = 1`` the
+    ``n`` values of ``x_1`` are drawn first and the turns of ``z_1`` second;
+    each branch is built directly in polar form with `_unit_phasor` (within
+    ``5 * 2^-52`` of ``np.exp``), and the points are evaluated and pooled one
+    block of `TRIG_BLOCK` rows at a time.  The closed-form
     side keeps the terms whose exponent difference is an integer multiple
     ``s`` of ``b`` — the character integral over the angular subtorus — each
     contributing ``(2 pi)^p / gcd(b) * exp(2 pi i s phi_t)`` times the slice
@@ -741,16 +845,27 @@ def polar_fiber_check(
         # the only Monte-Carlo variance left comes from the test function.
         x1_lo, x1_hi = ell[1], (big_l - b[0] * ell[0]) / b[1]
         x1 = rng.uniform(x1_lo, x1_hi, size=n)
-        z1 = np.exp(-x1 + 1j * TWO_PI * rng.uniform(size=n))
-        w_mod = t / z1 ** b[1]
-        root0 = np.abs(w_mod) ** (1.0 / b[0]) * np.exp(1j * np.angle(w_mod) / b[0])
-        vals = np.zeros(n, dtype=complex)
-        for branch in range(b[0]):
-            z0 = root0 * np.exp(1j * TWO_PI * branch / b[0])
-            vals += f(np.column_stack([z0, z1]))
-        vals *= TWO_PI * (x1_hi - x1_lo) / b[0] ** 2
-        mc = complex(vals.mean())
-        stderr = float(vals.std() / math.sqrt(n))
+        theta = rng.random(n)
+        # z_1 = e^{-x_1 + 2 pi i theta}; the b_0 roots of z_0^{b_0} = t / z_1^{b_1}
+        # have modulus |t|^{1/b_0} e^{b_1 x_1 / b_0} and turns
+        # (phi_t - b_1 theta + j) / b_0, j = 0..b_0 - 1.
+        folded = _fold_conjugate_pairs(f.terms)
+        root_t = abs(t) ** (1.0 / b[0])
+        weight = TWO_PI * (x1_hi - x1_lo) / b[0] ** 2
+
+        def blocks():
+            for block in _row_blocks(n):
+                x, th = x1[block], theta[block]
+                z1 = _unit_phasor(th, np.exp(-x))
+                r0 = root_t * np.exp(x * (b[1] / b[0]))
+                turns0 = phi_t - b[1] * th
+                vals = _trig_block(folded, [_unit_phasor(turns0 / b[0], r0), z1])
+                for j in range(1, b[0]):
+                    vals += _trig_block(folded, [_unit_phasor((turns0 + j) / b[0], r0), z1])
+                vals *= weight
+                yield vals
+
+        mc, stderr = _complex_mean(blocks())
     else:
         raise NotImplementedError("fiber check implemented for at most 2 coordinates")
 

@@ -79,7 +79,7 @@ class TestTSchedule:
 
 class TestExperimentConfig:
     @pytest.mark.parametrize(
-        "command", ["sample", "pushforward", "fit-mass", "polar-check", "verify"]
+        "command", ["sample", "pushforward", "fit-mass", "polar-check", "hybrid-check", "verify"]
     )
     def test_seed_mandatory_for_sampling(self, command):
         with pytest.raises(ConfigError, match="seed"):
@@ -108,7 +108,7 @@ class TestExperimentConfig:
             ExperimentConfig(command="sample", seed=1, threads=0)
         for n_polys in (0, -3):
             with pytest.raises(ConfigError, match="positive"):
-                ExperimentConfig(command="hybrid-check", n_polys=n_polys)
+                ExperimentConfig(command="hybrid-check", seed=1, n_polys=n_polys)
 
     def test_residues_must_be_finite_nonnegative(self):
         with pytest.raises(ConfigError, match="residue"):
@@ -249,6 +249,13 @@ class TestExitCodes:
         )
         assert code == 2
         assert "[error]" in err and "seed" in err
+
+    def test_hybrid_check_without_seed_exits_two(self, tmp_path, capsys):
+        # It draws random sequences, so the seed belongs in the report and its hash.
+        code, out, err = run_cli(["hybrid-check", "--n-sequences", "50"], tmp_path, capsys)
+        assert code == 2
+        assert "[error]" in err and "seed" in err
+        assert not list(tmp_path.glob("hybrid-check*"))
 
     def test_parse_error_reports_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.model"
@@ -598,6 +605,17 @@ class TestSuiteRegistry:
             "pushforward",
             "regression",
         ]
+
+    def test_verify_reports_each_suite_time(self, tmp_path):
+        report = cli.run(
+            ExperimentConfig(command="verify", suite="all", quick=True, seed=0, outdir=str(tmp_path))
+        )
+        suites = [f"verify.{name}" for name in SUITES]
+        assert [name for name, _ in report.timings] == ["verify", *suites]
+        timings = json.loads(report.path.read_text())["timings"]
+        assert sorted(timings) == sorted(["verify", *suites])
+        assert all(timings[key] >= 0 for key in suites)
+        assert sum(timings[key] for key in suites) <= timings["verify"]
 
     def test_verify_all_calls_the_samplers_through_cli(self, tmp_path, monkeypatch):
         # The benchmark's verify-all workload counts effective samples by

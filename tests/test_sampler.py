@@ -28,7 +28,9 @@ from tropmass.sampler import (
     sample_fiber_measure,
     _merge_moments,
     _moments,
+    _PHASOR_BITS,
     _sample_shard,
+    _unit_phasor,
     uniform_cdf,
 )
 
@@ -432,6 +434,100 @@ class TestTrigPoly:
         f = TrigPoly((term, term, partner))
         z = self.points(50)
         np.testing.assert_allclose(f(z), naive_trig_poly(f, z), rtol=1e-12)
+
+
+class TestUnitPhasor:
+    # The kernel is within one ulp of the exact e^{2 pi i u}; np.exp's own
+    # argument 2 pi u is rounded, which adds up to 4 ulp of 1 near u = 1.
+    ERR = 5 * 2.0**-52
+    MODULUS_ERR = 2 * 2.0**-52
+
+    def assert_close_to_exp(self, u, scale=1.0):
+        got = _unit_phasor(u, scale)
+        ref = scale * np.exp(2j * np.pi * u)
+        assert got.shape == u.shape and got.dtype == complex
+        assert np.abs(got - ref).max() <= self.ERR * np.max(scale)
+        assert np.abs(np.abs(got) / scale - 1.0).max() <= self.MODULUS_ERR
+
+    def test_seeded_turns(self):
+        self.assert_close_to_exp(np.random.default_rng(0).random(1_000_000))
+
+    def test_quarter_turns_are_exact(self):
+        u = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+        self.assert_close_to_exp(u)
+        np.testing.assert_array_equal(_unit_phasor(u[:4], 1.0), [1, 1j, -1, -1j])
+
+    def test_both_sides_of_every_table_boundary(self):
+        k = 1 << _PHASOR_BITS
+        # Cell j covers u K in [j - 1/2, j + 1/2].
+        edges = (np.arange(k + 1) - 0.5) / k
+        u = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+        self.assert_close_to_exp(u)
+
+    def test_scale(self):
+        rng = np.random.default_rng(1)
+        u = rng.random(10_000)
+        self.assert_close_to_exp(u, rng.uniform(0.1, 2.0, size=u.size))
+        self.assert_close_to_exp(u, 0.5)
+
+    def test_whole_turns_change_nothing(self):
+        # Dyadic turns, so u + m is exact and the result must be too.
+        u = np.random.default_rng(2).integers(0, 1 << 20, size=10_000) / float(1 << 20)
+        for m in (-3, -1, 1, 2):
+            np.testing.assert_array_equal(_unit_phasor(u + m, 1.5), _unit_phasor(u, 1.5))
+
+
+def assert_same_estimate(res, vals):
+    mean = vals.mean()
+    assert res.mc_value == pytest.approx(mean, rel=1e-12)
+    stderr = math.sqrt(np.mean(np.abs(vals - mean) ** 2) / vals.size)
+    assert res.mc_stderr == pytest.approx(stderr, rel=1e-9)
+
+
+class TestBlockedPolarChecks:
+    # Three full blocks and a short one, against unblocked np.exp references
+    # built from the same seeded draws.
+    N = 3 * TRIG_BLOCK + 5
+    F = TrigPoly(
+        (
+            ((0, 0), (0, 0), 1.0 + 0j),
+            ((1, 0), (0, 0), 0.5 - 0.25j),
+            ((1, 1), (0, 1), 0.3j),
+            ((2, 1), (1, 2), 0.7 + 0.1j),
+        )
+    )
+
+    def test_turns_are_the_uniform_stream(self):
+        # rng.random(n) turns are the same draws as rng.uniform(0, 2 pi, n) radians.
+        np.testing.assert_array_equal(
+            TWO_PI * np.random.default_rng(3).random((1000, 2)),
+            np.random.default_rng(3).uniform(0.0, TWO_PI, size=(1000, 2)),
+        )
+
+    @pytest.mark.parametrize("radii", [(1.0, 1.0), (0.7, 0.9)])
+    def test_full_check_matches_unblocked_reference(self, radii):
+        seed = 21
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(size=(self.N, 2))
+        phase = rng.uniform(0.0, TWO_PI, size=(self.N, 2))
+        vals = self.F(np.asarray(radii) * np.sqrt(u) * np.exp(1j * phase))
+        vals *= math.prod(math.pi * r**2 for r in radii)
+        assert_same_estimate(polar_full_check((1, 1), self.F, self.N, seed, radii=radii), vals)
+
+    @pytest.mark.parametrize("b", [(1, 2), (2, 1), (3, 1)])
+    def test_fiber_check_matches_unblocked_reference(self, b):
+        seed, t = 22, 1e-3 * np.exp(2.5j)
+        f = TrigPoly(self.F.terms + (((b[0], b[1]), (0, 0), 2.0 + 0j),))
+        rng = np.random.default_rng(seed)
+        x1_hi = -math.log(abs(t)) / b[1]
+        z1 = np.exp(-rng.uniform(0.0, x1_hi, size=self.N) + 1j * TWO_PI * rng.uniform(size=self.N))
+        w_mod = t / z1 ** b[1]
+        root0 = np.abs(w_mod) ** (1.0 / b[0]) * np.exp(1j * np.angle(w_mod) / b[0])
+        vals = sum(
+            f(np.column_stack([root0 * np.exp(1j * TWO_PI * j / b[0]), z1])) for j in range(b[0])
+        )
+        vals *= TWO_PI * x1_hi / b[0] ** 2
+        assert_same_estimate(polar_fiber_check(b, t, f, self.N, seed), vals)
 
 
 class TestPolarChecks:
