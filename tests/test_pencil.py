@@ -7,18 +7,23 @@ import math
 import numpy as np
 import pytest
 
+from tropmass import pencil
 from tropmass.measure import TWO_PI, assemble_limit_measure
 from tropmass.model import coordinate_pencil as coordinate_pencil_model
 from tropmass.pencil import (
+    _STRATA,
     RESIDUAL_TOLERANCE,
     HypersurfacePencil,
     PencilError,
+    _annulus_density,
+    _cardano_cube_root,
+    _sample_patch_route,
     _solve_symmetric_cubic,
     predicted_edge_mass,
     sample_pencil,
     smoothness_check,
 )
-from tropmass.sampler import fit_mass_asymptotics
+from tropmass.sampler import TRIG_BLOCK, _moments, _shard_counts, fit_mass_asymptotics
 
 
 class TestPencilConfig:
@@ -94,6 +99,10 @@ class TestPencilConfig:
         with pytest.raises(ValueError, match="sample count"):
             sample_pencil(HypersurfacePencil.coordinate(), 1e-3, 10, seed=0)
 
+    def test_sample_count_floor_is_a_pencil_error(self):
+        with pytest.raises(PencilError, match="sample count"):
+            sample_pencil(HypersurfacePencil.fermat(), 1e-3, 6 * _STRATA - 1, seed=0)
+
     def test_predicted_edge_mass(self):
         assert predicted_edge_mass(HypersurfacePencil.coordinate()) == 1.0
         with pytest.raises(PencilError):
@@ -122,7 +131,7 @@ class TestResidueFormGluing:
 
 
 def companion_roots(a, b, u):
-    """Reference solver: companion-matrix eigenvalues plus the same two Newton steps."""
+    """Reference solver: companion-matrix eigenvalues polished by two Newton steps."""
     comp = np.zeros((u.shape[0], 3, 3), dtype=complex)
     comp[:, 1, 0] = 1.0
     comp[:, 2, 1] = 1.0
@@ -137,12 +146,17 @@ def companion_roots(a, b, u):
     return v
 
 
-def residual_failures(a, b, u, v):
-    """Roots whose relative residual fails the sampler's filter."""
+def relative_residual(a, b, u, v):
+    """``|F|`` at each root over the sum of the moduli of the equation's terms."""
     uu = u[:, None]
     f = a * (1.0 + uu**3 + v**3) + b * uu * v
     scale = abs(a) * (1.0 + np.abs(uu) ** 3 + np.abs(v) ** 3) + np.abs(b * uu * v)
-    return int(np.sum(~(np.abs(f) <= RESIDUAL_TOLERANCE * scale)))
+    return np.abs(f) / scale
+
+
+def residual_failures(a, b, u, v):
+    """Roots whose relative residual fails the sampler's filter."""
+    return int(np.sum(~(relative_residual(a, b, u, v) <= RESIDUAL_TOLERANCE)))
 
 
 def multiset_rel_error(v, ref):
@@ -232,6 +246,168 @@ class TestCubicSolver:
         self.check_against_reference(a, b, u)
         assert residual_failures(a, b, u, _solve_symmetric_cubic(a, b, u)) == 0
 
+    @pytest.mark.parametrize(
+        "pen, t",
+        [*CASES, (HypersurfacePencil.coordinate(), 1e-150)],
+        ids=[*IDS, "coordinate-1e-150"],
+    )
+    def test_one_newton_step_polishes_every_root(self, pen, t):
+        # Before the step the largest relative residual reads about 2e-15
+        # here, after it about 5e-16.
+        a, b = pen.coefficients(t)
+        u = self.annulus_u(a, b, np.random.default_rng(8))
+        assert relative_residual(a, b, u, _solve_symmetric_cubic(a, b, u)).max() <= 1e-15
+
+    @pytest.mark.parametrize("imag", [0.0, -0.0], ids=["+0j", "-0j"])
+    @pytest.mark.parametrize("modulus", [1e-300, 1e-30, 0.5, 1.0, 2.0, 1e30, 1e300])
+    def test_cube_root_on_the_branch_cut(self, modulus, imag):
+        s = np.array([complex(-modulus, imag)])
+        c = _cardano_cube_root(s)
+        assert abs(c[0] ** 3 / s[0] - 1.0) <= 8 * 2.0**-52
+        # The branch follows the sign of the zero: arg C = +-pi/3.
+        assert math.copysign(1.0, c[0].imag) == math.copysign(1.0, imag)
+
+    @pytest.mark.parametrize("modulus", [1e-300, 1e-30, 1e30, 1e300])
+    def test_cube_root_of_huge_and_tiny_moduli(self, modulus):
+        turns = np.random.default_rng(9).uniform(-0.5, 0.5, size=1000)
+        s = modulus * np.exp(2j * math.pi * turns)
+        c = _cardano_cube_root(s)
+        assert np.max(np.abs(c * c * c / s - 1.0)) <= 8 * 2.0**-52
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["as-solved", "zero-flipped"])
+    @pytest.mark.parametrize(
+        "pen, t",
+        [
+            *CASES,
+            (HypersurfacePencil.coordinate(), 1e-150),
+            (HypersurfacePencil.fermat(), 1e-300),
+        ],
+        ids=[*IDS, "coordinate-1e-150", "fermat-1e-300"],
+    )
+    def test_real_u_puts_cardano_on_the_branch_cut(self, monkeypatch, pen, t, flip):
+        # For real A, B and real u the discriminant q^2/4 + p^3/27 is mostly
+        # positive, so s = -(q/2 + sqrt(...)) is a negative real, on the cut
+        # of arg; at t = 1e-150 and 1e-300 the unscaled p^3 would overflow
+        # or underflow.  Either cube root on the cut (the sign of the zero
+        # imaginary part picks one) must give the same three roots.
+        if flip:
+            cube_root = pencil._cardano_cube_root
+            monkeypatch.setattr(
+                pencil,
+                "_cardano_cube_root",
+                lambda s: cube_root(np.where(s.imag == 0, s.conj(), s)),
+            )
+        a, b = pen.coefficients(t)
+        ratio = abs(a / b)
+        r = np.geomspace(min(ratio, 1.0 / ratio, 1.0) / 4.0, 1.0, 200)
+        # u = -1 would make q = 0 and the root v = 0, which has no relative error.
+        self.check_against_reference(a, b, np.concatenate([r, -r[:-1]]) + 0j)
+
+
+def reference_roots(a, b, u):
+    """Unblocked Cardano solve as the sampler did it before blocking.
+
+    ``np.exp`` for the cube root's phase, three divisions per row, two Newton
+    steps on full ``(n, 3)`` arrays; returns the roots and the residual filter.
+    """
+    p = (b / a) * u
+    q = 1.0 + u * u * u
+    sigma = np.maximum(np.sqrt(np.abs(p) / 3.0), np.cbrt(np.abs(q) / 2.0))
+    sigma[sigma == 0] = 1.0
+    p_third = p / (3.0 * sigma**2)
+    half_q = q / (2.0 * sigma) / sigma / sigma
+    root = np.sqrt(half_q * half_q + p_third * p_third * p_third)
+    root = np.where((half_q.conj() * root).real >= 0, root, -root)
+    s = -(half_q + root)
+    c = np.cbrt(np.abs(s)) * np.exp(1j * np.angle(s) / 3.0)
+    wc = c[:, None] * np.exp(2j * np.pi * np.arange(3) / 3)
+    zero = wc == 0
+    v = sigma[:, None] * np.where(zero, 0.0, wc - p_third[:, None] / np.where(zero, 1.0, wc))
+    rows = np.arange(u.shape[0])
+    small = np.argmin(np.abs(v), axis=1)
+    pair = v[rows, (small + 1) % 3] * v[rows, (small + 2) % 3]
+    v[rows, small] = np.where(pair == 0, v[rows, small], -q / np.where(pair == 0, 1.0, pair))
+    uu = u[:, None]
+    for _ in range(2):
+        f = a * (1.0 + uu**3 + v**3) + b * uu * v
+        df = 3.0 * a * v**2 + b * uu
+        v = v - np.where(np.abs(df) > 0, f / np.where(df == 0, 1.0, df), 0.0)
+    return v, relative_residual(a, b, u, v) <= RESIDUAL_TOLERANCE
+
+
+def reference_route(a, b, m, r_lo, log_scale, rng):
+    """`_sample_patch_route` as one unblocked pass over full ``(m, 3)`` arrays."""
+    strata = np.repeat(np.arange(_STRATA), _shard_counts(m, _STRATA))
+    quantile = (strata + rng.uniform(size=m)) / _STRATA
+    if log_scale:
+        rad = np.exp(-quantile * math.log(1.0 / r_lo))
+    else:
+        rad = np.sqrt(r_lo**2 + quantile * (1.0 - r_lo**2))
+    u = rad * np.exp(1j * TWO_PI * rng.uniform(size=m))
+    v, residual_ok = reference_roots(a, b, u)
+    uu = u[:, None]
+    in_region = np.abs(v) <= 1.0
+    keep = in_region & residual_ok
+    fv = 3.0 * a * v**2 + b * uu
+    fu = 3.0 * a * uu**2 + b * v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_u = _annulus_density(np.abs(uu), r_lo, log_scale) * np.abs(fv) ** 2
+        q_v = _annulus_density(np.abs(v), r_lo, log_scale) * np.abs(fu) ** 2
+        contrib = np.where(keep, 1.0 / (q_u + q_v), 0.0)
+        w_edge = np.log(1.0 / np.abs(uu * np.ones_like(v))) / np.log(1.0 / np.abs(uu * v))
+    grad = np.sqrt(np.abs(fu) ** 2 + np.abs(fv) ** 2) / (abs(a) + abs(b))
+    _, mean, m2 = _moments(contrib.sum(axis=1))
+    return {
+        "mean": mean,
+        "m2": m2,
+        "failures": int(np.sum(in_region & ~residual_ok)),
+        "grad_min": float(grad[keep].min()),
+        "values": w_edge[keep],
+        "weights": contrib[keep],
+        "n_points": int(keep.sum()),
+    }
+
+
+class TestBlockedPencilRoute:
+    @pytest.mark.parametrize(
+        "pen, t",
+        [
+            (HypersurfacePencil.coordinate(), 1e-5),
+            (HypersurfacePencil.coordinate(), 0.3),
+            (HypersurfacePencil.coordinate(), 1e-150),
+            (HypersurfacePencil.fermat(), 0.3),
+        ],
+        ids=["coordinate-1e-5", "coordinate-0.3", "coordinate-1e-150", "fermat-0.3"],
+    )
+    def test_matches_the_unblocked_route(self, pen, t):
+        # Three full blocks and a short one, from the same seeded draws.
+        a, b = pen.coefficients(pen.validate_t(t))
+        ratio = abs(a / b)
+        r_lo = min(ratio, 1.0 / ratio, 1.0) / 4.0
+        args = (a, b, 3 * TRIG_BLOCK + 5, r_lo, pen.has_tropical_edges)
+        got = _sample_patch_route(*args, np.random.default_rng(21))
+        ref = reference_route(*args, np.random.default_rng(21))
+        assert got["m"] == 3 * TRIG_BLOCK + 5
+        assert got["failures"] == ref["failures"]
+        assert got["n_points"] == ref["n_points"] == got["values"].size
+        np.testing.assert_allclose(got["values"], ref["values"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got["weights"], ref["weights"], rtol=1e-12)
+        for key in ("mean", "m2", "grad_min"):
+            assert got[key] == pytest.approx(ref[key], rel=1e-12)
+
+    def test_residual_filter_counts_every_root_it_drops(self, monkeypatch):
+        # With a zero tolerance (almost) every in-patch root fails the filter.
+        pen = HypersurfacePencil.coordinate()
+        a, b = pen.coefficients(1e-5)
+        args = (a, b, 2 * TRIG_BLOCK + 5, pen.epsilon * 1e-5 / 4.0, True)
+        kept = _sample_patch_route(*args, np.random.default_rng(22))
+        monkeypatch.setattr(pencil, "RESIDUAL_TOLERANCE", 0.0)
+        dropped = _sample_patch_route(*args, np.random.default_rng(22))
+        assert kept["failures"] == 0
+        assert dropped["failures"] > 0.99 * kept["n_points"]
+        assert dropped["failures"] + dropped["n_points"] == kept["n_points"]
+        assert dropped["values"].size == dropped["weights"].size == dropped["n_points"]
+
 
 @pytest.fixture(scope="module")
 def run():
@@ -302,6 +478,23 @@ class TestCoordinatePencil:
         c = sample_pencil(pen, 1e-4, 20_000, seed=5, shards=2, threads=2)
         d = sample_pencil(pen, 1e-4, 20_000, seed=5, shards=2)
         assert c.total_raw == d.total_raw
+
+    def test_threads_change_nothing_at_one_shard(self):
+        # The verify path: default shards, six routes spread over two threads.
+        pen = HypersurfacePencil.coordinate()
+        one = sample_pencil(pen, 1e-4, 20_000, seed=5, bins=25)
+        two = sample_pencil(pen, 1e-4, 20_000, seed=5, bins=25, threads=2)
+        assert (two.n_failures, two.gradient_min) == (one.n_failures, one.gradient_min)
+        for a, b in zip(one.patches, two.patches):
+            assert (b.mass, b.stderr, b.ks_uniform, b.n_points) == (
+                a.mass,
+                a.stderr,
+                a.ks_uniform,
+                a.n_points,
+            )
+            assert np.array_equal(b.hist_masses, a.hist_masses)
+            assert np.array_equal(b.values, a.values)
+            assert np.array_equal(b.weights, a.weights)
 
     def test_phase_near_invariance(self):
         # Unlike the monomial models, the pencil fiber volume depends on
