@@ -790,7 +790,8 @@ def polar_battery(
     """Polar-decomposition checks: random test functions plus the exact point fiber.
 
     Half the test functions exercise the full polydisc decomposition, half the
-    fiber version at ``t = 10^-3``; an anchored constant term keeps the exact
+    fiber ``z_0^2 z_1 = 10^-3``, whose two branches of ``z_0`` exercise the
+    sampler's branch choice; an anchored constant term keeps the exact
     value away from zero, so the relative discrepancy is meaningful.  The
     ``p = 0``, ``b = 3`` fiber is enumerated exactly: three points of mass
     ``1/9`` each.
@@ -804,10 +805,10 @@ def polar_battery(
         f = TrigPoly.random_hermitian(rng, 2, max_degree=2, n_terms=3)
         f = TrigPoly(f.terms + (anchor,))
         if trial < n_full:
-            res = polar_full_check((1, 1), f, n, seed=seed + 100 + trial)
+            res = polar_full_check(f, n, seed=seed + 100 + trial)
             label = f"polydisc-{trial}"
         else:
-            res = polar_fiber_check((1, 2), 1e-3, f, n, seed=seed + 200 + trial)
+            res = polar_fiber_check((2, 1), 1e-3, f, n, seed=seed + 200 + trial)
             label = f"fiber-{trial - n_full}"
         scale = max(abs(res.exact_value), 1.0)
         rel = res.abs_discrepancy / scale

@@ -491,26 +491,23 @@ def basis_neighborhood_converges(
     form a basis of closed neighborhoods of ``w`` as ``eps`` shrinks, so the
     sequence converges to ``w`` exactly when, for every ``eps``, it eventually
     enters ``F(eps)`` and stays.  On a finite sequence the quantifier runs
-    over ``eps_ladder`` and "eventually" means on a nonempty suffix.
+    over ``eps_ladder`` and "eventually" means on a nonempty suffix, so
+    only the last point decides (every point is still validated).
     """
     if not 0.0 < w < 1.0:
         raise ValueError(
             f"the neighborhood basis covers interior points only, got w = {w}"
         )
-    zeta = w / (1.0 - w)
-    seq = _bidisc_moduli(points)
     for eps in eps_ladder:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {eps}")
-        member = [
-            a0 <= eps
-            and a1 <= eps
-            and (zeta + eps) * math.log(a0) <= math.log(a1) <= (zeta - eps) * math.log(a0)
-            for a0, a1 in seq
-        ]
-        if not member[-1]:
-            return False
-    return True
+    zeta = w / (1.0 - w)
+    a0, a1 = _bidisc_moduli(points)[-1]
+    log_a0, log_a1 = math.log(a0), math.log(a1)
+    return all(
+        a0 <= eps and a1 <= eps and (zeta + eps) * log_a0 <= log_a1 <= (zeta - eps) * log_a0
+        for eps in eps_ladder
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,16 @@ choice, transverse radii by inverting the radial power law — so every sample
 carries an unbiased weight for integrals against the rescaled measure.  Only
 a chart with two or more non-active coordinates rejects slice points.
 Variances are accumulated as per-chunk means and centred second moments.
+When a test function or a metric weight is given, the complex coordinates
+are built, evaluated and pooled one block of `TRIG_BLOCK` rows at a time,
+their angles from `_unit_phasor`, a table-driven ``e^{2 pi i u}`` within a
+few ulp of ``np.exp``.
 
 The module also provides histogram pushforwards under the normalized log map,
 weighted Kolmogorov-Smirnov statistics against predicted limit densities,
-closed-form vs Monte-Carlo checks of the polar factorization identities, and
-a least-squares fit recovering the mass-asymptotics exponents.  The polar
-checks draw all their uniforms up front, then build, evaluate and pool the
-points one block of `TRIG_BLOCK` rows at a time; their angles go through
-`_unit_phasor`, a table-driven ``e^{2 pi i u}`` within a few ulp of
-``np.exp``.
+closed-form vs Monte-Carlo checks of the polar factorization identities
+(whose Monte-Carlo sides are `sample_fiber_measure` itself), and a
+least-squares fit recovering the mass-asymptotics exponents.
 """
 
 from __future__ import annotations
@@ -205,6 +206,7 @@ def _sample_shard(
     accept = None
     rest = slack
     log_decay = 0.0
+    y_others = ()
     if others:
         y_others = slack * rng.random((len(others), n))
         rest = slack - y_others.sum(axis=0)
@@ -230,7 +232,7 @@ def _sample_shard(
     weights = prefactor * np.exp(-log_decay)
     if k > 1:
         weights = weights * rest ** (k - 1) / math.factorial(k - 1)
-    if keep or h is not None or m.weight_fn is not None:
+    if keep:
         # The log coordinates x_i = ell_i + y_i / b_i, one row per coordinate.
         x_rows = np.empty((p + 1, n))
         if others:
@@ -239,30 +241,14 @@ def _sample_shard(
         x_rows /= b[:, None]
         x_rows += ell[:, None]
     if h is not None or m.weight_fn is not None:
-        # Angles: theta_1..theta_p uniform, theta_0 solved with a uniform
-        # branch choice among the b_0 roots — exact Haar on the subtorus.
-        phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
-        theta = rng.uniform(size=(n, p))
-        branch = rng.integers(0, int(m.b[0]), size=n)
-        theta0 = (phi_t - theta @ b[1:] + branch) / b[0]
-        angles = np.column_stack([theta0, theta]) if p else theta0[:, None]
-        z = np.exp(TWO_PI * 1j * angles - x_rows.T)
-        args = (z,)
-        if m.transverse_dim:
-            yt = np.empty((n, m.transverse_dim), dtype=complex)
-            for j, (r, c) in enumerate(zip(m.transverse_radii, m.pair_exponents)):
-                rad = r * rng.uniform(size=n) ** (1.0 / (2.0 - 2.0 * float(c)))
-                yt[:, j] = rad * np.exp(1j * rng.uniform(0.0, TWO_PI, size=n))
-            args = (z, yt)
-        if m.weight_fn is not None:
-            weights = weights * np.exp(2.0 * np.asarray(m.weight_fn(*args), dtype=float))
-        if h is not None:
-            weights = weights * np.asarray(h(*args), dtype=float)
-    if accept is not None:
-        weights = np.where(accept, weights, 0.0)
-    weights = np.broadcast_to(weights, (n,))
+        y = dict(zip(others + active, [*y_others, *y_active]))
+        weights, (_, mean, m2) = _weigh_points(chart, rng, y, weights, accept, h, keep)
+    else:
+        if accept is not None:
+            weights = np.where(accept, weights, 0.0)
+        weights = np.broadcast_to(weights, (n,))
+        _, mean, m2 = _moments(weights)
 
-    _, mean, m2 = _moments(weights)
     n_accepted = n if accept is None else int(np.count_nonzero(accept))
     out = {"n": n, "mean": mean, "m2": m2, "n_accepted": n_accepted}
     if keep:
@@ -270,6 +256,81 @@ def _sample_shard(
         out["w"] = (x_rows if accept is None else x_rows[:, accept]).T
         out["weights"] = np.array(weights if accept is None else weights[accept])
     return out
+
+
+def _real_values(values, name: str) -> np.ndarray:
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must return real values, not complex ones")
+    return np.asarray(values, dtype=float)
+
+
+def _weigh_points(
+    chart: LocalChart,
+    rng: np.random.Generator,
+    y: dict[int, np.ndarray],
+    weights,
+    accept: np.ndarray | None,
+    h: Callable | None,
+    keep: bool,
+) -> tuple[np.ndarray | None, tuple[int, float, float]]:
+    """The slice weights times ``h`` and the metric weight (if kept), and their moments.
+
+    ``y[i]`` holds the slice coordinates ``y_i = b_i (x_i - ell_i)``.  The
+    turns ``theta_1..theta_p`` are uniform and ``theta_0`` solves the angular
+    relation on a uniform one of its ``b_0`` branches: exact Haar measure on
+    the subtorus.  Each transverse disc then draws its radius and its turns.
+    """
+    m = chart.metric
+    p, n = m.p, len(y[0])
+    b = np.array(m.b, dtype=float)
+    ell = [math.log(1.0 / r) for r in m.radii]
+    phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
+    theta = rng.random((n, p))
+    branch = rng.integers(0, m.b[0], size=n)
+    roots = enumerate_point_fiber(chart)[0] if p == 0 else None
+    discs = []
+    for r, c in zip(m.transverse_radii, m.pair_exponents):
+        radius = rng.random(n)
+        radius **= 1.0 / (2.0 - 2.0 * float(c))
+        radius *= r
+        discs.append((radius, rng.random(n)))
+
+    weights = np.broadcast_to(weights, (n,))
+    out = np.empty(n) if keep else None
+    parts = []
+    for block in _row_blocks(n):
+        rows = block.stop - block.start
+        # Column-major, so each coordinate's column is contiguous for h.
+        z = np.empty((p + 1, rows), dtype=complex).T
+        if p == 0:  # z_0 is one of the b_0 points of the fiber
+            z[:, 0] = roots[branch[block]]
+        else:
+            turns = [branch[block] + phi_t, *theta[block].T]
+            for i in range(1, p + 1):
+                turns[0] -= b[i] * turns[i]
+            turns[0] /= b[0]
+            for i in range(p + 1):
+                modulus = y[i][block] * (-1.0 / b[i])  # e^{-x_i}
+                modulus -= ell[i]
+                np.exp(modulus, out=modulus)
+                z[:, i] = _unit_phasor(turns[i], modulus)
+        args = (z,)
+        if discs:
+            yt = np.empty((len(discs), rows), dtype=complex).T
+            for j, (radius, spin) in enumerate(discs):
+                yt[:, j] = _unit_phasor(spin[block], radius[block])
+            args = (z, yt)
+        w = weights[block]
+        if m.weight_fn is not None:
+            w = w * np.exp(2.0 * _real_values(m.weight_fn(*args), "weight_fn"))
+        if h is not None:
+            w = w * _real_values(h(*args), "h")
+        if accept is not None:
+            w = np.where(accept[block], w, 0.0)
+        if keep:
+            out[block] = w
+        parts.append(_moments(w))
+    return out, _merge_moments(parts)
 
 
 def sample_fiber_measure(
@@ -286,8 +347,11 @@ def sample_fiber_measure(
     ``mu_t`` is the fiber measure rescaled by ``lambda^d (2 pi)^{-d}
     |t|^{-2 kappa_ref}`` with ``d`` the chart's minimal-slope face dimension
     and ``kappa_ref`` the chart's reference slope.  ``h`` is an optional
-    vectorized function of the complex chart coordinates (and transverse
-    coordinates, if any); ``h = None`` estimates the total mass.  Sampling is
+    real-valued function of the ``(rows, p + 1)`` complex chart coordinates
+    (and the ``(rows, transverse_dim)`` transverse coordinates, if any),
+    called once per block of at most `TRIG_BLOCK` rows, as is the metric's
+    weight function; a complex-valued output raises `ValueError`.
+    ``h = None`` estimates the total mass.  Sampling is
     deterministic given ``n`` and ``seed``: the samples are drawn in chunks of
     at most `CHUNK` with independently derived sub-seeds and merged in chunk
     order, so ``threads`` changes only how many chunks run at once.
@@ -676,9 +740,9 @@ class TrigPoly:
 class PolarCheckResult:
     """Monte-Carlo vs closed-form comparison of a polar factorization identity."""
 
-    mc_value: complex
+    mc_value: float
     mc_stderr: float
-    exact_value: complex
+    exact_value: float
     identity: str
 
     @property
@@ -695,27 +759,20 @@ class PolarCheckResult:
         return self.abs_discrepancy / max(self.mc_stderr, 1e-300)
 
 
-def _complex_mean(blocks) -> tuple[complex, float]:
-    """Mean and standard error of the mean of complex values given in blocks.
+def _require_real(f: TrigPoly) -> None:
+    """Raise `ValueError` unless each term of ``f`` has its conjugate partner.
 
-    The real and imaginary parts are pooled separately: the centred second
-    moments with `_moments` and `_merge_moments`, the standard error being
-    ``sqrt(mean |x - mean|^2 / n)``.  The mean is the exactly rounded sum of
-    the block sums over ``n``, since the merged running mean rounds once per
-    block and drifts by a few ulp over a million values.
+    A term ``(a, a, c)`` with real ``c`` is its own partner.
     """
-    re, im = [], []
-    for vals in blocks:
-        re.append(_moments(vals.real))
-        im.append(_moments(vals.imag))
-    n, _, m2_re = _merge_moments(re)
-    _, _, m2_im = _merge_moments(im)
-    mean_re, mean_im = (math.fsum(c * m for c, m, _ in parts) / n for parts in (re, im))
-    return complex(mean_re, mean_im), math.sqrt((m2_re + m2_im) / n) / math.sqrt(n)
+    for (a_exp, b_exp, coeff), paired in _fold_conjugate_pairs(f.terms):
+        if not paired and not (a_exp == b_exp and coeff.imag == 0):
+            raise ValueError(
+                f"the polar checks need a real-valued f: term {(a_exp, b_exp, coeff)} "
+                "lacks its conjugate partner"
+            )
 
 
 def polar_full_check(
-    b: Sequence[int],
     f: TrigPoly,
     n: int,
     seed: int,
@@ -723,50 +780,31 @@ def polar_full_check(
 ) -> PolarCheckResult:
     """Check the polar factorization of the polydisc area measure.
 
-    The Monte-Carlo side samples each coordinate area-uniformly on its disc:
-    ``z_i = r_i sqrt(u_i) e^{2 pi i theta_i}`` with the ``(n, k)`` uniforms
-    ``u`` drawn first and the turns ``theta`` second.  The points are built
-    with `_unit_phasor` (within ``5 * 2^-52`` of ``np.exp``), evaluated and
-    pooled one block of `TRIG_BLOCK` rows at a time, so the estimate is that
-    of one unblocked pass over the same draws up to rounding.  The
-    closed-form side keeps only the diagonal terms (equal holomorphic and
-    antiholomorphic exponents), each contributing
-    ``prod_i pi r_i^{2 a_i + 2} / (a_i + 1)``.
+    The polydisc ``D^k`` (``k`` the number of coordinates of ``f``, unit
+    discs unless ``radii`` are given) is sampled by `sample_fiber_measure`
+    as the transverse discs of the one-point chart ``b = (1,)``, ``a = (0,)``
+    at ``t = 1/2``, whose fiber is ``{z_0 = t} x D^k`` with total mass
+    ``prod pi r_i^2``; ``f`` is evaluated on the transverse coordinates.
+    The closed-form side keeps only the diagonal terms (equal holomorphic
+    and antiholomorphic exponents), each contributing
+    ``prod_i pi r_i^{2 a_i + 2} / (a_i + 1)``.  ``f`` must be real-valued.
     """
-    b = tuple(int(x) for x in b)
-    k = len(b)
-    radii = tuple(float(r) for r in (radii if radii is not None else (1.0,) * k))
-    if any(
-        e < 0 for a_exp, b_exp, _ in f.terms for e in (*a_exp, *b_exp)
-    ):
+    _require_real(f)
+    if any(e < 0 for a_exp, b_exp, _ in f.terms for e in (*a_exp, *b_exp)):
         raise ValueError("full-polydisc check needs nonnegative exponents")
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, k))
-    turns = rng.random((n, k))
-    folded = _fold_conjugate_pairs(f.terms)
-    area = math.prod(math.pi * r**2 for r in radii)
-
-    def blocks():
-        for block in _row_blocks(n):
-            cols = [
-                _unit_phasor(turns[block, i], r * np.sqrt(u[block, i]))
-                for i, r in enumerate(radii)
-            ]
-            vals = _trig_block(folded, cols)
-            vals *= area
-            yield vals
-
-    mean, stderr = _complex_mean(blocks())
+    k = len(f.terms[0][0])
+    metric = MonomialChartMetric((1,), (0,), transverse_dim=k, transverse_radii=radii)
+    res = sample_fiber_measure(LocalChart(metric, 0.5), n, seed, h=lambda z, yt: f(yt).real)
 
     exact = 0j
     for a_exp, b_exp, coeff in f.terms:
         if a_exp != b_exp:
             continue
         factor = 1.0
-        for ai, r in zip(a_exp, radii):
+        for ai, r in zip(a_exp, metric.transverse_radii):
             factor *= math.pi * r ** (2 * ai + 2) / (ai + 1)
         exact += coeff * factor
-    return PolarCheckResult(mean, stderr, complex(exact), identity="polydisc-polar")
+    return PolarCheckResult(res.mass_raw, res.stderr_raw, exact.real, identity="polydisc-polar")
 
 
 def _slice_integral(
@@ -808,66 +846,24 @@ def polar_fiber_check(
 ) -> PolarCheckResult:
     """Check the polar factorization of the fiber measure ``{prod z_i^{b_i} = t}``.
 
-    The Monte-Carlo side parametrizes the fiber by the coordinates
-    ``z_1..z_p`` (area-uniform on their admissible annuli, weight
-    ``prod area_i / |z_i|^2``) and enumerates the ``b_0`` branches of the
-    remaining coordinate, each carrying mass ``b_0^{-2}``.  For ``p = 1`` the
-    ``n`` values of ``x_1`` are drawn first and the turns of ``z_1`` second;
-    each branch is built directly in polar form with `_unit_phasor` (within
-    ``5 * 2^-52`` of ``np.exp``), and the points are evaluated and pooled one
-    block of `TRIG_BLOCK` rows at a time.  The closed-form
-    side keeps the terms whose exponent difference is an integer multiple
-    ``s`` of ``b`` — the character integral over the angular subtorus — each
-    contributing ``(2 pi)^p / gcd(b) * exp(2 pi i s phi_t)`` times the slice
-    integral of the modulus part.
+    The Monte-Carlo side is `sample_fiber_measure` on the chart with
+    multiplicities ``b``, exponents ``a = 0`` and polydisc ``radii``, with
+    ``h = f``: a lattice point of the slice, a Haar point of the angular
+    subtorus (``theta_0`` on a uniformly chosen one of the ``b_0``
+    branches), the unrescaled mass.  A one-coordinate chart is enumerated
+    exactly instead.  The closed-form side keeps the terms whose exponent
+    difference is an integer multiple ``s`` of ``b`` — the character
+    integral over the angular subtorus — each contributing
+    ``(2 pi)^p / gcd(b) * exp(2 pi i s phi_t)`` times the slice integral of
+    the modulus part; it handles at most two coordinates.  ``f`` must be
+    real-valued.
     """
-    b = tuple(int(x) for x in b)
+    _require_real(f)
+    chart = LocalChart(MonomialChartMetric(b, (0,) * len(b), radii), t)
+    b, big_l = chart.metric.b, chart.log_inv_t
     k = len(b)
-    radii = tuple(float(r) for r in (radii if radii is not None else (1.0,) * k))
-    t = complex(t)
-    big_l = -math.log(abs(t))
-    ell = [math.log(1.0 / r) for r in radii]
-    if big_l <= sum(bi * li for bi, li in zip(b, ell)):
-        raise EmptyFiberError("slice is empty for this t and radii")
-    phi_t = math.atan2(t.imag, t.real) / TWO_PI
-    rng = np.random.default_rng(seed)
-
-    if k == 1:
-        roots = abs(t) ** (1.0 / b[0]) * np.exp(
-            1j * TWO_PI * (phi_t + np.arange(b[0])) / b[0]
-        )
-        mc = complex(np.sum(f(roots[:, None])) / b[0] ** 2)
-        stderr = 0.0
-    elif k == 2:
-        # Parametrize the fiber by z_1 with x_1 = log 1/|z_1| log-uniform on
-        # the admissible range [ell_1, (big_l - b_0 ell_0)/b_1]: the area
-        # element over |z_1|^2 becomes the constant 2 pi (x_hi - x_lo), so
-        # the only Monte-Carlo variance left comes from the test function.
-        x1_lo, x1_hi = ell[1], (big_l - b[0] * ell[0]) / b[1]
-        x1 = rng.uniform(x1_lo, x1_hi, size=n)
-        theta = rng.random(n)
-        # z_1 = e^{-x_1 + 2 pi i theta}; the b_0 roots of z_0^{b_0} = t / z_1^{b_1}
-        # have modulus |t|^{1/b_0} e^{b_1 x_1 / b_0} and turns
-        # (phi_t - b_1 theta + j) / b_0, j = 0..b_0 - 1.
-        folded = _fold_conjugate_pairs(f.terms)
-        root_t = abs(t) ** (1.0 / b[0])
-        weight = TWO_PI * (x1_hi - x1_lo) / b[0] ** 2
-
-        def blocks():
-            for block in _row_blocks(n):
-                x, th = x1[block], theta[block]
-                z1 = _unit_phasor(th, np.exp(-x))
-                r0 = root_t * np.exp(x * (b[1] / b[0]))
-                turns0 = phi_t - b[1] * th
-                vals = _trig_block(folded, [_unit_phasor(turns0 / b[0], r0), z1])
-                for j in range(1, b[0]):
-                    vals += _trig_block(folded, [_unit_phasor((turns0 + j) / b[0], r0), z1])
-                vals *= weight
-                yield vals
-
-        mc, stderr = _complex_mean(blocks())
-    else:
-        raise NotImplementedError("fiber check implemented for at most 2 coordinates")
+    ell = [math.log(1.0 / r) for r in chart.metric.radii]
+    phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
 
     b_sigma = math.gcd(*b)
     exact = 0j
@@ -879,15 +875,16 @@ def polar_fiber_check(
         if any(di != s * bi for di, bi in zip(diff, b)):
             continue
         gamma = [ai + bi for ai, bi in zip(a_exp, b_exp)]
-        integral = _slice_integral(b, gamma, big_l, ell)
-        exact += (
-            coeff
-            * TWO_PI ** (k - 1)
-            / b_sigma
-            * complex(math.cos(TWO_PI * s * phi_t), math.sin(TWO_PI * s * phi_t))
-            * integral
-        )
-    return PolarCheckResult(mc, stderr, complex(exact), identity="fiber-polar")
+        phase = complex(math.cos(TWO_PI * s * phi_t), math.sin(TWO_PI * s * phi_t))
+        exact += coeff * TWO_PI ** (k - 1) / b_sigma * phase * _slice_integral(b, gamma, big_l, ell)
+
+    if k == 1:
+        roots, masses = enumerate_point_fiber(chart)
+        mc, stderr = float(f(roots[:, None]).real @ masses), 0.0
+    else:
+        res = sample_fiber_measure(chart, n, seed, h=lambda z: f(z).real)
+        mc, stderr = res.mass_raw, res.stderr_raw
+    return PolarCheckResult(mc, stderr, exact.real, identity="fiber-polar")
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,12 @@ class TestHybridConverges:
         with pytest.raises(ValueError, match="interior"):
             basis_neighborhood_converges([(0.1, 0.1)], 0.0)
 
+    def test_basis_validates_every_eps_first(self):
+        # The first rung already fails (|z0| > 0.2), yet the bad last rung raises.
+        assert not basis_neighborhood_converges([(0.5, 0.5)], 0.5, eps_ladder=(0.2,))
+        with pytest.raises(ValueError, match="eps"):
+            basis_neighborhood_converges([(0.5, 0.5)], 0.5, eps_ladder=(0.2, 1.5))
+
     def test_random_sequences_cross_validated(self):
         rng = np.random.default_rng(2024)
         agree = 0

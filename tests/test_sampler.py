@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -477,11 +478,105 @@ class TestUnitPhasor:
             np.testing.assert_array_equal(_unit_phasor(u + m, 1.5), _unit_phasor(u, 1.5))
 
 
-def assert_same_estimate(res, vals):
-    mean = vals.mean()
-    assert res.mc_value == pytest.approx(mean, rel=1e-12)
-    stderr = math.sqrt(np.mean(np.abs(vals - mean) ** 2) / vals.size)
-    assert res.mc_stderr == pytest.approx(stderr, rel=1e-9)
+def reference_values(chart, n, seed, h=None):
+    """Per-sample ``h`` times the metric weight, drawn as `sample_fiber_measure` draws.
+
+    Built unblocked, with ``np.exp``, for charts with ``a = 0`` (constant
+    slice weights), no pair exponents and at most three coordinates.
+    """
+    m = chart.metric
+    p, b = m.p, np.array(m.b, dtype=float)
+    ell = np.array([math.log(1.0 / r) for r in m.radii])
+    slack = chart.log_inv_t - float(ell @ b)
+    phi_t = np.angle(chart.t) / TWO_PI
+    chunks = -(-n // CHUNK)
+    base, extra = divmod(n, chunks)
+    vals = []
+    for i, seq in enumerate(np.random.SeedSequence(seed).spawn(chunks)):
+        rng = np.random.default_rng(seq)
+        c = base + (i < extra)
+        if p == 0:
+            y = np.full((1, c), slack)
+        elif p == 1:
+            y0 = slack * rng.uniform(size=c)
+            y = np.stack([y0, slack - y0])
+        else:
+            y = rng.standard_exponential((p + 1, c))
+            y *= slack / y.sum(axis=0)
+        x = y / b[:, None] + ell[:, None]
+        theta = rng.uniform(size=(c, p))
+        branch = rng.integers(0, m.b[0], size=c)
+        theta0 = (phi_t - theta @ b[1:] + branch) / b[0]
+        z = np.exp(2j * np.pi * np.column_stack([theta0, theta]) - x.T)
+        args = (z,)
+        if m.transverse_dim:
+            yt = np.column_stack([
+                r * rng.uniform(size=c) ** 0.5 * np.exp(1j * rng.uniform(0.0, TWO_PI, size=c))
+                for r in m.transverse_radii
+            ])
+            args = (z, yt)
+        v = np.ones(c) if h is None else h(*args)
+        if m.weight_fn is not None:
+            v = v * np.exp(2.0 * m.weight_fn(*args))
+        vals.append(v)
+    return np.concatenate(vals)
+
+
+def disc_h(z, yt):
+    return (yt[:, 0] * np.conj(yt[:, 1])).real + np.abs(yt[:, 1]) ** 2 + z[:, 0].real
+
+
+def branch_h(z):
+    return z[:, 0].real + np.abs(z[:, 1]) ** 2 + (z[:, 0] * z[:, 1]).imag
+
+
+def log_weight(z):
+    return 0.2 * (z[:, 1] * z[:, 2]).imag + 0.1 * z[:, 0].real
+
+
+def assert_same_estimate(mean, stderr, vals):
+    assert mean == pytest.approx(vals.mean(), rel=1e-12)
+    assert stderr == pytest.approx(vals.std() / math.sqrt(vals.size), rel=1e-9)
+
+
+class TestBlockedHPath:
+    """``h`` and the metric weight are evaluated one `TRIG_BLOCK`-row block at a time."""
+
+    # (b, a, t, chart keywords, h) per case.
+    CASES = {
+        "p0-two-discs": (
+            (1,), (0,), 0.3 * np.exp(1.0j), dict(transverse_dim=2, transverse_radii=(0.7, 0.9)), disc_h
+        ),
+        "b21": ((2, 1), (0, 0), 1e-3 * np.exp(2.5j), {}, branch_h),
+        "p2-weight-fn": ((1, 1, 1), (0, 0, 0), 1e-3 * np.exp(-0.7j), dict(weight_fn=log_weight), None),
+    }
+
+    @pytest.mark.parametrize("n", [3 * TRIG_BLOCK + 5, CHUNK + 5])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_unblocked_reference(self, case, n):
+        b, a, t, kw, h = self.CASES[case]
+        c = chart(b, a, t, **kw)
+        seed = 21
+        res = sample_fiber_measure(c, n, seed, h=h)
+        # The slice weight is constant on these charts: the unweighted mass, exactly.
+        unit = sample_fiber_measure(LocalChart(replace(c.metric, weight_fn=None), t), n, seed)
+        assert unit.stderr == 0.0
+        assert_same_estimate(res.mass, res.stderr, unit.mass * reference_values(c, n, seed, h))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_threads_change_nothing(self, case):
+        b, a, t, kw, h = self.CASES[case]
+        c = chart(b, a, t, **kw)
+        one, two = (sample_fiber_measure(c, 2 * CHUNK + 3, 5, h=h, threads=k) for k in (1, 2))
+        assert (two.mass, two.stderr) == (one.mass, one.stderr)
+
+    def test_complex_h_or_weight_is_rejected(self):
+        c = chart((1, 1), (0, 0), 1e-3)
+        with pytest.raises(ValueError, match="real"):
+            sample_fiber_measure(c, 100, 0, h=lambda z: 1j * np.ones(len(z)))
+        weighted = chart((1, 1), (0, 0), 1e-3, weight_fn=lambda z: z[:, 0])
+        with pytest.raises(ValueError, match="real"):
+            sample_fiber_measure(weighted, 100, 0)
 
 
 class TestBlockedPolarChecks:
@@ -492,8 +587,11 @@ class TestBlockedPolarChecks:
         (
             ((0, 0), (0, 0), 1.0 + 0j),
             ((1, 0), (0, 0), 0.5 - 0.25j),
+            ((0, 0), (1, 0), 0.5 + 0.25j),
             ((1, 1), (0, 1), 0.3j),
+            ((0, 1), (1, 1), -0.3j),
             ((2, 1), (1, 2), 0.7 + 0.1j),
+            ((1, 2), (2, 1), 0.7 - 0.1j),
         )
     )
 
@@ -506,79 +604,50 @@ class TestBlockedPolarChecks:
 
     @pytest.mark.parametrize("radii", [(1.0, 1.0), (0.7, 0.9)])
     def test_full_check_matches_unblocked_reference(self, radii):
+        # The polydisc is the transverse part of the fiber {z_0 = 1/2}.
         seed = 21
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(size=(self.N, 2))
-        phase = rng.uniform(0.0, TWO_PI, size=(self.N, 2))
-        vals = self.F(np.asarray(radii) * np.sqrt(u) * np.exp(1j * phase))
+        c = chart((1,), (0,), 0.5, transverse_dim=2, transverse_radii=radii)
+        vals = reference_values(c, self.N, seed, lambda z, yt: self.F(yt).real)
         vals *= math.prod(math.pi * r**2 for r in radii)
-        assert_same_estimate(polar_full_check((1, 1), self.F, self.N, seed, radii=radii), vals)
+        res = polar_full_check(self.F, self.N, seed, radii=radii)
+        assert_same_estimate(res.mc_value, res.mc_stderr, vals)
 
     @pytest.mark.parametrize("b", [(1, 2), (2, 1), (3, 1)])
     def test_fiber_check_matches_unblocked_reference(self, b):
         seed, t = 22, 1e-3 * np.exp(2.5j)
-        f = TrigPoly(self.F.terms + (((b[0], b[1]), (0, 0), 2.0 + 0j),))
-        rng = np.random.default_rng(seed)
-        x1_hi = -math.log(abs(t)) / b[1]
-        z1 = np.exp(-rng.uniform(0.0, x1_hi, size=self.N) + 1j * TWO_PI * rng.uniform(size=self.N))
-        w_mod = t / z1 ** b[1]
-        root0 = np.abs(w_mod) ** (1.0 / b[0]) * np.exp(1j * np.angle(w_mod) / b[0])
-        vals = sum(
-            f(np.column_stack([root0 * np.exp(1j * TWO_PI * j / b[0]), z1])) for j in range(b[0])
-        )
-        vals *= TWO_PI * x1_hi / b[0] ** 2
-        assert_same_estimate(polar_fiber_check(b, t, f, self.N, seed), vals)
+        f = TrigPoly(self.F.terms + ((b, (0, 0), 2.0 + 0j), ((0, 0), b, 2.0 + 0j)))
+        c = chart(b, (0, 0), t)
+        # The unrescaled fiber mass 2 pi L / (b_0 b_1), spread evenly.
+        vals = reference_values(c, self.N, seed, lambda z: f(z).real)
+        vals *= TWO_PI * c.log_inv_t / (b[0] * b[1])
+        res = polar_fiber_check(b, t, f, self.N, seed)
+        assert_same_estimate(res.mc_value, res.mc_stderr, vals)
 
 
 class TestPolarChecks:
     def test_full_constant_is_exact(self):
         f = TrigPoly((((0, 0), (0, 0), 1.0 + 0j),))
-        res = polar_full_check((1, 1), f, 1000, seed=1)
+        res = polar_full_check(f, 1000, seed=1)
         assert res.mc_value == pytest.approx(math.pi**2, rel=1e-12)
         assert res.exact_value == pytest.approx(math.pi**2, rel=1e-12)
 
     def test_full_modulus_squared(self):
         f = TrigPoly((((1, 0), (1, 0), 1.0 + 0j),))
-        res = polar_full_check((1, 1), f, 400_000, seed=2)
+        res = polar_full_check(f, 400_000, seed=2)
         assert res.exact_value == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
         assert res.sigmas < 4
         assert res.rel_discrepancy < 0.01
 
     def test_full_off_diagonal_vanishes(self):
         f = TrigPoly((((2, 0), (0, 1), 1.0 + 0j), ((0, 1), (2, 0), 1.0 - 0j)))
-        res = polar_full_check((1, 1), f, 200_000, seed=3)
+        res = polar_full_check(f, 200_000, seed=3)
         assert res.exact_value == 0
         assert abs(res.mc_value) < 4 * res.mc_stderr
 
     def test_full_rejects_laurent_terms(self):
         f = TrigPoly((((-1, 0), (-1, 0), 1.0 + 0j),))
         with pytest.raises(ValueError):
-            polar_full_check((1, 1), f, 100, seed=0)
-
-    def test_stderr_is_that_of_a_complex_mean(self):
-        # sqrt(mean |x - mean|^2 / n), recomputed on the checks' own seeded draws.
-        f = TrigPoly((((1, 0), (0, 0), 1.0 + 0j), ((0, 1), (1, 1), 0.5j)))
-        n, seed, t = 5000, 11, 1e-3 * np.exp(0.4j)
-
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(size=(n, 2))
-        phase = rng.uniform(0.0, TWO_PI, size=(n, 2))
-        full = f(np.sqrt(u) * np.exp(1j * phase)) * math.pi**2
-
-        rng = np.random.default_rng(seed)
-        x1_hi = -math.log(abs(t)) / 2
-        z1 = np.exp(-rng.uniform(0.0, x1_hi, size=n) + 1j * TWO_PI * rng.uniform(size=n))
-        w_mod = t / z1**2
-        z0 = np.abs(w_mod) * np.exp(1j * np.angle(w_mod))
-        fiber = f(np.column_stack([z0, z1])) * TWO_PI * x1_hi
-
-        for res, vals in (
-            (polar_full_check((1, 1), f, n, seed), full),
-            (polar_fiber_check((1, 2), t, f, n, seed), fiber),
-        ):
-            assert res.mc_value == pytest.approx(vals.mean(), rel=1e-12)
-            expected = math.sqrt(np.mean(np.abs(vals - vals.mean()) ** 2) / n)
-            assert res.mc_stderr == pytest.approx(expected, rel=1e-9)
+            polar_full_check(f, 100, seed=0)
 
     def test_fiber_point_case_exact(self):
         # One-coordinate chart b = 3: three fiber points of mass 1/9.
@@ -589,16 +658,19 @@ class TestPolarChecks:
         assert res.exact_value == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_fiber_point_case_branch_character(self):
-        # z^3 on the fiber z^3 = t sums to 3 t / 9 on the three branches;
-        # the closed form sees it through the s = 1 character with phase.
+        # c z^3 + conj(c z^3) on the fiber z^3 = t sums to 3 * 2 Re(c t) / 9 on
+        # the three branches; the closed form sees it through the s = +-1
+        # characters with phases exp(+-2 pi i phi_t).
         t = 1e-3 * np.exp(1j * 1.1)
-        f = TrigPoly((((3,), (0,), 1.0 + 0j),))
+        c = 1.0 - 0.5j
+        f = TrigPoly((((3,), (0,), c), ((0,), (3,), c.conjugate())))
         res = polar_fiber_check((3,), t, f, 100, seed=0)
-        assert res.mc_value == pytest.approx(t / 3.0, rel=1e-12)
-        assert res.exact_value == pytest.approx(t / 3.0, rel=1e-12)
+        expected = 2.0 * (c * t).real / 3.0
+        assert res.mc_value == pytest.approx(expected, rel=1e-12)
+        assert res.exact_value == pytest.approx(expected, rel=1e-12)
 
     def test_fiber_point_case_offbranch_vanishes(self):
-        f = TrigPoly((((1,), (0,), 1.0 + 0j),))
+        f = TrigPoly((((1,), (0,), 1.0 + 0j), ((0,), (1,), 1.0 + 0j)))
         res = polar_fiber_check((3,), 1e-3, f, 100, seed=0)
         assert res.exact_value == 0
         assert abs(res.mc_value) < 1e-15
@@ -621,15 +693,47 @@ class TestPolarChecks:
         assert res.rel_discrepancy < 1e-12
 
     def test_fiber_branch_sum_with_multiplicity(self):
-        # b = (2, 2): the term z_0^2 z_1^2 matches the s = 1 character.
+        # b = (2, 2): the term c z_0^2 z_1^2 and its partner match the s = +-1
+        # characters.
         t = 1e-2 * np.exp(0.4j)
-        f = TrigPoly((((2, 2), (0, 0), 1.0 + 0j),))
+        c = 0.3 + 0.8j
+        f = TrigPoly((((2, 2), (0, 0), c), ((0, 0), (2, 2), c.conjugate())))
         res = polar_fiber_check((2, 2), t, f, 200_000, seed=6)
         # On the fiber z_0^2 z_1^2 = t identically, so both sides must give
-        # t times the total mass.
+        # 2 Re(c t) times the total mass.
         total = polar_fiber_check((2, 2), t, TrigPoly((((0, 0), (0, 0), 1.0),)), 10, seed=0)
-        assert res.exact_value == pytest.approx(t * total.exact_value, rel=1e-12)
-        assert res.mc_value == pytest.approx(t * total.exact_value, rel=1e-9)
+        expected = 2.0 * (c * t).real * total.exact_value
+        assert res.exact_value == pytest.approx(expected, rel=1e-12)
+        assert res.mc_value == pytest.approx(expected, rel=1e-9)
+
+    def test_fiber_branch_choice_is_uniform(self):
+        # Re z_0 has no character on b = (2, 1): its two branches cancel, which
+        # a sampler stuck on one branch misses by many standard errors.
+        t = 1e-3 * np.exp(1.0j)
+        f = TrigPoly(
+            (((1, 0), (0, 0), 1.0 + 0j), ((0, 0), (1, 0), 1.0 + 0j), ((0, 0), (0, 0), 1.0 + 0j))
+        )
+        res = polar_fiber_check((2, 1), t, f, 200_000, seed=7)
+        assert res.exact_value == pytest.approx(TWO_PI * -math.log(abs(t)) / 2.0, rel=1e-12)
+        assert res.sigmas < 5
+
+    def test_non_real_f_is_rejected(self):
+        for f in (
+            TrigPoly((((1, 0), (0, 0), 1.0 + 0j),)),
+            TrigPoly((((1, 0), (1, 0), 1.0j),)),
+            TrigPoly((((1, 0), (0, 1), 1.0j), ((0, 1), (1, 0), 1.0j))),
+        ):
+            with pytest.raises(ValueError, match="real-valued"):
+                polar_fiber_check((1, 1), 1e-3, f, 100, seed=0)
+            with pytest.raises(ValueError, match="real-valued"):
+                polar_full_check(f, 100, seed=0)
+
+    def test_full_radii_follow_the_terms(self):
+        f = TrigPoly((((0, 0, 0), (0, 0, 0), 1.0 + 0j),))
+        res = polar_full_check(f, 100, seed=0, radii=(0.5, 1.0, 2.0))
+        assert res.mc_value == pytest.approx(math.pi**3, rel=1e-12)
+        with pytest.raises(ValueError, match="radii"):
+            polar_full_check(f, 100, seed=0, radii=(1.0, 1.0))
 
     def test_fiber_random_laurent_polys_within_sigma(self):
         rng = np.random.default_rng(2024)
@@ -664,7 +768,7 @@ class TestPolarChecks:
         for trial in range(5):
             f = TrigPoly.random_hermitian(rng, 2, max_degree=2, n_terms=3)
             f = TrigPoly(f.terms + (anchor,))
-            res = polar_full_check((1, 1), f, 150_000, seed=100 + trial)
+            res = polar_full_check(f, 150_000, seed=100 + trial)
             assert abs(res.mc_value - res.exact_value) < max(5 * res.mc_stderr, 1e-9)
             assert res.rel_discrepancy < 0.01
 
