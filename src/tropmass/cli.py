@@ -81,6 +81,7 @@ from .sampler import (
     polar_full_check,
     pushforward_histogram,
     sample_fiber_measure,
+    sigmas,
     uniform_cdf,
 )
 from .skeleton import (
@@ -191,13 +192,6 @@ def stat_check(name: str, sigmas: float, detail: str, limit: float = 3.0) -> Che
 def bound_check(name: str, value: float, limit: float, detail: str) -> CheckVerdict:
     v = float(value)
     return CheckVerdict(name, "bound", math.isfinite(v) and v <= limit, v, float(limit), detail)
-
-
-def sigmas(delta: float, stderr: float) -> float:
-    """Discrepancy in standard errors; a zero-variance estimate must match exactly."""
-    if stderr > 0:
-        return abs(delta) / stderr
-    return 0.0 if abs(delta) <= 1e-9 else math.inf
 
 
 @dataclass(frozen=True)
@@ -543,9 +537,8 @@ def _fit_verdicts(
     Returns the verdicts, the fit and the predicted parameters.
     """
     fit = fit_mass_asymptotics([(res.t, res.mass_raw) for res in results])
-    wd = weight_data(simplex_model(metric.b, metric.a, name="chart"))
-    kappa_pred = float(wd.kappa_min)
-    d_pred = wd.d
+    kappa_pred = float(metric.kappa_min)
+    d_pred = metric.active_dim
     c_pred = TWO_PI**d_pred * chart_limit_mass(metric)
     verdicts = [
         exact_check(

@@ -191,22 +191,6 @@ class SkeletalMeasure:
     def total_mass(self) -> float:
         return math.fsum(e.weight for e in self.entries)
 
-    def entry(self, face: Face) -> MeasureEntry:
-        for e in self.entries:
-            if e.face.key == face.key:
-                return e
-        raise ModelError(f"no entry for face {face.id_string()}")
-
-    def scaled(self, factor: float) -> "SkeletalMeasure":
-        return SkeletalMeasure(
-            self.model,
-            tuple(
-                MeasureEntry(e.face, e.residual_mass * factor, e.volume)
-                for e in self.entries
-            ),
-            self.d,
-        )
-
     def to_rows(self) -> list[dict[str, str]]:
         rows = []
         for e in self.entries:

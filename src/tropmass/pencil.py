@@ -190,10 +190,6 @@ class PencilSampleResult:
         """``nu_t / (2 pi log 1/|t|)`` — the quantity converging to the limit mass."""
         return self.total_raw / (TWO_PI * math.log(1.0 / abs(self.t)))
 
-    @property
-    def total_normalized_stderr(self) -> float:
-        return self.total_raw_stderr / (TWO_PI * math.log(1.0 / abs(self.t)))
-
 
 @dataclass(frozen=True)
 class SmoothnessReport:

@@ -736,6 +736,13 @@ class TrigPoly:
         return TrigPoly(tuple(terms))
 
 
+def sigmas(delta: float, stderr: float) -> float:
+    """Discrepancy in standard errors; a zero-variance estimate must match exactly."""
+    if stderr > 0:
+        return abs(delta) / stderr
+    return 0.0 if abs(delta) <= 1e-9 else math.inf
+
+
 @dataclass(frozen=True)
 class PolarCheckResult:
     """Monte-Carlo vs closed-form comparison of a polar factorization identity."""
@@ -756,7 +763,7 @@ class PolarCheckResult:
 
     @property
     def sigmas(self) -> float:
-        return self.abs_discrepancy / max(self.mc_stderr, 1e-300)
+        return sigmas(self.mc_value - self.exact_value, self.mc_stderr)
 
 
 def _require_real(f: TrigPoly) -> None:

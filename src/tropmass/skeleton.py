@@ -3,9 +3,9 @@
 A triangulated skeleton is a pure-dimensional simplicial complex given by its
 top-dimensional cells.  Each top cell carries positive integer vertex
 multiplicities (so ``b_sigma = gcd`` is available) and, optionally, a residue
-magnitude ``|Res| >= 0``.  Codimension-one faces are stored explicitly with
-the list of top cells containing them, and construction validates that these
-incidence lists agree with the cell data.
+magnitude ``|Res| >= 0``.  The codimension-one faces (facets), each with
+the ids of the top cells containing it, are derived from the cells once, at
+construction, so they cannot disagree with them.
 
 Three operations are provided:
 
@@ -15,14 +15,14 @@ Three operations are provided:
   codimension-one face lies in exactly two top cells (closedness).
 
 * `residue_chain_propagate` spreads a residue magnitude from an anchor cell
-  across the whole skeleton.  On a closed, non-branching, strongly connected
-  skeleton whose top cells all have ``b_sigma = 1``, adjacent cells carry
-  residues that are negatives of each other (the residue of a form along a
-  chain of divisors has poles only at the two neighbouring cells, and the
-  residue theorem forces the two values to sum to zero), so the magnitude is
-  the same constant on every cell.  The returned map is that constant map;
-  skeleta with boundary are rejected because a boundary face breaks the
-  chain.
+  across the whole skeleton.  On a closed, strongly connected skeleton whose
+  top cells all have ``b_sigma = 1``, adjacent cells carry residues that are
+  negatives of each other (the residue of a form along a chain of divisors
+  has poles only at the two neighbouring cells, and the residue theorem
+  forces the two values to sum to zero), so the magnitude is the same
+  constant on every cell.  Once those preconditions are checked, the
+  returned map is that constant map; skeleta with boundary are rejected
+  because a boundary face breaks the chain.
 
 * `barycentric_subdivide` refines the dual complex of a reduced model into a
   triangulated skeleton whose cells are flags of faces.  The barycenter of a
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .model import DualComplex, Face, ModelSpecError, WeightedSncModel, _parse_fields, parse_model_spec
@@ -113,33 +113,23 @@ class Facet:
     vertices: tuple[str, ...]
     cells: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "cells", tuple(self.cells))
-        if not self.vertices:
-            raise SkeletonError("facet needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise SkeletonError(f"facet {self.vertices!r}: vertex labels must be distinct")
-        if not self.cells or len(set(self.cells)) != len(self.cells):
-            raise SkeletonError(f"facet {self.vertices!r}: incident cell ids must be nonempty and distinct")
-
 
 @dataclass(frozen=True)
 class TriangulatedSkeleton:
-    """Pure-dimensional simplicial complex given by top cells and facets.
+    """Pure-dimensional simplicial complex given by its top cells.
 
-    Construction validates that the skeleton is pure (all top cells share
-    one dimension), that cell ids are unique, and that ``facets`` is exactly
-    the set of codimension-one vertex sets of the cells, each listing
-    precisely the top cells containing it.
+    Construction checks that there is at least one cell, that cell ids are
+    unique and that all cells share one dimension, then derives ``facets``:
+    every codimension-one vertex set of the cells, with its vertices sorted
+    and the ids of the cells containing it in cell order, sorted by vertex
+    tuple.
     """
 
     cells: tuple[TopCell, ...]
-    facets: tuple[Facet, ...]
+    facets: tuple[Facet, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(self, "facets", tuple(self.facets))
         if not self.cells:
             raise SkeletonError("skeleton needs at least one top cell")
         ids = [c.cell_id for c in self.cells]
@@ -148,24 +138,14 @@ class TriangulatedSkeleton:
         dims = {c.dim for c in self.cells}
         if len(dims) > 1:
             raise SkeletonError(f"top cells must share one dimension, got dimensions {sorted(dims)}")
-        expected = _codim_one_incidence(self.cells)
-        seen: set[frozenset[str]] = set()
-        for f in self.facets:
-            key = frozenset(f.vertices)
-            if key in seen:
-                raise SkeletonError(f"facet {f.vertices!r} listed twice")
-            seen.add(key)
-            if key not in expected:
-                raise SkeletonError(f"facet {f.vertices!r} is not a codimension-one face of any cell")
-            if sorted(f.cells) != sorted(expected[key]):
-                raise SkeletonError(
-                    f"facet {f.vertices!r}: incidence list {sorted(f.cells)} does not match "
-                    f"the cells containing it {sorted(expected[key])}"
-                )
-        missing = set(expected) - seen
-        if missing:
-            example = tuple(sorted(next(iter(missing))))
-            raise SkeletonError(f"codimension-one face {example!r} of some cell is missing from facets")
+        facets = sorted(
+            (
+                Facet(tuple(sorted(key)), tuple(members))
+                for key, members in _codim_one_incidence(self.cells).items()
+            ),
+            key=lambda f: f.vertices,
+        )
+        object.__setattr__(self, "facets", tuple(facets))
 
     @property
     def dim(self) -> int:
@@ -176,20 +156,6 @@ class TriangulatedSkeleton:
             if c.cell_id == cell_id:
                 return c
         raise SkeletonError(f"no top cell {cell_id!r} in the skeleton")
-
-    @classmethod
-    def from_top_cells(cls, cells: Sequence[TopCell]) -> "TriangulatedSkeleton":
-        """Build a skeleton from top cells, deriving the facet incidence lists."""
-        cells = tuple(cells)
-        ids = [c.cell_id for c in cells]
-        if len(set(ids)) != len(ids):
-            raise SkeletonError("top-cell ids must be unique")
-        incidence = _codim_one_incidence(cells)
-        facets = tuple(
-            Facet(vertices=tuple(sorted(key)), cells=tuple(members))
-            for key, members in sorted(incidence.items(), key=lambda kv: tuple(sorted(kv[0])))
-        )
-        return cls(cells=cells, facets=facets)
 
     @classmethod
     def from_dual_complex(
@@ -227,7 +193,7 @@ class TriangulatedSkeleton:
                         f"stratum {'&'.join(g.components)} has several connected pieces; "
                         "its vertex set would be ambiguous in the skeleton"
                     )
-        return cls.from_top_cells(cells)
+        return cls(cells)
 
 
 def _codim_one_incidence(cells: Sequence[TopCell]) -> dict[frozenset[str], list[str]]:
@@ -300,15 +266,16 @@ def residue_chain_propagate(
     The residue of a holomorphic form along the divisor chain has poles
     exactly at the two cells adjacent across each facet, and those two
     residues sum to zero; the magnitude is therefore preserved across every
-    facet.  Starting from the anchor's magnitude ``rho`` (taken from the
-    anchor cell's ``residue`` field when not given), the propagation visits
-    the whole skeleton and returns the constant map ``cell_id -> rho``.  The
-    result does not depend on the anchor choice.
+    facet, and on a strongly connected skeleton it reaches every cell.  So,
+    with ``rho`` the anchor's magnitude (taken from the anchor cell's
+    ``residue`` field when not given), the result is the constant map
+    ``cell_id -> rho``, whatever the anchor.
 
-    Preconditions: the skeleton must be a closed, non-branching, strongly
-    connected pseudomanifold (a boundary facet would end the chain and leave
-    the residue there unconstrained) and every top cell must have
-    ``b_sigma = 1``.
+    Preconditions, each raising `SkeletonError`: the anchor is a cell of the
+    skeleton, ``rho`` is finite and ``>= 0``, the skeleton is closed (every
+    facet lies in exactly two cells; a boundary facet would end the chain and
+    leave the residue there unconstrained) and strongly connected, and every
+    top cell has ``b_sigma = 1``.
     """
     anchor_cell = sk.cell(anchor)
     if rho is None:
@@ -335,23 +302,7 @@ def residue_chain_propagate(
                 "on every top cell"
             )
 
-    neighbours: dict[str, set[str]] = {c.cell_id: set() for c in sk.cells}
-    for f in sk.facets:
-        a, b = f.cells
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    magnitudes: dict[str, float] = {anchor: rho}
-    queue = deque([anchor])
-    while queue:
-        current = queue.popleft()
-        for nb in neighbours[current]:
-            if nb in magnitudes:
-                if magnitudes[nb] != magnitudes[current]:
-                    raise SkeletonError("conflicting residue magnitudes during propagation")
-            else:
-                magnitudes[nb] = magnitudes[current]
-                queue.append(nb)
-    return {c.cell_id: magnitudes[c.cell_id] for c in sk.cells}
+    return {c.cell_id: rho for c in sk.cells}
 
 
 def parse_skeleton_spec(
@@ -463,4 +414,4 @@ def barycentric_subdivide(dual: DualComplex) -> TriangulatedSkeleton:
 
     for t in tops:
         extend([t])
-    return TriangulatedSkeleton.from_top_cells(cells)
+    return TriangulatedSkeleton(cells)

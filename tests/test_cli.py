@@ -722,7 +722,8 @@ class TestReadme:
         assert result.attempted == 3
         assert result.failed == 0
 
-    def test_command_lines_parse(self):
+    @staticmethod
+    def command_lines():
         lines = [
             line
             for block in readme_blocks("sh")
@@ -730,7 +731,18 @@ class TestReadme:
             if line.startswith("tropmass ")
         ]
         assert len(lines) == 13
+        return lines
+
+    def test_command_lines_parse(self):
         parser = build_parser()
-        for line in lines:
+        for line in self.command_lines():
             args = parser.parse_args(shlex.split(line, comments=True)[1:])
             assert args.command == line.split()[1]
+
+    def test_command_lines_run(self, tmp_path, capsys):
+        for i, line in enumerate(self.command_lines()):
+            argv = shlex.split(line, comments=True)[1:]
+            if argv[-2:] != ["--suite", "list"]:
+                argv += ["--out", str(tmp_path / str(i))]
+            assert main(argv) == 0, line
+            capsys.readouterr()

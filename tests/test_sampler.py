@@ -669,6 +669,19 @@ class TestPolarChecks:
         assert res.mc_value == pytest.approx(expected, rel=1e-12)
         assert res.exact_value == pytest.approx(expected, rel=1e-12)
 
+    def test_fiber_point_case_rounding_gap_reads_zero_sigmas(self):
+        # An exact evaluation (stderr 0) that differs from the closed form by
+        # a rounding of about 1e-16 is a match, not 1e284 standard errors.
+        t = 1e-3 * np.exp(0.7j)
+        c = 0.5 + 0.25j
+        f = TrigPoly((((0,), (0,), 1.1 + 0j), ((2,), (0,), c), ((0,), (2,), c.conjugate())))
+        res = polar_fiber_check((2,), t, f, 100, seed=0)
+        assert res.mc_stderr == 0.0
+        expected = (1.1 + 2.0 * (c * t).real) / 2.0
+        assert res.mc_value == pytest.approx(expected, rel=1e-12)
+        assert res.exact_value == pytest.approx(expected, rel=1e-12)
+        assert res.sigmas == 0.0
+
     def test_fiber_point_case_offbranch_vanishes(self):
         f = TrigPoly((((1,), (0,), 1.0 + 0j), ((0,), (1,), 1.0 + 0j)))
         res = polar_fiber_check((3,), 1e-3, f, 100, seed=0)

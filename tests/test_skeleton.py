@@ -20,7 +20,6 @@ from tropmass.model import (
     fermat_smooth,
 )
 from tropmass.skeleton import (
-    Facet,
     PseudomanifoldReport,
     SkeletonError,
     TopCell,
@@ -41,7 +40,7 @@ def cycle_skeleton(n: int, multiplicities: tuple[int, int] = (1, 1)) -> Triangul
         )
         for i in range(n)
     ]
-    return TriangulatedSkeleton.from_top_cells(cells)
+    return TriangulatedSkeleton(cells)
 
 
 def solid_triangle_model() -> WeightedSncModel:
@@ -92,44 +91,39 @@ class TestSkeletonValidation:
     def test_duplicate_cell_ids_rejected(self):
         cells = [TopCell("c", ("a", "b"), (1, 1)), TopCell("c", ("b", "d"), (1, 1))]
         with pytest.raises(SkeletonError, match="unique"):
-            TriangulatedSkeleton.from_top_cells(cells)
+            TriangulatedSkeleton(cells)
 
     def test_mixed_dimensions_rejected(self):
         cells = [TopCell("c0", ("a", "b"), (1, 1)), TopCell("c1", ("a", "b", "c"), (1, 1, 1))]
         with pytest.raises(SkeletonError, match="dimension"):
-            TriangulatedSkeleton.from_top_cells(cells)
+            TriangulatedSkeleton(cells)
 
     def test_empty_skeleton_rejected(self):
         with pytest.raises(SkeletonError, match="at least one"):
-            TriangulatedSkeleton(cells=(), facets=())
+            TriangulatedSkeleton(cells=())
 
-    def test_incidence_list_must_match_cells(self):
-        cells = (TopCell("c0", ("a", "b"), (1, 1)), TopCell("c1", ("b", "c"), (1, 1)))
-        facets = (
-            Facet(("a",), ("c0",)),
-            Facet(("b",), ("c0",)),  # omits c1, which also contains b
-            Facet(("c",), ("c1",)),
-        )
-        with pytest.raises(SkeletonError, match="does not match"):
-            TriangulatedSkeleton(cells=cells, facets=facets)
-
-    def test_missing_facet_rejected(self):
-        cells = (TopCell("c0", ("a", "b"), (1, 1)),)
-        facets = (Facet(("a",), ("c0",)),)
-        with pytest.raises(SkeletonError, match="missing"):
-            TriangulatedSkeleton(cells=cells, facets=facets)
-
-    def test_foreign_facet_rejected(self):
-        cells = (TopCell("c0", ("a", "b"), (1, 1)),)
-        facets = (Facet(("a",), ("c0",)), Facet(("b",), ("c0",)), Facet(("z",), ("c0",)))
-        with pytest.raises(SkeletonError, match="not a codimension-one face"):
-            TriangulatedSkeleton(cells=cells, facets=facets)
-
-    def test_duplicate_facet_rejected(self):
-        cells = (TopCell("c0", ("a", "b"), (1, 1)),)
-        facets = (Facet(("a",), ("c0",)), Facet(("a",), ("c0",)), Facet(("b",), ("c0",)))
-        with pytest.raises(SkeletonError, match="twice"):
-            TriangulatedSkeleton(cells=cells, facets=facets)
+    @pytest.mark.parametrize(
+        "sk",
+        [
+            cycle_skeleton(4),
+            barycentric_subdivide(build_dual_complex(coordinate_pencil(3))),
+        ],
+        ids=["cycle4", "pencil3-subdivided"],
+    )
+    def test_facets_are_sorted_with_cells_in_cell_order(self, sk):
+        keys = [f.vertices for f in sk.facets]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+        for f in sk.facets:
+            assert f.vertices == tuple(sorted(f.vertices))
+            holders = [c.cell_id for c in sk.cells if set(f.vertices) < set(c.vertices)]
+            assert list(f.cells) == holders
+        expected = {
+            frozenset(c.vertices[:i] + c.vertices[i + 1 :])
+            for c in sk.cells
+            for i in range(len(c.vertices))
+        }
+        assert {frozenset(k) for k in keys} == expected
 
     def test_cell_lookup(self):
         sk = cycle_skeleton(3)
@@ -191,7 +185,7 @@ class TestPseudomanifoldCheck:
             TopCell("T0", ("a", "b", "c"), (1, 1, 1)),
             TopCell("T1", ("d", "e", "f"), (1, 1, 1)),
         ]
-        report = pseudomanifold_check(TriangulatedSkeleton.from_top_cells(cells))
+        report = pseudomanifold_check(TriangulatedSkeleton(cells))
         assert report.strongly_connected is False
         assert report.nonbranching is True
         assert report.closed is False
@@ -202,7 +196,7 @@ class TestPseudomanifoldCheck:
             TopCell("T1", ("a", "b", "d"), (1, 1, 1)),
             TopCell("T2", ("a", "b", "e"), (1, 1, 1)),
         ]
-        report = pseudomanifold_check(TriangulatedSkeleton.from_top_cells(cells))
+        report = pseudomanifold_check(TriangulatedSkeleton(cells))
         assert report.nonbranching is False
         assert report.closed is False
         assert report.strongly_connected is True
@@ -251,7 +245,7 @@ class TestResiduePropagation:
         ] + [
             TopCell(f"b{i}", (f"w{i}", f"w{(i + 1) % 3}"), (1, 1)) for i in range(3)
         ]
-        sk = TriangulatedSkeleton.from_top_cells(cells)
+        sk = TriangulatedSkeleton(cells)
         with pytest.raises(SkeletonError, match="strongly connected"):
             residue_chain_propagate(sk, "a0", 1.0)
 
