@@ -4,11 +4,11 @@ Pulling a degeneration back along ``t = s^m`` multiplies multiplicities and
 twist weights in a controlled way: a face with multiplicity ``b_sigma``
 splits into ``g`` faces upstairs, each mapping with degree ``f`` onto the
 source (``f * g = gcd(m, b_sigma)``), the upstairs multiplicity drops to
-``b_sigma / gcd(m, b_sigma)``, lattice volumes scale by ``m^dim``, residual
-masses by ``gcd(m, b_sigma)^{-2}``, and slopes by ``kappa' = m * kappa``.
-Everything here is exact integer/rational arithmetic; the splitting degree
-``e = m / gcd(m, b_sigma)`` is additionally cross-checked by an independent
-lattice-index computation.
+``b_sigma / gcd(m, b_sigma)``, lattice volumes scale by ``m^dim``, and
+residual masses by ``gcd(m, b_sigma)^{-2}``.  Everything here is exact
+integer/rational arithmetic; the splitting degree ``e = m / gcd(m, b_sigma)``
+is additionally computed as an independent lattice index, and a report
+whose two values differ is not `FaceBaseChange.consistent`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .lattice import sublattice_index
 from .measure import SkeletalMeasure
-from .model import Face, WeightedSncModel, build_dual_complex, weight_data
+from .model import Face, WeightedSncModel, build_dual_complex
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,9 @@ def face_base_change(b: Sequence[int], m: int, g: int | None = None) -> FaceBase
 
     ``g`` is the number of faces upstairs; it must divide ``gcd(m, b_sigma)``
     and defaults to that gcd (mapping degree ``f = 1``, the simply-connected
-    local case).  The splitting degree ``e = m / gcd(m, b_sigma)`` is verified
-    against the lattice index of ``Z^{p+1} + Z*(b/m)`` over ``Z^{p+1}``.
+    local case).  The splitting degree ``e = m / gcd(m, b_sigma)`` is reported
+    next to the lattice index of ``Z^{p+1} + Z*(b/m)`` over ``Z^{p+1}``; the
+    caller reads a disagreement from `FaceBaseChange.consistent`.
     """
     b = tuple(int(x) for x in b)
     if not b or any(x < 1 for x in b):
@@ -79,8 +80,7 @@ def face_base_change(b: Sequence[int], m: int, g: int | None = None) -> FaceBase
             raise ValueError(f"gluing count g={g} must divide gcd(m, b_sigma)={fg}")
     f = fg // g
     e = m // fg
-    check = _splitting_index(b, m)
-    report = FaceBaseChange(
+    return FaceBaseChange(
         b=b,
         m=m,
         e=e,
@@ -90,14 +90,8 @@ def face_base_change(b: Sequence[int], m: int, g: int | None = None) -> FaceBase
         b_prime=b_sigma // fg,
         volume_scale=m ** (len(b) - 1),
         residual_scale=Fraction(1, fg**2),
-        e_lattice_check=check,
+        e_lattice_check=_splitting_index(b, m),
     )
-    if e != check:
-        raise AssertionError(
-            f"splitting-degree cross-check failed for b={b}, m={m}: "
-            f"gcd formula gives {e}, lattice index gives {check}"
-        )
-    return report
 
 
 @dataclass(frozen=True)
@@ -195,29 +189,3 @@ def pushforward_identity_check(
             }
         )
     return PushforwardCheck(m=m, d=d, passed=ok, per_face=tuple(per_face))
-
-
-def kappa_scaling_check(m_model: WeightedSncModel, m: int) -> bool:
-    """Verify the slope transform under base change: ``kappa' = m * kappa``.
-
-    Applies the component transform ``b_i' = b_i / gcd(m, b_i)``,
-    ``a_i' = m * a_i / gcd(m, b_i)`` and asserts the transformed slopes are
-    ``m`` times the originals, the minimum scales accordingly, and the set of
-    active vertices is unchanged.
-    """
-    if m < 1:
-        raise ValueError("base-change order m must be a positive integer")
-    wd = weight_data(m_model)
-    kappa_new = {}
-    for c in m_model.components:
-        gc = math.gcd(m, c.b)
-        b_new = c.b // gc
-        a_new = Fraction(m) * c.a / gc
-        kappa_new[c.name] = a_new / b_new
-    if any(kappa_new[n] != m * wd.kappa[n] for n in kappa_new):
-        return False
-    if min(kappa_new.values()) != m * wd.kappa_min:
-        return False
-    old_active = {n for n, k in wd.kappa.items() if k == wd.kappa_min}
-    new_active = {n for n, k in kappa_new.items() if k == min(kappa_new.values())}
-    return old_active == new_active

@@ -117,17 +117,6 @@ class AffineFunctionOnSimplex:
     def vertex_values(self) -> tuple[Fraction, ...]:
         return tuple(self.vertex_value(i) for i in range(len(self.coefficients)))
 
-    def min_value(self) -> Fraction:
-        """Minimum over the simplex (attained at a vertex)."""
-        return min(self.vertex_values())
-
-    def max_value(self) -> Fraction:
-        return max(self.vertex_values())
-
-    def is_constant(self) -> bool:
-        vals = self.vertex_values()
-        return all(v == vals[0] for v in vals)
-
 
 def simplex_volume(b: Sequence[int] | ZSimplex) -> Fraction:
     """Lattice-normalized volume of the weighted simplex.

@@ -174,7 +174,6 @@ class PencilSampleResult:
     n_samples: int
     n_failures: int
     patches: tuple[PatchEstimate, ...]
-    gradient_min: float
     seed: int
 
     @property
@@ -189,17 +188,6 @@ class PencilSampleResult:
     def total_normalized(self) -> float:
         """``nu_t / (2 pi log 1/|t|)`` — the quantity converging to the limit mass."""
         return self.total_raw / (TWO_PI * math.log(1.0 / abs(self.t)))
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    """Discriminant clearance and sampled gradient floor for one parameter."""
-
-    t: complex
-    singular_radius: float
-    gradient_min: float
-    n_probe: int
-    passed: bool
 
 
 def _solve_symmetric_cubic(
@@ -331,7 +319,6 @@ def _sample_patch_route(
 
     per_sample = np.zeros(m)
     failures = 0
-    grad_min = math.inf
     values: list[np.ndarray] = []
     weights: list[np.ndarray] = []
     abs_a = abs(a_coeff)
@@ -365,8 +352,6 @@ def _sample_patch_route(
             values.append(np.log(r_u) / np.log(r_u * r_v))
         weights.append(contrib)
         per_sample[block] = np.bincount(row, contrib, minlength=block.stop - block.start)
-        if row.size:
-            grad_min = min(grad_min, float(np.sqrt((fu2 + fv2).min())))
 
     _, mean, m2 = _moments(per_sample)
     kept = np.concatenate(weights)
@@ -375,7 +360,6 @@ def _sample_patch_route(
         "mean": mean,
         "m2": m2,
         "failures": failures,
-        "grad_min": grad_min / (abs_a + abs(b_coeff)),
         "values": np.concatenate(values),
         "weights": kept,
         "n_points": kept.size,
@@ -429,7 +413,6 @@ def sample_pencil(
     lam_norm = TWO_PI * math.log(1.0 / abs(t))
     patches: list[PatchEstimate] = []
     total_failures = 0
-    grad_min = math.inf
     for k, label in enumerate(pencil.patch_labels):
         mass = 0.0
         var = 0.0
@@ -442,7 +425,6 @@ def sample_pencil(
             mass += mean
             var += m2 / m / m
             total_failures += sum(p["failures"] for p in parts)
-            grad_min = min(grad_min, min(p["grad_min"] for p in parts))
             n_pts += sum(p["n_points"] for p in parts)
             for p in parts:
                 vals.append(p["values"])
@@ -478,35 +460,7 @@ def sample_pencil(
         n_samples=n,
         n_failures=total_failures,
         patches=tuple(patches),
-        gradient_min=grad_min,
         seed=seed,
-    )
-
-
-def smoothness_check(
-    pencil: HypersurfacePencil,
-    t: complex,
-    n_probe: int = 20_000,
-    seed: int = 0,
-) -> SmoothnessReport:
-    """Verify the sampled fiber stays clear of the discriminant.
-
-    Combines the closed-form singular radius of the cubic pencil with a
-    Monte-Carlo probe of the gradient norm along the fiber.
-    """
-    t = complex(t)
-    probe = sample_pencil(pencil, t, max(n_probe, 6 * _STRATA), seed)
-    passed = (
-        abs(t) <= pencil.singular_radius / 3.0
-        and math.isfinite(probe.gradient_min)
-        and probe.gradient_min > 1e-8
-    )
-    return SmoothnessReport(
-        t=t,
-        singular_radius=pencil.singular_radius,
-        gradient_min=probe.gradient_min,
-        n_probe=probe.n_samples,
-        passed=passed,
     )
 
 

@@ -444,10 +444,6 @@ class SimplexHistogram:
     def dim(self) -> int:
         return len(self.coord_indices)
 
-    def predicted_chart_density(self, residual_mass: float) -> float:
-        """Chart density of the predicted limit ``R * b_sigma^{-1} * lambda_sigma``."""
-        return residual_mass / self.b_active[0]
-
 
 def _bin_moments(
     values: np.ndarray, weights: np.ndarray, edges: tuple[np.ndarray, ...], n: int

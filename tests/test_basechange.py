@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from tropmass.basechange import (
     face_base_change,
-    kappa_scaling_check,
     model_base_change,
     pushforward_identity_check,
 )
@@ -121,26 +120,3 @@ class TestPushforwardIdentity:
     def test_identity_property(self, b0, b1, m):
         measure = assemble_limit_measure(edge_model(b0, b1), {"E0&E1": 1.0})
         assert pushforward_identity_check(measure, m).passed
-
-
-class TestKappaScaling:
-    def test_zero_minimum_preserved(self):
-        for m in (1, 2, 7):
-            assert kappa_scaling_check(coordinate_pencil(2), m)
-
-    def test_half_slope_doubles(self):
-        model = edge_model(1, 2, a0=0, a1=1)  # kappa = [0, 1/2]
-        assert kappa_scaling_check(model, 2)
-
-    def test_identity_base_change(self):
-        assert kappa_scaling_check(edge_model(3, 5, a0=1, a1=2), 1)
-
-    @given(
-        st.integers(1, 6),
-        st.integers(1, 6),
-        st.fractions(min_value=-3, max_value=3),
-        st.fractions(min_value=-3, max_value=3),
-        st.integers(1, 10),
-    )
-    def test_scaling_property(self, b0, b1, a0, a1, m):
-        assert kappa_scaling_check(edge_model(b0, b1, a0, a1), m)

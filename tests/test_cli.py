@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from tropmass import cli
+from tropmass import basechange, cli
 from tropmass.cli import (
     SUITES,
     ConfigError,
@@ -242,6 +242,25 @@ class TestExitCodes:
         code, out, _ = run_cli(["skeleton-check", "--model", str(spec)], tmp_path, capsys)
         assert code == 1
         assert "[FAIL] closed" in out
+
+    def test_lattice_index_mismatch_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        # The lattice index disagreeing with the gcd formula fails the verdicts
+        # that compare them, and the report is still written.
+        index = basechange._splitting_index
+        monkeypatch.setattr(basechange, "_splitting_index", lambda b, m: index(b, m) + (m == 6))
+        code, out, _ = run_cli(
+            ["base-change", "--preset", "coordinate_pencil", "--m", "6"], tmp_path / "bc", capsys
+        )
+        assert code == 1
+        assert "[FAIL] lattice-index-consistency" in out
+        assert "[pass] splitting-identity" in out
+        report = json.loads((tmp_path / "bc" / "base-change-coordinate_pencil-report.json").read_text())
+        assert report["passed"] is False
+        code, out, _ = run_cli(["verify", "--suite", "base-change", "--seed", "0"], tmp_path / "v", capsys)
+        assert code == 1
+        assert "[FAIL] base-change-splitting" in out
+        assert "[pass] base-change-pushforward" in out
+        assert (tmp_path / "v" / "verify-base-change-report.json").exists()
 
     def test_missing_seed_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(

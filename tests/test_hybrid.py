@@ -1,4 +1,4 @@
-"""Tests for log maps, glued atlases, convergence predicates, and the disc seminorm."""
+"""Tests for the glued log map, convergence predicates, and the disc seminorm."""
 
 from __future__ import annotations
 
@@ -9,233 +9,192 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropmass import hybrid
 from tropmass.hybrid import (
-    AdaptedChart,
     ChartDomainError,
     LaurentSeriesPoly,
-    TRIANGLE_FACES,
     basis_neighborhood_converges,
-    glue_log,
+    glued_log,
     hybrid_converges,
     hybrid_seminorm,
-    log_chart,
     log_deviation_constant,
-    triangle_pencil_atlas,
 )
 from tropmass.model import build_dual_complex, coordinate_pencil
 from tropmass.pencil import _solve_symmetric_cubic
 
 
-def bidisc_chart() -> AdaptedChart:
-    return AdaptedChart("bidisc", ("E0", "E1"), (1, 1))
+def small_root(t: float, epsilon: float, u: complex) -> complex:
+    """The root ``v`` of least modulus on the pencil fiber over ``u``."""
+    roots = _solve_symmetric_cubic(complex(t * epsilon), 1.0 + 0j, np.array([complex(u)]))[0]
+    return roots[int(np.argmin(np.abs(roots)))]
 
 
-class TestLogChart:
-    def test_symmetric_point(self):
-        w = log_chart(bidisc_chart(), (math.exp(-1), math.exp(-1)))
-        assert w == (0.5, 0.5)
-
-    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0, 3.7])
-    def test_power_law_point(self, zeta):
-        w = log_chart(bidisc_chart(), (math.exp(-1), math.exp(-zeta)))
-        assert w[1] == pytest.approx(zeta / (1 + zeta), abs=1e-12)
-
-    @pytest.mark.parametrize("b0", [1, 2, 3, 5, 7])
-    def test_single_component_chart_is_constant(self, b0):
-        chart = AdaptedChart("disc", ("E0",), (b0,))
-        for z in (0.3, 1e-9, 0.999, 0.5 + 0.1j):
-            w = log_chart(chart, (z,))
-            assert math.fsum([b0 * w[0]]) == 1.0
-            assert w[0] == pytest.approx(1.0 / b0, abs=1e-15)
-
-    def test_matches_family_parameter(self):
-        z = (0.01, 0.02)
-        t = z[0] * z[1]
-        assert log_chart(bidisc_chart(), z, t) == log_chart(bidisc_chart(), z)
-        with pytest.raises(ChartDomainError, match="does not match"):
-            log_chart(bidisc_chart(), z, 0.1)
-
-    def test_zero_coordinate_rejected(self):
-        with pytest.raises(ChartDomainError, match="zero coordinate"):
-            log_chart(bidisc_chart(), (0.0, 0.5))
-
-    def test_modulus_outside_unit_disc_rejected(self):
-        with pytest.raises(ChartDomainError, match="outside"):
-            log_chart(bidisc_chart(), (1.5, 0.5))
-
-    @given(
-        b=st.lists(st.integers(1, 6), min_size=1, max_size=4),
-        xs=st.lists(st.floats(0.01, 40.0), min_size=4, max_size=4),
-    )
-    @settings(max_examples=200)
-    def test_exact_affine_identity(self, b, xs):
-        z = tuple(math.exp(-x) for x in xs[: len(b)])
-        chart = AdaptedChart("c", tuple(f"E{i}" for i in range(len(b))), tuple(b))
-        w = log_chart(chart, z)
-        assert all(wi >= 0.0 for wi in w)
-        assert math.fsum(bi * wi for bi, wi in zip(b, w)) == 1.0
-
-    def test_chart_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            AdaptedChart("c", (), ())
-        with pytest.raises(ValueError, match="multiplicities"):
-            AdaptedChart("c", ("E0",), (1, 2))
-        with pytest.raises(ValueError, match="positive integers"):
-            AdaptedChart("c", ("E0",), (0,))
-        with pytest.raises(ValueError, match="duplicate"):
-            AdaptedChart("c", ("E0", "E0"), (1, 1))
-
-
-class TestGlueLog:
-    def test_single_chart_atlas_equals_chart_map(self):
-        chart = bidisc_chart()
-        for z in ((0.1, 0.2), (1e-4, 1e-3), (0.5j, 0.25)):
-            glued = glue_log([chart], z)
-            w = log_chart(chart, z)
-            assert glued == {"E0": w[0], "E1": w[1]}
-            assert math.fsum(glued[k] for k in glued) == 1.0
-
-    def test_two_charts_same_stratum_deviation_bounded(self):
-        # Second chart differs by bounded unit factors u_i: the log images
-        # then differ by O(1/log|t|^-1) and the measured constant stays
-        # bounded across three decades of t.
-        chart = bidisc_chart()
-        units = (2.0, 0.5)
-        other = AdaptedChart(
-            "bidisc-units",
-            ("E0", "E1"),
-            (1, 1),
-            local_moduli=lambda z: (abs(z[0]) * units[0], abs(z[1]) * units[1]),
-        )
-        rng = np.random.default_rng(7)
-        consts = []
-        for big_l in (8.0, 16.0, 32.0):
-            pts = []
-            for _ in range(40):
-                x0 = rng.uniform(1.0, big_l - 1.0)
-                pts.append((math.exp(-x0), math.exp(-(big_l - x0))))
-            consts.append(log_deviation_constant([chart, other], chart, pts))
-        bound = 4.0 * max(abs(math.log(u)) for u in units)
-        assert all(0.0 < c <= bound for c in consts)
-
-    def test_point_outside_every_chart(self):
-        chart = AdaptedChart(
-            "c", ("E0",), (1,), bump=lambda z: 0.0
-        )
-        with pytest.raises(ChartDomainError, match="outside every chart"):
-            glue_log([chart], (0.5,))
-
-    def test_incompatible_overlap_rejected(self):
-        c0 = AdaptedChart("v0", ("E0",), (1,), local_moduli=lambda z: (abs(z[0]),))
-        c2 = AdaptedChart("v2", ("E2",), (1,), local_moduli=lambda z: (abs(z[1]),))
-        with pytest.raises(ChartDomainError, match="span no face"):
-            glue_log([c0, c2], (0.1, 0.1), faces=[("E0", "E1"), ("E0",), ("E2",)])
-        with pytest.raises(ChartDomainError, match="full union"):
-            glue_log([c0, c2], (0.1, 0.1))
-
-    def test_vertex_edge_overlap_allowed_without_face_list(self):
-        vertex = AdaptedChart(
-            "v0", ("E0",), (1,), local_moduli=lambda z: (abs(z[0] * z[1]),)
-        )
-        edge = bidisc_chart()
-        glued = glue_log([vertex, edge], (0.01, 0.2))
-        assert set(glued) == {"E0", "E1"}
-        assert math.fsum(glued[k] for k in glued) == 1.0
-
-    def test_multiplicity_conflict_rejected(self):
-        c1 = AdaptedChart("a", ("E0",), (1,), local_moduli=lambda z: (abs(z[0]),))
-        c2 = AdaptedChart("b", ("E0",), (2,), local_moduli=lambda z: (abs(z[0]),))
-        with pytest.raises(ValueError, match="disagree on the multiplicity"):
-            glue_log([c1, c2], (0.3,))
-
-
-def fiber_points(t: float, epsilon: float, n: int, seed: int) -> list[tuple[complex, complex, complex]]:
+def fiber_points(t: float, epsilon: float, n: int, seed: int) -> np.ndarray:
     """Projective points on the coordinate-pencil fiber, spread over all patches."""
-    a_coeff = complex(t * epsilon)
     rng = np.random.default_rng(seed)
     pts: list[tuple[complex, complex, complex]] = []
     big_l = math.log(1.0 / t)
     while len(pts) < n:
         x = rng.uniform(0.05 * big_l, 0.95 * big_l)
         u = math.exp(-x) * np.exp(2j * math.pi * rng.uniform())
-        roots = _solve_symmetric_cubic(a_coeff, 1.0 + 0j, np.array([u]))[0]
-        v = roots[np.argmin(np.abs(np.abs(roots) + 0.0))]
-        v = roots[int(np.argmin(np.abs(roots)))]
+        v = small_root(t, epsilon, u)
         if not 0.0 < abs(v) < 1.0:
             continue
         patch = int(rng.integers(3))
-        affine = {0: (1.0 + 0j, u, v), 1: (u, 1.0 + 0j, v), 2: (u, v, 1.0 + 0j)}[patch]
-        pts.append(affine)
-    return pts
+        pts.append({0: (1.0 + 0j, u, v), 1: (u, 1.0 + 0j, v), 2: (u, v, 1.0 + 0j)}[patch])
+    return np.array(pts)
+
+
+def depth_ratio(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: the deepest coordinate, the second deepest, and ``r``."""
+    depth = -np.log(np.abs(z) / np.abs(z).max(axis=1, keepdims=True))
+    order = np.argsort(-depth, axis=1, kind="stable")
+    rows = np.arange(len(z))
+    deep, second = depth[rows, order[:, 0]], depth[rows, order[:, 1]]
+    return order[:, 0], order[:, 1], second / deep
+
+
+def reference_glued_log(z: tuple[complex, complex, complex], epsilon: float) -> list[float]:
+    """One point through the vertex and edge charts of `glued_log`, in scalar Python."""
+    moduli = [abs(c) for c in z]
+    depth = [math.log(max(moduli) / m) for m in moduli]
+    a, b, k = sorted(range(3), key=lambda i: -depth[i])
+    r = depth[b] / depth[a]
+    smoothstep = lambda x: min(max(x, 0.0), 1.0) ** 2 * (3.0 - 2.0 * min(max(x, 0.0), 1.0))
+    vertex, edge = smoothstep((0.35 - r) / 0.1), smoothstep((r - 0.2) / 0.1)
+    u, v = z[a] / z[k], z[b] / z[k]
+    scale = 1.0 / math.sqrt(epsilon * abs(1.0 + u**3 + v**3))
+    log_u, log_v = math.log(abs(u) * scale), math.log(abs(v) * scale)
+    out = [0.0, 0.0, 0.0]
+    out[b] = edge / (vertex + edge) * log_v / (log_u + log_v)
+    out[a] = 1.0 - out[b]
+    return out
 
 
 class TestTrianglePencilAtlas:
-    def test_atlas_structure(self):
-        atlas = triangle_pencil_atlas()
-        assert len(atlas) == 6
-        actives = sorted(tuple(c.active) for c in atlas)
-        assert actives == [
-            ("E0",),
-            ("E0", "E1"),
-            ("E0", "E2"),
-            ("E1",),
-            ("E1", "E2"),
-            ("E2",),
-        ]
-        assert {frozenset(f.components) for f in build_dual_complex(coordinate_pencil(2)).faces} == set(
-            TRIANGLE_FACES
-        )
+    def test_all_names_resolve(self):
+        assert all(hasattr(hybrid, name) for name in hybrid.__all__)
+
+    def test_matches_the_scalar_reference(self):
+        for t in (1e-4, 1e-6, 1e-8):
+            z = fiber_points(t, 0.1, 300, seed=12)
+            ref = np.array([reference_glued_log(tuple(p), 0.1) for p in z])
+            np.testing.assert_allclose(glued_log(z, 0.1), ref, rtol=0, atol=1e-15)
 
     def test_fiber_points_glue_into_the_complex(self):
-        eps = 0.1
-        atlas = triangle_pencil_atlas(eps)
+        faces = {frozenset(f.components) for f in build_dual_complex(coordinate_pencil(2)).faces}
         for t in (1e-4, 1e-6):
-            for z in fiber_points(t, eps, 120, seed=3):
-                glued = glue_log(atlas, z, faces=TRIANGLE_FACES)
-                assert frozenset(glued) in TRIANGLE_FACES
-                assert all(v >= 0.0 for v in glued.values())
-                assert math.fsum(glued.values()) == 1.0
+            z = fiber_points(t, 0.1, 600, seed=3)
+            _, _, r = depth_ratio(z)
+            assert (r < 0.2).any() and ((r > 0.2) & (r < 0.35)).any() and (r > 0.35).any()
+            glued = glued_log(z, 0.1)
+            assert glued.shape == (600, 3)
+            assert (glued >= 0.0).all()
+            for row in glued:
+                assert frozenset(f"E{i}" for i in np.flatnonzero(row)) in faces
+                assert math.fsum(row) == 1.0
 
     def test_deep_edge_points_land_on_the_edge(self):
-        eps = 0.1
-        t = 1e-6
-        atlas = triangle_pencil_atlas(eps)
-        a_coeff = complex(t * eps)
+        eps, t = 0.1, 1e-6
         u = math.sqrt(t * eps)  # |u| = |v| there: the middle of an edge
-        roots = _solve_symmetric_cubic(a_coeff, 1.0 + 0j, np.array([complex(u)]))[0]
-        v = roots[int(np.argmin(np.abs(roots)))]
-        glued = glue_log(atlas, (u, v, 1.0 + 0j), faces=TRIANGLE_FACES)
-        assert set(glued) == {"E0", "E1"}
-        assert glued["E0"] == pytest.approx(0.5, abs=0.05)
+        glued = glued_log([(u, small_root(t, eps, u), 1.0)], eps)[0]
+        assert glued[2] == 0.0
+        assert glued[0] == pytest.approx(0.5, abs=0.05)
+        assert glued[1] == pytest.approx(0.5, abs=0.05)
+
+    def test_outside_the_blend_the_map_is_one_chart(self):
+        # Past the bands, one chart carries the point exactly: the edge chart of
+        # the two deepest coordinates above r = 0.35, the vertex below r = 0.2.
+        z = np.concatenate([fiber_points(t, 0.1, 400, seed=9) for t in (1e-4, 1e-6, 1e-8)])
+        deepest, second, r = depth_ratio(z)
+        glued = glued_log(z, 0.1)
+        vertex = r <= 0.2
+        assert vertex.sum() > 50
+        assert (glued[vertex] == np.eye(3)[deepest[vertex]]).all()
+        for edge in ((0, 1), (0, 2), (1, 2)):
+            on_edge = (r >= 0.35) & (np.minimum(deepest, second) == edge[0])
+            on_edge &= np.maximum(deepest, second) == edge[1]
+            assert on_edge.sum() > 50
+            assert log_deviation_constant(z[on_edge], edge, 0.1) == 0.0
 
     def test_deviation_constant_bounded_as_t_shrinks(self):
         # The glued map deviates from the deep-edge chart by O(lambda); the
         # measured constant must not grow as t drops three decades.
         eps = 0.1
-        atlas = triangle_pencil_atlas(eps)
-        chart = next(c for c in atlas if c.chart_id == "edge-E0&E1")
         consts = []
         for t in (1e-4, 1e-6, 1e-8):
-            a_coeff = complex(t * eps)
             big_l = math.log(1.0 / t)
             rng = np.random.default_rng(5)
             pts = []
             while len(pts) < 60:
                 x = rng.uniform(0.25 * big_l, 0.75 * big_l)
                 u = math.exp(-x) * np.exp(2j * math.pi * rng.uniform())
-                roots = _solve_symmetric_cubic(a_coeff, 1.0 + 0j, np.array([u]))[0]
-                v = roots[int(np.argmin(np.abs(roots)))]
+                v = small_root(t, eps, u)
                 if 0.0 < abs(v) < 1.0:
                     pts.append((u, v, 1.0 + 0j))
-            consts.append(
-                log_deviation_constant(atlas, chart, pts, faces=TRIANGLE_FACES)
-            )
+            consts.append(log_deviation_constant(pts, (0, 1), eps))
         assert max(consts) < 10.0
         assert consts[2] < consts[0] * 2.0
 
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            triangle_pencil_atlas(0.0)
+    def test_equal_moduli_ties(self):
+        # Two deepest coordinates of equal modulus meet at the edge midpoint;
+        # two largest ones leave the deepest coordinate alone at its vertex.
+        z = [(1e-3, 1e-3j, 1.0), (1.0, 1e-3j, 1e-3), (1e-4, 1.0, 1j), (1j, -1.0, 1e-4)]
+        assert glued_log(z).tolist() == [
+            [0.5, 0.5, 0.0],
+            [0.0, 0.5, 0.5],
+            [1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0],
+        ]
+
+    def test_batch_equals_single_rows(self):
+        z = fiber_points(1e-6, 0.1, 200, seed=4)
+        rows = np.concatenate([glued_log(z[i : i + 1]) for i in range(len(z))])
+        assert np.array_equal(glued_log(z), rows)
+        assert glued_log(np.empty((0, 3), dtype=complex)).shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "point, match",
+        [
+            ((0.0, 0.01, 1.0), "zero"),
+            ((1e-3, 0.0, 0.0), "zero"),
+            ((math.nan, 0.01, 1.0), "zero"),
+            ((1.0, 1j, -1.0), "every chart"),
+            # r = 0, vertex chart only, and z1^3 + z2^3 = 0: a huge vertex modulus.
+            ((1e-3, 1.0, complex(0.5, math.sqrt(0.75))), "vertex chart"),
+            # r = 0.58, edge chart only, off every fiber: an edge modulus above 1.
+            ((0.3, 0.5, 1.0), "edge chart"),
+        ],
+        ids=[
+            "zero-coordinate",
+            "two-zero-coordinates",
+            "nan-coordinate",
+            "equal-moduli",
+            "vertex-modulus",
+            "edge-modulus",
+        ],
+    )
+    def test_domain_errors(self, point, match):
+        with pytest.raises(ChartDomainError, match=match):
+            glued_log([(0.01, 0.001, 1.0), point])
+
+    def test_deviation_constant_domain_and_edge(self):
+        z = [(0.5, 0.01, 1.0)]  # on the vertex E1, where E0&E1 has |u'| = 1.49
+        assert glued_log(z).tolist() == [[0.0, 1.0, 0.0]]
+        with pytest.raises(ChartDomainError, match="E0&E1"):
+            log_deviation_constant(z, (0, 1))
+        for edge in ((0, 0), (1, 3), (0, 1, 2)):
+            with pytest.raises(ValueError, match="edge"):
+                log_deviation_constant(z, edge)
+
+    def test_input_validation(self):
+        for eps in (0.0, 0.6):
+            with pytest.raises(ValueError, match="epsilon"):
+                glued_log([(0.01, 0.001, 1.0)], eps)
+            with pytest.raises(ValueError, match="epsilon"):
+                log_deviation_constant([(0.01, 0.001, 1.0)], (0, 1), eps)
+        with pytest.raises(ValueError, match="shape"):
+            glued_log([(0.01, 1.0)])
 
 
 def power_sequence(zeta: float, ks: list[int]) -> list[tuple[float, float]]:

@@ -21,7 +21,6 @@ from tropmass.pencil import (
     _solve_symmetric_cubic,
     predicted_edge_mass,
     sample_pencil,
-    smoothness_check,
 )
 from tropmass.sampler import TRIG_BLOCK, _moments, _shard_counts, fit_mass_asymptotics
 
@@ -355,13 +354,11 @@ def reference_route(a, b, m, r_lo, log_scale, rng):
         q_v = _annulus_density(np.abs(v), r_lo, log_scale) * np.abs(fu) ** 2
         contrib = np.where(keep, 1.0 / (q_u + q_v), 0.0)
         w_edge = np.log(1.0 / np.abs(uu * np.ones_like(v))) / np.log(1.0 / np.abs(uu * v))
-    grad = np.sqrt(np.abs(fu) ** 2 + np.abs(fv) ** 2) / (abs(a) + abs(b))
     _, mean, m2 = _moments(contrib.sum(axis=1))
     return {
         "mean": mean,
         "m2": m2,
         "failures": int(np.sum(in_region & ~residual_ok)),
-        "grad_min": float(grad[keep].min()),
         "values": w_edge[keep],
         "weights": contrib[keep],
         "n_points": int(keep.sum()),
@@ -392,7 +389,7 @@ class TestBlockedPencilRoute:
         assert got["n_points"] == ref["n_points"] == got["values"].size
         np.testing.assert_allclose(got["values"], ref["values"], rtol=0, atol=1e-12)
         np.testing.assert_allclose(got["weights"], ref["weights"], rtol=1e-12)
-        for key in ("mean", "m2", "grad_min"):
+        for key in ("mean", "m2"):
             assert got[key] == pytest.approx(ref[key], rel=1e-12)
 
     def test_residual_filter_counts_every_root_it_drops(self, monkeypatch):
@@ -463,13 +460,6 @@ class TestCoordinatePencil:
         pen = HypersurfacePencil.coordinate()
         assert sum(predicted_edge_mass(pen) for _ in range(3)) == measure.total_mass
 
-    def test_gradient_floor_is_geometric(self, run):
-        # The gradient minimum sits at the curve corners where
-        # |grad F| ~ sqrt(2 |t| eps).
-        assert run.gradient_min == pytest.approx(
-            math.sqrt(2.0 * 1e-5 * run.epsilon), rel=0.2
-        )
-
     def test_determinism(self):
         pen = HypersurfacePencil.coordinate()
         a = sample_pencil(pen, 1e-4, 20_000, seed=5)
@@ -484,7 +474,7 @@ class TestCoordinatePencil:
         pen = HypersurfacePencil.coordinate()
         one = sample_pencil(pen, 1e-4, 20_000, seed=5, bins=25)
         two = sample_pencil(pen, 1e-4, 20_000, seed=5, bins=25, threads=2)
-        assert (two.n_failures, two.gradient_min) == (one.n_failures, one.gradient_min)
+        assert two.n_failures == one.n_failures
         for a, b in zip(one.patches, two.patches):
             assert (b.mass, b.stderr, b.ks_uniform, b.n_points) == (
                 a.mass,
@@ -549,16 +539,3 @@ class TestFermatPencil:
         res = sample_pencil(HypersurfacePencil.fermat(), 1e-3, 100_000, seed=2)
         assert abs(res.total_raw - covolume) < 4 * res.total_raw_stderr
         assert abs(res.total_raw - covolume) / covolume < 0.02
-
-
-class TestSmoothness:
-    def test_coordinate_pencil_clears_discriminant(self):
-        rep = smoothness_check(HypersurfacePencil.coordinate(), 1e-3, seed=3)
-        assert rep.passed
-        assert rep.singular_radius == pytest.approx(10 / 3)
-        assert rep.gradient_min > 1e-4
-
-    def test_fermat_large_t_still_smooth(self):
-        rep = smoothness_check(HypersurfacePencil.fermat(), 0.5, seed=3)
-        assert rep.passed
-        assert rep.gradient_min > 1.0
