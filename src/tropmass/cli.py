@@ -5,11 +5,16 @@ small configuration vocabulary (model preset or spec file, ``t``-schedule,
 sample count, seed, bins, tolerance, output directory).  Every run produces a
 `RunReport`: the echoed configuration, a content hash of the inputs, a list
 of check verdicts that each carry a quantitative discrepancy, and timings
-(the whole command, and for ``verify`` each suite).  Tabular artifacts are
-written as CSV (deterministic: sorted fields, shortest round-trip float
-formatting, fixed line terminator), nested reports as JSON.  Re-running a
-subcommand with an identical configuration and seed reproduces
-byte-identical CSV files.
+(the whole command, and for ``verify`` each suite).
+
+Each subcommand's runner is a pure function of the configuration and the
+loaded model: it returns an `Outcome` holding its verdicts and its artifacts,
+each artifact a file name mapped to CSV rows or a JSON payload.  `run` alone
+writes files: every artifact, chosen by file suffix, then the report.  CSV is
+deterministic (fixed field order, shortest round-trip float formatting,
+fixed line terminator); JSON is indented with sorted keys and a trailing
+newline.  Re-running a subcommand with an identical configuration and seed
+reproduces byte-identical CSV files.
 
 Exit status is nonzero exactly when some check fails.  Statistical checks
 fail only beyond three standard errors (unless the check carries its own
@@ -17,8 +22,10 @@ limit); exact checks fail on any discrepancy.
 
 The ``verify`` subcommand runs named suites; each suite reproduces one
 acceptance scenario end to end (``tropmass verify --suite list`` prints the
-names).  The output directory defaults to the ``TROPMASS_OUTDIR`` environment
-variable, then to ``./tropmass-out``.
+names).  The ``polar`` and ``hybrid`` suites are the ``polar-check`` and
+``hybrid-check`` runners at fixed configurations.  The output directory
+defaults to the ``TROPMASS_OUTDIR`` environment variable, then to
+``./tropmass-out``.
 """
 
 from __future__ import annotations
@@ -34,10 +41,11 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,6 +158,9 @@ class ExperimentConfig:
         for _, value in self.residues:
             if not math.isfinite(value) or value < 0:
                 raise ConfigError("residue values must be finite and >= 0")
+        faces = [face for face, _ in self.residues]
+        if len(set(faces)) != len(faces):
+            raise ConfigError(f"a residue is given twice in {faces}")
 
     def echo(self) -> dict[str, object]:
         return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
@@ -212,8 +223,9 @@ class RunReport:
     def path(self) -> Path:
         return Path(self.config.outdir) / f"{self.config.command}-{_slug(self.config)}-report.json"
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json(self) -> dict[str, object]:
+        """The JSON payload of the report file."""
+        return {
             "config": self.config.echo(),
             "content_hash": self.content_hash,
             "passed": self.passed,
@@ -221,7 +233,6 @@ class RunReport:
             "timings": {name: seconds for name, seconds in self.timings},
             "artifacts": list(self.artifacts),
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +240,23 @@ class RunReport:
 
 
 def parse_t_schedule(text: str) -> tuple[float, ...]:
-    """Parse ``1e-2..1e-6`` (decade ladder), comma lists, or single values."""
+    """Parse ``1e-2..1e-6`` (decade ladder), comma lists, or single values.
+
+    Rung ``k`` of a ladder is the start's decimal text shifted by ``k``
+    decades, so ``1e-2..1e-7`` holds exactly the floats of ``1e-2`` ... ``1e-7``.
+    """
     out: list[float] = []
     for token in text.split(","):
         token = token.strip()
         if ".." in token:
             lo_s, hi_s = token.split("..", 1)
             start, stop = float(lo_s), float(hi_s)
-            if not 0 < stop <= start:
+            if not (0 < stop <= start and math.isfinite(start)):
                 raise ConfigError(f"range {token!r} must run from larger to smaller positive t")
-            t = start
-            while t > stop * (1.0 + 1e-9):
+            k = 0
+            while (t := float(Decimal(lo_s).scaleb(-k))) > stop:
                 out.append(t)
-                t /= 10.0
+                k += 1
             out.append(stop)
         elif token:
             out.append(float(token))
@@ -268,11 +283,19 @@ def _parse_residues(items: Sequence[str]) -> tuple[tuple[str, float], ...]:
 
 
 Loaded = tuple[WeightedSncModel, str | None, float | None, bytes]
-# A runner's verdicts and artifact paths, optionally followed by the
-# ``(name, seconds)`` timings of its stages.
-Outcome = tuple[list[CheckVerdict], list[Path]] | tuple[
-    list[CheckVerdict], list[Path], list[tuple[str, float]]
-]
+
+
+class Outcome(NamedTuple):
+    """What a runner returns: verdicts, artifacts and stage timings.
+
+    ``artifacts`` maps each file name, in writing order, to its CSV rows (a
+    ``.csv`` name) or its JSON payload (any other name).  ``stages`` holds
+    ``(name, seconds)`` timings of the runner's parts.
+    """
+
+    verdicts: list[CheckVerdict]
+    artifacts: dict[str, object]
+    stages: Sequence[tuple[str, float]] = ()
 
 
 def _load_model(cfg: ExperimentConfig) -> Loaded:
@@ -326,7 +349,7 @@ def _content_hash(cfg: ExperimentConfig, input_bytes: bytes = b"") -> str:
 
 
 # ---------------------------------------------------------------------------
-# deterministic artifact writers
+# deterministic artifact writers (called by `run` only)
 
 
 def write_csv(path: Path, rows: Sequence[Mapping[str, object]]) -> None:
@@ -363,10 +386,10 @@ def _slug(cfg: ExperimentConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners (verdicts, artifact rows)
+# subcommand runners: (config, loaded model) -> Outcome, no I/O
 
 
-def _run_dual_complex(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+def _run_dual_complex(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     model = _need_model(cfg, loaded)[0]
     dual = build_dual_complex(model)
     rows = [
@@ -381,29 +404,24 @@ def _run_dual_complex(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -
         }
         for f in dual.faces
     ]
-    csv_path = out / f"dual-complex-{_slug(cfg)}.csv"
-    write_csv(csv_path, rows)
     summary = {
         "model": model.name,
         "dim": dual.dim,
         "euler_characteristic": dual.euler_characteristic(),
         "faces_by_dim": {str(k): len(dual.faces_of_dim(k)) for k in range(dual.dim + 1)},
     }
-    json_path = out / f"dual-complex-{_slug(cfg)}.json"
-    write_json(json_path, summary)
     verdicts = [exact_check("model-valid", 0.0, f"{len(dual.faces)} faces, dim {dual.dim}")]
-    return verdicts, [csv_path, json_path]
+    name = f"dual-complex-{_slug(cfg)}"
+    return Outcome(verdicts, {f"{name}.csv": rows, f"{name}.json": summary})
 
 
-def _run_weights(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+def _run_weights(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     model = _need_model(cfg, loaded)[0]
     wd = weight_data(model)
     rows = [
         {"component": c.name, "b": c.b, "a": c.a, "kappa": c.kappa}
         for c in model.components
     ]
-    csv_path = out / f"weights-{_slug(cfg)}.csv"
-    write_csv(csv_path, rows)
     summary = {
         "model": model.name,
         "kappa_min": str(wd.kappa_min),
@@ -411,8 +429,6 @@ def _run_weights(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Out
         "active_faces": [f.id_string() for f in wd.active_faces],
         "active_top_faces": [f.id_string() for f in wd.active_top_faces()],
     }
-    json_path = out / f"weights-{_slug(cfg)}.json"
-    write_json(json_path, summary)
     verdicts = [
         exact_check(
             "active-subcomplex-nonempty",
@@ -420,17 +436,14 @@ def _run_weights(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Out
             f"kappa_min = {wd.kappa_min}, d = {wd.d}, {len(wd.active_faces)} active faces",
         )
     ]
-    return verdicts, [csv_path, json_path]
+    name = f"weights-{_slug(cfg)}"
+    return Outcome(verdicts, {f"{name}.csv": rows, f"{name}.json": summary})
 
 
-def _run_limit_measure(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+def _run_limit_measure(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     model = _need_model(cfg, loaded)[0]
     masses = {face: value for face, value in cfg.residues} or None
     measure = assemble_limit_measure(model, masses)
-    csv_path = out / f"limit-measure-{_slug(cfg)}.csv"
-    write_csv(csv_path, measure.to_rows())
-    json_path = out / f"limit-measure-{_slug(cfg)}.json"
-    json_path.write_text(measure.to_json(), encoding="utf-8")
     total = measure.total_mass
     verdicts = [
         bound_check(
@@ -440,16 +453,15 @@ def _run_limit_measure(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) 
             f"total mass {total} on {len(measure.entries)} faces of dim {measure.d}",
         )
     ]
-    return verdicts, [csv_path, json_path]
+    name = f"limit-measure-{_slug(cfg)}"
+    return Outcome(verdicts, {f"{name}.csv": measure.to_rows(), f"{name}.json": measure.to_json()})
 
 
-def _run_base_change(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+def _run_base_change(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     if cfg.m is None or cfg.m < 1:
         raise ConfigError("base-change: needs --m >= 1")
     model = _need_model(cfg, loaded)[0]
     report = model_base_change(model, cfg.m)
-    csv_path = out / f"base-change-{_slug(cfg)}-m{cfg.m}.csv"
-    write_csv(csv_path, report.rows())
     bad_identity = sum(1 for _, r in report.entries if r.e * r.f * r.g != cfg.m)
     bad_lattice = sum(1 for _, r in report.entries if not r.consistent)
     measure = assemble_limit_measure(model)
@@ -471,7 +483,7 @@ def _run_base_change(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) ->
             f"pushforward of the base-changed measure equals m^d * measure (d = {push.d})",
         ),
     ]
-    return verdicts, [csv_path]
+    return Outcome(verdicts, {f"base-change-{_slug(cfg)}-m{cfg.m}.csv": report.rows()})
 
 
 def _sweep(
@@ -604,7 +616,7 @@ def _residue_verdict(
     return exact_check(name, hi - lo, detail), magnitudes
 
 
-def _sample_chart(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+def _sample_chart(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     metric = _chart_metric(cfg)
     ts = cfg.t_schedule or (1e-4,)
     results = _sweep(metric, ts, cfg.n_samples or 100_000, cfg.seed, cfg.threads)
@@ -620,12 +632,11 @@ def _sample_chart(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Ou
         }
         for t, res in zip(ts, results)
     ]
-    csv_path = out / f"sample-{_slug(cfg)}.csv"
-    write_csv(csv_path, rows)
-    return _chart_mass_verdicts(metric, results, [f"normalized-mass-t{t:g}" for t in ts]), [csv_path]
+    verdicts = _chart_mass_verdicts(metric, results, [f"normalized-mass-t{t:g}" for t in ts])
+    return Outcome(verdicts, {f"sample-{_slug(cfg)}.csv": rows})
 
 
-def _sample_pencil_cmd(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+def _sample_pencil_cmd(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     pen = HypersurfacePencil(cfg.model, cfg.n, cfg.epsilon)
     if pen.n != 2:
         raise ConfigError(f"sample on a pencil needs --n 2 (plane curves), got --n {pen.n}")
@@ -635,37 +646,32 @@ def _sample_pencil_cmd(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) 
     n = cfg.n_samples or 100_000
     ks_limit = cfg.tolerance if cfg.tolerance is not None else 0.02
     res = sample_pencil(pen, t, n, cfg.seed, bins=cfg.bins or 20, threads=cfg.threads)
-    rows = []
-    for p in res.patches:
-        rows.append(
-            {
-                "patch": p.label,
-                "n_points": p.n_points,
-                "mass": p.mass,
-                "stderr": p.stderr,
-                "mass_raw": p.mass_raw,
-                "stderr_raw": p.stderr_raw,
-                "ks_uniform": p.ks_uniform if p.ks_uniform is not None else "",
-            }
-        )
-    csv_path = out / f"sample-{_slug(cfg)}-t{t:g}.csv"
-    write_csv(csv_path, rows)
-    hist_rows = []
-    for p in res.patches:
-        for k in range(len(p.hist_masses)):
-            hist_rows.append(
-                {
-                    "patch": p.label,
-                    "bin_lo": p.hist_edges[k],
-                    "bin_hi": p.hist_edges[k + 1],
-                    "mass": p.hist_masses[k],
-                }
-            )
-    artifacts = [csv_path]
+    rows = [
+        {
+            "patch": p.label,
+            "n_points": p.n_points,
+            "mass": p.mass,
+            "stderr": p.stderr,
+            "mass_raw": p.mass_raw,
+            "stderr_raw": p.stderr_raw,
+            "ks_uniform": p.ks_uniform if p.ks_uniform is not None else "",
+        }
+        for p in res.patches
+    ]
+    hist_rows = [
+        {
+            "patch": p.label,
+            "bin_lo": p.hist_edges[k],
+            "bin_hi": p.hist_edges[k + 1],
+            "mass": p.hist_masses[k],
+        }
+        for p in res.patches
+        for k in range(len(p.hist_masses))
+    ]
+    name = f"sample-{_slug(cfg)}-t{t:g}"
+    artifacts: dict[str, object] = {f"{name}.csv": rows}
     if hist_rows:
-        hist_path = out / f"sample-{_slug(cfg)}-t{t:g}-hist.csv"
-        write_csv(hist_path, hist_rows)
-        artifacts.append(hist_path)
+        artifacts[f"{name}-hist.csv"] = hist_rows
 
     verdicts = [
         exact_check("no-root-failures", res.n_failures, f"{res.n_failures} failed fiber solves")
@@ -697,16 +703,16 @@ def _sample_pencil_cmd(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) 
                 limit=4.0,
             )
         )
-    return verdicts, artifacts
+    return Outcome(verdicts, artifacts)
 
 
-def _run_sample(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+def _run_sample(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     if cfg.model in HypersurfacePencil.PRESETS:
-        return _sample_pencil_cmd(cfg, out, loaded)
-    return _sample_chart(cfg, out, loaded)
+        return _sample_pencil_cmd(cfg, loaded)
+    return _sample_chart(cfg, loaded)
 
 
-def _run_pushforward(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+def _run_pushforward(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     metric = _chart_metric(cfg)
     if len(cfg.t_schedule) != 1:
         raise ConfigError("pushforward needs a single --t value")
@@ -738,12 +744,10 @@ def _run_pushforward(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) ->
                 "stderr": float(hist.total_stderr),
             }
         ]
-    csv_path = out / f"pushforward-{_slug(cfg)}.csv"
-    write_csv(csv_path, rows)
-    return verdicts, [csv_path]
+    return Outcome(verdicts, {f"pushforward-{_slug(cfg)}.csv": rows})
 
 
-def _run_fit_mass(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+def _run_fit_mass(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     metric = _chart_metric(cfg)
     check_fit_schedule(cfg.t_schedule)
     n = cfg.n_samples or 100_000
@@ -758,28 +762,14 @@ def _run_fit_mass(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Ou
         }
         for t, res in zip(cfg.t_schedule, results)
     ]
-    csv_path = out / f"fit-mass-{_slug(cfg)}.csv"
-    write_csv(csv_path, rows)
     c_rel_limit = cfg.tolerance if cfg.tolerance is not None else 0.02
     verdicts, fit, predicted = _fit_verdicts(metric, results, "fit", c_rel_limit)
-    json_path = out / f"fit-mass-{_slug(cfg)}.json"
-    write_json(json_path, {"fit": dataclasses.asdict(fit), "predicted": predicted})
-    return verdicts, [csv_path, json_path]
+    name = f"fit-mass-{_slug(cfg)}"
+    summary = {"fit": dataclasses.asdict(fit), "predicted": predicted}
+    return Outcome(verdicts, {f"{name}.csv": rows, f"{name}.json": summary})
 
 
-def _run_polar_check(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
-    n = cfg.n_samples or 1_000_000
-    n_polys = cfg.n_polys or 10
-    rel_limit = cfg.tolerance if cfg.tolerance is not None else 0.01
-    verdicts, rows = polar_battery(n, n_polys, cfg.seed, rel_limit)
-    csv_path = out / f"polar-check-seed{cfg.seed}.csv"
-    write_csv(csv_path, rows)
-    return verdicts, [csv_path]
-
-
-def polar_battery(
-    n: int, n_polys: int, seed: int, rel_limit: float = 0.01
-) -> tuple[list[CheckVerdict], list[dict[str, object]]]:
+def _run_polar_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     """Polar-decomposition checks: random test functions plus the exact point fiber.
 
     Half the test functions exercise the full polydisc decomposition, half the
@@ -789,6 +779,10 @@ def polar_battery(
     ``p = 0``, ``b = 3`` fiber is enumerated exactly: three points of mass
     ``1/9`` each.
     """
+    n = cfg.n_samples or 1_000_000
+    n_polys = cfg.n_polys or 10
+    rel_limit = cfg.tolerance if cfg.tolerance is not None else 0.01
+    seed = cfg.seed
     rng = np.random.default_rng(seed)
     anchor = ((0, 0), (0, 0), 1.0 + 0j)
     verdicts: list[CheckVerdict] = []
@@ -864,22 +858,14 @@ def polar_battery(
             "sigmas": 0.0,
         }
     )
-    return verdicts, rows
-
-
-def _run_hybrid_check(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
-    n_seq = cfg.n_polys or 1000
-    verdicts = hybrid_battery(n_seq, cfg.seed)
-    json_path = out / "hybrid-check.json"
-    write_json(json_path, [dataclasses.asdict(v) for v in verdicts])
-    return verdicts, [json_path]
+    return Outcome(verdicts, {f"polar-check-seed{seed}.csv": rows})
 
 
 def _power_sequence(zeta: float, ks: Iterable[int]) -> list[tuple[float, float]]:
     return [(2.0**-k, 2.0 ** -(zeta * k)) for k in ks]
 
 
-def hybrid_battery(n_seq: int, seed: int) -> list[CheckVerdict]:
+def _run_hybrid_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     """Limit-topology checks: edge-point convergence and the hybrid seminorm.
 
     Power sequences ``(2^-k, 2^-zeta k)`` must converge exactly to
@@ -888,6 +874,7 @@ def hybrid_battery(n_seq: int, seed: int) -> list[CheckVerdict]:
     neighborhoods on randomized sequences; the seminorm must be
     multiplicative and restrict to ``|t| = r`` on the hybrid circle.
     """
+    n_seq = cfg.n_polys or 1000
     verdicts: list[CheckVerdict] = []
     ks = range(1, 60)
     bad = 0
@@ -908,7 +895,7 @@ def hybrid_battery(n_seq: int, seed: int) -> list[CheckVerdict]:
         )
     )
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     mismatch = disagree = 0
     for _ in range(n_seq):
         w_star = float(rng.uniform(0.15, 0.85))
@@ -985,7 +972,7 @@ def hybrid_battery(n_seq: int, seed: int) -> list[CheckVerdict]:
             "the seminorm of the parameter equals r at every point of the hybrid circle",
         )
     )
-    return verdicts
+    return Outcome(verdicts, {"hybrid-check.json": [dataclasses.asdict(v) for v in verdicts]})
 
 
 def _random_laurent(rng: np.random.Generator) -> LaurentSeriesPoly:
@@ -999,7 +986,7 @@ def _random_laurent(rng: np.random.Generator) -> LaurentSeriesPoly:
     return f
 
 
-def _run_skeleton_check(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+def _run_skeleton_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     model, anchor_from_file, rho_from_file, _ = _need_model(cfg, loaded)
     dual = build_dual_complex(model)
     sk = barycentric_subdivide(dual) if cfg.subdivide else TriangulatedSkeleton.from_dual_complex(dual)
@@ -1014,9 +1001,6 @@ def _run_skeleton_check(cfg: ExperimentConfig, out: Path, loaded: Loaded | None)
         }
         for c in sk.cells
     ]
-    csv_path = out / f"skeleton-{_slug(cfg)}.csv"
-    write_csv(csv_path, rows)
-
     branching = sum(1 for f in sk.facets if len(f.cells) > 2)
     boundary = sum(1 for f in sk.facets if len(f.cells) != 2)
     verdicts = [
@@ -1055,9 +1039,8 @@ def _run_skeleton_check(cfg: ExperimentConfig, out: Path, loaded: Loaded | None)
         verdict, magnitudes = _residue_verdict(sk, anchor, rho, "residue-propagation-constant")
         verdicts.append(verdict)
         summary["residue_magnitudes"] = {k: magnitudes[k] for k in sorted(magnitudes)}
-    json_path = out / f"skeleton-{_slug(cfg)}.json"
-    write_json(json_path, summary)
-    return verdicts, [csv_path, json_path]
+    name = f"skeleton-{_slug(cfg)}"
+    return Outcome(verdicts, {f"{name}.csv": rows, f"{name}.json": summary})
 
 
 # ---------------------------------------------------------------------------
@@ -1146,10 +1129,10 @@ def suite_decay(seed: int = 0, quick: bool = False, threads: int = 1) -> list[Ch
 
 
 def suite_polar(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
-    """Polar decompositions on random test functions plus the exact point fiber."""
+    """The ``polar-check`` runner: 10 test functions, tolerance 0.01, 10^6 samples (10^5 quick)."""
     n = 100_000 if quick else 1_000_000
-    verdicts, _ = polar_battery(n, 10, seed)
-    return verdicts
+    cfg = ExperimentConfig(command="polar-check", seed=seed, n_samples=n, threads=threads)
+    return _run_polar_check(cfg, None).verdicts
 
 
 def suite_base_change(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
@@ -1192,8 +1175,11 @@ def suite_pencil(seed: int = 0, quick: bool = False, threads: int = 1) -> list[C
 
 
 def suite_hybrid(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
-    """Limit-topology and seminorm checks at acceptance scale."""
-    return hybrid_battery(200 if quick else 1000, seed)
+    """The ``hybrid-check`` runner on 1000 random sequences (200 when quick)."""
+    cfg = ExperimentConfig(
+        command="hybrid-check", seed=seed, n_polys=200 if quick else 1000, threads=threads
+    )
+    return _run_hybrid_check(cfg, None).verdicts
 
 
 def suite_regression(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
@@ -1239,7 +1225,7 @@ SUITES: dict[str, Callable[..., list[CheckVerdict]]] = {
 }
 
 
-def _run_verify(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outcome:
+def _run_verify(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     if cfg.suite is None:
         raise ConfigError("verify: needs --suite NAME (or --suite list)")
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
@@ -1252,10 +1238,10 @@ def _run_verify(cfg: ExperimentConfig, out: Path, loaded: Loaded | None) -> Outc
         t0 = time.perf_counter()
         verdicts.extend(SUITES[name](seed=cfg.seed, quick=cfg.quick, threads=cfg.threads))
         timings.append((f"verify.{name}", time.perf_counter() - t0))
-    return verdicts, [], timings
+    return Outcome(verdicts, {}, timings)
 
 
-RUNNERS: dict[str, Callable[[ExperimentConfig, Path, Loaded | None], Outcome]] = {
+RUNNERS: dict[str, Callable[[ExperimentConfig, Loaded | None], Outcome]] = {
     "dual-complex": _run_dual_complex,
     "weights": _run_weights,
     "limit-measure": _run_limit_measure,
@@ -1271,21 +1257,30 @@ RUNNERS: dict[str, Callable[[ExperimentConfig, Path, Loaded | None], Outcome]] =
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Dispatch a validated configuration and collect the run report."""
+    """Dispatch a validated configuration, write its artifacts and report, return the report.
+
+    This is the only place that writes files: each artifact as CSV when its
+    name ends in ``.csv`` and as JSON otherwise, in the runner's order.
+    """
     out = Path(config.outdir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     loaded = _load_model(config) if config.model is not None else None
-    verdicts, artifacts, *stages = RUNNERS[config.command](config, out, loaded)
+    outcome = RUNNERS[config.command](config, loaded)
+    paths = []
+    for name, payload in outcome.artifacts.items():
+        path = out / name
+        (write_csv if path.suffix == ".csv" else write_json)(path, payload)
+        paths.append(str(path))
     elapsed = time.perf_counter() - t0
     report = RunReport(
         config=config,
         content_hash=_content_hash(config, loaded[3] if loaded else b""),
-        verdicts=tuple(verdicts),
-        timings=((config.command, elapsed), *(stages[0] if stages else ())),
-        artifacts=tuple(str(p) for p in artifacts),
+        verdicts=tuple(outcome.verdicts),
+        timings=((config.command, elapsed), *outcome.stages),
+        artifacts=tuple(paths),
     )
-    report.path.write_text(report.to_json(), encoding="utf-8")
+    write_json(report.path, report.to_json())
     return report
 
 

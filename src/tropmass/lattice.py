@@ -118,7 +118,7 @@ class AffineFunctionOnSimplex:
         return tuple(self.vertex_value(i) for i in range(len(self.coefficients)))
 
 
-def simplex_volume(b: Sequence[int] | ZSimplex) -> Fraction:
+def simplex_volume(b: Sequence[int]) -> Fraction:
     """Lattice-normalized volume of the weighted simplex.
 
     The volume is measured against the integer tangent lattice
@@ -134,8 +134,6 @@ def simplex_volume(b: Sequence[int] | ZSimplex) -> Fraction:
     >>> simplex_volume((6, 10, 15))
     Fraction(1, 1800)
     """
-    if isinstance(b, ZSimplex):
-        b = b.b
     b = _validate_multiplicities(b)
     p = len(b) - 1
     g = math.gcd(*b) if len(b) > 1 else b[0]
@@ -268,7 +266,7 @@ def chart_volume(b: Sequence[int], drop: int = 0) -> Fraction:
     return Fraction(1, denom)
 
 
-def normalized_density_chart(b: Sequence[int] | ZSimplex, drop: int = 0) -> Fraction:
+def normalized_density_chart(b: Sequence[int], drop: int = 0) -> Fraction:
     """Density of the lattice-normalized Lebesgue measure in an affine chart.
 
     In the chart that drops coordinate ``w_drop`` (expressing it as
@@ -290,8 +288,6 @@ def normalized_density_chart(b: Sequence[int] | ZSimplex, drop: int = 0) -> Frac
     >>> normalized_density_chart((1, 2), drop=1)
     Fraction(1, 2)
     """
-    if isinstance(b, ZSimplex):
-        b = b.b
     b = _validate_multiplicities(b)
     if not 0 <= drop < len(b):
         raise ValueError(f"drop index {drop} out of range")

@@ -12,14 +12,13 @@ total fiber mass.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .lattice import simplex_volume
-from .model import DualComplex, Face, ModelError, WeightedSncModel, build_dual_complex, weight_data
+from .model import Face, ModelError, WeightedSncModel, build_dual_complex, weight_data
 
 TWO_PI = 2.0 * math.pi
 
@@ -181,7 +180,11 @@ class MeasureEntry:
 
 @dataclass(frozen=True)
 class SkeletalMeasure:
-    """The limit measure: residual masses spread over top-dimensional active faces."""
+    """The limit measure: residual masses spread over top-dimensional active faces.
+
+    `to_rows` gives its CSV rows and `to_json` its JSON payload; neither
+    writes a file (the ``limit-measure`` subcommand's `cli.run` does).
+    """
 
     model: WeightedSncModel
     entries: tuple[MeasureEntry, ...]
@@ -206,8 +209,8 @@ class SkeletalMeasure:
             )
         return rows
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json(self) -> dict[str, object]:
+        return {
             "model": self.model.name,
             "dimension": self.d,
             "total_mass": self.total_mass,
@@ -222,31 +225,20 @@ class SkeletalMeasure:
                 for e in self.entries
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _face_key(face_like, dual: DualComplex) -> tuple[tuple[str, ...], int]:
-    """Normalize a face reference (Face, id string, or (components, label))."""
-    if isinstance(face_like, Face):
-        return face_like.key
-    if isinstance(face_like, str):
-        base, _, label = face_like.partition("#")
-        names = tuple(n.strip() for n in base.split("&"))
-        return dual.face(names, int(label) if label else 0).key
-    names, label = face_like
-    return dual.face(tuple(names), label).key
 
 
 def assemble_limit_measure(
-    m: WeightedSncModel, masses: Mapping | Sequence[tuple] | None = None
+    m: WeightedSncModel, masses: Mapping[str, float] | None = None
 ) -> SkeletalMeasure:
     """Assemble the limit measure from residual masses on top active faces.
 
-    ``masses`` maps faces (as `Face`, id strings like ``"E0&E1"`` /
-    ``"E0&E1#1"``, or ``(components, label)`` pairs) to nonnegative residual
-    masses.  Every top-dimensional active face must receive a mass; masses on
-    lower-dimensional active faces are accepted and contribute nothing.
-    ``masses=None`` assigns unit mass to every top face.
+    ``masses`` maps face id strings (``"E0&E1"``, or ``"E0&E1#1"`` for the
+    stratum of label 1) to nonnegative residual masses.  Every
+    top-dimensional active face must receive a mass; masses on
+    lower-dimensional active faces are accepted and contribute nothing.  Two
+    ids naming the same face, a face outside the active subcomplex and a
+    missing top face raise `ModelError`.  ``masses=None`` assigns unit mass
+    to every top face.
     """
     dual = build_dual_complex(m)
     wd = weight_data(m, dual)
@@ -254,10 +246,11 @@ def assemble_limit_measure(
     if masses is None:
         given = {f.key: 1.0 for f in top}
     else:
-        items = masses.items() if isinstance(masses, Mapping) else masses
         given = {}
-        for face_like, value in items:
-            key = _face_key(face_like, dual)
+        for face_id, value in masses.items():
+            base, _, label = face_id.partition("#")
+            names = tuple(n.strip() for n in base.split("&"))
+            key = dual.face(names, int(label) if label else 0).key
             if key in given:
                 raise ModelError(f"mass for face {key!r} given twice")
             given[key] = float(value)
@@ -272,7 +265,7 @@ def assemble_limit_measure(
         r = given[f.key]
         if r < 0:
             raise ModelError(f"residual mass for {f.id_string()} must be >= 0")
-        entries.append(MeasureEntry(f, r, simplex_volume(f.simplex)))
+        entries.append(MeasureEntry(f, r, simplex_volume(f.simplex.b)))
     return SkeletalMeasure(m, tuple(entries), wd.d)
 
 

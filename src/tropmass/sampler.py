@@ -481,31 +481,25 @@ def _bin_moments(
 
 
 def pushforward_histogram(
-    chart: LocalChart | MonomialChartMetric,
+    metric: MonomialChartMetric,
     n: int,
     bins: int,
     seed: int,
     *,
-    t: complex | None = None,
+    t: complex,
     threads: int = 1,
 ) -> SimplexHistogram:
-    """Histogram of the normalized log map of fiber samples, on the active face chart.
+    """Histogram of the normalized log map of the fiber samples of ``metric`` at ``t``.
 
-    ``chart`` may be a ``LocalChart`` or a bare ``MonomialChartMetric``
-    together with the parameter ``t``.
+    The histogram lives on the chart of the active face.
     """
-    if isinstance(chart, MonomialChartMetric):
-        if t is None:
-            raise ValueError("a bare chart metric needs the parameter t")
-        chart = LocalChart(chart, t)
-    m = chart.metric
-    kmin = m.kappa_min
-    active = tuple(i for i, k in enumerate(m.kappa) if k == kmin)
-    res = sample_fiber_measure(chart, n, seed, keep_samples=True, threads=threads)
+    kmin = metric.kappa_min
+    active = tuple(i for i, k in enumerate(metric.kappa) if k == kmin)
+    res = sample_fiber_measure(LocalChart(metric, t), n, seed, keep_samples=True, threads=threads)
     coord_indices = active[1:]
     if coord_indices:
         values = res.w[:, list(coord_indices)]
-        edges = tuple(np.linspace(0.0, 1.0 / m.b[i], bins + 1) for i in coord_indices)
+        edges = tuple(np.linspace(0.0, 1.0 / metric.b[i], bins + 1) for i in coord_indices)
         masses, stderrs = _bin_moments(values, res.weights, edges, n)
     else:
         values = res.w[:, :0]
@@ -513,7 +507,7 @@ def pushforward_histogram(
         masses = np.array(float(res.mass))
         stderrs = np.array(float(res.stderr))
     return SimplexHistogram(
-        b_active=tuple(m.b[i] for i in active),
+        b_active=tuple(metric.b[i] for i in active),
         coord_indices=coord_indices,
         edges=edges,
         masses=masses,

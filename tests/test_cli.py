@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import doctest
+import hashlib
 import json
 import math
 import re
@@ -46,27 +47,36 @@ def run_cli(args, tmp_path, capsys):
 
 
 class TestTSchedule:
+    # Each rung is the start's decimal text shifted by whole decades, so the
+    # ladders hold exactly the floats their decimal names denote.
     def test_decade_ladder(self):
-        sched = parse_t_schedule("1e-2..1e-6")
-        assert sched == pytest.approx((1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
+        assert parse_t_schedule("1e-2..1e-7") == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+
+    def test_ladder_with_uneven_start(self):
+        assert parse_t_schedule("3e-2..1e-6") == (3e-2, 3e-3, 3e-4, 3e-5, 3e-6, 1e-6)
+
+    def test_ladder_is_the_suites_ladder(self):
+        assert parse_t_schedule("1e-2..1e-6") == cli.LADDER
 
     def test_ladder_with_uneven_endpoint(self):
-        sched = parse_t_schedule("1e-2..3e-5")
-        assert sched == pytest.approx((1e-2, 1e-3, 1e-4, 3e-5))
+        assert parse_t_schedule("1e-2..3e-5") == (1e-2, 1e-3, 1e-4, 3e-5)
 
     def test_comma_list(self):
-        assert parse_t_schedule("0.01,0.005") == pytest.approx((0.01, 0.005))
+        assert parse_t_schedule("0.01,0.005") == (0.01, 0.005)
 
     def test_single_value(self):
-        assert parse_t_schedule("1e-3") == pytest.approx((1e-3,))
+        assert parse_t_schedule("1e-3") == (1e-3,)
 
     def test_list_and_ladder_mix(self):
-        sched = parse_t_schedule("1e-1..1e-2,5e-3")
-        assert sched == pytest.approx((1e-1, 1e-2, 5e-3))
+        assert parse_t_schedule("1e-1..1e-2,5e-3") == (1e-1, 1e-2, 5e-3)
 
     def test_reversed_ladder_rejected(self):
         with pytest.raises(ConfigError):
             parse_t_schedule("1e-6..1e-2")
+
+    def test_infinite_ladder_start_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_t_schedule("inf..1e-6")
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
@@ -115,6 +125,8 @@ class TestExperimentConfig:
             ExperimentConfig(command="limit-measure", residues=(("E0&E1", -1.0),))
         with pytest.raises(ConfigError, match="residue"):
             ExperimentConfig(command="limit-measure", residues=(("E0&E1", float("nan")),))
+        with pytest.raises(ConfigError, match="twice"):
+            ExperimentConfig(command="limit-measure", residues=(("E0&E1", 1.0), ("E0&E1", 2.0)))
 
     def test_echo_is_json_serializable(self):
         cfg = ExperimentConfig(
@@ -636,6 +648,16 @@ class TestSuiteRegistry:
         assert all(timings[key] >= 0 for key in suites)
         assert sum(timings[key] for key in suites) <= timings["verify"]
 
+    @pytest.mark.parametrize(
+        "suite, fields",
+        [("polar", {"n_samples": 100_000}), ("hybrid", {"n_polys": 200})],
+    )
+    def test_suite_is_its_subcommand_runner(self, tmp_path, suite, fields):
+        report = cli.run(
+            ExperimentConfig(command=f"{suite}-check", seed=4, outdir=str(tmp_path), **fields)
+        )
+        assert SUITES[suite](seed=4, quick=True) == list(report.verdicts)
+
     def test_verify_all_calls_the_samplers_through_cli(self, tmp_path, monkeypatch):
         # The benchmark's verify-all workload counts effective samples by
         # wrapping these three names in the cli module; a suite that stops
@@ -758,10 +780,41 @@ class TestReadme:
             args = parser.parse_args(shlex.split(line, comments=True)[1:])
             assert args.command == line.split()[1]
 
-    def test_command_lines_run(self, tmp_path, capsys):
+    # sha256 of every artifact of the lines that sample nothing; their bytes
+    # are the documented output and must not drift.
+    EXACT_COMMANDS = {"dual-complex", "weights", "limit-measure", "base-change", "skeleton-check"}
+    EXACT_DIGESTS = {
+        "dual-complex-coordinate_pencil.csv": "b4b432b9525093dd6c9db0503f255ea36c09dba768587e454b43231fd1a6ec57",
+        "dual-complex-coordinate_pencil.json": "55fab1b7af5726be0b7dd39e613a0bc9979b4f10806416ab1183bbbf7e4a915d",
+        "weights-annulus.csv": "ba6fc1ff63486d51ec6045d84dd1afee6eca22e8f86264781f76199ed9dfde27",
+        "weights-annulus.json": "48ac7fe75e4998a85788c7432f3651f5263dbdfdcec31e52eac4354ba9b62bdf",
+        "limit-measure-coordinate_pencil.csv": "58c9a7f38387bf35282df6c9b6b08b56f19f46ca1a3565aaacaf249cbb0da938",
+        "limit-measure-coordinate_pencil.json": "701a55147029511939e9a220af67a8393cbb65dd2136b3ef03f4a52209eaedb2",
+        "base-change-coordinate_pencil-m6.csv": "994e2f583db90cae3f7c23b0041216c5e783dfd8a6c0bba8d778855294a2874a",
+        "skeleton-coordinate_pencil.csv": "469c5870fd2824c7980de547884a0b418495e1c9a4920667508d32898ae4c9eb",
+        "skeleton-coordinate_pencil.json": "e3603d855554499d4e383578096663f70913f6d60c36fb8b884cca8c7a880243",
+    }
+
+    def test_command_lines_run(self, tmp_path, capsys, monkeypatch):
+        # Each line writes its report and exactly the artifacts the report
+        # lists; `verify --suite list` writes nothing.
+        monkeypatch.chdir(tmp_path)
+        digests = {}
         for i, line in enumerate(self.command_lines()):
             argv = shlex.split(line, comments=True)[1:]
+            out = tmp_path / str(i)
             if argv[-2:] != ["--suite", "list"]:
-                argv += ["--out", str(tmp_path / str(i))]
+                argv += ["--out", str(out)]
             assert main(argv) == 0, line
             capsys.readouterr()
+            if not out.exists():
+                assert argv[-2:] == ["--suite", "list"], line
+                assert {p.name for p in tmp_path.iterdir()} == {str(k) for k in range(i)}
+                continue
+            (report,) = out.glob("*-report.json")
+            listed = [Path(a) for a in json.loads(report.read_text())["artifacts"]]
+            assert all(a.parent == out for a in listed), line
+            assert sorted(p.name for p in out.iterdir()) == sorted([report.name, *(a.name for a in listed)])
+            if argv[0] in self.EXACT_COMMANDS:
+                digests.update({a.name: hashlib.sha256(a.read_bytes()).hexdigest() for a in listed})
+        assert digests == self.EXACT_DIGESTS

@@ -16,7 +16,7 @@ from tropmass.measure import (
     predicted_mass_asymptotics,
     residual_mass_closed_form,
 )
-from tropmass.model import annulus, coordinate_pencil, fermat_smooth, ModelError
+from tropmass.model import annulus, coordinate_pencil, fermat_smooth, ModelError, simplex_model
 
 
 class TestMonomialChartMetric:
@@ -138,6 +138,16 @@ class TestAssembleLimitMeasure:
         with pytest.raises(ModelError):
             assemble_limit_measure(annulus(), {"E0&E5": 1.0})
 
+    def test_face_named_twice_rejected(self):
+        with pytest.raises(ModelError, match="given twice"):
+            assemble_limit_measure(annulus(), {"E0&E1": 1.0, "E1 & E0": 2.0})
+
+    def test_inactive_face_rejected(self):
+        # a = (0, 1): only the vertex E0 is active, not the edge.
+        m = simplex_model((1, 1), (Fraction(0), Fraction(1)))
+        with pytest.raises(ModelError, match="not in the active subcomplex"):
+            assemble_limit_measure(m, {"E0": 1.0, "E0&E1": 1.0})
+
     def test_default_unit_masses(self):
         measure = assemble_limit_measure(coordinate_pencil(2))
         assert measure.total_mass == pytest.approx(3.0)
@@ -160,7 +170,8 @@ class TestAssembleLimitMeasure:
         rows = list(_csv.DictReader((tmp_path / "m.csv").open()))
         assert len(rows) == 3
         assert rows[0]["b_sigma"] == "1"
-        payload = json.loads(measure.to_json())
+        payload = measure.to_json()
+        assert json.loads(json.dumps(payload)) == payload
         assert payload["total_mass"] == pytest.approx(3.0)
         assert len(payload["entries"]) == 3
 

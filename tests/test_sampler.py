@@ -36,8 +36,12 @@ from tropmass.sampler import (
 )
 
 
+def metric(b, a, radii=None, **kw):
+    return MonomialChartMetric(b=tuple(b), a=tuple(a), radii=radii, **kw)
+
+
 def chart(b, a, t, radii=None, **kw):
-    return LocalChart(MonomialChartMetric(b=tuple(b), a=tuple(a), radii=radii, **kw), t)
+    return LocalChart(metric(b, a, radii, **kw), t)
 
 
 class TestLocalChart:
@@ -299,7 +303,7 @@ class TestStableVariance:
     def test_histogram_stderrs_match_two_pass_reference(self):
         # Non-constant weights exp(-2 x_2) on the face coordinate w_1.
         n, bins = 50_000, 10
-        hist = pushforward_histogram(chart((1, 1, 1), (0, 0, 1), 1e-3), n, bins, seed=2)
+        hist = pushforward_histogram(metric((1, 1, 1), (0, 0, 1)), n, bins, seed=2, t=1e-3)
         edges = hist.edges[0]
         cell = np.clip(np.searchsorted(edges, hist.values[:, 0], side="right") - 1, 0, bins - 1)
         for j in range(bins):
@@ -311,7 +315,7 @@ class TestStableVariance:
 
 class TestPushforwardHistogram:
     def test_doubled_edge_density_uniform(self):
-        hist = pushforward_histogram(chart((1, 2), (0, 0), 1e-4), 200_000, 20, seed=8)
+        hist = pushforward_histogram(metric((1, 2), (0, 0)), 200_000, 20, seed=8, t=1e-4)
         assert hist.b_active == (1, 2)
         assert hist.coord_indices == (1,)
         assert hist.total_mass == pytest.approx(0.5, abs=1e-12)
@@ -323,12 +327,12 @@ class TestPushforwardHistogram:
         assert chart_limit_mass(MonomialChartMetric(b=(1, 2), a=(0, 0))) == pytest.approx(0.5)
 
     def test_ks_distance_to_uniform_small(self):
-        hist = pushforward_histogram(chart((1, 2), (0, 0), 1e-4), 200_000, 20, seed=8)
+        hist = pushforward_histogram(metric((1, 2), (0, 0)), 200_000, 20, seed=8, t=1e-4)
         stat = ks_statistic(hist.values[:, 0], hist.weights, uniform_cdf(0.0, 0.5))
         assert stat < 0.01
 
     def test_vertex_chart_histogram_is_scalar(self):
-        hist = pushforward_histogram(chart((1, 1), (0, 1), 1e-4), 50_000, 10, seed=8)
+        hist = pushforward_histogram(metric((1, 1), (0, 1)), 50_000, 10, seed=8, t=1e-4)
         assert hist.dim == 0
         assert hist.masses.shape == ()
         assert hist.total_mass == pytest.approx(math.pi, rel=0.05)
