@@ -40,6 +40,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -66,7 +67,6 @@ from .measure import (
 )
 from .model import (
     PRESETS,
-    ModelSpecError,
     WeightedSncModel,
     build_dual_complex,
     coordinate_pencil,
@@ -321,18 +321,18 @@ def _need_model(cfg: ExperimentConfig, loaded: Loaded | None) -> Loaded:
     return loaded
 
 
-def _chart_metric(cfg: ExperimentConfig) -> MonomialChartMetric:
-    """Monomial chart from explicit ``--b/--a`` or from a one-face preset."""
+def _chart_metric(cfg: ExperimentConfig, loaded: Loaded | None) -> MonomialChartMetric:
+    """Monomial chart from explicit ``--b/--a``, or that of the model's single top face."""
     if cfg.b is not None:
         a = cfg.a if cfg.a is not None else tuple(Fraction(0) for _ in cfg.b)
         if len(a) != len(cfg.b):
             raise ConfigError(f"--a needs {len(cfg.b)} entries, got {len(a)}")
         return MonomialChartMetric(b=cfg.b, a=a)
-    if cfg.model == "annulus":
-        return MonomialChartMetric(b=(1, 1), a=(Fraction(0), Fraction(0)))
-    if cfg.model == "fermat_smooth":
-        return MonomialChartMetric(b=(1,), a=(Fraction(0),))
-    raise ConfigError(f"{cfg.command}: needs --b (and optionally --a), or --preset annulus")
+    dual = build_dual_complex(loaded[0]) if loaded is not None else None
+    if dual is None or len(dual.faces_of_dim(dual.dim)) != 1:
+        raise ConfigError(f"{cfg.command}: needs --b (and optionally --a), or a model with one top face")
+    (top,) = dual.faces_of_dim(dual.dim)
+    return MonomialChartMetric(b=top.simplex.b, a=tuple(dual.model.component(n).a for n in top.components))
 
 
 def _content_hash(cfg: ExperimentConfig, input_bytes: bytes = b"") -> str:
@@ -617,7 +617,7 @@ def _residue_verdict(
 
 
 def _sample_chart(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
-    metric = _chart_metric(cfg)
+    metric = _chart_metric(cfg, loaded)
     ts = cfg.t_schedule or (1e-4,)
     results = _sweep(metric, ts, cfg.n_samples or 100_000, cfg.seed, cfg.threads)
     rows = [
@@ -713,7 +713,7 @@ def _run_sample(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
 
 
 def _run_pushforward(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
-    metric = _chart_metric(cfg)
+    metric = _chart_metric(cfg, loaded)
     if len(cfg.t_schedule) != 1:
         raise ConfigError("pushforward needs a single --t value")
     t = cfg.t_schedule[0]
@@ -748,7 +748,7 @@ def _run_pushforward(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
 
 
 def _run_fit_mass(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
-    metric = _chart_metric(cfg)
+    metric = _chart_metric(cfg, loaded)
     check_fit_schedule(cfg.t_schedule)
     n = cfg.n_samples or 100_000
     results = _sweep(metric, cfg.t_schedule, n, cfg.seed, cfg.threads)
@@ -1373,9 +1373,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         report = run(config)
-    except (ConfigError, ModelSpecError, ValueError) as err:
+    except ValueError as err:
         print(f"[error] {err}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     for v in report.verdicts:
         status = "pass" if v.passed else "FAIL"
         print(f"[{status}] {v.name}: {v.detail} (discrepancy {v.discrepancy:.4g}, limit {v.limit:g})")

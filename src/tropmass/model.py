@@ -14,31 +14,41 @@ that governs local integrability of residual volume forms.
 
 Models can also be read from a small structured text format::
 
-    # comment
     [components]
-    E0  b=1  a=0
+    E0  b=1  a=0      # name, integer multiplicity b, rational weight a (default 0)
     E1  b=2  a=1
     [strata]
-    E0 & E1  count=1
+    E0
+    E1
+    E0 & E1  count=1  # an &-list of components, connected pieces (default 1)
     [pairs]
-    H  c=1/2
+    H  c=1/2          # name, coefficient c < 1
 
-Every component must also appear as a singleton stratum (its own connected-
-component count), and listed strata must be downward closed under taking
-nonempty subsets.  Parse errors cite the offending line number.
+``#`` starts a comment at the start of a line or after whitespace, so a face
+id such as ``E0&E1#1`` is read whole.  Every component must also appear as a
+singleton stratum, and listed strata must be downward closed under taking
+nonempty subsets.  `read_spec` reads the format from a table with one row per
+section; every error cites its own line, the section and the field or entry
+at fault, and an error of the whole model cites the line of its entry.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .lattice import AffineFunctionOnSimplex, ZSimplex
 
 
 class ModelError(ValueError):
-    """Invalid model data (validation or lookup failure)."""
+    """Invalid model data; ``entry`` is the component, stratum or pair divisor at fault, if any."""
+
+    def __init__(self, message: str, entry: object = None) -> None:
+        super().__init__(message)
+        self.entry = entry
 
 
 class ModelSpecError(ValueError):
@@ -110,34 +120,32 @@ class WeightedSncModel:
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "strata", tuple(self.strata))
         object.__setattr__(self, "pair_divisors", tuple(self.pair_divisors))
-        names = [c.name for c in self.components]
-        if len(set(names)) != len(names):
-            raise ModelError("component names must be unique")
-        known = set(names)
-        listed: dict[frozenset[str], int] = {}
+        known: set[str] = set()
+        for c in self.components:
+            if c.name in known:
+                raise ModelError(f"component {c.name!r} listed twice", c)
+            known.add(c.name)
+        listed: dict[frozenset[str], Stratum] = {}
         for s in self.strata:
-            for n in s.components:
-                if n not in known:
-                    raise ModelError(f"stratum references unknown component {n!r}")
-            key = frozenset(s.components)
-            if key in listed:
-                raise ModelError(f"stratum {sorted(key)!r} listed twice")
-            listed[key] = s.count
-        for n in names:
-            if frozenset((n,)) not in listed:
-                raise ModelError(f"component {n!r} has no singleton stratum entry")
-        for key in listed:
-            if len(key) > 1:
-                for n in key:
-                    sub = key - {n}
-                    if sub not in listed:
-                        raise ModelError(
-                            f"strata not downward closed: {sorted(key)!r} listed "
-                            f"but {sorted(sub)!r} missing"
-                        )
-        pair_names = [p.name for p in self.pair_divisors]
-        if len(set(pair_names)) != len(pair_names) or set(pair_names) & known:
-            raise ModelError("pair divisor names must be unique and distinct from components")
+            unknown = [n for n in s.components if n not in known]
+            if unknown:
+                raise ModelError(f"stratum {s.components!r} references unknown component {unknown[0]!r}", s)
+            if frozenset(s.components) in listed:
+                raise ModelError(f"stratum {sorted(s.components)!r} listed twice", s)
+            listed[frozenset(s.components)] = s
+        for c in self.components:
+            if frozenset((c.name,)) not in listed:
+                raise ModelError(f"component {c.name!r} has no singleton stratum entry", c)
+        for key, s in listed.items():
+            missing = [key - {n} for n in s.components if len(key) > 1 and key - {n} not in listed]
+            if missing:
+                raise ModelError(
+                    f"strata not downward closed: {sorted(key)!r} listed but {sorted(missing[0])!r} missing", s
+                )
+        for p in self.pair_divisors:
+            if p.name in known:
+                raise ModelError(f"pair divisor {p.name!r}: names must be unique and distinct from components", p)
+            known.add(p.name)
 
     def component(self, name: str) -> Component:
         return self.components[self.component_index(name)]
@@ -330,11 +338,7 @@ def is_subklt(coefficients: Mapping[str, Fraction]) -> bool:
 
 def annulus() -> WeightedSncModel:
     """Two reduced components joined along one stratum (the bidisc degeneration)."""
-    return WeightedSncModel(
-        components=(Component("E0", 1), Component("E1", 1)),
-        strata=(Stratum(("E0",)), Stratum(("E1",)), Stratum(("E0", "E1"))),
-        name="annulus",
-    )
+    return simplex_model((1, 1), name="annulus")
 
 
 def fermat_smooth() -> WeightedSncModel:
@@ -375,17 +379,8 @@ def simplex_model(
     a = tuple(a) if a is not None else (Fraction(0),) * len(b)
     comps = tuple(Component(nm, bi, ai) for nm, bi, ai in zip(names, b, a, strict=True))
     depth = len(names) - 1 if boundary else len(names)
-    strata = []
-    for size in range(1, depth + 1):
-        for J in _subsets(names, size):
-            strata.append(Stratum(J))
-    return WeightedSncModel(comps, tuple(strata), name=name)
-
-
-def _subsets(items: Sequence[str], size: int) -> list[tuple[str, ...]]:
-    from itertools import combinations
-
-    return [tuple(c) for c in combinations(items, size)]
+    strata = tuple(Stratum(J) for size in range(1, depth + 1) for J in combinations(names, size))
+    return WeightedSncModel(comps, strata, name=name)
 
 
 PRESETS = {
@@ -406,109 +401,87 @@ def load_preset(name: str, n: int = 2) -> WeightedSncModel:
 # ---------------------------------------------------------------------------
 # Model-spec text format
 
+_COMMENT = re.compile(r"(?:^|\s)#.*")  # a comment starts a line or follows whitespace
+REQUIRED = object()
+_EXPECTS = {int: "an integer", Fraction: "a rational", float: "a number"}
 
-def _parse_fraction(text: str, lineno: int, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ModelSpecError(lineno, f"cannot parse {what} {text!r} as a rational") from None
-
-
-def _parse_fields(tokens: list[str], lineno: int) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ModelSpecError(lineno, f"expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        if k in fields:
-            raise ModelSpecError(lineno, f"duplicate field {k!r}")
-        fields[k] = v
-    return fields
+# A row of the spec table: the reader of a line's head (the tokens before its
+# first key=value; None: no head), each field's (converter, default), and the
+# builder of the line's entry from the head and the fields.
+SpecSection = tuple[Callable[[list[str]], object] | None, Mapping[str, tuple[Callable, object]], Callable]
 
 
-def parse_model_spec(text: str, name: str = "model") -> WeightedSncModel:
-    """Parse the structured text format for weighted models.
+def _one_name(tokens: list[str]) -> str:
+    if len(tokens) != 1:
+        raise ValueError(f"expected one name before the fields, got {' '.join(tokens)!r}")
+    return tokens[0]
 
-    Sections ``[components]``, ``[strata]`` and optional ``[pairs]``; ``#``
-    starts a comment.  Component lines are ``name b=<int> a=<rational>``
-    (``a`` defaults to 0); stratum lines are ``nameA & nameB count=<int>``
-    (``count`` defaults to 1; singleton strata for each component are
-    required); pair lines are ``name c=<rational>``.  All errors cite the
-    line number.
+
+MODEL_SECTIONS: dict[str, SpecSection] = {
+    "components": (_one_name, {"b": (int, REQUIRED), "a": (Fraction, Fraction(0))}, Component),
+    "strata": (lambda tokens: tuple(n.strip() for n in " ".join(tokens).split("&")), {"count": (int, 1)}, Stratum),
+    "pairs": (_one_name, {"c": (Fraction, REQUIRED)}, PairDivisor),
+}
+Spec = dict[str, list[tuple[int, object]]]
+
+
+def read_spec(text: str, name: str, sections: Mapping[str, SpecSection]) -> tuple[WeightedSncModel, Spec]:
+    """Read spec text with a section table: the model and each section's ``(line, entry)`` list.
+
+    Every error raises `ModelSpecError` citing its line (for an error of the
+    whole model, the line of the entry at fault) and naming the section and
+    the field or entry at fault.
     """
-    components: list[Component] = []
-    strata: list[Stratum] = []
-    pairs: list[PairDivisor] = []
+    spec: Spec = {s: [] for s in sections}
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         if line.startswith("["):
-            if not line.endswith("]"):
-                raise ModelSpecError(lineno, f"malformed section header {line!r}")
-            section = line[1:-1].strip().lower()
-            if section not in ("components", "strata", "pairs"):
-                raise ModelSpecError(lineno, f"unknown section {section!r}")
+            section = line[1:-1].strip().lower() if line.endswith("]") else None
+            if section not in sections:
+                raise ModelSpecError(lineno, f"unknown section header {line!r}")
             continue
         if section is None:
             raise ModelSpecError(lineno, "content before any section header")
-        if section == "components":
-            tokens = line.split()
-            if len(tokens) < 2:
-                raise ModelSpecError(lineno, "component line needs a name and b=<int>")
-            cname, fields = tokens[0], _parse_fields(tokens[1:], lineno)
-            unknown = set(fields) - {"b", "a"}
-            if unknown:
-                raise ModelSpecError(lineno, f"unknown component field(s) {sorted(unknown)!r}")
-            if "b" not in fields:
-                raise ModelSpecError(lineno, "component line missing b=<int>")
-            try:
-                b = int(fields["b"])
-            except ValueError:
-                raise ModelSpecError(lineno, f"multiplicity {fields['b']!r} is not an integer") from None
-            a = _parse_fraction(fields.get("a", "0"), lineno, "weight a")
-            try:
-                components.append(Component(cname, b, a))
-            except ModelError as e:
-                raise ModelSpecError(lineno, str(e)) from None
-        elif section == "strata":
-            tokens = line.split()
-            name_tokens = [t for t in tokens if "=" not in t]
-            head = " ".join(name_tokens)
-            fields = _parse_fields([t for t in tokens if "=" in t], lineno)
-            unknown = set(fields) - {"count"}
-            if unknown:
-                raise ModelSpecError(lineno, f"unknown stratum field(s) {sorted(unknown)!r}")
-            try:
-                count = int(fields.get("count", "1"))
-            except ValueError:
-                raise ModelSpecError(lineno, f"count {fields['count']!r} is not an integer") from None
-            names = tuple(n.strip() for n in head.split("&"))
-            if any(not n for n in names):
-                raise ModelSpecError(lineno, f"malformed stratum name list {head!r}")
-            try:
-                strata.append(Stratum(names, count))
-            except ModelError as e:
-                raise ModelSpecError(lineno, str(e)) from None
-        else:  # pairs
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise ModelSpecError(lineno, "pair line needs a name and c=<rational>")
-            pname, fields = tokens[0], _parse_fields(tokens[1:], lineno)
-            if set(fields) != {"c"}:
-                raise ModelSpecError(lineno, "pair line needs exactly the field c=<rational>")
-            c = _parse_fraction(fields["c"], lineno, "pair coefficient")
-            try:
-                pairs.append(PairDivisor(pname, c))
-            except ModelError as e:
-                raise ModelSpecError(lineno, str(e)) from None
+        head, fields, build = sections[section]
+        tokens = line.split()
+        n = 0 if head is None else next((i for i, tok in enumerate(tokens) if "=" in tok), len(tokens))
+        values: dict[str, object] = {}
+        try:
+            args = () if head is None else (head(tokens[:n]),)
+            for tok in tokens[n:]:
+                key, eq, value = tok.partition("=")
+                if not eq:
+                    raise ValueError(f"expected key=value, got {tok!r}")
+                if key not in fields or key in values:
+                    raise ValueError(f"{'duplicate' if key in values else 'unknown'} field {key!r}")
+                convert = fields[key][0]
+                try:
+                    values[key] = convert(value)
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(f"field {key}={value!r} is not {_EXPECTS[convert]}") from None
+            for key, (_, default) in fields.items():
+                if key not in values and default is REQUIRED:
+                    raise ValueError(f"missing field {key!r}")
+                values.setdefault(key, default)
+            spec[section].append((lineno, build(*args, **values)))
+        except ValueError as e:
+            raise ModelSpecError(lineno, " ".join([f"[{section}]", *tokens[:n]]) + f": {e}") from None
+    components, strata, pairs = (tuple(e for _, e in spec[s]) for s in MODEL_SECTIONS)
     if not components:
-        raise ModelSpecError(1, "no components defined")
+        raise ModelSpecError(1, "[components] no components defined")
     try:
-        return WeightedSncModel(tuple(components), tuple(strata), tuple(pairs), name=name)
+        return WeightedSncModel(components, strata, pairs, name=name), spec
     except ModelError as e:
-        raise ModelSpecError(len(text.splitlines()) or 1, str(e)) from None
+        lineno, section = next((i, s) for s in MODEL_SECTIONS for i, x in spec[s] if x is e.entry)
+        raise ModelSpecError(lineno, f"[{section}] {e}") from None
+
+
+def parse_model_spec(text: str, name: str = "model") -> WeightedSncModel:
+    """Parse the model-spec text format (see the module docstring); errors cite their line."""
+    return read_spec(text, name, MODEL_SECTIONS)[0]
 
 
 def format_model_spec(m: WeightedSncModel) -> str:

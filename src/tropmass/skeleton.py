@@ -33,6 +33,10 @@ Three operations are provided:
   and ``b_sigma = 1``.  Lattice volumes are preserved: each flag cell has
   normalized volume ``1 / (d! (d+1)!)`` and the ``(d + 1)!`` of them sum to
   the volume ``1 / d!`` of the original reduced simplex.
+
+A skeleton file (`parse_skeleton_spec`) is a model-spec file plus a
+``[skeleton]`` row in its section table.  ``#`` starts a comment only at the
+start of a line or after whitespace, so ``residue_anchor=E0&E1#1`` keeps its label.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .model import DualComplex, Face, ModelSpecError, WeightedSncModel, _parse_fields, parse_model_spec
+from .model import MODEL_SECTIONS, REQUIRED, DualComplex, Face, ModelSpecError, SpecSection, WeightedSncModel, read_spec
 
 
 class SkeletonError(ValueError):
@@ -305,51 +309,30 @@ def residue_chain_propagate(
     return {c.cell_id: rho for c in sk.cells}
 
 
-def parse_skeleton_spec(
-    text: str, name: str = "skeleton"
-) -> tuple[WeightedSncModel, str | None, float | None]:
+def _anchor(residue_anchor: str, rho: float | None) -> tuple[str, float | None]:
+    if rho is not None and not (math.isfinite(rho) and rho >= 0):
+        raise ValueError("rho must be finite and >= 0")
+    return residue_anchor, rho
+
+
+SKELETON_SECTIONS: dict[str, SpecSection] = {
+    **MODEL_SECTIONS,
+    "skeleton": (None, {"residue_anchor": (str, REQUIRED), "rho": (float, None)}, _anchor),
+}
+
+
+def parse_skeleton_spec(text: str, name: str = "skeleton") -> tuple[WeightedSncModel, str | None, float | None]:
     """Parse a skeleton file: the model-spec format plus a ``[skeleton]`` section.
 
-    The optional section holds a single line
-    ``residue_anchor=<face-id> [rho=<float>]`` naming the top cell from which
-    residue magnitudes propagate and, optionally, the anchored magnitude.
-    Files without the section parse as plain models and return ``None`` for
-    both anchor fields.  Errors cite the offending line number.
+    The optional section holds one line ``residue_anchor=<face-id> [rho=<float>]``,
+    the top cell residue magnitudes propagate from and its magnitude; without
+    it both are ``None``.  Errors cite their line.
     """
-    model_lines: list[str] = []
-    anchor: str | None = None
-    rho: float | None = None
-    in_skeleton = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("[") and line.endswith("]"):
-            in_skeleton = line[1:-1].strip().lower() == "skeleton"
-            model_lines.append("" if in_skeleton else raw)
-            continue
-        if not in_skeleton:
-            model_lines.append(raw)
-            continue
-        model_lines.append("")
-        if not line:
-            continue
-        fields = _parse_fields(line.split(), lineno)
-        unknown = set(fields) - {"residue_anchor", "rho"}
-        if unknown:
-            raise ModelSpecError(lineno, f"unknown skeleton field(s) {sorted(unknown)!r}")
-        if "residue_anchor" not in fields:
-            raise ModelSpecError(lineno, "skeleton line needs residue_anchor=<face-id>")
-        if anchor is not None:
-            raise ModelSpecError(lineno, "residue_anchor given twice")
-        anchor = fields["residue_anchor"]
-        if "rho" in fields:
-            try:
-                rho = float(fields["rho"])
-            except ValueError:
-                raise ModelSpecError(lineno, f"rho {fields['rho']!r} is not a number") from None
-            if not math.isfinite(rho) or rho < 0:
-                raise ModelSpecError(lineno, "rho must be finite and >= 0")
-    model = parse_model_spec("\n".join(model_lines), name=name)
-    return model, anchor, rho
+    model, spec = read_spec(text, name, SKELETON_SECTIONS)
+    anchors = spec["skeleton"]
+    if len(anchors) > 1:
+        raise ModelSpecError(anchors[1][0], "[skeleton] residue_anchor given twice")
+    return (model, *anchors[0][1]) if anchors else (model, None, None)
 
 
 def barycentric_subdivide(dual: DualComplex) -> TriangulatedSkeleton:

@@ -195,7 +195,19 @@ def cycle_spec_text(anchor_line: str = "residue_anchor=E0&E1 rho=2.0") -> str:
     return f"{text}\n[skeleton]\n{anchor_line}\n"
 
 
+# Two components meeting in two points: two edges, the second labelled #1.
+TWO_EDGES = (
+    "[components]\nE0 b=1\nE1 b=1\n[strata]\nE0\nE1\nE0 & E1 count=2\n"
+    "[skeleton]\nresidue_anchor=E0&E1#1 rho=2.0\n"
+)
+
+
 class TestSkeletonSpecParsing:
+    def test_hash_in_anchor_is_part_of_the_face_id(self):
+        model, anchor, rho = parse_skeleton_spec(TWO_EDGES)
+        assert (anchor, rho) == ("E0&E1#1", 2.0)
+        assert model.stratum_count(("E0", "E1")) == 2
+
     def test_anchor_and_rho_round_trip(self):
         model, anchor, rho = parse_skeleton_spec(cycle_spec_text())
         assert {c.name for c in model.components} == {"E0", "E1", "E2"}
@@ -287,6 +299,17 @@ class TestExitCodes:
         assert code == 2
         assert "[error]" in err and "seed" in err
         assert not list(tmp_path.glob("hybrid-check*"))
+
+    def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        # An internal error is neither a failed check (1) nor a bad input (2).
+        def broken(cfg, loaded):
+            raise KeyError("no such column")
+
+        monkeypatch.setitem(cli.RUNNERS, "weights", broken)
+        code, out, err = run_cli(["weights", "--preset", "annulus"], tmp_path, capsys)
+        assert code == 3
+        assert "[FAIL]" not in out
+        assert "Traceback" in err and "KeyError: 'no such column'" in err
 
     def test_parse_error_reports_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.model"
@@ -523,6 +546,47 @@ class TestSubcommands:
         assert code == 0
         assert "magnitude 2 on all 3 cells" in out
 
+    def test_skeleton_check_anchor_on_a_labelled_cell(self, tmp_path, capsys):
+        spec = tmp_path / "two-edges.skel"
+        spec.write_text(TWO_EDGES)
+        code, out, _ = run_cli(["skeleton-check", "--model", str(spec)], tmp_path, capsys)
+        assert code == 0
+        assert "magnitude 2 on all 2 cells" in out
+        summary = json.loads((tmp_path / "skeleton-two-edges.json").read_text())
+        assert summary["residue_magnitudes"] == {"E0&E1": 2.0, "E0&E1#1": 2.0}
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("sample", ["--t", "1e-3,1e-4"]),
+            ("pushforward", ["--t", "1e-4", "--bins", "5"]),
+            ("fit-mass", ["--t", "1e-2..1e-5"]),
+        ],
+    )
+    def test_chart_commands_read_a_one_face_model(self, tmp_path, capsys, command, args):
+        # The chart of a model's single top face is the face's b with its
+        # components' a: the same run as the explicit --b/--a chart.
+        spec = tmp_path / "twisted.model"
+        spec.write_text("[components]\nE0 b=1\nE1 b=2 a=1\n[strata]\nE0\nE1\nE0 & E1\n")
+        args = [command, *args, "--n-samples", "2000", "--seed", "3"]
+        from_model = run_cli([*args, "--model", str(spec)], tmp_path / "m", capsys)[0]
+        from_chart = run_cli([*args, "--b", "1,2", "--a", "0,1"], tmp_path / "c", capsys)[0]
+        assert from_model == from_chart
+        csvs = sorted((tmp_path / "c").glob("*.csv"))
+        assert csvs
+        for csv_path in csvs:
+            twin = tmp_path / "m" / csv_path.name.replace("chart-1-2", "twisted")
+            assert twin.read_bytes() == csv_path.read_bytes()
+
+    def test_chart_commands_need_one_top_face(self, tmp_path, capsys):
+        spec = tmp_path / "cycle.skel"
+        spec.write_text(cycle_spec_text())
+        for model_args in (["--model", str(spec)], ["--preset", "coordinate_pencil"], []):
+            args = ["pushforward", *model_args, "--t", "1e-4", "--seed", "1"]
+            code, _, err = run_cli(args, tmp_path, capsys)
+            assert code == 2
+            assert "one top face" in err
+
     def test_skeleton_check_subdivide_remaps_anchor(self, tmp_path, capsys):
         spec = tmp_path / "cycle.skel"
         spec.write_text(cycle_spec_text())
@@ -743,8 +807,17 @@ class TestReadme:
         model_block, skeleton_block = readme_blocks("ini")
         model = parse_model_spec(model_block)
         assert [p.name for p in model.pair_divisors] == ["H"]
-        _, anchor, rho = parse_skeleton_spec(model_block + skeleton_block)
+        _, anchor, rho = parse_skeleton_spec(skeleton_block)
         assert (anchor, rho) == ("E0&E1", 2.0)
+
+    def test_skeleton_block_runs(self, tmp_path, capsys):
+        spec = tmp_path / "triangle.skel"
+        spec.write_text(readme_blocks("ini")[1])
+        code, out, _ = run_cli(["skeleton-check", "--model", str(spec)], tmp_path, capsys)
+        assert code == 0
+        assert "magnitude 2 on all 3 cells" in out
+        summary = json.loads((tmp_path / "skeleton-triangle.json").read_text())
+        assert list(summary["residue_magnitudes"].values()) == [2.0, 2.0, 2.0]
 
     def test_python_blocks_run(self, tmp_path, monkeypatch, capsys):
         # Blocks without a prompt run with exec, each in a fresh namespace

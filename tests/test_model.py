@@ -375,3 +375,95 @@ class TestModelSpecFormat:
         bad = "[components]\nE0 b=1\n[strata]\nE0\n[pairs]\nH c=3/2\n"
         with pytest.raises(ModelSpecError, match="line 6"):
             parse_model_spec(bad)
+
+    # An error of the whole model cites the line of the entry at fault, not
+    # the file's last line.
+    @pytest.mark.parametrize(
+        "text, lineno, section, entry",
+        [
+            ("[components]\nE0 b=1\nE1 b=1\n[strata]\nE0 & E2\nE0\nE1\n", 5, "strata", "'E2'"),
+            ("[components]\nE0 b=1\n[strata]\nE0\nE0\n[pairs]\nH c=0\n", 5, "strata", "'E0'"),
+            ("[components]\nE0 b=1\nE0 b=2\n[strata]\nE0\n", 3, "components", "'E0'"),
+            ("[components]\nE0 b=1\nE1 b=1\n[strata]\nE0\n[pairs]\nH c=0\n", 3, "components", "'E1'"),
+            (
+                "[components]\nE0 b=1\nE1 b=1\nE2 b=1\n[strata]\nE0\nE1\nE2\nE0 & E1 & E2\nE0 & E1\n",
+                9,
+                "strata",
+                r"downward closed: \['E0', 'E1', 'E2'\] listed but \['E1', 'E2'\] missing",
+            ),
+            ("[components]\nE0 b=1\n[strata]\nE0\n[pairs]\nE0 c=0\nH c=1/2\n", 6, "pairs", "'E0'"),
+            ("[components]\nE0 b=1\n[strata]\nE0\n[pairs]\nH c=0\nH c=1/2\nK c=0\n", 7, "pairs", "'H'"),
+        ],
+        ids=[
+            "unknown-component",
+            "stratum-twice",
+            "component-twice",
+            "no-singleton",
+            "not-downward-closed",
+            "pair-named-as-component",
+            "pair-twice",
+        ],
+    )
+    def test_model_error_cites_the_entry_line(self, text, lineno, section, entry):
+        with pytest.raises(ModelSpecError, match=rf"^line {lineno}: \[{section}\] .*{entry}") as err:
+            parse_model_spec(text)
+        assert err.value.line_number == lineno
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("E0  b=zero", r"\[components\] E0: field b='zero' is not an integer"),
+            ("E0  b=1#2", r"\[components\] E0: field b='1#2' is not an integer"),
+            ("E0  b=1  a=x", r"\[components\] E0: field a='x' is not a rational"),
+            ("E0  b=0", r"\[components\] E0: component 'E0': multiplicity must be a positive integer"),
+            ("E0  a=1", r"\[components\] E0: missing field 'b'"),
+            ("E0  b=1  colour=red", r"\[components\] E0: unknown field 'colour'"),
+            ("E0  b=1  b=2", r"\[components\] E0: duplicate field 'b'"),
+            ("E0  b=1  extra", r"\[components\] E0: expected key=value, got 'extra'"),
+            ("E0 E1  b=1", r"\[components\] E0 E1: expected one name before the fields"),
+            ("[strata]\nE0  count=x", r"\[strata\] E0: field count='x' is not an integer"),
+            ("[strata]\nE0  count=0", r"\[strata\] E0: stratum \('E0',\): count must be >= 1"),
+            ("[pairs]\nH  c=oops", r"\[pairs\] H: field c='oops' is not a rational"),
+            ("[pairs]\nH", r"\[pairs\] H: missing field 'c'"),
+            ("[components", r"unknown section header '\[components'"),
+        ],
+        ids=[
+            "b-not-integer",
+            "hash-inside-value",
+            "a-not-rational",
+            "b-zero",
+            "b-missing",
+            "unknown-field",
+            "duplicate-field",
+            "stray-token",
+            "two-names",
+            "count-not-integer",
+            "count-zero",
+            "c-not-rational",
+            "c-missing",
+            "unclosed-header",
+        ],
+    )
+    def test_line_error_names_section_and_field(self, line, message):
+        text = "[components]\n" + line + "\n"
+        lineno = text.count("\n")  # the last line is at fault
+        with pytest.raises(ModelSpecError, match=rf"^line {lineno}: {message}"):
+            parse_model_spec(text)
+
+    # `#` starts a comment at the start of a line or after whitespace; inside
+    # a word it is part of the word.
+    def test_comment_rule(self):
+        text = (
+            "# a comment line\n"
+            "  # an indented one\n"
+            "[components]   # after a header\n"
+            "E0  b=1  a=0      # multiplicity b, twist exponent a\n"
+            "E#1\tb=2\t# after a tab\n"
+            "[strata]\n"
+            "E0\n"
+            "E#1 #\n"
+            "E0 & E#1           # a connected stratum of the intersection\n"
+        )
+        m = parse_model_spec(text)
+        assert [(c.name, c.b, c.a) for c in m.components] == [("E0", 1, 0), ("E#1", 2, 0)]
+        assert [s.components for s in m.strata] == [("E0",), ("E#1",), ("E0", "E#1")]
