@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .lattice import sublattice_index
+from .lattice import _multiplicities, sublattice_index
 from .measure import SkeletalMeasure
 from .model import Face, WeightedSncModel, build_dual_complex
 
@@ -64,9 +64,7 @@ def face_base_change(b: Sequence[int], m: int, g: int | None = None) -> FaceBase
     next to the lattice index of ``Z^{p+1} + Z*(b/m)`` over ``Z^{p+1}``; the
     caller reads a disagreement from `FaceBaseChange.consistent`.
     """
-    b = tuple(int(x) for x in b)
-    if not b or any(x < 1 for x in b):
-        raise ValueError("multiplicities must be positive integers")
+    b = _multiplicities(b)
     if m < 1 or m != int(m):
         raise ValueError("base-change order m must be a positive integer")
     m = int(m)

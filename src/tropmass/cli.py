@@ -1,11 +1,13 @@
 """Command-line harness: reproducible experiments and verification suites.
 
-The ``tropmass`` command exposes the library through subcommands that share a
-small configuration vocabulary (model preset or spec file, ``t``-schedule,
-sample count, seed, bins, tolerance, output directory).  Every run produces a
-`RunReport`: the echoed configuration, a content hash of the inputs, a list
-of check verdicts that each carry a quantitative discrepancy, and timings
-(the whole command, and for ``verify`` each suite).
+`COMMANDS` has one row per ``tropmass`` subcommand: its runner, its help
+line, and each config field it reads with the default it applies; `FIELDS`
+gives each field's flag.  A subcommand's parser holds exactly its row's flags
+(and ``--out``) and takes no abbreviation, so a flag the command does not
+read exits 2, as does such a field given to `ExperimentConfig`.  Every run
+produces a `RunReport`: the configuration as used, a content hash of the
+inputs, check verdicts that each carry a quantitative discrepancy, and
+timings (the whole command, and for ``verify`` each suite).
 
 Each subcommand's runner is a pure function of the configuration and the
 loaded model: it returns an `Outcome` holding its verdicts and its artifacts,
@@ -16,9 +18,10 @@ fixed line terminator); JSON is indented with sorted keys and a trailing
 newline.  Re-running a subcommand with an identical configuration and seed
 reproduces byte-identical CSV files.
 
-Exit status is nonzero exactly when some check fails.  Statistical checks
-fail only beyond three standard errors (unless the check carries its own
-limit); exact checks fail on any discrepancy.
+Exit status is 0 when every check passes, 1 when one fails, 2 for a
+configuration or parse error and 3 for an internal error.  Statistical
+checks fail only beyond three standard errors (unless the check carries its
+own limit); exact checks fail on any discrepancy.
 
 The ``verify`` subcommand runs named suites; each suite reproduces one
 acceptance scenario end to end (``tropmass verify --suite list`` prints the
@@ -67,6 +70,7 @@ from .measure import (
 )
 from .model import (
     PRESETS,
+    REQUIRED,
     WeightedSncModel,
     build_dual_complex,
     coordinate_pencil,
@@ -103,9 +107,6 @@ from .skeleton import (
 OUTDIR_ENV = "TROPMASS_OUTDIR"
 DEFAULT_OUTDIR = "tropmass-out"
 
-SAMPLING_COMMANDS = frozenset(
-    {"sample", "pushforward", "fit-mass", "polar-check", "hybrid-check", "verify"}
-)
 LADDER = tuple(10.0**-k for k in range(2, 7))  # the suites' t schedule, 1e-2..1e-6
 
 
@@ -115,55 +116,69 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated parameters of one subcommand invocation."""
+    """Validated parameters of one subcommand invocation.
+
+    ``command`` names a row of `COMMANDS`.  A field that the row does not read
+    must stay ``None``; a field that it reads and that is not given takes the
+    row's default, and one whose default is `REQUIRED` must be given.
+    """
 
     command: str
     model: str | None = None
     b: tuple[int, ...] | None = None
     a: tuple[Fraction, ...] | None = None
-    n: int = 2
-    epsilon: float = 0.1
-    t_schedule: tuple[float, ...] = ()
+    n: int | None = None
+    epsilon: float | None = None
+    t_schedule: tuple[float, ...] | None = None
     n_samples: int | None = None
     n_polys: int | None = None
     seed: int | None = None
     bins: int | None = None
     tolerance: float | None = None
-    threads: int = 1
+    threads: int | None = None
     m: int | None = None
-    residues: tuple[tuple[str, float], ...] = ()
+    residues: tuple[tuple[str, float], ...] | None = None
     anchor: str | None = None
     rho: float | None = None
-    subdivide: bool = False
+    subdivide: bool | None = None
     suite: str | None = None
-    quick: bool = False
+    quick: bool | None = None
     outdir: str = DEFAULT_OUTDIR
 
     def __post_init__(self) -> None:
-        if self.command in SAMPLING_COMMANDS and self.seed is None:
-            raise ConfigError(f"{self.command}: --seed is mandatory for sampling subcommands")
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ConfigError("--tolerance must be positive")
-        if self.n_samples is not None and self.n_samples < 1:
-            raise ConfigError("--n-samples must be positive")
-        if self.n_polys is not None and self.n_polys < 1:
-            raise ConfigError("--n-polys and --n-sequences must be positive")
-        if self.bins is not None and self.bins < 1:
-            raise ConfigError("--bins must be positive")
-        if self.threads < 1:
-            raise ConfigError("--threads must be positive")
-        for t in self.t_schedule:
+        row = COMMANDS.get(self.command)
+        if row is None:
+            raise ConfigError(f"unknown command {self.command!r}; choose from {sorted(COMMANDS)}")
+        given = {k: v for k, v in vars(self).items() if v is not None and k not in ("command", "outdir")}
+        unread = [row.flag(name) for name in given if name not in row.reads]
+        if unread:
+            raise ConfigError(f"{self.command} does not read {', '.join(unread)}")
+        if "model" in given and ("b" in given or "a" in given):
+            raise ConfigError("give the chart either by --b/--a or by --preset/--model, not both")
+        for name in ("n_samples", "n_polys", "bins", "threads", "m", "tolerance"):
+            if name in given and not given[name] > 0:
+                raise ConfigError(f"{row.flag(name)} must be positive")
+        for t in given.get("t_schedule", ()):
             if not 0.0 < t < 1.0:
                 raise ConfigError(f"t values must lie in (0, 1), got {t!r}")
-        for _, value in self.residues:
+        residues = given.get("residues", ())
+        for _, value in residues:
             if not math.isfinite(value) or value < 0:
                 raise ConfigError("residue values must be finite and >= 0")
-        faces = [face for face, _ in self.residues]
+        faces = [face for face, _ in residues]
         if len(set(faces)) != len(faces):
             raise ConfigError(f"a residue is given twice in {faces}")
+        missing = [row.flag(k) for k, d in row.reads.items() if d is REQUIRED and given.get(k) in (None, ())]
+        if missing:
+            raise ConfigError(f"{self.command}: needs {' and '.join(missing)}")
+        for name, default in row.reads.items():
+            if name not in given:
+                object.__setattr__(self, name, default)
 
     def echo(self) -> dict[str, object]:
-        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        """The command, each field its row reads with the value used, and the output directory."""
+        names = ("command", *COMMANDS[self.command].reads, "outdir")
+        return {name: _plain(getattr(self, name)) for name in names}
 
 
 def _plain(v: object) -> object:
@@ -312,13 +327,9 @@ def _load_model(cfg: ExperimentConfig) -> Loaded:
         text = raw.decode("utf-8")
         model, anchor, rho = parse_skeleton_spec(text, name=path.stem)
         return model, anchor, rho, raw
-    return load_preset(cfg.model, cfg.n), None, None, b""
-
-
-def _need_model(cfg: ExperimentConfig, loaded: Loaded | None) -> Loaded:
-    if loaded is None:
-        raise ConfigError(f"{cfg.command}: needs --preset NAME or --model FILE")
-    return loaded
+    # The chart commands do not read --n: the preset keeps its own default.
+    preset = load_preset(cfg.model) if cfg.n is None else load_preset(cfg.model, cfg.n)
+    return preset, None, None, b""
 
 
 def _chart_metric(cfg: ExperimentConfig, loaded: Loaded | None) -> MonomialChartMetric:
@@ -338,11 +349,14 @@ def _chart_metric(cfg: ExperimentConfig, loaded: Loaded | None) -> MonomialChart
 def _content_hash(cfg: ExperimentConfig, input_bytes: bytes = b"") -> str:
     """Content hash of the run inputs: canonical config plus input file bytes.
 
-    The output directory is excluded so the hash identifies the experiment,
-    not where its artifacts land.
+    The output directory and the directory of a spec file are excluded (the
+    file counts by its name and bytes), so the hash identifies the
+    experiment, not where its inputs and artifacts live.
     """
     echoed = cfg.echo()
-    echoed.pop("outdir", None)
+    del echoed["outdir"]
+    if cfg.model is not None:
+        echoed["model"] = Path(cfg.model).name
     canonical = json.dumps(echoed, sort_keys=True).encode()
     blob = b"config %d\0" % len(canonical) + canonical + b"input %d\0" % len(input_bytes) + input_bytes
     return hashlib.sha256(blob).hexdigest()
@@ -390,7 +404,7 @@ def _slug(cfg: ExperimentConfig) -> str:
 
 
 def _run_dual_complex(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
-    model = _need_model(cfg, loaded)[0]
+    model = loaded[0]
     dual = build_dual_complex(model)
     rows = [
         {
@@ -416,7 +430,7 @@ def _run_dual_complex(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
 
 
 def _run_weights(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
-    model = _need_model(cfg, loaded)[0]
+    model = loaded[0]
     wd = weight_data(model)
     rows = [
         {"component": c.name, "b": c.b, "a": c.a, "kappa": c.kappa}
@@ -441,7 +455,7 @@ def _run_weights(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
 
 
 def _run_limit_measure(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
-    model = _need_model(cfg, loaded)[0]
+    model = loaded[0]
     masses = {face: value for face, value in cfg.residues} or None
     measure = assemble_limit_measure(model, masses)
     total = measure.total_mass
@@ -458,9 +472,7 @@ def _run_limit_measure(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
 
 
 def _run_base_change(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
-    if cfg.m is None or cfg.m < 1:
-        raise ConfigError("base-change: needs --m >= 1")
-    model = _need_model(cfg, loaded)[0]
+    model = loaded[0]
     report = model_base_change(model, cfg.m)
     bad_identity = sum(1 for _, r in report.entries if r.e * r.f * r.g != cfg.m)
     bad_lattice = sum(1 for _, r in report.entries if not r.consistent)
@@ -484,6 +496,11 @@ def _run_base_change(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
         ),
     ]
     return Outcome(verdicts, {f"base-change-{_slug(cfg)}-m{cfg.m}.csv": report.rows()})
+
+
+def _columns(obj: object, names: Sequence[str]) -> dict[str, object]:
+    """The named attributes of ``obj``, in order: the cells of one CSV row."""
+    return {name: getattr(obj, name) for name in names}
 
 
 def _sweep(
@@ -618,20 +635,10 @@ def _residue_verdict(
 
 def _sample_chart(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     metric = _chart_metric(cfg, loaded)
-    ts = cfg.t_schedule or (1e-4,)
-    results = _sweep(metric, ts, cfg.n_samples or 100_000, cfg.seed, cfg.threads)
-    rows = [
-        {
-            "t": t,
-            "n_samples": res.n_samples,
-            "accept_rate": res.accept_rate,
-            "mass": res.mass,
-            "stderr": res.stderr,
-            "mass_raw": res.mass_raw,
-            "stderr_raw": res.stderr_raw,
-        }
-        for t, res in zip(ts, results)
-    ]
+    ts = cfg.t_schedule
+    results = _sweep(metric, ts, cfg.n_samples, cfg.seed, cfg.threads)
+    columns = ("n_samples", "accept_rate", "mass", "stderr", "mass_raw", "stderr_raw")
+    rows = [{"t": t, **_columns(res, columns)} for t, res in zip(ts, results)]
     verdicts = _chart_mass_verdicts(metric, results, [f"normalized-mass-t{t:g}" for t in ts])
     return Outcome(verdicts, {f"sample-{_slug(cfg)}.csv": rows})
 
@@ -643,19 +650,10 @@ def _sample_pencil_cmd(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     if len(cfg.t_schedule) != 1:
         raise ConfigError("sample on a pencil needs a single --t value")
     t = cfg.t_schedule[0]
-    n = cfg.n_samples or 100_000
-    ks_limit = cfg.tolerance if cfg.tolerance is not None else 0.02
-    res = sample_pencil(pen, t, n, cfg.seed, bins=cfg.bins or 20, threads=cfg.threads)
+    res = sample_pencil(pen, t, cfg.n_samples, cfg.seed, bins=cfg.bins, threads=cfg.threads)
+    columns = ("n_points", "mass", "stderr", "mass_raw", "stderr_raw")
     rows = [
-        {
-            "patch": p.label,
-            "n_points": p.n_points,
-            "mass": p.mass,
-            "stderr": p.stderr,
-            "mass_raw": p.mass_raw,
-            "stderr_raw": p.stderr_raw,
-            "ks_uniform": p.ks_uniform if p.ks_uniform is not None else "",
-        }
+        {"patch": p.label, **_columns(p, columns), "ks_uniform": p.ks_uniform if p.ks_uniform is not None else ""}
         for p in res.patches
     ]
     hist_rows = [
@@ -679,7 +677,7 @@ def _sample_pencil_cmd(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     if pen.has_tropical_edges:
         patches = res.patches
         verdicts += _edge_verdicts(
-            patches, "edge-masses-pairwise-equal", "edge-uniformity-ks", ks_limit
+            patches, "edge-masses-pairwise-equal", "edge-uniformity-ks", cfg.tolerance
         )
         finite_t = math.log(1.0 / (t * pen.epsilon)) / math.log(1.0 / t)
         for p in patches:
@@ -717,53 +715,28 @@ def _run_pushforward(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     if len(cfg.t_schedule) != 1:
         raise ConfigError("pushforward needs a single --t value")
     t = cfg.t_schedule[0]
-    n = cfg.n_samples or 100_000
-    bins = cfg.bins or 50
-    ks_limit = cfg.tolerance if cfg.tolerance is not None else 0.02
-    hist = pushforward_histogram(metric, n, bins, cfg.seed, t=t, threads=cfg.threads)
+    hist = pushforward_histogram(metric, cfg.n_samples, cfg.bins, cfg.seed, t=t, threads=cfg.threads)
     verdicts = _pushforward_verdicts(
-        metric, hist, "pushforward-total-mass", "pushforward-uniformity-ks", ks_limit
+        metric, hist, "pushforward-total-mass", "pushforward-uniformity-ks", cfg.tolerance
     )
     if len(hist.coord_indices) == 1:
         e = hist.edges[0]
         rows = [
-            {
-                "bin_lo": e[k],
-                "bin_hi": e[k + 1],
-                "mass": hist.masses[k],
-                "stderr": hist.stderrs[k],
-            }
+            {"bin_lo": e[k], "bin_hi": e[k + 1], "mass": hist.masses[k], "stderr": hist.stderrs[k]}
             for k in range(len(hist.masses))
         ]
     else:
-        rows = [
-            {
-                "bin_lo": "",
-                "bin_hi": "",
-                "mass": float(hist.total_mass),
-                "stderr": float(hist.total_stderr),
-            }
-        ]
+        rows = [{"bin_lo": "", "bin_hi": "", "mass": float(hist.total_mass), "stderr": float(hist.total_stderr)}]
     return Outcome(verdicts, {f"pushforward-{_slug(cfg)}.csv": rows})
 
 
 def _run_fit_mass(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     metric = _chart_metric(cfg, loaded)
     check_fit_schedule(cfg.t_schedule)
-    n = cfg.n_samples or 100_000
-    results = _sweep(metric, cfg.t_schedule, n, cfg.seed, cfg.threads)
-    rows = [
-        {
-            "t": t,
-            "mass_raw": res.mass_raw,
-            "stderr_raw": res.stderr_raw,
-            "mass": res.mass,
-            "stderr": res.stderr,
-        }
-        for t, res in zip(cfg.t_schedule, results)
-    ]
-    c_rel_limit = cfg.tolerance if cfg.tolerance is not None else 0.02
-    verdicts, fit, predicted = _fit_verdicts(metric, results, "fit", c_rel_limit)
+    results = _sweep(metric, cfg.t_schedule, cfg.n_samples, cfg.seed, cfg.threads)
+    columns = ("mass_raw", "stderr_raw", "mass", "stderr")
+    rows = [{"t": t, **_columns(res, columns)} for t, res in zip(cfg.t_schedule, results)]
+    verdicts, fit, predicted = _fit_verdicts(metric, results, "fit", cfg.tolerance)
     name = f"fit-mass-{_slug(cfg)}"
     summary = {"fit": dataclasses.asdict(fit), "predicted": predicted}
     return Outcome(verdicts, {f"{name}.csv": rows, f"{name}.json": summary})
@@ -779,16 +752,13 @@ def _run_polar_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     ``p = 0``, ``b = 3`` fiber is enumerated exactly: three points of mass
     ``1/9`` each.
     """
-    n = cfg.n_samples or 1_000_000
-    n_polys = cfg.n_polys or 10
-    rel_limit = cfg.tolerance if cfg.tolerance is not None else 0.01
-    seed = cfg.seed
+    n, seed = cfg.n_samples, cfg.seed
     rng = np.random.default_rng(seed)
     anchor = ((0, 0), (0, 0), 1.0 + 0j)
     verdicts: list[CheckVerdict] = []
     rows: list[dict[str, object]] = []
-    n_full = n_polys // 2
-    for trial in range(n_polys):
+    n_full = cfg.n_polys // 2
+    for trial in range(cfg.n_polys):
         f = TrigPoly.random_hermitian(rng, 2, max_degree=2, n_terms=3)
         f = TrigPoly(f.terms + (anchor,))
         if trial < n_full:
@@ -803,7 +773,7 @@ def _run_polar_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
             bound_check(
                 f"polar-rel-{label}",
                 rel,
-                rel_limit,
+                cfg.tolerance,
                 f"{res.identity}: MC {res.mc_value:.6g} vs exact {res.exact_value:.6g}",
             )
         )
@@ -847,17 +817,10 @@ def _run_polar_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
             "the three enumerated points satisfy z^3 = t to floating rounding",
         )
     )
-    rows.append(
-        {
-            "check": "point-fiber-b3",
-            "identity": "point-enumeration",
-            "mc_value": "",
-            "exact_value": repr(1.0 / 9.0),
-            "mc_stderr": 0.0,
-            "rel_discrepancy": exact_gap,
-            "sigmas": 0.0,
-        }
-    )
+    rows.append({
+        "check": "point-fiber-b3", "identity": "point-enumeration", "mc_value": "", "exact_value": repr(1.0 / 9.0),
+        "mc_stderr": 0.0, "rel_discrepancy": exact_gap, "sigmas": 0.0,
+    })
     return Outcome(verdicts, {f"polar-check-seed{seed}.csv": rows})
 
 
@@ -874,7 +837,7 @@ def _run_hybrid_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     neighborhoods on randomized sequences; the seminorm must be
     multiplicative and restrict to ``|t| = r`` on the hybrid circle.
     """
-    n_seq = cfg.n_polys or 1000
+    n_seq = cfg.n_polys
     verdicts: list[CheckVerdict] = []
     ks = range(1, 60)
     bad = 0
@@ -987,7 +950,7 @@ def _random_laurent(rng: np.random.Generator) -> LaurentSeriesPoly:
 
 
 def _run_skeleton_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
-    model, anchor_from_file, rho_from_file, _ = _need_model(cfg, loaded)
+    model, anchor_from_file, rho_from_file, _ = loaded
     dual = build_dual_complex(model)
     sk = barycentric_subdivide(dual) if cfg.subdivide else TriangulatedSkeleton.from_dual_complex(dual)
     report = pseudomanifold_check(sk)
@@ -1129,9 +1092,8 @@ def suite_decay(seed: int = 0, quick: bool = False, threads: int = 1) -> list[Ch
 
 
 def suite_polar(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
-    """The ``polar-check`` runner: 10 test functions, tolerance 0.01, 10^6 samples (10^5 quick)."""
-    n = 100_000 if quick else 1_000_000
-    cfg = ExperimentConfig(command="polar-check", seed=seed, n_samples=n, threads=threads)
+    """The ``polar-check`` runner at its defaults; 10^5 samples when quick."""
+    cfg = ExperimentConfig(command="polar-check", seed=seed, n_samples=100_000 if quick else None)
     return _run_polar_check(cfg, None).verdicts
 
 
@@ -1175,10 +1137,8 @@ def suite_pencil(seed: int = 0, quick: bool = False, threads: int = 1) -> list[C
 
 
 def suite_hybrid(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
-    """The ``hybrid-check`` runner on 1000 random sequences (200 when quick)."""
-    cfg = ExperimentConfig(
-        command="hybrid-check", seed=seed, n_polys=200 if quick else 1000, threads=threads
-    )
+    """The ``hybrid-check`` runner at its defaults; 200 random sequences when quick."""
+    cfg = ExperimentConfig(command="hybrid-check", seed=seed, n_polys=200 if quick else None)
     return _run_hybrid_check(cfg, None).verdicts
 
 
@@ -1226,12 +1186,9 @@ SUITES: dict[str, Callable[..., list[CheckVerdict]]] = {
 
 
 def _run_verify(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
-    if cfg.suite is None:
-        raise ConfigError("verify: needs --suite NAME (or --suite list)")
+    if cfg.suite != "all" and cfg.suite not in SUITES:
+        raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)} or 'all'")
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
-    for name in names:
-        if name not in SUITES:
-            raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     verdicts: list[CheckVerdict] = []
     timings: list[tuple[str, float]] = []
     for name in names:
@@ -1241,18 +1198,87 @@ def _run_verify(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     return Outcome(verdicts, {}, timings)
 
 
-RUNNERS: dict[str, Callable[[ExperimentConfig, Loaded | None], Outcome]] = {
-    "dual-complex": _run_dual_complex,
-    "weights": _run_weights,
-    "limit-measure": _run_limit_measure,
-    "base-change": _run_base_change,
-    "sample": _run_sample,
-    "pushforward": _run_pushforward,
-    "fit-mass": _run_fit_mass,
-    "polar-check": _run_polar_check,
-    "hybrid-check": _run_hybrid_check,
-    "skeleton-check": _run_skeleton_check,
-    "verify": _run_verify,
+# ---------------------------------------------------------------------------
+# the command table: one row per subcommand, one flag entry per config field
+
+Flags = Mapping[str, Mapping[str, object]]  # flag -> its argparse keywords
+
+
+class Command(NamedTuple):
+    """A subcommand: its runner, its help line, and each config field it reads.
+
+    ``reads`` maps each field to the default the command applies: ``None``
+    leaves it unset, `REQUIRED` makes it mandatory.  Every command also takes
+    ``--out``.  ``own_flags`` spells a field this command's own way.
+    """
+
+    runner: Callable[[ExperimentConfig, Loaded | None], Outcome]
+    help: str
+    reads: Mapping[str, object]
+    own_flags: Mapping[str, Flags] = {}
+
+    def flags(self, name: str) -> Flags:
+        return self.own_flags.get(name, FIELDS[name])
+
+    def flag(self, name: str) -> str:
+        return " or ".join(self.flags(name))
+
+
+FIELDS: dict[str, Flags] = {
+    "model": {
+        "--preset": {"metavar": "NAME", "help": f"model preset: {sorted(PRESETS)}"},
+        "--model": {"metavar": "FILE", "help": "path to a model-spec file"},
+    },
+    "n": {"--n": {"type": int, "help": "projective dimension for coordinate_pencil"}},
+    "b": {"--b": {"help": "chart multiplicities, e.g. 1,2"}},
+    "a": {"--a": {"help": "chart twist weights, e.g. 0,1/2"}},
+    "epsilon": {"--epsilon": {"type": float, "help": "pencil modulus"}},
+    "t_schedule": {"--t": {"metavar": "T", "help": "t value or schedule (1e-2..1e-6 or comma list)"}},
+    "n_samples": {"--n-samples": {"type": int, "metavar": "N", "help": "Monte-Carlo samples"}},
+    "n_polys": {"--n-polys": {"type": int, "metavar": "N", "help": "random test functions"}},
+    "seed": {"--seed": {"type": int, "help": "RNG seed"}},
+    "bins": {"--bins": {"type": int, "help": "histogram bins"}},
+    "tolerance": {"--tolerance": {"type": float, "help": "limit of the command's tolerance checks"}},
+    "threads": {"--threads": {"type": int, "help": "sampler threads (results do not depend on them)"}},
+    "m": {"--m": {"type": int, "help": "degree of the base change"}},
+    "residues": {"--residue": {"action": "append", "metavar": "FACE=VALUE", "help": "residual mass of a face"}},
+    "anchor": {"--anchor": {"help": "anchor cell id for residue propagation"}},
+    "rho": {"--rho": {"type": float, "help": "anchor residue magnitude"}},
+    "subdivide": {"--subdivide": {"action": "store_true", "help": "barycentrically subdivide first"}},
+    "suite": {"--suite": {"help": f"suite name, 'all', or 'list' ({sorted(SUITES)})"}},
+    "quick": {"--quick": {"action": "store_true", "help": "smaller sample sizes (smoke test, not certifying)"}},
+    "outdir": {"--out": {"metavar": "OUT", "help": f"output directory (default ${OUTDIR_ENV} or ./{DEFAULT_OUTDIR})"}},
+}
+
+# The chart commands take --b/--a or a model with one top face.  --tolerance
+# bounds a KS distance (sample on a pencil preset, pushforward), the relative
+# error of c (fit-mass) or of each identity (polar-check).  --bins, --epsilon
+# and --tolerance of sample apply to the pencil presets.
+COMMANDS: dict[str, Command] = {
+    "dual-complex": Command(_run_dual_complex, "faces of the dual complex", dict(model=REQUIRED, n=2)),
+    "weights": Command(_run_weights, "slopes and the active subcomplex", dict(model=REQUIRED, n=2)),
+    "limit-measure": Command(_run_limit_measure, "assemble the limit measure", dict(
+        model=REQUIRED, n=2, residues=())),
+    "base-change": Command(_run_base_change, "exact base-change arithmetic", dict(
+        model=REQUIRED, n=2, m=REQUIRED)),
+    "sample": Command(_run_sample, "Monte-Carlo fiber mass", dict(
+        model=None, n=2, b=None, a=None, t_schedule=REQUIRED, n_samples=100_000, bins=20, epsilon=0.1,
+        tolerance=0.02, seed=REQUIRED, threads=1)),
+    "pushforward": Command(_run_pushforward, "histogram of the tropical image", dict(
+        model=None, b=None, a=None, t_schedule=REQUIRED, n_samples=100_000, bins=50, tolerance=0.02,
+        seed=REQUIRED, threads=1)),
+    "fit-mass": Command(_run_fit_mass, "fit the mass asymptotics", dict(
+        model=None, b=None, a=None, t_schedule=REQUIRED, n_samples=100_000, tolerance=0.02,
+        seed=REQUIRED, threads=1)),
+    "polar-check": Command(_run_polar_check, "polar decomposition identities", dict(
+        n_samples=1_000_000, n_polys=10, tolerance=0.01, seed=REQUIRED)),
+    "hybrid-check": Command(_run_hybrid_check, "limit-topology and seminorm checks", dict(
+        n_polys=1000, seed=REQUIRED), own_flags={"n_polys": {"--n-sequences": {
+            "type": int, "metavar": "N", "help": "random sequences"}}}),
+    "skeleton-check": Command(_run_skeleton_check, "pseudomanifold and residue checks", dict(
+        model=REQUIRED, n=2, subdivide=False, anchor=None, rho=None)),
+    "verify": Command(_run_verify, "named verification suites", dict(
+        suite=REQUIRED, quick=False, seed=REQUIRED, threads=1)),
 }
 
 
@@ -1266,7 +1292,7 @@ def run(config: ExperimentConfig) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     loaded = _load_model(config) if config.model is not None else None
-    outcome = RUNNERS[config.command](config, loaded)
+    outcome = COMMANDS[config.command].runner(config, loaded)
     paths = []
     for name, payload in outcome.artifacts.items():
         path = out / name
@@ -1289,58 +1315,18 @@ def run(config: ExperimentConfig) -> RunReport:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tropmass",
-        description="Exact skeletal limit measures of degenerating volume forms, "
-        "with Monte-Carlo verification.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", dest="outdir", metavar="OUT", default=None, help=f"output directory (default ${OUTDIR_ENV} or ./{DEFAULT_OUTDIR})")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory for sampling)")
-    common.add_argument("--threads", type=int, default=1, help="sampler chunks run in this many threads (results do not depend on it)")
-    common.add_argument("--tolerance", type=float, default=None, help="override the default check tolerance")
-
-    model_args = argparse.ArgumentParser(add_help=False)
-    group = model_args.add_mutually_exclusive_group()
-    group.add_argument("--preset", dest="model", metavar="NAME", help=f"model preset: {sorted(PRESETS)}")
-    group.add_argument("--model", dest="model", metavar="FILE", help="path to a model-spec file")
-    model_args.add_argument("--n", type=int, default=2, help="projective dimension for coordinate_pencil")
-
-    chart_args = argparse.ArgumentParser(add_help=False)
-    chart_args.add_argument("--b", default=None, help="chart multiplicities, e.g. 1,2")
-    chart_args.add_argument("--a", default=None, help="chart twist weights, e.g. 0,1/2")
-
+    """One subparser per row of `COMMANDS`, with exactly the flags of the fields it reads."""
+    description = "Exact skeletal limit measures of degenerating volume forms, with Monte-Carlo verification."
+    parser = argparse.ArgumentParser(prog="tropmass", description=description, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("dual-complex", parents=[common, model_args], help="faces of the dual complex")
-    sub.add_parser("weights", parents=[common, model_args], help="slopes and the active subcomplex")
-    p = sub.add_parser("limit-measure", parents=[common, model_args], help="assemble the limit measure")
-    p.add_argument("--residue", dest="residues", action="append", default=[], metavar="FACE=VALUE", help="residual mass of a face")
-    p = sub.add_parser("base-change", parents=[common, model_args], help="exact base-change arithmetic")
-    p.add_argument("--m", type=int, required=True, help="degree of the base change")
-    p = sub.add_parser("sample", parents=[common, model_args, chart_args], help="Monte-Carlo fiber mass")
-    p.add_argument("--t", dest="t_schedule", metavar="T", required=True, help="t value or schedule (1e-2..1e-6 or comma list)")
-    p.add_argument("--n-samples", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=0.1, help="pencil modulus")
-    p = sub.add_parser("pushforward", parents=[common, model_args, chart_args], help="histogram of the tropical image")
-    p.add_argument("--t", dest="t_schedule", metavar="T", required=True)
-    p.add_argument("--n-samples", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p = sub.add_parser("fit-mass", parents=[common, model_args, chart_args], help="fit the mass asymptotics")
-    p.add_argument("--t", dest="t_schedule", metavar="T", required=True, help="t schedule, e.g. 1e-2..1e-6")
-    p.add_argument("--n-samples", type=int, default=None)
-    p = sub.add_parser("polar-check", parents=[common], help="polar decomposition identities")
-    p.add_argument("--n-samples", type=int, default=None)
-    p.add_argument("--n-polys", type=int, default=None)
-    p = sub.add_parser("hybrid-check", parents=[common], help="limit-topology and seminorm checks")
-    p.add_argument("--n-sequences", dest="n_polys", metavar="N", type=int, default=None)
-    p = sub.add_parser("skeleton-check", parents=[common, model_args], help="pseudomanifold and residue checks")
-    p.add_argument("--subdivide", action="store_true", help="barycentrically subdivide first")
-    p.add_argument("--anchor", default=None, help="anchor cell id for residue propagation")
-    p.add_argument("--rho", type=float, default=None, help="anchor residue magnitude")
-    p = sub.add_parser("verify", parents=[common], help="named verification suites")
-    p.add_argument("--suite", required=True, help=f"suite name, 'all', or 'list' ({sorted(SUITES)})")
-    p.add_argument("--quick", action="store_true", help="smaller sample sizes (smoke test, not certifying)")
+    for command, row in COMMANDS.items():
+        p = sub.add_parser(command, help=row.help, allow_abbrev=False)
+        for name, default in (*row.reads.items(), ("outdir", None)):
+            flags = row.flags(name)
+            target = p.add_mutually_exclusive_group() if len(flags) > 1 else p
+            note = " (required)" if default is REQUIRED else f" (default {default})" if default else ""
+            for flag, kwargs in flags.items():
+                target.add_argument(flag, dest=name, **{**kwargs, "help": kwargs["help"] + note})
     return parser
 
 

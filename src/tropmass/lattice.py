@@ -7,8 +7,8 @@ This module computes, in exact integer/rational arithmetic:
 * the lattice-normalized volume of ``sigma``,
 * the index of the rescaling map between the tangent lattices of ``sigma``
   and of the reduced (all-multiplicities-one) simplex, via explicit integer
-  coordinates and a determinant (independent of the closed-form product
-  formula),
+  coordinates and the index of the lattice they span (independent of the
+  closed-form product formula),
 * the constant density of the lattice-normalized Lebesgue measure in the
   standard affine chart that drops one coordinate.
 
@@ -19,24 +19,35 @@ oracles for the Monte-Carlo estimators elsewhere in the package.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
 
-def _validate_multiplicities(b: Sequence[int]) -> tuple[int, ...]:
+def _multiplicity(x: object, what: str = "multiplicity") -> int:
+    """The one rule for a multiplicity: an integer (``operator.index``), not a bool, at least 1.
+
+    So ``2`` and ``numpy.int64(2)`` pass, while ``1.5``, ``2.0`` and ``True``
+    raise `ValueError`.
+    """
+    if isinstance(x, bool):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    try:
+        value = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+    if value < 1:
+        raise ValueError(f"{what} {value} must be >= 1")
+    return value
+
+
+def _multiplicities(b: Sequence[int]) -> tuple[int, ...]:
+    """A nonempty multiplicity vector, each entry checked by `_multiplicity`."""
     if len(b) == 0:
         raise ValueError("multiplicity vector must be nonempty")
-    out = []
-    for i, x in enumerate(b):
-        if x != int(x):
-            raise ValueError(f"multiplicity b_{i} = {x!r} is not an integer")
-        x = int(x)
-        if x < 1:
-            raise ValueError(f"multiplicity b_{i} = {x} must be >= 1")
-        out.append(x)
-    return tuple(out)
+    return tuple(_multiplicity(x, f"multiplicity b_{i} =") for i, x in enumerate(b))
 
 
 @dataclass(frozen=True)
@@ -59,7 +70,7 @@ class ZSimplex:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b", _validate_multiplicities(self.b))
+        object.__setattr__(self, "b", _multiplicities(self.b))
 
     @property
     def dim(self) -> int:
@@ -67,7 +78,7 @@ class ZSimplex:
 
     @property
     def multiplicity(self) -> int:
-        return math.gcd(*self.b) if len(self.b) > 1 else self.b[0]
+        return math.gcd(*self.b)
 
     def vertex(self, i: int) -> tuple[Fraction, ...]:
         """Barycentric coordinates of the i-th vertex, ``w_i = 1/b_i``."""
@@ -134,9 +145,9 @@ def simplex_volume(b: Sequence[int]) -> Fraction:
     >>> simplex_volume((6, 10, 15))
     Fraction(1, 1800)
     """
-    b = _validate_multiplicities(b)
+    b = _multiplicities(b)
     p = len(b) - 1
-    g = math.gcd(*b) if len(b) > 1 else b[0]
+    g = math.gcd(*b)
     return Fraction(g, math.factorial(p) * math.prod(b))
 
 
@@ -149,7 +160,7 @@ def kernel_basis(b: Sequence[int]) -> list[tuple[int, ...]]:
 
     Returns a list of ``n - 1`` integer vectors (empty for ``n = 1``).
     """
-    b = _validate_multiplicities(b)
+    b = _multiplicities(b)
     n = len(b)
     if n == 1:
         return []
@@ -187,29 +198,6 @@ def _bezout(a: int, c: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _reduced_coords(vec: Sequence[int]) -> list[int]:
     """Coordinates of ``vec`` in ``kernel_basis((1,) * n)``, which is ``{e_{k-1} - e_k}``.
 
@@ -231,7 +219,8 @@ def lattice_index(b: Sequence[int]) -> int:
     into the tangent lattice ``T' = {w in Z^{p+1} : sum w_i = 0}`` of the
     reduced simplex.  This function computes ``[T' : phi(T)]`` by an explicit
     integer computation (basis of ``T``, coordinates of its image in the
-    basis ``{e_{k-1} - e_k}`` of ``T'``, fraction-free determinant) rather
+    basis ``{e_{k-1} - e_k}`` of ``T'``, the index of the lattice they
+    span by `sublattice_index`) rather
     than by the closed-form product formula — so it serves as an independent
     oracle for `simplex_volume` through the identity
     ``simplex_volume(b) * lattice_index(b) == 1/p!``.
@@ -243,12 +232,9 @@ def lattice_index(b: Sequence[int]) -> int:
     >>> lattice_index((2, 3))
     6
     """
-    b = _validate_multiplicities(b)
+    b = _multiplicities(b)
     coords = [_reduced_coords([bi * wi for bi, wi in zip(b, v)]) for v in kernel_basis(b)]
-    det = _bareiss_det(coords)
-    if det == 0:
-        raise ValueError("rescaled lattice is degenerate")  # unreachable for valid b
-    return abs(det)
+    return sublattice_index(coords, len(b) - 1)
 
 
 def chart_volume(b: Sequence[int], drop: int = 0) -> Fraction:
@@ -258,7 +244,7 @@ def chart_volume(b: Sequence[int], drop: int = 0) -> Fraction:
     ``{w >= 0 : sum_{i != drop} b_i w_i <= 1}`` in ``R^p``, whose euclidean
     volume is ``1 / (p! * prod_{i != drop} b_i)``.
     """
-    b = _validate_multiplicities(b)
+    b = _multiplicities(b)
     p = len(b) - 1
     if not 0 <= drop < len(b):
         raise ValueError(f"drop index {drop} out of range")
@@ -288,10 +274,10 @@ def normalized_density_chart(b: Sequence[int], drop: int = 0) -> Fraction:
     >>> normalized_density_chart((1, 2), drop=1)
     Fraction(1, 2)
     """
-    b = _validate_multiplicities(b)
+    b = _multiplicities(b)
     if not 0 <= drop < len(b):
         raise ValueError(f"drop index {drop} out of range")
-    g = math.gcd(*b) if len(b) > 1 else b[0]
+    g = math.gcd(*b)
     return Fraction(g, b[drop])
 
 

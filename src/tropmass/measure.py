@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .lattice import simplex_volume
+from .lattice import _multiplicities, simplex_volume
 from .model import Face, ModelError, WeightedSncModel, build_dual_complex, weight_data
 
 TWO_PI = 2.0 * math.pi
@@ -51,9 +51,7 @@ class MonomialChartMetric:
     weight_fn: Callable[..., float] | None = None
 
     def __post_init__(self) -> None:
-        b = tuple(int(x) for x in self.b)
-        if not b or any(x < 1 for x in b):
-            raise ValueError("multiplicities must be positive integers")
+        b = _multiplicities(self.b)
         a = tuple(Fraction(x) for x in self.a)
         if len(a) != len(b):
             raise ValueError("need one exponent a_i per multiplicity b_i")

@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .lattice import AffineFunctionOnSimplex, ZSimplex
+from .lattice import AffineFunctionOnSimplex, ZSimplex, _multiplicity
 
 
 class ModelError(ValueError):
@@ -68,9 +68,10 @@ class Component:
     a: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        if self.b < 1 or self.b != int(self.b):
-            raise ModelError(f"component {self.name!r}: multiplicity must be a positive integer")
-        object.__setattr__(self, "b", int(self.b))
+        try:
+            object.__setattr__(self, "b", _multiplicity(self.b))
+        except ValueError:
+            raise ModelError(f"component {self.name!r}: multiplicity must be a positive integer") from None
         object.__setattr__(self, "a", Fraction(self.a))
 
     @property

@@ -46,6 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .lattice import _multiplicity
 from .model import MODEL_SECTIONS, REQUIRED, DualComplex, Face, ModelSpecError, SpecSection, WeightedSncModel, read_spec
 
 
@@ -90,11 +91,12 @@ class TopCell:
                 f"cell {self.cell_id!r}: {len(self.multiplicities)} multiplicities "
                 f"for {len(self.vertices)} vertices"
             )
-        for m in self.multiplicities:
-            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-                raise SkeletonError(
-                    f"cell {self.cell_id!r}: multiplicities must be positive integers, got {m!r}"
-                )
+        try:
+            object.__setattr__(self, "multiplicities", tuple(map(_multiplicity, self.multiplicities)))
+        except ValueError:
+            raise SkeletonError(
+                f"cell {self.cell_id!r}: multiplicities must be positive integers, got {self.multiplicities!r}"
+            ) from None
         if self.residue is not None:
             r = float(self.residue)
             if not math.isfinite(r) or r < 0:

@@ -102,7 +102,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("tol", [0.0, -0.5])
     def test_tolerance_must_be_positive(self, tol):
         with pytest.raises(ConfigError, match="tolerance"):
-            ExperimentConfig(command="dual-complex", tolerance=tol)
+            ExperimentConfig(command="polar-check", seed=1, tolerance=tol)
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 1.5, -0.1])
     def test_t_values_in_open_unit_interval(self, t):
@@ -187,6 +187,117 @@ class TestParser:
 
 
 # ---------------------------------------------------------------------------
+# the command table
+
+
+# The 21 (subcommand, flag) pairs that the parent's parser accepted and never read.
+UNREAD = [
+    *(
+        (command, flag)
+        for command in ("dual-complex", "weights", "limit-measure", "base-change", "skeleton-check")
+        for flag in ("--seed", "--threads", "--tolerance")
+    ),
+    ("polar-check", "--threads"),
+    ("hybrid-check", "--threads"),
+    ("hybrid-check", "--tolerance"),
+    ("verify", "--tolerance"),
+    ("pushforward", "--n"),
+    ("fit-mass", "--n"),
+]
+FLAG_FIELDS = {"--seed": ("seed", 1), "--threads": ("threads", 2), "--tolerance": ("tolerance", 0.5), "--n": ("n", 3)}
+# A value for each field that some row marks REQUIRED.
+REQUIRED_VALUES = {"model": "annulus", "m": 2, "t_schedule": (1e-3,), "seed": 1, "suite": "lattice"}
+
+
+def subparser(command):
+    return next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_flag_exits_two(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, flag, str(FLAG_FIELDS[flag][1])])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_field_refused(self, command, flag):
+        name, value = FLAG_FIELDS[flag]
+        with pytest.raises(ConfigError, match=f"{command} does not read {flag}$"):
+            ExperimentConfig(command=command, **{name: value})
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["hybrid-check", "--n", "10", "--seed", "1"],
+            ["polar-check", "--seed", "5", "--n-s", "2000", "--n-p", "2", "--tol", "0.5"],
+            ["verify", "--suite", "regression", "--see", "0"],
+            ["pushforward", "--preset", "annulus", "--n", "7", "--t", "1e-4", "--seed", "1"],
+            ["sample", "--pre", "annulus", "--t", "1e-4", "--seed", "1"],
+        ],
+    )
+    def test_abbreviated_flag_exits_two(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_help_formats(self, capsys, command):
+        # argparse formats help strings only here, so a stray % would fail first for a user.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: tropmass {command}")
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_flags_echo_and_row_agree(self, command):
+        row = cli.COMMANDS[command]
+        dests = {a.dest for a in subparser(command)._actions} - {"help"}
+        required = {name: REQUIRED_VALUES[name] for name, d in row.reads.items() if d is cli.REQUIRED}
+        echoed = ExperimentConfig(command=command, **required).echo()
+        assert dests == {*row.reads, "outdir"} == set(echoed) - {"command"}
+
+    def test_echo_holds_the_defaults_used(self):
+        assert ExperimentConfig(command="polar-check", seed=5, outdir="x").echo() == {
+            "command": "polar-check",
+            "n_samples": 1_000_000,
+            "n_polys": 10,
+            "tolerance": 0.01,
+            "seed": 5,
+            "outdir": "x",
+        }
+
+    def test_required_fields_named_together(self):
+        with pytest.raises(ConfigError, match="sample: needs --t and --seed$"):
+            ExperimentConfig(command="sample")
+
+    def test_empty_t_schedule_refused(self):
+        with pytest.raises(ConfigError, match="needs --t"):
+            ExperimentConfig(command="sample", seed=1, b=(1, 1), t_schedule=())
+
+    def test_unknown_command_refused(self):
+        with pytest.raises(ConfigError, match="unknown command"):
+            ExperimentConfig(command="sampel", seed=1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sample", "--preset", "annulus", "--b", "1,2"],
+            ["sample", "--preset", "coordinate_pencil", "--b", "5,5"],
+            ["fit-mass", "--preset", "annulus", "--a", "0,1"],
+        ],
+    )
+    def test_chart_and_model_together_exit_two(self, tmp_path, capsys, args):
+        code, out, err = run_cli([*args, "--t", "1e-4", "--seed", "1"], tmp_path, capsys)
+        assert code == 2
+        assert "[error]" in err and "not both" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+
+# ---------------------------------------------------------------------------
 # skeleton spec files
 
 
@@ -240,8 +351,8 @@ class TestSkeletonSpecParsing:
             parse_skeleton_spec(text)
 
     def test_model_errors_keep_their_line_numbers(self):
-        # The [skeleton] section is blanked, not removed, so model-section
-        # errors report positions in the original file.
+        # One reader walks the whole file, [skeleton] first included, so
+        # model-section errors report positions in the original file.
         text = "[skeleton]\nresidue_anchor=E0&E1\n[components]\nE0 b=oops a=0\n[strata]\nE0\n"
         with pytest.raises(ModelSpecError, match="line 4"):
             parse_skeleton_spec(text)
@@ -305,7 +416,7 @@ class TestExitCodes:
         def broken(cfg, loaded):
             raise KeyError("no such column")
 
-        monkeypatch.setitem(cli.RUNNERS, "weights", broken)
+        monkeypatch.setitem(cli.COMMANDS, "weights", cli.COMMANDS["weights"]._replace(runner=broken))
         code, out, err = run_cli(["weights", "--preset", "annulus"], tmp_path, capsys)
         assert code == 3
         assert "[FAIL]" not in out
@@ -659,6 +770,19 @@ class TestDeterminism:
         ha = json.loads((a / "sample-coordinate_pencil-report.json").read_text())
         hb = json.loads((b / "sample-coordinate_pencil-report.json").read_text())
         assert ha["content_hash"] == hb["content_hash"]
+
+    def test_content_hash_ignores_the_spec_directory(self, tmp_path, capsys):
+        # A spec file counts by its name and bytes: a copy in another
+        # directory hashes the same, a one-byte change does not.
+        text = cycle_spec_text()
+        hashes = []
+        for directory, body in (("a", text), ("b", text), ("c", text + "\n")):
+            spec = tmp_path / directory / "cycle.skel"
+            spec.parent.mkdir()
+            spec.write_text(body)
+            assert run_cli(["skeleton-check", "--model", str(spec)], spec.parent, capsys)[0] == 0
+            hashes.append(json.loads((spec.parent / "skeleton-check-cycle-report.json").read_text())["content_hash"])
+        assert hashes[0] == hashes[1] != hashes[2]
 
     def test_content_hash_tracks_seed(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

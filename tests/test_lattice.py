@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +21,10 @@ from tropmass.lattice import (
     simplex_volume,
     sublattice_index,
 )
+from tropmass.basechange import face_base_change
+from tropmass.measure import MonomialChartMetric
+from tropmass.model import Component, ModelError
+from tropmass.skeleton import SkeletonError, TopCell
 
 multiplicity_vectors = st.lists(st.integers(1, 9), min_size=1, max_size=5).map(tuple)
 
@@ -166,6 +171,34 @@ class TestZSimplex:
     def test_validation(self):
         with pytest.raises(ValueError):
             ZSimplex((0, 1))
+
+
+# Every place that takes a multiplicity applies the one rule of
+# `lattice.multiplicity`; each site maps x to what it keeps of (x, 3).
+MULTIPLICITY_SITES = {
+    "ZSimplex": (lambda x: ZSimplex((x, 3)).b, ValueError),
+    "simplex_volume": (lambda x: simplex_volume((x, 3)), ValueError),
+    "lattice_index": (lambda x: lattice_index((x, 3)), ValueError),
+    "MonomialChartMetric": (lambda x: MonomialChartMetric(b=(x, 3), a=(0, 0)).b, ValueError),
+    "face_base_change": (lambda x: face_base_change((x, 3), 2).b, ValueError),
+    "TopCell": (lambda x: TopCell("c", ("u", "v"), (x, 3)).multiplicities, SkeletonError),
+    "Component": (lambda x: (Component("E0", x).b, 3), ModelError),
+}
+
+
+class TestMultiplicityRule:
+    @pytest.mark.parametrize("site", MULTIPLICITY_SITES)
+    @pytest.mark.parametrize("x", [1.5, True, 2.0, 0])
+    def test_refused(self, site, x):
+        build, error = MULTIPLICITY_SITES[site]
+        with pytest.raises(error):
+            build(x)
+
+    @pytest.mark.parametrize("site", MULTIPLICITY_SITES)
+    def test_numpy_integer_taken_as_int(self, site):
+        build, _ = MULTIPLICITY_SITES[site]
+        # repr tells an int from np.int64 (numpy 2 prints "np.int64(2)").
+        assert repr(build(np.int64(2))) == repr(build(2))
 
 
 class TestAffineFunctionOnSimplex:
