@@ -160,7 +160,11 @@ def kernel_basis(b: Sequence[int]) -> list[tuple[int, ...]]:
 
     Returns a list of ``n - 1`` integer vectors (empty for ``n = 1``).
     """
-    b = _multiplicities(b)
+    return _kernel_basis(_multiplicities(b))
+
+
+def _kernel_basis(b: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """`kernel_basis` of a tuple that `_multiplicities` has already validated."""
     n = len(b)
     if n == 1:
         return []
@@ -233,7 +237,7 @@ def lattice_index(b: Sequence[int]) -> int:
     6
     """
     b = _multiplicities(b)
-    coords = [_reduced_coords([bi * wi for bi, wi in zip(b, v)]) for v in kernel_basis(b)]
+    coords = [_reduced_coords([bi * wi for bi, wi in zip(b, v)]) for v in _kernel_basis(b)]
     return sublattice_index(coords, len(b) - 1)
 
 

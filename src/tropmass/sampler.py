@@ -16,13 +16,16 @@ Variances are accumulated as per-chunk means and centred second moments.
 When a test function or a metric weight is given, the complex coordinates
 are built, evaluated and pooled one block of `TRIG_BLOCK` rows at a time,
 their angles from `_unit_phasor`, a table-driven ``e^{2 pi i u}`` within a
-few ulp of ``np.exp``.
+few ulp of ``np.exp``.  A test function may return ``k`` rows, ``k`` functions
+on the same draws; the estimates then come as length-``k`` arrays, row ``j``
+equal to the call with that function alone.
 
 The module also provides histogram pushforwards under the normalized log map,
 weighted Kolmogorov-Smirnov statistics against predicted limit densities,
 closed-form vs Monte-Carlo checks of the polar factorization identities
-(whose Monte-Carlo sides are `sample_fiber_measure` itself), and a
-least-squares fit recovering the mass-asymptotics exponents.
+(whose Monte-Carlo sides are `sample_fiber_measure` itself, one sample per
+identity shared by all its test functions), and a least-squares fit
+recovering the mass-asymptotics exponents.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ class FiberSampleResult:
     """Weighted samples from one fiber, with mass estimates.
 
     ``mass`` estimates the rescaled measure (the one converging to the
-    skeletal limit); ``mass_raw`` the unrescaled fiber mass.  ``w`` holds the
+    skeletal limit); ``mass_raw`` the unrescaled fiber mass.  The four
+    estimates are floats, or length-``k`` arrays for an ``h`` of ``k`` rows.  ``w`` holds the
     normalized log coordinates of the kept samples (all ``p + 1`` of them,
     summing to 1 against the multiplicities), ``weights`` their estimator
     weights; both are ``None`` unless the samples were kept.  The complex
@@ -131,17 +135,22 @@ def _map_shards(run: Callable[[int], object], jobs: int, threads: int) -> list:
 
 
 def _moments(x: np.ndarray) -> tuple[int, float, float]:
-    """``(count, mean, M2)`` of ``x``, with ``M2 = sum (x - mean)^2`` taken in two passes.
+    """``(count, mean, M2)`` along the last axis of ``x``, with ``M2 = sum (x - mean)^2``.
 
-    The values are first shifted by one of them, so a constant array has its
-    own value as the mean and ``M2 = 0`` exactly.
+    ``M2`` is taken in two passes.  The values are first shifted by one of
+    them, so a constant row has its own value as the mean and ``M2 = 0``
+    exactly.  Each row of a ``(k, rows)`` array gives the floats its own
+    one-row call gives, as arrays of length ``k``.
     """
-    shift = x[0]
+    shift = x[..., :1]
     d = x - shift
-    dm = d.mean()
+    dm = d.mean(axis=-1, keepdims=True)
     d -= dm
     d *= d
-    return x.size, float(shift + dm), float(d.sum())
+    mean, m2 = (shift + dm)[..., 0], d.sum(axis=-1)
+    if x.ndim == 1:
+        return x.size, float(mean), float(m2)
+    return x.shape[-1], mean, m2
 
 
 def _merge_moments(parts: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:
@@ -150,8 +159,8 @@ def _merge_moments(parts: Sequence[tuple[int, float, float]]) -> tuple[int, floa
     for nb, mb, m2b in parts[1:]:
         total = n + nb
         delta = mb - mean
-        mean += delta * nb / total
-        m2 += m2b + delta * delta * n * nb / total
+        mean = mean + delta * nb / total
+        m2 = m2 + (m2b + delta * delta * n * nb / total)
         n = total
     return n, mean, m2
 
@@ -325,6 +334,8 @@ def _weigh_points(
             w = w * np.exp(2.0 * _real_values(m.weight_fn(*args), "weight_fn"))
         if h is not None:
             w = w * _real_values(h(*args), "h")
+            if keep and w.ndim > 1:
+                raise ValueError("keep_samples needs an h with one value per point")
         if accept is not None:
             w = np.where(accept[block], w, 0.0)
         if keep:
@@ -350,7 +361,12 @@ def sample_fiber_measure(
     real-valued function of the ``(rows, p + 1)`` complex chart coordinates
     (and the ``(rows, transverse_dim)`` transverse coordinates, if any),
     called once per block of at most `TRIG_BLOCK` rows, as is the metric's
-    weight function; a complex-valued output raises `ValueError`.
+    weight function; a complex-valued output raises `ValueError`.  ``h``
+    returns ``(rows,)`` values, or ``(k, rows)`` for ``k`` test functions
+    on the same draws: ``mass``, ``stderr``, ``mass_raw`` and
+    ``stderr_raw`` are then length-``k`` float arrays (Python floats
+    otherwise), entry ``j`` bit-identical to the call with row ``j`` alone,
+    and ``keep_samples`` raises `ValueError`.
     ``h = None`` estimates the total mass.  Sampling is
     deterministic given ``n`` and ``seed``: the samples are drawn in chunks of
     at most `CHUNK` with independently derived sub-seeds and merged in chunk
@@ -368,7 +384,9 @@ def sample_fiber_measure(
 
     parts = _map_shards(run, chunks, threads)
     _, mean, m2 = _merge_moments([(s["n"], s["mean"], s["m2"]) for s in parts])
-    stderr = math.sqrt(m2 / n) / math.sqrt(n)
+    stderr = np.sqrt(m2 / n) / math.sqrt(n)
+    if np.ndim(mean) == 0:
+        mean, stderr = float(mean), float(stderr)
 
     # Unrescaled fiber mass: divide the rescaling factor back out.
     m = chart.metric
@@ -756,52 +774,75 @@ class PolarCheckResult:
         return sigmas(self.mc_value - self.exact_value, self.mc_stderr)
 
 
-def _require_real(f: TrigPoly) -> None:
-    """Raise `ValueError` unless each term of ``f`` has its conjugate partner.
+def _require_real(fs: Sequence[TrigPoly]) -> None:
+    """Raise `ValueError` unless ``fs`` is nonempty and every term has its conjugate partner.
 
     A term ``(a, a, c)`` with real ``c`` is its own partner.
     """
-    for (a_exp, b_exp, coeff), paired in _fold_conjugate_pairs(f.terms):
-        if not paired and not (a_exp == b_exp and coeff.imag == 0):
-            raise ValueError(
-                f"the polar checks need a real-valued f: term {(a_exp, b_exp, coeff)} "
-                "lacks its conjugate partner"
-            )
+    if not fs:
+        raise ValueError("the polar checks need at least one test function")
+    for f in fs:
+        for (a_exp, b_exp, coeff), paired in _fold_conjugate_pairs(f.terms):
+            if not paired and not (a_exp == b_exp and coeff.imag == 0):
+                raise ValueError(
+                    f"the polar checks need a real-valued f: term {(a_exp, b_exp, coeff)} "
+                    "lacks its conjugate partner"
+                )
+
+
+def _stacked(fs: Sequence[TrigPoly]) -> Callable[[np.ndarray], np.ndarray]:
+    """The test functions as one ``h``: row ``j`` of its ``(k, rows)`` value is ``fs[j]``."""
+    return lambda z: np.stack([f(z).real for f in fs])
+
+
+def _results(res: FiberSampleResult, exact: Sequence[float], identity: str) -> list[PolarCheckResult]:
+    """One `PolarCheckResult` per test function of a stacked ``h``."""
+    return [
+        PolarCheckResult(float(mc), float(se), x, identity)
+        for mc, se, x in zip(res.mass_raw, res.stderr_raw, exact)
+    ]
 
 
 def polar_full_check(
-    f: TrigPoly,
+    fs: Sequence[TrigPoly],
     n: int,
     seed: int,
     radii: Sequence[float] | None = None,
-) -> PolarCheckResult:
-    """Check the polar factorization of the polydisc area measure.
+) -> list[PolarCheckResult]:
+    """Check the polar factorization of the polydisc area measure for each ``f``.
 
-    The polydisc ``D^k`` (``k`` the number of coordinates of ``f``, unit
+    The polydisc ``D^k`` (``k`` the number of coordinates of ``fs[0]``, unit
     discs unless ``radii`` are given) is sampled by `sample_fiber_measure`
     as the transverse discs of the one-point chart ``b = (1,)``, ``a = (0,)``
     at ``t = 1/2``, whose fiber is ``{z_0 = t} x D^k`` with total mass
-    ``prod pi r_i^2``; ``f`` is evaluated on the transverse coordinates.
-    The closed-form side keeps only the diagonal terms (equal holomorphic
-    and antiholomorphic exponents), each contributing
-    ``prod_i pi r_i^{2 a_i + 2} / (a_i + 1)``.  ``f`` must be real-valued.
+    ``prod pi r_i^2``; each ``f`` is evaluated on the transverse coordinates.
+    One sample serves every ``f``: a single call with ``seed`` whose ``h``
+    returns one row per ``f``, so result ``j`` equals the call on
+    ``[fs[j]]`` with the same seed, and the results are not independent of
+    each other.  The closed-form side keeps only the diagonal terms (equal
+    holomorphic and antiholomorphic exponents), each contributing
+    ``prod_i pi r_i^{2 a_i + 2} / (a_i + 1)``.  Each ``f`` must be real-valued.
     """
-    _require_real(f)
-    if any(e < 0 for a_exp, b_exp, _ in f.terms for e in (*a_exp, *b_exp)):
+    _require_real(fs)
+    if any(e < 0 for f in fs for a_exp, b_exp, _ in f.terms for e in (*a_exp, *b_exp)):
         raise ValueError("full-polydisc check needs nonnegative exponents")
-    k = len(f.terms[0][0])
+    k = len(fs[0].terms[0][0])
     metric = MonomialChartMetric((1,), (0,), transverse_dim=k, transverse_radii=radii)
-    res = sample_fiber_measure(LocalChart(metric, 0.5), n, seed, h=lambda z, yt: f(yt).real)
+    stacked = _stacked(fs)
+    res = sample_fiber_measure(LocalChart(metric, 0.5), n, seed, h=lambda z, yt: stacked(yt))
 
-    exact = 0j
-    for a_exp, b_exp, coeff in f.terms:
-        if a_exp != b_exp:
-            continue
-        factor = 1.0
-        for ai, r in zip(a_exp, metric.transverse_radii):
-            factor *= math.pi * r ** (2 * ai + 2) / (ai + 1)
-        exact += coeff * factor
-    return PolarCheckResult(res.mass_raw, res.stderr_raw, exact.real, identity="polydisc-polar")
+    exact = []
+    for f in fs:
+        value = 0j
+        for a_exp, b_exp, coeff in f.terms:
+            if a_exp != b_exp:
+                continue
+            factor = 1.0
+            for ai, r in zip(a_exp, metric.transverse_radii):
+                factor *= math.pi * r ** (2 * ai + 2) / (ai + 1)
+            value += coeff * factor
+        exact.append(value.real)
+    return _results(res, exact, "polydisc-polar")
 
 
 def _slice_integral(
@@ -836,26 +877,27 @@ def _slice_integral(
 def polar_fiber_check(
     b: Sequence[int],
     t: complex,
-    f: TrigPoly,
+    fs: Sequence[TrigPoly],
     n: int,
     seed: int,
     radii: Sequence[float] | None = None,
-) -> PolarCheckResult:
-    """Check the polar factorization of the fiber measure ``{prod z_i^{b_i} = t}``.
+) -> list[PolarCheckResult]:
+    """Check the polar factorization of the fiber measure ``{prod z_i^{b_i} = t}`` for each ``f``.
 
     The Monte-Carlo side is `sample_fiber_measure` on the chart with
     multiplicities ``b``, exponents ``a = 0`` and polydisc ``radii``, with
-    ``h = f``: a lattice point of the slice, a Haar point of the angular
-    subtorus (``theta_0`` on a uniformly chosen one of the ``b_0``
-    branches), the unrescaled mass.  A one-coordinate chart is enumerated
-    exactly instead.  The closed-form side keeps the terms whose exponent
-    difference is an integer multiple ``s`` of ``b`` — the character
-    integral over the angular subtorus — each contributing
-    ``(2 pi)^p / gcd(b) * exp(2 pi i s phi_t)`` times the slice integral of
-    the modulus part; it handles at most two coordinates.  ``f`` must be
-    real-valued.
+    each ``f`` as ``h``: a lattice point of the slice, a Haar point of the
+    angular subtorus (``theta_0`` on a uniformly chosen one of the ``b_0``
+    branches), the unrescaled mass.  One sample serves every ``f``, as in
+    `polar_full_check`: result ``j`` equals the call on ``[fs[j]]`` with
+    the same seed.  A one-coordinate chart is enumerated exactly instead.
+    The closed-form side keeps the terms whose exponent difference is an
+    integer multiple ``s`` of ``b`` — the character integral over the
+    angular subtorus — each contributing ``(2 pi)^p / gcd(b) * exp(2 pi i
+    s phi_t)`` times the slice integral of the modulus part; it handles at
+    most two coordinates.  Each ``f`` must be real-valued.
     """
-    _require_real(f)
+    _require_real(fs)
     chart = LocalChart(MonomialChartMetric(b, (0,) * len(b), radii), t)
     b, big_l = chart.metric.b, chart.log_inv_t
     k = len(b)
@@ -863,25 +905,29 @@ def polar_fiber_check(
     phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
 
     b_sigma = math.gcd(*b)
-    exact = 0j
-    for a_exp, b_exp, coeff in f.terms:
-        diff = [ai - bi for ai, bi in zip(a_exp, b_exp)]
-        if diff[0] % b[0] != 0:
-            continue
-        s = diff[0] // b[0]
-        if any(di != s * bi for di, bi in zip(diff, b)):
-            continue
-        gamma = [ai + bi for ai, bi in zip(a_exp, b_exp)]
-        phase = complex(math.cos(TWO_PI * s * phi_t), math.sin(TWO_PI * s * phi_t))
-        exact += coeff * TWO_PI ** (k - 1) / b_sigma * phase * _slice_integral(b, gamma, big_l, ell)
+    exact = []
+    for f in fs:
+        value = 0j
+        for a_exp, b_exp, coeff in f.terms:
+            diff = [ai - bi for ai, bi in zip(a_exp, b_exp)]
+            if diff[0] % b[0] != 0:
+                continue
+            s = diff[0] // b[0]
+            if any(di != s * bi for di, bi in zip(diff, b)):
+                continue
+            gamma = [ai + bi for ai, bi in zip(a_exp, b_exp)]
+            phase = complex(math.cos(TWO_PI * s * phi_t), math.sin(TWO_PI * s * phi_t))
+            value += coeff * TWO_PI ** (k - 1) / b_sigma * phase * _slice_integral(b, gamma, big_l, ell)
+        exact.append(value.real)
 
     if k == 1:
         roots, masses = enumerate_point_fiber(chart)
-        mc, stderr = float(f(roots[:, None]).real @ masses), 0.0
-    else:
-        res = sample_fiber_measure(chart, n, seed, h=lambda z: f(z).real)
-        mc, stderr = res.mass_raw, res.stderr_raw
-    return PolarCheckResult(mc, stderr, exact.real, identity="fiber-polar")
+        return [
+            PolarCheckResult(float(f(roots[:, None]).real @ masses), 0.0, x, "fiber-polar")
+            for f, x in zip(fs, exact)
+        ]
+    res = sample_fiber_measure(chart, n, seed, h=_stacked(fs))
+    return _results(res, exact, "fiber-polar")
 
 
 # ---------------------------------------------------------------------------

@@ -846,6 +846,28 @@ class TestSuiteRegistry:
         )
         assert SUITES[suite](seed=4, quick=True) == list(report.verdicts)
 
+    @pytest.mark.parametrize("faces", ["one", "all"])
+    def test_regression_weights_are_compared_with_exact_values(self, monkeypatch, faces):
+        # Doubling the first face's weight keeps the (1, 2, 4) weights
+        # non-uniform; doubling every face keeps the reduced weights uniform.
+        # Either is wrong, and both verdicts must say so.
+        assemble = cli.assemble_limit_measure
+
+        def doubled(model, *args):
+            measure = assemble(model, *args)
+            entries = [
+                dataclasses.replace(e, residual_mass=2 * e.residual_mass) if faces == "all" or i == 0 else e
+                for i, e in enumerate(measure.entries)
+            ]
+            return dataclasses.replace(measure, entries=tuple(entries))
+
+        monkeypatch.setattr(cli, "assemble_limit_measure", doubled)
+        verdicts = SUITES["regression"](seed=0)
+        assert {v.name: v.discrepancy for v in verdicts if not v.passed} == {
+            "non-semistable-weights-non-uniform": 0.5,
+            "semistable-weights-uniform": 1.0,
+        }
+
     def test_verify_all_calls_the_samplers_through_cli(self, tmp_path, monkeypatch):
         # The benchmark's verify-all workload counts effective samples by
         # wrapping these three names in the cli module; a suite that stops

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -10,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropmass import cli
+from tropmass.cli import ExperimentConfig
 from tropmass.lattice import simplex_volume
 from tropmass.measure import MonomialChartMetric, TWO_PI, chart_limit_mass
 from tropmass.sampler import (
@@ -583,6 +587,62 @@ class TestBlockedHPath:
             sample_fiber_measure(weighted, 100, 0)
 
 
+def stacked_h(*hs):
+    """An ``h`` whose row ``j`` is ``hs[j]``."""
+    return lambda *args: np.stack([h(*args) for h in hs])
+
+
+class TestStackedH:
+    """An ``h`` of ``k`` rows gives ``k`` estimates from one set of draws."""
+
+    # (chart, test functions): discs, a metric weight, and two non-active
+    # coordinates, whose accept mask broadcasts over the rows.
+    CASES = {
+        "p0-two-discs": (
+            chart((1,), (0,), 0.3 * np.exp(1.0j), transverse_dim=2, transverse_radii=(0.7, 0.9)),
+            (disc_h, lambda z, yt: np.abs(yt[:, 0]) ** 2, lambda z, yt: yt[:, 1].imag),
+        ),
+        "p2-weight-fn": (
+            chart((1, 1, 1), (0, 0, 0), 1e-3 * np.exp(-0.7j), weight_fn=log_weight),
+            (branch_h, lambda z: np.abs(z[:, 2]) ** 2, lambda z: np.ones(len(z))),
+        ),
+        "two-non-active": (
+            chart((1, 1, 1), (0, 1, 1), 1e-3),
+            (branch_h, lambda z: (z[:, 1] * np.conj(z[:, 2])).real, lambda z: np.ones(len(z))),
+        ),
+    }
+
+    @pytest.mark.parametrize("n", [3 * TRIG_BLOCK + 5, CHUNK + 5])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_equal_separate_calls(self, case, n):
+        c, hs = self.CASES[case]
+        res = sample_fiber_measure(c, n, 8, h=stacked_h(*hs))
+        assert res.mass.shape == res.stderr.shape == res.mass_raw.shape == (len(hs),)
+        for j, h in enumerate(hs):
+            one = sample_fiber_measure(c, n, 8, h=h)
+            estimates = (res.mass[j], res.stderr[j], res.mass_raw[j], res.stderr_raw[j])
+            assert estimates == (one.mass, one.stderr, one.mass_raw, one.stderr_raw)
+            assert res.n_accepted == one.n_accepted
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_threads_change_nothing(self, case):
+        c, hs = self.CASES[case]
+        one, two = (sample_fiber_measure(c, 2 * CHUNK + 3, 5, h=stacked_h(*hs), threads=k) for k in (1, 2))
+        np.testing.assert_array_equal(two.mass, one.mass)
+        np.testing.assert_array_equal(two.stderr, one.stderr)
+
+    def test_keep_samples_needs_one_row(self):
+        c, hs = self.CASES["two-non-active"]
+        with pytest.raises(ValueError, match="keep_samples"):
+            sample_fiber_measure(c, 100, 0, h=stacked_h(*hs), keep_samples=True)
+
+    def test_one_row_h_gives_python_floats(self):
+        c, hs = self.CASES["two-non-active"]
+        for h in (None, hs[0]):
+            res = sample_fiber_measure(c, 100, 0, h=h)
+            assert {type(v) for v in (res.mass, res.stderr, res.mass_raw, res.stderr_raw)} == {float}
+
+
 class TestBlockedPolarChecks:
     # Three full blocks and a short one, against unblocked np.exp references
     # built from the same seeded draws.
@@ -613,7 +673,7 @@ class TestBlockedPolarChecks:
         c = chart((1,), (0,), 0.5, transverse_dim=2, transverse_radii=radii)
         vals = reference_values(c, self.N, seed, lambda z, yt: self.F(yt).real)
         vals *= math.prod(math.pi * r**2 for r in radii)
-        res = polar_full_check(self.F, self.N, seed, radii=radii)
+        res = polar_full_check([self.F], self.N, seed, radii=radii)[0]
         assert_same_estimate(res.mc_value, res.mc_stderr, vals)
 
     @pytest.mark.parametrize("b", [(1, 2), (2, 1), (3, 1)])
@@ -624,39 +684,80 @@ class TestBlockedPolarChecks:
         # The unrescaled fiber mass 2 pi L / (b_0 b_1), spread evenly.
         vals = reference_values(c, self.N, seed, lambda z: f(z).real)
         vals *= TWO_PI * c.log_inv_t / (b[0] * b[1])
-        res = polar_fiber_check(b, t, f, self.N, seed)
+        res = polar_fiber_check(b, t, [f], self.N, seed)[0]
         assert_same_estimate(res.mc_value, res.mc_stderr, vals)
+
+    # Two more real test functions, to share the draws of F.
+    G = TrigPoly(
+        (
+            ((1, 0), (1, 0), 2.0 + 0j),
+            ((0, 2), (0, 1), 0.4 - 0.2j),
+            ((0, 1), (0, 2), 0.4 + 0.2j),
+        )
+    )
+    H = TrigPoly((((0, 0), (0, 0), -1.0 + 0j), ((2, 0), (0, 0), 0.5j), ((0, 0), (2, 0), -0.5j)))
+
+    @pytest.mark.parametrize("radii", [(1.0, 1.0), (0.7, 0.9)])
+    def test_full_check_of_several_functions_matches_unblocked_references(self, radii):
+        seed, fs = 21, (self.F, self.G, self.H)
+        c = chart((1,), (0,), 0.5, transverse_dim=2, transverse_radii=radii)
+        results = polar_full_check(fs, self.N, seed, radii=radii)
+        assert len(results) == len(fs)
+        for f, res in zip(fs, results):
+            vals = reference_values(c, self.N, seed, lambda z, yt: f(yt).real)
+            vals *= math.prod(math.pi * r**2 for r in radii)
+            assert_same_estimate(res.mc_value, res.mc_stderr, vals)
+
+    @pytest.mark.parametrize("b", [(1, 2), (2, 1), (3, 1)])
+    def test_fiber_check_of_several_functions_matches_unblocked_references(self, b):
+        seed, t, fs = 22, 1e-3 * np.exp(2.5j), (self.F, self.G, self.H)
+        c = chart(b, (0, 0), t)
+        results = polar_fiber_check(b, t, fs, self.N, seed)
+        assert len(results) == len(fs)
+        for f, res in zip(fs, results):
+            vals = reference_values(c, self.N, seed, lambda z: f(z).real)
+            vals *= TWO_PI * c.log_inv_t / (b[0] * b[1])
+            assert_same_estimate(res.mc_value, res.mc_stderr, vals)
+
+    @pytest.mark.parametrize("n", [3 * TRIG_BLOCK + 5, CHUNK + 5])
+    def test_each_result_is_its_one_function_call(self, n):
+        fs, t = (self.F, self.G, self.H), 1e-3 * np.exp(2.5j)
+        full = polar_full_check(fs, n, 31)
+        fiber = polar_fiber_check((2, 1), t, fs, n, 32)
+        for j, f in enumerate(fs):
+            assert full[j] == polar_full_check([f], n, 31)[0]
+            assert fiber[j] == polar_fiber_check((2, 1), t, [f], n, 32)[0]
 
 
 class TestPolarChecks:
     def test_full_constant_is_exact(self):
         f = TrigPoly((((0, 0), (0, 0), 1.0 + 0j),))
-        res = polar_full_check(f, 1000, seed=1)
+        res = polar_full_check([f], 1000, seed=1)[0]
         assert res.mc_value == pytest.approx(math.pi**2, rel=1e-12)
         assert res.exact_value == pytest.approx(math.pi**2, rel=1e-12)
 
     def test_full_modulus_squared(self):
         f = TrigPoly((((1, 0), (1, 0), 1.0 + 0j),))
-        res = polar_full_check(f, 400_000, seed=2)
+        res = polar_full_check([f], 400_000, seed=2)[0]
         assert res.exact_value == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
         assert res.sigmas < 4
         assert res.rel_discrepancy < 0.01
 
     def test_full_off_diagonal_vanishes(self):
         f = TrigPoly((((2, 0), (0, 1), 1.0 + 0j), ((0, 1), (2, 0), 1.0 - 0j)))
-        res = polar_full_check(f, 200_000, seed=3)
+        res = polar_full_check([f], 200_000, seed=3)[0]
         assert res.exact_value == 0
         assert abs(res.mc_value) < 4 * res.mc_stderr
 
     def test_full_rejects_laurent_terms(self):
         f = TrigPoly((((-1, 0), (-1, 0), 1.0 + 0j),))
         with pytest.raises(ValueError):
-            polar_full_check(f, 100, seed=0)
+            polar_full_check([f], 100, seed=0)
 
     def test_fiber_point_case_exact(self):
         # One-coordinate chart b = 3: three fiber points of mass 1/9.
         f = TrigPoly((((0,), (0,), 1.0 + 0j),))
-        res = polar_fiber_check((3,), 1e-3, f, 100, seed=0)
+        res = polar_fiber_check((3,), 1e-3, [f], 100, seed=0)[0]
         assert res.mc_stderr == 0.0
         assert res.mc_value == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert res.exact_value == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -668,7 +769,7 @@ class TestPolarChecks:
         t = 1e-3 * np.exp(1j * 1.1)
         c = 1.0 - 0.5j
         f = TrigPoly((((3,), (0,), c), ((0,), (3,), c.conjugate())))
-        res = polar_fiber_check((3,), t, f, 100, seed=0)
+        res = polar_fiber_check((3,), t, [f], 100, seed=0)[0]
         expected = 2.0 * (c * t).real / 3.0
         assert res.mc_value == pytest.approx(expected, rel=1e-12)
         assert res.exact_value == pytest.approx(expected, rel=1e-12)
@@ -679,7 +780,7 @@ class TestPolarChecks:
         t = 1e-3 * np.exp(0.7j)
         c = 0.5 + 0.25j
         f = TrigPoly((((0,), (0,), 1.1 + 0j), ((2,), (0,), c), ((0,), (2,), c.conjugate())))
-        res = polar_fiber_check((2,), t, f, 100, seed=0)
+        res = polar_fiber_check((2,), t, [f], 100, seed=0)[0]
         assert res.mc_stderr == 0.0
         expected = (1.1 + 2.0 * (c * t).real) / 2.0
         assert res.mc_value == pytest.approx(expected, rel=1e-12)
@@ -688,14 +789,14 @@ class TestPolarChecks:
 
     def test_fiber_point_case_offbranch_vanishes(self):
         f = TrigPoly((((1,), (0,), 1.0 + 0j), ((0,), (1,), 1.0 + 0j)))
-        res = polar_fiber_check((3,), 1e-3, f, 100, seed=0)
+        res = polar_fiber_check((3,), 1e-3, [f], 100, seed=0)[0]
         assert res.exact_value == 0
         assert abs(res.mc_value) < 1e-15
 
     def test_fiber_annulus_modulus_squared(self):
         t = 1e-3
         f = TrigPoly((((1, 0), (1, 0), 1.0 + 0j),))
-        res = polar_fiber_check((1, 1), t, f, 300_000, seed=5)
+        res = polar_fiber_check((1, 1), t, [f], 300_000, seed=5)[0]
         exact = math.pi * (1.0 - t * t)
         assert res.exact_value == pytest.approx(exact, rel=1e-12)
         assert res.sigmas < 4
@@ -704,7 +805,7 @@ class TestPolarChecks:
     def test_fiber_constant_total_mass(self):
         t = 1e-2
         f = TrigPoly((((0, 0), (0, 0), 1.0 + 0j),))
-        res = polar_fiber_check((1, 1), t, f, 1000, seed=5)
+        res = polar_fiber_check((1, 1), t, [f], 1000, seed=5)[0]
         assert res.mc_value == pytest.approx(TWO_PI * math.log(1.0 / t), rel=1e-12)
         assert res.mc_stderr == pytest.approx(0.0, abs=1e-9)
         assert res.rel_discrepancy < 1e-12
@@ -715,10 +816,10 @@ class TestPolarChecks:
         t = 1e-2 * np.exp(0.4j)
         c = 0.3 + 0.8j
         f = TrigPoly((((2, 2), (0, 0), c), ((0, 0), (2, 2), c.conjugate())))
-        res = polar_fiber_check((2, 2), t, f, 200_000, seed=6)
+        res = polar_fiber_check((2, 2), t, [f], 200_000, seed=6)[0]
         # On the fiber z_0^2 z_1^2 = t identically, so both sides must give
         # 2 Re(c t) times the total mass.
-        total = polar_fiber_check((2, 2), t, TrigPoly((((0, 0), (0, 0), 1.0),)), 10, seed=0)
+        total = polar_fiber_check((2, 2), t, [TrigPoly((((0, 0), (0, 0), 1.0),))], 10, seed=0)[0]
         expected = 2.0 * (c * t).real * total.exact_value
         assert res.exact_value == pytest.approx(expected, rel=1e-12)
         assert res.mc_value == pytest.approx(expected, rel=1e-9)
@@ -730,7 +831,7 @@ class TestPolarChecks:
         f = TrigPoly(
             (((1, 0), (0, 0), 1.0 + 0j), ((0, 0), (1, 0), 1.0 + 0j), ((0, 0), (0, 0), 1.0 + 0j))
         )
-        res = polar_fiber_check((2, 1), t, f, 200_000, seed=7)
+        res = polar_fiber_check((2, 1), t, [f], 200_000, seed=7)[0]
         assert res.exact_value == pytest.approx(TWO_PI * -math.log(abs(t)) / 2.0, rel=1e-12)
         assert res.sigmas < 5
 
@@ -741,16 +842,32 @@ class TestPolarChecks:
             TrigPoly((((1, 0), (0, 1), 1.0j), ((0, 1), (1, 0), 1.0j))),
         ):
             with pytest.raises(ValueError, match="real-valued"):
-                polar_fiber_check((1, 1), 1e-3, f, 100, seed=0)
+                polar_fiber_check((1, 1), 1e-3, [f], 100, seed=0)
             with pytest.raises(ValueError, match="real-valued"):
-                polar_full_check(f, 100, seed=0)
+                polar_full_check([f], 100, seed=0)
+
+    def test_no_test_function_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            polar_full_check([], 100, seed=0)
+        with pytest.raises(ValueError, match="at least one"):
+            polar_fiber_check((1, 1), 1e-3, [], 100, seed=0)
+
+    def test_runner_draws_the_test_functions_in_a_fixed_order(self, tmp_path):
+        # The exact side of every polar-check row depends only on the test
+        # functions, so a reordered draw of the runner's rng changes this digest.
+        cli.run(ExperimentConfig(command="polar-check", seed=5, n_samples=20_000, outdir=str(tmp_path)))
+        with open(tmp_path / "polar-check-seed5.csv", newline="") as fh:
+            column = "\n".join(row["exact_value"] for row in csv.DictReader(fh))
+        assert hashlib.sha256(column.encode()).hexdigest() == (
+            "656a750f8fea6a1ef1765dbddbdf66fafddd687bcae60e3b2f35befc88beda08"
+        )
 
     def test_full_radii_follow_the_terms(self):
         f = TrigPoly((((0, 0, 0), (0, 0, 0), 1.0 + 0j),))
-        res = polar_full_check(f, 100, seed=0, radii=(0.5, 1.0, 2.0))
+        res = polar_full_check([f], 100, seed=0, radii=(0.5, 1.0, 2.0))[0]
         assert res.mc_value == pytest.approx(math.pi**3, rel=1e-12)
         with pytest.raises(ValueError, match="radii"):
-            polar_full_check(f, 100, seed=0, radii=(1.0, 1.0))
+            polar_full_check([f], 100, seed=0, radii=(1.0, 1.0))
 
     def test_fiber_random_laurent_polys_within_sigma(self):
         rng = np.random.default_rng(2024)
@@ -759,7 +876,7 @@ class TestPolarChecks:
             f = TrigPoly.random_hermitian(
                 rng, 2, max_degree=2, n_terms=3, allow_negative=True
             )
-            res = polar_fiber_check((1, 2), t, f, 150_000, seed=trial)
+            res = polar_fiber_check((1, 2), t, [f], 150_000, seed=trial)[0]
             assert abs(res.mc_value - res.exact_value) < max(5 * res.mc_stderr, 1e-9), (
                 trial,
                 res,
@@ -774,7 +891,7 @@ class TestPolarChecks:
         for trial in range(5):
             f = TrigPoly.random_hermitian(rng, 2, max_degree=2, n_terms=3)
             f = TrigPoly(f.terms + (anchor,))
-            res = polar_fiber_check((1, 2), t, f, 150_000, seed=trial)
+            res = polar_fiber_check((1, 2), t, [f], 150_000, seed=trial)[0]
             scale = max(abs(res.exact_value), 1.0)
             assert abs(res.mc_value - res.exact_value) < max(5 * res.mc_stderr, 1e-9)
             assert res.abs_discrepancy / scale < 0.01
@@ -785,7 +902,7 @@ class TestPolarChecks:
         for trial in range(5):
             f = TrigPoly.random_hermitian(rng, 2, max_degree=2, n_terms=3)
             f = TrigPoly(f.terms + (anchor,))
-            res = polar_full_check(f, 150_000, seed=100 + trial)
+            res = polar_full_check([f], 150_000, seed=100 + trial)[0]
             assert abs(res.mc_value - res.exact_value) < max(5 * res.mc_stderr, 1e-9)
             assert res.rel_discrepancy < 0.01
 
