@@ -158,6 +158,8 @@ class ExperimentConfig:
         for name in ("n_samples", "n_polys", "bins", "threads", "m", "tolerance"):
             if name in given and not given[name] > 0:
                 raise ConfigError(f"{row.flag(name)} must be positive")
+        if given.get("seed", 0) < 0:
+            raise ConfigError(f"{row.flag('seed')} must be non-negative")
         for t in given.get("t_schedule", ()):
             if not 0.0 < t < 1.0:
                 raise ConfigError(f"t values must lie in (0, 1), got {t!r}")
@@ -633,7 +635,7 @@ def _residue_verdict(
     return exact_check(name, hi - lo, detail), magnitudes
 
 
-def _sample_chart(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
+def _run_sample_chart(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     metric = _chart_metric(cfg, loaded)
     ts = cfg.t_schedule
     results = _sweep(metric, ts, cfg.n_samples, cfg.seed, cfg.threads)
@@ -643,12 +645,10 @@ def _sample_chart(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     return Outcome(verdicts, {f"sample-{_slug(cfg)}.csv": rows})
 
 
-def _sample_pencil_cmd(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
-    pen = HypersurfacePencil(cfg.model, cfg.n, cfg.epsilon)
-    if pen.n != 2:
-        raise ConfigError(f"sample on a pencil needs --n 2 (plane curves), got --n {pen.n}")
+def _run_sample_pencil(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
+    pen = HypersurfacePencil(cfg.model, epsilon=cfg.epsilon)
     if len(cfg.t_schedule) != 1:
-        raise ConfigError("sample on a pencil needs a single --t value")
+        raise ConfigError("sample-pencil needs a single --t value")
     t = cfg.t_schedule[0]
     res = sample_pencil(pen, t, cfg.n_samples, cfg.seed, bins=cfg.bins, threads=cfg.threads)
     columns = ("n_points", "mass", "stderr", "mass_raw", "stderr_raw")
@@ -702,12 +702,6 @@ def _sample_pencil_cmd(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
             )
         )
     return Outcome(verdicts, artifacts)
-
-
-def _run_sample(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
-    if cfg.model in HypersurfacePencil.PRESETS:
-        return _sample_pencil_cmd(cfg, loaded)
-    return _sample_chart(cfg, loaded)
 
 
 def _run_pushforward(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
@@ -1249,9 +1243,8 @@ FIELDS: dict[str, Flags] = {
 }
 
 # The chart commands take --b/--a or a model with one top face.  --tolerance
-# bounds a KS distance (sample on a pencil preset, pushforward), the relative
-# error of c (fit-mass) or of each identity (polar-check).  --bins, --epsilon
-# and --tolerance of sample apply to the pencil presets.
+# bounds a KS distance (sample-pencil, pushforward), the relative error of c
+# (fit-mass) or of each identity (polar-check).
 COMMANDS: dict[str, Command] = {
     "dual-complex": Command(_run_dual_complex, "faces of the dual complex", dict(model=REQUIRED, n=2)),
     "weights": Command(_run_weights, "slopes and the active subcomplex", dict(model=REQUIRED, n=2)),
@@ -1259,9 +1252,13 @@ COMMANDS: dict[str, Command] = {
         model=REQUIRED, n=2, residues=())),
     "base-change": Command(_run_base_change, "exact base-change arithmetic", dict(
         model=REQUIRED, n=2, m=REQUIRED)),
-    "sample": Command(_run_sample, "Monte-Carlo fiber mass", dict(
-        model=None, n=2, b=None, a=None, t_schedule=REQUIRED, n_samples=100_000, bins=20, epsilon=0.1,
-        tolerance=0.02, seed=REQUIRED, threads=1)),
+    "sample": Command(_run_sample_chart, "Monte-Carlo fiber mass on a chart", dict(
+        model=None, b=None, a=None, t_schedule=REQUIRED, n_samples=100_000, seed=REQUIRED, threads=1)),
+    "sample-pencil": Command(_run_sample_pencil, "Monte-Carlo fiber mass on a pencil of plane cubics", dict(
+        model=REQUIRED, t_schedule=REQUIRED, n_samples=100_000, bins=20, epsilon=0.1, tolerance=0.02,
+        seed=REQUIRED, threads=1), own_flags={"model": {"--preset": {
+            "metavar": "NAME", "choices": HypersurfacePencil.PRESETS,
+            "help": f"pencil preset: {list(HypersurfacePencil.PRESETS)}"}}}),
     "pushforward": Command(_run_pushforward, "histogram of the tropical image", dict(
         model=None, b=None, a=None, t_schedule=REQUIRED, n_samples=100_000, bins=50, tolerance=0.02,
         seed=REQUIRED, threads=1)),

@@ -25,13 +25,15 @@ weighted Kolmogorov-Smirnov statistics against predicted limit densities,
 closed-form vs Monte-Carlo checks of the polar factorization identities
 (whose Monte-Carlo sides are `sample_fiber_measure` itself, one sample per
 identity shared by all its test functions), and a least-squares fit
-recovering the mass-asymptotics exponents.
+recovering the mass-asymptotics exponents.  Their test functions, `TrigPoly`,
+are real by construction and folded once; `_trig_block` evaluates ``k`` of
+them on a block, each power of each coordinate computed once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,6 +119,15 @@ class FiberSampleResult:
 # ``SeedSequence(seed)``.  2^17 is the smallest power of two at or above the
 # 1e5 samples of the ``--quick`` suites, so each of their calls is one chunk.
 CHUNK = 1 << 17
+
+# Rows that `sample_fiber_measure` hands at once to ``h`` and the metric weight,
+# and that `pencil` solves at once: a few hundred kilobytes of temporaries.
+TRIG_BLOCK = 1 << 14
+
+
+def _row_blocks(n: int):
+    """Slices of consecutive `TRIG_BLOCK`-row blocks covering ``range(n)``."""
+    return (slice(start, min(start + TRIG_BLOCK, n)) for start in range(0, n, TRIG_BLOCK))
 
 
 def _shard_counts(n: int, shards: int) -> list[int]:
@@ -581,16 +592,6 @@ def uniform_cdf(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
 # Polar factorization checks
 
 
-# Rows that `TrigPoly` and the polar checks evaluate at once: each block's
-# temporaries take a few hundred kilobytes, whatever the number of points.
-TRIG_BLOCK = 1 << 14
-
-
-def _row_blocks(n: int):
-    """Slices of consecutive `TRIG_BLOCK`-row blocks covering ``range(n)``."""
-    return (slice(start, min(start + TRIG_BLOCK, n)) for start in range(0, n, TRIG_BLOCK))
-
-
 _Term = tuple[tuple[int, ...], tuple[int, ...], complex]
 
 # `_unit_phasor` looks ``e^{2 pi i j / K}`` up in a table of K = 2^12 roots of
@@ -650,39 +651,41 @@ def _unit_phasor(u: np.ndarray, scale) -> np.ndarray:
     return out
 
 
-def _fold_conjugate_pairs(terms: Sequence[_Term]) -> list[tuple[_Term, bool]]:
-    """Each term once with a flag, set when its partner ``(b, a, conj(c))`` was dropped."""
+def _fold_conjugate_pairs(terms: Sequence[_Term]) -> tuple[list[_Term], list[_Term]]:
+    """The conjugate pairs (each as its earlier term) and the single terms, in order."""
     unmatched: dict[_Term, list[int]] = {}
-    folded: list[tuple[_Term, bool]] = []
-    for a_exp, b_exp, coeff in terms:
-        term = (tuple(a_exp), tuple(b_exp), complex(coeff))
+    folded: list[list] = []  # [term, paired]
+    for term in terms:
         partners = unmatched.get((term[1], term[0], term[2].conjugate()))
         if partners:
-            k = partners.pop()
-            folded[k] = (folded[k][0], True)
+            folded[partners.pop()][1] = True
             continue
         unmatched.setdefault(term, []).append(len(folded))
-        folded.append((term, False))
-    return folded
+        folded.append([term, False])
+    return [t for t, paired in folded if paired], [t for t, paired in folded if not paired]
 
 
-def _trig_block(folded: list[tuple[_Term, bool]], cols: Sequence[np.ndarray]) -> np.ndarray:
-    """`TrigPoly` value on one block, given as one contiguous array per coordinate."""
-    # Per coordinate, the powers [1, z_i, z_i^2, ...] and [1, |z_i|^2, |z_i|^4, ...]
-    # computed so far, shared by all terms.
-    zpow = [[1.0, c] for c in cols]
-    r2pow = [[1.0, c.real * c.real + c.imag * c.imag] for c in cols]
+def _trig_block(fs: Sequence["TrigPoly"], z: np.ndarray) -> np.ndarray:
+    """The ``(len(fs), rows)`` values of the polynomials ``fs`` at the rows of ``z``.
+
+    Each monomial is ``z_i^(a_i - b_i)`` (or ``conj(z_i)^(b_i - a_i)``) times
+    ``|z_i|^(2 min(a_i, b_i))``, with ``|z_i|^2 = re^2 + im^2``.  Each power
+    ``z_i^k`` and ``|z_i|^(2k)`` is computed once for all of ``fs``, as the
+    previous power times the first, so row ``j`` is bit-identical to ``fs[j]``
+    alone.  A pair adds ``2 Re(c m)``; the pairs and the diagonal terms are
+    summed apart, each in order, and added last.
+    """
+    # Per coordinate, the powers [1, z_i, z_i^2, ...] and [1, |z_i|^2, |z_i|^4, ...] so far.
+    zpow = [[1.0, c] for c in z.T]
+    r2pow = [[1.0, c.real * c.real + c.imag * c.imag] for c in z.T]
 
     def raised(powers: list, k: int) -> np.ndarray:
         while len(powers) <= k:
             powers.append(powers[-1] * powers[1])
         return powers[k]
 
-    size = cols[0].shape[0]
-    real = np.zeros(size)
-    cplx = np.zeros(size, dtype=complex)
-    for (a_exp, b_exp, coeff), paired in folded:
-        phase = modulus = 1.0
+    def monomial(a_exp: tuple[int, ...], b_exp: tuple[int, ...]) -> tuple:
+        phase = modulus = 1.0  # each becomes an array once a factor is not 1
         for i, (ai, bi) in enumerate(zip(a_exp, b_exp)):
             if ai != bi:
                 zd = raised(zpow[i], abs(ai - bi))
@@ -691,38 +694,47 @@ def _trig_block(folded: list[tuple[_Term, bool]], cols: Sequence[np.ndarray]) ->
             if k:
                 r2k = raised(r2pow[i], abs(k))
                 modulus = modulus * (r2k if k > 0 else 1.0 / r2k)
-        if not paired:
-            cplx += coeff * phase * modulus
-        elif isinstance(phase, np.ndarray):
-            real += 2.0 * (coeff.real * phase.real - coeff.imag * phase.imag) * modulus
-        else:
-            real += 2.0 * coeff.real * modulus
-    return cplx + real
+        return phase, modulus
+
+    out = np.empty((len(fs), z.shape[0]))
+    for f, row in zip(fs, out):
+        diagonal, pairs = np.zeros(z.shape[0]), np.zeros(z.shape[0])
+        for a_exp, b_exp, coeff in f.diagonal:
+            diagonal += coeff.real * monomial(a_exp, b_exp)[1]
+        for a_exp, b_exp, coeff in f.pairs:
+            phase, modulus = monomial(a_exp, b_exp)
+            pairs += 2.0 * (coeff.real * phase.real - coeff.imag * phase.imag) * modulus
+        np.add(diagonal, pairs, out=row)
+    return out
 
 
 @dataclass(frozen=True)
 class TrigPoly:
-    """Finite sum ``f(z) = sum c_{ab} prod_i z_i^{a_i} conj(z_i)^{b_i}``.
+    """Real trigonometric polynomial ``f(z) = sum c_{ab} prod_i z_i^{a_i} conj(z_i)^{b_i}``.
 
-    Evaluated over blocks of `TRIG_BLOCK` rows, each written into one
-    preallocated output.  Each monomial is ``z_i^(a_i - b_i)`` (or
-    ``conj(z_i)^(b_i - a_i)``) times ``|z_i|^(2 min(a_i, b_i))``, with
-    ``|z_i|^2 = re^2 + im^2`` and each power computed once per block.  A term
-    summed with its conjugate partner ``(b, a, conj(c))`` contributes
-    ``2 Re(c m)``, so a Hermitian polynomial evaluates to an exactly real
-    array.
+    Each term ``(a, b, c)`` needs its conjugate partner ``(b, a, conj(c))``;
+    a diagonal ``(a, a, c)`` with real ``c`` is its own.  Construction folds
+    the terms once, into ``pairs`` (one term per pair) and the single
+    ``diagonal`` terms, and raises `ValueError` for any other term.  ``f(z)``
+    maps ``(rows, k)`` complex points to ``rows`` floats in one pass.
     """
 
     terms: tuple[_Term, ...]
+    pairs: tuple[_Term, ...] = field(init=False, repr=False, compare=False)
+    diagonal: tuple[_Term, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        terms = tuple((tuple(a_exp), tuple(b_exp), complex(coeff)) for a_exp, b_exp, coeff in self.terms)
+        pairs, single = _fold_conjugate_pairs(terms)
+        for a_exp, b_exp, coeff in single:
+            if a_exp != b_exp or coeff.imag != 0:
+                raise ValueError(f"a real-valued TrigPoly needs the conjugate partner of {(a_exp, b_exp, coeff)}")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "diagonal", tuple(single))
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z)
-        folded = _fold_conjugate_pairs(self.terms)
-        cols = [np.ascontiguousarray(z[:, i]) for i in range(z.shape[1])]
-        out = np.empty(z.shape[0], dtype=complex)
-        for block in _row_blocks(z.shape[0]):
-            out[block] = _trig_block(folded, [c[block] for c in cols])
-        return out
+        return _trig_block((self,), np.asarray(z))[0]
 
     @staticmethod
     def random_hermitian(
@@ -734,7 +746,7 @@ class TrigPoly:
     ) -> "TrigPoly":
         """Random real-valued test function (terms paired with conjugates)."""
         lo = -max_degree if allow_negative else 0
-        terms: list[tuple[tuple[int, ...], tuple[int, ...], complex]] = []
+        terms = []
         for _ in range(n_terms):
             a_exp = tuple(int(rng.integers(lo, max_degree + 1)) for _ in range(n_coords))
             b_exp = tuple(int(rng.integers(lo, max_degree + 1)) for _ in range(n_coords))
@@ -774,25 +786,11 @@ class PolarCheckResult:
         return sigmas(self.mc_value - self.exact_value, self.mc_stderr)
 
 
-def _require_real(fs: Sequence[TrigPoly]) -> None:
-    """Raise `ValueError` unless ``fs`` is nonempty and every term has its conjugate partner.
-
-    A term ``(a, a, c)`` with real ``c`` is its own partner.
-    """
-    if not fs:
-        raise ValueError("the polar checks need at least one test function")
-    for f in fs:
-        for (a_exp, b_exp, coeff), paired in _fold_conjugate_pairs(f.terms):
-            if not paired and not (a_exp == b_exp and coeff.imag == 0):
-                raise ValueError(
-                    f"the polar checks need a real-valued f: term {(a_exp, b_exp, coeff)} "
-                    "lacks its conjugate partner"
-                )
-
-
 def _stacked(fs: Sequence[TrigPoly]) -> Callable[[np.ndarray], np.ndarray]:
     """The test functions as one ``h``: row ``j`` of its ``(k, rows)`` value is ``fs[j]``."""
-    return lambda z: np.stack([f(z).real for f in fs])
+    if not fs:
+        raise ValueError("the polar checks need at least one test function")
+    return lambda z: _trig_block(fs, z)
 
 
 def _results(res: FiberSampleResult, exact: Sequence[float], identity: str) -> list[PolarCheckResult]:
@@ -821,14 +819,13 @@ def polar_full_check(
     ``[fs[j]]`` with the same seed, and the results are not independent of
     each other.  The closed-form side keeps only the diagonal terms (equal
     holomorphic and antiholomorphic exponents), each contributing
-    ``prod_i pi r_i^{2 a_i + 2} / (a_i + 1)``.  Each ``f`` must be real-valued.
+    ``prod_i pi r_i^{2 a_i + 2} / (a_i + 1)``.
     """
-    _require_real(fs)
+    stacked = _stacked(fs)
     if any(e < 0 for f in fs for a_exp, b_exp, _ in f.terms for e in (*a_exp, *b_exp)):
         raise ValueError("full-polydisc check needs nonnegative exponents")
     k = len(fs[0].terms[0][0])
     metric = MonomialChartMetric((1,), (0,), transverse_dim=k, transverse_radii=radii)
-    stacked = _stacked(fs)
     res = sample_fiber_measure(LocalChart(metric, 0.5), n, seed, h=lambda z, yt: stacked(yt))
 
     exact = []
@@ -895,9 +892,9 @@ def polar_fiber_check(
     integer multiple ``s`` of ``b`` — the character integral over the
     angular subtorus — each contributing ``(2 pi)^p / gcd(b) * exp(2 pi i
     s phi_t)`` times the slice integral of the modulus part; it handles at
-    most two coordinates.  Each ``f`` must be real-valued.
+    most two coordinates.
     """
-    _require_real(fs)
+    stacked = _stacked(fs)
     chart = LocalChart(MonomialChartMetric(b, (0,) * len(b), radii), t)
     b, big_l = chart.metric.b, chart.log_inv_t
     k = len(b)
@@ -923,10 +920,10 @@ def polar_fiber_check(
     if k == 1:
         roots, masses = enumerate_point_fiber(chart)
         return [
-            PolarCheckResult(float(f(roots[:, None]).real @ masses), 0.0, x, "fiber-polar")
+            PolarCheckResult(float(f(roots[:, None]) @ masses), 0.0, x, "fiber-polar")
             for f, x in zip(fs, exact)
         ]
-    res = sample_fiber_measure(chart, n, seed, h=_stacked(fs))
+    res = sample_fiber_measure(chart, n, seed, h=stacked)
     return _results(res, exact, "fiber-polar")
 
 

@@ -95,6 +95,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig(command=command)
 
+    @pytest.mark.parametrize("command", [name for name, row in cli.COMMANDS.items() if "seed" in row.reads])
+    def test_negative_seed_refused(self, command):
+        with pytest.raises(ConfigError, match="^--seed must be non-negative$"):
+            ExperimentConfig(command=command, seed=-1)
+
     def test_seed_optional_for_exact_commands(self):
         cfg = ExperimentConfig(command="dual-complex", model="annulus")
         assert cfg.seed is None
@@ -204,7 +209,25 @@ UNREAD = [
     ("pushforward", "--n"),
     ("fit-mass", "--n"),
 ]
-FLAG_FIELDS = {"--seed": ("seed", 1), "--threads": ("threads", 2), "--tolerance": ("tolerance", 0.5), "--n": ("n", 3)}
+# The chart row of sample reads none of the pencil's flags; the pencil row
+# takes no chart and no --n (it samples plane curves only).
+SAMPLE_UNREAD = [
+    ("sample", "--n"),
+    ("sample", "--bins"),
+    ("sample", "--epsilon"),
+    ("sample", "--tolerance"),
+    ("sample-pencil", "--n"),
+    ("sample-pencil", "--b"),
+]
+FLAG_FIELDS = {
+    "--seed": ("seed", 1),
+    "--threads": ("threads", 2),
+    "--tolerance": ("tolerance", 0.5),
+    "--n": ("n", 3),
+    "--bins": ("bins", 5),
+    "--epsilon": ("epsilon", 0.2),
+    "--b": ("b", (1, 1)),
+}
 # A value for each field that some row marks REQUIRED.
 REQUIRED_VALUES = {"model": "annulus", "m": 2, "t_schedule": (1e-3,), "seed": 1, "suite": "lattice"}
 
@@ -214,14 +237,14 @@ def subparser(command):
 
 
 class TestCommandTable:
-    @pytest.mark.parametrize("command, flag", UNREAD)
+    @pytest.mark.parametrize("command, flag", UNREAD + SAMPLE_UNREAD)
     def test_unread_flag_exits_two(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([command, flag, str(FLAG_FIELDS[flag][1])])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag", UNREAD)
+    @pytest.mark.parametrize("command, flag", UNREAD + SAMPLE_UNREAD)
     def test_unread_field_refused(self, command, flag):
         name, value = FLAG_FIELDS[flag]
         with pytest.raises(ConfigError, match=f"{command} does not read {flag}$"):
@@ -456,19 +479,33 @@ class TestExitCodes:
         assert "nope" in err
 
     def test_pencil_beyond_plane_curves_exits_two(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["sample", "--preset", "coordinate_pencil", "--n", "3", "--t", "1e-4", "--seed", "1"],
-            tmp_path,
-            capsys,
-        )
-        assert code == 2
-        assert "[error]" in err and "--n 2" in err
+        # The pencil sampler handles plane curves only, so sample-pencil has no --n.
+        with pytest.raises(SystemExit) as exc:
+            main(["sample-pencil", "--preset", "coordinate_pencil", "--n", "3", "--t", "1e-4", "--seed", "1",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n 3" in capsys.readouterr().err
         assert not list(tmp_path.glob("sample-*.csv"))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--suite", "all", "--seed", "-1"],
+            ["sample", "--b", "1,1", "--t", "1e-4", "--seed", "-1"],
+            ["polar-check", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_exits_two_before_any_work(self, tmp_path, capsys, args):
+        code, out, err = run_cli(args, tmp_path, capsys)
+        assert code == 2
+        assert "[error] --seed must be non-negative" in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("t", ["1e-180", "1e-200", "1e-250"])
     def test_pencil_below_the_t_floor_exits_two(self, tmp_path, capsys, t):
         code, out, err = run_cli(
-            ["sample", "--preset", "coordinate_pencil", "--t", t, "--n-samples", "6000", "--seed", "0"],
+            ["sample-pencil", "--preset", "coordinate_pencil", "--t", t, "--n-samples", "6000", "--seed", "0"],
             tmp_path,
             capsys,
         )
@@ -723,7 +760,7 @@ class TestDeterminism:
     @staticmethod
     def _sample_args(outdir):
         return [
-            "sample", "--preset", "coordinate_pencil", "--n", "2", "--t", "1e-5",
+            "sample-pencil", "--preset", "coordinate_pencil", "--t", "1e-5",
             "--n-samples", "20000", "--seed", "7", "--out", str(outdir),
         ]
 
@@ -748,7 +785,7 @@ class TestDeterminism:
         [
             ["sample", "--b", "1,2", "--a", "0,1", "--t", "1e-4", "--n-samples", "400000"],
             ["pushforward", "--b", "1,2", "--t", "1e-6", "--n-samples", "1000000", "--bins", "50"],
-            ["sample", "--preset", "coordinate_pencil", "--n", "2", "--t", "1e-5", "--n-samples", "20000"],
+            ["sample-pencil", "--preset", "coordinate_pencil", "--t", "1e-5", "--n-samples", "20000"],
         ],
         ids=["sample-chart", "pushforward", "sample-pencil"],
     )
@@ -767,8 +804,8 @@ class TestDeterminism:
         assert main(self._sample_args(a)) == 0
         assert main(self._sample_args(b)) == 0
         capsys.readouterr()
-        ha = json.loads((a / "sample-coordinate_pencil-report.json").read_text())
-        hb = json.loads((b / "sample-coordinate_pencil-report.json").read_text())
+        ha = json.loads((a / "sample-pencil-coordinate_pencil-report.json").read_text())
+        hb = json.loads((b / "sample-pencil-coordinate_pencil-report.json").read_text())
         assert ha["content_hash"] == hb["content_hash"]
 
     def test_content_hash_ignores_the_spec_directory(self, tmp_path, capsys):
@@ -791,15 +828,15 @@ class TestDeterminism:
         assert main(self._sample_args(a)) == 0
         assert main(args_b) == 0
         capsys.readouterr()
-        ha = json.loads((a / "sample-coordinate_pencil-report.json").read_text())
-        hb = json.loads((b / "sample-coordinate_pencil-report.json").read_text())
+        ha = json.loads((a / "sample-pencil-coordinate_pencil-report.json").read_text())
+        hb = json.loads((b / "sample-pencil-coordinate_pencil-report.json").read_text())
         assert ha["content_hash"] != hb["content_hash"]
 
     def test_report_echoes_config_and_verdicts(self, tmp_path, capsys):
         outdir = tmp_path / "a"
         assert main(self._sample_args(outdir)) == 0
         capsys.readouterr()
-        report = json.loads((outdir / "sample-coordinate_pencil-report.json").read_text())
+        report = json.loads((outdir / "sample-pencil-coordinate_pencil-report.json").read_text())
         assert report["config"]["seed"] == 7
         assert report["passed"] is True
         assert all("discrepancy" in v for v in report["verdicts"])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropmass import cli
+from tropmass import cli, sampler
 from tropmass.cli import ExperimentConfig
 from tropmass.lattice import simplex_volume
 from tropmass.measure import MonomialChartMetric, TWO_PI, chart_limit_mass
@@ -35,6 +35,7 @@ from tropmass.sampler import (
     _moments,
     _PHASOR_BITS,
     _sample_shard,
+    _trig_block,
     _unit_phasor,
     uniform_cdf,
 )
@@ -393,17 +394,32 @@ class TestTrigPoly:
         "paired": TrigPoly(
             (((2, 1), (0, 1), 0.3 - 1.2j), ((0, 1), (2, 1), 0.3 + 1.2j), ((1, 1), (1, 1), 0.7 + 0j))
         ),
+        # Every term its own partner: diagonal, with a real coefficient.
         "unpaired": TrigPoly(
-            (((1, 0), (0, 0), 1.0 + 0j), ((0, 1), (1, 1), 0.5j), ((2, 2), (1, 0), -0.25 + 0j))
+            (((1, 0), (1, 0), 1.0 + 0j), ((1, 1), (1, 1), 0.5 + 0j), ((2, 2), (2, 2), -0.25 + 0j))
         ),
+        # A conjugate pair and a diagonal term.
         "mixed": TrigPoly(
-            (((1, 2), (2, 0), 1.5 + 0.5j), ((2, 0), (1, 2), 1.5 - 0.5j), ((0, 3), (1, 0), 2.0 - 1j))
+            (((1, 2), (2, 0), 1.5 + 0.5j), ((2, 0), (1, 2), 1.5 - 0.5j), ((0, 3), (0, 3), 2.0 + 0j))
         ),
         "negative": TrigPoly(
-            (((-1, 2), (1, -2), 0.4 + 0.1j), ((1, -2), (-1, 2), 0.4 - 0.1j), ((-2, 0), (-1, 1), 1j))
+            (
+                ((-1, 2), (1, -2), 0.4 + 0.1j),
+                ((1, -2), (-1, 2), 0.4 - 0.1j),
+                ((-2, 0), (-1, 1), 1j),
+                ((-1, 1), (-2, 0), -1j),
+            )
         ),
-        "constant": TrigPoly((((0, 0), (0, 0), 2.5 - 1j),)),
+        "constant": TrigPoly((((0, 0), (0, 0), 2.5 + 0j),)),
         "empty": TrigPoly(()),
+    }
+    # Complex-valued term sets: each has a term without its conjugate partner.
+    NON_REAL = {
+        "unpaired": (((1, 0), (0, 0), 1.0 + 0j), ((0, 1), (1, 1), 0.5j), ((2, 2), (1, 0), -0.25 + 0j)),
+        "mixed": (((1, 2), (2, 0), 1.5 + 0.5j), ((2, 0), (1, 2), 1.5 - 0.5j), ((0, 3), (1, 0), 2.0 - 1j)),
+        "negative": (((-1, 2), (1, -2), 0.4 + 0.1j), ((1, -2), (-1, 2), 0.4 - 0.1j), ((-2, 0), (-1, 1), 1j)),
+        "complex-constant": (((0, 0), (0, 0), 2.5 - 1j),),
+        "complex-diagonal": (((1, 0), (1, 0), 1.0 + 1e-300j),),
     }
 
     @staticmethod
@@ -417,16 +433,29 @@ class TestTrigPoly:
     def test_matches_term_by_term_reference(self, name, n):
         f, z = self.POLYS[name], self.points(n)
         got, ref = f(z), naive_trig_poly(f, z)
-        assert got.shape == (n,) and got.dtype == complex
+        assert got.shape == (n,) and got.dtype == float
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * max(np.abs(ref).max(), 1.0))
+
+    @pytest.mark.parametrize("name", list(NON_REAL))
+    def test_construction_rejects_a_term_without_its_partner(self, name):
+        with pytest.raises(ValueError, match="conjugate partner"):
+            TrigPoly(self.NON_REAL[name])
 
     @pytest.mark.parametrize("n", [1, TRIG_BLOCK + 1])
     def test_one_column_input(self, n):
         f = TrigPoly(
-            (((3,), (0,), 1.0 + 0j), ((0,), (3,), 1.0 + 0j), ((1,), (2,), 0.5j), ((-1,), (0,), 2.0 + 0j))
+            (
+                ((3,), (0,), 1.0 + 0j),
+                ((0,), (3,), 1.0 + 0j),
+                ((1,), (2,), 0.5j),
+                ((2,), (1,), -0.5j),
+                ((-1,), (0,), 2.0 + 0j),
+                ((0,), (-1,), 2.0 + 0j),
+            )
         )
         z = self.points(n)[:, 0][:, None]
-        np.testing.assert_allclose(f(z), naive_trig_poly(f, z), rtol=1e-12)
+        ref = naive_trig_poly(f, z)
+        np.testing.assert_allclose(f(z), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_hermitian_polynomial_is_exactly_real(self):
         rng = np.random.default_rng(3)
@@ -434,15 +463,43 @@ class TestTrigPoly:
         for negative in (False, True):
             f = TrigPoly.random_hermitian(rng, 2, max_degree=2, n_terms=4, allow_negative=negative)
             got = f(z)
-            assert np.all(got.imag == 0)
+            assert got.dtype == float
             np.testing.assert_allclose(got, naive_trig_poly(f, z), rtol=1e-11, atol=1e-11)
 
     def test_repeated_terms_each_pair_once(self):
-        # Two copies of a term and one of its partner: one pair, one single.
+        # Two copies of a term and two of its partner make two pairs; with one
+        # partner, a copy is left single, and construction refuses it.
         term, partner = ((1, 0), (0, 2), 1 + 2j), ((0, 2), (1, 0), 1 - 2j)
-        f = TrigPoly((term, term, partner))
+        f = TrigPoly((term, term, partner, partner))
+        assert (f.pairs, f.diagonal) == ((term, term), ())
         z = self.points(50)
         np.testing.assert_allclose(f(z), naive_trig_poly(f, z), rtol=1e-12)
+        with pytest.raises(ValueError, match="conjugate partner"):
+            TrigPoly((term, term, partner))
+        # Two copies of a real diagonal term are partners of each other.
+        diagonal = ((1, 1), (1, 1), 0.5 + 0j)
+        assert (TrigPoly((diagonal, diagonal)).pairs, TrigPoly((diagonal,)).diagonal) == ((diagonal,), (diagonal,))
+
+    def test_terms_are_folded_once(self, monkeypatch):
+        calls = []
+        fold = sampler._fold_conjugate_pairs
+        monkeypatch.setattr(sampler, "_fold_conjugate_pairs", lambda terms: calls.append(1) or fold(terms))
+        f = TrigPoly(self.POLYS["mixed"].terms)
+        c = chart((1, 1), (0, 0), 1e-3)
+        sample_fiber_measure(c, 3 * TRIG_BLOCK + 5, 0, h=f)
+        polar_fiber_check((1, 1), 1e-3, [f, f], 3 * TRIG_BLOCK + 5, 0)
+        assert len(calls) == 1
+
+    def test_stacked_rows_equal_each_polynomial_alone(self):
+        # One block laid out as the sampler lays it out, one column per
+        # coordinate: sharing the powers among the k polynomials changes no
+        # bit of any row.
+        fs = list(self.POLYS.values())
+        z = np.asfortranarray(self.points(TRIG_BLOCK))
+        rows = _trig_block(fs, z)
+        assert rows.shape == (len(fs), TRIG_BLOCK) and rows.dtype == float
+        for f, row in zip(fs, rows):
+            assert row.tobytes() == _trig_block([f], z)[0].tobytes() == f(z).tobytes()
 
 
 class TestUnitPhasor:
@@ -836,15 +893,15 @@ class TestPolarChecks:
         assert res.sigmas < 5
 
     def test_non_real_f_is_rejected(self):
-        for f in (
-            TrigPoly((((1, 0), (0, 0), 1.0 + 0j),)),
-            TrigPoly((((1, 0), (1, 0), 1.0j),)),
-            TrigPoly((((1, 0), (0, 1), 1.0j), ((0, 1), (1, 0), 1.0j))),
+        # A test function is real by construction, so neither check can be
+        # handed a complex-valued one.
+        for terms in (
+            (((1, 0), (0, 0), 1.0 + 0j),),
+            (((1, 0), (1, 0), 1.0j),),
+            (((1, 0), (0, 1), 1.0j), ((0, 1), (1, 0), 1.0j)),
         ):
             with pytest.raises(ValueError, match="real-valued"):
-                polar_fiber_check((1, 1), 1e-3, [f], 100, seed=0)
-            with pytest.raises(ValueError, match="real-valued"):
-                polar_full_check([f], 100, seed=0)
+                TrigPoly(terms)
 
     def test_no_test_function_is_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -861,6 +918,26 @@ class TestPolarChecks:
         assert hashlib.sha256(column.encode()).hexdigest() == (
             "656a750f8fea6a1ef1765dbddbdf66fafddd687bcae60e3b2f35befc88beda08"
         )
+
+    # sha256 of the whole `polar-check --seed 5 --n-samples 20000` CSV.  Its
+    # Monte-Carlo columns pass through numpy's exp and power, whose last bits
+    # depend on the SIMD kernels numpy picks at run time: one digest per
+    # kernel set of numpy 2.4.6 on x86-64 (AVX-512, AVX2, the SSE4.2 baseline).
+    POLAR_CSV_NUMPY = "2.4.6"
+    POLAR_CSV_DIGESTS = {
+        "1b90bcf5f670b9536e8d5274c319845c0ec5b940c6ff9a77a4c4a89d6353b4ad",
+        "217d3021dec5e3b5d178e9547e91506d4725c849d92fa07aad579d0662e64856",
+        "ca5e7bbc8b81adfac611d4679e6a23dc0346fbd74d457521282dd70a73176d1f",
+    }
+
+    def test_runner_csv_bytes_are_pinned(self, tmp_path):
+        # Every estimate keeps its bits: a change to the sampler or to the
+        # test-function evaluator that moves one changes this digest.
+        if np.__version__ != self.POLAR_CSV_NUMPY:
+            pytest.skip(f"digests recorded under numpy {self.POLAR_CSV_NUMPY}, not {np.__version__}")
+        cli.run(ExperimentConfig(command="polar-check", seed=5, n_samples=20_000, outdir=str(tmp_path)))
+        digest = hashlib.sha256((tmp_path / "polar-check-seed5.csv").read_bytes()).hexdigest()
+        assert digest in self.POLAR_CSV_DIGESTS
 
     def test_full_radii_follow_the_terms(self):
         f = TrigPoly((((0, 0, 0), (0, 0, 0), 1.0 + 0j),))
