@@ -636,6 +636,8 @@ def _residue_verdict(
 
 
 def _run_sample_chart(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
+    if loaded is not None and not loaded[3] and cfg.model in HypersurfacePencil.PRESETS:
+        raise ConfigError(f"sample runs charts only: for the pencil, run sample-pencil --preset {cfg.model}")
     metric = _chart_metric(cfg, loaded)
     ts = cfg.t_schedule
     results = _sweep(metric, ts, cfg.n_samples, cfg.seed, cfg.threads)

@@ -32,6 +32,7 @@ from tropmass.cli import (
     parse_t_schedule,
 )
 from tropmass.model import ModelSpecError, coordinate_pencil, format_model_spec, parse_model_spec
+from tropmass.pencil import HypersurfacePencil
 from tropmass.skeleton import parse_skeleton_spec
 
 
@@ -117,8 +118,8 @@ class TestExperimentConfig:
     def test_counts_must_be_positive(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(command="sample", seed=1, n_samples=0)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(command="sample", seed=1, bins=0)
+        with pytest.raises(ConfigError, match="^--bins must be positive$"):
+            ExperimentConfig(command="sample-pencil", seed=1, model="coordinate_pencil", bins=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(command="sample", seed=1, threads=0)
         for n_polys in (0, -3):
@@ -486,6 +487,14 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments: --n 3" in capsys.readouterr().err
         assert not list(tmp_path.glob("sample-*.csv"))
+
+    @pytest.mark.parametrize("preset", HypersurfacePencil.PRESETS)
+    def test_sample_refuses_a_pencil_preset(self, tmp_path, capsys, preset):
+        # The pencil presets belong to sample-pencil; sample runs charts only.
+        code, out, err = run_cli(["sample", "--preset", preset, "--t", "1e-4", "--seed", "1"], tmp_path, capsys)
+        assert code == 2
+        assert f"run sample-pencil --preset {preset}" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "args",
