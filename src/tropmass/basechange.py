@@ -100,22 +100,20 @@ class BaseChangeReport:
     m: int
     entries: tuple[tuple[Face, FaceBaseChange], ...]
 
-    def rows(self) -> list[dict[str, str]]:
-        rows = []
-        for face, r in self.entries:
-            rows.append(
-                {
-                    "face": face.id_string(),
-                    "e": str(r.e),
-                    "fg": str(r.fg),
-                    "g": str(r.g),
-                    "f": str(r.f),
-                    "b_prime": str(r.b_prime),
-                    "vol_scale": str(r.volume_scale),
-                    "residual_scale": str(r.residual_scale),
-                }
-            )
-        return rows
+    def rows(self) -> list[dict[str, object]]:
+        return [
+            {
+                "face": face.id_string(),
+                "e": r.e,
+                "fg": r.fg,
+                "g": r.g,
+                "f": r.f,
+                "b_prime": r.b_prime,
+                "vol_scale": r.volume_scale,
+                "residual_scale": r.residual_scale,
+            }
+            for face, r in self.entries
+        ]
 
 
 def model_base_change(

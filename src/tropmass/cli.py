@@ -285,17 +285,18 @@ def parse_t_schedule(text: str) -> tuple[float, ...]:
 def _parse_list(text: str, convert: Callable[[str], object], what: str) -> tuple:
     try:
         return tuple(convert(tok.strip()) for tok in text.split(",") if tok.strip())
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ConfigError(f"expected comma-separated {what}, got {text!r}") from None
 
 
 def _parse_residues(items: Sequence[str]) -> tuple[tuple[str, float], ...]:
     out = []
     for item in items:
-        if "=" not in item:
-            raise ConfigError(f"residue {item!r} must look like FACE=VALUE")
         face, _, value = item.partition("=")
-        out.append((face.strip(), float(value)))
+        try:
+            out.append((face.strip(), float(value)))
+        except ValueError:
+            raise ConfigError(f"--residue {item!r} must look like FACE=VALUE, VALUE a number") from None
     return tuple(out)
 
 
@@ -787,8 +788,8 @@ def _run_polar_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
             {
                 "check": label,
                 "identity": res.identity,
-                "mc_value": repr(res.mc_value),
-                "exact_value": repr(res.exact_value),
+                "mc_value": res.mc_value,
+                "exact_value": res.exact_value,
                 "mc_stderr": res.mc_stderr,
                 "rel_discrepancy": rel,
                 "sigmas": res.sigmas,
@@ -815,14 +816,30 @@ def _run_polar_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
         )
     )
     rows.append({
-        "check": "point-fiber-b3", "identity": "point-enumeration", "mc_value": "", "exact_value": repr(1.0 / 9.0),
+        "check": "point-fiber-b3", "identity": "point-enumeration", "mc_value": "", "exact_value": 1.0 / 9.0,
         "mc_stderr": 0.0, "rel_discrepancy": exact_gap, "sigmas": 0.0,
     })
     return Outcome(verdicts, {f"polar-check-seed{seed}.csv": rows})
 
 
-def _power_sequence(zeta: float, ks: Iterable[int]) -> list[tuple[float, float]]:
-    return [(2.0**-k, 2.0 ** -(zeta * k)) for k in ks]
+def _random_bidisc_sequence(rng: np.random.Generator) -> tuple[float, int, np.ndarray]:
+    """A target ``w_star``, a kind, and 39 bidisc points ``(e^{-(1-w_k) L_k}, e^{-w_k L_k})``.
+
+    Kind 0 converges to ``w_star``, kind 1 to ``w_star + 0.12``; along kind 2 ``L_k`` stalls.
+    """
+    w_star = float(rng.uniform(0.15, 0.85))
+    kind = int(rng.integers(3))
+    ks = np.arange(1, 40)
+    big_l = np.minimum(1.5 * 1.35**ks, 500.0)
+    if kind == 0:
+        wk = w_star + rng.uniform(-1, 1, ks.size) * 0.2 * 0.5**ks
+    elif kind == 1:
+        wk = w_star + 0.12 + 0.2 * 0.5**ks
+    else:
+        big_l = 1.5 + 0.01 * ks
+        wk = w_star
+    wk = np.clip(wk, 0.02, 0.98)
+    return w_star, kind, np.column_stack((np.exp(-(1 - wk) * big_l), np.exp(-wk * big_l)))
 
 
 def _run_hybrid_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
@@ -836,17 +853,14 @@ def _run_hybrid_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     """
     n_seq = cfg.n_polys
     verdicts: list[CheckVerdict] = []
-    ks = range(1, 60)
+    ks = np.arange(1, 60)
     bad = 0
     for zeta in (0.5, 1.0, 2.0):
         w = zeta / (1.0 + zeta)
-        seq = _power_sequence(zeta, ks)
-        if not hybrid_converges(seq, w):
-            bad += 1
-        if hybrid_converges(seq, min(w + 0.1, 1.0)):
-            bad += 1
-        if not basis_neighborhood_converges(seq, w):
-            bad += 1
+        seq = np.column_stack((2.0**-ks, 2.0 ** -(zeta * ks)))
+        bad += not hybrid_converges(seq, w)
+        bad += hybrid_converges(seq, min(w + 0.1, 1.0))
+        bad += not basis_neighborhood_converges(seq, w)
     verdicts.append(
         exact_check(
             "power-sequence-limits",
@@ -858,25 +872,10 @@ def _run_hybrid_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     rng = np.random.default_rng(cfg.seed)
     mismatch = disagree = 0
     for _ in range(n_seq):
-        w_star = float(rng.uniform(0.15, 0.85))
-        kind = int(rng.integers(3))
-        pts = []
-        for k in range(1, 40):
-            big_l = min(1.5 * 1.35**k, 500.0)
-            if kind == 0:
-                wk = w_star + float(rng.uniform(-1, 1)) * 0.2 * 0.5**k
-            elif kind == 1:
-                wk = w_star + 0.12 + 0.2 * 0.5**k
-            else:
-                big_l = 1.5 + 0.01 * k
-                wk = w_star
-            wk = min(max(wk, 0.02), 0.98)
-            pts.append((math.exp(-(1 - wk) * big_l), math.exp(-wk * big_l)))
-        expected = kind == 0
+        w_star, kind, pts = _random_bidisc_sequence(rng)
         a = hybrid_converges(pts, w_star)
-        b = basis_neighborhood_converges(pts, w_star)
-        mismatch += a != expected
-        disagree += a != b
+        mismatch += a != (kind == 0)
+        disagree += a != basis_neighborhood_converges(pts, w_star)
     verdicts.append(
         exact_check(
             "random-sequence-classification",

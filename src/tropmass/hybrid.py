@@ -7,17 +7,20 @@ z2^3) + z0 z1 z2 = 0``, `glued_log` blends the vertex and edge charts into one
 map onto the whole dual complex, the coordinate triangle, on arrays of
 points; it deviates from an edge chart by ``O(1 / log|t|^{-1})``
 (`log_deviation_constant`).  In the limit topology a sequence converges to a
-face point ``w`` exactly when ``t -> 0`` and the chart map tends to ``w``;
-`basis_neighborhood_converges` tests the same through shrinking closed
-neighborhoods.  `hybrid_seminorm` is the one-variable shadow: a
-multiplicative seminorm on Laurent polynomials over the closed disc of
-radius ``r``, between the modulus inside and the order of vanishing at 0.
+face point ``w`` exactly when ``t -> 0`` and the chart map tends to ``w``.
+On a finite bidisc sequence, an ``(n, 2)`` array of pairs ``(z0, z1)``,
+`hybrid_converges` reads this off the tail (thresholds `T_FLOOR` and `TOL`),
+and `basis_neighborhood_converges` tests the same through the shrinking
+closed neighborhoods of `EPS_LADDER`.  `hybrid_seminorm` is the
+one-variable shadow: a multiplicative seminorm on Laurent polynomials over
+the closed disc of radius ``r``, between the modulus inside and the order of
+vanishing at 0.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,86 +164,79 @@ def log_deviation_constant(z: object, edge: tuple[int, int], epsilon: float = 0.
 # ---------------------------------------------------------------------------
 
 
-def _bidisc_moduli(points: Iterable[Sequence[complex]]) -> list[tuple[float, float]]:
-    seq = []
-    for p in points:
-        if len(p) != 2:
-            raise ValueError("bidisc points are pairs (z0, z1)")
-        a0, a1 = abs(complex(p[0])), abs(complex(p[1]))
-        if not (0.0 < a0 < 1.0 and 0.0 < a1 < 1.0):
-            raise ValueError(
-                f"bidisc point moduli must lie in (0, 1), got ({a0}, {a1})"
-            )
-        seq.append((a0, a1))
-    if not seq:
+T_FLOOR = 1e-4  # `hybrid_converges`: the largest |t| a converging sequence may end at
+TOL = 0.02  # `hybrid_converges`: chart values within TOL of w at the end, 2 TOL on the last third
+EPS_LADDER = (0.2, 0.1, 0.05, 0.02)  # `basis_neighborhood_converges`: the F(eps) tested
+
+
+def _bidisc_moduli(points: object) -> np.ndarray:
+    """The ``(n, 2)`` moduli of a nonempty bidisc sequence, each in (0, 1)."""
+    try:
+        a = np.abs(np.asarray(points, dtype=complex))
+    except ValueError:  # ragged
+        raise ValueError("bidisc points are pairs (z0, z1)") from None
+    if a.size == 0:
         raise ValueError("empty sequence")
-    return seq
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError("bidisc points are pairs (z0, z1)")
+    bad = ~((a > 0.0) & (a < 1.0)).all(axis=1)
+    if bad.any():
+        a0, a1 = a[bad.argmax()].tolist()
+        raise ValueError(f"bidisc point moduli must lie in (0, 1), got ({a0}, {a1})")
+    return a
 
 
-def hybrid_converges(
-    points: Iterable[Sequence[complex]],
-    w: float,
-    *,
-    t_floor: float = 1e-4,
-    tol: float = 0.02,
-) -> bool:
+def hybrid_converges(points: object, w: float) -> bool:
     """Whether a bidisc sequence converges to the edge point ``w`` in the limit topology.
 
-    The sequence of pairs ``(z0, z1)`` converges to ``w`` exactly when
-    ``t = z0 z1`` tends to 0 and ``log|z1| / log|t|`` tends to ``w``.  On a
-    finite sequence this is rendered through the tail: the final point must
-    have ``|t| <= t_floor`` and attain the sequence minimum of ``|t|`` (the
+    ``points`` is an ``(n, 2)`` array-like of pairs ``(z0, z1)``, real or
+    complex.  The sequence converges to ``w`` exactly when ``t = z0 z1``
+    tends to 0 and ``log|z1| / log|t|`` tends to ``w``.  On a finite
+    sequence this is rendered through the tail: the final point must have
+    ``|t| <= T_FLOOR`` and attain the sequence minimum of ``|t|`` (the
     parameter is still heading down when the data ends), its chart value must
-    satisfy ``|log|z1|/log|t| - w| <= tol``, and the last third of the
-    sequence must stay within ``2 * tol`` (no late oscillation).  The loose
+    satisfy ``|log|z1|/log|t| - w| <= TOL``, and the last third of the
+    sequence must stay within ``2 * TOL`` (no late oscillation).  The loose
     band on the last third accommodates the generic slow approach of this
     topology, where the chart value drifts like ``1 / log|t|^{-1}``.
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {w}")
-    seq = _bidisc_moduli(points)
-    ts = [a0 * a1 for a0, a1 in seq]
-    ws = [math.log(a1) / math.log(t) for (_, a1), t in zip(seq, ts)]
-    if ts[-1] > t_floor or ts[-1] > min(ts) * (1.0 + 1e-12):
+    a = _bidisc_moduli(points)
+    ts = a[:, 0] * a[:, 1]
+    log_a = np.log(a)
+    ws = log_a[:, 1] / log_a.sum(axis=1)
+    if ts[-1] > T_FLOOR or ts[-1] > ts.min() * (1.0 + 1e-12):
         return False
-    if abs(ws[-1] - w) > tol:
+    if abs(ws[-1] - w) > TOL:
         return False
-    tail = ws[-max(1, len(ws) // 3):]
-    return all(abs(wk - w) <= 2.0 * tol for wk in tail)
+    return bool((np.abs(ws[-max(1, len(ws) // 3):] - w) <= 2.0 * TOL).all())
 
 
-def basis_neighborhood_converges(
-    points: Iterable[Sequence[complex]],
-    w: float,
-    *,
-    eps_ladder: Sequence[float] = (0.2, 0.1, 0.05, 0.02),
-) -> bool:
+def basis_neighborhood_converges(points: object, w: float) -> bool:
     """Convergence to an interior edge point via the closed neighborhood basis.
 
-    With ``zeta = w / (1 - w)``, the closed sets
+    ``points`` is an ``(n, 2)`` array-like of pairs ``(z0, z1)``, as in
+    `hybrid_converges`.  With ``zeta = w / (1 - w)``, the closed sets
 
         ``F(eps) = {0 < |z0|, |z1| <= eps,  |z0|^(zeta+eps) <= |z1| <= |z0|^(zeta-eps)}``
 
     form a basis of closed neighborhoods of ``w`` as ``eps`` shrinks, so the
     sequence converges to ``w`` exactly when, for every ``eps``, it eventually
     enters ``F(eps)`` and stays.  On a finite sequence the quantifier runs
-    over ``eps_ladder`` and "eventually" means on a nonempty suffix, so
+    over ``EPS_LADDER`` and "eventually" means on a nonempty suffix, so
     only the last point decides (every point is still validated).
     """
     if not 0.0 < w < 1.0:
         raise ValueError(
             f"the neighborhood basis covers interior points only, got w = {w}"
         )
-    for eps in eps_ladder:
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {eps}")
     zeta = w / (1.0 - w)
-    a0, a1 = _bidisc_moduli(points)[-1]
+    a0, a1 = _bidisc_moduli(points)[-1].tolist()
     log_a0, log_a1 = math.log(a0), math.log(a1)
-    return all(
-        a0 <= eps and a1 <= eps and (zeta + eps) * log_a0 <= log_a1 <= (zeta - eps) * log_a0
-        for eps in eps_ladder
-    )
+    eps = np.asarray(EPS_LADDER)
+    lo, hi = (zeta + eps) * log_a0, (zeta - eps) * log_a0
+    return bool(((a0 <= eps) & (a1 <= eps) & (lo <= log_a1) & (log_a1 <= hi)).all())
 
 
 # ---------------------------------------------------------------------------

@@ -192,20 +192,18 @@ class SkeletalMeasure:
     def total_mass(self) -> float:
         return math.fsum(e.weight for e in self.entries)
 
-    def to_rows(self) -> list[dict[str, str]]:
-        rows = []
-        for e in self.entries:
-            rows.append(
-                {
-                    "face": e.face.id_string(),
-                    "components": "&".join(e.face.components),
-                    "b_sigma": str(e.b_sigma),
-                    "volume": str(e.volume),
-                    "residual_mass": repr(e.residual_mass),
-                    "weight": repr(e.weight),
-                }
-            )
-        return rows
+    def to_rows(self) -> list[dict[str, object]]:
+        return [
+            {
+                "face": e.face.id_string(),
+                "components": "&".join(e.face.components),
+                "b_sigma": e.b_sigma,
+                "volume": e.volume,
+                "residual_mass": e.residual_mass,
+                "weight": e.weight,
+            }
+            for e in self.entries
+        ]
 
     def to_json(self) -> dict[str, object]:
         return {

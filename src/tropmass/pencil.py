@@ -464,18 +464,6 @@ def sample_pencil(
     )
 
 
-def predicted_edge_mass(pencil: HypersurfacePencil) -> float:
-    """Limit mass carried by each dual edge of the triangle degeneration.
-
-    Near each triangle vertex the curve is the local model ``u v = const``
-    with unit residual factor, so each edge carries
-    ``R * b^{-1} * Vol = 1``.
-    """
-    if not pencil.has_tropical_edges:
-        raise PencilError("the smooth pencil has no tropical edges")
-    return 1.0
-
-
 def elliptic_lattice_covolume() -> float:
     """Covolume of the period lattice of the smooth cubic ``sum z_i^3 = 0``.
 

@@ -105,7 +105,6 @@ class FiberSampleResult:
     stderr: float
     mass_raw: float
     stderr_raw: float
-    d_ref: int
     w: np.ndarray | None = None
     weights: np.ndarray | None = None
 
@@ -418,7 +417,6 @@ def sample_fiber_measure(
         stderr=stderr,
         mass_raw=mean / unscale,
         stderr_raw=stderr / unscale,
-        d_ref=d_ref,
         w=w,
         weights=weights,
     )
@@ -775,11 +773,6 @@ class PolarCheckResult:
     @property
     def abs_discrepancy(self) -> float:
         return abs(self.mc_value - self.exact_value)
-
-    @property
-    def rel_discrepancy(self) -> float:
-        scale = max(abs(self.exact_value), 1e-300)
-        return self.abs_discrepancy / scale
 
     @property
     def sigmas(self) -> float:

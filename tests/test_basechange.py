@@ -85,7 +85,7 @@ class TestModelBaseChange:
         report = model_base_change(coordinate_pencil(2), 3)
         rows = report.rows()
         assert len(rows) == 6
-        assert all(r["e"] == "3" and r["fg"] == "1" for r in rows)
+        assert all(r["e"] == 3 and r["fg"] == 1 for r in rows)
 
     def test_unknown_face_in_g_choices(self):
         with pytest.raises(ValueError, match="unknown faces"):

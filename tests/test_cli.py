@@ -458,6 +458,19 @@ class TestExitCodes:
         assert code == 2
         assert "banana" in err
 
+    def test_zero_denominator_in_a_exits_two(self, tmp_path, capsys):
+        code, out, err = run_cli(["sample", "--b", "1,1", "--a", "0,1/0", "--t", "1e-3", "--seed", "1"], tmp_path, capsys)
+        assert code == 2
+        assert "[error] expected comma-separated rationals, got '0,1/0'" in err
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("item", ["E0&E1=abc", "E0&E1"])
+    def test_bad_residue_names_its_flag(self, tmp_path, capsys, item):
+        code, out, err = run_cli(["limit-measure", "--preset", "annulus", "--residue", item], tmp_path, capsys)
+        assert code == 2
+        assert f"[error] --residue {item!r} must look like FACE=VALUE" in err
+        assert out == ""
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropmass import hybrid
+from tropmass.cli import _random_bidisc_sequence
 from tropmass.hybrid import (
     ChartDomainError,
     LaurentSeriesPoly,
@@ -201,6 +202,25 @@ def power_sequence(zeta: float, ks: list[int]) -> list[tuple[float, float]]:
     return [(1.0 / k, k ** (-zeta)) for k in ks]
 
 
+def scalar_random_sequence(rng: np.random.Generator) -> tuple[float, int, list[tuple[float, float]]]:
+    """The reference construction of a randomized hybrid-check sequence, point by point."""
+    w_star = rng.uniform(0.15, 0.85)
+    kind = rng.integers(3)
+    pts = []
+    for k in range(1, 40):
+        big_l = min(1.5 * 1.35**k, 500.0)
+        if kind == 0:  # converges to w_star
+            wk = w_star + rng.uniform(-1, 1) * 0.2 * 0.5**k
+        elif kind == 1:  # converges to a displaced target
+            wk = w_star + 0.12 + 0.2 * 0.5**k
+        else:  # parameter stalls in the open part
+            big_l = 1.5 + 0.01 * k
+            wk = w_star
+        wk = min(max(wk, 0.02), 0.98)
+        pts.append((math.exp(-(1 - wk) * big_l), math.exp(-wk * big_l)))
+    return w_star, kind, pts
+
+
 class TestHybridConverges:
     @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
     def test_power_law_sequences(self, zeta):
@@ -225,6 +245,12 @@ class TestHybridConverges:
         seq.append((0.05, 0.5))
         assert not hybrid_converges(seq, 0.0)
 
+    def test_parameter_underflowing_to_zero(self):
+        # |t| = |z0 z1| underflows to 0, yet log|t| = log|z0| + log|z1| stays finite.
+        seq = [(10.0 ** -(20 * k), 10.0 ** -(20 * k)) for k in range(1, 11)]
+        assert hybrid_converges(seq, 0.5)
+        assert not hybrid_converges(seq, 0.6)
+
     def test_target_validation(self):
         with pytest.raises(ValueError, match="target"):
             hybrid_converges([(0.1, 0.1)], 1.5)
@@ -248,37 +274,83 @@ class TestHybridConverges:
         with pytest.raises(ValueError, match="interior"):
             basis_neighborhood_converges([(0.1, 0.1)], 0.0)
 
-    def test_basis_validates_every_eps_first(self):
-        # The first rung already fails (|z0| > 0.2), yet the bad last rung raises.
-        assert not basis_neighborhood_converges([(0.5, 0.5)], 0.5, eps_ladder=(0.2,))
-        with pytest.raises(ValueError, match="eps"):
-            basis_neighborhood_converges([(0.5, 0.5)], 0.5, eps_ladder=(0.2, 1.5))
-
     def test_random_sequences_cross_validated(self):
         rng = np.random.default_rng(2024)
         agree = 0
         n_seq = 300
         for _ in range(n_seq):
-            w_star = rng.uniform(0.15, 0.85)
-            kind = rng.integers(3)
-            pts = []
-            for k in range(1, 40):
-                big_l = min(1.5 * 1.35**k, 500.0)
-                if kind == 0:  # converges to w_star
-                    wk = w_star + rng.uniform(-1, 1) * 0.2 * 0.5**k
-                elif kind == 1:  # converges to a displaced target
-                    wk = w_star + 0.12 + 0.2 * 0.5**k
-                else:  # parameter stalls in the open part
-                    big_l = 1.5 + 0.01 * k
-                    wk = w_star
-                wk = min(max(wk, 0.02), 0.98)
-                pts.append((math.exp(-(1 - wk) * big_l), math.exp(-wk * big_l)))
+            w_star, kind, pts = scalar_random_sequence(rng)
             expected = kind == 0
             a = hybrid_converges(pts, w_star)
             b = basis_neighborhood_converges(pts, w_star)
             assert a == expected
             agree += a == b
         assert agree == n_seq
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_battery_sequences_match_the_scalar_construction(self, seed):
+        # One draw of 39 uniforms is the 39 scalar draws, so both streams stay in step.
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            w_star, kind, pts = _random_bidisc_sequence(rng)
+            ref_w, ref_kind, ref_pts = scalar_random_sequence(ref_rng)
+            assert (w_star, kind) == (ref_w, ref_kind)
+            assert pts.shape == (39, 2)
+            np.testing.assert_array_max_ulp(pts, np.array(ref_pts), maxulp=4)
+            for w in (w_star, 0.5):
+                assert hybrid_converges(pts, w) == hybrid_converges(ref_pts, w)
+                assert basis_neighborhood_converges(pts, w) == basis_neighborhood_converges(ref_pts, w)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["power", "vertex", "bounce", "stall", "random"])
+    def test_array_and_pair_lists_agree(self, kind):
+        ws = (0.0, 0.2, 1 / 3, 0.5, 2 / 3, 0.9, 1.0)
+        if kind == "power":
+            seqs = [power_sequence(zeta, [2**j for j in range(1, 60)]) for zeta in (0.5, 1.0, 2.0)]
+        elif kind == "vertex":
+            seqs = [[(1.0 / 2**j, 0.5) for j in range(1, 200)]]
+        elif kind == "bounce":
+            seqs = [[(10.0 ** -(3 + k), 0.5) for k in range(8)] + [(0.05, 0.5)]]
+        elif kind == "stall":
+            seqs = [[(0.3 * math.cos(0.01 * k), 0.4) for k in range(1, 50)]]
+        else:
+            rng = np.random.default_rng(3)
+            seqs = [scalar_random_sequence(rng)[2] for _ in range(30)]
+        for seq in seqs:
+            arr = np.array(seq)
+            # Multiplying by i and by -1 is exact, so the moduli are the same floats.
+            complex_pairs = [(1j * z0, -z1) for z0, z1 in seq]
+            for w in ws:
+                answers = {hybrid_converges(x, w) for x in (arr, seq, complex_pairs)}
+                assert len(answers) == 1
+                if 0.0 < w < 1.0:
+                    answers = {basis_neighborhood_converges(x, w) for x in (arr, seq, complex_pairs)}
+                    assert len(answers) == 1
+
+    @pytest.mark.parametrize(
+        "points, match",
+        [
+            ([], "empty sequence"),
+            (np.empty((0, 2)), "empty sequence"),
+            (np.full((3, 3), 0.5), r"bidisc points are pairs \(z0, z1\)"),
+            ([(0.5, 0.5), (0.5,)], r"bidisc points are pairs \(z0, z1\)"),
+            (np.full(4, 0.5), r"bidisc points are pairs \(z0, z1\)"),
+            (
+                [(0.5, 0.25), (1.5, 0.25), (0.0, 0.5)],
+                r"bidisc point moduli must lie in \(0, 1\), got \(1.5, 0.25\)$",
+            ),
+            (
+                [(0.5, 0.25), (0.5, -0.5j), (0.25, 0.0)],
+                r"bidisc point moduli must lie in \(0, 1\), got \(0.25, 0.0\)$",
+            ),
+            ([(0.5, 0.25), (0.5, math.nan)], r"moduli must lie in \(0, 1\), got \(0.5, nan\)$"),
+        ],
+    )
+    def test_sequence_validation_messages(self, points, match):
+        with pytest.raises(ValueError, match=match):
+            hybrid_converges(points, 0.5)
+        with pytest.raises(ValueError, match=match):
+            basis_neighborhood_converges(points, 0.5)
 
 
 class TestLaurentSeriesPoly:

@@ -19,7 +19,6 @@ from tropmass.pencil import (
     _cardano_cube_root,
     _sample_patch_route,
     _solve_symmetric_cubic,
-    predicted_edge_mass,
     sample_pencil,
 )
 from tropmass.sampler import TRIG_BLOCK, _moments, _shard_counts, fit_mass_asymptotics
@@ -101,11 +100,6 @@ class TestPencilConfig:
     def test_sample_count_floor_is_a_pencil_error(self):
         with pytest.raises(PencilError, match="sample count"):
             sample_pencil(HypersurfacePencil.fermat(), 1e-3, 6 * _STRATA - 1, seed=0)
-
-    def test_predicted_edge_mass(self):
-        assert predicted_edge_mass(HypersurfacePencil.coordinate()) == 1.0
-        with pytest.raises(PencilError):
-            predicted_edge_mass(HypersurfacePencil.fermat())
 
 
 class TestResidueFormGluing:
@@ -441,7 +435,7 @@ class TestCoordinatePencil:
 
     def test_total_normalized_converges_to_limit_total(self):
         pen = HypersurfacePencil.coordinate()
-        limit = sum(predicted_edge_mass(pen) for _ in range(3))
+        limit = assemble_limit_measure(coordinate_pencil_model(2)).total_mass
         vals = []
         for k in (3, 5, 7):
             t = 10.0**-k
@@ -457,8 +451,6 @@ class TestCoordinatePencil:
     def test_limit_total_matches_skeletal_measure(self):
         measure = assemble_limit_measure(coordinate_pencil_model(2))
         assert measure.total_mass == pytest.approx(3.0)
-        pen = HypersurfacePencil.coordinate()
-        assert sum(predicted_edge_mass(pen) for _ in range(3)) == measure.total_mass
 
     def test_determinism(self):
         pen = HypersurfacePencil.coordinate()

@@ -799,7 +799,7 @@ class TestPolarChecks:
         res = polar_full_check([f], 400_000, seed=2)[0]
         assert res.exact_value == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
         assert res.sigmas < 4
-        assert res.rel_discrepancy < 0.01
+        assert res.abs_discrepancy < 0.01 * abs(res.exact_value)
 
     def test_full_off_diagonal_vanishes(self):
         f = TrigPoly((((2, 0), (0, 1), 1.0 + 0j), ((0, 1), (2, 0), 1.0 - 0j)))
@@ -858,7 +858,7 @@ class TestPolarChecks:
         exact = math.pi * (1.0 - t * t)
         assert res.exact_value == pytest.approx(exact, rel=1e-12)
         assert res.sigmas < 4
-        assert res.rel_discrepancy < 0.01
+        assert res.abs_discrepancy < 0.01 * abs(res.exact_value)
 
     def test_fiber_constant_total_mass(self):
         t = 1e-2
@@ -866,7 +866,7 @@ class TestPolarChecks:
         res = polar_fiber_check((1, 1), t, [f], 1000, seed=5)[0]
         assert res.mc_value == pytest.approx(TWO_PI * math.log(1.0 / t), rel=1e-12)
         assert res.mc_stderr == pytest.approx(0.0, abs=1e-9)
-        assert res.rel_discrepancy < 1e-12
+        assert res.abs_discrepancy < 1e-12 * abs(res.exact_value)
 
     def test_fiber_branch_sum_with_multiplicity(self):
         # b = (2, 2): the term c z_0^2 z_1^2 and its partner match the s = +-1
@@ -989,7 +989,7 @@ class TestPolarChecks:
             f = TrigPoly(f.terms + (anchor,))
             res = polar_full_check([f], 150_000, seed=100 + trial)[0]
             assert abs(res.mc_value - res.exact_value) < max(5 * res.mc_stderr, 1e-9)
-            assert res.rel_discrepancy < 0.01
+            assert res.abs_discrepancy < 0.01 * abs(res.exact_value)
 
 
 class TestMassFit:
