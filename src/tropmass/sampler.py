@@ -21,13 +21,15 @@ on the same draws; the estimates then come as length-``k`` arrays, row ``j``
 equal to the call with that function alone.
 
 The module also provides histogram pushforwards under the normalized log map,
-weighted Kolmogorov-Smirnov statistics against predicted limit densities,
-closed-form vs Monte-Carlo checks of the polar factorization identities
-(whose Monte-Carlo sides are `sample_fiber_measure` itself, one sample per
-identity shared by all its test functions), and a least-squares fit
-recovering the mass-asymptotics exponents.  Their test functions, `TrigPoly`,
-are real by construction and folded once; `_trig_block` evaluates ``k`` of
-them on a block, each power of each coordinate computed once.
+weighted Kolmogorov-Smirnov statistics against predicted limit densities
+(the points binned by model CDF value, and only the cells whose bound can
+hold the maximum sorted), closed-form vs Monte-Carlo checks of the polar
+factorization identities (whose Monte-Carlo sides are `sample_fiber_measure`
+itself, one sample per identity shared by all its test functions), and a
+least-squares fit recovering the mass-asymptotics exponents.  Their test
+functions, `TrigPoly`, are real by construction and folded once;
+`_trig_block` evaluates ``k`` of them on a block, each power of each
+coordinate computed once.
 """
 
 from __future__ import annotations
@@ -552,27 +554,77 @@ def ks_statistic(
 ) -> float:
     """Weighted one-sample Kolmogorov-Smirnov statistic against a given CDF.
 
-    Compares the normalized weighted empirical CDF with ``cdf`` at every
-    sample point (from both sides of each step).
+    The largest gap, from either side of each step, between the normalized
+    weighted empirical CDF and ``cdf``, a non-decreasing function, at the
+    sample points.  Only a few points are sorted.  ``cdf`` is evaluated once
+    and each point goes to one of ``B = max(1, n // 16)`` equal cells of its
+    value; the cell weights give the empirical CDF ``C`` at the cell edges.
+    A point of cell ``j`` sees an empirical CDF in ``[C[j], C[j+1]]`` (the
+    weights are non-negative) and a model value in ``[j/B, (j+1)/B]``, so its
+    gap is at most ``max(C[j+1] - j/B, (j+1)/B - C[j])``, plus a slack for
+    the rounding of the sums.  (The first and last cells also hold the model
+    values below 0 and above 1.)  The cell of the largest bound is sorted
+    and its exact gaps taken, then every other cell whose bound exceeds the
+    largest gap found.  The cells left out cannot hold a larger gap, so the
+    result equals the sorted form up to the rounding of the cumulative sums.
+
+    Returns NaN if a weight or a value of ``cdf`` is NaN or infinite, so a
+    broken sample fails its check.  Raises ``ValueError`` for no samples,
+    sizes that differ, a negative weight or a total weight that is not
+    positive.
     """
     values = np.asarray(values, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
-    if values.size == 0:
+    n = values.size
+    if n == 0:
         raise ValueError("no samples")
-    # Ties may come out in any order: within a run of equal values the
-    # largest gap is at the run's ends, whose cumulative weights do not
-    # depend on the order inside it.
-    order = np.argsort(values)
-    v = values[order]
-    w = weights[order]
-    total = w.sum()
+    if weights.size != n:
+        raise ValueError(f"{n} values but {weights.size} weights")
+    if weights.min() < 0:
+        raise ValueError("weights must be non-negative")
+    total = weights.sum()
     if total <= 0:
         raise ValueError("total weight must be positive")
-    cum = np.cumsum(w) / total
-    model = np.asarray(cdf(v), dtype=float)
-    upper = np.max(np.abs(cum - model))
-    lower = np.max(np.abs(np.concatenate([[0.0], cum[:-1]]) - model))
-    return float(max(upper, lower))
+    model = np.asarray(cdf(values), dtype=float).ravel()
+    lo, hi = model.min(), model.max()
+    if not (np.isfinite(total) and np.isfinite(lo) and np.isfinite(hi)):
+        return math.nan
+    cells = max(1, n // 16)
+    cell = np.clip(model * cells, 0, cells - 1).astype(np.intp)  # non-decreasing in model
+    counts = np.bincount(cell, minlength=cells)
+    cum_edge = np.concatenate(([0.0], np.cumsum(np.bincount(cell, weights, cells)))) / total
+    grid = np.arange(cells + 1) / cells
+    grid[0], grid[-1] = min(0.0, lo), max(1.0, hi)
+    # The slack covers the rounding of the cumulative sums, each within about
+    # n ulp of the total, and of ``model * cells``.
+    bound = np.maximum(cum_edge[1:] - grid[:-1], grid[1:] - cum_edge[:-1])
+    bound += 4 * n * np.finfo(float).eps
+    bound[counts == 0] = -np.inf
+    best = 0.0
+    pick = np.zeros(cells, dtype=bool)
+    pick[np.argmax(bound)] = True
+    visited = pick.copy()
+    # Two rounds: every bound left above the first cell's gap is visited next.
+    while pick.any():
+        picked = np.flatnonzero(pick)
+        idx = np.flatnonzero(pick[cell])
+        # Sorted by model value, the points come grouped by cell in the order
+        # of `picked`.  Ties may come out in any order: within a run of equal
+        # values the largest gap is at the run's ends, whose cumulative
+        # weights do not depend on the order inside it.
+        idx = idx[np.argsort(model[idx])]
+        w = weights[idx] / total
+        cum = np.cumsum(w)
+        runs = counts[picked]
+        before = np.concatenate(([0.0], cum[np.cumsum(runs)[:-1] - 1]))
+        cum += np.repeat(cum_edge[picked] - before, runs)
+        gap = cum - model[idx]
+        best = max(best, float(np.abs(gap).max()))
+        gap -= w
+        best = max(best, float(np.abs(gap).max()))
+        pick = (bound > best) & ~visited
+        visited |= pick
+    return best
 
 
 def uniform_cdf(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -17,6 +17,7 @@ from tropmass import cli, sampler
 from tropmass.cli import ExperimentConfig
 from tropmass.lattice import simplex_volume
 from tropmass.measure import MonomialChartMetric, TWO_PI, chart_limit_mass
+from tropmass.pencil import HypersurfacePencil, sample_pencil
 from tropmass.sampler import (
     CHUNK,
     TRIG_BLOCK,
@@ -344,6 +345,28 @@ class TestPushforwardHistogram:
         assert hist.total_mass == pytest.approx(math.pi, rel=0.05)
 
 
+def sorted_ks(values, weights, cdf):
+    """Reference: the weighted KS statistic from one full sort of the points."""
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    order = np.argsort(values)
+    v = values[order]
+    w = weights[order]
+    cum = np.cumsum(w) / w.sum()
+    model = np.asarray(cdf(v), dtype=float)
+    upper = np.max(np.abs(cum - model))
+    lower = np.max(np.abs(np.concatenate([[0.0], cum[:-1]]) - model))
+    return float(max(upper, lower))
+
+
+UNIFORM = uniform_cdf(0.0, 1.0)
+
+
+def beta_cdf(p):
+    """The Beta(1, p) CDF of a coordinate of a uniform point on the p-simplex."""
+    return lambda x: 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** p
+
+
 class TestKsStatistic:
     def test_uniform_samples_close(self):
         rng = np.random.default_rng(0)
@@ -365,8 +388,45 @@ class TestKsStatistic:
         assert stat == pytest.approx(0.5)
 
     def test_empty_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no samples"):
             ks_statistic(np.array([]), np.array([]), uniform_cdf(0.0, 1.0))
+
+    def test_zero_total_weight_raises(self):
+        with pytest.raises(ValueError, match="total weight must be positive"):
+            ks_statistic(np.array([0.1, 0.2]), np.zeros(2), UNIFORM)
+
+    @pytest.mark.parametrize("n_weights", [50, 200])
+    def test_sizes_that_differ_raise(self, n_weights):
+        v = np.linspace(0.0, 1.0, 100)
+        with pytest.raises(ValueError, match=f"100 values but {n_weights} weights"):
+            ks_statistic(v, np.ones(n_weights), UNIFORM)
+
+    def test_negative_weight_raises(self):
+        w = np.ones(40)
+        w[7] = -1e-3
+        with pytest.raises(ValueError, match="non-negative"):
+            ks_statistic(np.linspace(0.0, 1.0, 40), w, UNIFORM)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_broken_weight_gives_nan(self, bad):
+        rng = np.random.default_rng(3)
+        v, w = rng.uniform(size=1000), rng.exponential(size=1000)
+        w[123] = bad
+        assert math.isnan(ks_statistic(v, w, UNIFORM))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_broken_cdf_value_gives_nan(self, bad):
+        rng = np.random.default_rng(3)
+        v, w = rng.uniform(size=1000), rng.exponential(size=1000)
+
+        def cdf(x):
+            out = UNIFORM(x)
+            out[x > 0.9] = bad
+            return out
+
+        assert math.isnan(ks_statistic(v, w, cdf))
+        v[5] = math.nan  # the uniform CDF of NaN is NaN
+        assert math.isnan(ks_statistic(v, w, UNIFORM))
 
     def test_ties_in_any_order_give_the_stable_sort_value(self):
         rng = np.random.default_rng(5)
@@ -377,6 +437,100 @@ class TestKsStatistic:
         model = uniform_cdf(0.0, 1.0)(v[order])
         ref = max(np.abs(cum - model).max(), np.abs(np.concatenate([[0.0], cum[:-1]]) - model).max())
         assert ks_statistic(v, w, uniform_cdf(0.0, 1.0)) == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_sorted_reference_on_random_sizes(self, seed):
+        rng = np.random.default_rng(seed)
+        # Below 16 points there is a single cell.
+        sizes = [1, 2, 15, 16, 17, 33] + list(rng.integers(1, 5001, size=12))
+        for n in sizes:
+            v = rng.uniform(size=n)
+            w = rng.exponential(size=n)
+            assert ks_statistic(v, w, UNIFORM) == pytest.approx(sorted_ks(v, w, UNIFORM), abs=1e-12)
+
+    @pytest.mark.parametrize("decimals", [1, 2, 3])
+    def test_matches_sorted_reference_with_many_ties(self, decimals):
+        rng = np.random.default_rng(decimals)
+        for n in (10, 500, 5000):
+            v = np.round(rng.uniform(size=n), decimals)
+            w = rng.exponential(size=n)
+            assert ks_statistic(v, w, UNIFORM) == pytest.approx(sorted_ks(v, w, UNIFORM), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 5000])
+    def test_all_values_equal(self, n):
+        rng = np.random.default_rng(n)
+        v = np.full(n, 0.3)
+        w = rng.exponential(size=n)
+        assert ks_statistic(v, w, UNIFORM) == pytest.approx(sorted_ks(v, w, UNIFORM), abs=1e-12)
+        assert ks_statistic(v, w, UNIFORM) == pytest.approx(0.7, abs=1e-12)
+
+    def test_zero_weights(self):
+        rng = np.random.default_rng(6)
+        for n in (20, 999, 5000):
+            v = rng.uniform(size=n)
+            w = np.where(rng.uniform(size=n) < 0.6, 0.0, rng.exponential(size=n))
+            w[0] = 1.0
+            # A whole stretch of zero-weight points: the empirical CDF stays flat there.
+            w[(v > 0.4) & (v < 0.7)] = 0.0
+            assert ks_statistic(v, w, UNIFORM) == pytest.approx(sorted_ks(v, w, UNIFORM), abs=1e-12)
+
+    def test_heavy_tailed_weights(self):
+        rng = np.random.default_rng(7)
+        for n in (50, 1000, 5000):
+            v = rng.uniform(size=n)
+            for w in (rng.pareto(1.1, size=n), rng.lognormal(0.0, 3.0, size=n)):
+                assert ks_statistic(v, w, UNIFORM) == pytest.approx(
+                    sorted_ks(v, w, UNIFORM), abs=1e-12
+                )
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_non_uniform_cdf(self, p):
+        rng = np.random.default_rng(p)
+        cdf = beta_cdf(p)
+        for n in (30, 2000, 5000):
+            # Beta(1, p) draws, then uniform draws that the Beta CDF does not fit.
+            for v in (1.0 - rng.uniform(size=n) ** (1.0 / p), rng.uniform(size=n)):
+                w = rng.exponential(size=n)
+                assert ks_statistic(v, w, cdf) == pytest.approx(sorted_ks(v, w, cdf), abs=1e-12)
+
+    @pytest.mark.parametrize("warp", [np.sqrt, np.square], ids=["below-model", "above-model"])
+    def test_one_sided_deviation(self, warp):
+        # sqrt(u) puts the empirical CDF below the model everywhere, u^2 above:
+        # each side of a cell's bound must be kept.
+        rng = np.random.default_rng(9)
+        v = warp(rng.uniform(size=4000))
+        w = rng.exponential(size=v.size)
+        stat = ks_statistic(v, w, UNIFORM)
+        assert stat == pytest.approx(sorted_ks(v, w, UNIFORM), abs=1e-12)
+        assert stat == pytest.approx(0.25, abs=0.03)
+
+    def test_maximum_inside_a_cell_with_small_edge_gaps(self):
+        # 64 points on a grid, so 4 cells of width 1/4, each of weight 16: the
+        # empirical CDF meets the model at every cell edge.  The second cell
+        # puts all its weight on one point in its middle, so the gap peaks there.
+        v = (np.arange(64) + 0.5) / 64
+        w = np.ones(64)
+        w[16:32] = 0.0
+        w[24] = 16.0
+        stat = ks_statistic(v, w, UNIFORM)
+        assert stat == pytest.approx(sorted_ks(v, w, UNIFORM), abs=1e-12)
+        assert stat == pytest.approx(24.5 / 64 - 0.25)
+
+    def test_pushforward_matches_sorted_reference(self):
+        hist = pushforward_histogram(metric((1, 2), (0, 0)), 50_000, 20, seed=8, t=1e-4)
+        cdf = uniform_cdf(0.0, 0.5)
+        values = hist.values[:, 0]
+        assert ks_statistic(values, hist.weights, cdf) == pytest.approx(
+            sorted_ks(values, hist.weights, cdf), abs=1e-12
+        )
+
+    def test_coordinate_pencil_edges_match_sorted_reference(self):
+        run = sample_pencil(HypersurfacePencil.coordinate(), 1e-5, 30_000, seed=11)
+        assert len(run.patches) == 3
+        for p in run.patches:
+            assert p.ks_uniform == pytest.approx(
+                sorted_ks(p.values, p.weights, UNIFORM), abs=1e-12
+            )
 
 
 def naive_trig_poly(f, z):
