@@ -97,6 +97,7 @@ from .sampler import (
     uniform_cdf,
 )
 from .skeleton import (
+    SkeletonError,
     TriangulatedSkeleton,
     barycentric_subdivide,
     parse_skeleton_spec,
@@ -160,6 +161,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{row.flag(name)} must be positive")
         if given.get("seed", 0) < 0:
             raise ConfigError(f"{row.flag('seed')} must be non-negative")
+        rho = given.get("rho", 0.0)
+        if not (math.isfinite(rho) and rho >= 0):
+            raise ConfigError(f"{row.flag('rho')} must be finite and >= 0")
         for t in given.get("t_schedule", ()):
             if not 0.0 < t < 1.0:
                 raise ConfigError(f"t values must lie in (0, 1), got {t!r}")
@@ -176,6 +180,8 @@ class ExperimentConfig:
         for name, default in row.reads.items():
             if name not in given:
                 object.__setattr__(self, name, default)
+        if self.bins is not None and self.bins > self.n_samples:
+            raise ConfigError(f"{row.flag('bins')} {self.bins} exceeds {row.flag('n_samples')} {self.n_samples}")
 
     def echo(self) -> dict[str, object]:
         """The command, each field its row reads with the value used, and the output directory."""
@@ -626,8 +632,17 @@ def _pushforward_verdicts(
 def _residue_verdict(
     sk: TriangulatedSkeleton, anchor: str, rho: float | None, name: str
 ) -> tuple[CheckVerdict, dict[str, float]]:
-    """Propagate the anchor's residue through the skeleton; the magnitudes must agree."""
-    magnitudes = residue_chain_propagate(sk, anchor, rho)
+    """Propagate the anchor's residue through the skeleton; the magnitudes must agree.
+
+    An anchor naming no cell raises `SkeletonError`.  A skeleton that cannot
+    carry the propagation (not closed, not strongly connected, or a cell with
+    ``b_sigma != 1``) fails the check, with the reason in its detail.
+    """
+    sk.cell(anchor)
+    try:
+        magnitudes = residue_chain_propagate(sk, anchor, rho)
+    except SkeletonError as err:
+        return exact_check(name, 1.0, f"no propagation: {err}"), {}
     lo, hi = min(magnitudes.values()), max(magnitudes.values())
     if lo == hi:
         detail = f"propagated magnitude {lo:g} on all {len(magnitudes)} cells"

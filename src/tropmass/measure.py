@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .lattice import _multiplicities, simplex_volume
 from .model import Face, ModelError, WeightedSncModel, build_dual_complex, weight_data
@@ -37,8 +37,8 @@ class MonomialChartMetric:
     ``transverse_radii``, optionally carrying pair-divisor exponents
     ``pair_exponents`` (each < 1).  ``kappa_ref`` is the reference slope the
     masses are rescaled by; it defaults to the chart-local minimum of
-    ``a_i / b_i``.  ``weight_fn`` is an optional bounded log-weight of the
-    metric; ``None`` means the pure monomial metric.
+    ``a_i / b_i``.  The metric is the pure monomial one; a bounded metric
+    weight ``e^{2 phi}`` enters the sampler as its ``h``.
     """
 
     b: tuple[int, ...]
@@ -48,7 +48,6 @@ class MonomialChartMetric:
     transverse_radii: tuple[float, ...] | None = None
     pair_exponents: tuple[Fraction, ...] | None = None
     kappa_ref: Fraction | None = None
-    weight_fn: Callable[..., float] | None = None
 
     def __post_init__(self) -> None:
         b = _multiplicities(self.b)
@@ -122,11 +121,9 @@ def residual_mass_closed_form(chart: MonomialChartMetric, active_dim: int | None
     where ``e_i = a_i - kappa_ref * b_i`` and ``d`` is the active dimension.
 
     Raises `DivergenceError` when a nonactive exponent is <= 0 or a pair
-    exponent is >= 1, and `ValueError` when the chart is not in monomial form
-    (a metric weight is attached) or ``active_dim`` disagrees with the chart.
+    exponent is >= 1, and `ValueError` when ``active_dim`` disagrees with
+    the chart.
     """
-    if chart.weight_fn is not None:
-        raise ValueError("closed form requires the pure monomial metric (no weight function)")
     active = chart.active_indices()
     d = len(active) - 1
     if active_dim is not None and active_dim != d:

@@ -13,17 +13,21 @@ choice, transverse radii by inverting the radial power law — so every sample
 carries an unbiased weight for integrals against the rescaled measure.  Only
 a chart with two or more non-active coordinates rejects slice points.
 Variances are accumulated as per-chunk means and centred second moments.
-When a test function or a metric weight is given, the complex coordinates
-are built, evaluated and pooled one block of `TRIG_BLOCK` rows at a time,
-their angles from `_unit_phasor`, a table-driven ``e^{2 pi i u}`` within a
-few ulp of ``np.exp``.  A test function may return ``k`` rows, ``k`` functions
-on the same draws; the estimates then come as length-``k`` arrays, row ``j``
-equal to the call with that function alone.
+Without a test function ``h`` only the slice is drawn.  With one (a metric
+weight ``e^{2 phi}`` is one too), the angles and transverse discs are drawn
+as well, and the complex coordinates are built, evaluated and pooled one
+block of `TRIG_BLOCK` rows at a time, their angles from `_unit_phasor`, a
+table-driven ``e^{2 pi i u}`` within a few ulp of ``np.exp``.  A test
+function may return ``k`` rows, ``k`` functions on the same draws; the
+estimates then come as length-``k`` arrays, row ``j`` equal to the call with
+that function alone.  Kept samples carry their slice weights, so keeping
+takes no ``h``.
 
-The module also provides histogram pushforwards under the normalized log map,
-weighted Kolmogorov-Smirnov statistics against predicted limit densities
-(the points binned by model CDF value, and only the cells whose bound can
-hold the maximum sorted), closed-form vs Monte-Carlo checks of the polar
+The module also provides histogram pushforwards under the normalized log map
+(binned when the active face is an edge, the total mass otherwise), weighted
+Kolmogorov-Smirnov statistics against predicted limit densities (the points
+binned by model CDF value, and only the cells whose bound can hold the
+maximum sorted), closed-form vs Monte-Carlo checks of the polar
 factorization identities (whose Monte-Carlo sides are `sample_fiber_measure`
 itself, one sample per identity shared by all its test functions), and a
 least-squares fit recovering the mass-asymptotics exponents.  Their test
@@ -92,12 +96,12 @@ class FiberSampleResult:
 
     ``mass`` estimates the rescaled measure (the one converging to the
     skeletal limit); ``mass_raw`` the unrescaled fiber mass.  The four
-    estimates are floats, or length-``k`` arrays for an ``h`` of ``k`` rows.  ``w`` holds the
-    normalized log coordinates of the kept samples (all ``p + 1`` of them,
-    summing to 1 against the multiplicities), ``weights`` their estimator
-    weights; both are ``None`` unless the samples were kept.  The complex
-    chart coordinates are built only for ``h`` or the metric's weight
-    function and are not kept.
+    estimates are floats, or length-``k`` arrays for an ``h`` of ``k`` rows.
+    ``w`` holds the normalized log coordinates of the kept samples (all
+    ``p + 1`` of them, summing to 1 against the multiplicities), ``weights``
+    their slice weights; both are ``None`` unless the samples were kept,
+    which no ``h`` allows.  The complex chart coordinates are built only for
+    an ``h`` and are not kept.
     """
 
     t: complex
@@ -121,8 +125,8 @@ class FiberSampleResult:
 # 1e5 samples of the ``--quick`` suites, so each of their calls is one chunk.
 CHUNK = 1 << 17
 
-# Rows that `sample_fiber_measure` hands at once to ``h`` and the metric weight,
-# and that `pencil` solves at once: a few hundred kilobytes of temporaries.
+# Rows that `sample_fiber_measure` hands at once to ``h``, and that `pencil`
+# solves at once: a few hundred kilobytes of temporaries.
 TRIG_BLOCK = 1 << 14
 
 
@@ -253,107 +257,74 @@ def _sample_shard(
     weights = prefactor * np.exp(-log_decay)
     if k > 1:
         weights = weights * rest ** (k - 1) / math.factorial(k - 1)
+    if h is None:
+        if accept is not None:
+            weights = np.where(accept, weights, 0.0)
+        weights = np.broadcast_to(weights, (n,))
+        _, mean, m2 = _moments(weights)
+    else:
+        # The turns theta_1..theta_p are uniform and theta_0 solves the angular
+        # relation on a uniform one of its b_0 branches: exact Haar measure on
+        # the subtorus.  Each transverse disc then draws its radius and turns.
+        y = dict(zip(others + active, [*y_others, *y_active]))
+        phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
+        theta = rng.random((n, p))
+        branch = rng.integers(0, m.b[0], size=n)
+        roots = enumerate_point_fiber(chart)[0] if p == 0 else None
+        discs = []
+        for r, c in zip(m.transverse_radii, m.pair_exponents):
+            radius = rng.random(n)
+            radius **= 1.0 / (2.0 - 2.0 * float(c))
+            radius *= r
+            discs.append((radius, rng.random(n)))
+        weights = np.broadcast_to(weights, (n,))
+        parts = []
+        for block in _row_blocks(n):
+            rows = block.stop - block.start
+            # Column-major, so each coordinate's column is contiguous for h.
+            z = np.empty((p + 1, rows), dtype=complex).T
+            if p == 0:  # z_0 is one of the b_0 points of the fiber
+                z[:, 0] = roots[branch[block]]
+            else:
+                turns = [branch[block] + phi_t, *theta[block].T]
+                for i in range(1, p + 1):
+                    turns[0] -= b[i] * turns[i]
+                turns[0] /= b[0]
+                for i in range(p + 1):
+                    modulus = y[i][block] * (-1.0 / b[i])  # e^{-x_i}
+                    modulus -= ell[i]
+                    np.exp(modulus, out=modulus)
+                    z[:, i] = _unit_phasor(turns[i], modulus)
+            args = (z,)
+            if discs:
+                yt = np.empty((len(discs), rows), dtype=complex).T
+                for j, (radius, spin) in enumerate(discs):
+                    yt[:, j] = _unit_phasor(spin[block], radius[block])
+                args = (z, yt)
+            values = h(*args)
+            if np.iscomplexobj(values):
+                raise ValueError("h must return real values, not complex ones")
+            w = weights[block] * np.asarray(values, dtype=float)
+            if accept is not None:
+                w = np.where(accept[block], w, 0.0)
+            parts.append(_moments(w))
+        _, mean, m2 = _merge_moments(parts)
+
+    n_accepted = n if accept is None else int(np.count_nonzero(accept))
+    out = {"n": n, "mean": mean, "m2": m2, "n_accepted": n_accepted}
     if keep:
-        # The log coordinates x_i = ell_i + y_i / b_i, one row per coordinate.
+        # The normalized log coordinates x_i / L, x_i = ell_i + y_i / b_i,
+        # one row per coordinate.
         x_rows = np.empty((p + 1, n))
         if others:
             x_rows[others] = y_others
         x_rows[active] = y_active
         x_rows /= b[:, None]
         x_rows += ell[:, None]
-    if h is not None or m.weight_fn is not None:
-        y = dict(zip(others + active, [*y_others, *y_active]))
-        weights, (_, mean, m2) = _weigh_points(chart, rng, y, weights, accept, h, keep)
-    else:
-        if accept is not None:
-            weights = np.where(accept, weights, 0.0)
-        weights = np.broadcast_to(weights, (n,))
-        _, mean, m2 = _moments(weights)
-
-    n_accepted = n if accept is None else int(np.count_nonzero(accept))
-    out = {"n": n, "mean": mean, "m2": m2, "n_accepted": n_accepted}
-    if keep:
         x_rows /= big_l
         out["w"] = (x_rows if accept is None else x_rows[:, accept]).T
         out["weights"] = np.array(weights if accept is None else weights[accept])
     return out
-
-
-def _real_values(values, name: str) -> np.ndarray:
-    if np.iscomplexobj(values):
-        raise ValueError(f"{name} must return real values, not complex ones")
-    return np.asarray(values, dtype=float)
-
-
-def _weigh_points(
-    chart: LocalChart,
-    rng: np.random.Generator,
-    y: dict[int, np.ndarray],
-    weights,
-    accept: np.ndarray | None,
-    h: Callable | None,
-    keep: bool,
-) -> tuple[np.ndarray | None, tuple[int, float, float]]:
-    """The slice weights times ``h`` and the metric weight (if kept), and their moments.
-
-    ``y[i]`` holds the slice coordinates ``y_i = b_i (x_i - ell_i)``.  The
-    turns ``theta_1..theta_p`` are uniform and ``theta_0`` solves the angular
-    relation on a uniform one of its ``b_0`` branches: exact Haar measure on
-    the subtorus.  Each transverse disc then draws its radius and its turns.
-    """
-    m = chart.metric
-    p, n = m.p, len(y[0])
-    b = np.array(m.b, dtype=float)
-    ell = [math.log(1.0 / r) for r in m.radii]
-    phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
-    theta = rng.random((n, p))
-    branch = rng.integers(0, m.b[0], size=n)
-    roots = enumerate_point_fiber(chart)[0] if p == 0 else None
-    discs = []
-    for r, c in zip(m.transverse_radii, m.pair_exponents):
-        radius = rng.random(n)
-        radius **= 1.0 / (2.0 - 2.0 * float(c))
-        radius *= r
-        discs.append((radius, rng.random(n)))
-
-    weights = np.broadcast_to(weights, (n,))
-    out = np.empty(n) if keep else None
-    parts = []
-    for block in _row_blocks(n):
-        rows = block.stop - block.start
-        # Column-major, so each coordinate's column is contiguous for h.
-        z = np.empty((p + 1, rows), dtype=complex).T
-        if p == 0:  # z_0 is one of the b_0 points of the fiber
-            z[:, 0] = roots[branch[block]]
-        else:
-            turns = [branch[block] + phi_t, *theta[block].T]
-            for i in range(1, p + 1):
-                turns[0] -= b[i] * turns[i]
-            turns[0] /= b[0]
-            for i in range(p + 1):
-                modulus = y[i][block] * (-1.0 / b[i])  # e^{-x_i}
-                modulus -= ell[i]
-                np.exp(modulus, out=modulus)
-                z[:, i] = _unit_phasor(turns[i], modulus)
-        args = (z,)
-        if discs:
-            yt = np.empty((len(discs), rows), dtype=complex).T
-            for j, (radius, spin) in enumerate(discs):
-                yt[:, j] = _unit_phasor(spin[block], radius[block])
-            args = (z, yt)
-        w = weights[block]
-        if m.weight_fn is not None:
-            w = w * np.exp(2.0 * _real_values(m.weight_fn(*args), "weight_fn"))
-        if h is not None:
-            w = w * _real_values(h(*args), "h")
-            if keep and w.ndim > 1:
-                raise ValueError("keep_samples needs an h with one value per point")
-        if accept is not None:
-            w = np.where(accept[block], w, 0.0)
-        if keep:
-            out[block] = w
-        parts.append(_moments(w))
-    return out, _merge_moments(parts)
 
 
 def sample_fiber_measure(
@@ -372,19 +343,22 @@ def sample_fiber_measure(
     and ``kappa_ref`` the chart's reference slope.  ``h`` is an optional
     real-valued function of the ``(rows, p + 1)`` complex chart coordinates
     (and the ``(rows, transverse_dim)`` transverse coordinates, if any),
-    called once per block of at most `TRIG_BLOCK` rows, as is the metric's
-    weight function; a complex-valued output raises `ValueError`.  ``h``
-    returns ``(rows,)`` values, or ``(k, rows)`` for ``k`` test functions
-    on the same draws: ``mass``, ``stderr``, ``mass_raw`` and
+    called once per block of at most `TRIG_BLOCK` rows; a complex-valued
+    output raises `ValueError`.  A metric weight ``e^{2 phi}`` is an ``h``.
+    ``h`` returns ``(rows,)`` values, or ``(k, rows)`` for ``k`` test
+    functions on the same draws: ``mass``, ``stderr``, ``mass_raw`` and
     ``stderr_raw`` are then length-``k`` float arrays (Python floats
-    otherwise), entry ``j`` bit-identical to the call with row ``j`` alone,
-    and ``keep_samples`` raises `ValueError`.
+    otherwise), entry ``j`` bit-identical to the call with row ``j`` alone.
     ``h = None`` estimates the total mass.  Sampling is
     deterministic given ``n`` and ``seed``: the samples are drawn in chunks of
     at most `CHUNK` with independently derived sub-seeds and merged in chunk
     order, so ``threads`` changes only how many chunks run at once.
-    ``keep_samples`` changes only what is returned, never the estimate.
+    ``keep_samples`` keeps the points and their slice weights; it changes
+    only what is returned, never the estimate, and raises `ValueError` with
+    an ``h``.
     """
+    if keep_samples and h is not None:
+        raise ValueError("keep_samples takes no h: the kept weights are the slice weights")
     if n < 1:
         raise ValueError("need at least one sample")
     chunks = -(-n // CHUNK)
@@ -453,9 +427,11 @@ class SimplexHistogram:
     """Pushforward of the sampled measure to the chart of the active face.
 
     The active face is charted by its normalized log coordinates with the
-    first active coordinate dropped; ``edges``/``masses`` give the regular
-    grid and per-bin masses, ``values``/``weights`` keep the raw projected
-    samples for distribution tests.
+    first active coordinate dropped; ``values``/``weights`` keep the
+    ``(n, d)`` projected samples and their weights for distribution tests.
+    On an edge (``d = 1``) ``edges`` holds the one regular grid and
+    ``masses``/``stderrs`` the per-bin masses; on any other face ``edges`` is
+    empty and ``masses``/``stderrs`` are the total, as 0-d arrays.
     """
 
     b_active: tuple[int, ...]
@@ -475,38 +451,30 @@ class SimplexHistogram:
 
 
 def _bin_moments(
-    values: np.ndarray, weights: np.ndarray, edges: tuple[np.ndarray, ...], n: int
+    values: np.ndarray, weights: np.ndarray, edges: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin masses and standard errors of ``n`` samples, of which ``values`` were kept.
 
-    Column ``j`` of ``values`` is binned on the equal cells of ``edges[j]``,
-    the last cell closed as in `np.histogramdd`; values outside are dropped.
-    The bin indices are computed once.  A bin's mass is the mean over all
-    ``n`` samples of the weight times the bin's indicator; its centred second
-    moment pools the bin's own samples with the ``n - count`` zeros outside
-    it (Chan, Golub and LeVeque), so no ``sum w^2 / n - mean^2`` cancels.
+    ``values`` are binned on the equal cells of ``edges``, the last cell
+    closed as in `np.histogram`; values outside are dropped.  A bin's mass
+    is the mean over all ``n`` samples of the weight times the bin's
+    indicator; its centred second moment pools the bin's own samples with
+    the ``n - count`` zeros outside it (Chan, Golub and LeVeque), so no
+    ``sum w^2 / n - mean^2`` cancels.
     """
-    bins = len(edges[0]) - 1
-    flat = np.zeros(values.shape[0], dtype=np.intp)
-    inside = np.ones(values.shape[0], dtype=bool)
-    for j, e in enumerate(edges):
-        lo, hi = float(e[0]), float(e[-1])
-        v = values[:, j]
-        inside &= (v >= lo) & (v <= hi)
-        cell = np.minimum(np.floor((v - lo) * (bins / (hi - lo))), bins - 1)
-        flat *= bins
-        flat += cell.astype(np.intp)
+    bins = len(edges) - 1
+    lo, hi = float(edges[0]), float(edges[-1])
+    inside = (values >= lo) & (values <= hi)
+    cell = np.minimum(np.floor((values - lo) * (bins / (hi - lo))), bins - 1).astype(np.intp)
     if not inside.all():
-        flat, weights = flat[inside], weights[inside]
-    size = bins ** len(edges)
-    counts = np.bincount(flat, minlength=size)
-    sums = np.bincount(flat, weights=weights, minlength=size)
+        cell, weights = cell[inside], weights[inside]
+    counts = np.bincount(cell, minlength=bins)
+    sums = np.bincount(cell, weights=weights, minlength=bins)
     within = sums / np.maximum(counts, 1)
-    dev = weights - within[flat]
-    m2 = np.bincount(flat, weights=dev * dev, minlength=size)
+    dev = weights - within[cell]
+    m2 = np.bincount(cell, weights=dev * dev, minlength=bins)
     m2 += within * within * counts * ((n - counts) / n)
-    shape = (bins,) * len(edges)
-    return (sums / n).reshape(shape), (np.sqrt(m2 / n) / math.sqrt(n)).reshape(shape)
+    return sums / n, np.sqrt(m2 / n) / math.sqrt(n)
 
 
 def pushforward_histogram(
@@ -520,21 +488,20 @@ def pushforward_histogram(
 ) -> SimplexHistogram:
     """Histogram of the normalized log map of the fiber samples of ``metric`` at ``t``.
 
-    The histogram lives on the chart of the active face.
+    The histogram lives on the chart of the active face and is binned only
+    on an edge; any other face reports its total mass (see `SimplexHistogram`).
     """
     kmin = metric.kappa_min
     active = tuple(i for i, k in enumerate(metric.kappa) if k == kmin)
     res = sample_fiber_measure(LocalChart(metric, t), n, seed, keep_samples=True, threads=threads)
     coord_indices = active[1:]
-    if coord_indices:
-        values = res.w[:, list(coord_indices)]
-        edges = tuple(np.linspace(0.0, 1.0 / metric.b[i], bins + 1) for i in coord_indices)
-        masses, stderrs = _bin_moments(values, res.weights, edges, n)
+    values = res.w[:, list(coord_indices)]
+    if len(coord_indices) == 1:
+        edges = (np.linspace(0.0, 1.0 / metric.b[coord_indices[0]], bins + 1),)
+        masses, stderrs = _bin_moments(values[:, 0], res.weights, edges[0], n)
     else:
-        values = res.w[:, :0]
         edges = ()
-        masses = np.array(float(res.mass))
-        stderrs = np.array(float(res.stderr))
+        masses, stderrs = np.array(float(res.mass)), np.array(float(res.stderr))
     return SimplexHistogram(
         b_active=tuple(metric.b[i] for i in active),
         coord_indices=coord_indices,

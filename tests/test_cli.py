@@ -126,6 +126,27 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError, match="positive"):
                 ExperimentConfig(command="hybrid-check", seed=1, n_polys=n_polys)
 
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            ("pushforward", dict(b=(1, 2), t_schedule=(1e-6,))),
+            ("sample-pencil", dict(model="coordinate_pencil", t_schedule=(1e-5,))),
+        ],
+    )
+    def test_bins_may_not_exceed_n_samples(self, command, fields):
+        with pytest.raises(ConfigError, match="^--bins 11 exceeds --n-samples 10$"):
+            ExperimentConfig(command=command, seed=1, n_samples=10, bins=11, **fields)
+        # Checked after the defaults are applied: 10 samples against the default bins.
+        with pytest.raises(ConfigError, match="exceeds --n-samples 10$"):
+            ExperimentConfig(command=command, seed=1, n_samples=10, **fields)
+        assert ExperimentConfig(command=command, seed=1, n_samples=10, bins=10, **fields).bins == 10
+
+    @pytest.mark.parametrize("rho", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_rho_must_be_finite_nonnegative(self, rho):
+        with pytest.raises(ConfigError, match="^--rho must be finite and >= 0$"):
+            ExperimentConfig(command="skeleton-check", model="annulus", anchor="E0&E1", rho=rho)
+        assert ExperimentConfig(command="skeleton-check", model="annulus", anchor="E0&E1", rho=0.0).rho == 0.0
+
     def test_residues_must_be_finite_nonnegative(self):
         with pytest.raises(ConfigError, match="residue"):
             ExperimentConfig(command="limit-measure", residues=(("E0&E1", -1.0),))
@@ -337,6 +358,17 @@ TWO_EDGES = (
 )
 
 
+# A closed triangle of components of multiplicity 2: every edge has b_sigma = 2.
+TRIANGLE_B2 = "[components]\nE0 b=2\nE1 b=2\nE2 b=2\n[strata]\nE0\nE1\nE2\nE0 & E1\nE0 & E2\nE1 & E2\n"
+
+# Two disjoint closed triangles: closed, but not strongly connected.
+TWO_TRIANGLES = (
+    "[components]\n" + "".join(f"E{i} b=1\n" for i in range(6)) + "[strata]\n"
+    + "".join(f"E{i}\n" for i in range(6))
+    + "".join(f"E{i} & E{j}\n" for i, j in ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+)
+
+
 class TestSkeletonSpecParsing:
     def test_hash_in_anchor_is_part_of_the_face_id(self):
         model, anchor, rho = parse_skeleton_spec(TWO_EDGES)
@@ -522,6 +554,28 @@ class TestExitCodes:
         assert code == 2
         assert "[error] --seed must be non-negative" in err
         assert out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pushforward", "--b", "1,2", "--t", "1e-6", "--seed", "1",
+             "--n-samples", "1000", "--bins", "1000000000"],
+            ["sample-pencil", "--preset", "coordinate_pencil", "--t", "1e-5", "--seed", "1", "--n-samples", "19"],
+        ],
+    )
+    def test_bins_above_n_samples_exits_two_before_any_work(self, tmp_path, capsys, args):
+        code, out, err = run_cli(args, tmp_path, capsys)
+        assert code == 2
+        assert "[error] --bins" in err and "exceeds --n-samples" in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [["--anchor", "E9&E1"], ["--anchor", "E0&E1", "--rho", "-2"]])
+    def test_bad_anchor_or_rho_exits_two(self, tmp_path, capsys, args):
+        code, out, err = run_cli(["skeleton-check", "--preset", "annulus", *args], tmp_path, capsys)
+        assert code == 2
+        assert "[error]" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("t", ["1e-180", "1e-200", "1e-250"])
@@ -756,6 +810,33 @@ class TestSubcommands:
             code, _, err = run_cli(args, tmp_path, capsys)
             assert code == 2
             assert "one top face" in err
+
+    @pytest.mark.parametrize(
+        "model, reason",
+        [
+            ("annulus", "every facet shared by exactly two"),
+            (TRIANGLE_B2, "b_sigma = 2"),
+            (TWO_TRIANGLES, "strongly connected"),
+        ],
+        ids=["not-closed", "b-sigma-2", "two-components"],
+    )
+    def test_skeleton_check_anchor_that_cannot_propagate_fails(self, tmp_path, capsys, model, reason):
+        # A skeleton that cannot carry the residue fails the check and still writes its report.
+        if model == "annulus":
+            source, stem = ["--preset", "annulus"], "annulus"
+        else:
+            spec = tmp_path / "spec.model"
+            spec.write_text(model)
+            source, stem = ["--model", str(spec)], "spec"
+        code, out, _ = run_cli(["skeleton-check", *source, "--anchor", "E0&E1"], tmp_path, capsys)
+        assert code == 1
+        assert "[FAIL] residue-propagation-constant: no propagation:" in out
+        report = json.loads((tmp_path / f"skeleton-check-{stem}-report.json").read_text())
+        verdict = report["verdicts"][-1]
+        assert verdict["name"] == "residue-propagation-constant"
+        assert (verdict["passed"], verdict["discrepancy"]) == (False, 1.0)
+        assert reason in verdict["detail"]
+        assert json.loads((tmp_path / f"skeleton-{stem}.json").read_text())["residue_magnitudes"] == {}
 
     def test_skeleton_check_subdivide_remaps_anchor(self, tmp_path, capsys):
         spec = tmp_path / "cycle.skel"

@@ -86,11 +86,6 @@ class TestResidualMassClosedForm:
         with pytest.raises(ValueError, match="active dimension"):
             residual_mass_closed_form(ch, 0)
 
-    def test_monomial_metric_required(self):
-        ch = MonomialChartMetric(b=(1,), a=(0,), weight_fn=lambda *z: 0.0)
-        with pytest.raises(ValueError, match="monomial"):
-            residual_mass_closed_form(ch)
-
     def test_oracle_direct_disc_integral(self):
         # Independent oracle: mass of |z|^(2e - 2) over the disc of radius r
         # is 2 pi r^(2e) / (2e), computed here by numeric quadrature.

@@ -6,7 +6,6 @@ import csv
 import hashlib
 import math
 import platform
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -145,16 +144,20 @@ class TestFiberMass:
         assert res.mass == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_metric_weight_function_enters_squared(self):
+        # A metric weight e^{2 phi} is passed as h.
         base = chart((1, 1), (0, 0), 1e-3)
-        weighted = LocalChart(
-            MonomialChartMetric(
-                b=(1, 1), a=(0, 0), weight_fn=lambda z: np.full(z.shape[0], 0.3)
-            ),
-            1e-3,
-        )
         r0 = sample_fiber_measure(base, 500, seed=9)
-        r1 = sample_fiber_measure(weighted, 500, seed=9)
+        r1 = sample_fiber_measure(base, 500, seed=9, h=lambda z: np.exp(2.0 * np.full(z.shape[0], 0.3)))
         assert r1.mass == pytest.approx(math.exp(0.6) * r0.mass, rel=1e-12)
+
+    def test_keep_samples_takes_no_h(self):
+        def h(z):
+            raise AssertionError("h was called")
+
+        c = chart((1, 1, 1), (0, 1, 1), 1e-3)
+        for one in (h, stacked_h(h, h)):
+            with pytest.raises(ValueError, match="keep_samples"):
+                sample_fiber_measure(c, 100, 0, h=one, keep_samples=True)
 
     def test_custom_h_monomial(self):
         # h = |z_0|^2 on the annulus fiber gives the closed form
@@ -208,6 +211,62 @@ class TestFiberMass:
         res = sample_fiber_measure(chart(b, (0,) * len(b), 10.0**-k), 20_000, seed=17)
         exact = float(simplex_volume(b) / math.gcd(*b))
         assert abs(res.mass - exact) < max(5 * res.stderr, 1e-9)
+
+
+# The numpy version and architecture under which the whole-CSV digests below
+# were recorded.
+DIGEST_NUMPY = "2.4.6"
+
+
+def skip_unless_recorded_build():
+    if np.__version__ != DIGEST_NUMPY:
+        pytest.skip(f"digests recorded under numpy {DIGEST_NUMPY}, not {np.__version__}")
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"digests recorded on x86-64, not {platform.machine()}")
+
+
+class TestRunnerCsvDigests:
+    """The sha256 of the CSV of each command line, on every x86-64 dispatch target.
+
+    Recorded under numpy 2.4.6 with each of its five kernel sets selected
+    by NPY_DISABLE_CPU_FEATURES on one AVX512_SPR machine, as for the
+    polar-check pin.  Only the mixed chart moves with the kernels: the three
+    AVX-512 sets write one digest, X86_V3 and the X86_V2 baseline another.
+    """
+
+    DIGESTS = {
+        "sample --preset annulus --t 1e-2..1e-6 --seed 1": (
+            "sample-annulus.csv",
+            {"39b273809bc71d0584a5833b63c72f971de3e1246e6c8f7003f572c24615c416"},
+        ),
+        "sample --b 1,1,1 --a 0,1,1 --t 1e-3,1e-5 --n-samples 300000 --seed 3": (
+            "sample-chart-1-1-1.csv",
+            {
+                "f090dad8d31a75dbe1a5020aab505b2b6963c2096743cb57f4344c5cf6b653a6",
+                "86c2b10b96f13fb2115ee34458af7b88ca0d926b3a1d26b8dc4239974952f4bf",
+            },
+        ),
+        "pushforward --b 1,2 --t 1e-6 --n-samples 100000 --bins 50 --seed 2": (
+            "pushforward-chart-1-2.csv",
+            {"66db3af2a6cdfc0eb471c677d027c56a3b92e3513db9c668c7f8cadd574d7198"},
+        ),
+        "pushforward --b 1,1,1 --t 1e-4 --n-samples 100000 --bins 7 --seed 2": (
+            "pushforward-chart-1-1-1.csv",
+            {"14dca9d0fadc1b4cbef6dcc6679f71296d1d7b500c27b3c75bff7a0a3bd1aa9a"},
+        ),
+        "fit-mass --preset annulus --t 1e-2..1e-7 --seed 3": (
+            "fit-mass-annulus.csv",
+            {"eb0bcd950565cc15ebb965ad93fd00e42d888d72d690ff86aecfafd98a7157fb"},
+        ),
+    }
+
+    @pytest.mark.parametrize("line", sorted(DIGESTS))
+    def test_csv_bytes_are_pinned(self, tmp_path, capsys, line):
+        skip_unless_recorded_build()
+        name, digests = self.DIGESTS[line]
+        assert cli.main([*line.split(), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() in digests
 
 
 def simplex_integral(f, top, m=200_001):
@@ -289,13 +348,14 @@ class TestStableVariance:
     def test_large_common_offset_matches_two_pass_std(self):
         # h = 1e8 + |z_0|^2: sum w^2 / n - mean^2 would lose every digit.
         c = chart((1, 1), (0, 0), 1e-3)
-        n = 2 * CHUNK + 3
-        res = sample_fiber_measure(
-            c, n, seed=6, h=lambda z: 1e8 + np.abs(z[:, 0]) ** 2, keep_samples=True
-        )
-        assert res.accept_rate == 1.0
-        assert res.stderr == pytest.approx(np.std(res.weights) / math.sqrt(n), rel=1e-6)
-        assert res.mass == pytest.approx(np.mean(res.weights), rel=1e-14)
+        n, h = 2 * CHUNK + 3, lambda z: 1e8 + np.abs(z[:, 0]) ** 2
+        res = sample_fiber_measure(c, n, seed=6, h=h)
+        # The slice weight is constant on this chart: the unweighted mass, exactly.
+        unit = sample_fiber_measure(c, n, seed=6)
+        assert res.accept_rate == 1.0 and unit.stderr == 0.0
+        vals = unit.mass * reference_values(c, n, 6, h)
+        assert res.stderr == pytest.approx(np.std(vals) / math.sqrt(n), rel=1e-6)
+        assert res.mass == pytest.approx(np.mean(vals), rel=1e-14)
 
     def test_merged_moments_match_the_pooled_sample(self):
         rng = np.random.default_rng(8)
@@ -343,6 +403,17 @@ class TestPushforwardHistogram:
         assert hist.dim == 0
         assert hist.masses.shape == ()
         assert hist.total_mass == pytest.approx(math.pi, rel=0.05)
+
+    def test_triangle_chart_reports_the_total(self):
+        # d = 2: no bins, the total as masses/stderrs, and every kept sample's face coordinates.
+        b = (1, 2, 1)
+        hist = pushforward_histogram(metric(b, (0, 0, 0)), 50_000, 10, seed=8, t=1e-4)
+        plain = sample_fiber_measure(chart(b, (0, 0, 0), 1e-4), 50_000, seed=8)
+        assert hist.dim == 2 and hist.edges == ()
+        assert hist.masses.shape == hist.stderrs.shape == ()
+        assert (float(hist.masses), float(hist.stderrs)) == (hist.total_mass, hist.total_stderr)
+        assert (hist.total_mass, hist.total_stderr) == (plain.mass, plain.stderr)
+        assert hist.values.shape == (50_000, 2) and hist.weights.shape == (50_000,)
 
 
 def sorted_ks(values, weights, cdf):
@@ -699,7 +770,7 @@ class TestUnitPhasor:
 
 
 def reference_values(chart, n, seed, h=None):
-    """Per-sample ``h`` times the metric weight, drawn as `sample_fiber_measure` draws.
+    """Per-sample ``h``, drawn as `sample_fiber_measure` draws.
 
     Built unblocked, with ``np.exp``, for charts with ``a = 0`` (constant
     slice weights), no pair exponents and at most three coordinates.
@@ -735,10 +806,7 @@ def reference_values(chart, n, seed, h=None):
                 for r in m.transverse_radii
             ])
             args = (z, yt)
-        v = np.ones(c) if h is None else h(*args)
-        if m.weight_fn is not None:
-            v = v * np.exp(2.0 * m.weight_fn(*args))
-        vals.append(v)
+        vals.append(np.ones(c) if h is None else h(*args))
     return np.concatenate(vals)
 
 
@@ -754,13 +822,20 @@ def log_weight(z):
     return 0.2 * (z[:, 1] * z[:, 2]).imag + 0.1 * z[:, 0].real
 
 
+def metric_weighted(f=None):
+    """``f`` times the metric weight ``exp(2 log_weight)``, as one ``h``."""
+    if f is None:
+        return lambda z: np.exp(2.0 * log_weight(z))
+    return lambda z: f(z) * np.exp(2.0 * log_weight(z))
+
+
 def assert_same_estimate(mean, stderr, vals):
     assert mean == pytest.approx(vals.mean(), rel=1e-12)
     assert stderr == pytest.approx(vals.std() / math.sqrt(vals.size), rel=1e-9)
 
 
 class TestBlockedHPath:
-    """``h`` and the metric weight are evaluated one `TRIG_BLOCK`-row block at a time."""
+    """``h`` is evaluated one `TRIG_BLOCK`-row block at a time."""
 
     # (b, a, t, chart keywords, h) per case.
     CASES = {
@@ -768,7 +843,7 @@ class TestBlockedHPath:
             (1,), (0,), 0.3 * np.exp(1.0j), dict(transverse_dim=2, transverse_radii=(0.7, 0.9)), disc_h
         ),
         "b21": ((2, 1), (0, 0), 1e-3 * np.exp(2.5j), {}, branch_h),
-        "p2-weight-fn": ((1, 1, 1), (0, 0, 0), 1e-3 * np.exp(-0.7j), dict(weight_fn=log_weight), None),
+        "p2-weight-fn": ((1, 1, 1), (0, 0, 0), 1e-3 * np.exp(-0.7j), {}, metric_weighted()),
     }
 
     @pytest.mark.parametrize("n", [3 * TRIG_BLOCK + 5, CHUNK + 5])
@@ -779,7 +854,7 @@ class TestBlockedHPath:
         seed = 21
         res = sample_fiber_measure(c, n, seed, h=h)
         # The slice weight is constant on these charts: the unweighted mass, exactly.
-        unit = sample_fiber_measure(LocalChart(replace(c.metric, weight_fn=None), t), n, seed)
+        unit = sample_fiber_measure(c, n, seed)
         assert unit.stderr == 0.0
         assert_same_estimate(res.mass, res.stderr, unit.mass * reference_values(c, n, seed, h))
 
@@ -794,9 +869,6 @@ class TestBlockedHPath:
         c = chart((1, 1), (0, 0), 1e-3)
         with pytest.raises(ValueError, match="real"):
             sample_fiber_measure(c, 100, 0, h=lambda z: 1j * np.ones(len(z)))
-        weighted = chart((1, 1), (0, 0), 1e-3, weight_fn=lambda z: z[:, 0])
-        with pytest.raises(ValueError, match="real"):
-            sample_fiber_measure(weighted, 100, 0)
 
 
 def stacked_h(*hs):
@@ -815,8 +887,8 @@ class TestStackedH:
             (disc_h, lambda z, yt: np.abs(yt[:, 0]) ** 2, lambda z, yt: yt[:, 1].imag),
         ),
         "p2-weight-fn": (
-            chart((1, 1, 1), (0, 0, 0), 1e-3 * np.exp(-0.7j), weight_fn=log_weight),
-            (branch_h, lambda z: np.abs(z[:, 2]) ** 2, lambda z: np.ones(len(z))),
+            chart((1, 1, 1), (0, 0, 0), 1e-3 * np.exp(-0.7j)),
+            tuple(map(metric_weighted, (branch_h, lambda z: np.abs(z[:, 2]) ** 2, lambda z: np.ones(len(z))))),
         ),
         "two-non-active": (
             chart((1, 1, 1), (0, 1, 1), 1e-3),
@@ -842,11 +914,6 @@ class TestStackedH:
         one, two = (sample_fiber_measure(c, 2 * CHUNK + 3, 5, h=stacked_h(*hs), threads=k) for k in (1, 2))
         np.testing.assert_array_equal(two.mass, one.mass)
         np.testing.assert_array_equal(two.stderr, one.stderr)
-
-    def test_keep_samples_needs_one_row(self):
-        c, hs = self.CASES["two-non-active"]
-        with pytest.raises(ValueError, match="keep_samples"):
-            sample_fiber_measure(c, 100, 0, h=stacked_h(*hs), keep_samples=True)
 
     def test_one_row_h_gives_python_floats(self):
         c, hs = self.CASES["two-non-active"]
@@ -1083,7 +1150,6 @@ class TestPolarChecks:
     # sets write one digest, X86_V3 and X86_V2 one each.  Other architectures
     # and other numpy versions or builds were not measured, so the test skips
     # there.
-    POLAR_CSV_NUMPY = "2.4.6"
     POLAR_CSV_DIGESTS = {
         "1b90bcf5f670b9536e8d5274c319845c0ec5b940c6ff9a77a4c4a89d6353b4ad",
         "217d3021dec5e3b5d178e9547e91506d4725c849d92fa07aad579d0662e64856",
@@ -1093,10 +1159,7 @@ class TestPolarChecks:
     def test_runner_csv_bytes_are_pinned(self, tmp_path):
         # Every estimate keeps its bits: a change to the sampler or to the
         # test-function evaluator that moves one changes this digest.
-        if np.__version__ != self.POLAR_CSV_NUMPY:
-            pytest.skip(f"digests recorded under numpy {self.POLAR_CSV_NUMPY}, not {np.__version__}")
-        if platform.machine().lower() not in ("x86_64", "amd64"):
-            pytest.skip(f"digests recorded on x86-64, not {platform.machine()}")
+        skip_unless_recorded_build()
         cli.run(ExperimentConfig(command="polar-check", seed=5, n_samples=20_000, outdir=str(tmp_path)))
         digest = hashlib.sha256((tmp_path / "polar-check-seed5.csv").read_bytes()).hexdigest()
         assert digest in self.POLAR_CSV_DIGESTS
