@@ -2,8 +2,9 @@
 
 Pulling a degeneration back along ``t = s^m`` multiplies multiplicities and
 twist weights in a controlled way: a face with multiplicity ``b_sigma``
-splits into ``g`` faces upstairs, each mapping with degree ``f`` onto the
-source (``f * g = gcd(m, b_sigma)``), the upstairs multiplicity drops to
+splits into ``g = gcd(m, b_sigma)`` faces upstairs, each mapping with degree
+``f = 1`` onto the source (the simply-connected local case, so
+``f * g = gcd(m, b_sigma)``), the upstairs multiplicity drops to
 ``b_sigma / gcd(m, b_sigma)``, lattice volumes scale by ``m^dim``, and
 residual masses by ``gcd(m, b_sigma)^{-2}``.  Everything here is exact
 integer/rational arithmetic; the splitting degree ``e = m / gcd(m, b_sigma)``
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .lattice import _multiplicities, sublattice_index
 from .measure import SkeletalMeasure
@@ -55,14 +56,14 @@ def _splitting_index(b: Sequence[int], m: int) -> int:
     return m**n // sublattice_index(gens, n)
 
 
-def face_base_change(b: Sequence[int], m: int, g: int | None = None) -> FaceBaseChange:
+def face_base_change(b: Sequence[int], m: int) -> FaceBaseChange:
     """Base-change report for a face with multiplicities ``b`` under ``t = s^m``.
 
-    ``g`` is the number of faces upstairs; it must divide ``gcd(m, b_sigma)``
-    and defaults to that gcd (mapping degree ``f = 1``, the simply-connected
-    local case).  The splitting degree ``e = m / gcd(m, b_sigma)`` is reported
-    next to the lattice index of ``Z^{p+1} + Z*(b/m)`` over ``Z^{p+1}``; the
-    caller reads a disagreement from `FaceBaseChange.consistent`.
+    The face splits into ``g = gcd(m, b_sigma)`` faces upstairs, each mapping
+    with degree ``f = 1`` (the simply-connected local case).  The splitting
+    degree ``e = m / gcd(m, b_sigma)`` is reported next to the lattice index of
+    ``Z^{p+1} + Z*(b/m)`` over ``Z^{p+1}``; the caller reads a disagreement
+    from `FaceBaseChange.consistent`.
     """
     b = _multiplicities(b)
     if m < 1 or m != int(m):
@@ -70,21 +71,13 @@ def face_base_change(b: Sequence[int], m: int, g: int | None = None) -> FaceBase
     m = int(m)
     b_sigma = math.gcd(*b)
     fg = math.gcd(m, b_sigma)
-    if g is None:
-        g = fg
-    else:
-        g = int(g)
-        if g < 1 or fg % g != 0:
-            raise ValueError(f"gluing count g={g} must divide gcd(m, b_sigma)={fg}")
-    f = fg // g
-    e = m // fg
     return FaceBaseChange(
         b=b,
         m=m,
-        e=e,
+        e=m // fg,
         fg=fg,
-        g=g,
-        f=f,
+        g=fg,
+        f=1,
         b_prime=b_sigma // fg,
         volume_scale=m ** (len(b) - 1),
         residual_scale=Fraction(1, fg**2),
@@ -116,23 +109,11 @@ class BaseChangeReport:
         ]
 
 
-def model_base_change(
-    m_model: WeightedSncModel, m: int, g_choices: Mapping | None = None
-) -> BaseChangeReport:
-    """Base-change table over all faces of the dual complex.
-
-    ``g_choices`` optionally maps face id strings to gluing counts; faces not
-    listed use the default ``g = gcd(m, b_sigma)``.
-    """
+def model_base_change(m_model: WeightedSncModel, m: int) -> BaseChangeReport:
+    """Base-change table over all faces of the dual complex."""
     dual = build_dual_complex(m_model)
-    g_map = dict(g_choices or {})
-    entries = []
-    for face in dual.faces:
-        g = g_map.pop(face.id_string(), None)
-        entries.append((face, face_base_change(face.simplex.b, m, g)))
-    if g_map:
-        raise ValueError(f"g choices reference unknown faces: {sorted(g_map)}")
-    return BaseChangeReport(m_model, m, tuple(entries))
+    entries = tuple((face, face_base_change(face.simplex.b, m)) for face in dual.faces)
+    return BaseChangeReport(m_model, m, entries)
 
 
 @dataclass(frozen=True)
@@ -145,25 +126,22 @@ class PushforwardCheck:
     per_face: tuple[dict, ...]
 
 
-def pushforward_identity_check(
-    measure: SkeletalMeasure, m: int, g_choices: Mapping | None = None
-) -> PushforwardCheck:
+def pushforward_identity_check(measure: SkeletalMeasure, m: int) -> PushforwardCheck:
     """Verify that pushing the base-changed measure forward rescales by ``m^d``.
 
-    For each top face the ``g`` upstairs faces each carry residual mass
-    ``gcd(m,b)^{-2} R`` and volume ``m^d Vol``, map with degree ``f``, and
-    have multiplicity ``b' = b / gcd(m,b)``; summing
+    For each top face the ``g = gcd(m,b)`` upstairs faces each carry residual
+    mass ``gcd(m,b)^{-2} R`` and volume ``m^d Vol``, map with degree
+    ``f = 1``, and have multiplicity ``b' = b / gcd(m,b)``; summing
     ``g * f * gcd^{-2} * (b')^{-1} * m^d Vol`` must equal
     ``m^d * b^{-1} * Vol`` exactly (the real factor ``R`` cancels, so the
     comparison is in exact rationals).
     """
-    g_map = dict(g_choices or {})
     per_face = []
     ok = True
     d = measure.d
     for entry in measure.entries:
         face = entry.face
-        r = face_base_change(face.simplex.b, m, g_map.get(face.id_string()))
+        r = face_base_change(face.simplex.b, m)
         vol = entry.volume
         lhs = (
             Fraction(r.g)

@@ -161,6 +161,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{row.flag(name)} must be positive")
         if given.get("seed", 0) < 0:
             raise ConfigError(f"{row.flag('seed')} must be non-negative")
+        if not math.isfinite(given.get("tolerance", 0.0)):
+            raise ConfigError(f"{row.flag('tolerance')} must be finite")
         rho = given.get("rho", 0.0)
         if not (math.isfinite(rho) and rho >= 0):
             raise ConfigError(f"{row.flag('rho')} must be finite and >= 0")
@@ -569,35 +571,40 @@ def _fit_verdicts(
     results: Sequence[FiberSampleResult],
     prefix: str,
     c_rel_limit: float = 0.02,
-) -> tuple[list[CheckVerdict], MassFit, dict[str, float]]:
+) -> tuple[list[CheckVerdict], MassFit | None, dict[str, float]]:
     """Fit ``c |t|^(2 kappa_min) (log 1/|t|)^d`` to the raw masses and check each parameter.
 
-    Returns the verdicts, the fit and the predicted parameters.
+    Returns the verdicts, the fit and the predicted parameters.  A mass
+    estimate of 0 (no accepted sample) leaves nothing to fit: the fit is
+    ``None`` and the three verdicts fail with discrepancy ``inf``.
     """
-    fit = fit_mass_asymptotics([(res.t, res.mass_raw) for res in results])
     kappa_pred = float(metric.kappa_min)
     d_pred = metric.active_dim
     c_pred = TWO_PI**d_pred * chart_limit_mass(metric)
-    verdicts = [
-        exact_check(
-            f"{prefix}-log-exponent",
+    predicted = {"kappa_min": kappa_pred, "d": d_pred, "c": c_pred}
+    names = [f"{prefix}-log-exponent", f"{prefix}-decay-exponent", f"{prefix}-leading-constant"]
+    zero = [f"{abs(res.t):g}" for res in results if res.mass_raw <= 0]
+    if zero:
+        detail = f"no fit: the mass estimate is 0 at t = {', '.join(zero)}"
+        gaps, details, fit = [math.inf] * 3, [detail] * 3, None
+    else:
+        fit = fit_mass_asymptotics([(res.t, res.mass_raw) for res in results])
+        gaps = [
             abs(fit.d_hat - d_pred),
-            f"d_hat = {fit.d_hat} (raw {fit.d_raw:.4f}) vs predicted d = {d_pred}",
-        ),
-        bound_check(
-            f"{prefix}-decay-exponent",
             abs(fit.kappa_min_hat - kappa_pred),
-            0.01,
-            f"kappa_hat = {fit.kappa_min_hat:.5f} vs predicted {kappa_pred:g}",
-        ),
-        bound_check(
-            f"{prefix}-leading-constant",
             abs(fit.c_hat - c_pred) / c_pred if c_pred else math.inf,
-            c_rel_limit,
+        ]
+        details = [
+            f"d_hat = {fit.d_hat} (raw {fit.d_raw:.4f}) vs predicted d = {d_pred}",
+            f"kappa_hat = {fit.kappa_min_hat:.5f} vs predicted {kappa_pred:g}",
             f"c_hat = {fit.c_hat:.6g} vs predicted {c_pred:.6g}",
-        ),
+        ]
+    verdicts = [
+        exact_check(names[0], gaps[0], details[0]),
+        bound_check(names[1], gaps[1], 0.01, details[1]),
+        bound_check(names[2], gaps[2], c_rel_limit, details[2]),
     ]
-    return verdicts, fit, {"kappa_min": kappa_pred, "d": d_pred, "c": c_pred}
+    return verdicts, fit, predicted
 
 
 def _pushforward_verdicts(
@@ -618,10 +625,13 @@ def _pushforward_verdicts(
     ]
     if len(hist.coord_indices) == 1:
         lo, hi = float(hist.edges[0][0]), float(hist.edges[0][-1])
+        ks = math.inf  # no accepted sample, as for a pencil edge with no points
+        if hist.weights.size:
+            ks = ks_statistic(hist.values[:, 0], hist.weights, uniform_cdf(lo, hi))
         verdicts.append(
             bound_check(
                 ks_name,
-                ks_statistic(hist.values[:, 0], hist.weights, uniform_cdf(lo, hi)),
+                ks,
                 ks_limit,
                 f"KS distance to the uniform density on [{lo:g}, {hi:g}]",
             )
@@ -750,7 +760,7 @@ def _run_fit_mass(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     rows = [{"t": t, **_columns(res, columns)} for t, res in zip(cfg.t_schedule, results)]
     verdicts, fit, predicted = _fit_verdicts(metric, results, "fit", cfg.tolerance)
     name = f"fit-mass-{_slug(cfg)}"
-    summary = {"fit": dataclasses.asdict(fit), "predicted": predicted}
+    summary = {"fit": dataclasses.asdict(fit) if fit else None, "predicted": predicted}
     return Outcome(verdicts, {f"{name}.csv": rows, f"{name}.json": summary})
 
 

@@ -268,10 +268,6 @@ class LaurentSeriesPoly:
         return cls(tuple(coeffs.items()))
 
     @classmethod
-    def zero(cls) -> "LaurentSeriesPoly":
-        return cls(())
-
-    @classmethod
     def monomial(cls, exponent: int, coeff: complex = 1.0) -> "LaurentSeriesPoly":
         return cls(((exponent, coeff),))
 

@@ -12,8 +12,10 @@ This module computes, in exact integer/rational arithmetic:
 * the constant density of the lattice-normalized Lebesgue measure in the
   standard affine chart that drops one coordinate.
 
-No floating point is used anywhere in this module: the values double as
-oracles for the Monte-Carlo estimators elsewhere in the package.
+`ZSimplex` holds a checked multiplicity vector with the simplex's dimension
+and multiplicity; the routines take the vector ``b`` itself.  No floating
+point is used anywhere in this module: the values double as oracles for the
+Monte-Carlo estimators elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -79,54 +81,6 @@ class ZSimplex:
     @property
     def multiplicity(self) -> int:
         return math.gcd(*self.b)
-
-    def vertex(self, i: int) -> tuple[Fraction, ...]:
-        """Barycentric coordinates of the i-th vertex, ``w_i = 1/b_i``."""
-        return tuple(
-            Fraction(1, self.b[i]) if j == i else Fraction(0)
-            for j in range(len(self.b))
-        )
-
-    def contains(self, w: Sequence[Fraction]) -> bool:
-        """Exact membership test for a rational point."""
-        if len(w) != len(self.b):
-            return False
-        if any(x < 0 for x in w):
-            return False
-        return sum(Fraction(bi) * Fraction(wi) for bi, wi in zip(self.b, w)) == 1
-
-
-@dataclass(frozen=True)
-class AffineFunctionOnSimplex:
-    """Affine function ``w -> sum_i c_i w_i`` on a weighted simplex.
-
-    The value at the i-th vertex (where ``w_i = 1/b_i``) is ``c_i / b_i``.
-    """
-
-    simplex: ZSimplex
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        if len(coeffs) != len(self.simplex.b):
-            raise ValueError(
-                f"expected {len(self.simplex.b)} coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def __call__(self, w: Sequence[Fraction]) -> Fraction:
-        if len(w) != len(self.coefficients):
-            raise ValueError("point dimension mismatch")
-        return sum(
-            (c * Fraction(x) for c, x in zip(self.coefficients, w)),
-            start=Fraction(0),
-        )
-
-    def vertex_value(self, i: int) -> Fraction:
-        return self.coefficients[i] / self.simplex.b[i]
-
-    def vertex_values(self) -> tuple[Fraction, ...]:
-        return tuple(self.vertex_value(i) for i in range(len(self.coefficients)))
 
 
 def simplex_volume(b: Sequence[int]) -> Fraction:

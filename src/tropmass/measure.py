@@ -111,7 +111,7 @@ class MonomialChartMetric:
         return len(self.active_indices()) - 1
 
 
-def residual_mass_closed_form(chart: MonomialChartMetric, active_dim: int | None = None) -> float:
+def residual_mass_closed_form(chart: MonomialChartMetric) -> float:
     """Residual mass of a monomial chart, as an explicit product.
 
     Integrating the rescaled volume form over the stratum in log-polar
@@ -119,28 +119,17 @@ def residual_mass_closed_form(chart: MonomialChartMetric, active_dim: int | None
     ``(2 pi)^(p - d) * prod_{i nonactive} r_i^(2 e_i) / (2 e_i)
     * prod_j pi R_j^(2 (1 - c_j)) / (1 - c_j)``
     where ``e_i = a_i - kappa_ref * b_i`` and ``d`` is the active dimension.
+    Every nonactive ``e_i`` is positive, as `MonomialChartMetric` refuses a
+    ``kappa_ref`` above the chart's minimum slope.
 
-    Raises `DivergenceError` when a nonactive exponent is <= 0 or a pair
-    exponent is >= 1, and `ValueError` when ``active_dim`` disagrees with
-    the chart.
+    Raises `DivergenceError` when a pair exponent is >= 1.
     """
     active = chart.active_indices()
     d = len(active) - 1
-    if active_dim is not None and active_dim != d:
-        raise ValueError(
-            f"chart has active dimension {d}, not {active_dim}: "
-            f"exponents vanish exactly on indices {active}"
-        )
-    exps = chart.exponents()
     mass = TWO_PI ** (chart.p - d)
-    for i, e in enumerate(exps):
-        if i in active:
-            continue
-        if e <= 0:
-            raise DivergenceError(
-                f"nonactive coordinate {i} has exponent {e} <= 0: mass integral diverges"
-            )
-        mass *= chart.radii[i] ** (2 * float(e)) / (2 * float(e))
+    for i, e in enumerate(chart.exponents()):
+        if i not in active:
+            mass *= chart.radii[i] ** (2 * float(e)) / (2 * float(e))
     for j, (r, c) in enumerate(zip(chart.transverse_radii, chart.pair_exponents)):
         if c >= 1:
             raise DivergenceError(

@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .lattice import AffineFunctionOnSimplex, ZSimplex, _multiplicity
+from .lattice import ZSimplex, _multiplicity
 
 
 class ModelError(ValueError):
@@ -287,21 +287,6 @@ def weight_data(m: WeightedSncModel, dual: DualComplex | None = None) -> WeightD
     )
     d = max(f.dim for f in active)
     return WeightData(kappa=kappa, kappa_min=kappa_min, active_faces=active, d=d)
-
-
-def evaluate_divisor_on_face(
-    m: WeightedSncModel, coefficients: Mapping[str, Fraction | int], face: Face
-) -> AffineFunctionOnSimplex:
-    """Restrict a divisor ``sum_i c_i E_i`` to a face, as the affine function ``w -> sum c_i w_i``.
-
-    Every component of the face must have a coefficient; the minimum over the
-    whole complex of these functions is ``min_i c_i / b_i`` over vertices.
-    """
-    try:
-        coeffs = tuple(Fraction(coefficients[n]) for n in face.components)
-    except KeyError as e:
-        raise ModelError(f"divisor is missing a coefficient for component {e.args[0]!r}") from None
-    return AffineFunctionOnSimplex(face.simplex, coeffs)
 
 
 def boundary_coefficients(

@@ -19,7 +19,9 @@ uniforms first, then works through them one block of `TRIG_BLOCK` draws at a
 time: ``u`` from the table-driven `_unit_phasor`, the three roots from
 Cardano's formula on the depressed cubic polished by one Newton step, and
 the weights only for the roots inside the patch.  Those whose relative
-residual exceeds 1e-10 are excluded and counted.
+residual exceeds 1e-10 are excluded and counted.  Each patch's points give
+its KS statistic and histogram and are then freed: a `PatchEstimate` holds
+estimates only.
 """
 
 from __future__ import annotations
@@ -149,7 +151,13 @@ class HypersurfacePencil:
 
 @dataclass(frozen=True)
 class PatchEstimate:
-    """Contribution of one max-coordinate patch to the fiber volume."""
+    """Contribution of one max-coordinate patch to the fiber volume.
+
+    The raw and normalized masses with their standard errors, the weighted KS
+    distance of the edge coordinate to the uniform density (``None`` off the
+    degenerating pencil), the number of kept points and their histogram.
+    The points themselves are not kept.
+    """
 
     label: str
     mass_raw: float
@@ -160,8 +168,6 @@ class PatchEstimate:
     n_points: int
     hist_masses: np.ndarray
     hist_edges: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -188,16 +194,6 @@ class PencilSampleResult:
     def total_normalized(self) -> float:
         """``nu_t / (2 pi log 1/|t|)`` — the quantity converging to the limit mass."""
         return self.total_raw / (TWO_PI * math.log(1.0 / abs(self.t)))
-
-
-def _solve_symmetric_cubic(
-    a_coeff: complex, b_coeff: complex, u: np.ndarray
-) -> np.ndarray:
-    """Roots in ``v`` of ``A (1 + u^3 + v^3) + B u v = 0`` for a batch of ``u``.
-
-    The ``(n, 3)`` view of `_polished_roots`, one row per ``u``.
-    """
-    return _polished_roots(a_coeff, b_coeff, u).T
 
 
 def _cardano_cube_root(s: np.ndarray) -> np.ndarray:
@@ -427,10 +423,11 @@ def sample_pencil(
             total_failures += sum(p["failures"] for p in parts)
             n_pts += sum(p["n_points"] for p in parts)
             for p in parts:
-                vals.append(p["values"])
-                wts.append(p["weights"] / (m * lam_norm))
+                vals.append(p.pop("values"))
+                wts.append(p.pop("weights") / (m * lam_norm))
         values = np.concatenate(vals)
         weights = np.concatenate(wts)
+        del vals, wts
         stderr = math.sqrt(var)
         ks = None
         if pencil.has_tropical_edges and values.size:
@@ -449,10 +446,9 @@ def sample_pencil(
                 n_points=n_pts,
                 hist_masses=hist,
                 hist_edges=hist_edges,
-                values=values,
-                weights=weights,
             )
         )
+        del values, weights
     return PencilSampleResult(
         preset=pencil.preset,
         epsilon=pencil.epsilon,

@@ -427,14 +427,15 @@ class SimplexHistogram:
     """Pushforward of the sampled measure to the chart of the active face.
 
     The active face is charted by its normalized log coordinates with the
-    first active coordinate dropped; ``values``/``weights`` keep the
-    ``(n, d)`` projected samples and their weights for distribution tests.
-    On an edge (``d = 1``) ``edges`` holds the one regular grid and
-    ``masses``/``stderrs`` the per-bin masses; on any other face ``edges`` is
-    empty and ``masses``/``stderrs`` are the total, as 0-d arrays.
+    first active coordinate dropped, ``coord_indices`` the ``d`` kept ones.
+    On an edge (``d = 1``) ``edges`` holds the one regular grid,
+    ``masses``/``stderrs`` the per-bin masses, and ``values``/``weights`` the
+    ``(n, 1)`` projected samples and their slice weights for distribution
+    tests.  On any other face ``edges`` is empty, ``masses``/``stderrs`` are
+    the total, as 0-d arrays, and no samples are kept: ``values`` and
+    ``weights`` are ``None``.
     """
 
-    b_active: tuple[int, ...]
     coord_indices: tuple[int, ...]
     edges: tuple[np.ndarray, ...]
     masses: np.ndarray
@@ -442,12 +443,8 @@ class SimplexHistogram:
     n_samples: int
     total_mass: float
     total_stderr: float
-    values: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.coord_indices)
+    values: np.ndarray | None
+    weights: np.ndarray | None
 
 
 def _bin_moments(
@@ -473,7 +470,8 @@ def _bin_moments(
     within = sums / np.maximum(counts, 1)
     dev = weights - within[cell]
     m2 = np.bincount(cell, weights=dev * dev, minlength=bins)
-    m2 += within * within * counts * ((n - counts) / n)
+    # Not in place: with no values, `np.bincount` returns integers.
+    m2 = m2 + within * within * counts * ((n - counts) / n)
     return sums / n, np.sqrt(m2 / n) / math.sqrt(n)
 
 
@@ -488,22 +486,24 @@ def pushforward_histogram(
 ) -> SimplexHistogram:
     """Histogram of the normalized log map of the fiber samples of ``metric`` at ``t``.
 
-    The histogram lives on the chart of the active face and is binned only
-    on an edge; any other face reports its total mass (see `SimplexHistogram`).
+    The histogram lives on the chart of the active face.  Only on an edge
+    are the samples kept and binned; any other face reports its total mass
+    (see `SimplexHistogram`).
     """
     kmin = metric.kappa_min
     active = tuple(i for i, k in enumerate(metric.kappa) if k == kmin)
-    res = sample_fiber_measure(LocalChart(metric, t), n, seed, keep_samples=True, threads=threads)
     coord_indices = active[1:]
-    values = res.w[:, list(coord_indices)]
-    if len(coord_indices) == 1:
+    on_edge = len(coord_indices) == 1
+    res = sample_fiber_measure(LocalChart(metric, t), n, seed, keep_samples=on_edge, threads=threads)
+    values = None
+    if on_edge:
+        values = res.w[:, list(coord_indices)]
         edges = (np.linspace(0.0, 1.0 / metric.b[coord_indices[0]], bins + 1),)
         masses, stderrs = _bin_moments(values[:, 0], res.weights, edges[0], n)
     else:
         edges = ()
         masses, stderrs = np.array(float(res.mass)), np.array(float(res.stderr))
     return SimplexHistogram(
-        b_active=tuple(metric.b[i] for i in active),
         coord_indices=coord_indices,
         edges=edges,
         masses=masses,

@@ -6,7 +6,6 @@ import math
 from fractions import Fraction
 from itertools import product
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -30,7 +29,7 @@ def edge_model(b0, b1, a0=0, a1=0):
 class TestFaceBaseChange:
     def test_doubled_edge_order_two(self):
         r = face_base_change((2, 2), 2)
-        assert (r.e, r.fg, r.b_prime) == (1, 2, 1)
+        assert (r.e, r.fg, r.g, r.f, r.b_prime) == (1, 2, 2, 1, 1)
         assert r.volume_scale == 2
         assert r.residual_scale == Fraction(1, 4)
         assert r.consistent
@@ -44,15 +43,6 @@ class TestFaceBaseChange:
             r = face_base_change((1, 1, 1), m)
             assert (r.e, r.fg, r.b_prime) == (m, 1, 1)
             assert r.volume_scale == m**2
-
-    def test_explicit_g(self):
-        r = face_base_change((4, 4), 4, g=2)
-        assert (r.fg, r.g, r.f) == (4, 2, 2)
-        assert r.e * r.f * r.g == 4
-
-    def test_invalid_g(self):
-        with pytest.raises(ValueError, match="divide"):
-            face_base_change((2, 2), 2, g=4)
 
     def test_efg_product_grid(self):
         for b0, b1, m in product(range(1, 7), range(1, 7), range(1, 13)):
@@ -87,10 +77,6 @@ class TestModelBaseChange:
         assert len(rows) == 6
         assert all(r["e"] == 3 and r["fg"] == 1 for r in rows)
 
-    def test_unknown_face_in_g_choices(self):
-        with pytest.raises(ValueError, match="unknown faces"):
-            model_base_change(annulus(), 2, {"E0&E9": 1})
-
 
 class TestPushforwardIdentity:
     def test_reduced_face_trivial(self):
@@ -110,11 +96,6 @@ class TestPushforwardIdentity:
         for b0, b1, m in product(range(1, 5), range(1, 5), range(1, 7)):
             measure = assemble_limit_measure(edge_model(b0, b1), {"E0&E1": 1.0})
             assert pushforward_identity_check(measure, m).passed, (b0, b1, m)
-
-    def test_with_nondefault_g(self):
-        measure = assemble_limit_measure(edge_model(4, 4), {"E0&E1": 1.0})
-        check = pushforward_identity_check(measure, 4, {"E0&E1": 2})
-        assert check.passed
 
     @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 12))
     def test_identity_property(self, b0, b1, m):

@@ -453,6 +453,51 @@ class TestExitCodes:
         assert "[pass] base-change-pushforward" in out
         assert (tmp_path / "v" / "verify-base-change-report.json").exists()
 
+    # Seven non-active coordinates reject every one of these draws.
+    NO_ACCEPT = ["--b", "1,1,1,1,1,1,1,1,1", "--a", "0,0,1,1,1,1,1,1,1"]
+
+    def test_pushforward_with_no_accepted_sample_fails(self, tmp_path, capsys):
+        args = ["--t", "0.5", "--n-samples", "1000", "--bins", "10", "--seed", "2"]
+        code, out, err = run_cli(["pushforward", *self.NO_ACCEPT, *args], tmp_path, capsys)
+        assert (code, err) == (1, "")
+        report = json.loads((tmp_path / "pushforward-chart-1-1-1-1-1-1-1-1-1-report.json").read_text())
+        verdicts = {v["name"]: v for v in report["verdicts"]}
+        assert list(verdicts) == ["pushforward-total-mass", "pushforward-uniformity-ks"]
+        assert all(not v["passed"] and v["discrepancy"] == math.inf for v in verdicts.values())
+        rows = (tmp_path / "pushforward-chart-1-1-1-1-1-1-1-1-1.csv").read_text().splitlines()
+        assert len(rows) == 11 and all(row.endswith(",0.0,0.0") for row in rows[1:])
+
+    def test_fit_mass_with_a_zero_mass_fails(self, tmp_path, capsys):
+        args = ["--t", "1e-1..1e-4", "--n-samples", "10", "--seed", "1"]
+        code, out, err = run_cli(["fit-mass", *self.NO_ACCEPT, *args], tmp_path, capsys)
+        assert (code, err) == (1, "")
+        report = json.loads((tmp_path / "fit-mass-chart-1-1-1-1-1-1-1-1-1-report.json").read_text())
+        names = ["fit-log-exponent", "fit-decay-exponent", "fit-leading-constant"]
+        assert [v["name"] for v in report["verdicts"]] == names
+        for v in report["verdicts"]:
+            assert not v["passed"] and v["discrepancy"] == math.inf
+            assert "mass estimate is 0 at t = 0.1, 0.01, 0.001, 0.0001" in v["detail"]
+        assert len((tmp_path / "fit-mass-chart-1-1-1-1-1-1-1-1-1.csv").read_text().splitlines()) == 5
+        summary = json.loads((tmp_path / "fit-mass-chart-1-1-1-1-1-1-1-1-1.json").read_text())
+        assert summary["fit"] is None
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pushforward", "--b", "1,2", "--t", "1e-6", "--seed", "1", "--n-samples", "1000"],
+            ["polar-check", "--seed", "1", "--n-samples", "100"],
+            ["sample-pencil", "--preset", "coordinate_pencil", "--t", "1e-5", "--seed", "1"],
+            ["fit-mass", "--preset", "annulus", "--t", "1e-2..1e-7", "--seed", "3"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_infinite_tolerance_exits_two(self, tmp_path, capsys, args):
+        # An infinite tolerance would pass every check it bounds.
+        code, out, err = run_cli([*args, "--tolerance", "inf"], tmp_path, capsys)
+        assert code == 2
+        assert "[error] --tolerance must be finite" in err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_seed_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["sample", "--preset", "annulus", "--t", "1e-3"], tmp_path, capsys

@@ -21,12 +21,12 @@ from tropmass.hybrid import (
     log_deviation_constant,
 )
 from tropmass.model import build_dual_complex, coordinate_pencil
-from tropmass.pencil import _solve_symmetric_cubic
+from tropmass.pencil import _polished_roots
 
 
 def small_root(t: float, epsilon: float, u: complex) -> complex:
     """The root ``v`` of least modulus on the pencil fiber over ``u``."""
-    roots = _solve_symmetric_cubic(complex(t * epsilon), 1.0 + 0j, np.array([complex(u)]))[0]
+    roots = _polished_roots(complex(t * epsilon), 1.0 + 0j, np.array([complex(u)])).T[0]
     return roots[int(np.argmin(np.abs(roots)))]
 
 
@@ -363,7 +363,7 @@ class TestLaurentSeriesPoly:
         assert LaurentSeriesPoly.from_dict({3: 1.0, 5: 2.0}).order == 3
         assert LaurentSeriesPoly.from_dict({-4: 1.0, 2: 1.0}).order == -4
         with pytest.raises(ValueError, match="zero polynomial"):
-            _ = LaurentSeriesPoly.zero().order
+            _ = LaurentSeriesPoly(()).order
 
     def test_evaluation(self):
         f = LaurentSeriesPoly.from_dict({-1: 2.0, 1: 1.0})
@@ -409,7 +409,7 @@ class TestHybridSeminorm:
         )
 
     def test_zero_polynomial_and_zeros_of_f(self):
-        assert hybrid_seminorm(LaurentSeriesPoly.zero(), 0.2, 0.5) == 0.0
+        assert hybrid_seminorm(LaurentSeriesPoly(()), 0.2, 0.5) == 0.0
         f = LaurentSeriesPoly.from_dict({0: -0.25, 1: 1.0})  # vanishes at z = 1/4
         assert hybrid_seminorm(f, 0.25, 0.5) == 0.0
 

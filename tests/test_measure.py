@@ -47,15 +47,15 @@ class TestResidualMassClosedForm:
         # One active and one nonactive coordinate with unit exponent: the
         # nonactive disc integral is pi, absorbed as (2 pi) * 1/2.
         ch = MonomialChartMetric(b=(1, 1), a=(Fraction(0), Fraction(1)))
-        assert residual_mass_closed_form(ch, 0) == pytest.approx(math.pi, rel=1e-15)
+        assert residual_mass_closed_form(ch) == pytest.approx(math.pi, rel=1e-15)
 
     def test_fully_active_chart_is_unit(self):
         ch = MonomialChartMetric(b=(1, 2), a=(Fraction(0), Fraction(0)))
-        assert residual_mass_closed_form(ch, 1) == 1.0
+        assert residual_mass_closed_form(ch) == 1.0
 
     def test_transverse_disc(self):
         ch = MonomialChartMetric(b=(1,), a=(Fraction(0),), transverse_dim=1)
-        assert residual_mass_closed_form(ch, 0) == pytest.approx(math.pi, rel=1e-15)
+        assert residual_mass_closed_form(ch) == pytest.approx(math.pi, rel=1e-15)
 
     def test_pair_exponent_shrinks_disc_mass(self):
         ch = MonomialChartMetric(
@@ -78,13 +78,6 @@ class TestResidualMassClosedForm:
         )
         with pytest.raises(DivergenceError):
             residual_mass_closed_form(ch)
-
-    def test_divergent_nonactive_exponent(self):
-        # kappa_ref below every slope leaves no active index but positive
-        # exponents; forcing a zero exponent via active_dim mismatch instead:
-        ch = MonomialChartMetric(b=(1, 1), a=(0, 0))
-        with pytest.raises(ValueError, match="active dimension"):
-            residual_mass_closed_form(ch, 0)
 
     def test_oracle_direct_disc_integral(self):
         # Independent oracle: mass of |z|^(2e - 2) over the disc of radius r

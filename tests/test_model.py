@@ -19,7 +19,6 @@ from tropmass.model import (
     boundary_coefficients,
     build_dual_complex,
     coordinate_pencil,
-    evaluate_divisor_on_face,
     fermat_smooth,
     format_model_spec,
     is_subklt,
@@ -170,48 +169,6 @@ class TestWeightData:
         wd0, wd1 = weight_data(base), weight_data(shifted)
         assert wd1.kappa_min == wd0.kappa_min + 1
         assert [f.key for f in wd1.active_faces] == [f.key for f in wd0.active_faces]
-
-
-class TestEvaluateDivisorOnFace:
-    def test_central_fiber_is_constant_one(self):
-        m = coordinate_pencil(2)
-        dual = build_dual_complex(m)
-        coeffs = {c.name: Fraction(c.b) for c in m.components}
-        for f in dual.faces:
-            func = evaluate_divisor_on_face(m, coeffs, f)
-            assert set(func.vertex_values()) == {1}
-
-    def test_single_component_divisor_on_edge(self):
-        m = two_component_model(b0=1, b1=2)
-        dual = build_dual_complex(m)
-        edge = dual.face(("E0", "E1"))
-        func = evaluate_divisor_on_face(m, {"E0": 1, "E1": 0}, edge)
-        assert func.vertex_values() == (1, 0)
-
-    def test_twist_divisor_constant_on_active_faces(self):
-        m = two_component_model(b0=1, a0=Fraction(1, 2), b1=2, a1=1)
-        # kappa = [1/2, 1/2]: everything active, twist divisor restricts to kappa_min.
-        dual = build_dual_complex(m)
-        wd = weight_data(m, dual)
-        assert wd.kappa_min == Fraction(1, 2)
-        coeffs = {c.name: c.a for c in m.components}
-        for f in wd.active_faces:
-            func = evaluate_divisor_on_face(m, coeffs, f)
-            assert set(func.vertex_values()) == {wd.kappa_min}
-
-    def test_twist_divisor_exceeds_min_off_active(self):
-        m = two_component_model(b0=1, a0=0, b1=2, a1=1)
-        dual = build_dual_complex(m)
-        wd = weight_data(m, dual)
-        coeffs = {c.name: c.a for c in m.components}
-        off = dual.face(("E1",))
-        assert min(evaluate_divisor_on_face(m, coeffs, off).vertex_values()) > wd.kappa_min
-
-    def test_missing_coefficient(self):
-        m = two_component_model()
-        dual = build_dual_complex(m)
-        with pytest.raises(ModelError, match="missing a coefficient"):
-            evaluate_divisor_on_face(m, {"E0": 1}, dual.face(("E0", "E1")))
 
 
 class TestBoundaryCoefficients:

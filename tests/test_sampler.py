@@ -16,7 +16,7 @@ from tropmass import cli, sampler
 from tropmass.cli import ExperimentConfig
 from tropmass.lattice import simplex_volume
 from tropmass.measure import MonomialChartMetric, TWO_PI, chart_limit_mass
-from tropmass.pencil import HypersurfacePencil, sample_pencil
+from tropmass.pencil import HypersurfacePencil, _sample_patch_route
 from tropmass.sampler import (
     CHUNK,
     TRIG_BLOCK,
@@ -226,47 +226,66 @@ def skip_unless_recorded_build():
 
 
 class TestRunnerCsvDigests:
-    """The sha256 of the CSV of each command line, on every x86-64 dispatch target.
+    """The sha256 of each CSV of each command line, on every x86-64 dispatch target.
 
     Recorded under numpy 2.4.6 with each of its five kernel sets selected
     by NPY_DISABLE_CPU_FEATURES on one AVX512_SPR machine, as for the
-    polar-check pin.  Only the mixed chart moves with the kernels: the three
+    polar-check pin.  The mixed chart moves with the kernels: the three
     AVX-512 sets write one digest, X86_V3 and the X86_V2 baseline another.
+    The pencil files move too, except the smooth pencil's CSV: up to three
+    digests each (AVX-512, X86_V3, X86_V2).  `base-change` is exact.
     """
 
     DIGESTS = {
-        "sample --preset annulus --t 1e-2..1e-6 --seed 1": (
-            "sample-annulus.csv",
-            {"39b273809bc71d0584a5833b63c72f971de3e1246e6c8f7003f572c24615c416"},
-        ),
-        "sample --b 1,1,1 --a 0,1,1 --t 1e-3,1e-5 --n-samples 300000 --seed 3": (
-            "sample-chart-1-1-1.csv",
-            {
+        "sample --preset annulus --t 1e-2..1e-6 --seed 1": {
+            "sample-annulus.csv": {"39b273809bc71d0584a5833b63c72f971de3e1246e6c8f7003f572c24615c416"},
+        },
+        "sample --b 1,1,1 --a 0,1,1 --t 1e-3,1e-5 --n-samples 300000 --seed 3": {
+            "sample-chart-1-1-1.csv": {
                 "f090dad8d31a75dbe1a5020aab505b2b6963c2096743cb57f4344c5cf6b653a6",
                 "86c2b10b96f13fb2115ee34458af7b88ca0d926b3a1d26b8dc4239974952f4bf",
             },
-        ),
-        "pushforward --b 1,2 --t 1e-6 --n-samples 100000 --bins 50 --seed 2": (
-            "pushforward-chart-1-2.csv",
-            {"66db3af2a6cdfc0eb471c677d027c56a3b92e3513db9c668c7f8cadd574d7198"},
-        ),
-        "pushforward --b 1,1,1 --t 1e-4 --n-samples 100000 --bins 7 --seed 2": (
-            "pushforward-chart-1-1-1.csv",
-            {"14dca9d0fadc1b4cbef6dcc6679f71296d1d7b500c27b3c75bff7a0a3bd1aa9a"},
-        ),
-        "fit-mass --preset annulus --t 1e-2..1e-7 --seed 3": (
-            "fit-mass-annulus.csv",
-            {"eb0bcd950565cc15ebb965ad93fd00e42d888d72d690ff86aecfafd98a7157fb"},
-        ),
+        },
+        "pushforward --b 1,2 --t 1e-6 --n-samples 100000 --bins 50 --seed 2": {
+            "pushforward-chart-1-2.csv": {"66db3af2a6cdfc0eb471c677d027c56a3b92e3513db9c668c7f8cadd574d7198"},
+        },
+        "pushforward --b 1,1,1 --t 1e-4 --n-samples 100000 --bins 7 --seed 2": {
+            "pushforward-chart-1-1-1.csv": {"14dca9d0fadc1b4cbef6dcc6679f71296d1d7b500c27b3c75bff7a0a3bd1aa9a"},
+        },
+        "fit-mass --preset annulus --t 1e-2..1e-7 --seed 3": {
+            "fit-mass-annulus.csv": {"eb0bcd950565cc15ebb965ad93fd00e42d888d72d690ff86aecfafd98a7157fb"},
+        },
+        "sample-pencil --preset coordinate_pencil --t 1e-5 --n-samples 60000 --seed 3": {
+            "sample-coordinate_pencil-t1e-05.csv": {
+                "a776d116da0435781150752304bd1b90093c0268d2ee1cc9150f8a8bced40118",
+                "6991280df359a6fe0687415e0c70094603c9dec029a49e041d224c065ade6466",
+            },
+            "sample-coordinate_pencil-t1e-05-hist.csv": {
+                "4122b3294d0e366904bdb363232947e6d800e95b9a50ab19a2a3293dacec9c6a",
+                "a6ce818adc835fa914d78a0ed002006781964cf95cf8f84598d0141f28475d66",
+                "e172ff145c1429f5de44f7268662c65a82bede2258b47353b0b9d6993caab11d",
+            },
+        },
+        "sample-pencil --preset fermat_smooth --t 1e-2 --n-samples 60000 --seed 3": {
+            "sample-fermat_smooth-t0.01.csv": {"4a69ef3e5aaf9ebb262104ae9da3a2c5c88b8ec93b89b8e361e03a7d6012cc3e"},
+            "sample-fermat_smooth-t0.01-hist.csv": {
+                "0d009ecacc98eebc5ae51cae896379f5538b14d3e79f7c90dbfa33146b1a7ef8",
+                "2edf2978ebf2b97557d8cea087c8c2feb6264499dc071bd319b9c7c84ffd7248",
+                "7c3a6c27589b34d8b4e363ff1de4d30a45edfcf4a1bc21d432376dff7b1e8bdc",
+            },
+        },
+        "base-change --preset coordinate_pencil --m 6": {
+            "base-change-coordinate_pencil-m6.csv": {"994e2f583db90cae3f7c23b0041216c5e783dfd8a6c0bba8d778855294a2874a"},
+        },
     }
 
     @pytest.mark.parametrize("line", sorted(DIGESTS))
     def test_csv_bytes_are_pinned(self, tmp_path, capsys, line):
         skip_unless_recorded_build()
-        name, digests = self.DIGESTS[line]
         assert cli.main([*line.split(), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() in digests
+        for name, digests in self.DIGESTS[line].items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() in digests, name
 
 
 def simplex_integral(f, top, m=200_001):
@@ -383,12 +402,11 @@ class TestStableVariance:
 class TestPushforwardHistogram:
     def test_doubled_edge_density_uniform(self):
         hist = pushforward_histogram(metric((1, 2), (0, 0)), 200_000, 20, seed=8, t=1e-4)
-        assert hist.b_active == (1, 2)
         assert hist.coord_indices == (1,)
         assert hist.total_mass == pytest.approx(0.5, abs=1e-12)
         assert hist.edges[0][0] == 0.0
         assert hist.edges[0][-1] == pytest.approx(0.5)
-        predicted_bin = 1.0 / hist.b_active[0] * 0.5 / 20
+        predicted_bin = 0.5 / 20  # the total 1/b_0 * 1/b_1 over 20 equal bins
         for mass, err in zip(hist.masses, hist.stderrs):
             assert abs(mass - predicted_bin) < max(4 * err, 1e-12)
         assert chart_limit_mass(MonomialChartMetric(b=(1, 2), a=(0, 0))) == pytest.approx(0.5)
@@ -400,20 +418,20 @@ class TestPushforwardHistogram:
 
     def test_vertex_chart_histogram_is_scalar(self):
         hist = pushforward_histogram(metric((1, 1), (0, 1)), 50_000, 10, seed=8, t=1e-4)
-        assert hist.dim == 0
+        assert hist.coord_indices == () and hist.values is None
         assert hist.masses.shape == ()
         assert hist.total_mass == pytest.approx(math.pi, rel=0.05)
 
     def test_triangle_chart_reports_the_total(self):
-        # d = 2: no bins, the total as masses/stderrs, and every kept sample's face coordinates.
+        # d = 2: no bins, the total as masses/stderrs, and no samples kept.
         b = (1, 2, 1)
         hist = pushforward_histogram(metric(b, (0, 0, 0)), 50_000, 10, seed=8, t=1e-4)
         plain = sample_fiber_measure(chart(b, (0, 0, 0), 1e-4), 50_000, seed=8)
-        assert hist.dim == 2 and hist.edges == ()
+        assert hist.coord_indices == (1, 2) and hist.edges == ()
         assert hist.masses.shape == hist.stderrs.shape == ()
         assert (float(hist.masses), float(hist.stderrs)) == (hist.total_mass, hist.total_stderr)
         assert (hist.total_mass, hist.total_stderr) == (plain.mass, plain.stderr)
-        assert hist.values.shape == (50_000, 2) and hist.weights.shape == (50_000,)
+        assert hist.values is None and hist.weights is None
 
 
 def sorted_ks(values, weights, cdf):
@@ -596,11 +614,15 @@ class TestKsStatistic:
         )
 
     def test_coordinate_pencil_edges_match_sorted_reference(self):
-        run = sample_pencil(HypersurfacePencil.coordinate(), 1e-5, 30_000, seed=11)
-        assert len(run.patches) == 3
-        for p in run.patches:
-            assert p.ks_uniform == pytest.approx(
-                sorted_ks(p.values, p.weights, UNIFORM), abs=1e-12
+        # One route's edge coordinates and weights, as sample_pencil tests them.
+        a, b = HypersurfacePencil.coordinate().coefficients(1e-5)
+        r_lo = abs(a / b) / 4.0
+        for seed in (11, 12, 13):
+            route = _sample_patch_route(a, b, 10_000, r_lo, True, np.random.default_rng(seed))
+            values, weights = route["values"], route["weights"]
+            assert values.size > 1000
+            assert ks_statistic(values, weights, UNIFORM) == pytest.approx(
+                sorted_ks(values, weights, UNIFORM), abs=1e-12
             )
 
 
