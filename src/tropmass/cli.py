@@ -394,8 +394,21 @@ def _fmt(v: object) -> str:
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
+def _finite_json(obj: object) -> object:
+    """``obj`` with each non-finite float as the string ``float()`` reads back: "inf", "-inf", "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
 def write_json(path: Path, obj: object) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write strict JSON: a non-finite float becomes a string, and any other raises."""
+    text = json.dumps(_finite_json(obj), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _slug(cfg: ExperimentConfig) -> str:

@@ -19,9 +19,11 @@ uniforms first, then works through them one block of `TRIG_BLOCK` draws at a
 time: ``u`` from the table-driven `_unit_phasor`, the three roots from
 Cardano's formula on the depressed cubic polished by one Newton step, and
 the weights only for the roots inside the patch.  Those whose relative
-residual exceeds 1e-10 are excluded and counted.  Each patch's points give
-its KS statistic and histogram and are then freed: a `PatchEstimate` holds
-estimates only.
+residual exceeds 1e-10 are excluded and counted.  The patches are sampled
+and reduced one at a time: a patch's two routes (times its shards) run,
+their points are joined once, give the patch's KS statistic and histogram,
+and are freed before the next patch starts, so a `PatchEstimate` holds
+estimates only and the points of one patch are held at a time.
 """
 
 from __future__ import annotations
@@ -303,7 +305,9 @@ def _sample_patch_route(
     All uniforms are drawn first; the points are then built, solved and
     weighted one block of `TRIG_BLOCK` rows at a time.  Only the roots inside
     the patch (about one of the three per draw) get the residual filter and
-    a weight; `np.bincount` sums each draw's weights.
+    a weight; `np.bincount` sums each draw's weights.  The kept points'
+    edge coordinates and weights come back as lists of per-block arrays,
+    which `sample_pencil` joins once per patch.
     """
     strata = np.repeat(np.arange(_STRATA), _shard_counts(m, _STRATA))
     quantile = (strata + rng.uniform(size=m)) / _STRATA
@@ -350,15 +354,14 @@ def _sample_patch_route(
         per_sample[block] = np.bincount(row, contrib, minlength=block.stop - block.start)
 
     _, mean, m2 = _moments(per_sample)
-    kept = np.concatenate(weights)
     return {
         "m": m,
         "mean": mean,
         "m2": m2,
         "failures": failures,
-        "values": np.concatenate(values),
-        "weights": kept,
-        "n_points": kept.size,
+        "values": values,
+        "weights": weights,
+        "n_points": sum(w.size for w in weights),
     }
 
 
@@ -379,6 +382,12 @@ def sample_pencil(
     dual-complex edge, and the pushforward coordinate
     ``log|z_i/z_k| / log|z_i z_j / z_k^2|`` is binned and tested for
     uniformity.  Root-solving failures are excluded and counted.
+
+    The patches run one at a time, each as its two routes times ``shards``
+    jobs over ``threads`` threads; job ``j`` of the ``6 * shards`` draws
+    from child ``j`` of ``SeedSequence(seed)``, so neither ``threads`` nor
+    the patch order changes a result.  At most one patch's points are held,
+    16 bytes each (about ``n / 3`` of them on the degenerating pencil).
     """
     if pencil.n != 2:
         raise NotImplementedError("sampling is implemented for plane curves (n = 2)")
@@ -396,35 +405,37 @@ def sample_pencil(
     seqs = np.random.SeedSequence(seed).spawn(6 * shards)
     m_route = _shard_counts(n, 6)
 
-    def run(job: int) -> tuple[int, dict]:
+    def run(job: int) -> dict:
         route = job // shards
         m = _shard_counts(m_route[route], shards)[job % shards]
-        out = _sample_patch_route(
+        return _sample_patch_route(
             a_coeff, b_coeff, m, r_lo, log_scale, np.random.default_rng(seqs[job])
         )
-        return route, out
-
-    results = _map_shards(run, 6 * shards, threads)
 
     lam_norm = TWO_PI * math.log(1.0 / abs(t))
     patches: list[PatchEstimate] = []
     total_failures = 0
     for k, label in enumerate(pencil.patch_labels):
+        # Patch k is routes 2k and 2k + 1, jobs 2k * shards onwards.
+        first = 2 * k * shards
+        results = _map_shards(lambda i: run(first + i), 2 * shards, threads)
         mass = 0.0
         var = 0.0
         vals: list[np.ndarray] = []
         wts: list[np.ndarray] = []
         n_pts = 0
-        for route in (2 * k, 2 * k + 1):
-            parts = [out for r, out in results if r == route]
+        for parts in (results[:shards], results[shards:]):
             m, mean, m2 = _merge_moments([(p["m"], p["mean"], p["m2"]) for p in parts])
             mass += mean
             var += m2 / m / m
             total_failures += sum(p["failures"] for p in parts)
             n_pts += sum(p["n_points"] for p in parts)
             for p in parts:
-                vals.append(p.pop("values"))
-                wts.append(p.pop("weights") / (m * lam_norm))
+                vals += p.pop("values")
+                for w in p["weights"]:
+                    w /= m * lam_norm
+                wts += p.pop("weights")
+        del results
         values = np.concatenate(vals)
         weights = np.concatenate(wts)
         del vals, wts

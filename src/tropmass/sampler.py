@@ -20,17 +20,21 @@ block of `TRIG_BLOCK` rows at a time, their angles from `_unit_phasor`, a
 table-driven ``e^{2 pi i u}`` within a few ulp of ``np.exp``.  A test
 function may return ``k`` rows, ``k`` functions on the same draws; the
 estimates then come as length-``k`` arrays, row ``j`` equal to the call with
-that function alone.  Kept samples carry their slice weights, so keeping
-takes no ``h``.
+that function alone.  Kept samples are the normalized log coordinates the
+caller names, with their slice weights (so keeping takes no ``h``); each
+chunk writes its accepted rows once, straight into the returned arrays.
 
 The module also provides histogram pushforwards under the normalized log map
-(binned when the active face is an edge, the total mass otherwise), weighted
-Kolmogorov-Smirnov statistics against predicted limit densities (the points
-binned by model CDF value, and only the cells whose bound can hold the
-maximum sorted), closed-form vs Monte-Carlo checks of the polar
-factorization identities (whose Monte-Carlo sides are `sample_fiber_measure`
-itself, one sample per identity shared by all its test functions), and a
-least-squares fit recovering the mass-asymptotics exponents.  Their test
+(binned when the active face is an edge, the total mass otherwise) and
+weighted Kolmogorov-Smirnov statistics against predicted limit densities
+(the points binned by model CDF value, and only the cells whose bound can
+hold the maximum sorted).  Both read the kept points one block of
+`TRIG_BLOCK` at a time, so a point kept on an edge costs 16 bytes, and the
+KS statistic about 6 more while it runs.  It also provides closed-form vs
+Monte-Carlo checks of the polar factorization identities (whose Monte-Carlo
+sides are `sample_fiber_measure` itself, one sample per identity shared by
+all its test functions), and a least-squares fit recovering the
+mass-asymptotics exponents.  Their test
 functions, `TrigPoly`, are real by construction and folded once;
 `_trig_block` evaluates ``k`` of them on a block, each power of each
 coordinate computed once.
@@ -97,11 +101,12 @@ class FiberSampleResult:
     ``mass`` estimates the rescaled measure (the one converging to the
     skeletal limit); ``mass_raw`` the unrescaled fiber mass.  The four
     estimates are floats, or length-``k`` arrays for an ``h`` of ``k`` rows.
-    ``w`` holds the normalized log coordinates of the kept samples (all
-    ``p + 1`` of them, summing to 1 against the multiplicities), ``weights``
-    their slice weights; both are ``None`` unless the samples were kept,
-    which no ``h`` allows.  The complex chart coordinates are built only for
-    an ``h`` and are not kept.
+    ``w`` is the ``(n_accepted, len(keep_samples))`` array of the kept
+    normalized log coordinates, column ``j`` the coordinate
+    ``keep_samples[j]`` (all ``p + 1`` of them sum to 1 against the
+    multiplicities), and ``weights`` their slice weights; both are ``None``
+    unless samples were kept, which no ``h`` allows.  The complex chart
+    coordinates are built only for an ``h`` and are not kept.
     """
 
     t: complex
@@ -206,8 +211,15 @@ def _sample_shard(
     n: int,
     rng: np.random.Generator,
     h: Callable | None,
-    keep: bool,
+    keep: Sequence[int],
+    out: tuple[np.ndarray, np.ndarray] | None,
 ) -> dict:
+    """One chunk of `sample_fiber_measure`: its moments and accept count.
+
+    With ``keep``, the normalized log coordinates ``keep`` of the accepted
+    rows and their slice weights go to the first rows of ``out``, an
+    ``(n, len(keep))`` and an ``(n,)`` array.
+    """
     m = chart.metric
     b = np.array(m.b, dtype=float)
     p = m.p
@@ -243,6 +255,7 @@ def _sample_shard(
     y_active = _spacings(rng, k, n, rest)
     if rate[active[0]] != 0:  # the pivot of a chart with no active coordinate
         log_decay = log_decay + rate[active[0]] * rest
+    y = dict(zip(others + active, [*y_others, *y_active]))
 
     # Transverse radial sampling inverts the power law exactly, so each
     # coordinate contributes its closed-form disc mass as a constant factor.
@@ -266,7 +279,6 @@ def _sample_shard(
         # The turns theta_1..theta_p are uniform and theta_0 solves the angular
         # relation on a uniform one of its b_0 branches: exact Haar measure on
         # the subtorus.  Each transverse disc then draws its radius and turns.
-        y = dict(zip(others + active, [*y_others, *y_active]))
         phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
         theta = rng.random((n, p))
         branch = rng.integers(0, m.b[0], size=n)
@@ -311,20 +323,16 @@ def _sample_shard(
         _, mean, m2 = _merge_moments(parts)
 
     n_accepted = n if accept is None else int(np.count_nonzero(accept))
-    out = {"n": n, "mean": mean, "m2": m2, "n_accepted": n_accepted}
     if keep:
-        # The normalized log coordinates x_i / L, x_i = ell_i + y_i / b_i,
-        # one row per coordinate.
-        x_rows = np.empty((p + 1, n))
-        if others:
-            x_rows[others] = y_others
-        x_rows[active] = y_active
-        x_rows /= b[:, None]
-        x_rows += ell[:, None]
-        x_rows /= big_l
-        out["w"] = (x_rows if accept is None else x_rows[:, accept]).T
-        out["weights"] = np.array(weights if accept is None else weights[accept])
-    return out
+        # The normalized log coordinates x_i / L, x_i = ell_i + y_i / b_i.
+        w_out, weights_out = out
+        for j, i in enumerate(keep):
+            column = w_out[:n_accepted, j]
+            np.divide(y[i] if accept is None else y[i][accept], b[i], out=column)
+            column += ell[i]
+            column /= big_l
+        weights_out[:n_accepted] = weights if accept is None else weights[accept]
+    return {"n": n, "mean": mean, "m2": m2, "n_accepted": n_accepted}
 
 
 def sample_fiber_measure(
@@ -333,7 +341,7 @@ def sample_fiber_measure(
     seed: int,
     *,
     h: Callable | None = None,
-    keep_samples: bool = False,
+    keep_samples: Sequence[int] = (),
     threads: int = 1,
 ) -> FiberSampleResult:
     """Unbiased Monte-Carlo estimate of ``integral h d(mu_t)`` on a local chart.
@@ -353,26 +361,55 @@ def sample_fiber_measure(
     deterministic given ``n`` and ``seed``: the samples are drawn in chunks of
     at most `CHUNK` with independently derived sub-seeds and merged in chunk
     order, so ``threads`` changes only how many chunks run at once.
-    ``keep_samples`` keeps the points and their slice weights; it changes
-    only what is returned, never the estimate, and raises `ValueError` with
-    an ``h``.
+
+    ``keep_samples`` names the normalized log coordinates to keep, indices
+    in ``0..p``; the accepted points then come back as ``w``, one column
+    per index, with their slice weights.  Each chunk writes its accepted
+    rows straight into these two arrays, so a kept point costs 8 bytes per
+    index plus 8 for its weight, whatever ``threads`` is.  Keeping changes
+    only what is returned, never the estimate, and raises `ValueError`
+    with an ``h``.
     """
-    if keep_samples and h is not None:
+    keep = tuple(keep_samples)
+    if keep and h is not None:
         raise ValueError("keep_samples takes no h: the kept weights are the slice weights")
+    p = chart.metric.p
+    if any(not 0 <= i <= p for i in keep):
+        raise ValueError(f"keep_samples indexes the {p + 1} log coordinates 0..{p}, not {keep}")
     if n < 1:
         raise ValueError("need at least one sample")
     chunks = -(-n // CHUNK)
     counts = _shard_counts(n, chunks)
+    starts = [sum(counts[:i]) for i in range(chunks)]
     seqs = np.random.SeedSequence(seed).spawn(chunks)
+    w = weights = None
+    if keep:
+        w, weights = np.empty((n, len(keep))), np.empty(n)
 
     def run(i: int) -> dict:
-        return _sample_shard(chart, counts[i], np.random.default_rng(seqs[i]), h, keep_samples)
+        rows = slice(starts[i], starts[i] + counts[i])
+        out = (w[rows], weights[rows]) if keep else None
+        return _sample_shard(chart, counts[i], np.random.default_rng(seqs[i]), h, keep, out)
 
     parts = _map_shards(run, chunks, threads)
     _, mean, m2 = _merge_moments([(s["n"], s["mean"], s["m2"]) for s in parts])
     stderr = np.sqrt(m2 / n) / math.sqrt(n)
     if np.ndim(mean) == 0:
         mean, stderr = float(mean), float(stderr)
+    n_accepted = sum(s["n_accepted"] for s in parts)
+    if keep and n_accepted < n:
+        # Each chunk's accepted rows head its own rows: move them up behind
+        # the previous chunk's, in chunk order, and give back the rest.
+        end = 0
+        for start, s in zip(starts, parts):
+            k = s["n_accepted"]
+            if start != end:
+                w[end : end + k] = w[start : start + k]
+                weights[end : end + k] = weights[start : start + k]
+            end += k
+        # In place: no view of either array outlives `run`.
+        w.resize((n_accepted, len(keep)), refcheck=False)
+        weights.resize(n_accepted, refcheck=False)
 
     # Unrescaled fiber mass: divide the rescaling factor back out.
     m = chart.metric
@@ -380,15 +417,10 @@ def sample_fiber_measure(
     unscale = (chart.lam**d_ref / TWO_PI**d_ref) * abs(chart.t) ** (
         -2.0 * float(m.kappa_ref)
     )
-    w = weights = None
-    if keep_samples:
-        # Column-major, like each chunk's ``w``, so copying a column is contiguous.
-        w = np.concatenate([s["w"].T for s in parts], axis=1).T
-        weights = np.concatenate([s["weights"] for s in parts])
     return FiberSampleResult(
         t=chart.t,
         n_samples=n,
-        n_accepted=sum(s["n_accepted"] for s in parts),
+        n_accepted=n_accepted,
         mass=mean,
         stderr=stderr,
         mass_raw=mean / unscale,
@@ -431,7 +463,8 @@ class SimplexHistogram:
     On an edge (``d = 1``) ``edges`` holds the one regular grid,
     ``masses``/``stderrs`` the per-bin masses, and ``values``/``weights`` the
     ``(n, 1)`` projected samples and their slice weights for distribution
-    tests.  On any other face ``edges`` is empty, ``masses``/``stderrs`` are
+    tests: the arrays the sampler wrote, 16 bytes per kept sample, not
+    copied.  On any other face ``edges`` is empty, ``masses``/``stderrs`` are
     the total, as 0-d arrays, and no samples are kept: ``values`` and
     ``weights`` are ``None``.
     """
@@ -457,21 +490,38 @@ def _bin_moments(
     is the mean over all ``n`` samples of the weight times the bin's
     indicator; its centred second moment pools the bin's own samples with
     the ``n - count`` zeros outside it (Chan, Golub and LeVeque), so no
-    ``sum w^2 / n - mean^2`` cancels.
+    ``sum w^2 / n - mean^2`` cancels.  The points are read in blocks of
+    `TRIG_BLOCK`, twice: once for the counts and sums, once for the second
+    moments about the bin means.  `np.add.at` adds in index order, so each
+    sum is the one `np.bincount` of all the points gives, bit for bit.
     """
     bins = len(edges) - 1
     lo, hi = float(edges[0]), float(edges[-1])
-    inside = (values >= lo) & (values <= hi)
-    cell = np.minimum(np.floor((values - lo) * (bins / (hi - lo))), bins - 1).astype(np.intp)
-    if not inside.all():
-        cell, weights = cell[inside], weights[inside]
-    counts = np.bincount(cell, minlength=bins)
-    sums = np.bincount(cell, weights=weights, minlength=bins)
+    scale = bins / (hi - lo)
+
+    def binned(block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The cells and weights of the points of ``block`` inside the grid."""
+        v = values[block]
+        inside = (v >= lo) & (v <= hi)
+        cell = np.minimum(np.floor((v - lo) * scale), bins - 1).astype(np.intp)
+        if inside.all():
+            return cell, weights[block]
+        return cell[inside], weights[block][inside]
+
+    counts = np.zeros(bins, dtype=np.intp)
+    sums = np.zeros(bins)
+    for block in _row_blocks(values.size):
+        cell, w = binned(block)
+        np.add.at(counts, cell, 1)
+        np.add.at(sums, cell, w)
     within = sums / np.maximum(counts, 1)
-    dev = weights - within[cell]
-    m2 = np.bincount(cell, weights=dev * dev, minlength=bins)
-    # Not in place: with no values, `np.bincount` returns integers.
-    m2 = m2 + within * within * counts * ((n - counts) / n)
+    m2 = np.zeros(bins)
+    for block in _row_blocks(values.size):
+        cell, w = binned(block)
+        dev = w - within[cell]
+        dev *= dev
+        np.add.at(m2, cell, dev)
+    m2 += within * within * counts * ((n - counts) / n)
     return sums / n, np.sqrt(m2 / n) / math.sqrt(n)
 
 
@@ -494,12 +544,11 @@ def pushforward_histogram(
     active = tuple(i for i, k in enumerate(metric.kappa) if k == kmin)
     coord_indices = active[1:]
     on_edge = len(coord_indices) == 1
-    res = sample_fiber_measure(LocalChart(metric, t), n, seed, keep_samples=on_edge, threads=threads)
-    values = None
+    keep = coord_indices if on_edge else ()
+    res = sample_fiber_measure(LocalChart(metric, t), n, seed, keep_samples=keep, threads=threads)
     if on_edge:
-        values = res.w[:, list(coord_indices)]
         edges = (np.linspace(0.0, 1.0 / metric.b[coord_indices[0]], bins + 1),)
-        masses, stderrs = _bin_moments(values[:, 0], res.weights, edges[0], n)
+        masses, stderrs = _bin_moments(res.w[:, 0], res.weights, edges[0], n)
     else:
         edges = ()
         masses, stderrs = np.array(float(res.mass)), np.array(float(res.stderr))
@@ -511,7 +560,7 @@ def pushforward_histogram(
         n_samples=n,
         total_mass=float(res.mass),
         total_stderr=float(res.stderr),
-        values=values,
+        values=res.w,
         weights=res.weights,
     )
 
@@ -522,9 +571,9 @@ def ks_statistic(
     """Weighted one-sample Kolmogorov-Smirnov statistic against a given CDF.
 
     The largest gap, from either side of each step, between the normalized
-    weighted empirical CDF and ``cdf``, a non-decreasing function, at the
-    sample points.  Only a few points are sorted.  ``cdf`` is evaluated once
-    and each point goes to one of ``B = max(1, n // 16)`` equal cells of its
+    weighted empirical CDF and ``cdf``, a non-decreasing function applied
+    elementwise, at the sample points.  Only a few points are sorted.  Each
+    point goes to one of ``B = max(1, n // 16)`` equal cells of its model
     value; the cell weights give the empirical CDF ``C`` at the cell edges.
     A point of cell ``j`` sees an empirical CDF in ``[C[j], C[j+1]]`` (the
     weights are non-negative) and a model value in ``[j/B, (j+1)/B]``, so its
@@ -534,6 +583,13 @@ def ks_statistic(
     and its exact gaps taken, then every other cell whose bound exceeds the
     largest gap found.  The cells left out cannot hold a larger gap, so the
     result equals the sorted form up to the rounding of the cumulative sums.
+
+    The points are read one block of `TRIG_BLOCK` at a time: ``cdf`` is
+    called once per block, which gives the block's cells, counts and cell
+    weights (summed in index order, as `np.bincount` would), and again on
+    the points of the picked cells, one block at a time.  Besides its
+    inputs the statistic holds 4 bytes per point (the cells, as ``int32``),
+    three floats per cell (16 points) and the points of the cells it sorts.
 
     Returns NaN if a weight or a value of ``cdf`` is NaN or infinite, so a
     broken sample fails its check.  Raises ``ValueError`` for no samples,
@@ -552,19 +608,36 @@ def ks_statistic(
     total = weights.sum()
     if total <= 0:
         raise ValueError("total weight must be positive")
-    model = np.asarray(cdf(values), dtype=float).ravel()
-    lo, hi = model.min(), model.max()
-    if not (np.isfinite(total) and np.isfinite(lo) and np.isfinite(hi)):
+    if not np.isfinite(total):
         return math.nan
     cells = max(1, n // 16)
-    cell = np.clip(model * cells, 0, cells - 1).astype(np.intp)  # non-decreasing in model
-    counts = np.bincount(cell, minlength=cells)
-    cum_edge = np.concatenate(([0.0], np.cumsum(np.bincount(cell, weights, cells)))) / total
-    grid = np.arange(cells + 1) / cells
+    cell = np.empty(n, dtype=np.int32)  # n // 16 cells fit for any n that fits in memory
+    counts = np.zeros(cells, dtype=np.intp)
+    # The cell weights, after a leading 0, then summed up in place: the
+    # empirical CDF at the cell edges.
+    cum_edge = np.zeros(cells + 1)
+    lo, hi = math.inf, -math.inf
+    for block in _row_blocks(n):
+        model = np.asarray(cdf(values[block]), dtype=float).ravel()
+        block_lo, block_hi = model.min(), model.max()
+        if not (np.isfinite(block_lo) and np.isfinite(block_hi)):
+            return math.nan
+        lo, hi = min(lo, block_lo), max(hi, block_hi)
+        block_cell = np.clip(model * cells, 0, cells - 1).astype(np.intp)  # non-decreasing in model
+        cell[block] = block_cell
+        np.add.at(counts, block_cell, 1)
+        np.add.at(cum_edge[1:], block_cell, weights[block])
+    np.cumsum(cum_edge, out=cum_edge)
+    cum_edge /= total
+    grid = np.arange(cells + 1, dtype=float)
+    grid /= cells
     grid[0], grid[-1] = min(0.0, lo), max(1.0, hi)
     # The slack covers the rounding of the cumulative sums, each within about
     # n ulp of the total, and of ``model * cells``.
-    bound = np.maximum(cum_edge[1:] - grid[:-1], grid[1:] - cum_edge[:-1])
+    bound = cum_edge[1:] - grid[:-1]
+    above = np.subtract(grid[1:], cum_edge[:-1], out=grid[1:])
+    np.maximum(bound, above, out=bound)
+    del grid, above
     bound += 4 * n * np.finfo(float).eps
     bound[counts == 0] = -np.inf
     best = 0.0
@@ -574,18 +647,27 @@ def ks_statistic(
     # Two rounds: every bound left above the first cell's gap is visited next.
     while pick.any():
         picked = np.flatnonzero(pick)
-        idx = np.flatnonzero(pick[cell])
+        found, model = [], []
+        for block in _row_blocks(n):
+            idx = np.flatnonzero(pick[cell[block]])
+            if idx.size:
+                idx += block.start
+                found.append(idx)
+                model.append(np.asarray(cdf(values[idx]), dtype=float).ravel())
+        idx, model = np.concatenate(found), np.concatenate(model)
+        del found
         # Sorted by model value, the points come grouped by cell in the order
         # of `picked`.  Ties may come out in any order: within a run of equal
         # values the largest gap is at the run's ends, whose cumulative
         # weights do not depend on the order inside it.
-        idx = idx[np.argsort(model[idx])]
+        order = np.argsort(model)
+        idx, model = idx[order], model[order]
         w = weights[idx] / total
         cum = np.cumsum(w)
         runs = counts[picked]
         before = np.concatenate(([0.0], cum[np.cumsum(runs)[:-1] - 1]))
         cum += np.repeat(cum_edge[picked] - before, runs)
-        gap = cum - model[idx]
+        gap = cum - model
         best = max(best, float(np.abs(gap).max()))
         gap -= w
         best = max(best, float(np.abs(gap).max()))
@@ -595,12 +677,16 @@ def ks_statistic(
 
 
 def uniform_cdf(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The CDF of the uniform law on ``[lo, hi]``, written into one new array."""
     span = hi - lo
     if span <= 0:
         raise ValueError("need lo < hi")
 
     def cdf(x: np.ndarray) -> np.ndarray:
-        return np.clip((np.asarray(x, dtype=float) - lo) / span, 0.0, 1.0)
+        out = np.array(x, dtype=float)
+        out -= lo
+        out /= span
+        return np.clip(out, 0.0, 1.0, out=out)
 
     return cdf
 

@@ -463,9 +463,29 @@ class TestExitCodes:
         report = json.loads((tmp_path / "pushforward-chart-1-1-1-1-1-1-1-1-1-report.json").read_text())
         verdicts = {v["name"]: v for v in report["verdicts"]}
         assert list(verdicts) == ["pushforward-total-mass", "pushforward-uniformity-ks"]
-        assert all(not v["passed"] and v["discrepancy"] == math.inf for v in verdicts.values())
+        assert all(not v["passed"] and float(v["discrepancy"]) == math.inf for v in verdicts.values())
         rows = (tmp_path / "pushforward-chart-1-1-1-1-1-1-1-1-1.csv").read_text().splitlines()
         assert len(rows) == 11 and all(row.endswith(",0.0,0.0") for row in rows[1:])
+
+    def test_json_is_strict(self, tmp_path, capsys):
+        # Infinite discrepancies are written as "inf", never as the bare
+        # Infinity that strict parsers reject.
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        lines = [
+            ["pushforward", *self.NO_ACCEPT, "--t", "0.5", "--n-samples", "1000", "--bins", "10", "--seed", "2"],
+            ["fit-mass", *self.NO_ACCEPT, "--t", "1e-1..1e-4", "--n-samples", "10", "--seed", "1"],
+            ["fit-mass", "--preset", "annulus", "--t", "1e-2..1e-7", "--n-samples", "2000", "--seed", "3"],
+        ]
+        for k, (line, expected) in enumerate(zip(lines, (1, 1, 0))):
+            assert run_cli(line, tmp_path / str(k), capsys)[0] == expected
+        reports = sorted(tmp_path.glob("*/*.json"))
+        assert len(reports) == 5
+        for path in reports:
+            json.loads(path.read_text(), parse_constant=refuse)
+        report = json.loads((tmp_path / "0" / "pushforward-chart-1-1-1-1-1-1-1-1-1-report.json").read_text())
+        assert [v["discrepancy"] for v in report["verdicts"]] == ["inf", "inf"]
 
     def test_fit_mass_with_a_zero_mass_fails(self, tmp_path, capsys):
         args = ["--t", "1e-1..1e-4", "--n-samples", "10", "--seed", "1"]
@@ -475,7 +495,7 @@ class TestExitCodes:
         names = ["fit-log-exponent", "fit-decay-exponent", "fit-leading-constant"]
         assert [v["name"] for v in report["verdicts"]] == names
         for v in report["verdicts"]:
-            assert not v["passed"] and v["discrepancy"] == math.inf
+            assert not v["passed"] and float(v["discrepancy"]) == math.inf
             assert "mass estimate is 0 at t = 0.1, 0.01, 0.001, 0.0001" in v["detail"]
         assert len((tmp_path / "fit-mass-chart-1-1-1-1-1-1-1-1-1.csv").read_text().splitlines()) == 5
         summary = json.loads((tmp_path / "fit-mass-chart-1-1-1-1-1-1-1-1-1.json").read_text())

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import math
 import platform
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,7 @@ from tropmass.sampler import (
     _moments,
     _PHASOR_BITS,
     _sample_shard,
+    _shard_counts,
     _trig_block,
     _unit_phasor,
     uniform_cdf,
@@ -157,7 +159,13 @@ class TestFiberMass:
         c = chart((1, 1, 1), (0, 1, 1), 1e-3)
         for one in (h, stacked_h(h, h)):
             with pytest.raises(ValueError, match="keep_samples"):
-                sample_fiber_measure(c, 100, 0, h=one, keep_samples=True)
+                sample_fiber_measure(c, 100, 0, h=one, keep_samples=(1,))
+
+    def test_keep_samples_indexes_the_log_coordinates(self):
+        c = chart((1, 1, 1), (0, 1, 1), 1e-3)
+        for keep in ((3,), (0, -1)):
+            with pytest.raises(ValueError, match="keep_samples indexes the 3 log coordinates"):
+                sample_fiber_measure(c, 100, 0, keep_samples=keep)
 
     def test_custom_h_monomial(self):
         # h = |z_0|^2 on the annulus fiber gives the closed form
@@ -181,7 +189,7 @@ class TestFiberMass:
     def test_threads_do_not_change_chunked_result(self):
         c = chart((1, 1), (0, 1), 1e-3)
         runs = [
-            sample_fiber_measure(c, 3 * CHUNK + 5, seed=42, keep_samples=True, threads=k)
+            sample_fiber_measure(c, 3 * CHUNK + 5, seed=42, keep_samples=(0, 1), threads=k)
             for k in (1, 2, 3)
         ]
         for res in runs[1:]:
@@ -194,12 +202,13 @@ class TestFiberMass:
 
     def test_single_chunk_is_the_first_child_stream(self):
         c = chart((1, 2), (0, 1), 1e-3)
-        res = sample_fiber_measure(c, CHUNK, seed=9, keep_samples=True)
+        res = sample_fiber_measure(c, CHUNK, seed=9, keep_samples=(0, 1))
         rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
-        part = _sample_shard(c, CHUNK, rng, None, True)
-        assert res.mass == part["mean"]
-        np.testing.assert_array_equal(res.weights, part["weights"])
-        np.testing.assert_array_equal(res.w, part["w"])
+        w, weights = np.empty((CHUNK, 2)), np.empty(CHUNK)
+        part = _sample_shard(c, CHUNK, rng, None, (0, 1), (w, weights))
+        assert res.mass == part["mean"] and part["n_accepted"] == CHUNK
+        np.testing.assert_array_equal(res.weights, weights)
+        np.testing.assert_array_equal(res.w, w)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -300,7 +309,7 @@ class TestSliceProposal:
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_all_ones_charts_accept_everything_at_mass_one_over_p_factorial(self, p):
         c = chart((1,) * (p + 1), (0,) * (p + 1), 1e-4)
-        res = sample_fiber_measure(c, 20_000, seed=p, keep_samples=True)
+        res = sample_fiber_measure(c, 20_000, seed=p, keep_samples=range(p + 1))
         assert res.accept_rate == 1.0
         assert res.mass == pytest.approx(1.0 / math.factorial(p), abs=1e-9)
         assert res.stderr == 0.0
@@ -348,7 +357,7 @@ class TestSliceProposal:
     )
     def test_keeping_samples_does_not_change_the_estimate(self, b, a):
         c = chart(b, a, 1e-4)
-        kept = sample_fiber_measure(c, 2 * CHUNK + 7, seed=4, keep_samples=True)
+        kept = sample_fiber_measure(c, 2 * CHUNK + 7, seed=4, keep_samples=range(len(b)))
         plain = sample_fiber_measure(c, 2 * CHUNK + 7, seed=4)
         assert (kept.mass, kept.stderr, kept.n_accepted) == (plain.mass, plain.stderr, plain.n_accepted)
         assert plain.w is None and plain.weights is None
@@ -619,11 +628,200 @@ class TestKsStatistic:
         r_lo = abs(a / b) / 4.0
         for seed in (11, 12, 13):
             route = _sample_patch_route(a, b, 10_000, r_lo, True, np.random.default_rng(seed))
-            values, weights = route["values"], route["weights"]
+            values, weights = np.concatenate(route["values"]), np.concatenate(route["weights"])
             assert values.size > 1000
             assert ks_statistic(values, weights, UNIFORM) == pytest.approx(
                 sorted_ks(values, weights, UNIFORM), abs=1e-12
             )
+
+
+def reference_kept(c, n, seed, keep):
+    """Reference: each chunk's accepted rows in arrays of their own, joined by `np.concatenate`."""
+    chunks = -(-n // CHUNK)
+    w, weights = [], []
+    for count, seq in zip(_shard_counts(n, chunks), np.random.SeedSequence(seed).spawn(chunks)):
+        out = (np.empty((count, len(keep))), np.empty(count))
+        k = _sample_shard(c, count, np.random.default_rng(seq), None, keep, out)["n_accepted"]
+        w.append(out[0][:k])
+        weights.append(out[1][:k])
+    return np.concatenate(w), np.concatenate(weights)
+
+
+def reference_bin_moments(values, weights, edges, n):
+    """Reference: the per-bin masses and stderrs from full-size cell and deviation arrays."""
+    bins = len(edges) - 1
+    lo, hi = float(edges[0]), float(edges[-1])
+    inside = (values >= lo) & (values <= hi)
+    cell = np.minimum(np.floor((values - lo) * (bins / (hi - lo))), bins - 1).astype(np.intp)
+    if not inside.all():
+        cell, weights = cell[inside], weights[inside]
+    counts = np.bincount(cell, minlength=bins)
+    sums = np.bincount(cell, weights=weights, minlength=bins)
+    within = sums / np.maximum(counts, 1)
+    dev = weights - within[cell]
+    m2 = np.bincount(cell, weights=dev * dev, minlength=bins)
+    m2 = m2 + within * within * counts * ((n - counts) / n)
+    return sums / n, np.sqrt(m2 / n) / math.sqrt(n)
+
+
+def reference_ks(values, weights, cdf):
+    """Reference: the cell-bound KS statistic with ``cdf`` applied to all the points at once."""
+    values = np.asarray(values, dtype=float).ravel()
+    weights = np.asarray(weights, dtype=float).ravel()
+    n = values.size
+    total = weights.sum()
+    model = np.asarray(cdf(values), dtype=float).ravel()
+    lo, hi = model.min(), model.max()
+    if not (np.isfinite(total) and np.isfinite(lo) and np.isfinite(hi)):
+        return math.nan
+    cells = max(1, n // 16)
+    cell = np.clip(model * cells, 0, cells - 1).astype(np.intp)
+    counts = np.bincount(cell, minlength=cells)
+    cum_edge = np.concatenate(([0.0], np.cumsum(np.bincount(cell, weights, cells)))) / total
+    grid = np.arange(cells + 1) / cells
+    grid[0], grid[-1] = min(0.0, lo), max(1.0, hi)
+    bound = np.maximum(cum_edge[1:] - grid[:-1], grid[1:] - cum_edge[:-1])
+    bound += 4 * n * np.finfo(float).eps
+    bound[counts == 0] = -np.inf
+    best = 0.0
+    pick = np.zeros(cells, dtype=bool)
+    pick[np.argmax(bound)] = True
+    visited = pick.copy()
+    while pick.any():
+        picked = np.flatnonzero(pick)
+        idx = np.flatnonzero(pick[cell])
+        idx = idx[np.argsort(model[idx])]
+        w = weights[idx] / total
+        cum = np.cumsum(w)
+        runs = counts[picked]
+        before = np.concatenate(([0.0], cum[np.cumsum(runs)[:-1] - 1]))
+        cum += np.repeat(cum_edge[picked] - before, runs)
+        gap = cum - model[idx]
+        best = max(best, float(np.abs(gap).max()))
+        gap -= w
+        best = max(best, float(np.abs(gap).max()))
+        pick = (bound > best) & ~visited
+        visited |= pick
+    return best
+
+
+def recording(cdf):
+    """``cdf``, and the list of the sizes it is called with."""
+    sizes = []
+
+    def call(x):
+        sizes.append(np.size(x))
+        return cdf(x)
+
+    return call, sizes
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBlockedEdgeStatistics:
+    """The blocked binning, KS statistic and kept samples against their full-array references."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_rejecting_chart_over_several_chunks(self, threads):
+        # a = (0, 0, 1, 1): the edge {0, 1}, and two non-active coordinates
+        # that reject about half the draws of each of four chunks.
+        b, n, bins = (1, 1, 1, 1), 3 * CHUNK + 11, 13
+        hist = pushforward_histogram(metric(b, (0, 0, 1, 1)), n, bins, seed=3, t=1e-3, threads=threads)
+        values, weights = reference_kept(chart(b, (0, 0, 1, 1), 1e-3), n, 3, hist.coord_indices)
+        assert hist.coord_indices == (1,) and 0.4 * n < weights.size < 0.6 * n
+        assert same_bits(hist.values, values) and same_bits(hist.weights, weights)
+        masses, stderrs = reference_bin_moments(values[:, 0], weights, hist.edges[0], n)
+        assert same_bits(hist.masses, masses) and same_bits(hist.stderrs, stderrs)
+        cdf = uniform_cdf(0.0, 1.0)
+        assert ks_statistic(hist.values[:, 0], hist.weights, cdf) == reference_ks(values, weights, cdf)
+
+    def test_values_outside_the_grid(self):
+        rng = np.random.default_rng(31)
+        n = 3 * TRIG_BLOCK + 7
+        values = rng.uniform(-0.3, 1.3, size=n)
+        values[[5, TRIG_BLOCK + 1]] = 1.0  # the closed last cell
+        weights = rng.exponential(size=n)
+        edges = np.linspace(0.0, 1.0, 12)
+        got = sampler._bin_moments(values, weights, edges, n + 1000)
+        ref = reference_bin_moments(values, weights, edges, n + 1000)
+        assert all(same_bits(g, r) for g, r in zip(got, ref))
+
+    @pytest.mark.parametrize("value", [0.3, 1.0])
+    def test_all_values_equal(self, value):
+        rng = np.random.default_rng(32)
+        n = 2 * TRIG_BLOCK + 3
+        values, weights = np.full(n, value), rng.exponential(size=n)
+        edges = np.linspace(0.0, 1.0, 8)
+        got = sampler._bin_moments(values, weights, edges, n)
+        assert all(same_bits(g, r) for g, r in zip(got, reference_bin_moments(values, weights, edges, n)))
+        cdf, sizes = recording(UNIFORM)
+        assert ks_statistic(values, weights, cdf) == reference_ks(values, weights, UNIFORM)
+        assert max(sizes) <= TRIG_BLOCK
+
+    @pytest.mark.parametrize("where", [0, 2 * TRIG_BLOCK + 9, 4 * TRIG_BLOCK - 1])
+    def test_cdf_with_nan_in_one_block_only(self, where):
+        rng = np.random.default_rng(33)
+        values, weights = rng.uniform(size=4 * TRIG_BLOCK), rng.exponential(size=4 * TRIG_BLOCK)
+        values[where] = 2.0
+
+        def cdf(x):
+            out = UNIFORM(x)
+            out[x > 1.5] = math.nan
+            return out
+
+        assert math.isnan(reference_ks(values, weights, cdf))
+        assert math.isnan(ks_statistic(values, weights, cdf))
+
+    @pytest.mark.parametrize("decimals", [None, 3, 1])
+    def test_cdf_sees_one_block_at_a_time(self, decimals):
+        rng = np.random.default_rng(34)
+        values = rng.uniform(size=6 * TRIG_BLOCK + 5)
+        if decimals is not None:
+            values = np.round(values, decimals)
+        weights = rng.exponential(size=values.size)
+        for model in (UNIFORM, beta_cdf(3)):
+            cdf, sizes = recording(model)
+            assert ks_statistic(values, weights, cdf) == reference_ks(values, weights, model)
+            assert len(sizes) > 6 and max(sizes) <= TRIG_BLOCK
+
+
+def traced_peak(fn):
+    """``fn()`` and the most bytes it held at once above what was held before, by `tracemalloc`."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Bounds on the memory the edge statistics hold, by `tracemalloc`, which sees numpy's buffers."""
+
+    def test_edge_histogram_holds_a_value_and_a_weight_per_point(self):
+        # 16 bytes per kept point, and one chunk's draws: 10.4 MiB (numpy
+        # 2.4.6, x86-64), against 28.5 MiB when every chunk's rows were kept
+        # and joined.
+        n = 4 * CHUNK + 5
+        hist, peak = traced_peak(lambda: pushforward_histogram(metric((1, 2), (0, 0)), n, 50, seed=1, t=1e-6))
+        assert hist.weights.size == n
+        assert peak <= 24 * n + 4 * 2**20
+
+    def test_ks_statistic_holds_four_bytes_per_point(self):
+        # The int32 cells and the per-cell arrays: 5.7 MiB above the inputs
+        # (numpy 2.4.6, x86-64), against 22.9 MiB with the model values and
+        # cells kept whole.
+        rng = np.random.default_rng(35)
+        n = 1_000_000
+        values, weights = rng.uniform(size=n), rng.exponential(size=n)
+        stat, peak = traced_peak(lambda: ks_statistic(values, weights, UNIFORM))
+        assert stat < 0.01
+        assert peak <= 12 * n
 
 
 def naive_trig_poly(f, z):
