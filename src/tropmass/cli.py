@@ -19,9 +19,11 @@ newline.  Re-running a subcommand with an identical configuration and seed
 reproduces byte-identical CSV files.
 
 Exit status is 0 when every check passes, 1 when one fails, 2 for a
-configuration or parse error and 3 for an internal error.  Statistical
-checks fail only beyond three standard errors (unless the check carries its
-own limit); exact checks fail on any discrepancy.
+configuration or parse error and 3 for an internal error.  Only the input
+errors of `INPUT_ERRORS` exit 2, each naming the flag, face or line at
+fault; any other exception, a `ValueError` included, is an internal error.
+Statistical checks fail only beyond three standard errors (unless the check
+carries its own limit); exact checks fail on any discrepancy.
 
 The ``verify`` subcommand runs named suites; each suite reproduces one
 acceptance scenario end to end (``tropmass verify --suite list`` prints the
@@ -71,6 +73,8 @@ from .measure import (
 from .model import (
     PRESETS,
     REQUIRED,
+    ModelError,
+    ModelSpecError,
     WeightedSncModel,
     build_dual_complex,
     coordinate_pencil,
@@ -78,7 +82,7 @@ from .model import (
     simplex_model,
     weight_data,
 )
-from .pencil import HypersurfacePencil, PatchEstimate, elliptic_lattice_covolume, sample_pencil
+from .pencil import HypersurfacePencil, PatchEstimate, PencilError, elliptic_lattice_covolume, sample_pencil
 from .sampler import (
     FiberSampleResult,
     LocalChart,
@@ -113,6 +117,10 @@ LADDER = tuple(10.0**-k for k in range(2, 7))  # the suites' t schedule, 1e-2..1
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+# The errors of a bad input, which exit 2.
+INPUT_ERRORS = (ConfigError, ModelSpecError, ModelError, SkeletonError, PencilError)
 
 
 @dataclass(frozen=True)
@@ -270,12 +278,18 @@ def parse_t_schedule(text: str) -> tuple[float, ...]:
     Rung ``k`` of a ladder is the start's decimal text shifted by ``k``
     decades, so ``1e-2..1e-7`` holds exactly the floats of ``1e-2`` ... ``1e-7``.
     """
+    def number(s: str) -> float:
+        try:
+            return float(s)
+        except ValueError:
+            raise ConfigError(f"--t value {s.strip()!r} is not a number") from None
+
     out: list[float] = []
     for token in text.split(","):
         token = token.strip()
         if ".." in token:
             lo_s, hi_s = token.split("..", 1)
-            start, stop = float(lo_s), float(hi_s)
+            start, stop = number(lo_s), number(hi_s)
             if not (0 < stop <= start and math.isfinite(start)):
                 raise ConfigError(f"range {token!r} must run from larger to smaller positive t")
             k = 0
@@ -284,7 +298,7 @@ def parse_t_schedule(text: str) -> tuple[float, ...]:
                 k += 1
             out.append(stop)
         elif token:
-            out.append(float(token))
+            out.append(number(token))
     if not out:
         raise ConfigError(f"empty t schedule {text!r}")
     return tuple(out)
@@ -333,9 +347,9 @@ def _load_model(cfg: ExperimentConfig) -> Loaded:
     if path.suffix or path.exists():
         try:
             raw = path.read_bytes()
-        except OSError as e:
+            text = raw.decode("utf-8")
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read model spec {cfg.model!r}: {e}") from None
-        text = raw.decode("utf-8")
         model, anchor, rho = parse_skeleton_spec(text, name=path.stem)
         return model, anchor, rho, raw
     # The chart commands do not read --n: the preset keeps its own default.
@@ -346,6 +360,8 @@ def _load_model(cfg: ExperimentConfig) -> Loaded:
 def _chart_metric(cfg: ExperimentConfig, loaded: Loaded | None) -> MonomialChartMetric:
     """Monomial chart from explicit ``--b/--a``, or that of the model's single top face."""
     if cfg.b is not None:
+        if not cfg.b or min(cfg.b) < 1:
+            raise ConfigError(f"--b needs multiplicities >= 1, got {','.join(map(str, cfg.b))!r}")
         a = cfg.a if cfg.a is not None else tuple(Fraction(0) for _ in cfg.b)
         if len(a) != len(cfg.b):
             raise ConfigError(f"--a needs {len(cfg.b)} entries, got {len(a)}")
@@ -655,23 +671,20 @@ def _pushforward_verdicts(
 def _residue_verdict(
     sk: TriangulatedSkeleton, anchor: str, rho: float | None, name: str
 ) -> tuple[CheckVerdict, dict[str, float]]:
-    """Propagate the anchor's residue through the skeleton; the magnitudes must agree.
+    """Propagate the anchor's residue through the skeleton, one magnitude on every cell.
 
-    An anchor naming no cell raises `SkeletonError`.  A skeleton that cannot
-    carry the propagation (not closed, not strongly connected, or a cell with
-    ``b_sigma != 1``) fails the check, with the reason in its detail.
+    An anchor naming no cell raises `SkeletonError`.  A propagation that
+    succeeds is constant, so the check fails only on a skeleton that cannot
+    carry it (not closed, not strongly connected, or a cell with
+    ``b_sigma != 1``), with the reason in its detail.
     """
     sk.cell(anchor)
     try:
         magnitudes = residue_chain_propagate(sk, anchor, rho)
     except SkeletonError as err:
         return exact_check(name, 1.0, f"no propagation: {err}"), {}
-    lo, hi = min(magnitudes.values()), max(magnitudes.values())
-    if lo == hi:
-        detail = f"propagated magnitude {lo:g} on all {len(magnitudes)} cells"
-    else:
-        detail = f"propagated magnitudes range over [{lo:g}, {hi:g}] on {len(magnitudes)} cells"
-    return exact_check(name, hi - lo, detail), magnitudes
+    detail = f"propagated magnitude {magnitudes[anchor]:g} on all {len(magnitudes)} cells"
+    return exact_check(name, 0.0, detail), magnitudes
 
 
 def _run_sample_chart(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
@@ -767,7 +780,10 @@ def _run_pushforward(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
 
 def _run_fit_mass(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     metric = _chart_metric(cfg, loaded)
-    check_fit_schedule(cfg.t_schedule)
+    try:
+        check_fit_schedule(cfg.t_schedule)
+    except ValueError as err:
+        raise ConfigError(f"--t: {err}") from None
     results = _sweep(metric, cfg.t_schedule, cfg.n_samples, cfg.seed, cfg.threads)
     columns = ("mass_raw", "stderr_raw", "mass", "stderr")
     rows = [{"t": t, **_columns(res, columns)} for t, res in zip(cfg.t_schedule, results)]
@@ -1393,7 +1409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         report = run(config)
-    except ValueError as err:
+    except INPUT_ERRORS as err:
         print(f"[error] {err}", file=sys.stderr)
         return 2
     except Exception:

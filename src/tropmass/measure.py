@@ -35,10 +35,10 @@ class MonomialChartMetric:
     and twist exponents ``a_i`` (restricted to polydisc radii ``radii``), and
     ``transverse_dim`` further coordinates restricted to discs of radii
     ``transverse_radii``, optionally carrying pair-divisor exponents
-    ``pair_exponents`` (each < 1).  ``kappa_ref`` is the reference slope the
-    masses are rescaled by; it defaults to the chart-local minimum of
-    ``a_i / b_i``.  The metric is the pure monomial one; a bounded metric
-    weight ``e^{2 phi}`` enters the sampler as its ``h``.
+    ``pair_exponents`` (each < 1).  The masses are rescaled at the chart's
+    least slope ``kappa_min = min a_i / b_i``, and the coordinates of that
+    slope are the active face.  The metric is the pure monomial one; a
+    bounded metric weight ``e^{2 phi}`` enters the sampler as its ``h``.
     """
 
     b: tuple[int, ...]
@@ -47,7 +47,6 @@ class MonomialChartMetric:
     transverse_dim: int = 0
     transverse_radii: tuple[float, ...] | None = None
     pair_exponents: tuple[Fraction, ...] | None = None
-    kappa_ref: Fraction | None = None
 
     def __post_init__(self) -> None:
         b = _multiplicities(self.b)
@@ -71,20 +70,11 @@ class MonomialChartMetric:
         )
         if len(ce) != self.transverse_dim:
             raise ValueError("need one pair exponent per transverse coordinate")
-        kr = self.kappa_ref
-        kmin = min(ai / bi for ai, bi in zip(a, b))
-        if kr is None:
-            kr = kmin
-        else:
-            kr = Fraction(kr)
-            if kr > kmin:
-                raise ValueError("kappa_ref exceeds the chart-local minimum slope")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "radii", tuple(float(r) for r in radii))
         object.__setattr__(self, "transverse_radii", tuple(float(r) for r in tr))
         object.__setattr__(self, "pair_exponents", ce)
-        object.__setattr__(self, "kappa_ref", kr)
 
     @property
     def p(self) -> int:
@@ -99,15 +89,17 @@ class MonomialChartMetric:
         return min(self.kappa)
 
     def exponents(self) -> tuple[Fraction, ...]:
-        """Rescaled exponents ``a_i - kappa_ref * b_i`` (zero exactly on active indices)."""
-        return tuple(ai - self.kappa_ref * bi for ai, bi in zip(self.a, self.b))
+        """Rescaled exponents ``a_i - kappa_min * b_i``: zero on the active face, positive off it."""
+        kmin = self.kappa_min
+        return tuple(ai - kmin * bi for ai, bi in zip(self.a, self.b))
 
     def active_indices(self) -> tuple[int, ...]:
+        """The chart's active face: the coordinates of least slope ``a_i / b_i``, never empty."""
         return tuple(i for i, e in enumerate(self.exponents()) if e == 0)
 
     @property
     def active_dim(self) -> int:
-        """Dimension of the active face of this chart (may be -1 if kappa_ref < min slope)."""
+        """Dimension of the active face of this chart, at least 0."""
         return len(self.active_indices()) - 1
 
 
@@ -118,9 +110,8 @@ def residual_mass_closed_form(chart: MonomialChartMetric) -> float:
     coordinates gives
     ``(2 pi)^(p - d) * prod_{i nonactive} r_i^(2 e_i) / (2 e_i)
     * prod_j pi R_j^(2 (1 - c_j)) / (1 - c_j)``
-    where ``e_i = a_i - kappa_ref * b_i`` and ``d`` is the active dimension.
-    Every nonactive ``e_i`` is positive, as `MonomialChartMetric` refuses a
-    ``kappa_ref`` above the chart's minimum slope.
+    where ``e_i = a_i - kappa_min * b_i``, positive off the active face, and
+    ``d`` is the active dimension.
 
     Raises `DivergenceError` when a pair exponent is >= 1.
     """
@@ -232,7 +223,11 @@ def assemble_limit_measure(
         for face_id, value in masses.items():
             base, _, label = face_id.partition("#")
             names = tuple(n.strip() for n in base.split("&"))
-            key = dual.face(names, int(label) if label else 0).key
+            try:
+                number = int(label) if label else 0
+            except ValueError:
+                raise ModelError(f"face id {face_id!r}: the label after '#' must be an integer") from None
+            key = dual.face(names, number).key
             if key in given:
                 raise ModelError(f"mass for face {key!r} given twice")
             given[key] = float(value)

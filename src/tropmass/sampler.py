@@ -87,12 +87,6 @@ class LocalChart:
         m = self.metric
         return sum(b * math.log(1.0 / r) for b, r in zip(m.b, m.radii))
 
-    @property
-    def local_active_dim(self) -> int:
-        """Dimension of the chart's own minimal-slope face (independent of kappa_ref)."""
-        kmin = self.metric.kappa_min
-        return sum(1 for k in self.metric.kappa if k == kmin) - 1
-
 
 @dataclass(frozen=True)
 class FiberSampleResult:
@@ -230,13 +224,12 @@ def _sample_shard(
 
     # Slice points in the coordinates y_i = b_i (x_i - ell_i) >= 0 with
     # sum y_i = slack.  Each non-active coordinate is uniform on [0, slack];
-    # the active ones (alpha_i = 0, or the pivot 0 when there is none, which
-    # keeps its exponential factor) are uniform on the simplex of the slack R
-    # left over, whose free coordinates have volume R^(k-1) / (k-1)!.  The
-    # slice measure counts x_1..x_p, hence the Jacobian 1 / prod_{i>=1} b_i.
-    # Only two or more non-active coordinates can overrun the slack and be
-    # rejected.
-    active = [i for i in range(p + 1) if alpha[i] == 0] or [0]
+    # the active ones (alpha_i = 0, at least one) are uniform on the simplex
+    # of the slack R left over, whose free coordinates have volume
+    # R^(k-1) / (k-1)!.  The slice measure counts x_1..x_p, hence the
+    # Jacobian 1 / prod_{i>=1} b_i.  Only two or more non-active coordinates
+    # can overrun the slack and be rejected.
+    active = list(m.active_indices())
     others = [i for i in range(p + 1) if i not in active]
     k = len(active)
     rate = 2.0 * alpha / b
@@ -253,8 +246,6 @@ def _sample_shard(
             rest = np.maximum(rest, 0.0)
         log_decay = rate[others] @ y_others
     y_active = _spacings(rng, k, n, rest)
-    if rate[active[0]] != 0:  # the pivot of a chart with no active coordinate
-        log_decay = log_decay + rate[active[0]] * rest
     y = dict(zip(others + active, [*y_others, *y_active]))
 
     # Transverse radial sampling inverts the power law exactly, so each
@@ -262,9 +253,9 @@ def _sample_shard(
     trans_factor = 1.0
     for r, c in zip(m.transverse_radii, m.pair_exponents):
         trans_factor *= math.pi * r ** (2.0 - 2.0 * float(c)) / (1.0 - float(c))
-    d_ref = chart.local_active_dim
+    d = m.active_dim
     prefactor = (
-        TWO_PI ** (p - d_ref) * chart.lam**d_ref / m.b[0] * trans_factor
+        TWO_PI ** (p - d) * chart.lam**d / m.b[0] * trans_factor
         * slack ** len(others) / math.prod(m.b[1:]) * math.exp(-2.0 * float(alpha @ ell))
     )
     weights = prefactor * np.exp(-log_decay)
@@ -278,11 +269,11 @@ def _sample_shard(
     else:
         # The turns theta_1..theta_p are uniform and theta_0 solves the angular
         # relation on a uniform one of its b_0 branches: exact Haar measure on
-        # the subtorus.  Each transverse disc then draws its radius and turns.
+        # the subtorus, and for p = 0 one of the b_0 points of the fiber.  Each
+        # transverse disc then draws its radius and turns.
         phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
         theta = rng.random((n, p))
         branch = rng.integers(0, m.b[0], size=n)
-        roots = enumerate_point_fiber(chart)[0] if p == 0 else None
         discs = []
         for r, c in zip(m.transverse_radii, m.pair_exponents):
             radius = rng.random(n)
@@ -295,18 +286,15 @@ def _sample_shard(
             rows = block.stop - block.start
             # Column-major, so each coordinate's column is contiguous for h.
             z = np.empty((p + 1, rows), dtype=complex).T
-            if p == 0:  # z_0 is one of the b_0 points of the fiber
-                z[:, 0] = roots[branch[block]]
-            else:
-                turns = [branch[block] + phi_t, *theta[block].T]
-                for i in range(1, p + 1):
-                    turns[0] -= b[i] * turns[i]
-                turns[0] /= b[0]
-                for i in range(p + 1):
-                    modulus = y[i][block] * (-1.0 / b[i])  # e^{-x_i}
-                    modulus -= ell[i]
-                    np.exp(modulus, out=modulus)
-                    z[:, i] = _unit_phasor(turns[i], modulus)
+            turns = [branch[block] + phi_t, *theta[block].T]
+            for i in range(1, p + 1):
+                turns[0] -= b[i] * turns[i]
+            turns[0] /= b[0]
+            for i in range(p + 1):
+                modulus = y[i][block] * (-1.0 / b[i])  # e^{-x_i}
+                modulus -= ell[i]
+                np.exp(modulus, out=modulus)
+                z[:, i] = _unit_phasor(turns[i], modulus)
             args = (z,)
             if discs:
                 yt = np.empty((len(discs), rows), dtype=complex).T
@@ -347,8 +335,8 @@ def sample_fiber_measure(
     """Unbiased Monte-Carlo estimate of ``integral h d(mu_t)`` on a local chart.
 
     ``mu_t`` is the fiber measure rescaled by ``lambda^d (2 pi)^{-d}
-    |t|^{-2 kappa_ref}`` with ``d`` the chart's minimal-slope face dimension
-    and ``kappa_ref`` the chart's reference slope.  ``h`` is an optional
+    |t|^{-2 kappa_min}``, with ``d`` the dimension of the chart's active face
+    and ``kappa_min`` its least slope.  ``h`` is an optional
     real-valued function of the ``(rows, p + 1)`` complex chart coordinates
     (and the ``(rows, transverse_dim)`` transverse coordinates, if any),
     called once per block of at most `TRIG_BLOCK` rows; a complex-valued
@@ -413,10 +401,8 @@ def sample_fiber_measure(
 
     # Unrescaled fiber mass: divide the rescaling factor back out.
     m = chart.metric
-    d_ref = chart.local_active_dim
-    unscale = (chart.lam**d_ref / TWO_PI**d_ref) * abs(chart.t) ** (
-        -2.0 * float(m.kappa_ref)
-    )
+    d = m.active_dim
+    unscale = (chart.lam**d / TWO_PI**d) * abs(chart.t) ** (-2.0 * float(m.kappa_min))
     return FiberSampleResult(
         t=chart.t,
         n_samples=n,
@@ -434,8 +420,8 @@ def enumerate_point_fiber(chart: LocalChart) -> tuple[np.ndarray, np.ndarray]:
     """Exact fiber of a zero-dimensional chart: the ``b_0`` roots with their masses.
 
     Each of the ``b_0`` solutions of ``z^{b_0} = t`` carries mass
-    ``b_0^{-2} |t|^{2 (a_0 - kappa_ref b_0) / b_0}`` under the rescaled
-    measure; no sampling error is involved.
+    ``b_0^{-2}`` under the measure rescaled at the chart's own slope
+    ``a_0 / b_0``; no sampling error is involved.
     """
     m = chart.metric
     if m.p != 0:
@@ -445,9 +431,7 @@ def enumerate_point_fiber(chart: LocalChart) -> tuple[np.ndarray, np.ndarray]:
     roots = abs(t) ** (1.0 / b0) * np.exp(
         1j * (np.angle(t) + TWO_PI * np.arange(b0)) / b0
     )
-    alpha = float(m.exponents()[0])
-    mass = abs(t) ** (2.0 * alpha / b0) / b0**2
-    return roots, np.full(b0, mass)
+    return roots, np.full(b0, 1.0 / b0**2)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +524,7 @@ def pushforward_histogram(
     are the samples kept and binned; any other face reports its total mass
     (see `SimplexHistogram`).
     """
-    kmin = metric.kappa_min
-    active = tuple(i for i, k in enumerate(metric.kappa) if k == kmin)
-    coord_indices = active[1:]
+    coord_indices = metric.active_indices()[1:]
     on_edge = len(coord_indices) == 1
     keep = coord_indices if on_edge else ()
     res = sample_fiber_measure(LocalChart(metric, t), n, seed, keep_samples=keep, threads=threads)

@@ -543,6 +543,41 @@ class TestExitCodes:
         assert "[FAIL]" not in out
         assert "Traceback" in err and "KeyError: 'no such column'" in err
 
+    def test_internal_value_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        # A ValueError that no input check raised is a bug, not a bad flag.
+        def broken(cfg, loaded):
+            raise ValueError("internal")
+
+        monkeypatch.setitem(cli.COMMANDS, "weights", cli.COMMANDS["weights"]._replace(runner=broken))
+        code, out, err = run_cli(["weights", "--preset", "annulus"], tmp_path, capsys)
+        assert code == 3
+        assert "[error]" not in err
+        assert "Traceback" in err and "ValueError: internal" in err
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["sample", "--b", "1,1", "--t", "abc", "--seed", "1"], "--t value 'abc' is not a number"),
+            (["sample", "--b", "1,1", "--t", "1e-2..x", "--seed", "1"], "--t value 'x' is not a number"),
+            (["limit-measure", "--preset", "annulus", "--residue", "E0&E1#x=1"], "face id 'E0&E1#x'"),
+            (["sample", "--b", "0,1", "--t", "1e-3", "--seed", "1"], "--b needs multiplicities >= 1, got '0,1'"),
+            (["pushforward", "--b", ",", "--t", "1e-3", "--seed", "1"], "--b needs multiplicities >= 1, got ''"),
+            (["fit-mass", "--b", "1,1", "--t", "1e-1,1e-2", "--seed", "1"], "--t: need at least 4 distinct |t| values"),
+        ],
+    )
+    def test_bad_input_names_its_flag_or_face(self, tmp_path, capsys, args, named):
+        code, out, err = run_cli(args, tmp_path, capsys)
+        assert code == 2
+        assert f"[error] {named}" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_model_spec_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "binary.model"
+        spec.write_bytes(b"\xff\xfe[components]\n")
+        code, out, err = run_cli(["weights", "--model", str(spec)], tmp_path, capsys)
+        assert code == 2
+        assert f"[error] cannot read model spec {str(spec)!r}" in err
+
     def test_parse_error_reports_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.model"
         bad.write_text("[components]\nE0 b=oops a=0\n[strata]\nE0\n")

@@ -24,18 +24,24 @@ class TestMonomialChartMetric:
         ch = MonomialChartMetric(b=(1, 1), a=(Fraction(0), Fraction(1)))
         assert ch.p == 1
         assert ch.kappa == (0, 1)
-        assert ch.kappa_ref == 0
+        assert ch.kappa_min == 0
+        assert ch.exponents() == (0, 1)
         assert ch.active_indices() == (0,)
         assert ch.active_dim == 0
 
-    def test_kappa_ref_below_local_min(self):
-        ch = MonomialChartMetric(b=(2,), a=(Fraction(1),), kappa_ref=Fraction(0))
-        assert ch.active_indices() == ()
-        assert ch.active_dim == -1
-
-    def test_kappa_ref_above_local_min_rejected(self):
-        with pytest.raises(ValueError, match="kappa_ref"):
-            MonomialChartMetric(b=(1,), a=(Fraction(0),), kappa_ref=Fraction(1))
+    def test_rescaled_at_its_own_least_slope(self):
+        # The exponents are a_i - kappa_min b_i: zero on the active face,
+        # which is never empty, and positive off it.
+        for b, a, active, mass in [
+            ((2,), (1,), (0,), 1.0),
+            ((1, 1), (Fraction(1, 2), Fraction(1, 2)), (0, 1), 1.0),
+            ((1, 2), (Fraction(1, 2), 2), (0,), math.pi),
+        ]:
+            ch = MonomialChartMetric(b=b, a=a)
+            assert ch.active_indices() == active
+            assert ch.active_dim == len(active) - 1
+            assert all((e == 0) == (i in active) and e >= 0 for i, e in enumerate(ch.exponents()))
+            assert residual_mass_closed_form(ch) == pytest.approx(mass, rel=1e-15)
 
     def test_radii_validation(self):
         with pytest.raises(ValueError):

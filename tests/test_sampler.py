@@ -66,13 +66,12 @@ class TestLocalChart:
             chart((1, 1), (0, 0), 0.3, radii=(0.5, 0.5))
         chart((1, 1), (0, 0), 0.2, radii=(0.5, 0.5))  # fine
 
-    def test_local_active_dim(self):
-        assert chart((1, 1), (0, 0), 1e-3).local_active_dim == 1
-        assert chart((1, 1), (0, 1), 1e-3).local_active_dim == 0
-        assert chart((3,), (0,), 1e-3).local_active_dim == 0
-        # Independent of the reference slope.
-        c = chart((1, 1), (Fraction(1, 2), Fraction(1, 2)), 1e-3, kappa_ref=0)
-        assert c.local_active_dim == 1
+    def test_active_dim(self):
+        # The chart's active face is its metric's: the coordinates of least slope.
+        assert chart((1, 1), (0, 0), 1e-3).metric.active_dim == 1
+        assert chart((1, 1), (0, 1), 1e-3).metric.active_dim == 0
+        assert chart((3,), (0,), 1e-3).metric.active_dim == 0
+        assert chart((1, 1), (Fraction(1, 2), Fraction(1, 2)), 1e-3).metric.active_dim == 1
 
 
 class TestFiberMass:
@@ -115,15 +114,33 @@ class TestFiberMass:
         assert masses.sum() == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_decay_chart_scales_like_t(self):
-        # Slopes strictly above the reference: mass ~ |t|^{2 kappa_0} with
-        # kappa_0 = 1/2, exactly in this chart (the integrand is constant).
+        # Both slopes are 1/2, so the chart is an edge rescaled at its own
+        # least slope: the rescaled mass is 1 and the raw mass is exactly
+        # 2 pi |t| log(1/|t|) (the integrand is constant).
         half = Fraction(1, 2)
         for k in range(2, 8):
             t = 10.0**-k
-            res = sample_fiber_measure(
-                chart((1, 1), (half, half), t, kappa_ref=0), 500, seed=k
-            )
-            assert res.mass / t == pytest.approx(1.0, rel=1e-9)
+            res = sample_fiber_measure(chart((1, 1), (half, half), t), 500, seed=k)
+            assert (res.mass, res.stderr) == (1.0, 0.0)
+            assert res.mass_raw / (TWO_PI * t * math.log(1.0 / t)) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("b, t", [((3,), 1e-3), ((2,), 1e-4 * np.exp(2.1j))], ids=["real-t", "complex-t"])
+    def test_point_fiber_draws_are_the_enumerated_roots(self, b, t):
+        # A one-coordinate chart solves the angular relation like any other:
+        # each z_0 is one of the b_0 roots of z^b_0 = t, and every root is drawn.
+        c = chart(b, (0,), t)
+        drawn = []
+
+        def h(z):
+            drawn.append(z[:, 0].copy())
+            return np.ones(z.shape[0])
+
+        sample_fiber_measure(c, 2000, seed=3, h=h)
+        z = np.concatenate(drawn)
+        roots, _ = enumerate_point_fiber(c)
+        gap = np.abs(z[:, None] - roots[None, :]) / np.abs(roots)
+        assert gap.min(axis=1).max() < 1e-15
+        assert set(gap.argmin(axis=1)) == set(range(b[0]))
 
     def test_transverse_disc_factor(self):
         res = sample_fiber_measure(
@@ -424,6 +441,31 @@ class TestPushforwardHistogram:
         hist = pushforward_histogram(metric((1, 2), (0, 0)), 200_000, 20, seed=8, t=1e-4)
         stat = ks_statistic(hist.values[:, 0], hist.weights, uniform_cdf(0.0, 0.5))
         assert stat < 0.01
+
+    @pytest.mark.parametrize(
+        "b, a",
+        [
+            ((1, 2), (Fraction(1, 2), 1)),
+            ((2, 2, 1), (1, 1, Fraction(1, 2))),
+            ((3,), (2,)),
+            ((1, 1), (Fraction(1, 2), 1)),
+        ],
+    )
+    def test_charts_of_non_zero_least_slope_agree_with_the_limit(self, b, a):
+        # The limit mass, the sampler's mass and the histogram's total read
+        # one active face, that of `MonomialChartMetric.active_indices`.
+        m = metric(b, a)
+        assert m.kappa_min != 0
+        limit = chart_limit_mass(m)
+        res = sample_fiber_measure(LocalChart(m, 1e-6), 20_000, seed=1)
+        if m.active_dim == m.p:  # a constant integrand: the mass is exact
+            assert res.stderr == 0.0
+            assert res.mass == pytest.approx(limit, rel=1e-12)
+        else:
+            assert abs(res.mass - limit) < 4 * res.stderr
+        hist = pushforward_histogram(m, 20_000, 10, seed=1, t=1e-6)
+        assert hist.coord_indices == m.active_indices()[1:]
+        assert hist.total_mass == res.mass
 
     def test_vertex_chart_histogram_is_scalar(self):
         hist = pushforward_histogram(metric((1, 1), (0, 1)), 50_000, 10, seed=8, t=1e-4)
