@@ -23,58 +23,31 @@ from .model import Face, ModelError, WeightedSncModel, build_dual_complex, weigh
 TWO_PI = 2.0 * math.pi
 
 
-class DivergenceError(ValueError):
-    """A residual-mass integral diverges for the given exponents."""
-
-
 @dataclass(frozen=True)
 class MonomialChartMetric:
     """Local chart data for a monomial volume form near a depth-``p+1`` stratum.
 
-    The chart has ``p + 1`` vanishing coordinates with multiplicities ``b_i``
-    and twist exponents ``a_i`` (restricted to polydisc radii ``radii``), and
-    ``transverse_dim`` further coordinates restricted to discs of radii
-    ``transverse_radii``, optionally carrying pair-divisor exponents
-    ``pair_exponents`` (each < 1).  The masses are rescaled at the chart's
-    least slope ``kappa_min = min a_i / b_i``, and the coordinates of that
-    slope are the active face.  The metric is the pure monomial one; a
-    bounded metric weight ``e^{2 phi}`` enters the sampler as its ``h``.
+    The chart is the unit polydisc in ``p + 1`` vanishing coordinates, with
+    multiplicities ``b_i`` and twist exponents ``a_i``, times
+    ``transverse_dim`` further unit discs.  The masses are rescaled at the
+    chart's least slope ``kappa_min = min a_i / b_i``, and the coordinates
+    of that slope are the active face.  The metric is the pure monomial one;
+    a bounded metric weight ``e^{2 phi}`` enters the sampler as its ``h``.
     """
 
     b: tuple[int, ...]
     a: tuple[Fraction, ...]
-    radii: tuple[float, ...] | None = None
     transverse_dim: int = 0
-    transverse_radii: tuple[float, ...] | None = None
-    pair_exponents: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         b = _multiplicities(self.b)
         a = tuple(Fraction(x) for x in self.a)
         if len(a) != len(b):
             raise ValueError("need one exponent a_i per multiplicity b_i")
-        radii = self.radii if self.radii is not None else (1.0,) * len(b)
-        if len(radii) != len(b) or any(not 0 < r <= 1 for r in radii):
-            raise ValueError("monomial radii must lie in (0, 1], one per coordinate")
-        tr = (
-            self.transverse_radii
-            if self.transverse_radii is not None
-            else (1.0,) * self.transverse_dim
-        )
-        if len(tr) != self.transverse_dim or any(r <= 0 for r in tr):
-            raise ValueError("transverse radii must be positive, one per transverse coordinate")
-        ce = (
-            tuple(Fraction(c) for c in self.pair_exponents)
-            if self.pair_exponents is not None
-            else (Fraction(0),) * self.transverse_dim
-        )
-        if len(ce) != self.transverse_dim:
-            raise ValueError("need one pair exponent per transverse coordinate")
+        if self.transverse_dim < 0:
+            raise ValueError("transverse_dim must be >= 0")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "radii", tuple(float(r) for r in radii))
-        object.__setattr__(self, "transverse_radii", tuple(float(r) for r in tr))
-        object.__setattr__(self, "pair_exponents", ce)
 
     @property
     def p(self) -> int:
@@ -108,25 +81,20 @@ def residual_mass_closed_form(chart: MonomialChartMetric) -> float:
 
     Integrating the rescaled volume form over the stratum in log-polar
     coordinates gives
-    ``(2 pi)^(p - d) * prod_{i nonactive} r_i^(2 e_i) / (2 e_i)
-    * prod_j pi R_j^(2 (1 - c_j)) / (1 - c_j)``
+    ``(2 pi)^(p - d) * prod_{i nonactive} 1 / (2 e_i) * pi^transverse_dim``
     where ``e_i = a_i - kappa_min * b_i``, positive off the active face, and
     ``d`` is the active dimension.
-
-    Raises `DivergenceError` when a pair exponent is >= 1.
     """
     active = chart.active_indices()
     d = len(active) - 1
     mass = TWO_PI ** (chart.p - d)
+    # One factor per coordinate, in this order: dividing by 2 e, or taking
+    # pi ** transverse_dim, would round differently.
     for i, e in enumerate(chart.exponents()):
         if i not in active:
-            mass *= chart.radii[i] ** (2 * float(e)) / (2 * float(e))
-    for j, (r, c) in enumerate(zip(chart.transverse_radii, chart.pair_exponents)):
-        if c >= 1:
-            raise DivergenceError(
-                f"transverse coordinate {j} has pair exponent {c} >= 1: mass integral diverges"
-            )
-        mass *= math.pi * r ** (2 * float(1 - c)) / float(1 - c)
+            mass *= 1.0 / (2 * float(e))
+    for _ in range(chart.transverse_dim):
+        mass *= math.pi
     return mass
 
 

@@ -57,15 +57,13 @@ class PencilError(ValueError):
 
 @dataclass(frozen=True)
 class HypersurfacePencil:
-    """A one-parameter anticanonical pencil of plane curves.
+    """A one-parameter anticanonical pencil of plane cubics.
 
-    ``preset`` selects the degeneration type, ``n`` the ambient projective
-    dimension (sampling is implemented for ``n = 2``), ``epsilon`` the pencil
+    ``preset`` selects the degeneration type and ``epsilon`` the pencil
     modulus.
     """
 
     preset: str
-    n: int = 2
     epsilon: float = 0.1
 
     PRESETS: ClassVar[tuple[str, ...]] = ("coordinate_pencil", "fermat_smooth")
@@ -73,18 +71,16 @@ class HypersurfacePencil:
     def __post_init__(self) -> None:
         if self.preset not in self.PRESETS:
             raise PencilError(f"unknown preset {self.preset!r}")
-        if self.n < 1:
-            raise PencilError("projective dimension must be at least 1")
         if not 0 < self.epsilon <= 0.5:
             raise PencilError("epsilon must lie in (0, 0.5]")
 
     @staticmethod
-    def coordinate(n: int = 2, epsilon: float = 0.1) -> "HypersurfacePencil":
-        return HypersurfacePencil("coordinate_pencil", n, epsilon)
+    def coordinate(epsilon: float = 0.1) -> "HypersurfacePencil":
+        return HypersurfacePencil("coordinate_pencil", epsilon)
 
     @staticmethod
-    def fermat(n: int = 2, epsilon: float = 0.1) -> "HypersurfacePencil":
-        return HypersurfacePencil("fermat_smooth", n, epsilon)
+    def fermat(epsilon: float = 0.1) -> "HypersurfacePencil":
+        return HypersurfacePencil("fermat_smooth", epsilon)
 
     def coefficients(self, t: complex) -> tuple[complex, complex]:
         """The pair ``(A, B)`` of ``A (z0^3+z1^3+z2^3) + B z0 z1 z2``."""
@@ -191,11 +187,6 @@ class PencilSampleResult:
     @property
     def total_raw_stderr(self) -> float:
         return math.sqrt(math.fsum(p.stderr_raw**2 for p in self.patches))
-
-    @property
-    def total_normalized(self) -> float:
-        """``nu_t / (2 pi log 1/|t|)`` — the quantity converging to the limit mass."""
-        return self.total_raw / (TWO_PI * math.log(1.0 / abs(self.t)))
 
 
 def _cardano_cube_root(s: np.ndarray) -> np.ndarray:
@@ -389,8 +380,6 @@ def sample_pencil(
     the patch order changes a result.  At most one patch's points are held,
     16 bytes each (about ``n / 3`` of them on the degenerating pencil).
     """
-    if pencil.n != 2:
-        raise NotImplementedError("sampling is implemented for plane curves (n = 2)")
     t = pencil.validate_t(t)
     if n < 6 * _STRATA * max(1, shards):
         raise PencilError("sample count too small for the stratified layout")

@@ -1,17 +1,17 @@
 """Monte-Carlo sampling of degenerating fiber measures on local monomial models.
 
-A local model is a polydisc chart with coordinates ``z_0, ..., z_p`` carrying
-the relation ``prod z_i^{b_i} = t`` plus transverse disc coordinates.  In
-logarithmic polar coordinates the fiber measure factors into a lattice
-measure on the slice polytope ``{sum b_i x_i = log 1/|t|, x_i >= log 1/r_i}``,
-the Haar measure of the subtorus ``{sum b_i theta_i = arg t}``, and weighted
-area measures on the transverse discs.  The samplers here draw from that
+A local model is the unit polydisc with coordinates ``z_0, ..., z_p``
+carrying the relation ``prod z_i^{b_i} = t``, times ``transverse_dim`` unit
+discs.  In logarithmic polar coordinates the fiber measure factors into a
+lattice measure on the slice polytope ``{sum b_i x_i = log 1/|t|, x_i >= 0}``,
+the Haar measure of the subtorus ``{sum b_i theta_i = arg t}``, and the area
+measures of the transverse discs.  The samplers here draw from that
 factorization with exact density bookkeeping — slice points with the active
 coordinates uniform on the simplex of the slack the others leave (uniform
 spacings), torus points by solving the angular relation with a uniform branch
-choice, transverse radii by inverting the radial power law — so every sample
-carries an unbiased weight for integrals against the rescaled measure.  Only
-a chart with two or more non-active coordinates rejects slice points.
+choice, transverse points area-uniformly — so every sample carries an
+unbiased weight for integrals against the rescaled measure.  Only a chart
+with two or more non-active coordinates rejects slice points.
 Variances are accumulated as per-chunk means and centred second moments.
 Without a test function ``h`` only the slice is drawn.  With one (a metric
 weight ``e^{2 phi}`` is one too), the angles and transverse discs are drawn
@@ -51,10 +51,6 @@ import numpy as np
 from .measure import MonomialChartMetric, TWO_PI
 
 
-class EmptyFiberError(ValueError):
-    """The fiber misses the polydisc (|t| too large for the radii)."""
-
-
 @dataclass(frozen=True)
 class LocalChart:
     """A monomial chart together with the degeneration parameter ``t``."""
@@ -67,11 +63,6 @@ class LocalChart:
         if not 0 < abs(t) < 1:
             raise ValueError("need 0 < |t| < 1")
         object.__setattr__(self, "t", t)
-        if self.log_inv_t <= self.min_log_level:
-            raise EmptyFiberError(
-                f"|t| = {abs(t)} leaves no slice inside the polydisc: need "
-                f"log(1/|t|) > {self.min_log_level}"
-            )
 
     @property
     def log_inv_t(self) -> float:
@@ -81,11 +72,6 @@ class LocalChart:
     def lam(self) -> float:
         """The scale ``1 / log(1/|t|)``."""
         return 1.0 / self.log_inv_t
-
-    @property
-    def min_log_level(self) -> float:
-        m = self.metric
-        return sum(b * math.log(1.0 / r) for b, r in zip(m.b, m.radii))
 
 
 @dataclass(frozen=True)
@@ -218,28 +204,26 @@ def _sample_shard(
     b = np.array(m.b, dtype=float)
     p = m.p
     big_l = chart.log_inv_t
-    ell = np.array([math.log(1.0 / r) for r in m.radii])
     alpha = np.array([float(e) for e in m.exponents()])
-    slack = big_l - float(ell @ b)
 
-    # Slice points in the coordinates y_i = b_i (x_i - ell_i) >= 0 with
-    # sum y_i = slack.  Each non-active coordinate is uniform on [0, slack];
+    # Slice points in the coordinates y_i = b_i x_i >= 0 with sum y_i = L,
+    # L = log 1/|t|.  Each non-active coordinate is uniform on [0, L];
     # the active ones (alpha_i = 0, at least one) are uniform on the simplex
     # of the slack R left over, whose free coordinates have volume
     # R^(k-1) / (k-1)!.  The slice measure counts x_1..x_p, hence the
     # Jacobian 1 / prod_{i>=1} b_i.  Only two or more non-active coordinates
-    # can overrun the slack and be rejected.
+    # can overrun L and be rejected.
     active = list(m.active_indices())
     others = [i for i in range(p + 1) if i not in active]
     k = len(active)
     rate = 2.0 * alpha / b
     accept = None
-    rest = slack
+    rest = big_l
     log_decay = 0.0
     y_others = ()
     if others:
-        y_others = slack * rng.random((len(others), n))
-        rest = slack - y_others.sum(axis=0)
+        y_others = big_l * rng.random((len(others), n))
+        rest = big_l - y_others.sum(axis=0)
         if len(others) > 1:
             # Rejected rows get weight 0 below; clipping keeps their exp finite.
             accept = rest >= 0.0
@@ -248,15 +232,15 @@ def _sample_shard(
     y_active = _spacings(rng, k, n, rest)
     y = dict(zip(others + active, [*y_others, *y_active]))
 
-    # Transverse radial sampling inverts the power law exactly, so each
-    # coordinate contributes its closed-form disc mass as a constant factor.
+    # Each transverse unit disc is drawn area-uniformly, so it contributes
+    # its area pi as a constant factor.
     trans_factor = 1.0
-    for r, c in zip(m.transverse_radii, m.pair_exponents):
-        trans_factor *= math.pi * r ** (2.0 - 2.0 * float(c)) / (1.0 - float(c))
+    for _ in range(m.transverse_dim):
+        trans_factor *= math.pi
     d = m.active_dim
     prefactor = (
         TWO_PI ** (p - d) * chart.lam**d / m.b[0] * trans_factor
-        * slack ** len(others) / math.prod(m.b[1:]) * math.exp(-2.0 * float(alpha @ ell))
+        * big_l ** len(others) / math.prod(m.b[1:])
     )
     weights = prefactor * np.exp(-log_decay)
     if k > 1:
@@ -275,11 +259,9 @@ def _sample_shard(
         theta = rng.random((n, p))
         branch = rng.integers(0, m.b[0], size=n)
         discs = []
-        for r, c in zip(m.transverse_radii, m.pair_exponents):
+        for _ in range(m.transverse_dim):
             radius = rng.random(n)
-            radius **= 1.0 / (2.0 - 2.0 * float(c))
-            radius *= r
-            discs.append((radius, rng.random(n)))
+            discs.append((np.sqrt(radius, out=radius), rng.random(n)))
         weights = np.broadcast_to(weights, (n,))
         parts = []
         for block in _row_blocks(n):
@@ -292,7 +274,6 @@ def _sample_shard(
             turns[0] /= b[0]
             for i in range(p + 1):
                 modulus = y[i][block] * (-1.0 / b[i])  # e^{-x_i}
-                modulus -= ell[i]
                 np.exp(modulus, out=modulus)
                 z[:, i] = _unit_phasor(turns[i], modulus)
             args = (z,)
@@ -312,12 +293,11 @@ def _sample_shard(
 
     n_accepted = n if accept is None else int(np.count_nonzero(accept))
     if keep:
-        # The normalized log coordinates x_i / L, x_i = ell_i + y_i / b_i.
+        # The normalized log coordinates x_i / L, x_i = y_i / b_i.
         w_out, weights_out = out
         for j, i in enumerate(keep):
             column = w_out[:n_accepted, j]
             np.divide(y[i] if accept is None else y[i][accept], b[i], out=column)
-            column += ell[i]
             column /= big_l
         weights_out[:n_accepted] = weights if accept is None else weights[accept]
     return {"n": n, "mean": mean, "m2": m2, "n_accepted": n_accepted}
@@ -885,27 +865,26 @@ def polar_full_check(
     fs: Sequence[TrigPoly],
     n: int,
     seed: int,
-    radii: Sequence[float] | None = None,
 ) -> list[PolarCheckResult]:
     """Check the polar factorization of the polydisc area measure for each ``f``.
 
-    The polydisc ``D^k`` (``k`` the number of coordinates of ``fs[0]``, unit
-    discs unless ``radii`` are given) is sampled by `sample_fiber_measure`
-    as the transverse discs of the one-point chart ``b = (1,)``, ``a = (0,)``
-    at ``t = 1/2``, whose fiber is ``{z_0 = t} x D^k`` with total mass
-    ``prod pi r_i^2``; each ``f`` is evaluated on the transverse coordinates.
+    The unit polydisc ``D^k`` (``k`` the number of coordinates of ``fs[0]``)
+    is sampled by `sample_fiber_measure` as the transverse discs of the
+    one-point chart ``b = (1,)``, ``a = (0,)`` at ``t = 1/2``, whose fiber is
+    ``{z_0 = t} x D^k`` with total mass ``pi^k``; each ``f`` is evaluated on
+    the transverse coordinates.
     One sample serves every ``f``: a single call with ``seed`` whose ``h``
     returns one row per ``f``, so result ``j`` equals the call on
     ``[fs[j]]`` with the same seed, and the results are not independent of
     each other.  The closed-form side keeps only the diagonal terms (equal
     holomorphic and antiholomorphic exponents), each contributing
-    ``prod_i pi r_i^{2 a_i + 2} / (a_i + 1)``.
+    ``prod_i pi / (a_i + 1)``.
     """
     stacked = _stacked(fs)
     if any(e < 0 for f in fs for a_exp, b_exp, _ in f.terms for e in (*a_exp, *b_exp)):
         raise ValueError("full-polydisc check needs nonnegative exponents")
     k = len(fs[0].terms[0][0])
-    metric = MonomialChartMetric((1,), (0,), transverse_dim=k, transverse_radii=radii)
+    metric = MonomialChartMetric((1,), (0,), transverse_dim=k)
     res = sample_fiber_measure(LocalChart(metric, 0.5), n, seed, h=lambda z, yt: stacked(yt))
 
     exact = []
@@ -915,39 +894,31 @@ def polar_full_check(
             if a_exp != b_exp:
                 continue
             factor = 1.0
-            for ai, r in zip(a_exp, metric.transverse_radii):
-                factor *= math.pi * r ** (2 * ai + 2) / (ai + 1)
+            for ai in a_exp:
+                factor *= math.pi / (ai + 1)
             value += coeff * factor
         exact.append(value.real)
     return _results(res, exact, "polydisc-polar")
 
 
-def _slice_integral(
-    b: tuple[int, ...], gamma: Sequence[float], big_l: float, ell: Sequence[float]
-) -> float:
+def _slice_integral(b: tuple[int, ...], gamma: Sequence[float], big_l: float) -> float:
     """Closed form of ``integral over the slice of prod exp(-gamma_i x_i)``.
 
-    The slice is ``{sum b_i x_i = big_l, x_i >= ell_i}`` with its lattice
+    The slice is ``{sum b_i x_i = big_l, x_i >= 0}`` with its lattice
     measure (chart density ``gcd(b)/b_0``); implemented for at most two
     coordinates, which the checks use.
     """
     g = [float(x) for x in gamma]
     if len(b) == 1:
-        x0 = big_l / b[0]
-        if x0 < ell[0]:
-            return 0.0
-        return math.exp(-g[0] * x0)
+        return math.exp(-g[0] * (big_l / b[0]))
     if len(b) == 2:
         density = math.gcd(*b) / b[0]
-        u = ell[1]
-        v = (big_l - b[0] * ell[0]) / b[1]
-        if v <= u:
-            return 0.0
+        v = big_l / b[1]
         rate = g[0] * b[1] / b[0] - g[1]
         const = math.exp(-g[0] * big_l / b[0])
         if abs(rate) < 1e-14:
-            return density * const * (v - u)
-        return density * const * (math.exp(rate * v) - math.exp(rate * u)) / rate
+            return density * const * v
+        return density * const * (math.exp(rate * v) - 1.0) / rate
     raise NotImplementedError("slice integral implemented for p <= 1")
 
 
@@ -957,12 +928,11 @@ def polar_fiber_check(
     fs: Sequence[TrigPoly],
     n: int,
     seed: int,
-    radii: Sequence[float] | None = None,
 ) -> list[PolarCheckResult]:
     """Check the polar factorization of the fiber measure ``{prod z_i^{b_i} = t}`` for each ``f``.
 
-    The Monte-Carlo side is `sample_fiber_measure` on the chart with
-    multiplicities ``b``, exponents ``a = 0`` and polydisc ``radii``, with
+    The Monte-Carlo side is `sample_fiber_measure` on the unit-polydisc
+    chart with multiplicities ``b`` and exponents ``a = 0``, with
     each ``f`` as ``h``: a lattice point of the slice, a Haar point of the
     angular subtorus (``theta_0`` on a uniformly chosen one of the ``b_0``
     branches), the unrescaled mass.  One sample serves every ``f``, as in
@@ -975,10 +945,9 @@ def polar_fiber_check(
     most two coordinates.
     """
     stacked = _stacked(fs)
-    chart = LocalChart(MonomialChartMetric(b, (0,) * len(b), radii), t)
+    chart = LocalChart(MonomialChartMetric(b, (0,) * len(b)), t)
     b, big_l = chart.metric.b, chart.log_inv_t
     k = len(b)
-    ell = [math.log(1.0 / r) for r in chart.metric.radii]
     phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
 
     b_sigma = math.gcd(*b)
@@ -994,7 +963,7 @@ def polar_fiber_check(
                 continue
             gamma = [ai + bi for ai, bi in zip(a_exp, b_exp)]
             phase = complex(math.cos(TWO_PI * s * phi_t), math.sin(TWO_PI * s * phi_t))
-            value += coeff * TWO_PI ** (k - 1) / b_sigma * phase * _slice_integral(b, gamma, big_l, ell)
+            value += coeff * TWO_PI ** (k - 1) / b_sigma * phase * _slice_integral(b, gamma, big_l)
         exact.append(value.real)
 
     if k == 1:

@@ -989,18 +989,26 @@ class TestDeterminism:
             ["sample", "--b", "1,2", "--a", "0,1", "--t", "1e-4", "--n-samples", "400000"],
             ["pushforward", "--b", "1,2", "--t", "1e-6", "--n-samples", "1000000", "--bins", "50"],
             ["sample-pencil", "--preset", "coordinate_pencil", "--t", "1e-5", "--n-samples", "20000"],
+            ["verify", "--suite", "all", "--quick"],
         ],
-        ids=["sample-chart", "pushforward", "sample-pencil"],
+        ids=["sample-chart", "pushforward", "sample-pencil", "verify-all"],
     )
     def test_threads_do_not_change_csv_bytes(self, tmp_path, capsys, args):
+        # The CSVs keep their bytes and each report its verdicts; verify writes no CSV.
         for threads in ("1", "2"):
             out = tmp_path / threads
             assert main([*args, "--seed", "3", "--threads", threads, "--out", str(out)]) == 0
         capsys.readouterr()
         csvs = sorted(p.name for p in (tmp_path / "1").glob("*.csv"))
-        assert csvs
+        assert csvs or args[0] == "verify"
         for name in csvs:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        reports = sorted(p.name for p in (tmp_path / "1").glob("*-report.json"))
+        assert reports
+        for name in reports:
+            one, two = (json.loads((tmp_path / k / name).read_text())["verdicts"] for k in ("1", "2"))
+            assert one == two
+            assert one or args[0] != "verify"
 
     def test_content_hash_ignores_outdir(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

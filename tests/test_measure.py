@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropmass.measure import (
-    DivergenceError,
     MonomialChartMetric,
     assemble_limit_measure,
     predicted_mass_asymptotics,
@@ -43,9 +42,9 @@ class TestMonomialChartMetric:
             assert all((e == 0) == (i in active) and e >= 0 for i, e in enumerate(ch.exponents()))
             assert residual_mass_closed_form(ch) == pytest.approx(mass, rel=1e-15)
 
-    def test_radii_validation(self):
-        with pytest.raises(ValueError):
-            MonomialChartMetric(b=(1,), a=(0,), radii=(1.5,))
+    def test_negative_transverse_dim_rejected(self):
+        with pytest.raises(ValueError, match="transverse_dim"):
+            MonomialChartMetric(b=(1,), a=(0,), transverse_dim=-1)
 
 
 class TestResidualMassClosedForm:
@@ -63,37 +62,15 @@ class TestResidualMassClosedForm:
         ch = MonomialChartMetric(b=(1,), a=(Fraction(0),), transverse_dim=1)
         assert residual_mass_closed_form(ch) == pytest.approx(math.pi, rel=1e-15)
 
-    def test_pair_exponent_shrinks_disc_mass(self):
-        ch = MonomialChartMetric(
-            b=(1,),
-            a=(Fraction(0),),
-            transverse_dim=1,
-            pair_exponents=(Fraction(1, 2),),
-        )
-        assert residual_mass_closed_form(ch) == pytest.approx(2 * math.pi, rel=1e-15)
-
-    def test_radius_dependence(self):
-        ch = MonomialChartMetric(b=(1, 1), a=(0, 1), radii=(1.0, 0.5))
-        assert residual_mass_closed_form(ch) == pytest.approx(
-            2 * math.pi * 0.5**2 / 2, rel=1e-15
-        )
-
-    def test_divergent_pair_exponent(self):
-        ch = MonomialChartMetric(
-            b=(1,), a=(0,), transverse_dim=1, pair_exponents=(Fraction(1),)
-        )
-        with pytest.raises(DivergenceError):
-            residual_mass_closed_form(ch)
-
     def test_oracle_direct_disc_integral(self):
-        # Independent oracle: mass of |z|^(2e - 2) over the disc of radius r
-        # is 2 pi r^(2e) / (2e), computed here by numeric quadrature.
-        e, r = 2.0, 0.7
+        # Independent oracle: mass of |z|^(2e - 2) over the unit disc is
+        # 2 pi / (2e), computed here by numeric quadrature.
+        e = 2.0
         steps = 200_000
-        h = r / steps
+        h = 1.0 / steps
         acc = sum((i + 0.5) * h * ((i + 0.5) * h) ** (2 * e - 2) for i in range(steps)) * h
         direct = 2 * math.pi * acc
-        ch = MonomialChartMetric(b=(1, 1), a=(0, 2), radii=(1.0, r))
+        ch = MonomialChartMetric(b=(1, 1), a=(0, 2))
         assert residual_mass_closed_form(ch) == pytest.approx(direct, rel=1e-6)
 
 
@@ -161,7 +138,8 @@ class TestAssembleLimitMeasure:
 
         measure = assemble_limit_measure(coordinate_pencil(2))
         write_csv(tmp_path / "m.csv", measure.to_rows())
-        rows = list(_csv.DictReader((tmp_path / "m.csv").open()))
+        with (tmp_path / "m.csv").open(newline="") as fh:
+            rows = list(_csv.DictReader(fh))
         assert len(rows) == 3
         assert rows[0]["b_sigma"] == "1"
         payload = measure.to_json()

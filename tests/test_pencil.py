@@ -90,10 +90,6 @@ class TestPencilConfig:
         res = sample_pencil(HypersurfacePencil.fermat(), 1e-300, 6000, 0)
         assert all(math.isfinite(p.mass_raw) for p in res.patches)
 
-    def test_sampling_dimension_guard(self):
-        with pytest.raises(NotImplementedError):
-            sample_pencil(HypersurfacePencil.coordinate(n=3), 1e-3, 10_000, seed=0)
-
     def test_sample_count_floor(self):
         with pytest.raises(ValueError, match="sample count"):
             sample_pencil(HypersurfacePencil.coordinate(), 1e-3, 10, seed=0)
@@ -444,10 +440,10 @@ class TestCoordinatePencil:
             t = 10.0**-k
             res = sample_pencil(pen, t, 60_000, seed=13)
             lam = 1.0 / math.log(1.0 / t)
-            vals.append(res.total_normalized)
-            assert abs(
-                res.total_normalized - limit * (1.0 + lam * math.log(1.0 / pen.epsilon))
-            ) < 0.05
+            # nu_t / (2 pi log 1/|t|), the quantity converging to the limit mass.
+            total = res.total_raw / (TWO_PI * math.log(1.0 / t))
+            vals.append(total)
+            assert abs(total - limit * (1.0 + lam * math.log(1.0 / pen.epsilon))) < 0.05
         assert vals[0] > vals[1] > vals[2]
         assert abs(vals[-1] - limit) < 0.5
 

@@ -21,7 +21,6 @@ from tropmass.pencil import HypersurfacePencil, _sample_patch_route
 from tropmass.sampler import (
     CHUNK,
     TRIG_BLOCK,
-    EmptyFiberError,
     FiberSampleResult,
     LocalChart,
     MassFit,
@@ -44,12 +43,12 @@ from tropmass.sampler import (
 )
 
 
-def metric(b, a, radii=None, **kw):
-    return MonomialChartMetric(b=tuple(b), a=tuple(a), radii=radii, **kw)
+def metric(b, a, **kw):
+    return MonomialChartMetric(b=tuple(b), a=tuple(a), **kw)
 
 
-def chart(b, a, t, radii=None, **kw):
-    return LocalChart(metric(b, a, radii, **kw), t)
+def chart(b, a, t, **kw):
+    return LocalChart(metric(b, a, **kw), t)
 
 
 class TestLocalChart:
@@ -58,13 +57,6 @@ class TestLocalChart:
             chart((1, 1), (0, 0), 1.5)
         with pytest.raises(ValueError):
             chart((1, 1), (0, 0), 0.0)
-
-    def test_empty_fiber_raises(self):
-        # |t| must be below prod r_i^{b_i} = 0.25 for the fiber to meet
-        # the bipolydisc of radii 0.5.
-        with pytest.raises(EmptyFiberError):
-            chart((1, 1), (0, 0), 0.3, radii=(0.5, 0.5))
-        chart((1, 1), (0, 0), 0.2, radii=(0.5, 0.5))  # fine
 
     def test_active_dim(self):
         # The chart's active face is its metric's: the coordinates of least slope.
@@ -147,20 +139,6 @@ class TestFiberMass:
             chart((1, 1), (0, 0), 1e-3, transverse_dim=1), 1000, seed=2
         )
         assert res.mass == pytest.approx(math.pi, rel=1e-12)
-
-    def test_transverse_pair_exponent_factor(self):
-        res = sample_fiber_measure(
-            chart(
-                (1, 1),
-                (0, 0),
-                1e-3,
-                transverse_dim=1,
-                pair_exponents=(Fraction(1, 2),),
-            ),
-            1000,
-            seed=2,
-        )
-        assert res.mass == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_metric_weight_function_enters_squared(self):
         # A metric weight e^{2 phi} is passed as h.
@@ -1035,12 +1013,11 @@ def reference_values(chart, n, seed, h=None):
     """Per-sample ``h``, drawn as `sample_fiber_measure` draws.
 
     Built unblocked, with ``np.exp``, for charts with ``a = 0`` (constant
-    slice weights), no pair exponents and at most three coordinates.
+    slice weights) and at most three coordinates.
     """
     m = chart.metric
     p, b = m.p, np.array(m.b, dtype=float)
-    ell = np.array([math.log(1.0 / r) for r in m.radii])
-    slack = chart.log_inv_t - float(ell @ b)
+    slack = chart.log_inv_t
     phi_t = np.angle(chart.t) / TWO_PI
     chunks = -(-n // CHUNK)
     base, extra = divmod(n, chunks)
@@ -1056,7 +1033,7 @@ def reference_values(chart, n, seed, h=None):
         else:
             y = rng.standard_exponential((p + 1, c))
             y *= slack / y.sum(axis=0)
-        x = y / b[:, None] + ell[:, None]
+        x = y / b[:, None]
         theta = rng.uniform(size=(c, p))
         branch = rng.integers(0, m.b[0], size=c)
         theta0 = (phi_t - theta @ b[1:] + branch) / b[0]
@@ -1064,8 +1041,8 @@ def reference_values(chart, n, seed, h=None):
         args = (z,)
         if m.transverse_dim:
             yt = np.column_stack([
-                r * rng.uniform(size=c) ** 0.5 * np.exp(1j * rng.uniform(0.0, TWO_PI, size=c))
-                for r in m.transverse_radii
+                rng.uniform(size=c) ** 0.5 * np.exp(1j * rng.uniform(0.0, TWO_PI, size=c))
+                for _ in range(m.transverse_dim)
             ])
             args = (z, yt)
         vals.append(np.ones(c) if h is None else h(*args))
@@ -1102,7 +1079,7 @@ class TestBlockedHPath:
     # (b, a, t, chart keywords, h) per case.
     CASES = {
         "p0-two-discs": (
-            (1,), (0,), 0.3 * np.exp(1.0j), dict(transverse_dim=2, transverse_radii=(0.7, 0.9)), disc_h
+            (1,), (0,), 0.3 * np.exp(1.0j), dict(transverse_dim=2), disc_h
         ),
         "b21": ((2, 1), (0, 0), 1e-3 * np.exp(2.5j), {}, branch_h),
         "p2-weight-fn": ((1, 1, 1), (0, 0, 0), 1e-3 * np.exp(-0.7j), {}, metric_weighted()),
@@ -1145,7 +1122,7 @@ class TestStackedH:
     # coordinates, whose accept mask broadcasts over the rows.
     CASES = {
         "p0-two-discs": (
-            chart((1,), (0,), 0.3 * np.exp(1.0j), transverse_dim=2, transverse_radii=(0.7, 0.9)),
+            chart((1,), (0,), 0.3 * np.exp(1.0j), transverse_dim=2),
             (disc_h, lambda z, yt: np.abs(yt[:, 0]) ** 2, lambda z, yt: yt[:, 1].imag),
         ),
         "p2-weight-fn": (
@@ -1207,14 +1184,13 @@ class TestBlockedPolarChecks:
             np.random.default_rng(3).uniform(0.0, TWO_PI, size=(1000, 2)),
         )
 
-    @pytest.mark.parametrize("radii", [(1.0, 1.0), (0.7, 0.9)])
-    def test_full_check_matches_unblocked_reference(self, radii):
-        # The polydisc is the transverse part of the fiber {z_0 = 1/2}.
+    def test_full_check_matches_unblocked_reference(self):
+        # The unit bidisc is the transverse part of the fiber {z_0 = 1/2}.
         seed = 21
-        c = chart((1,), (0,), 0.5, transverse_dim=2, transverse_radii=radii)
+        c = chart((1,), (0,), 0.5, transverse_dim=2)
         vals = reference_values(c, self.N, seed, lambda z, yt: self.F(yt).real)
-        vals *= math.prod(math.pi * r**2 for r in radii)
-        res = polar_full_check([self.F], self.N, seed, radii=radii)[0]
+        vals *= math.pi**2
+        res = polar_full_check([self.F], self.N, seed)[0]
         assert_same_estimate(res.mc_value, res.mc_stderr, vals)
 
     @pytest.mark.parametrize("b", [(1, 2), (2, 1), (3, 1)])
@@ -1238,15 +1214,14 @@ class TestBlockedPolarChecks:
     )
     H = TrigPoly((((0, 0), (0, 0), -1.0 + 0j), ((2, 0), (0, 0), 0.5j), ((0, 0), (2, 0), -0.5j)))
 
-    @pytest.mark.parametrize("radii", [(1.0, 1.0), (0.7, 0.9)])
-    def test_full_check_of_several_functions_matches_unblocked_references(self, radii):
+    def test_full_check_of_several_functions_matches_unblocked_references(self):
         seed, fs = 21, (self.F, self.G, self.H)
-        c = chart((1,), (0,), 0.5, transverse_dim=2, transverse_radii=radii)
-        results = polar_full_check(fs, self.N, seed, radii=radii)
+        c = chart((1,), (0,), 0.5, transverse_dim=2)
+        results = polar_full_check(fs, self.N, seed)
         assert len(results) == len(fs)
         for f, res in zip(fs, results):
             vals = reference_values(c, self.N, seed, lambda z, yt: f(yt).real)
-            vals *= math.prod(math.pi * r**2 for r in radii)
+            vals *= math.pi**2
             assert_same_estimate(res.mc_value, res.mc_stderr, vals)
 
     @pytest.mark.parametrize("b", [(1, 2), (2, 1), (3, 1)])
@@ -1427,11 +1402,10 @@ class TestPolarChecks:
         assert digest in self.POLAR_CSV_DIGESTS
 
     def test_full_radii_follow_the_terms(self):
+        # Three coordinates in the terms: the unit tridisc, of volume pi^3.
         f = TrigPoly((((0, 0, 0), (0, 0, 0), 1.0 + 0j),))
-        res = polar_full_check([f], 100, seed=0, radii=(0.5, 1.0, 2.0))[0]
+        res = polar_full_check([f], 100, seed=0)[0]
         assert res.mc_value == pytest.approx(math.pi**3, rel=1e-12)
-        with pytest.raises(ValueError, match="radii"):
-            polar_full_check([f], 100, seed=0, radii=(1.0, 1.0))
 
     def test_fiber_random_laurent_polys_within_sigma(self):
         rng = np.random.default_rng(2024)
