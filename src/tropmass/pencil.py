@@ -16,10 +16,14 @@ balance-heuristic weight ``1 / (q_u + q_v)`` (Veach and Guibas, 1995) stays
 bounded at ramification points of either projection, which is where the
 plain single-route estimator has infinite variance.  Each route draws all its
 uniforms first, then works through them one block of `TRIG_BLOCK` draws at a
-time: ``u`` from the table-driven `_unit_phasor`, the three roots from
-Cardano's formula on the depressed cubic polished by one Newton step, and
-the weights only for the roots inside the patch.  Those whose relative
-residual exceeds 1e-10 are excluded and counted.  The patches are sampled
+time: ``u`` from the table-driven `_unit_phasor`, the roots in the patch,
+and the weights only for those roots.  Where a bound (Rouché's theorem)
+certifies that a draw has exactly one root in the patch, Newton's iteration
+solves for that root alone; that holds for most draws of the degenerating
+pencil and for none of the smooth one.  Every other draw gets all three
+roots from Cardano's formula on the depressed cubic, polished by one Newton
+step.  Roots whose relative residual exceeds 1e-10 are excluded and
+counted.  The patches are sampled
 and reduced one at a time: a patch's two routes (times its shards) run,
 their points are joined once, give the patch's KS statistic and histogram,
 and are freed before the next patch starts, so a `PatchEstimate` holds
@@ -48,6 +52,8 @@ from .sampler import (
 
 RESIDUAL_TOLERANCE = 1e-10
 _STRATA = 16
+_ROUCHE_MARGIN = 1e-12
+_NEWTON_STEPS = 4
 _CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
 
 
@@ -212,7 +218,8 @@ def _polished_roots(a_coeff: complex, b_coeff: complex, u: np.ndarray) -> np.nda
     moduli of its terms) from about ``2.4e-15`` to about ``6e-16`` over 2e5
     draws on the sampler's annuli; a second step would move nothing
     measurable.  The caller filters the roots it uses by their residual
-    (`RESIDUAL_TOLERANCE`).
+    (`RESIDUAL_TOLERANCE`).  `_patch_roots` calls it for the rows that
+    `_newton_patch_root` does not solve.
     """
     n = u.shape[0]
     p = (b_coeff / a_coeff) * u
@@ -258,6 +265,124 @@ def _polished_roots(a_coeff: complex, b_coeff: complex, u: np.ndarray) -> np.nda
     return x
 
 
+def _rouche_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The rows where ``v^3 + p v + q`` has exactly one root in the unit disc, by a bound.
+
+    Where ``|p| > 1 + |q|``, the term ``p v`` outweighs ``v^3 + q`` on
+    ``|v| = 1``, so by Rouché's theorem the cubic has as many roots in
+    ``|v| < 1`` as ``p v``, one, and the other two lie outside the closed
+    disc.  The rows returned meet ``|p| > (1 + _ROUCHE_MARGIN) (1 + |q|)``:
+    the margin keeps rounding of ``|p|`` and ``|q|`` from certifying a row,
+    and keeps each root of a certified row about ``_ROUCHE_MARGIN / 2`` or
+    more away from ``|v| = 1``, so that every solver puts it on the same side.
+    No double root is certified: at one of modulus ``r``, ``|p| = 3 r^2`` and
+    ``|q| = 2 r^3``, and ``3 r^2 <= 1 + 2 r^3``.
+    """
+    bound = 1.0 + np.abs(q)
+    bound *= 1.0 + _ROUCHE_MARGIN
+    return np.flatnonzero(p.real**2 + p.imag**2 > bound * bound)
+
+
+def _newton_step(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """One Newton step on ``x^3 + p x + q`` in place; whether each row has converged.
+
+    The step ``f / f'`` is taken as ``f conj(f') / |f'|^2``, two real
+    divisions in place of numpy's complex one.  A row has converged when the
+    step's quadratic term ``3 |x| |step|^2 / |f'|``, the error it leaves, is
+    at most ``2^-52 |x|``.
+    """
+    x2 = x * x
+    df = 3.0 * x2
+    df += p
+    f = x2
+    f += p
+    f *= x
+    f += q
+    modulus2 = df.real**2 + df.imag**2
+    step = df.conj()
+    step *= f
+    step.real /= modulus2
+    step.imag /= modulus2
+    x -= step
+    return 3.0 * (step.real**2 + step.imag**2) <= 2.0**-52 * np.sqrt(modulus2)
+
+
+def _newton_patch_root(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root in ``|v| < 1`` of ``v^3 + p v + q``, for rows that `_rouche_rows` certifies.
+
+    The cubic is solved in ``x = v / sigma`` with ``sigma = sqrt(|p| / 3)``,
+    for the coefficients ``p / sigma^2`` and ``q / sigma^3`` that
+    `_polished_roots` computes for these rows (there ``sqrt(|p| / 3) >
+    cbrt(|q| / 2)``), so both solvers solve one floating-point cubic.  Its
+    root is the fixed point of ``x = -q / (p + x^2)``, with ``|p| = 3``:
+    ``w (1 - z)``, for ``w = -q/p`` and ``z = w^2 / p``, starts within a
+    relative ``3 |z|^2`` of it.  One `_newton_step` follows on every row, and
+    ``_NEWTON_STEPS - 1`` more on the rows it leaves unconverged.
+    Returns the roots ``v`` and whether each converged in the unit disc; the
+    other rows, whose iterate has not settled or has reached a root outside
+    the disc, are for `_polished_roots`.
+    """
+    sigma = np.sqrt(np.abs(p) / 3.0)
+    inv = 1.0 / sigma
+    p = p * inv * inv
+    q = q * inv * inv * inv
+    # r = -1 / p = -conj(p) / 9, to rounding, since |p| = 3.
+    r = p.conj()
+    r *= -1.0 / 9.0
+    w = r * q
+    x = w * w
+    x *= r
+    x += 1.0
+    x *= w
+    converged = _newton_step(x, p, q)
+    rest = np.flatnonzero(~converged)
+    x_rest, p, q = x[rest], p[rest], q[rest]
+    for _ in range(_NEWTON_STEPS - 1):
+        done = _newton_step(x_rest, p, q)
+    x[rest] = x_rest
+    converged[rest] = done
+    x *= sigma
+    converged &= x.real**2 + x.imag**2 <= 1.0
+    return x, converged
+
+
+def _cardano_patch_roots(
+    a_coeff: complex, b_coeff: complex, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of `_polished_roots` in ``|v| <= 1``, with their rows, row-major."""
+    v = _polished_roots(a_coeff, b_coeff, u)
+    flat = np.flatnonzero((v.real**2 + v.imag**2 <= 1.0).T)
+    row = flat // 3
+    return row, v[flat - 3 * row, row]
+
+
+def _patch_roots(
+    a_coeff: complex, b_coeff: complex, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The roots ``v`` in the patch ``|v| <= 1`` of ``A (1 + u^3 + v^3) + B u v = 0``.
+
+    Returns each root with its row in ``u``, in the order of a row-major
+    ``(n, 3)`` array of all roots.  Divided by ``A`` the equation is
+    ``v^3 + p v + q = 0`` with ``p = (B/A) u`` and ``q = 1 + u^3``.  The rows
+    of `_rouche_rows` have one root in the patch, and `_newton_patch_root`
+    solves for it alone.  Every other row, and every row whose iteration did
+    not converge, gets all three roots from `_polished_roots`.
+    """
+    p = (b_coeff / a_coeff) * u
+    q = 1.0 + u * u * u
+    newton = _rouche_rows(p, q)
+    root, converged = _newton_patch_root(p[newton], q[newton])
+    newton, root = newton[converged], root[converged]
+    cardano = np.ones(u.shape[0], dtype=bool)
+    cardano[newton] = False
+    cardano = np.flatnonzero(cardano)
+    row, v = _cardano_patch_roots(a_coeff, b_coeff, u[cardano])
+    # Both row lists are sorted, so the stable sort merges two runs.
+    row = np.concatenate([newton, cardano[row]])
+    order = np.argsort(row, kind="stable")
+    return row[order], np.concatenate([root, v])[order]
+
+
 def _annulus_density(r: np.ndarray, r_lo: float, log_scale: bool) -> np.ndarray:
     """Area density of the radial proposal on the annulus ``r_lo <= r <= 1``.
 
@@ -293,19 +418,18 @@ def _sample_patch_route(
     route is this function with fresh randomness (it sees the reflected edge
     coordinate, which the exactly symmetric fiber measure renders harmless).
 
-    All uniforms are drawn first; the points are then built, solved and
-    weighted one block of `TRIG_BLOCK` rows at a time.  Only the roots inside
-    the patch (about one of the three per draw) get the residual filter and
-    a weight; `np.bincount` sums each draw's weights.  The kept points'
-    edge coordinates and weights come back as lists of per-block arrays,
-    which `sample_pencil` joins once per patch.
+    All uniforms are drawn first and held with the per-draw sums, 24 bytes
+    per draw; each block of `TRIG_BLOCK` rows then forms its strata and radii
+    from its row range, and is built, solved and weighted.  `_patch_roots`
+    returns only the roots inside the patch (about one of the three per
+    draw), and on most rows solves for that one alone.  Only they get the
+    residual filter and a weight; `np.bincount` sums each draw's weights.
+    The kept points' edge coordinates and weights come back as lists of
+    per-block arrays, which `sample_pencil` joins once per patch.
     """
-    strata = np.repeat(np.arange(_STRATA), _shard_counts(m, _STRATA))
-    quantile = (strata + rng.uniform(size=m)) / _STRATA
-    if log_scale:
-        rad = np.exp(-quantile * math.log(1.0 / r_lo))
-    else:
-        rad = np.sqrt(r_lo**2 + quantile * (1.0 - r_lo**2))
+    # Stratum s holds the rows below ends[s] and from ends[s - 1] on.
+    ends = np.cumsum(_shard_counts(m, _STRATA))
+    uniform = rng.uniform(size=m)
     turns = rng.uniform(size=m)
 
     per_sample = np.zeros(m)
@@ -313,14 +437,19 @@ def _sample_patch_route(
     values: list[np.ndarray] = []
     weights: list[np.ndarray] = []
     abs_a = abs(a_coeff)
+    # The bound of `_rouche_rows` needs |p| = |B/A| |u| > 1, and |u| <= 1: the
+    # smooth pencil, where |B/A| = eps |t| < 1, never meets it.
+    solve = _patch_roots if abs(b_coeff) > abs_a else _cardano_patch_roots
     for block in _row_blocks(m):
-        u = _unit_phasor(turns[block], rad[block])
-        v = _polished_roots(a_coeff, b_coeff, u)
-        # The roots in the patch, in the order of a row-major (n, 3) layout.
-        flat = np.flatnonzero((v.real**2 + v.imag**2 <= 1.0).T)
-        row = flat // 3
-        v = v[flat - 3 * row, row]
-        u, r_u, r_v = u[row], rad[block][row], np.abs(v)
+        strata = np.searchsorted(ends, np.arange(block.start, block.stop), side="right")
+        quantile = (strata + uniform[block]) / _STRATA
+        if log_scale:
+            rad = np.exp(-quantile * math.log(1.0 / r_lo))
+        else:
+            rad = np.sqrt(r_lo**2 + quantile * (1.0 - r_lo**2))
+        u = _unit_phasor(turns[block], rad)
+        row, v = solve(a_coeff, b_coeff, u)
+        u, r_u, r_v = u[row], rad[row], np.abs(v)
         # The residual filter at the final roots.
         bu = b_coeff * u
         fv = 3.0 * a_coeff * v * v
@@ -329,8 +458,10 @@ def _sample_patch_route(
         f = a_coeff * (1.0 + u * u * u + v * v * v) + buv
         scale = abs_a * (1.0 + r_u * r_u * r_u + r_v * r_v * r_v) + np.abs(buv)
         ok = np.abs(f) <= RESIDUAL_TOLERANCE * scale
-        failures += int(ok.size - np.count_nonzero(ok))
-        row, v, r_v, u, r_u, fv = row[ok], v[ok], r_v[ok], u[ok], r_u[ok], fv[ok]
+        kept = np.count_nonzero(ok)
+        if kept < ok.size:
+            failures += ok.size - kept
+            row, v, r_v, u, r_u, fv = row[ok], v[ok], r_v[ok], u[ok], r_u[ok], fv[ok]
         fu = 3.0 * a_coeff * u * u
         fu += b_coeff * v
         fu2 = fu.real**2 + fu.imag**2
@@ -378,7 +509,8 @@ def sample_pencil(
     jobs over ``threads`` threads; job ``j`` of the ``6 * shards`` draws
     from child ``j`` of ``SeedSequence(seed)``, so neither ``threads`` nor
     the patch order changes a result.  At most one patch's points are held,
-    16 bytes each (about ``n / 3`` of them on the degenerating pencil).
+    16 bytes each (about ``n / 3`` of them on the degenerating pencil), and
+    each running route holds 24 bytes per draw.
     """
     t = pencil.validate_t(t)
     if n < 6 * _STRATA * max(1, shards):

@@ -18,7 +18,10 @@ from tropmass.pencil import (
     PencilError,
     _annulus_density,
     _cardano_cube_root,
+    _newton_patch_root,
+    _patch_roots,
     _polished_roots,
+    _rouche_rows,
     _sample_patch_route,
     sample_pencil,
 )
@@ -202,6 +205,10 @@ class TestCubicSolver:
         assert v.shape == (u.shape[0], 3)
         assert multiset_rel_error(v, ref) < 1e-10
         assert residual_failures(a, b, u, v) <= residual_failures(a, b, u, ref)
+        # The split solver gives the reference roots in the disc, row by row.
+        row, w = _patch_roots(a, b, u)
+        np.testing.assert_array_equal(row, np.nonzero(np.abs(ref) <= 1.0)[0])
+        assert np.max(np.min(np.abs(ref[row] - w[:, None]), axis=1) / np.abs(w)) < 1e-10
 
     @pytest.mark.parametrize("pen, t", CASES, ids=IDS)
     def test_matches_companion_eigenvalues_on_the_annulus(self, pen, t):
@@ -248,6 +255,23 @@ class TestCubicSolver:
         u = self.annulus_u(a, b, np.random.default_rng(8))
         assert relative_residual(a, b, u, _polished_roots(a, b, u).T).max() <= 1e-15
 
+    @pytest.mark.parametrize(
+        "pen, t",
+        [*CASES, (HypersurfacePencil.coordinate(), 1e-150)],
+        ids=[*IDS, "coordinate-1e-150"],
+    )
+    def test_one_block_holds_rows_of_both_solvers(self, pen, t):
+        # On the degenerating pencil `_patch_roots` sends some rows of one
+        # block to Newton and the rest to Cardano; the smooth pencil never
+        # meets the bound.
+        a, b = pen.coefficients(t)
+        u = self.annulus_u(a, b, np.random.default_rng(5))
+        certified = _rouche_rows((b / a) * u, 1.0 + u**3).size
+        if pen.has_tropical_edges:
+            assert 0 < certified < u.size
+        else:
+            assert certified == 0
+
     @pytest.mark.parametrize("imag", [0.0, -0.0], ids=["+0j", "-0j"])
     @pytest.mark.parametrize("modulus", [1e-300, 1e-30, 0.5, 1.0, 2.0, 1e30, 1e300])
     def test_cube_root_on_the_branch_cut(self, modulus, imag):
@@ -292,6 +316,46 @@ class TestCubicSolver:
         r = np.geomspace(min(ratio, 1.0 / ratio, 1.0) / 4.0, 1.0, 200)
         # u = -1 would make q = 0 and the root v = 0, which has no relative error.
         self.check_against_reference(a, b, np.concatenate([r, -r[:-1]]) + 0j)
+
+
+def certificate_band_u(a, b, rng, m=2000):
+    """``u`` around the bound of `_rouche_rows`: ``|p| = |B/A| |u|`` from 1/2 to 3."""
+    c = abs(b / a)
+    radius = np.exp(rng.uniform(math.log(0.5 / c), math.log(3.0 / c), size=m))
+    return radius * np.exp(2j * math.pi * rng.uniform(size=m))
+
+
+class TestRoucheSplit:
+    @pytest.mark.parametrize("t", [1e-5, 0.3, 1e-150], ids=["1e-5", "0.3", "1e-150"])
+    def test_certified_rows_have_one_root_in_the_disc(self, t):
+        a, b = HypersurfacePencil.coordinate().coefficients(t)
+        rng = np.random.default_rng(31)
+        u = np.concatenate([TestCubicSolver.annulus_u(a, b, rng), certificate_band_u(a, b, rng)])
+        p, q = (b / a) * u, 1.0 + u**3
+        rows = _rouche_rows(p, q)
+        assert 0 < rows.size < u.size
+        ref = companion_roots(a, b, u[rows])
+        inside = np.abs(ref) <= 1.0
+        assert np.all(inside.sum(axis=1) == 1)
+        root, converged = _newton_patch_root(p[rows], q[rows])
+        assert converged.mean() > 0.99
+        expected = ref[inside]
+        assert np.max(np.abs(root - expected)[converged] / np.abs(expected[converged])) <= 1e-14
+
+    def test_rows_off_the_bound_converge_only_at_a_root_in_the_disc(self):
+        # Off the bound Newton's iteration may stall or reach a root outside
+        # the disc; no such row may report convergence.
+        a, b = HypersurfacePencil.coordinate().coefficients(0.3)
+        rng = np.random.default_rng(32)
+        u = np.concatenate([TestCubicSolver.annulus_u(a, b, rng), certificate_band_u(a, b, rng)])
+        p, q = (b / a) * u, 1.0 + u**3
+        off = np.setdiff1d(np.arange(u.size), _rouche_rows(p, q))
+        root, converged = _newton_patch_root(p[off], q[off])
+        assert 0 < converged.sum() < off.size
+        root = root[converged]
+        ref = companion_roots(a, b, u[off][converged])
+        assert np.all(np.abs(root) <= 1.0)
+        assert np.max(np.min(np.abs(ref - root[:, None]), axis=1) / np.abs(root)) <= 1e-14
 
 
 def reference_roots(a, b, u):
@@ -398,6 +462,25 @@ class TestBlockedPencilRoute:
         sizes = [sum(a.size for a in dropped[key]) for key in ("values", "weights")]
         assert sizes == [dropped["n_points"]] * 2
 
+    def test_newton_roots_meet_the_residual_filter(self, monkeypatch):
+        # Newton roots moved off by a relative 1e-8 fail the filter: they are
+        # dropped and counted like Cardano's.
+        pen = HypersurfacePencil.coordinate()
+        a, b = pen.coefficients(1e-5)
+        args = (a, b, 2 * TRIG_BLOCK + 5, pen.epsilon * 1e-5 / 4.0, True)
+        kept = _sample_patch_route(*args, np.random.default_rng(23))
+        solve = pencil._newton_patch_root
+
+        def moved_off(p, q):
+            v, converged = solve(p, q)
+            return v * (1.0 + 1e-8), converged
+
+        monkeypatch.setattr(pencil, "_newton_patch_root", moved_off)
+        moved = _sample_patch_route(*args, np.random.default_rng(23))
+        assert kept["failures"] == 0
+        assert moved["failures"] > 0.8 * kept["n_points"]
+        assert moved["failures"] + moved["n_points"] == kept["n_points"]
+
 
 @pytest.fixture(scope="module")
 def run():
@@ -478,8 +561,10 @@ class TestCoordinatePencil:
 
     def test_holds_one_patch_at_a_time(self):
         # One patch's points (16 bytes each, about n / 3 of them) and one
-        # route's draws: 14.7 MiB (numpy 2.4.6, x86-64), against 21.1 MiB
-        # when the points of all six routes were held until the end.
+        # route's draws (24 bytes each): 13.6 MiB (numpy 2.4.6, x86-64),
+        # against 15.5 MiB when a route held 40 bytes per draw and solved all
+        # three roots of every draw, and 21.1 MiB when the points of all six
+        # routes were held until the end.
         n = 600_000
         tracemalloc.start()
         try:
@@ -490,7 +575,7 @@ class TestCoordinatePencil:
         finally:
             tracemalloc.stop()
         assert all(p.n_points > n / 4 for p in res.patches)
-        assert peak <= 30 * n
+        assert peak <= 26 * n
 
     def test_phase_near_invariance(self):
         # Unlike the monomial models, the pencil fiber volume depends on

@@ -261,13 +261,13 @@ class TestRunnerCsvDigests:
         },
         "sample-pencil --preset coordinate_pencil --t 1e-5 --n-samples 60000 --seed 3": {
             "sample-coordinate_pencil-t1e-05.csv": {
-                "a776d116da0435781150752304bd1b90093c0268d2ee1cc9150f8a8bced40118",
+                "af77564c96c47c6ec5b269f02321a896844a368fd76a841671f55af9562ad104",
                 "6991280df359a6fe0687415e0c70094603c9dec029a49e041d224c065ade6466",
             },
             "sample-coordinate_pencil-t1e-05-hist.csv": {
-                "4122b3294d0e366904bdb363232947e6d800e95b9a50ab19a2a3293dacec9c6a",
-                "a6ce818adc835fa914d78a0ed002006781964cf95cf8f84598d0141f28475d66",
-                "e172ff145c1429f5de44f7268662c65a82bede2258b47353b0b9d6993caab11d",
+                "d2ef39c18579bb1632868dc8827730fab2a110151dda9553610dfb2310945040",
+                "f33442f800dedd003ad2ddf52da473f38e0d44f79851f48c4927361b5127105e",
+                "1a40576c5248d2c3066967ebb6e2ba44fb52be406609eaa4aa714f926425f92d",
             },
         },
         "sample-pencil --preset fermat_smooth --t 1e-2 --n-samples 60000 --seed 3": {
