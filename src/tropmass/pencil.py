@@ -11,23 +11,25 @@ form is ``du / (dF/dv)`` and glues across patches, so the fiber volume
 Each patch is integrated by two-route multiple importance sampling: one route
 draws ``u`` (log-uniformly on an annulus whose inner radius is set by the
 coverage bound ``|u v| >= |A / B| / 2`` away from the unit circles) and
-root-solves the cubic for ``v``; the mirror route swaps the roles.  The
+root-solves the cubic for ``v``; the mirror route swaps the roles, and so
+reports the edge coordinate of the variable it solves for.  The
 balance-heuristic weight ``1 / (q_u + q_v)`` (Veach and Guibas, 1995) stays
 bounded at ramification points of either projection, which is where the
 plain single-route estimator has infinite variance.  Each route draws all its
 uniforms first, then works through them one block of `TRIG_BLOCK` draws at a
 time: ``u`` from the table-driven `_unit_phasor`, the roots in the patch,
-and the weights only for those roots.  Where a bound (Rouché's theorem)
-certifies that a draw has exactly one root in the patch, Newton's iteration
-solves for that root alone; that holds for most draws of the degenerating
-pencil and for none of the smooth one.  Every other draw gets all three
-roots from Cardano's formula on the depressed cubic, polished by one Newton
-step.  Roots whose relative residual exceeds 1e-10 are excluded and
-counted.  The patches are sampled
+and the weights only for those roots.  `_patch_roots` forms and rescales
+each block's cubic once.  Where a bound (Rouché's theorem) certifies that a
+draw has exactly one root in the patch, Newton's iteration solves for that
+root alone; that holds for most draws of the degenerating pencil and for
+none of the smooth one.  Every other draw gets all three roots from
+Cardano's formula, polished by one Newton step.  Roots whose relative
+residual exceeds 1e-10 are excluded and counted.  The patches are sampled
 and reduced one at a time: a patch's two routes (times its shards) run,
 their points are joined once, give the patch's KS statistic and histogram,
 and are freed before the next patch starts, so a `PatchEstimate` holds
-estimates only and the points of one patch are held at a time.
+estimates only and the points of one patch are held at a time.  The smooth
+pencil's fibers have no edge, and keep no points.
 """
 
 from __future__ import annotations
@@ -158,9 +160,9 @@ class PatchEstimate:
     """Contribution of one max-coordinate patch to the fiber volume.
 
     The raw and normalized masses with their standard errors, the weighted KS
-    distance of the edge coordinate to the uniform density (``None`` off the
-    degenerating pencil), the number of kept points and their histogram.
-    The points themselves are not kept.
+    distance of the edge coordinate to the uniform density and its histogram
+    (``None`` and empty off the degenerating pencil), and the number of kept
+    points.  The points themselves are not kept.
     """
 
     label: str
@@ -200,36 +202,24 @@ def _cardano_cube_root(s: np.ndarray) -> np.ndarray:
     return _unit_phasor(np.angle(s) / (3.0 * TWO_PI), np.cbrt(np.abs(s)))
 
 
-def _polished_roots(a_coeff: complex, b_coeff: complex, u: np.ndarray) -> np.ndarray:
-    """Roots in ``v`` of ``A (1 + u^3 + v^3) + B u v = 0`` for one block of ``u``.
+def _polished_roots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The three roots of ``x^3 + p x + q = 0``, for ``|p| <= 3`` and ``|q| <= 2``.
 
-    Returns a ``(3, n)`` array, one contiguous row per root.  Divided by ``A``
-    the equation is the depressed cubic ``v^3 + p v + q = 0`` with
-    ``p = (B/A) u`` and ``q = 1 + u^3``.  Each point is first rescaled to
-    ``v = sigma x`` with ``|p|/sigma^2 <= 3`` and ``|q|/sigma^3 <= 2``, so
-    every power below neither overflows nor underflows for any ``t`` or
-    ``u``.  Cardano's formula then gives ``s = -q/2 -+ sqrt(q^2/4 + p^3/27)``
-    with the sign that maximises ``|s|`` (so the sum does not cancel),
-    ``C = s^(1/3)`` from `_cardano_cube_root`, ``d = p / (3 C)`` and
-    ``x_k = w^k C - w^-k d`` for the cube roots of unity ``w^k``.  The root of
-    least modulus, which the difference loses to cancellation when ``|p|`` is
-    large, is taken from the product of the roots, ``-q``.  One Newton step
-    then brings the largest relative residual (``|F|`` over the sum of the
-    moduli of its terms) from about ``2.4e-15`` to about ``6e-16`` over 2e5
-    draws on the sampler's annuli; a second step would move nothing
-    measurable.  The caller filters the roots it uses by their residual
-    (`RESIDUAL_TOLERANCE`).  `_patch_roots` calls it for the rows that
-    `_newton_patch_root` does not solve.
+    Returns a ``(3, n)`` array, one contiguous row per root.  `_patch_roots`
+    rescales the cubic to these bounds, so that no power below overflows or
+    underflows for any ``t`` or ``u``.  Cardano's formula gives ``s = -q/2 -+
+    sqrt(q^2/4 + p^3/27)`` with the sign that maximises ``|s|`` (so the sum
+    does not cancel), ``C = s^(1/3)`` from `_cardano_cube_root`, ``d = p / (3
+    C)`` and ``x_k = w^k C - w^-k d`` for the cube roots of unity ``w^k``.
+    The root of least modulus, which the difference loses to cancellation
+    when ``|p|`` is large, is taken from the product of the roots, ``-q``.
+    One Newton step then brings the largest relative residual (``|F|`` over
+    the sum of the moduli of its terms) from about ``2.4e-15`` to about
+    ``6e-16`` over 2e5 draws on the sampler's annuli; a second step would
+    move nothing measurable.  The caller filters the roots it uses by their
+    residual (`RESIDUAL_TOLERANCE`).
     """
-    n = u.shape[0]
-    p = (b_coeff / a_coeff) * u
-    q = 1.0 + u * u * u
-    sigma = np.maximum(np.sqrt(np.abs(p) / 3.0), np.cbrt(np.abs(q) / 2.0))
-    sigma[sigma == 0] = 1.0
-    # The cubic x^3 + p x + q in x = v / sigma: |p| <= 3 and |q| <= 2.
-    inv = 1.0 / sigma
-    p = p * inv * inv
-    q = q * inv * inv * inv
+    n = p.shape[0]
     p_third = p / 3.0
     half_q = 0.5 * q
     root = np.sqrt(half_q * half_q + p_third * p_third * p_third)
@@ -261,11 +251,10 @@ def _polished_roots(a_coeff: complex, b_coeff: complex, u: np.ndarray) -> np.nda
     f += q
     f /= df
     x -= f
-    x *= sigma
     return x
 
 
-def _rouche_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _rouche_rows(p: np.ndarray, abs_q: np.ndarray) -> np.ndarray:
     """The rows where ``v^3 + p v + q`` has exactly one root in the unit disc, by a bound.
 
     Where ``|p| > 1 + |q|``, the term ``p v`` outweighs ``v^3 + q`` on
@@ -278,7 +267,7 @@ def _rouche_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     No double root is certified: at one of modulus ``r``, ``|p| = 3 r^2`` and
     ``|q| = 2 r^3``, and ``3 r^2 <= 1 + 2 r^3``.
     """
-    bound = 1.0 + np.abs(q)
+    bound = 1.0 + abs_q
     bound *= 1.0 + _ROUCHE_MARGIN
     return np.flatnonzero(p.real**2 + p.imag**2 > bound * bound)
 
@@ -308,24 +297,15 @@ def _newton_step(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _newton_patch_root(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The root in ``|v| < 1`` of ``v^3 + p v + q``, for rows that `_rouche_rows` certifies.
+    """The root of ``x^3 + p x + q`` near ``-q / p``, for ``|p| = 3`` and ``|q| < 2``.
 
-    The cubic is solved in ``x = v / sigma`` with ``sigma = sqrt(|p| / 3)``,
-    for the coefficients ``p / sigma^2`` and ``q / sigma^3`` that
-    `_polished_roots` computes for these rows (there ``sqrt(|p| / 3) >
-    cbrt(|q| / 2)``), so both solvers solve one floating-point cubic.  Its
-    root is the fixed point of ``x = -q / (p + x^2)``, with ``|p| = 3``:
-    ``w (1 - z)``, for ``w = -q/p`` and ``z = w^2 / p``, starts within a
-    relative ``3 |z|^2`` of it.  One `_newton_step` follows on every row, and
-    ``_NEWTON_STEPS - 1`` more on the rows it leaves unconverged.
-    Returns the roots ``v`` and whether each converged in the unit disc; the
-    other rows, whose iterate has not settled or has reached a root outside
-    the disc, are for `_polished_roots`.
+    Its root is the fixed point of ``x = -q / (p + x^2)``: ``w (1 - z)``, for
+    ``w = -q/p`` and ``z = w^2 / p``, starts within a relative ``3 |z|^2`` of
+    it.  One `_newton_step` follows on every row, and ``_NEWTON_STEPS - 1``
+    more on the rows it leaves unconverged.  Returns the roots and whether
+    each converged; a converged iterate may still have reached another root,
+    so the caller keeps only those in the patch.
     """
-    sigma = np.sqrt(np.abs(p) / 3.0)
-    inv = 1.0 / sigma
-    p = p * inv * inv
-    q = q * inv * inv * inv
     # r = -1 / p = -conj(p) / 9, to rounding, since |p| = 3.
     r = p.conj()
     r *= -1.0 / 9.0
@@ -341,19 +321,7 @@ def _newton_patch_root(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
         done = _newton_step(x_rest, p, q)
     x[rest] = x_rest
     converged[rest] = done
-    x *= sigma
-    converged &= x.real**2 + x.imag**2 <= 1.0
     return x, converged
-
-
-def _cardano_patch_roots(
-    a_coeff: complex, b_coeff: complex, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of `_polished_roots` in ``|v| <= 1``, with their rows, row-major."""
-    v = _polished_roots(a_coeff, b_coeff, u)
-    flat = np.flatnonzero((v.real**2 + v.imag**2 <= 1.0).T)
-    row = flat // 3
-    return row, v[flat - 3 * row, row]
 
 
 def _patch_roots(
@@ -362,21 +330,40 @@ def _patch_roots(
     """The roots ``v`` in the patch ``|v| <= 1`` of ``A (1 + u^3 + v^3) + B u v = 0``.
 
     Returns each root with its row in ``u``, in the order of a row-major
-    ``(n, 3)`` array of all roots.  Divided by ``A`` the equation is
-    ``v^3 + p v + q = 0`` with ``p = (B/A) u`` and ``q = 1 + u^3``.  The rows
-    of `_rouche_rows` have one root in the patch, and `_newton_patch_root`
-    solves for it alone.  Every other row, and every row whose iteration did
-    not converge, gets all three roots from `_polished_roots`.
+    ``(n, 3)`` array of all roots.  Divided by ``A`` the equation is ``v^3 +
+    p v + q = 0`` with ``p = (B/A) u`` and ``q = 1 + u^3``, solved in ``x = v
+    / sigma`` for ``sigma = max(sqrt(|p| / 3), cbrt(|q| / 2))``.  The rows of
+    `_rouche_rows` have one root in the patch, which `_newton_patch_root`
+    solves for alone: there ``|p| > 1 + |q|``, so ``(|p| / 3)^3 > (|q| /
+    2)^2`` and ``|p| / sigma^2 = 3``.  Every other row, and every row whose
+    iteration did not converge in the patch, gets all three roots from
+    `_polished_roots`.
     """
     p = (b_coeff / a_coeff) * u
     q = 1.0 + u * u * u
-    newton = _rouche_rows(p, q)
-    root, converged = _newton_patch_root(p[newton], q[newton])
-    newton, root = newton[converged], root[converged]
-    cardano = np.ones(u.shape[0], dtype=bool)
-    cardano[newton] = False
-    cardano = np.flatnonzero(cardano)
-    row, v = _cardano_patch_roots(a_coeff, b_coeff, u[cardano])
+    abs_q = np.abs(q)
+    newton = _rouche_rows(p, abs_q)
+    sigma = np.maximum(np.sqrt(np.abs(p) / 3.0), np.cbrt(abs_q / 2.0))
+    sigma[sigma == 0] = 1.0
+    inv = 1.0 / sigma
+    p = p * inv * inv
+    q = q * inv * inv * inv
+    if newton.size:
+        root, converged = _newton_patch_root(p[newton], q[newton])
+        root *= sigma[newton]
+        converged &= root.real**2 + root.imag**2 <= 1.0
+        newton, root = newton[converged], root[converged]
+        cardano = np.ones(u.shape[0], dtype=bool)
+        cardano[newton] = False
+        cardano = np.flatnonzero(cardano)
+        p, q, sigma = p[cardano], q[cardano], sigma[cardano]
+    v = _polished_roots(p, q)
+    v *= sigma
+    flat = np.flatnonzero((v.real**2 + v.imag**2 <= 1.0).T)
+    row = flat // 3
+    v = v[flat - 3 * row, row]
+    if not newton.size:
+        return row, v
     # Both row lists are sorted, so the stable sort merges two runs.
     row = np.concatenate([newton, cardano[row]])
     order = np.argsort(row, kind="stable")
@@ -407,6 +394,7 @@ def _sample_patch_route(
     m: int,
     r_lo: float,
     log_scale: bool,
+    mirror: bool,
     rng: np.random.Generator,
 ) -> dict:
     """One route of the two-route estimator on one patch.
@@ -414,33 +402,30 @@ def _sample_patch_route(
     Draws ``u`` on the annulus (stratified over sub-annuli of equal proposal
     mass, i.e. equal predicted measure), solves for ``v``, filters to the
     patch region ``|u| <= 1, |v| <= 1``, and weights by the balance heuristic
-    over both routes.  By the ``u <-> v`` symmetry of the equation the mirror
-    route is this function with fresh randomness (it sees the reflected edge
-    coordinate, which the exactly symmetric fiber measure renders harmless).
+    over both routes.  By the ``u <-> v`` symmetry of the equation the
+    ``mirror`` route is this function with fresh randomness and each point
+    reflected, so it reports the edge coordinate ``log|v| / log|uv|``.  (The
+    unreflected one would weight the edge law by twice the first route's
+    balance-heuristic share, which is not 1 near the vertices.)  Only on the
+    ``log_scale`` (degenerating) pencil does the route keep its points.
 
     All uniforms are drawn first and held with the per-draw sums, 24 bytes
-    per draw; each block of `TRIG_BLOCK` rows then forms its strata and radii
-    from its row range, and is built, solved and weighted.  `_patch_roots`
-    returns only the roots inside the patch (about one of the three per
-    draw), and on most rows solves for that one alone.  Only they get the
-    residual filter and a weight; `np.bincount` sums each draw's weights.
-    The kept points' edge coordinates and weights come back as lists of
-    per-block arrays, which `sample_pencil` joins once per patch.
+    per draw; each block of `TRIG_BLOCK` rows is one call, which forms its
+    strata and radii from its row range and is built, solved and weighted,
+    and which frees its temporaries before the next block starts.
+    `_patch_roots` returns only the roots inside the patch (about one of the
+    three per draw).  Only they get the residual filter and a weight;
+    `np.bincount` sums each draw's weights.  The kept points' edge
+    coordinates and weights come back as lists of per-block arrays, which
+    `sample_pencil` joins once per patch.
     """
     # Stratum s holds the rows below ends[s] and from ends[s - 1] on.
     ends = np.cumsum(_shard_counts(m, _STRATA))
     uniform = rng.uniform(size=m)
     turns = rng.uniform(size=m)
-
-    per_sample = np.zeros(m)
-    failures = 0
-    values: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
     abs_a = abs(a_coeff)
-    # The bound of `_rouche_rows` needs |p| = |B/A| |u| > 1, and |u| <= 1: the
-    # smooth pencil, where |B/A| = eps |t| < 1, never meets it.
-    solve = _patch_roots if abs(b_coeff) > abs_a else _cardano_patch_roots
-    for block in _row_blocks(m):
+
+    def weigh(block: slice):
         strata = np.searchsorted(ends, np.arange(block.start, block.stop), side="right")
         quantile = (strata + uniform[block]) / _STRATA
         if log_scale:
@@ -448,7 +433,7 @@ def _sample_patch_route(
         else:
             rad = np.sqrt(r_lo**2 + quantile * (1.0 - r_lo**2))
         u = _unit_phasor(turns[block], rad)
-        row, v = solve(a_coeff, b_coeff, u)
+        row, v = _patch_roots(a_coeff, b_coeff, u)
         u, r_u, r_v = u[row], rad[row], np.abs(v)
         # The residual filter at the final roots.
         bu = b_coeff * u
@@ -458,9 +443,8 @@ def _sample_patch_route(
         f = a_coeff * (1.0 + u * u * u + v * v * v) + buv
         scale = abs_a * (1.0 + r_u * r_u * r_u + r_v * r_v * r_v) + np.abs(buv)
         ok = np.abs(f) <= RESIDUAL_TOLERANCE * scale
-        kept = np.count_nonzero(ok)
-        if kept < ok.size:
-            failures += ok.size - kept
+        dropped = ok.size - int(np.count_nonzero(ok))
+        if dropped:
             row, v, r_v, u, r_u, fv = row[ok], v[ok], r_v[ok], u[ok], r_u[ok], fv[ok]
         fu = 3.0 * a_coeff * u * u
         fu += b_coeff * v
@@ -471,9 +455,22 @@ def _sample_patch_route(
                 _annulus_density(r_u, r_lo, log_scale) * fv2
                 + _annulus_density(r_v, r_lo, log_scale) * fu2
             )
-            values.append(np.log(r_u) / np.log(r_u * r_v))
-        weights.append(contrib)
-        per_sample[block] = np.bincount(row, contrib, minlength=block.stop - block.start)
+            value = np.log(r_v if mirror else r_u) / np.log(r_u * r_v) if log_scale else None
+        sums = np.bincount(row, contrib, minlength=block.stop - block.start)
+        return sums, dropped, value, contrib
+
+    per_sample = np.zeros(m)
+    failures = 0
+    n_points = 0
+    values: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
+    for block in _row_blocks(m):
+        per_sample[block], dropped, value, weight = weigh(block)
+        failures += dropped
+        n_points += weight.size
+        if log_scale:
+            values.append(value)
+            weights.append(weight)
 
     _, mean, m2 = _moments(per_sample)
     return {
@@ -483,7 +480,7 @@ def _sample_patch_route(
         "failures": failures,
         "values": values,
         "weights": weights,
-        "n_points": sum(w.size for w in weights),
+        "n_points": n_points,
     }
 
 
@@ -527,10 +524,11 @@ def sample_pencil(
     m_route = _shard_counts(n, 6)
 
     def run(job: int) -> dict:
+        # The odd route of each patch is its mirror.
         route = job // shards
         m = _shard_counts(m_route[route], shards)[job % shards]
         return _sample_patch_route(
-            a_coeff, b_coeff, m, r_lo, log_scale, np.random.default_rng(seqs[job])
+            a_coeff, b_coeff, m, r_lo, log_scale, route % 2 == 1, np.random.default_rng(seqs[job])
         )
 
     lam_norm = TWO_PI * math.log(1.0 / abs(t))
@@ -557,16 +555,16 @@ def sample_pencil(
                     w /= m * lam_norm
                 wts += p.pop("weights")
         del results
-        values = np.concatenate(vals)
-        weights = np.concatenate(wts)
-        del vals, wts
         stderr = math.sqrt(var)
         ks = None
-        if pencil.has_tropical_edges and values.size:
-            ks = float(ks_statistic(values, weights, uniform_cdf(0.0, 1.0)))
-        hist, hist_edges = np.histogram(
-            values, bins=bins, range=(0.0, 1.0), weights=weights
-        )
+        hist = hist_edges = np.empty(0)
+        if log_scale:
+            values, weights = np.concatenate(vals), np.concatenate(wts)
+            del vals, wts
+            if values.size:
+                ks = float(ks_statistic(values, weights, uniform_cdf(0.0, 1.0)))
+            hist, hist_edges = np.histogram(values, bins=bins, range=(0.0, 1.0), weights=weights)
+            del values, weights
         patches.append(
             PatchEstimate(
                 label=label,
@@ -580,7 +578,6 @@ def sample_pencil(
                 hist_edges=hist_edges,
             )
         )
-        del values, weights
     return PencilSampleResult(
         preset=pencil.preset,
         epsilon=pencil.epsilon,

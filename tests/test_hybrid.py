@@ -25,8 +25,14 @@ from tropmass.pencil import _polished_roots
 
 
 def small_root(t: float, epsilon: float, u: complex) -> complex:
-    """The root ``v`` of least modulus on the pencil fiber over ``u``."""
-    roots = _polished_roots(complex(t * epsilon), 1.0 + 0j, np.array([complex(u)])).T[0]
+    """The root ``v`` of least modulus on the pencil fiber over ``u``.
+
+    The fiber's cubic ``v^3 + p v + q`` is solved in ``x = v / sigma``, with
+    ``sigma`` chosen as in `pencil._patch_roots`.
+    """
+    p, q = complex(u) / (t * epsilon), 1.0 + complex(u) ** 3
+    sigma = max(math.sqrt(abs(p) / 3.0), (abs(q) / 2.0) ** (1.0 / 3.0))
+    roots = sigma * _polished_roots(np.array([p / sigma**2]), np.array([q / sigma**3]))[:, 0]
     return roots[int(np.argmin(np.abs(roots)))]
 
 
