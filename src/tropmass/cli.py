@@ -190,8 +190,6 @@ class ExperimentConfig:
         for name, default in row.reads.items():
             if name not in given:
                 object.__setattr__(self, name, default)
-        if self.bins is not None and self.bins > self.n_samples:
-            raise ConfigError(f"{row.flag('bins')} {self.bins} exceeds {row.flag('n_samples')} {self.n_samples}")
 
     def echo(self) -> dict[str, object]:
         """The command, each field its row reads with the value used, and the output directory."""
@@ -669,7 +667,7 @@ def _pushforward_verdicts(
 
 
 def _residue_verdict(
-    sk: TriangulatedSkeleton, anchor: str, rho: float | None, name: str
+    sk: TriangulatedSkeleton, anchor: str, rho: float, name: str
 ) -> tuple[CheckVerdict, dict[str, float]]:
     """Propagate the anchor's residue through the skeleton, one magnitude on every cell.
 
@@ -699,10 +697,18 @@ def _run_sample_chart(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     return Outcome(verdicts, {f"sample-{_slug(cfg)}.csv": rows})
 
 
+def _check_bins(cfg: ExperimentConfig) -> None:
+    """Refuse more bins than samples; called before sampling by the runs that bin."""
+    if cfg.bins > cfg.n_samples:
+        raise ConfigError(f"--bins {cfg.bins} exceeds --n-samples {cfg.n_samples}")
+
+
 def _run_sample_pencil(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     pen = HypersurfacePencil(cfg.model, epsilon=cfg.epsilon)
     if len(cfg.t_schedule) != 1:
         raise ConfigError("sample-pencil needs a single --t value")
+    if pen.has_tropical_edges:
+        _check_bins(cfg)
     t = cfg.t_schedule[0]
     res = sample_pencil(pen, t, cfg.n_samples, cfg.seed, bins=cfg.bins, threads=cfg.threads)
     columns = ("n_points", "mass", "stderr", "mass_raw", "stderr_raw")
@@ -762,6 +768,8 @@ def _run_pushforward(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     metric = _chart_metric(cfg, loaded)
     if len(cfg.t_schedule) != 1:
         raise ConfigError("pushforward needs a single --t value")
+    if metric.active_dim == 1:
+        _check_bins(cfg)
     t = cfg.t_schedule[0]
     hist = pushforward_histogram(metric, cfg.n_samples, cfg.bins, cfg.seed, t=t, threads=cfg.threads)
     verdicts = _pushforward_verdicts(
@@ -1010,7 +1018,6 @@ def _run_skeleton_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome
             "vertices": " ".join(c.vertices),
             "multiplicities": " ".join(str(m) for m in c.multiplicities),
             "b_sigma": c.b_sigma,
-            "residue": c.residue if c.residue is not None else "",
         }
         for c in sk.cells
     ]
@@ -1029,6 +1036,7 @@ def _run_skeleton_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome
     ]
     anchor = cfg.anchor if cfg.anchor is not None else anchor_from_file
     rho = cfg.rho if cfg.rho is not None else rho_from_file
+    rho = 1.0 if rho is None else rho
     if anchor is not None and cfg.subdivide:
         ids = {c.cell_id for c in sk.cells}
         if anchor not in ids:
@@ -1038,8 +1046,6 @@ def _run_skeleton_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome
             children = sorted(i for i in ids if i == anchor or i.endswith("<" + anchor))
             if children:
                 anchor = children[0]
-    if anchor is not None and rho is None and sk.cell(anchor).residue is None:
-        rho = 1.0
     summary: dict[str, object] = {
         "model": model.name,
         "cells": len(sk.cells),

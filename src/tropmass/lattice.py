@@ -105,20 +105,16 @@ def simplex_volume(b: Sequence[int]) -> Fraction:
     return Fraction(g, math.factorial(p) * math.prod(b))
 
 
-def kernel_basis(b: Sequence[int]) -> list[tuple[int, ...]]:
+def _kernel_basis(b: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Integer basis of the lattice ``{w in Z^n : sum b_i w_i = 0}``.
 
+    ``b`` is a multiplicity vector that `_multiplicities` has already checked.
     Uses the successive-gcd triangular construction: the k-th basis vector is
     supported on coordinates ``0..k`` with last entry ``-g_{k-1}/g_k`` where
     ``g_k = gcd(b_0, ..., b_k)``.
 
     Returns a list of ``n - 1`` integer vectors (empty for ``n = 1``).
     """
-    return _kernel_basis(_multiplicities(b))
-
-
-def _kernel_basis(b: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """`kernel_basis` of a tuple that `_multiplicities` has already validated."""
     n = len(b)
     if n == 1:
         return []
@@ -157,7 +153,7 @@ def _bezout(a: int, c: int) -> tuple[int, int]:
 
 
 def _reduced_coords(vec: Sequence[int]) -> list[int]:
-    """Coordinates of ``vec`` in ``kernel_basis((1,) * n)``, which is ``{e_{k-1} - e_k}``.
+    """Coordinates of ``vec`` in ``_kernel_basis((1,) * n)``, which is ``{e_{k-1} - e_k}``.
 
     ``vec = sum_k x_k (e_{k-1} - e_k)`` gives ``x_{j+1} = vec_0 + ... + vec_j``
     for ``j < n - 1``; ``vec`` lies in the lattice exactly when its entries sum

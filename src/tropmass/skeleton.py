@@ -2,10 +2,11 @@
 
 A triangulated skeleton is a pure-dimensional simplicial complex given by its
 top-dimensional cells.  Each top cell carries positive integer vertex
-multiplicities (so ``b_sigma = gcd`` is available) and, optionally, a residue
-magnitude ``|Res| >= 0``.  The codimension-one faces (facets), each with
-the ids of the top cells containing it, are derived from the cells once, at
-construction, so they cannot disagree with them.
+multiplicities, so ``b_sigma = gcd`` is available; residue magnitudes are
+not stored on cells but passed to `residue_chain_propagate`.  The
+codimension-one faces (facets), each with the ids of the top cells
+containing it, are derived from the cells once, at construction, so they
+cannot disagree with them.
 
 Three operations are provided:
 
@@ -14,13 +15,13 @@ Three operations are provided:
   through codimension-one faces (strong connectivity), and whether every
   codimension-one face lies in exactly two top cells (closedness).
 
-* `residue_chain_propagate` spreads a residue magnitude from an anchor cell
-  across the whole skeleton.  On a closed, strongly connected skeleton whose
-  top cells all have ``b_sigma = 1``, adjacent cells carry residues that are
-  negatives of each other (the residue of a form along a chain of divisors
-  has poles only at the two neighbouring cells, and the residue theorem
-  forces the two values to sum to zero), so the magnitude is the same
-  constant on every cell.  Once those preconditions are checked, the
+* `residue_chain_propagate` spreads a given residue magnitude from an
+  anchor cell across the whole skeleton.  On a closed, strongly connected
+  skeleton whose top cells all have ``b_sigma = 1``, adjacent cells carry
+  residues that are negatives of each other (the residue of a form along a
+  chain of divisors has poles only at the two neighbouring cells, and the
+  residue theorem forces the two values to sum to zero), so the magnitude
+  is the same constant on every cell.  Once those preconditions are checked, the
   returned map is that constant map; skeleta with boundary are rejected
   because a boundary face breaks the chain.
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .lattice import _multiplicity
 from .model import MODEL_SECTIONS, REQUIRED, DualComplex, Face, ModelSpecError, SpecSection, WeightedSncModel, read_spec
@@ -67,15 +68,11 @@ class TopCell:
     multiplicities:
         Positive integer multiplicity of each vertex, aligned with
         ``vertices``.
-    residue:
-        Optional residue magnitude ``|Res|`` attached to the cell
-        (must be finite and ``>= 0`` when present).
     """
 
     cell_id: str
     vertices: tuple[str, ...]
     multiplicities: tuple[int, ...]
-    residue: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -97,11 +94,6 @@ class TopCell:
             raise SkeletonError(
                 f"cell {self.cell_id!r}: multiplicities must be positive integers, got {self.multiplicities!r}"
             ) from None
-        if self.residue is not None:
-            r = float(self.residue)
-            if not math.isfinite(r) or r < 0:
-                raise SkeletonError(f"cell {self.cell_id!r}: residue magnitude must be finite and >= 0")
-            object.__setattr__(self, "residue", r)
 
     @property
     def dim(self) -> int:
@@ -164,34 +156,19 @@ class TriangulatedSkeleton:
         raise SkeletonError(f"no top cell {cell_id!r} in the skeleton")
 
     @classmethod
-    def from_dual_complex(
-        cls,
-        dual: DualComplex,
-        residues: Mapping[str, float] | None = None,
-    ) -> "TriangulatedSkeleton":
+    def from_dual_complex(cls, dual: DualComplex) -> "TriangulatedSkeleton":
         """View the top-dimensional faces of a dual complex as a skeleton.
 
-        Each top face becomes a cell whose vertices are its component names
-        and whose multiplicities are the component multiplicities; ``residues``
-        optionally attaches a magnitude to face id strings.  Complexes whose
-        codimension-one strata have several connected pieces cannot be
-        expressed with component-name vertices and are rejected.
+        Each top face becomes a cell with the face's id string as its id, its
+        component names as vertices and the component multiplicities.
+        Complexes whose codimension-one strata have several connected pieces
+        cannot be expressed with component-name vertices and are rejected.
         """
         d = dual.dim
-        tops = dual.faces_of_dim(d)
-        residues = dict(residues or {})
-        cells = []
-        for f in tops:
-            cells.append(
-                TopCell(
-                    cell_id=f.id_string(),
-                    vertices=f.components,
-                    multiplicities=f.simplex.b,
-                    residue=residues.pop(f.id_string(), None),
-                )
-            )
-        if residues:
-            raise SkeletonError(f"residues given for unknown top faces: {sorted(residues)}")
+        cells = [
+            TopCell(cell_id=f.id_string(), vertices=f.components, multiplicities=f.simplex.b)
+            for f in dual.faces_of_dim(d)
+        ]
         if d >= 1:
             for g in dual.faces_of_dim(d - 1):
                 if g.label != 0 or dual.model.stratum_count(g.components) > 1:
@@ -265,17 +242,15 @@ def pseudomanifold_check(sk: TriangulatedSkeleton) -> PseudomanifoldReport:
 def residue_chain_propagate(
     sk: TriangulatedSkeleton,
     anchor: str,
-    rho: float | None = None,
+    rho: float,
 ) -> dict[str, float]:
-    """Propagate a residue magnitude from ``anchor`` to every top cell.
+    """Propagate the residue magnitude ``rho`` of ``anchor`` to every top cell.
 
     The residue of a holomorphic form along the divisor chain has poles
     exactly at the two cells adjacent across each facet, and those two
     residues sum to zero; the magnitude is therefore preserved across every
-    facet, and on a strongly connected skeleton it reaches every cell.  So,
-    with ``rho`` the anchor's magnitude (taken from the anchor cell's
-    ``residue`` field when not given), the result is the constant map
-    ``cell_id -> rho``, whatever the anchor.
+    facet, and on a strongly connected skeleton it reaches every cell.  So
+    the result is the constant map ``cell_id -> rho``, whatever the anchor.
 
     Preconditions, each raising `SkeletonError`: the anchor is a cell of the
     skeleton, ``rho`` is finite and ``>= 0``, the skeleton is closed (every
@@ -283,11 +258,7 @@ def residue_chain_propagate(
     leave the residue there unconstrained) and strongly connected, and every
     top cell has ``b_sigma = 1``.
     """
-    anchor_cell = sk.cell(anchor)
-    if rho is None:
-        rho = anchor_cell.residue
-        if rho is None:
-            raise SkeletonError(f"anchor {anchor!r} carries no residue magnitude and none was given")
+    sk.cell(anchor)
     rho = float(rho)
     if not math.isfinite(rho) or rho < 0:
         raise SkeletonError("residue magnitude must be finite and >= 0")

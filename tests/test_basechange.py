@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tropmass import basechange
 from tropmass.basechange import (
     face_base_change,
     model_base_change,
@@ -82,15 +85,31 @@ class TestPushforwardIdentity:
     def test_reduced_face_trivial(self):
         measure = assemble_limit_measure(annulus(), {"E0&E1": 1.0})
         check = pushforward_identity_check(measure, 5)
-        assert check.passed
-        assert all(row["discrepancy"] == 0 for row in check.per_face)
+        assert (check.m, check.d, check.passed) == (5, 1, True)
 
     def test_doubled_edge_worked_example(self):
+        # One upstairs face per gcd: g = 2 faces of multiplicity b' = 1, each
+        # with residual scale 1/4, so g * (1/4) / b' = 1/2 = 1 / b.
+        r = face_base_change((2, 2), 2)
+        assert (r.g, r.residual_scale, r.b_prime) == (2, Fraction(1, 4), 1)
         measure = assemble_limit_measure(edge_model(2, 2), {"E0&E1": 1.0})
-        check = pushforward_identity_check(measure, 2)
-        (row,) = check.per_face
-        assert row["lhs"] == Fraction(1, 2) == row["rhs"]
-        assert check.passed
+        assert pushforward_identity_check(measure, 2).passed
+
+    @pytest.mark.parametrize(
+        "field, wrong",
+        [("residual_scale", Fraction(1, 2)), ("b_prime", 2)],
+    )
+    def test_wrong_base_change_fails(self, monkeypatch, field, wrong):
+        # The identity reads g, f, residual_scale and b_prime of each face's
+        # report; one wrong entry must make it fail.
+        real = basechange.face_base_change
+
+        def broken(b, m):
+            return dataclasses.replace(real(b, m), **{field: wrong})
+
+        monkeypatch.setattr(basechange, "face_base_change", broken)
+        measure = assemble_limit_measure(edge_model(2, 2), {"E0&E1": 1.0})
+        assert not pushforward_identity_check(measure, 2).passed
 
     def test_exhaustive_grid(self):
         for b0, b1, m in product(range(1, 5), range(1, 5), range(1, 7)):

@@ -126,21 +126,6 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError, match="positive"):
                 ExperimentConfig(command="hybrid-check", seed=1, n_polys=n_polys)
 
-    @pytest.mark.parametrize(
-        "command, fields",
-        [
-            ("pushforward", dict(b=(1, 2), t_schedule=(1e-6,))),
-            ("sample-pencil", dict(model="coordinate_pencil", t_schedule=(1e-5,))),
-        ],
-    )
-    def test_bins_may_not_exceed_n_samples(self, command, fields):
-        with pytest.raises(ConfigError, match="^--bins 11 exceeds --n-samples 10$"):
-            ExperimentConfig(command=command, seed=1, n_samples=10, bins=11, **fields)
-        # Checked after the defaults are applied: 10 samples against the default bins.
-        with pytest.raises(ConfigError, match="exceeds --n-samples 10$"):
-            ExperimentConfig(command=command, seed=1, n_samples=10, **fields)
-        assert ExperimentConfig(command=command, seed=1, n_samples=10, bins=10, **fields).bins == 10
-
     @pytest.mark.parametrize("rho", [-1.0, -1e-300, float("nan"), float("inf")])
     def test_rho_must_be_finite_nonnegative(self, rho):
         with pytest.raises(ConfigError, match="^--rho must be finite and >= 0$"):
@@ -671,6 +656,44 @@ class TestExitCodes:
         assert out == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("pushforward", ["--b", "1,2", "--t", "1e-6"]),
+            ("sample-pencil", ["--preset", "coordinate_pencil", "--t", "1e-5"]),
+        ],
+    )
+    def test_bins_may_not_exceed_n_samples(self, tmp_path, capsys, monkeypatch, command, args):
+        # The runs that bin refuse more bins than samples before they sample,
+        # with the defaults applied: 10 samples against the default bins too.
+        def no_sampling(*_, **__):
+            raise AssertionError("sampled before the --bins check")
+
+        for name in ("pushforward_histogram", "sample_pencil"):
+            monkeypatch.setattr(cli, name, no_sampling)
+        argv = [command, *args, "--seed", "1"]
+        for extra, bins in [(["--bins", "11"], 11), ([], cli.COMMANDS[command].reads["bins"])]:
+            code, out, err = run_cli([*argv, "--n-samples", "10", *extra], tmp_path, capsys)
+            assert (code, out) == (2, "")
+            assert err == f"[error] --bins {bins} exceeds --n-samples 10\n"
+        assert not list(tmp_path.iterdir())
+        monkeypatch.undo()
+        # As many bins as samples is allowed (the pencil needs at least 96).
+        assert run_cli([*argv, "--n-samples", "100", "--bins", "100"], tmp_path, capsys)[0] in (0, 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sample-pencil", "--preset", "fermat_smooth", "--t", "1e-5"],
+            ["pushforward", "--b", "1,1,1", "--t", "1e-4"],
+        ],
+        ids=["fermat", "triangle-face"],
+    )
+    def test_bins_unchecked_where_nothing_is_binned(self, tmp_path, capsys, args):
+        code, _, _ = run_cli([*args, "--n-samples", "1000", "--bins", "2000", "--seed", "1"], tmp_path, capsys)
+        assert code == 0
+        assert not list(tmp_path.glob("*-hist.csv"))
+
     @pytest.mark.parametrize("args", [["--anchor", "E9&E1"], ["--anchor", "E0&E1", "--rho", "-2"]])
     def test_bad_anchor_or_rho_exits_two(self, tmp_path, capsys, args):
         code, out, err = run_cli(["skeleton-check", "--preset", "annulus", *args], tmp_path, capsys)
@@ -946,6 +969,27 @@ class TestSubcommands:
         )
         assert code == 0
         assert "magnitude 2 on all 6 cells" in out
+
+    @pytest.mark.parametrize("subdivide", [[], ["--subdivide"]], ids=["cells", "subdivided"])
+    @pytest.mark.parametrize(
+        "anchor_line, flags, rho",
+        [
+            ("residue_anchor=E0&E1 rho=2.0", [], 2.0),
+            ("residue_anchor=E0&E1 rho=2.0", ["--rho", "1.5"], 1.5),
+            ("residue_anchor=E0&E1", [], 1.0),
+        ],
+        ids=["file-rho", "flag-over-file", "default-one"],
+    )
+    def test_skeleton_check_magnitude_sources(self, tmp_path, capsys, anchor_line, flags, rho, subdivide):
+        # The magnitude is --rho, else the skeleton file's rho, else 1.
+        spec = tmp_path / "cycle.skel"
+        spec.write_text(cycle_spec_text(anchor_line))
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(["skeleton-check", "--model", str(spec), *flags, *subdivide], out_dir, capsys)
+        assert code == 0
+        magnitudes = json.loads((out_dir / "skeleton-cycle.json").read_text())["residue_magnitudes"]
+        assert len(magnitudes) == (6 if subdivide else 3)
+        assert set(magnitudes.values()) == {rho}
 
     def test_verify_lattice_suite(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -1258,7 +1302,7 @@ class TestReadme:
         "limit-measure-coordinate_pencil.csv": "58c9a7f38387bf35282df6c9b6b08b56f19f46ca1a3565aaacaf249cbb0da938",
         "limit-measure-coordinate_pencil.json": "701a55147029511939e9a220af67a8393cbb65dd2136b3ef03f4a52209eaedb2",
         "base-change-coordinate_pencil-m6.csv": "994e2f583db90cae3f7c23b0041216c5e783dfd8a6c0bba8d778855294a2874a",
-        "skeleton-coordinate_pencil.csv": "469c5870fd2824c7980de547884a0b418495e1c9a4920667508d32898ae4c9eb",
+        "skeleton-coordinate_pencil.csv": "4d8cc387c2683883bcdde4a36b31b212391f181bdd0bbe378eee605a0b407fd6",
         "skeleton-coordinate_pencil.json": "e3603d855554499d4e383578096663f70913f6d60c36fb8b884cca8c7a880243",
     }
 

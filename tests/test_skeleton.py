@@ -78,13 +78,6 @@ class TestTopCellValidation:
         with pytest.raises(SkeletonError, match="positive integers"):
             TopCell("c", ("a", "b"), (1, 0))
 
-    def test_negative_residue_rejected(self):
-        with pytest.raises(SkeletonError, match="residue"):
-            TopCell("c", ("a", "b"), (1, 1), residue=-0.5)
-
-    def test_nan_residue_rejected(self):
-        with pytest.raises(SkeletonError, match="residue"):
-            TopCell("c", ("a", "b"), (1, 1), residue=math.nan)
 
 
 class TestSkeletonValidation:
@@ -131,18 +124,11 @@ class TestSkeletonValidation:
         with pytest.raises(SkeletonError, match="no top cell"):
             sk.cell("nope")
 
-    def test_from_dual_complex_carries_multiplicities_and_residues(self):
+    def test_from_dual_complex_carries_multiplicities(self):
         dual = build_dual_complex(coordinate_pencil(2))
-        sk = TriangulatedSkeleton.from_dual_complex(dual, residues={"E0&E1": 2.0})
+        sk = TriangulatedSkeleton.from_dual_complex(dual)
         assert sorted(c.cell_id for c in sk.cells) == ["E0&E1", "E0&E2", "E1&E2"]
-        assert sk.cell("E0&E1").residue == 2.0
-        assert sk.cell("E0&E2").residue is None
         assert all(c.multiplicities == (1, 1) for c in sk.cells)
-
-    def test_from_dual_complex_rejects_unknown_residue_ids(self):
-        dual = build_dual_complex(coordinate_pencil(2))
-        with pytest.raises(SkeletonError, match="unknown top faces"):
-            TriangulatedSkeleton.from_dual_complex(dual, residues={"E9": 1.0})
 
     def test_from_dual_complex_rejects_multi_piece_codim_one_strata(self):
         m = WeightedSncModel(
@@ -254,21 +240,19 @@ class TestResiduePropagation:
         with pytest.raises(SkeletonError, match="b_sigma"):
             residue_chain_propagate(sk, "c0", 1.0)
 
-    def test_rho_taken_from_anchor_cell(self):
-        dual = build_dual_complex(coordinate_pencil(2))
-        sk = TriangulatedSkeleton.from_dual_complex(dual, residues={"E1&E2": 3.25})
-        out = residue_chain_propagate(sk, "E1&E2")
-        assert set(out.values()) == {3.25}
-
-    def test_missing_rho_rejected(self):
-        sk = cycle_skeleton(3)
-        with pytest.raises(SkeletonError, match="no residue magnitude"):
-            residue_chain_propagate(sk, "c0")
-
     def test_negative_rho_rejected(self):
         sk = cycle_skeleton(3)
         with pytest.raises(SkeletonError, match=">= 0"):
             residue_chain_propagate(sk, "c0", -1.0)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_nonfinite_rho_rejected(self, rho):
+        with pytest.raises(SkeletonError, match="finite"):
+            residue_chain_propagate(cycle_skeleton(3), "c0", rho)
+
+    def test_unknown_anchor_rejected(self):
+        with pytest.raises(SkeletonError, match="no top cell 'c9'"):
+            residue_chain_propagate(cycle_skeleton(3), "c9", 1.0)
 
     @given(
         n=st.integers(min_value=3, max_value=10),
