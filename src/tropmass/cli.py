@@ -807,24 +807,32 @@ def _run_polar_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     Half the test functions exercise the full polydisc decomposition, half the
     fiber ``z_0^2 z_1 = 10^-3``, whose two branches of ``z_0`` exercise the
     sampler's branch choice; an anchored constant term keeps the exact
-    value away from zero, so the relative discrepancy is meaningful.  Each
-    identity draws one sample that all its test functions share: the
-    polydisc with seed ``seed + 100``, the fiber with seed ``seed + 200 +
-    n_full`` (``n_full`` polydisc functions).  The ``p = 0``, ``b = 3``
-    fiber is enumerated exactly: three points of mass ``1/9`` each.
+    value away from zero, so the relative discrepancy is meaningful.  The
+    polydisc functions also carry ``|z_0|^2 + |z_1|^2``, whose integral
+    depends on the discs' radial law.  Each identity evaluates all its test
+    functions on shared points: the polydisc on the lattice rule of
+    `polar_full_check` with seed ``seed + 100``, the fiber on ``n_samples``
+    draws with seed ``seed + 200 + n_full`` (``n_full`` polydisc
+    functions).  The ``p = 0``, ``b = 3`` fiber is enumerated exactly: three
+    points of mass ``1/9`` each.
     """
-    n, seed = cfg.n_samples, cfg.seed
+    seed = cfg.seed
     rng = np.random.default_rng(seed)
     anchor = ((0, 0), (0, 0), 1.0 + 0j)
+    radial = (((1, 0), (1, 0), 1.0 + 0j), ((0, 1), (0, 1), 1.0 + 0j))
     verdicts: list[CheckVerdict] = []
     rows: list[dict[str, object]] = []
     n_full = cfg.n_polys // 2
     fs = [
-        TrigPoly(TrigPoly.random_hermitian(rng, 2, max_degree=2, n_terms=3).terms + (anchor,))
-        for _ in range(cfg.n_polys)
+        TrigPoly(
+            TrigPoly.random_hermitian(rng, 2, max_degree=2, n_terms=3).terms
+            + (anchor,)
+            + (radial if i < n_full else ())
+        )
+        for i in range(cfg.n_polys)
     ]
-    results = polar_full_check(fs[:n_full], n, seed + 100) if n_full else []
-    results += polar_fiber_check((2, 1), 1e-3, fs[n_full:], n, seed + 200 + n_full)
+    results = polar_full_check(fs[:n_full], seed + 100) if n_full else []
+    results += polar_fiber_check((2, 1), 1e-3, fs[n_full:], cfg.n_samples, seed + 200 + n_full)
     for trial, res in enumerate(results):
         label = f"polydisc-{trial}" if trial < n_full else f"fiber-{trial - n_full}"
         scale = max(abs(res.exact_value), 1.0)
@@ -1009,6 +1017,11 @@ def _random_laurent(rng: np.random.Generator) -> LaurentSeriesPoly:
 
 def _run_skeleton_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     model, anchor_from_file, rho_from_file, _ = loaded
+    anchor = cfg.anchor if cfg.anchor is not None else anchor_from_file
+    if cfg.rho is not None and anchor is None:
+        raise ConfigError(
+            f"--rho {cfg.rho:g} needs an anchor cell: give --anchor or a residue_anchor in the model file"
+        )
     dual = build_dual_complex(model)
     sk = barycentric_subdivide(dual) if cfg.subdivide else TriangulatedSkeleton.from_dual_complex(dual)
     report = pseudomanifold_check(sk)
@@ -1034,7 +1047,6 @@ def _run_skeleton_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome
         ),
         exact_check("closed", boundary, f"{boundary} boundary facets"),
     ]
-    anchor = cfg.anchor if cfg.anchor is not None else anchor_from_file
     rho = cfg.rho if cfg.rho is not None else rho_from_file
     rho = 1.0 if rho is None else rho
     if anchor is not None and cfg.subdivide:
@@ -1327,7 +1339,8 @@ COMMANDS: dict[str, Command] = {
         model=None, b=None, a=None, t_schedule=REQUIRED, n_samples=100_000, tolerance=0.02,
         seed=REQUIRED, threads=1)),
     "polar-check": Command(_run_polar_check, "polar decomposition identities", dict(
-        n_samples=1_000_000, n_polys=10, tolerance=0.01, seed=REQUIRED)),
+        n_samples=1_000_000, n_polys=10, tolerance=0.01, seed=REQUIRED), own_flags={"n_samples": {"--n-samples": {
+            "type": int, "metavar": "N", "help": "Monte-Carlo samples of the fiber identity"}}}),
     "hybrid-check": Command(_run_hybrid_check, "limit-topology and seminorm checks", dict(
         n_polys=1000, seed=REQUIRED), own_flags={"n_polys": {"--n-sequences": {
             "type": int, "metavar": "N", "help": "random sequences"}}}),

@@ -337,12 +337,14 @@ def _patch_roots(
     solves for alone: there ``|p| > 1 + |q|``, so ``(|p| / 3)^3 > (|q| /
     2)^2`` and ``|p| / sigma^2 = 3``.  Every other row, and every row whose
     iteration did not converge in the patch, gets all three roots from
-    `_polished_roots`.
+    `_polished_roots`.  The draws ``u`` lie in the patch, so where ``|B/A|
+    <= 1`` (the smooth pencil) ``|p| <= 1`` and no row can pass the bound:
+    the test is skipped.
     """
     p = (b_coeff / a_coeff) * u
     q = 1.0 + u * u * u
     abs_q = np.abs(q)
-    newton = _rouche_rows(p, abs_q)
+    newton = _rouche_rows(p, abs_q) if abs(b_coeff / a_coeff) > 1.0 else np.empty(0, dtype=np.intp)
     sigma = np.maximum(np.sqrt(np.abs(p) / 3.0), np.cbrt(abs_q / 2.0))
     sigma[sigma == 0] = 1.0
     inv = 1.0 / sigma

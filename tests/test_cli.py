@@ -701,6 +701,13 @@ class TestExitCodes:
         assert "[error]" in err
         assert not list(tmp_path.iterdir())
 
+    def test_rho_without_an_anchor_exits_two(self, tmp_path, capsys):
+        # Neither --anchor nor the preset names a cell, so --rho would act on nothing.
+        code, out, err = run_cli(["skeleton-check", "--preset", "coordinate_pencil", "--rho", "2"], tmp_path, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("[error] --rho 2 needs an anchor cell")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("t", ["1e-180", "1e-200", "1e-250"])
     def test_pencil_below_the_t_floor_exits_two(self, tmp_path, capsys, t):
         code, out, err = run_cli(

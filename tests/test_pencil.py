@@ -378,6 +378,18 @@ class TestRoucheSplit:
         ref = companion_roots(a, b, u[off][converged])
         assert np.max(np.min(np.abs(ref - root[:, None]), axis=1) / np.abs(root)) <= 1e-14
 
+    @pytest.mark.parametrize("preset, tested", [("fermat_smooth", False), ("coordinate_pencil", True)])
+    def test_bound_is_tested_only_where_a_row_can_pass(self, monkeypatch, preset, tested):
+        # |B/A| <= 1 on the smooth pencil, so |p| <= 1 for every u in the patch.
+        pen = HypersurfacePencil(preset)
+        a, b = pen.coefficients(1e-2)
+        assert (abs(b / a) > 1.0) == tested
+        calls = []
+        rows = _rouche_rows
+        monkeypatch.setattr(pencil, "_rouche_rows", lambda p, abs_q: calls.append(1) or rows(p, abs_q))
+        sample_pencil(pen, 1e-2, 2000, 0)
+        assert bool(calls) == tested
+
 
 def reference_roots(a, b, u):
     """Unblocked Cardano solve as the sampler did it before blocking.

@@ -20,6 +20,9 @@ from tropmass.measure import MonomialChartMetric, TWO_PI, chart_limit_mass
 from tropmass.pencil import HypersurfacePencil, _sample_patch_route
 from tropmass.sampler import (
     CHUNK,
+    LATTICE_A,
+    LATTICE_N,
+    LATTICE_SHIFTS,
     TRIG_BLOCK,
     FiberSampleResult,
     LocalChart,
@@ -28,6 +31,7 @@ from tropmass.sampler import (
     enumerate_point_fiber,
     fit_mass_asymptotics,
     ks_statistic,
+    lattice_points,
     polar_fiber_check,
     polar_full_check,
     pushforward_histogram,
@@ -1163,9 +1167,77 @@ class TestStackedH:
             assert {type(v) for v in (res.mass, res.stderr, res.mass_raw, res.stderr_raw)} == {float}
 
 
+def lattice_reference(fs, k, seed):
+    """`polar_full_check`'s estimates rebuilt from the rule in one pass.
+
+    Every shift's points at once, each disc by ``np.exp``, each term as its
+    own product of powers: ``(values, stderrs)`` over ``fs``.
+    """
+    rng = np.random.default_rng(seed)
+    g = np.array([pow(LATTICE_A, j, LATTICE_N) for j in range(2 * k)])
+    rule = (np.arange(LATTICE_N)[:, None] * g % LATTICE_N) / LATTICE_N
+    shifts = np.stack([rng.random(2 * k) for _ in range(LATTICE_SHIFTS)])
+    x = (rule[None] + shifts[:, None]) % 1.0
+    x = 1.0 - np.abs(2.0 * x - 1.0)
+    z = np.sqrt(x[..., 0::2]) * np.exp(2j * np.pi * x[..., 1::2])
+
+    def monomial(a, b):
+        return np.prod([z[..., i] ** ai * np.conj(z[..., i]) ** bi for i, (ai, bi) in enumerate(zip(a, b))], axis=0)
+
+    values, stderrs = [], []
+    for f in fs:
+        vals = sum(coeff * monomial(a, b) for a, b, coeff in f.terms).real
+        means = vals.mean(axis=1) * math.pi**k
+        values.append(means.mean())
+        stderrs.append(means.std(ddof=1) / math.sqrt(LATTICE_SHIFTS))
+    return values, stderrs
+
+
+class TestLatticeRule:
+    @staticmethod
+    def p2(a, dim):
+        """The ``P_2`` figure of merit of the Korobov rule with multiplier ``a`` (Sloan and Joe)."""
+        k = np.arange(LATTICE_N)
+        prod = np.ones(LATTICE_N)
+        for j in range(dim):
+            x = k * pow(a, j, LATTICE_N) % LATTICE_N / LATTICE_N
+            prod *= 1.0 + 2.0 * np.pi**2 * (x * x - x + 1.0 / 6.0)
+        return prod.mean() - 1.0
+
+    def test_multiplier_has_the_lowest_p2_of_the_seeded_candidates(self):
+        candidates = np.random.default_rng(0).integers(2, LATTICE_N - 1, 300)
+        merits = [self.p2(int(a), 4) for a in candidates]
+        assert int(candidates[np.argmin(merits)]) == LATTICE_A
+
+    @pytest.mark.parametrize("dim", [1, 4, 6])
+    def test_points_are_one_shift_of_the_rule_folded(self, dim):
+        u = lattice_points(dim, np.random.default_rng(3))
+        assert u.shape == (LATTICE_N, dim) and u.dtype == float
+        assert u.min() >= 0.0 and u.max() <= 1.0
+        assert all(u[:, j].flags.c_contiguous for j in range(dim))
+        # Row k, coordinate j is the tent map of k a^j / N + s_j mod 1, s one uniform vector.
+        shift = np.random.default_rng(3).random(dim)
+        k = np.arange(LATTICE_N)
+        for j in range(dim):
+            x = (k * pow(LATTICE_A, j, LATTICE_N) % LATTICE_N / LATTICE_N + shift[j]) % 1.0
+            np.testing.assert_allclose(u[:, j], 1.0 - np.abs(2.0 * x - 1.0), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_constant_integrand_is_exact_on_every_shift(self, k):
+        f = TrigPoly((((0,) * k, (0,) * k, 2.5 + 0j),))
+        res = polar_full_check([f], seed=4)[0]
+        assert res.mc_stderr == 0.0
+        assert res.mc_value == 2.5 * math.pi**k == res.exact_value
+
+    def test_shifts_come_from_the_seed(self):
+        f = TestBlockedPolarChecks.F
+        assert polar_full_check([f], 7) == polar_full_check([f], 7)
+        assert polar_full_check([f], 7) != polar_full_check([f], 8)
+
+
 class TestBlockedPolarChecks:
     # Three full blocks and a short one, against unblocked np.exp references
-    # built from the same seeded draws.
+    # built from the same seeded draws (the fiber) or the same rule (the polydisc).
     N = 3 * TRIG_BLOCK + 5
     F = TrigPoly(
         (
@@ -1187,13 +1259,13 @@ class TestBlockedPolarChecks:
         )
 
     def test_full_check_matches_unblocked_reference(self):
-        # The unit bidisc is the transverse part of the fiber {z_0 = 1/2}.
         seed = 21
-        c = chart((1,), (0,), 0.5, transverse_dim=2)
-        vals = reference_values(c, self.N, seed, lambda z, yt: self.F(yt).real)
-        vals *= math.pi**2
-        res = polar_full_check([self.F], self.N, seed)[0]
-        assert_same_estimate(res.mc_value, res.mc_stderr, vals)
+        (value,), (stderr,) = lattice_reference([self.F], 2, seed)
+        res = polar_full_check([self.F], seed)[0]
+        # The shift means agree to about 1e-5 of their size, so the rounding of
+        # each one moves their spread by up to about 2e-10 of itself.
+        assert res.mc_value == pytest.approx(value, rel=1e-12)
+        assert res.mc_stderr == pytest.approx(stderr, rel=1e-8)
 
     @pytest.mark.parametrize("b", [(1, 2), (2, 1), (3, 1)])
     def test_fiber_check_matches_unblocked_reference(self, b):
@@ -1218,13 +1290,11 @@ class TestBlockedPolarChecks:
 
     def test_full_check_of_several_functions_matches_unblocked_references(self):
         seed, fs = 21, (self.F, self.G, self.H)
-        c = chart((1,), (0,), 0.5, transverse_dim=2)
-        results = polar_full_check(fs, self.N, seed)
+        results = polar_full_check(fs, seed)
         assert len(results) == len(fs)
-        for f, res in zip(fs, results):
-            vals = reference_values(c, self.N, seed, lambda z, yt: f(yt).real)
-            vals *= math.pi**2
-            assert_same_estimate(res.mc_value, res.mc_stderr, vals)
+        for res, value, stderr in zip(results, *lattice_reference(fs, 2, seed)):
+            assert res.mc_value == pytest.approx(value, rel=1e-12)
+            assert res.mc_stderr == pytest.approx(stderr, rel=1e-8)
 
     @pytest.mark.parametrize("b", [(1, 2), (2, 1), (3, 1)])
     def test_fiber_check_of_several_functions_matches_unblocked_references(self, b):
@@ -1240,37 +1310,37 @@ class TestBlockedPolarChecks:
     @pytest.mark.parametrize("n", [3 * TRIG_BLOCK + 5, CHUNK + 5])
     def test_each_result_is_its_one_function_call(self, n):
         fs, t = (self.F, self.G, self.H), 1e-3 * np.exp(2.5j)
-        full = polar_full_check(fs, n, 31)
+        full = polar_full_check(fs, 31)
         fiber = polar_fiber_check((2, 1), t, fs, n, 32)
         for j, f in enumerate(fs):
-            assert full[j] == polar_full_check([f], n, 31)[0]
+            assert full[j] == polar_full_check([f], 31)[0]
             assert fiber[j] == polar_fiber_check((2, 1), t, [f], n, 32)[0]
 
 
 class TestPolarChecks:
     def test_full_constant_is_exact(self):
         f = TrigPoly((((0, 0), (0, 0), 1.0 + 0j),))
-        res = polar_full_check([f], 1000, seed=1)[0]
+        res = polar_full_check([f], seed=1)[0]
         assert res.mc_value == pytest.approx(math.pi**2, rel=1e-12)
         assert res.exact_value == pytest.approx(math.pi**2, rel=1e-12)
 
     def test_full_modulus_squared(self):
         f = TrigPoly((((1, 0), (1, 0), 1.0 + 0j),))
-        res = polar_full_check([f], 400_000, seed=2)[0]
+        res = polar_full_check([f], seed=2)[0]
         assert res.exact_value == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
         assert res.sigmas < 4
         assert res.abs_discrepancy < 0.01 * abs(res.exact_value)
 
     def test_full_off_diagonal_vanishes(self):
         f = TrigPoly((((2, 0), (0, 1), 1.0 + 0j), ((0, 1), (2, 0), 1.0 - 0j)))
-        res = polar_full_check([f], 200_000, seed=3)[0]
+        res = polar_full_check([f], seed=3)[0]
         assert res.exact_value == 0
         assert abs(res.mc_value) < 4 * res.mc_stderr
 
     def test_full_rejects_laurent_terms(self):
         f = TrigPoly((((-1, 0), (-1, 0), 1.0 + 0j),))
         with pytest.raises(ValueError):
-            polar_full_check([f], 100, seed=0)
+            polar_full_check([f], seed=0)
 
     def test_fiber_point_case_exact(self):
         # One-coordinate chart b = 3: three fiber points of mass 1/9.
@@ -1366,9 +1436,18 @@ class TestPolarChecks:
 
     def test_no_test_function_is_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            polar_full_check([], 100, seed=0)
+            polar_full_check([], seed=0)
         with pytest.raises(ValueError, match="at least one"):
             polar_fiber_check((1, 1), 1e-3, [], 100, seed=0)
+
+    def test_runner_sees_the_disc_radial_law(self, monkeypatch):
+        # Radius U in place of sqrt(U) puts too little mass near the rim; the
+        # |z_0|^2 + |z_1|^2 terms of the polydisc functions must see it.
+        monkeypatch.setattr(sampler, "_disc_points", lambda radius_u, spin: _unit_phasor(spin, radius_u))
+        verdicts = cli.SUITES["polar"](seed=0, quick=True)
+        polydisc = [v for v in verdicts if "-polydisc-" in v.name]
+        assert len(polydisc) == 10 and not any(v.passed for v in polydisc)
+        assert all(v.passed for v in verdicts if "-polydisc-" not in v.name)
 
     def test_runner_draws_the_test_functions_in_a_fixed_order(self, tmp_path):
         # The exact side of every polar-check row depends only on the test
@@ -1377,7 +1456,7 @@ class TestPolarChecks:
         with open(tmp_path / "polar-check-seed5.csv", newline="") as fh:
             column = "\n".join(row["exact_value"] for row in csv.DictReader(fh))
         assert hashlib.sha256(column.encode()).hexdigest() == (
-            "656a750f8fea6a1ef1765dbddbdf66fafddd687bcae60e3b2f35befc88beda08"
+            "c1d880c1f3495a547af1615e727e3c9fa9fa02dd2b6d404e2b727cbc433cdffc"
         )
 
     # sha256 of the whole `polar-check --seed 5 --n-samples 20000` CSV.  Its
@@ -1390,9 +1469,9 @@ class TestPolarChecks:
     # and other numpy versions or builds were not measured, so the test skips
     # there.
     POLAR_CSV_DIGESTS = {
-        "1b90bcf5f670b9536e8d5274c319845c0ec5b940c6ff9a77a4c4a89d6353b4ad",
-        "217d3021dec5e3b5d178e9547e91506d4725c849d92fa07aad579d0662e64856",
-        "ca5e7bbc8b81adfac611d4679e6a23dc0346fbd74d457521282dd70a73176d1f",
+        "fc0d7010931ea7ac9e3e1c497e14ea5aab1725984a3691e1460b361dda811d3c",
+        "d6fe8b70953e8c73a60d6bd06db8e0675aa219f877de21f8f24fa5388f4c9596",
+        "cf90a526e2822fbb3342f1a7400a8ec69f63c282babe6136d99ad5f298032408",
     }
 
     def test_runner_csv_bytes_are_pinned(self, tmp_path):
@@ -1406,7 +1485,7 @@ class TestPolarChecks:
     def test_full_radii_follow_the_terms(self):
         # Three coordinates in the terms: the unit tridisc, of volume pi^3.
         f = TrigPoly((((0, 0, 0), (0, 0, 0), 1.0 + 0j),))
-        res = polar_full_check([f], 100, seed=0)[0]
+        res = polar_full_check([f], seed=0)[0]
         assert res.mc_value == pytest.approx(math.pi**3, rel=1e-12)
 
     def test_fiber_random_laurent_polys_within_sigma(self):
@@ -1442,7 +1521,7 @@ class TestPolarChecks:
         for trial in range(5):
             f = TrigPoly.random_hermitian(rng, 2, max_degree=2, n_terms=3)
             f = TrigPoly(f.terms + (anchor,))
-            res = polar_full_check([f], 150_000, seed=100 + trial)[0]
+            res = polar_full_check([f], seed=100 + trial)[0]
             assert abs(res.mc_value - res.exact_value) < max(5 * res.mc_stderr, 1e-9)
             assert res.abs_discrepancy < 0.01 * abs(res.exact_value)
 
