@@ -28,24 +28,21 @@ class MonomialChartMetric:
     """Local chart data for a monomial volume form near a depth-``p+1`` stratum.
 
     The chart is the unit polydisc in ``p + 1`` vanishing coordinates, with
-    multiplicities ``b_i`` and twist exponents ``a_i``, times
-    ``transverse_dim`` further unit discs.  The masses are rescaled at the
-    chart's least slope ``kappa_min = min a_i / b_i``, and the coordinates
-    of that slope are the active face.  The metric is the pure monomial one;
-    a bounded metric weight ``e^{2 phi}`` enters the sampler as its ``h``.
+    multiplicities ``b_i`` and twist exponents ``a_i``.  The masses are
+    rescaled at the chart's least slope ``kappa_min = min a_i / b_i``, and
+    the coordinates of that slope are the active face.  The metric is the
+    pure monomial one; a bounded metric weight ``e^{2 phi}`` enters the
+    sampler as its ``h``.
     """
 
     b: tuple[int, ...]
     a: tuple[Fraction, ...]
-    transverse_dim: int = 0
 
     def __post_init__(self) -> None:
         b = _multiplicities(self.b)
         a = tuple(Fraction(x) for x in self.a)
         if len(a) != len(b):
             raise ValueError("need one exponent a_i per multiplicity b_i")
-        if self.transverse_dim < 0:
-            raise ValueError("transverse_dim must be >= 0")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
 
@@ -81,20 +78,18 @@ def residual_mass_closed_form(chart: MonomialChartMetric) -> float:
 
     Integrating the rescaled volume form over the stratum in log-polar
     coordinates gives
-    ``(2 pi)^(p - d) * prod_{i nonactive} 1 / (2 e_i) * pi^transverse_dim``
+    ``(2 pi)^(p - d) * prod_{i nonactive} 1 / (2 e_i)``
     where ``e_i = a_i - kappa_min * b_i``, positive off the active face, and
     ``d`` is the active dimension.
     """
     active = chart.active_indices()
     d = len(active) - 1
     mass = TWO_PI ** (chart.p - d)
-    # One factor per coordinate, in this order: dividing by 2 e, or taking
-    # pi ** transverse_dim, would round differently.
+    # One factor per coordinate, in this order: dividing by 2 e would round
+    # differently.
     for i, e in enumerate(chart.exponents()):
         if i not in active:
             mass *= 1.0 / (2 * float(e))
-    for _ in range(chart.transverse_dim):
-        mass *= math.pi
     return mass
 
 

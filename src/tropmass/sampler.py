@@ -1,21 +1,19 @@
 """Monte-Carlo sampling of degenerating fiber measures on local monomial models.
 
 A local model is the unit polydisc with coordinates ``z_0, ..., z_p``
-carrying the relation ``prod z_i^{b_i} = t``, times ``transverse_dim`` unit
-discs.  In logarithmic polar coordinates the fiber measure factors into a
-lattice measure on the slice polytope ``{sum b_i x_i = log 1/|t|, x_i >= 0}``,
-the Haar measure of the subtorus ``{sum b_i theta_i = arg t}``, and the area
-measures of the transverse discs.  The samplers here draw from that
+carrying the relation ``prod z_i^{b_i} = t``.  In logarithmic polar
+coordinates the fiber measure factors into a lattice measure on the slice
+polytope ``{sum b_i x_i = log 1/|t|, x_i >= 0}`` and the Haar measure of the
+subtorus ``{sum b_i theta_i = arg t}``.  The samplers here draw from that
 factorization with exact density bookkeeping — slice points with the active
 coordinates uniform on the simplex of the slack the others leave (uniform
 spacings), torus points by solving the angular relation with a uniform branch
-choice, transverse points area-uniformly — so every sample carries an
-unbiased weight for integrals against the rescaled measure.  Only a chart
-with two or more non-active coordinates rejects slice points.
-Variances are accumulated as per-chunk means and centred second moments.
-Without a test function ``h`` only the slice is drawn.  With one (a metric
-weight ``e^{2 phi}`` is one too), the angles and transverse discs are drawn
-as well, and the complex coordinates are built, evaluated and pooled one
+choice — so every sample carries an unbiased weight for integrals against
+the rescaled measure.  Only a chart with two or more non-active coordinates
+rejects slice points.  Variances are accumulated as per-chunk means and
+centred second moments.  Without a test function ``h`` only the slice is
+drawn.  With one (a metric weight ``e^{2 phi}`` is one too), the angles are
+drawn as well, and the chart coordinates are built, evaluated and pooled one
 block of `TRIG_BLOCK` rows at a time, their angles from `_unit_phasor`, a
 table-driven ``e^{2 pi i u}`` within a few ulp of ``np.exp``.  A test
 function may return ``k`` rows, ``k`` functions on the same draws; the
@@ -34,12 +32,12 @@ KS statistic about 6 more while it runs.  It also provides closed-form vs
 Monte-Carlo checks of the polar factorization identities, and a
 least-squares fit recovering the mass-asymptotics exponents.  The fiber
 identity's Monte-Carlo side is `sample_fiber_measure` itself; the polydisc
-identity's is a randomized lattice rule, `lattice_points`: 16 random shifts
-of a Korobov rule with 8191 points, whose spread gives the standard error.
-Each identity evaluates all its test functions on the same points.  The
-test functions, `TrigPoly`, are real by construction and folded once;
-`_trig_block` evaluates ``k`` of them on a block, each power of each
-coordinate computed once.
+identity's is a randomized lattice rule: 16 random shifts (`lattice_points`)
+of one Korobov rule with 8191 points (`lattice_rule`), whose spread gives
+the standard error.  Each identity evaluates all its test functions on the
+same points.  The test functions, `TrigPoly`, are real by construction and
+folded once; `_trig_block` evaluates ``k`` of them on a block, each power of
+each coordinate computed once.
 """
 
 from __future__ import annotations
@@ -234,16 +232,8 @@ def _sample_shard(
     y_active = _spacings(rng, k, n, rest)
     y = dict(zip(others + active, [*y_others, *y_active]))
 
-    # Each transverse unit disc is drawn area-uniformly, so it contributes
-    # its area pi as a constant factor.
-    trans_factor = 1.0
-    for _ in range(m.transverse_dim):
-        trans_factor *= math.pi
     d = m.active_dim
-    prefactor = (
-        TWO_PI ** (p - d) * chart.lam**d / m.b[0] * trans_factor
-        * big_l ** len(others) / math.prod(m.b[1:])
-    )
+    prefactor = TWO_PI ** (p - d) * chart.lam**d / m.b[0] * big_l ** len(others) / math.prod(m.b[1:])
     weights = prefactor * np.exp(-log_decay)
     if k > 1:
         weights = weights * rest ** (k - 1) / math.factorial(k - 1)
@@ -255,12 +245,10 @@ def _sample_shard(
     else:
         # The turns theta_1..theta_p are uniform and theta_0 solves the angular
         # relation on a uniform one of its b_0 branches: exact Haar measure on
-        # the subtorus, and for p = 0 one of the b_0 points of the fiber.  Each
-        # transverse disc then draws its radius and turns.
+        # the subtorus, and for p = 0 one of the b_0 points of the fiber.
         phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
         theta = rng.random((n, p))
         branch = rng.integers(0, m.b[0], size=n)
-        discs = [(rng.random(n), rng.random(n)) for _ in range(m.transverse_dim)]
         weights = np.broadcast_to(weights, (n,))
         parts = []
         for block in _row_blocks(n):
@@ -275,13 +263,7 @@ def _sample_shard(
                 modulus = y[i][block] * (-1.0 / b[i])  # e^{-x_i}
                 np.exp(modulus, out=modulus)
                 z[:, i] = _unit_phasor(turns[i], modulus)
-            args = (z,)
-            if discs:
-                yt = np.empty((len(discs), rows), dtype=complex).T
-                for j, (radius_u, spin) in enumerate(discs):
-                    yt[:, j] = _disc_points(radius_u[block], spin[block])
-                args = (z, yt)
-            values = h(*args)
+            values = h(z)
             if np.iscomplexobj(values):
                 raise ValueError("h must return real values, not complex ones")
             w = weights[block] * np.asarray(values, dtype=float)
@@ -316,8 +298,7 @@ def sample_fiber_measure(
     ``mu_t`` is the fiber measure rescaled by ``lambda^d (2 pi)^{-d}
     |t|^{-2 kappa_min}``, with ``d`` the dimension of the chart's active face
     and ``kappa_min`` its least slope.  ``h`` is an optional
-    real-valued function of the ``(rows, p + 1)`` complex chart coordinates
-    (and the ``(rows, transverse_dim)`` transverse coordinates, if any),
+    real-valued function of the ``(rows, p + 1)`` complex chart coordinates,
     called once per block of at most `TRIG_BLOCK` rows; a complex-valued
     output raises `ValueError`.  A metric weight ``e^{2 phi}`` is an ``h``.
     ``h`` returns ``(rows,)`` values, or ``(k, rows)`` for ``k`` test
@@ -667,22 +648,26 @@ LATTICE_A = 481
 LATTICE_SHIFTS = 16
 
 
-def lattice_points(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One random shift of the Korobov rule, tent-transformed: ``(LATTICE_N, dim)`` points in ``[0, 1]``.
-
-    The rule is shifted by one uniform vector from ``rng``, modulo 1
-    (Cranley and Patterson, SIAM J. Numer. Anal. 13, 1976), and each
-    coordinate is folded by the tent map ``x -> 1 - |2 x - 1|`` (Hickernell,
-    MCQMC 2000).  Each point is then uniform on the cube, so the mean of an
-    integrand over the points is unbiased, and for a smooth integrand its
-    error falls almost as ``N^-2``.  Independent shifts give independent
-    means.  Each column is contiguous.
-    """
+def lattice_rule(dim: int) -> np.ndarray:
+    """The unshifted Korobov rule in ``dim`` dimensions: row ``j`` holds ``(k g_j mod N) / N``, ``k < N``."""
     g = np.array([pow(LATTICE_A, j, LATTICE_N) for j in range(dim)], dtype=np.int64)
     x = np.multiply.outer(g, np.arange(LATTICE_N, dtype=np.int64))
     x %= LATTICE_N
-    x = x / LATTICE_N
-    x += rng.random(dim)[:, None]
+    return x / LATTICE_N
+
+
+def lattice_points(rule: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One random shift of ``rule``, tent-transformed: ``(LATTICE_N, dim)`` points in ``[0, 1]``.
+
+    ``rule`` is ``lattice_rule(dim)``, built once for all shifts.  It moves
+    by one uniform vector from ``rng``, modulo 1 (Cranley and Patterson, SIAM
+    J. Numer. Anal. 13, 1976), and each coordinate is folded by the tent map
+    ``x -> 1 - |2 x - 1|`` (Hickernell, MCQMC 2000).  Each point is then
+    uniform on the cube, so the mean of an integrand over the points is
+    unbiased, and for a smooth integrand its error falls almost as ``N^-2``.
+    Independent shifts give independent means.  Each column is contiguous.
+    """
+    x = rule + rng.random(rule.shape[0])[:, None]
     x -= np.floor(x)  # x % 1.0, exactly, at a tenth of the cost
     x *= 2.0
     x -= 1.0
@@ -755,7 +740,7 @@ def _unit_phasor(u: np.ndarray, scale) -> np.ndarray:
 
 
 def _disc_points(radius_u: np.ndarray, spin: np.ndarray) -> np.ndarray:
-    """Area-uniform points of the unit disc from two uniforms: radius ``sqrt(radius_u)``, ``spin`` turns."""
+    """`polar_full_check`'s area-uniform disc points from two uniforms: radius ``sqrt(radius_u)``, ``spin`` turns."""
     return _unit_phasor(spin, np.sqrt(radius_u))
 
 
@@ -903,9 +888,9 @@ def polar_full_check(fs: Sequence[TrigPoly], seed: int) -> list[PolarCheckResult
     is integrated by `LATTICE_SHIFTS` random shifts of the lattice rule
     `lattice_points` in ``2 k`` dimensions, drawn from ``default_rng(seed)``:
     coordinates ``(2 j, 2 j + 1)`` give disc ``j`` its radius and turns
-    through `_disc_points`, the map `sample_fiber_measure` gives its
-    transverse discs.  The estimate is ``pi^k`` times the mean of the shift
-    means, and its standard error their sample standard deviation over
+    through `_disc_points`.  The rule is built once and every shift moves
+    it.  The estimate is ``pi^k`` times the mean of the shift means, and its
+    standard error their sample standard deviation over
     ``sqrt(LATTICE_SHIFTS)``.  The points serve every ``f``: each shift
     takes one `_trig_block` call, so result ``j`` equals the call on
     ``[fs[j]]`` with the same seed, and the results are not independent of
@@ -918,10 +903,11 @@ def polar_full_check(fs: Sequence[TrigPoly], seed: int) -> list[PolarCheckResult
         raise ValueError("full-polydisc check needs nonnegative exponents")
     k = len(fs[0].terms[0][0])
     rng = np.random.default_rng(seed)
+    rule = lattice_rule(2 * k)
     # One row per function, so each row reduces as its one-function call does.
     means = np.empty((len(fs), LATTICE_SHIFTS))
     for shift in range(LATTICE_SHIFTS):
-        u = lattice_points(2 * k, rng)
+        u = lattice_points(rule, rng)
         yt = np.empty((k, LATTICE_N), dtype=complex).T
         for j in range(k):
             yt[:, j] = _disc_points(u[:, 2 * j], u[:, 2 * j + 1])

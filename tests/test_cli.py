@@ -708,6 +708,30 @@ class TestExitCodes:
         assert err.startswith("[error] --rho 2 needs an anchor cell")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag", ["--preset", "--model"])
+    def test_n_for_a_model_it_does_not_shape_exits_two(self, tmp_path, capsys, monkeypatch, flag):
+        # Only coordinate_pencil has a dimension; for a preset without one or
+        # a spec file, --n would act on nothing yet enter the report and hash.
+        model = "annulus"
+        if flag == "--model":
+            model = str(tmp_path / "edge.txt")
+            Path(model).write_text("[components]\nE0 b=1\nE1 b=1\n[strata]\nE0\nE1\nE0 & E1\n")
+        monkeypatch.setattr(cli, "_load_model", lambda cfg: pytest.fail("loaded a model"))
+        code, out, err = run_cli(["weights", flag, model, "--n", "3"], tmp_path / "out", capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("[error] --n sets the dimension of coordinate_pencil only")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n", ["0", "7", "100"])
+    def test_n_outside_its_range_exits_two_at_once(self, tmp_path, capsys, monkeypatch, n):
+        # The strata grow as 2^(n+1): --n 100 would run for hours, so it is
+        # refused before any model is built.
+        monkeypatch.setattr(cli, "_load_model", lambda cfg: pytest.fail("loaded a model"))
+        code, out, err = run_cli(["weights", "--preset", "coordinate_pencil", "--n", n], tmp_path / "out", capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"[error] --n must lie in 1..6, got {n}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("t", ["1e-180", "1e-200", "1e-250"])
     def test_pencil_below_the_t_floor_exits_two(self, tmp_path, capsys, t):
         code, out, err = run_cli(

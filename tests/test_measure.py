@@ -42,10 +42,6 @@ class TestMonomialChartMetric:
             assert all((e == 0) == (i in active) and e >= 0 for i, e in enumerate(ch.exponents()))
             assert residual_mass_closed_form(ch) == pytest.approx(mass, rel=1e-15)
 
-    def test_negative_transverse_dim_rejected(self):
-        with pytest.raises(ValueError, match="transverse_dim"):
-            MonomialChartMetric(b=(1,), a=(0,), transverse_dim=-1)
-
 
 class TestResidualMassClosedForm:
     def test_disc_with_weight_one_coordinate(self):
@@ -57,10 +53,6 @@ class TestResidualMassClosedForm:
     def test_fully_active_chart_is_unit(self):
         ch = MonomialChartMetric(b=(1, 2), a=(Fraction(0), Fraction(0)))
         assert residual_mass_closed_form(ch) == 1.0
-
-    def test_transverse_disc(self):
-        ch = MonomialChartMetric(b=(1,), a=(Fraction(0),), transverse_dim=1)
-        assert residual_mass_closed_form(ch) == pytest.approx(math.pi, rel=1e-15)
 
     def test_oracle_direct_disc_integral(self):
         # Independent oracle: mass of |z|^(2e - 2) over the unit disc is

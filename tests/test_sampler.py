@@ -32,6 +32,7 @@ from tropmass.sampler import (
     fit_mass_asymptotics,
     ks_statistic,
     lattice_points,
+    lattice_rule,
     polar_fiber_check,
     polar_full_check,
     pushforward_histogram,
@@ -47,12 +48,12 @@ from tropmass.sampler import (
 )
 
 
-def metric(b, a, **kw):
-    return MonomialChartMetric(b=tuple(b), a=tuple(a), **kw)
+def metric(b, a):
+    return MonomialChartMetric(b=tuple(b), a=tuple(a))
 
 
-def chart(b, a, t, **kw):
-    return LocalChart(metric(b, a, **kw), t)
+def chart(b, a, t):
+    return LocalChart(metric(b, a), t)
 
 
 class TestLocalChart:
@@ -137,12 +138,6 @@ class TestFiberMass:
         gap = np.abs(z[:, None] - roots[None, :]) / np.abs(roots)
         assert gap.min(axis=1).max() < 1e-15
         assert set(gap.argmin(axis=1)) == set(range(b[0]))
-
-    def test_transverse_disc_factor(self):
-        res = sample_fiber_measure(
-            chart((1, 1), (0, 0), 1e-3, transverse_dim=1), 1000, seed=2
-        )
-        assert res.mass == pytest.approx(math.pi, rel=1e-12)
 
     def test_metric_weight_function_enters_squared(self):
         # A metric weight e^{2 phi} is passed as h.
@@ -1044,19 +1039,12 @@ def reference_values(chart, n, seed, h=None):
         branch = rng.integers(0, m.b[0], size=c)
         theta0 = (phi_t - theta @ b[1:] + branch) / b[0]
         z = np.exp(2j * np.pi * np.column_stack([theta0, theta]) - x.T)
-        args = (z,)
-        if m.transverse_dim:
-            yt = np.column_stack([
-                rng.uniform(size=c) ** 0.5 * np.exp(1j * rng.uniform(0.0, TWO_PI, size=c))
-                for _ in range(m.transverse_dim)
-            ])
-            args = (z, yt)
-        vals.append(np.ones(c) if h is None else h(*args))
+        vals.append(np.ones(c) if h is None else h(z))
     return np.concatenate(vals)
 
 
-def disc_h(z, yt):
-    return (yt[:, 0] * np.conj(yt[:, 1])).real + np.abs(yt[:, 1]) ** 2 + z[:, 0].real
+def root_h(z):
+    return z[:, 0].real + (z[:, 0] ** 2).imag
 
 
 def branch_h(z):
@@ -1082,20 +1070,18 @@ def assert_same_estimate(mean, stderr, vals):
 class TestBlockedHPath:
     """``h`` is evaluated one `TRIG_BLOCK`-row block at a time."""
 
-    # (b, a, t, chart keywords, h) per case.
+    # (b, a, t, h) per case.
     CASES = {
-        "p0-two-discs": (
-            (1,), (0,), 0.3 * np.exp(1.0j), dict(transverse_dim=2), disc_h
-        ),
-        "b21": ((2, 1), (0, 0), 1e-3 * np.exp(2.5j), {}, branch_h),
-        "p2-weight-fn": ((1, 1, 1), (0, 0, 0), 1e-3 * np.exp(-0.7j), {}, metric_weighted()),
+        "p0-b3": ((3,), (0,), 0.3 * np.exp(1.0j), root_h),
+        "b21": ((2, 1), (0, 0), 1e-3 * np.exp(2.5j), branch_h),
+        "p2-weight-fn": ((1, 1, 1), (0, 0, 0), 1e-3 * np.exp(-0.7j), metric_weighted()),
     }
 
     @pytest.mark.parametrize("n", [3 * TRIG_BLOCK + 5, CHUNK + 5])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_unblocked_reference(self, case, n):
-        b, a, t, kw, h = self.CASES[case]
-        c = chart(b, a, t, **kw)
+        b, a, t, h = self.CASES[case]
+        c = chart(b, a, t)
         seed = 21
         res = sample_fiber_measure(c, n, seed, h=h)
         # The slice weight is constant on these charts: the unweighted mass, exactly.
@@ -1105,8 +1091,8 @@ class TestBlockedHPath:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_threads_change_nothing(self, case):
-        b, a, t, kw, h = self.CASES[case]
-        c = chart(b, a, t, **kw)
+        b, a, t, h = self.CASES[case]
+        c = chart(b, a, t)
         one, two = (sample_fiber_measure(c, 2 * CHUNK + 3, 5, h=h, threads=k) for k in (1, 2))
         assert (two.mass, two.stderr) == (one.mass, one.stderr)
 
@@ -1118,18 +1104,18 @@ class TestBlockedHPath:
 
 def stacked_h(*hs):
     """An ``h`` whose row ``j`` is ``hs[j]``."""
-    return lambda *args: np.stack([h(*args) for h in hs])
+    return lambda z: np.stack([h(z) for h in hs])
 
 
 class TestStackedH:
     """An ``h`` of ``k`` rows gives ``k`` estimates from one set of draws."""
 
-    # (chart, test functions): discs, a metric weight, and two non-active
-    # coordinates, whose accept mask broadcasts over the rows.
+    # (chart, test functions): a point fiber, a metric weight, and two
+    # non-active coordinates, whose accept mask broadcasts over the rows.
     CASES = {
-        "p0-two-discs": (
-            chart((1,), (0,), 0.3 * np.exp(1.0j), transverse_dim=2),
-            (disc_h, lambda z, yt: np.abs(yt[:, 0]) ** 2, lambda z, yt: yt[:, 1].imag),
+        "p0-b3": (
+            chart((3,), (0,), 0.3 * np.exp(1.0j)),
+            (root_h, lambda z: z[:, 0].imag, lambda z: (z[:, 0] ** 2).real),
         ),
         "p2-weight-fn": (
             chart((1, 1, 1), (0, 0, 0), 1e-3 * np.exp(-0.7j)),
@@ -1211,7 +1197,7 @@ class TestLatticeRule:
 
     @pytest.mark.parametrize("dim", [1, 4, 6])
     def test_points_are_one_shift_of_the_rule_folded(self, dim):
-        u = lattice_points(dim, np.random.default_rng(3))
+        u = lattice_points(lattice_rule(dim), np.random.default_rng(3))
         assert u.shape == (LATTICE_N, dim) and u.dtype == float
         assert u.min() >= 0.0 and u.max() <= 1.0
         assert all(u[:, j].flags.c_contiguous for j in range(dim))
