@@ -30,14 +30,15 @@ hold the maximum sorted).  Both read the kept points one block of
 `TRIG_BLOCK` at a time, so a point kept on an edge costs 16 bytes, and the
 KS statistic about 6 more while it runs.  It also provides closed-form vs
 Monte-Carlo checks of the polar factorization identities, and a
-least-squares fit recovering the mass-asymptotics exponents.  The fiber
-identity's Monte-Carlo side is `sample_fiber_measure` itself; the polydisc
-identity's is a randomized lattice rule: 16 random shifts (`lattice_points`)
-of one Korobov rule with 8191 points (`lattice_rule`), whose spread gives
-the standard error.  Each identity evaluates all its test functions on the
-same points.  The test functions, `TrigPoly`, are real by construction and
-folded once; `_trig_block` evaluates ``k`` of them on a block, each power of
-each coordinate computed once.
+least-squares fit recovering the mass-asymptotics exponents.  Both
+identities integrate on a randomized lattice rule: 16 random shifts
+(`lattice_points`) of one Korobov rule with 8191 points (`lattice_rule`),
+whose spread gives the standard error.  The fiber identity's points reach
+the chart through `_chart_points`, the map the sampler's draws take.  Each
+identity evaluates all its test functions on the same points.  The test
+functions, `TrigPoly`, are real by construction and folded once;
+`_trig_block` evaluates ``k`` of them on a block, each power of each
+coordinate computed once.
 """
 
 from __future__ import annotations
@@ -186,6 +187,30 @@ def _spacings(rng: np.random.Generator, k: int, n: int, total) -> np.ndarray:
     return s
 
 
+def _chart_points(
+    y: Sequence[np.ndarray], turns: Sequence[np.ndarray], branch: np.ndarray, b: Sequence[float], phi_t: float
+) -> np.ndarray:
+    """The ``(rows, p + 1)`` chart points of slice points ``y`` and Haar turns on the angular subtorus.
+
+    ``y`` holds the ``p + 1`` slice coordinates ``y_i = b_i x_i``, so
+    ``|z_i| = e^{-x_i}``; ``turns`` the ``p`` free turns ``theta_1..theta_p``.
+    ``theta_0`` solves the angular relation ``sum b_i theta_i = arg t`` on
+    branch ``branch`` of its ``b_0`` (``phi_t`` is ``arg t`` in turns, and
+    branch ``b_0`` is branch 0 again).  Column-major, so each coordinate's
+    column is contiguous for the test functions.
+    """
+    z = np.empty((len(b), len(branch)), dtype=complex).T
+    turn0 = branch + phi_t
+    for i, turn in enumerate(turns, start=1):
+        turn0 -= b[i] * turn
+    turn0 /= b[0]
+    for i, turn in enumerate((turn0, *turns)):
+        modulus = y[i] * (-1.0 / b[i])  # e^{-x_i}
+        np.exp(modulus, out=modulus)
+        z[:, i] = _unit_phasor(turn, modulus)
+    return z
+
+
 def _sample_shard(
     chart: LocalChart,
     n: int,
@@ -252,17 +277,7 @@ def _sample_shard(
         weights = np.broadcast_to(weights, (n,))
         parts = []
         for block in _row_blocks(n):
-            rows = block.stop - block.start
-            # Column-major, so each coordinate's column is contiguous for h.
-            z = np.empty((p + 1, rows), dtype=complex).T
-            turns = [branch[block] + phi_t, *theta[block].T]
-            for i in range(1, p + 1):
-                turns[0] -= b[i] * turns[i]
-            turns[0] /= b[0]
-            for i in range(p + 1):
-                modulus = y[i][block] * (-1.0 / b[i])  # e^{-x_i}
-                np.exp(modulus, out=modulus)
-                z[:, i] = _unit_phasor(turns[i], modulus)
+            z = _chart_points([y[i][block] for i in range(p + 1)], theta[block].T, branch[block], b, phi_t)
             values = h(z)
             if np.iscomplexobj(values):
                 raise ValueError("h must return real values, not complex ones")
@@ -881,40 +896,56 @@ def _stacked(fs: Sequence[TrigPoly]) -> Callable[[np.ndarray], np.ndarray]:
     return lambda z: _trig_block(fs, z)
 
 
+def _lattice_estimate(
+    stacked: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    seed: int,
+    points: Callable[[np.ndarray], np.ndarray],
+    volume: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``volume`` times the mean of ``stacked`` over a randomized lattice rule, and its standard error.
+
+    The rule `lattice_rule` in ``dim`` dimensions is built once and moved by
+    `LATTICE_SHIFTS` random shifts (`lattice_points`) drawn from
+    ``default_rng(seed)``; ``points`` maps each shift's ``(LATTICE_N,
+    dim)`` points to the chart points, and one ``stacked`` call evaluates
+    every test function on them.  The estimate is ``volume`` times the mean
+    of the shift means, and its standard error their sample standard
+    deviation over ``sqrt(LATTICE_SHIFTS)``: one entry per row of
+    ``stacked``, each reduced as its one-function call reduces it.
+    """
+    rng = np.random.default_rng(seed)
+    rule = lattice_rule(dim)
+    means = np.stack(
+        [stacked(points(lattice_points(rule, rng))).mean(axis=1) for _ in range(LATTICE_SHIFTS)], axis=1
+    )
+    return means.mean(axis=1) * volume, means.std(axis=1, ddof=1) * (volume / math.sqrt(LATTICE_SHIFTS))
+
+
 def polar_full_check(fs: Sequence[TrigPoly], seed: int) -> list[PolarCheckResult]:
     """Check the polar factorization of the polydisc area measure for each ``f``.
 
     The unit polydisc ``D^k`` (``k`` the number of coordinates of ``fs[0]``)
-    is integrated by `LATTICE_SHIFTS` random shifts of the lattice rule
-    `lattice_points` in ``2 k`` dimensions, drawn from ``default_rng(seed)``:
-    coordinates ``(2 j, 2 j + 1)`` give disc ``j`` its radius and turns
-    through `_disc_points`.  The rule is built once and every shift moves
-    it.  The estimate is ``pi^k`` times the mean of the shift means, and its
-    standard error their sample standard deviation over
-    ``sqrt(LATTICE_SHIFTS)``.  The points serve every ``f``: each shift
-    takes one `_trig_block` call, so result ``j`` equals the call on
-    ``[fs[j]]`` with the same seed, and the results are not independent of
-    each other.  The closed-form side keeps only the diagonal terms (equal
-    holomorphic and antiholomorphic exponents), each contributing
-    ``prod_i pi / (a_i + 1)``.
+    is integrated by `_lattice_estimate` in ``2 k`` dimensions with volume
+    ``pi^k``: coordinates ``(2 j, 2 j + 1)`` give disc ``j`` its radius and
+    turns through `_disc_points`.  The points serve every ``f``, so result
+    ``j`` equals the call on ``[fs[j]]`` with the same seed, and the results
+    are not independent of each other.  The closed-form side keeps only the
+    diagonal terms (equal holomorphic and antiholomorphic exponents), each
+    contributing ``prod_i pi / (a_i + 1)``.
     """
     stacked = _stacked(fs)
     if any(e < 0 for f in fs for a_exp, b_exp, _ in f.terms for e in (*a_exp, *b_exp)):
         raise ValueError("full-polydisc check needs nonnegative exponents")
     k = len(fs[0].terms[0][0])
-    rng = np.random.default_rng(seed)
-    rule = lattice_rule(2 * k)
-    # One row per function, so each row reduces as its one-function call does.
-    means = np.empty((len(fs), LATTICE_SHIFTS))
-    for shift in range(LATTICE_SHIFTS):
-        u = lattice_points(rule, rng)
-        yt = np.empty((k, LATTICE_N), dtype=complex).T
+
+    def discs(u: np.ndarray) -> np.ndarray:
+        z = np.empty((k, LATTICE_N), dtype=complex).T
         for j in range(k):
-            yt[:, j] = _disc_points(u[:, 2 * j], u[:, 2 * j + 1])
-        means[:, shift] = stacked(yt).mean(axis=1)
-    volume = math.pi**k
-    mc = means.mean(axis=1) * volume
-    stderr = means.std(axis=1, ddof=1) * (volume / math.sqrt(LATTICE_SHIFTS))
+            z[:, j] = _disc_points(u[:, 2 * j], u[:, 2 * j + 1])
+        return z
+
+    mc, stderr = _lattice_estimate(stacked, 2 * k, seed, discs, math.pi**k)
 
     exact = []
     for f in fs:
@@ -958,28 +989,33 @@ def polar_fiber_check(
     b: Sequence[int],
     t: complex,
     fs: Sequence[TrigPoly],
-    n: int,
     seed: int,
 ) -> list[PolarCheckResult]:
     """Check the polar factorization of the fiber measure ``{prod z_i^{b_i} = t}`` for each ``f``.
 
-    The Monte-Carlo side is `sample_fiber_measure` on the unit-polydisc
-    chart with multiplicities ``b`` and exponents ``a = 0``, with
-    each ``f`` as ``h``: a lattice point of the slice, a Haar point of the
-    angular subtorus (``theta_0`` on a uniformly chosen one of the ``b_0``
-    branches), the unrescaled mass.  One sample serves every ``f``: result
-    ``j`` equals the call on ``[fs[j]]`` with the same seed.  A
-    one-coordinate chart is enumerated exactly instead.
+    The fiber lies on the unit-polydisc chart with multiplicities ``b`` and
+    exponents ``a = 0``.  Its measure is the slice ``{b_0 x_0 + b_1 x_1 =
+    L}``, ``L = log 1/|t|``, times Haar measure on the angular subtorus, of
+    total mass ``2 pi L / (b_0 b_1)``.  The Monte-Carlo side integrates it
+    by `_lattice_estimate` in 3 dimensions with that volume: coordinate 0
+    is the slice share ``U``, giving ``y = (L U, L (1 - U))``; coordinate 1
+    is the turn ``theta_1``; coordinate 2 picks the branch ``floor(b_0 u)``
+    of ``theta_0``.  `_chart_points` maps them to the chart, as it maps the
+    sampler's draws.  The points serve every ``f``, so result ``j`` equals
+    the call on ``[fs[j]]`` with the same seed.  A one-coordinate chart is
+    enumerated exactly instead, and one of more than two coordinates raises
+    `NotImplementedError`.
     The closed-form side keeps the terms whose exponent difference is an
     integer multiple ``s`` of ``b`` — the character integral over the
     angular subtorus — each contributing ``(2 pi)^p / gcd(b) * exp(2 pi i
-    s phi_t)`` times the slice integral of the modulus part; it handles at
-    most two coordinates.
+    s phi_t)`` times the slice integral of the modulus part.
     """
     stacked = _stacked(fs)
     chart = LocalChart(MonomialChartMetric(b, (0,) * len(b)), t)
     b, big_l = chart.metric.b, chart.log_inv_t
     k = len(b)
+    if k > 2:
+        raise NotImplementedError("the fiber check handles charts of at most two coordinates")
     phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
 
     b_sigma = math.gcd(*b)
@@ -1004,10 +1040,15 @@ def polar_fiber_check(
             PolarCheckResult(float(f(roots[:, None]) @ masses), 0.0, x, "fiber-polar")
             for f, x in zip(fs, exact)
         ]
-    res = sample_fiber_measure(chart, n, seed, h=stacked)
+
+    def fiber_points(u: np.ndarray) -> np.ndarray:
+        y0 = big_l * u[:, 0]
+        return _chart_points((y0, big_l - y0), (u[:, 1],), np.floor(b[0] * u[:, 2]), b, phi_t)
+
+    mc, stderr = _lattice_estimate(stacked, 3, seed, fiber_points, TWO_PI * big_l / (b[0] * b[1]))
     return [
-        PolarCheckResult(float(mc), float(se), x, "fiber-polar")
-        for mc, se, x in zip(res.mass_raw, res.stderr_raw, exact)
+        PolarCheckResult(float(m), float(se), x, "fiber-polar")
+        for m, se, x in zip(mc, stderr, exact)
     ]
 
 

@@ -226,6 +226,8 @@ SAMPLE_UNREAD = [
     ("sample-pencil", "--n"),
     ("sample-pencil", "--b"),
 ]
+# Both polar identities run on lattice rules of fixed size, so nothing sizes them.
+POLAR_UNREAD = [("polar-check", "--n-samples")]
 FLAG_FIELDS = {
     "--seed": ("seed", 1),
     "--threads": ("threads", 2),
@@ -234,6 +236,7 @@ FLAG_FIELDS = {
     "--bins": ("bins", 5),
     "--epsilon": ("epsilon", 0.2),
     "--b": ("b", (1, 1)),
+    "--n-samples": ("n_samples", 100),
 }
 # A value for each field that some row marks REQUIRED.
 REQUIRED_VALUES = {"model": "annulus", "m": 2, "t_schedule": (1e-3,), "seed": 1, "suite": "lattice"}
@@ -244,14 +247,14 @@ def subparser(command):
 
 
 class TestCommandTable:
-    @pytest.mark.parametrize("command, flag", UNREAD + SAMPLE_UNREAD)
+    @pytest.mark.parametrize("command, flag", UNREAD + SAMPLE_UNREAD + POLAR_UNREAD)
     def test_unread_flag_exits_two(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([command, flag, str(FLAG_FIELDS[flag][1])])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag", UNREAD + SAMPLE_UNREAD)
+    @pytest.mark.parametrize("command, flag", UNREAD + SAMPLE_UNREAD + POLAR_UNREAD)
     def test_unread_field_refused(self, command, flag):
         name, value = FLAG_FIELDS[flag]
         with pytest.raises(ConfigError, match=f"{command} does not read {flag}$"):
@@ -261,7 +264,7 @@ class TestCommandTable:
         "args",
         [
             ["hybrid-check", "--n", "10", "--seed", "1"],
-            ["polar-check", "--seed", "5", "--n-s", "2000", "--n-p", "2", "--tol", "0.5"],
+            ["polar-check", "--seed", "5", "--n-p", "2", "--tol", "0.5"],
             ["verify", "--suite", "regression", "--see", "0"],
             ["pushforward", "--preset", "annulus", "--n", "7", "--t", "1e-4", "--seed", "1"],
             ["sample", "--pre", "annulus", "--t", "1e-4", "--seed", "1"],
@@ -293,7 +296,6 @@ class TestCommandTable:
     def test_echo_holds_the_defaults_used(self):
         assert ExperimentConfig(command="polar-check", seed=5, outdir="x").echo() == {
             "command": "polar-check",
-            "n_samples": 1_000_000,
             "n_polys": 10,
             "tolerance": 0.01,
             "seed": 5,
@@ -490,7 +492,7 @@ class TestExitCodes:
         "args",
         [
             ["pushforward", "--b", "1,2", "--t", "1e-6", "--seed", "1", "--n-samples", "1000"],
-            ["polar-check", "--seed", "1", "--n-samples", "100"],
+            ["polar-check", "--seed", "1"],
             ["sample-pencil", "--preset", "coordinate_pencil", "--t", "1e-5", "--seed", "1"],
             ["fit-mass", "--preset", "annulus", "--t", "1e-2..1e-7", "--seed", "3"],
         ],
@@ -816,6 +818,26 @@ class TestSubcommands:
         assert "[pass] splitting-identity" in out
         assert "[pass] pushforward-identity" in out
 
+    @pytest.mark.parametrize(
+        "broken, failing",
+        [({"g": 2}, "splitting-identity"), ({"e_lattice_check": 0}, "lattice-index-consistency")],
+        ids=["splitting", "lattice-index"],
+    )
+    def test_base_change_verdicts_separate_their_faults(self, tmp_path, monkeypatch, broken, failing):
+        # One face with e * f * g != m fails the splitting identity alone; one
+        # whose lattice index differs from e fails the lattice-index check alone.
+        model_base_change = cli.model_base_change
+
+        def one_face_broken(model, m):
+            report = model_base_change(model, m)
+            (face, r), *rest = report.entries
+            return dataclasses.replace(report, entries=((face, dataclasses.replace(r, **broken)), *rest))
+
+        monkeypatch.setattr(cli, "model_base_change", one_face_broken)
+        config = ExperimentConfig(command="base-change", model="coordinate_pencil", m=3, outdir=str(tmp_path))
+        report = cli.run(config)
+        assert {v.name: v.discrepancy for v in report.verdicts if not v.passed} == {failing: 1.0}
+
     def test_sample_annulus_unit_mass(self, tmp_path, capsys):
         code, out, _ = run_cli(
             ["sample", "--preset", "annulus", "--t", "1e-3", "--seed", "1", "--n-samples", "1000"],
@@ -887,7 +909,7 @@ class TestSubcommands:
     def test_polar_check_small(self, tmp_path, capsys):
         code, out, _ = run_cli(
             [
-                "polar-check", "--n-samples", "40000", "--n-polys", "2",
+                "polar-check", "--n-polys", "2",
                 "--seed", "5", "--tolerance", "0.05",
             ],
             tmp_path,
@@ -1161,7 +1183,7 @@ class TestSuiteRegistry:
 
     @pytest.mark.parametrize(
         "suite, fields",
-        [("polar", {"n_samples": 100_000}), ("hybrid", {"n_polys": 200})],
+        [("polar", {}), ("hybrid", {"n_polys": 200})],
     )
     def test_suite_is_its_subcommand_runner(self, tmp_path, suite, fields):
         report = cli.run(

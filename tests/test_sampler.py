@@ -954,7 +954,7 @@ class TestTrigPoly:
         f = TrigPoly(self.POLYS["mixed"].terms)
         c = chart((1, 1), (0, 0), 1e-3)
         sample_fiber_measure(c, 3 * TRIG_BLOCK + 5, 0, h=f)
-        polar_fiber_check((1, 1), 1e-3, [f, f], 3 * TRIG_BLOCK + 5, 0)
+        polar_fiber_check((1, 1), 1e-3, [f, f], 0)
         assert len(calls) == 1
 
     def test_stacked_rows_equal_each_polynomial_alone(self):
@@ -1153,19 +1153,18 @@ class TestStackedH:
             assert {type(v) for v in (res.mass, res.stderr, res.mass_raw, res.stderr_raw)} == {float}
 
 
-def lattice_reference(fs, k, seed):
-    """`polar_full_check`'s estimates rebuilt from the rule in one pass.
-
-    Every shift's points at once, each disc by ``np.exp``, each term as its
-    own product of powers: ``(values, stderrs)`` over ``fs``.
-    """
+def shifted_rule(dim, seed):
+    """All `LATTICE_SHIFTS` shifts of the folded rule at once: ``(shifts, N, dim)``."""
     rng = np.random.default_rng(seed)
-    g = np.array([pow(LATTICE_A, j, LATTICE_N) for j in range(2 * k)])
+    g = np.array([pow(LATTICE_A, j, LATTICE_N) for j in range(dim)])
     rule = (np.arange(LATTICE_N)[:, None] * g % LATTICE_N) / LATTICE_N
-    shifts = np.stack([rng.random(2 * k) for _ in range(LATTICE_SHIFTS)])
+    shifts = np.stack([rng.random(dim) for _ in range(LATTICE_SHIFTS)])
     x = (rule[None] + shifts[:, None]) % 1.0
-    x = 1.0 - np.abs(2.0 * x - 1.0)
-    z = np.sqrt(x[..., 0::2]) * np.exp(2j * np.pi * x[..., 1::2])
+    return 1.0 - np.abs(2.0 * x - 1.0)
+
+
+def shift_estimates(fs, z, volume):
+    """``(values, stderrs)`` over ``fs`` from the ``(shifts, N, k)`` points ``z``, each term its own product of powers."""
 
     def monomial(a, b):
         return np.prod([z[..., i] ** ai * np.conj(z[..., i]) ** bi for i, (ai, bi) in enumerate(zip(a, b))], axis=0)
@@ -1173,10 +1172,34 @@ def lattice_reference(fs, k, seed):
     values, stderrs = [], []
     for f in fs:
         vals = sum(coeff * monomial(a, b) for a, b, coeff in f.terms).real
-        means = vals.mean(axis=1) * math.pi**k
+        means = vals.mean(axis=1) * volume
         values.append(means.mean())
         stderrs.append(means.std(ddof=1) / math.sqrt(LATTICE_SHIFTS))
     return values, stderrs
+
+
+def lattice_reference(fs, k, seed):
+    """`polar_full_check`'s estimates rebuilt from the rule in one pass, each disc by ``np.exp``."""
+    x = shifted_rule(2 * k, seed)
+    z = np.sqrt(x[..., 0::2]) * np.exp(2j * np.pi * x[..., 1::2])
+    return shift_estimates(fs, z, math.pi**k)
+
+
+def fiber_lattice_reference(fs, b, t, seed):
+    """`polar_fiber_check`'s estimates rebuilt from the rule in one pass.
+
+    The slice share, the turn of ``z_1`` and the branch of ``z_0`` are the
+    rule's three coordinates; both chart coordinates come from ``np.exp``.
+    """
+    x = shifted_rule(3, seed)
+    big_l = -math.log(abs(t))
+    share, turn1, branch = x[..., 0], x[..., 1], np.floor(b[0] * x[..., 2])
+    turn0 = (np.angle(t) / TWO_PI + branch - b[1] * turn1) / b[0]
+    z = np.stack(
+        [np.exp(2j * np.pi * turn0 - big_l * share / b[0]), np.exp(2j * np.pi * turn1 - big_l * (1 - share) / b[1])],
+        axis=-1,
+    )
+    return shift_estimates(fs, z, TWO_PI * big_l / (b[0] * b[1]))
 
 
 class TestLatticeRule:
@@ -1222,9 +1245,7 @@ class TestLatticeRule:
 
 
 class TestBlockedPolarChecks:
-    # Three full blocks and a short one, against unblocked np.exp references
-    # built from the same seeded draws (the fiber) or the same rule (the polydisc).
-    N = 3 * TRIG_BLOCK + 5
+    # Against unblocked np.exp references built from the same lattice rule.
     F = TrigPoly(
         (
             ((0, 0), (0, 0), 1.0 + 0j),
@@ -1257,12 +1278,10 @@ class TestBlockedPolarChecks:
     def test_fiber_check_matches_unblocked_reference(self, b):
         seed, t = 22, 1e-3 * np.exp(2.5j)
         f = TrigPoly(self.F.terms + ((b, (0, 0), 2.0 + 0j), ((0, 0), b, 2.0 + 0j)))
-        c = chart(b, (0, 0), t)
-        # The unrescaled fiber mass 2 pi L / (b_0 b_1), spread evenly.
-        vals = reference_values(c, self.N, seed, lambda z: f(z).real)
-        vals *= TWO_PI * c.log_inv_t / (b[0] * b[1])
-        res = polar_fiber_check(b, t, [f], self.N, seed)[0]
-        assert_same_estimate(res.mc_value, res.mc_stderr, vals)
+        (value,), (stderr,) = fiber_lattice_reference([f], b, t, seed)
+        res = polar_fiber_check(b, t, [f], seed)[0]
+        assert res.mc_value == pytest.approx(value, rel=1e-12)
+        assert res.mc_stderr == pytest.approx(stderr, rel=1e-8)
 
     # Two more real test functions, to share the draws of F.
     G = TrigPoly(
@@ -1285,22 +1304,19 @@ class TestBlockedPolarChecks:
     @pytest.mark.parametrize("b", [(1, 2), (2, 1), (3, 1)])
     def test_fiber_check_of_several_functions_matches_unblocked_references(self, b):
         seed, t, fs = 22, 1e-3 * np.exp(2.5j), (self.F, self.G, self.H)
-        c = chart(b, (0, 0), t)
-        results = polar_fiber_check(b, t, fs, self.N, seed)
+        results = polar_fiber_check(b, t, fs, seed)
         assert len(results) == len(fs)
-        for f, res in zip(fs, results):
-            vals = reference_values(c, self.N, seed, lambda z: f(z).real)
-            vals *= TWO_PI * c.log_inv_t / (b[0] * b[1])
-            assert_same_estimate(res.mc_value, res.mc_stderr, vals)
+        for res, value, stderr in zip(results, *fiber_lattice_reference(fs, b, t, seed)):
+            assert res.mc_value == pytest.approx(value, rel=1e-12)
+            assert res.mc_stderr == pytest.approx(stderr, rel=1e-8)
 
-    @pytest.mark.parametrize("n", [3 * TRIG_BLOCK + 5, CHUNK + 5])
-    def test_each_result_is_its_one_function_call(self, n):
+    def test_each_result_is_its_one_function_call(self):
         fs, t = (self.F, self.G, self.H), 1e-3 * np.exp(2.5j)
         full = polar_full_check(fs, 31)
-        fiber = polar_fiber_check((2, 1), t, fs, n, 32)
+        fiber = polar_fiber_check((2, 1), t, fs, 32)
         for j, f in enumerate(fs):
             assert full[j] == polar_full_check([f], 31)[0]
-            assert fiber[j] == polar_fiber_check((2, 1), t, [f], n, 32)[0]
+            assert fiber[j] == polar_fiber_check((2, 1), t, [f], 32)[0]
 
 
 class TestPolarChecks:
@@ -1331,7 +1347,7 @@ class TestPolarChecks:
     def test_fiber_point_case_exact(self):
         # One-coordinate chart b = 3: three fiber points of mass 1/9.
         f = TrigPoly((((0,), (0,), 1.0 + 0j),))
-        res = polar_fiber_check((3,), 1e-3, [f], 100, seed=0)[0]
+        res = polar_fiber_check((3,), 1e-3, [f], seed=0)[0]
         assert res.mc_stderr == 0.0
         assert res.mc_value == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert res.exact_value == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -1343,7 +1359,7 @@ class TestPolarChecks:
         t = 1e-3 * np.exp(1j * 1.1)
         c = 1.0 - 0.5j
         f = TrigPoly((((3,), (0,), c), ((0,), (3,), c.conjugate())))
-        res = polar_fiber_check((3,), t, [f], 100, seed=0)[0]
+        res = polar_fiber_check((3,), t, [f], seed=0)[0]
         expected = 2.0 * (c * t).real / 3.0
         assert res.mc_value == pytest.approx(expected, rel=1e-12)
         assert res.exact_value == pytest.approx(expected, rel=1e-12)
@@ -1354,7 +1370,7 @@ class TestPolarChecks:
         t = 1e-3 * np.exp(0.7j)
         c = 0.5 + 0.25j
         f = TrigPoly((((0,), (0,), 1.1 + 0j), ((2,), (0,), c), ((0,), (2,), c.conjugate())))
-        res = polar_fiber_check((2,), t, [f], 100, seed=0)[0]
+        res = polar_fiber_check((2,), t, [f], seed=0)[0]
         assert res.mc_stderr == 0.0
         expected = (1.1 + 2.0 * (c * t).real) / 2.0
         assert res.mc_value == pytest.approx(expected, rel=1e-12)
@@ -1363,14 +1379,14 @@ class TestPolarChecks:
 
     def test_fiber_point_case_offbranch_vanishes(self):
         f = TrigPoly((((1,), (0,), 1.0 + 0j), ((0,), (1,), 1.0 + 0j)))
-        res = polar_fiber_check((3,), 1e-3, [f], 100, seed=0)[0]
+        res = polar_fiber_check((3,), 1e-3, [f], seed=0)[0]
         assert res.exact_value == 0
         assert abs(res.mc_value) < 1e-15
 
     def test_fiber_annulus_modulus_squared(self):
         t = 1e-3
         f = TrigPoly((((1, 0), (1, 0), 1.0 + 0j),))
-        res = polar_fiber_check((1, 1), t, [f], 300_000, seed=5)[0]
+        res = polar_fiber_check((1, 1), t, [f], seed=5)[0]
         exact = math.pi * (1.0 - t * t)
         assert res.exact_value == pytest.approx(exact, rel=1e-12)
         assert res.sigmas < 4
@@ -1379,7 +1395,7 @@ class TestPolarChecks:
     def test_fiber_constant_total_mass(self):
         t = 1e-2
         f = TrigPoly((((0, 0), (0, 0), 1.0 + 0j),))
-        res = polar_fiber_check((1, 1), t, [f], 1000, seed=5)[0]
+        res = polar_fiber_check((1, 1), t, [f], seed=5)[0]
         assert res.mc_value == pytest.approx(TWO_PI * math.log(1.0 / t), rel=1e-12)
         assert res.mc_stderr == pytest.approx(0.0, abs=1e-9)
         assert res.abs_discrepancy < 1e-12 * abs(res.exact_value)
@@ -1390,10 +1406,10 @@ class TestPolarChecks:
         t = 1e-2 * np.exp(0.4j)
         c = 0.3 + 0.8j
         f = TrigPoly((((2, 2), (0, 0), c), ((0, 0), (2, 2), c.conjugate())))
-        res = polar_fiber_check((2, 2), t, [f], 200_000, seed=6)[0]
+        res = polar_fiber_check((2, 2), t, [f], seed=6)[0]
         # On the fiber z_0^2 z_1^2 = t identically, so both sides must give
         # 2 Re(c t) times the total mass.
-        total = polar_fiber_check((2, 2), t, [TrigPoly((((0, 0), (0, 0), 1.0),))], 10, seed=0)[0]
+        total = polar_fiber_check((2, 2), t, [TrigPoly((((0, 0), (0, 0), 1.0),))], seed=0)[0]
         expected = 2.0 * (c * t).real * total.exact_value
         assert res.exact_value == pytest.approx(expected, rel=1e-12)
         assert res.mc_value == pytest.approx(expected, rel=1e-9)
@@ -1405,7 +1421,7 @@ class TestPolarChecks:
         f = TrigPoly(
             (((1, 0), (0, 0), 1.0 + 0j), ((0, 0), (1, 0), 1.0 + 0j), ((0, 0), (0, 0), 1.0 + 0j))
         )
-        res = polar_fiber_check((2, 1), t, [f], 200_000, seed=7)[0]
+        res = polar_fiber_check((2, 1), t, [f], seed=7)[0]
         assert res.exact_value == pytest.approx(TWO_PI * -math.log(abs(t)) / 2.0, rel=1e-12)
         assert res.sigmas < 5
 
@@ -1424,7 +1440,7 @@ class TestPolarChecks:
         with pytest.raises(ValueError, match="at least one"):
             polar_full_check([], seed=0)
         with pytest.raises(ValueError, match="at least one"):
-            polar_fiber_check((1, 1), 1e-3, [], 100, seed=0)
+            polar_fiber_check((1, 1), 1e-3, [], seed=0)
 
     def test_runner_sees_the_disc_radial_law(self, monkeypatch):
         # Radius U in place of sqrt(U) puts too little mass near the rim; the
@@ -1435,19 +1451,35 @@ class TestPolarChecks:
         assert len(polydisc) == 10 and not any(v.passed for v in polydisc)
         assert all(v.passed for v in verdicts if "-polydisc-" not in v.name)
 
+    def test_runner_sees_the_fiber_branch(self, monkeypatch):
+        # With theta_0 fixed to its first branch, Re z_0 no longer cancels over
+        # the two branches of z_0^2 z_1 = t; some fiber verdict must see it.
+        chart_points = sampler._chart_points
+        monkeypatch.setattr(
+            sampler, "_chart_points", lambda y, turns, branch, b, phi_t: chart_points(y, turns, 0 * branch, b, phi_t)
+        )
+        verdicts = cli.SUITES["polar"](seed=0)
+        assert not all(v.passed for v in verdicts if "-fiber-" in v.name)
+        assert all(v.passed for v in verdicts if "-polydisc-" in v.name)
+
+    def test_fiber_of_three_coordinates_is_refused(self):
+        f = TrigPoly((((1, 0, 0), (1, 0, 0), 1.0 + 0j),))
+        with pytest.raises(NotImplementedError, match="at most two"):
+            polar_fiber_check((1, 1, 1), 1e-3, [f], seed=0)
+
     def test_runner_draws_the_test_functions_in_a_fixed_order(self, tmp_path):
         # The exact side of every polar-check row depends only on the test
         # functions, so a reordered draw of the runner's rng changes this digest.
-        cli.run(ExperimentConfig(command="polar-check", seed=5, n_samples=20_000, outdir=str(tmp_path)))
+        cli.run(ExperimentConfig(command="polar-check", seed=5, outdir=str(tmp_path)))
         with open(tmp_path / "polar-check-seed5.csv", newline="") as fh:
             column = "\n".join(row["exact_value"] for row in csv.DictReader(fh))
         assert hashlib.sha256(column.encode()).hexdigest() == (
             "c1d880c1f3495a547af1615e727e3c9fa9fa02dd2b6d404e2b727cbc433cdffc"
         )
 
-    # sha256 of the whole `polar-check --seed 5 --n-samples 20000` CSV.  Its
-    # Monte-Carlo columns pass through numpy's exp and power, whose last bits
-    # depend on the SIMD kernels numpy picks at run time.  numpy 2.4.6 on
+    # sha256 of the whole `polar-check --seed 5` CSV.  Its Monte-Carlo
+    # columns pass through numpy's exp and power, whose last bits depend on
+    # the SIMD kernels numpy picks at run time.  numpy 2.4.6 on
     # x86-64 dispatches to one of five kernel sets (the X86_V2 baseline,
     # X86_V3, X86_V4, AVX512_ICL, AVX512_SPR); each was selected in turn with
     # NPY_DISABLE_CPU_FEATURES on one AVX512_SPR machine.  The three AVX-512
@@ -1455,16 +1487,16 @@ class TestPolarChecks:
     # and other numpy versions or builds were not measured, so the test skips
     # there.
     POLAR_CSV_DIGESTS = {
-        "fc0d7010931ea7ac9e3e1c497e14ea5aab1725984a3691e1460b361dda811d3c",
-        "d6fe8b70953e8c73a60d6bd06db8e0675aa219f877de21f8f24fa5388f4c9596",
-        "cf90a526e2822fbb3342f1a7400a8ec69f63c282babe6136d99ad5f298032408",
+        "dc239ea46919c81dc3c4b44b1a89a1f9dda32a51cb0e28304dbd25bec7205aaa",
+        "82019e7f11614a5ac72fdf97e5761d950e341ffebcd8d811a7fd3b937234a4b7",
+        "07dd163c6ba6fcf7c2b85cd1e777c01df55df76e5812c445e689bbd716b859cb",
     }
 
     def test_runner_csv_bytes_are_pinned(self, tmp_path):
         # Every estimate keeps its bits: a change to the sampler or to the
         # test-function evaluator that moves one changes this digest.
         skip_unless_recorded_build()
-        cli.run(ExperimentConfig(command="polar-check", seed=5, n_samples=20_000, outdir=str(tmp_path)))
+        cli.run(ExperimentConfig(command="polar-check", seed=5, outdir=str(tmp_path)))
         digest = hashlib.sha256((tmp_path / "polar-check-seed5.csv").read_bytes()).hexdigest()
         assert digest in self.POLAR_CSV_DIGESTS
 
@@ -1481,7 +1513,7 @@ class TestPolarChecks:
             f = TrigPoly.random_hermitian(
                 rng, 2, max_degree=2, n_terms=3, allow_negative=True
             )
-            res = polar_fiber_check((1, 2), t, [f], 150_000, seed=trial)[0]
+            res = polar_fiber_check((1, 2), t, [f], seed=trial)[0]
             assert abs(res.mc_value - res.exact_value) < max(5 * res.mc_stderr, 1e-9), (
                 trial,
                 res,
@@ -1496,7 +1528,7 @@ class TestPolarChecks:
         for trial in range(5):
             f = TrigPoly.random_hermitian(rng, 2, max_degree=2, n_terms=3)
             f = TrigPoly(f.terms + (anchor,))
-            res = polar_fiber_check((1, 2), t, [f], 150_000, seed=trial)[0]
+            res = polar_fiber_check((1, 2), t, [f], seed=trial)[0]
             scale = max(abs(res.exact_value), 1.0)
             assert abs(res.mc_value - res.exact_value) < max(5 * res.mc_stderr, 1e-9)
             assert res.abs_discrepancy / scale < 0.01
