@@ -1310,13 +1310,15 @@ class TestBlockedPolarChecks:
             assert res.mc_value == pytest.approx(value, rel=1e-12)
             assert res.mc_stderr == pytest.approx(stderr, rel=1e-8)
 
-    def test_each_result_is_its_one_function_call(self):
+    # Two seeds, so two sets of shifts: the identity holds shift by shift.
+    @pytest.mark.parametrize("seed", [49157, 131077])
+    def test_each_result_is_its_one_function_call(self, seed):
         fs, t = (self.F, self.G, self.H), 1e-3 * np.exp(2.5j)
-        full = polar_full_check(fs, 31)
-        fiber = polar_fiber_check((2, 1), t, fs, 32)
+        full = polar_full_check(fs, seed)
+        fiber = polar_fiber_check((2, 1), t, fs, seed + 1)
         for j, f in enumerate(fs):
-            assert full[j] == polar_full_check([f], 31)[0]
-            assert fiber[j] == polar_fiber_check((2, 1), t, [f], 32)[0]
+            assert full[j] == polar_full_check([f], seed)[0]
+            assert fiber[j] == polar_fiber_check((2, 1), t, [f], seed + 1)[0]
 
 
 class TestPolarChecks:
