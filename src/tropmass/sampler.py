@@ -4,23 +4,16 @@ A local model is the unit polydisc with coordinates ``z_0, ..., z_p``
 carrying the relation ``prod z_i^{b_i} = t``.  In logarithmic polar
 coordinates the fiber measure factors into a lattice measure on the slice
 polytope ``{sum b_i x_i = log 1/|t|, x_i >= 0}`` and the Haar measure of the
-subtorus ``{sum b_i theta_i = arg t}``.  The samplers here draw from that
-factorization with exact density bookkeeping — slice points with the active
-coordinates uniform on the simplex of the slack the others leave (uniform
-spacings), torus points by solving the angular relation with a uniform branch
-choice — so every sample carries an unbiased weight for integrals against
-the rescaled measure.  Only a chart with two or more non-active coordinates
-rejects slice points.  Variances are accumulated as per-chunk means and
-centred second moments.  Without a test function ``h`` only the slice is
-drawn.  With one (a metric weight ``e^{2 phi}`` is one too), the angles are
-drawn as well, and the chart coordinates are built, evaluated and pooled one
-block of `TRIG_BLOCK` rows at a time, their angles from `_unit_phasor`, a
-table-driven ``e^{2 pi i u}`` within a few ulp of ``np.exp``.  A test
-function may return ``k`` rows, ``k`` functions on the same draws; the
-estimates then come as length-``k`` arrays, row ``j`` equal to the call with
-that function alone.  Kept samples are the normalized log coordinates the
-caller names, with their slice weights (so keeping takes no ``h``); each
-chunk writes its accepted rows once, straight into the returned arrays.
+subtorus ``{sum b_i theta_i = arg t}``.  The chart sampler estimates the
+rescaled mass from that factorization with exact density bookkeeping: it
+draws slice points, the active coordinates uniform on the simplex of the
+slack the others leave (uniform spacings), and counts the subtorus by its
+Haar volume, so every sample carries an unbiased weight.  Only a chart with
+two or more non-active coordinates rejects slice points.  Variances are
+accumulated as per-chunk means and centred second moments.  Kept samples
+are the normalized log coordinates the caller names, with their slice
+weights; each chunk writes its accepted rows once, straight into the
+returned arrays.
 
 The module also provides histogram pushforwards under the normalized log map
 (binned when the active face is an edge, the total mass otherwise) and
@@ -34,11 +27,12 @@ least-squares fit recovering the mass-asymptotics exponents.  Both
 identities integrate on a randomized lattice rule: 16 random shifts
 (`lattice_points`) of one Korobov rule with 8191 points (`lattice_rule`),
 whose spread gives the standard error.  The fiber identity's points reach
-the chart through `_chart_points`, the map the sampler's draws take.  Each
-identity evaluates all its test functions on the same points.  The test
-functions, `TrigPoly`, are real by construction and folded once;
-`_trig_block` evaluates ``k`` of them on a block, each power of each
-coordinate computed once.
+the chart through `_chart_points`, its angles from `_unit_phasor`, a
+table-driven ``e^{2 pi i u}`` within a few ulp of ``np.exp``.  Each identity
+evaluates all its test functions on the same points.  The test functions,
+`TrigPoly`, are real by construction and folded once; `_trig_block`
+evaluates ``k`` of them on a block, each power of each coordinate computed
+once.
 """
 
 from __future__ import annotations
@@ -81,13 +75,11 @@ class FiberSampleResult:
 
     ``mass`` estimates the rescaled measure (the one converging to the
     skeletal limit); ``mass_raw`` the unrescaled fiber mass.  The four
-    estimates are floats, or length-``k`` arrays for an ``h`` of ``k`` rows.
-    ``w`` is the ``(n_accepted, len(keep_samples))`` array of the kept
-    normalized log coordinates, column ``j`` the coordinate
-    ``keep_samples[j]`` (all ``p + 1`` of them sum to 1 against the
-    multiplicities), and ``weights`` their slice weights; both are ``None``
-    unless samples were kept, which no ``h`` allows.  The complex chart
-    coordinates are built only for an ``h`` and are not kept.
+    estimates are Python floats.  ``w`` is the ``(n_accepted,
+    len(keep_samples))`` array of the kept normalized log coordinates,
+    column ``j`` the coordinate ``keep_samples[j]`` (all ``p + 1`` of them
+    sum to 1 against the multiplicities), and ``weights`` their slice
+    weights; both are ``None`` unless samples were kept.
     """
 
     t: complex
@@ -111,8 +103,8 @@ class FiberSampleResult:
 # 1e5 samples of the ``--quick`` suites, so each of their calls is one chunk.
 CHUNK = 1 << 17
 
-# Rows that `sample_fiber_measure` hands at once to ``h``, and that `pencil`
-# solves at once: a few hundred kilobytes of temporaries.
+# Rows that `pencil` solves at once, and that `_bin_moments` and
+# `ks_statistic` read at once: a few hundred kilobytes of temporaries.
 TRIG_BLOCK = 1 << 14
 
 
@@ -137,22 +129,18 @@ def _map_shards(run: Callable[[int], object], jobs: int, threads: int) -> list:
 
 
 def _moments(x: np.ndarray) -> tuple[int, float, float]:
-    """``(count, mean, M2)`` along the last axis of ``x``, with ``M2 = sum (x - mean)^2``.
+    """``(count, mean, M2)`` of the 1-D array ``x``, with ``M2 = sum (x - mean)^2``.
 
     ``M2`` is taken in two passes.  The values are first shifted by one of
-    them, so a constant row has its own value as the mean and ``M2 = 0``
-    exactly.  Each row of a ``(k, rows)`` array gives the floats its own
-    one-row call gives, as arrays of length ``k``.
+    them, so a constant array has its own value as the mean and ``M2 = 0``
+    exactly.
     """
-    shift = x[..., :1]
+    shift = x[0]
     d = x - shift
-    dm = d.mean(axis=-1, keepdims=True)
+    dm = d.mean()
     d -= dm
     d *= d
-    mean, m2 = (shift + dm)[..., 0], d.sum(axis=-1)
-    if x.ndim == 1:
-        return x.size, float(mean), float(m2)
-    return x.shape[-1], mean, m2
+    return x.size, float(shift + dm), float(d.sum())
 
 
 def _merge_moments(parts: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:
@@ -197,7 +185,7 @@ def _chart_points(
     ``theta_0`` solves the angular relation ``sum b_i theta_i = arg t`` on
     branch ``branch`` of its ``b_0`` (``phi_t`` is ``arg t`` in turns, and
     branch ``b_0`` is branch 0 again).  Column-major, so each coordinate's
-    column is contiguous for the test functions.
+    column is contiguous for the test functions of `polar_fiber_check`.
     """
     z = np.empty((len(b), len(branch)), dtype=complex).T
     turn0 = branch + phi_t
@@ -215,7 +203,6 @@ def _sample_shard(
     chart: LocalChart,
     n: int,
     rng: np.random.Generator,
-    h: Callable | None,
     keep: Sequence[int],
     out: tuple[np.ndarray, np.ndarray] | None,
 ) -> dict:
@@ -262,30 +249,9 @@ def _sample_shard(
     weights = prefactor * np.exp(-log_decay)
     if k > 1:
         weights = weights * rest ** (k - 1) / math.factorial(k - 1)
-    if h is None:
-        if accept is not None:
-            weights = np.where(accept, weights, 0.0)
-        weights = np.broadcast_to(weights, (n,))
-        _, mean, m2 = _moments(weights)
-    else:
-        # The turns theta_1..theta_p are uniform and theta_0 solves the angular
-        # relation on a uniform one of its b_0 branches: exact Haar measure on
-        # the subtorus, and for p = 0 one of the b_0 points of the fiber.
-        phi_t = math.atan2(chart.t.imag, chart.t.real) / TWO_PI
-        theta = rng.random((n, p))
-        branch = rng.integers(0, m.b[0], size=n)
-        weights = np.broadcast_to(weights, (n,))
-        parts = []
-        for block in _row_blocks(n):
-            z = _chart_points([y[i][block] for i in range(p + 1)], theta[block].T, branch[block], b, phi_t)
-            values = h(z)
-            if np.iscomplexobj(values):
-                raise ValueError("h must return real values, not complex ones")
-            w = weights[block] * np.asarray(values, dtype=float)
-            if accept is not None:
-                w = np.where(accept[block], w, 0.0)
-            parts.append(_moments(w))
-        _, mean, m2 = _merge_moments(parts)
+    if accept is not None:
+        weights = np.where(accept, weights, 0.0)
+    _, mean, m2 = _moments(np.broadcast_to(weights, (n,)))
 
     n_accepted = n if accept is None else int(np.count_nonzero(accept))
     if keep:
@@ -304,38 +270,26 @@ def sample_fiber_measure(
     n: int,
     seed: int,
     *,
-    h: Callable | None = None,
     keep_samples: Sequence[int] = (),
     threads: int = 1,
 ) -> FiberSampleResult:
-    """Unbiased Monte-Carlo estimate of ``integral h d(mu_t)`` on a local chart.
+    """Unbiased Monte-Carlo estimate of the mass of ``mu_t`` on a local chart.
 
     ``mu_t`` is the fiber measure rescaled by ``lambda^d (2 pi)^{-d}
     |t|^{-2 kappa_min}``, with ``d`` the dimension of the chart's active face
-    and ``kappa_min`` its least slope.  ``h`` is an optional
-    real-valued function of the ``(rows, p + 1)`` complex chart coordinates,
-    called once per block of at most `TRIG_BLOCK` rows; a complex-valued
-    output raises `ValueError`.  A metric weight ``e^{2 phi}`` is an ``h``.
-    ``h`` returns ``(rows,)`` values, or ``(k, rows)`` for ``k`` test
-    functions on the same draws: ``mass``, ``stderr``, ``mass_raw`` and
-    ``stderr_raw`` are then length-``k`` float arrays (Python floats
-    otherwise), entry ``j`` bit-identical to the call with row ``j`` alone.
-    ``h = None`` estimates the total mass.  Sampling is
-    deterministic given ``n`` and ``seed``: the samples are drawn in chunks of
-    at most `CHUNK` with independently derived sub-seeds and merged in chunk
-    order, so ``threads`` changes only how many chunks run at once.
+    and ``kappa_min`` its least slope.  Sampling is deterministic given
+    ``n`` and ``seed``: the samples are drawn in chunks of at most `CHUNK`
+    with independently derived sub-seeds and merged in chunk order, so
+    ``threads`` changes only how many chunks run at once.
 
     ``keep_samples`` names the normalized log coordinates to keep, indices
     in ``0..p``; the accepted points then come back as ``w``, one column
     per index, with their slice weights.  Each chunk writes its accepted
     rows straight into these two arrays, so a kept point costs 8 bytes per
     index plus 8 for its weight, whatever ``threads`` is.  Keeping changes
-    only what is returned, never the estimate, and raises `ValueError`
-    with an ``h``.
+    only what is returned, never the estimate.
     """
     keep = tuple(keep_samples)
-    if keep and h is not None:
-        raise ValueError("keep_samples takes no h: the kept weights are the slice weights")
     p = chart.metric.p
     if any(not 0 <= i <= p for i in keep):
         raise ValueError(f"keep_samples indexes the {p + 1} log coordinates 0..{p}, not {keep}")
@@ -352,13 +306,11 @@ def sample_fiber_measure(
     def run(i: int) -> dict:
         rows = slice(starts[i], starts[i] + counts[i])
         out = (w[rows], weights[rows]) if keep else None
-        return _sample_shard(chart, counts[i], np.random.default_rng(seqs[i]), h, keep, out)
+        return _sample_shard(chart, counts[i], np.random.default_rng(seqs[i]), keep, out)
 
     parts = _map_shards(run, chunks, threads)
     _, mean, m2 = _merge_moments([(s["n"], s["mean"], s["m2"]) for s in parts])
-    stderr = np.sqrt(m2 / n) / math.sqrt(n)
-    if np.ndim(mean) == 0:
-        mean, stderr = float(mean), float(stderr)
+    stderr = math.sqrt(m2 / n) / math.sqrt(n)
     n_accepted = sum(s["n_accepted"] for s in parts)
     if keep and n_accepted < n:
         # Each chunk's accepted rows head its own rows: move them up behind
@@ -889,35 +841,35 @@ class PolarCheckResult:
         return sigmas(self.mc_value - self.exact_value, self.mc_stderr)
 
 
-def _stacked(fs: Sequence[TrigPoly]) -> Callable[[np.ndarray], np.ndarray]:
-    """The test functions as one ``h``: row ``j`` of its ``(k, rows)`` value is ``fs[j]``."""
+def _coordinate_counts(fs: Sequence[TrigPoly]) -> set[int]:
+    """The lengths of the exponent tuples of ``fs``; an empty ``fs`` raises `ValueError`."""
     if not fs:
         raise ValueError("the polar checks need at least one test function")
-    return lambda z: _trig_block(fs, z)
+    return {len(e) for f in fs for a_exp, b_exp, _ in f.terms for e in (a_exp, b_exp)}
 
 
 def _lattice_estimate(
-    stacked: Callable[[np.ndarray], np.ndarray],
+    fs: Sequence[TrigPoly],
     dim: int,
     seed: int,
     points: Callable[[np.ndarray], np.ndarray],
     volume: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``volume`` times the mean of ``stacked`` over a randomized lattice rule, and its standard error.
+    """``volume`` times the mean of each ``f`` over a randomized lattice rule, and its standard error.
 
     The rule `lattice_rule` in ``dim`` dimensions is built once and moved by
     `LATTICE_SHIFTS` random shifts (`lattice_points`) drawn from
     ``default_rng(seed)``; ``points`` maps each shift's ``(LATTICE_N,
-    dim)`` points to the chart points, and one ``stacked`` call evaluates
+    dim)`` points to the chart points, and one `_trig_block` call evaluates
     every test function on them.  The estimate is ``volume`` times the mean
     of the shift means, and its standard error their sample standard
-    deviation over ``sqrt(LATTICE_SHIFTS)``: one entry per row of
-    ``stacked``, each reduced as its one-function call reduces it.
+    deviation over ``sqrt(LATTICE_SHIFTS)``: one entry per ``f``, each
+    reduced as its one-function call reduces it.
     """
     rng = np.random.default_rng(seed)
     rule = lattice_rule(dim)
     means = np.stack(
-        [stacked(points(lattice_points(rule, rng))).mean(axis=1) for _ in range(LATTICE_SHIFTS)], axis=1
+        [_trig_block(fs, points(lattice_points(rule, rng))).mean(axis=1) for _ in range(LATTICE_SHIFTS)], axis=1
     )
     return means.mean(axis=1) * volume, means.std(axis=1, ddof=1) * (volume / math.sqrt(LATTICE_SHIFTS))
 
@@ -925,19 +877,23 @@ def _lattice_estimate(
 def polar_full_check(fs: Sequence[TrigPoly], seed: int) -> list[PolarCheckResult]:
     """Check the polar factorization of the polydisc area measure for each ``f``.
 
-    The unit polydisc ``D^k`` (``k`` the number of coordinates of ``fs[0]``)
-    is integrated by `_lattice_estimate` in ``2 k`` dimensions with volume
-    ``pi^k``: coordinates ``(2 j, 2 j + 1)`` give disc ``j`` its radius and
-    turns through `_disc_points`.  The points serve every ``f``, so result
-    ``j`` equals the call on ``[fs[j]]`` with the same seed, and the results
-    are not independent of each other.  The closed-form side keeps only the
-    diagonal terms (equal holomorphic and antiholomorphic exponents), each
-    contributing ``prod_i pi / (a_i + 1)``.
+    The unit polydisc ``D^k``, ``k`` the one length of every exponent tuple
+    of every ``f``, is integrated by `_lattice_estimate` in ``2 k``
+    dimensions with volume ``pi^k``: coordinates ``(2 j, 2 j + 1)`` give
+    disc ``j`` its radius and turns through `_disc_points`.  The points
+    serve every ``f``, so result ``j`` equals the call on ``[fs[j]]`` with
+    the same seed, and the results are not independent of each other.  The
+    closed-form side keeps only the diagonal terms (equal holomorphic and
+    antiholomorphic exponents), each contributing ``prod_i pi / (a_i + 1)``.
+    An empty ``fs``, exponents of several lengths or of none, and a
+    negative exponent raise `ValueError` before any evaluation.
     """
-    stacked = _stacked(fs)
+    counts = _coordinate_counts(fs)
+    if len(counts) != 1:
+        raise ValueError(f"the exponents of fs must share one length, the polydisc's dimension, not {sorted(counts)}")
     if any(e < 0 for f in fs for a_exp, b_exp, _ in f.terms for e in (*a_exp, *b_exp)):
         raise ValueError("full-polydisc check needs nonnegative exponents")
-    k = len(fs[0].terms[0][0])
+    (k,) = counts
 
     def discs(u: np.ndarray) -> np.ndarray:
         z = np.empty((k, LATTICE_N), dtype=complex).T
@@ -945,7 +901,7 @@ def polar_full_check(fs: Sequence[TrigPoly], seed: int) -> list[PolarCheckResult
             z[:, j] = _disc_points(u[:, 2 * j], u[:, 2 * j + 1])
         return z
 
-    mc, stderr = _lattice_estimate(stacked, 2 * k, seed, discs, math.pi**k)
+    mc, stderr = _lattice_estimate(fs, 2 * k, seed, discs, math.pi**k)
 
     exact = []
     for f in fs:
@@ -1000,17 +956,20 @@ def polar_fiber_check(
     by `_lattice_estimate` in 3 dimensions with that volume: coordinate 0
     is the slice share ``U``, giving ``y = (L U, L (1 - U))``; coordinate 1
     is the turn ``theta_1``; coordinate 2 picks the branch ``floor(b_0 u)``
-    of ``theta_0``.  `_chart_points` maps them to the chart, as it maps the
-    sampler's draws.  The points serve every ``f``, so result ``j`` equals
-    the call on ``[fs[j]]`` with the same seed.  A one-coordinate chart is
-    enumerated exactly instead, and one of more than two coordinates raises
-    `NotImplementedError`.
+    of ``theta_0``.  `_chart_points` maps them to the chart.  The points
+    serve every ``f``, so result ``j`` equals the call on ``[fs[j]]`` with
+    the same seed.  A one-coordinate chart is enumerated exactly instead,
+    and one of more than two coordinates raises `NotImplementedError`.  An
+    empty ``fs``, or an exponent tuple whose length is not ``len(b)``,
+    raises `ValueError` before any evaluation.
     The closed-form side keeps the terms whose exponent difference is an
     integer multiple ``s`` of ``b`` — the character integral over the
     angular subtorus — each contributing ``(2 pi)^p / gcd(b) * exp(2 pi i
     s phi_t)`` times the slice integral of the modulus part.
     """
-    stacked = _stacked(fs)
+    counts = _coordinate_counts(fs)
+    if counts - {len(b)}:
+        raise ValueError(f"the exponents of fs must have the chart's {len(b)} coordinates, not {sorted(counts)}")
     chart = LocalChart(MonomialChartMetric(b, (0,) * len(b)), t)
     b, big_l = chart.metric.b, chart.log_inv_t
     k = len(b)
@@ -1045,7 +1004,7 @@ def polar_fiber_check(
         y0 = big_l * u[:, 0]
         return _chart_points((y0, big_l - y0), (u[:, 1],), np.floor(b[0] * u[:, 2]), b, phi_t)
 
-    mc, stderr = _lattice_estimate(stacked, 3, seed, fiber_points, TWO_PI * big_l / (b[0] * b[1]))
+    mc, stderr = _lattice_estimate(fs, 3, seed, fiber_points, TWO_PI * big_l / (b[0] * b[1]))
     return [
         PolarCheckResult(float(m), float(se), x, "fiber-polar")
         for m, se, x in zip(mc, stderr, exact)

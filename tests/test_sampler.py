@@ -121,57 +121,11 @@ class TestFiberMass:
             assert (res.mass, res.stderr) == (1.0, 0.0)
             assert res.mass_raw / (TWO_PI * t * math.log(1.0 / t)) == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("b, t", [((3,), 1e-3), ((2,), 1e-4 * np.exp(2.1j))], ids=["real-t", "complex-t"])
-    def test_point_fiber_draws_are_the_enumerated_roots(self, b, t):
-        # A one-coordinate chart solves the angular relation like any other:
-        # each z_0 is one of the b_0 roots of z^b_0 = t, and every root is drawn.
-        c = chart(b, (0,), t)
-        drawn = []
-
-        def h(z):
-            drawn.append(z[:, 0].copy())
-            return np.ones(z.shape[0])
-
-        sample_fiber_measure(c, 2000, seed=3, h=h)
-        z = np.concatenate(drawn)
-        roots, _ = enumerate_point_fiber(c)
-        gap = np.abs(z[:, None] - roots[None, :]) / np.abs(roots)
-        assert gap.min(axis=1).max() < 1e-15
-        assert set(gap.argmin(axis=1)) == set(range(b[0]))
-
-    def test_metric_weight_function_enters_squared(self):
-        # A metric weight e^{2 phi} is passed as h.
-        base = chart((1, 1), (0, 0), 1e-3)
-        r0 = sample_fiber_measure(base, 500, seed=9)
-        r1 = sample_fiber_measure(base, 500, seed=9, h=lambda z: np.exp(2.0 * np.full(z.shape[0], 0.3)))
-        assert r1.mass == pytest.approx(math.exp(0.6) * r0.mass, rel=1e-12)
-
-    def test_keep_samples_takes_no_h(self):
-        def h(z):
-            raise AssertionError("h was called")
-
-        c = chart((1, 1, 1), (0, 1, 1), 1e-3)
-        for one in (h, stacked_h(h, h)):
-            with pytest.raises(ValueError, match="keep_samples"):
-                sample_fiber_measure(c, 100, 0, h=one, keep_samples=(1,))
-
     def test_keep_samples_indexes_the_log_coordinates(self):
         c = chart((1, 1, 1), (0, 1, 1), 1e-3)
         for keep in ((3,), (0, -1)):
             with pytest.raises(ValueError, match="keep_samples indexes the 3 log coordinates"):
                 sample_fiber_measure(c, 100, 0, keep_samples=keep)
-
-    def test_custom_h_monomial(self):
-        # h = |z_0|^2 on the annulus fiber gives the closed form
-        # lambda * (1 - |t|^2) / 2 after rescaling.
-        t = 1e-3
-        c = chart((1, 1), (0, 0), t)
-        res = sample_fiber_measure(
-            c, 400_000, seed=21, h=lambda z: np.abs(z[:, 0]) ** 2
-        )
-        exact = c.lam * (1.0 - t * t) / 2.0
-        assert abs(res.mass - exact) < 4 * res.stderr
-        assert res.mass == pytest.approx(exact, rel=0.02)
 
     def test_phase_invariance_of_mass(self):
         r_pos = sample_fiber_measure(chart((2, 3), (0, 0), 1e-3), 5000, seed=4)
@@ -194,12 +148,17 @@ class TestFiberMass:
         one = sample_fiber_measure(c, 10_000, seed=42)
         assert abs(runs[0].mass - one.mass) < 4 * (runs[0].stderr + one.stderr)
 
+    @pytest.mark.parametrize("b, a", [((1, 1, 1), (0, 0, 1)), ((1, 1, 1), (0, 1, 1))], ids=["accepting", "rejecting"])
+    def test_estimates_are_python_floats(self, b, a):
+        res = sample_fiber_measure(chart(b, a, 1e-3), 100, 0)
+        assert {type(v) for v in (res.mass, res.stderr, res.mass_raw, res.stderr_raw)} == {float}
+
     def test_single_chunk_is_the_first_child_stream(self):
         c = chart((1, 2), (0, 1), 1e-3)
         res = sample_fiber_measure(c, CHUNK, seed=9, keep_samples=(0, 1))
         rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
         w, weights = np.empty((CHUNK, 2)), np.empty(CHUNK)
-        part = _sample_shard(c, CHUNK, rng, None, (0, 1), (w, weights))
+        part = _sample_shard(c, CHUNK, rng, (0, 1), (w, weights))
         assert res.mass == part["mean"] and part["n_accepted"] == CHUNK
         np.testing.assert_array_equal(res.weights, weights)
         np.testing.assert_array_equal(res.w, w)
@@ -368,18 +327,6 @@ class TestStableVariance:
             res = sample_fiber_measure(chart(b, (0,) * len(b), 1e-5), 3 * CHUNK + 5, seed=1)
             assert res.stderr == 0.0
             assert res.mass == pytest.approx(float(simplex_volume(b) / math.gcd(*b)), rel=1e-12)
-
-    def test_large_common_offset_matches_two_pass_std(self):
-        # h = 1e8 + |z_0|^2: sum w^2 / n - mean^2 would lose every digit.
-        c = chart((1, 1), (0, 0), 1e-3)
-        n, h = 2 * CHUNK + 3, lambda z: 1e8 + np.abs(z[:, 0]) ** 2
-        res = sample_fiber_measure(c, n, seed=6, h=h)
-        # The slice weight is constant on this chart: the unweighted mass, exactly.
-        unit = sample_fiber_measure(c, n, seed=6)
-        assert res.accept_rate == 1.0 and unit.stderr == 0.0
-        vals = unit.mass * reference_values(c, n, 6, h)
-        assert res.stderr == pytest.approx(np.std(vals) / math.sqrt(n), rel=1e-6)
-        assert res.mass == pytest.approx(np.mean(vals), rel=1e-14)
 
     def test_merged_moments_match_the_pooled_sample(self):
         rng = np.random.default_rng(8)
@@ -662,7 +609,7 @@ def reference_kept(c, n, seed, keep):
     w, weights = [], []
     for count, seq in zip(_shard_counts(n, chunks), np.random.SeedSequence(seed).spawn(chunks)):
         out = (np.empty((count, len(keep))), np.empty(count))
-        k = _sample_shard(c, count, np.random.default_rng(seq), None, keep, out)["n_accepted"]
+        k = _sample_shard(c, count, np.random.default_rng(seq), keep, out)["n_accepted"]
         w.append(out[0][:k])
         weights.append(out[1][:k])
     return np.concatenate(w), np.concatenate(weights)
@@ -952,8 +899,7 @@ class TestTrigPoly:
         fold = sampler._fold_conjugate_pairs
         monkeypatch.setattr(sampler, "_fold_conjugate_pairs", lambda terms: calls.append(1) or fold(terms))
         f = TrigPoly(self.POLYS["mixed"].terms)
-        c = chart((1, 1), (0, 0), 1e-3)
-        sample_fiber_measure(c, 3 * TRIG_BLOCK + 5, 0, h=f)
+        polar_full_check([f], 0)
         polar_fiber_check((1, 1), 1e-3, [f, f], 0)
         assert len(calls) == 1
 
@@ -1008,149 +954,6 @@ class TestUnitPhasor:
         u = np.random.default_rng(2).integers(0, 1 << 20, size=10_000) / float(1 << 20)
         for m in (-3, -1, 1, 2):
             np.testing.assert_array_equal(_unit_phasor(u + m, 1.5), _unit_phasor(u, 1.5))
-
-
-def reference_values(chart, n, seed, h=None):
-    """Per-sample ``h``, drawn as `sample_fiber_measure` draws.
-
-    Built unblocked, with ``np.exp``, for charts with ``a = 0`` (constant
-    slice weights) and at most three coordinates.
-    """
-    m = chart.metric
-    p, b = m.p, np.array(m.b, dtype=float)
-    slack = chart.log_inv_t
-    phi_t = np.angle(chart.t) / TWO_PI
-    chunks = -(-n // CHUNK)
-    base, extra = divmod(n, chunks)
-    vals = []
-    for i, seq in enumerate(np.random.SeedSequence(seed).spawn(chunks)):
-        rng = np.random.default_rng(seq)
-        c = base + (i < extra)
-        if p == 0:
-            y = np.full((1, c), slack)
-        elif p == 1:
-            y0 = slack * rng.uniform(size=c)
-            y = np.stack([y0, slack - y0])
-        else:
-            y = rng.standard_exponential((p + 1, c))
-            y *= slack / y.sum(axis=0)
-        x = y / b[:, None]
-        theta = rng.uniform(size=(c, p))
-        branch = rng.integers(0, m.b[0], size=c)
-        theta0 = (phi_t - theta @ b[1:] + branch) / b[0]
-        z = np.exp(2j * np.pi * np.column_stack([theta0, theta]) - x.T)
-        vals.append(np.ones(c) if h is None else h(z))
-    return np.concatenate(vals)
-
-
-def root_h(z):
-    return z[:, 0].real + (z[:, 0] ** 2).imag
-
-
-def branch_h(z):
-    return z[:, 0].real + np.abs(z[:, 1]) ** 2 + (z[:, 0] * z[:, 1]).imag
-
-
-def log_weight(z):
-    return 0.2 * (z[:, 1] * z[:, 2]).imag + 0.1 * z[:, 0].real
-
-
-def metric_weighted(f=None):
-    """``f`` times the metric weight ``exp(2 log_weight)``, as one ``h``."""
-    if f is None:
-        return lambda z: np.exp(2.0 * log_weight(z))
-    return lambda z: f(z) * np.exp(2.0 * log_weight(z))
-
-
-def assert_same_estimate(mean, stderr, vals):
-    assert mean == pytest.approx(vals.mean(), rel=1e-12)
-    assert stderr == pytest.approx(vals.std() / math.sqrt(vals.size), rel=1e-9)
-
-
-class TestBlockedHPath:
-    """``h`` is evaluated one `TRIG_BLOCK`-row block at a time."""
-
-    # (b, a, t, h) per case.
-    CASES = {
-        "p0-b3": ((3,), (0,), 0.3 * np.exp(1.0j), root_h),
-        "b21": ((2, 1), (0, 0), 1e-3 * np.exp(2.5j), branch_h),
-        "p2-weight-fn": ((1, 1, 1), (0, 0, 0), 1e-3 * np.exp(-0.7j), metric_weighted()),
-    }
-
-    @pytest.mark.parametrize("n", [3 * TRIG_BLOCK + 5, CHUNK + 5])
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_unblocked_reference(self, case, n):
-        b, a, t, h = self.CASES[case]
-        c = chart(b, a, t)
-        seed = 21
-        res = sample_fiber_measure(c, n, seed, h=h)
-        # The slice weight is constant on these charts: the unweighted mass, exactly.
-        unit = sample_fiber_measure(c, n, seed)
-        assert unit.stderr == 0.0
-        assert_same_estimate(res.mass, res.stderr, unit.mass * reference_values(c, n, seed, h))
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_threads_change_nothing(self, case):
-        b, a, t, h = self.CASES[case]
-        c = chart(b, a, t)
-        one, two = (sample_fiber_measure(c, 2 * CHUNK + 3, 5, h=h, threads=k) for k in (1, 2))
-        assert (two.mass, two.stderr) == (one.mass, one.stderr)
-
-    def test_complex_h_or_weight_is_rejected(self):
-        c = chart((1, 1), (0, 0), 1e-3)
-        with pytest.raises(ValueError, match="real"):
-            sample_fiber_measure(c, 100, 0, h=lambda z: 1j * np.ones(len(z)))
-
-
-def stacked_h(*hs):
-    """An ``h`` whose row ``j`` is ``hs[j]``."""
-    return lambda z: np.stack([h(z) for h in hs])
-
-
-class TestStackedH:
-    """An ``h`` of ``k`` rows gives ``k`` estimates from one set of draws."""
-
-    # (chart, test functions): a point fiber, a metric weight, and two
-    # non-active coordinates, whose accept mask broadcasts over the rows.
-    CASES = {
-        "p0-b3": (
-            chart((3,), (0,), 0.3 * np.exp(1.0j)),
-            (root_h, lambda z: z[:, 0].imag, lambda z: (z[:, 0] ** 2).real),
-        ),
-        "p2-weight-fn": (
-            chart((1, 1, 1), (0, 0, 0), 1e-3 * np.exp(-0.7j)),
-            tuple(map(metric_weighted, (branch_h, lambda z: np.abs(z[:, 2]) ** 2, lambda z: np.ones(len(z))))),
-        ),
-        "two-non-active": (
-            chart((1, 1, 1), (0, 1, 1), 1e-3),
-            (branch_h, lambda z: (z[:, 1] * np.conj(z[:, 2])).real, lambda z: np.ones(len(z))),
-        ),
-    }
-
-    @pytest.mark.parametrize("n", [3 * TRIG_BLOCK + 5, CHUNK + 5])
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_rows_equal_separate_calls(self, case, n):
-        c, hs = self.CASES[case]
-        res = sample_fiber_measure(c, n, 8, h=stacked_h(*hs))
-        assert res.mass.shape == res.stderr.shape == res.mass_raw.shape == (len(hs),)
-        for j, h in enumerate(hs):
-            one = sample_fiber_measure(c, n, 8, h=h)
-            estimates = (res.mass[j], res.stderr[j], res.mass_raw[j], res.stderr_raw[j])
-            assert estimates == (one.mass, one.stderr, one.mass_raw, one.stderr_raw)
-            assert res.n_accepted == one.n_accepted
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_threads_change_nothing(self, case):
-        c, hs = self.CASES[case]
-        one, two = (sample_fiber_measure(c, 2 * CHUNK + 3, 5, h=stacked_h(*hs), threads=k) for k in (1, 2))
-        np.testing.assert_array_equal(two.mass, one.mass)
-        np.testing.assert_array_equal(two.stderr, one.stderr)
-
-    def test_one_row_h_gives_python_floats(self):
-        c, hs = self.CASES["two-non-active"]
-        for h in (None, hs[0]):
-            res = sample_fiber_measure(c, 100, 0, h=h)
-            assert {type(v) for v in (res.mass, res.stderr, res.mass_raw, res.stderr_raw)} == {float}
 
 
 def shifted_rule(dim, seed):
@@ -1443,6 +1246,26 @@ class TestPolarChecks:
             polar_full_check([], seed=0)
         with pytest.raises(ValueError, match="at least one"):
             polar_fiber_check((1, 1), 1e-3, [], seed=0)
+
+    # One term on one coordinate, and the same term on two.
+    F1 = TrigPoly((((1,), (1,), 1 + 0j),))
+    F2 = TrigPoly((((1, 1), (1, 1), 1 + 0j),))
+
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            (polar_full_check, ([F2, F1],)),
+            (polar_full_check, ([F1, F2],)),
+            (polar_fiber_check, ((1, 2), 1e-3, [F1])),
+            (polar_full_check, ([TrigPoly(())],)),
+        ],
+        ids=["full-longer-first", "full-shorter-first", "fiber-too-short", "full-no-term"],
+    )
+    def test_exponents_must_match_the_coordinate_count(self, monkeypatch, check, args):
+        # Refused before any evaluation, not compared or indexed out of range.
+        monkeypatch.setattr(sampler, "_trig_block", lambda fs, z: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match="exponents of fs"):
+            check(*args, 0)
 
     def test_runner_sees_the_disc_radial_law(self, monkeypatch):
         # Radius U in place of sqrt(U) puts too little mass near the rim; the
