@@ -82,7 +82,7 @@ from .model import (
     simplex_model,
     weight_data,
 )
-from .pencil import HypersurfacePencil, PatchEstimate, PencilError, elliptic_lattice_covolume, sample_pencil
+from .pencil import HypersurfacePencil, PencilError, PencilSampleResult, elliptic_lattice_covolume, sample_pencil
 from .sampler import (
     FiberSampleResult,
     LocalChart,
@@ -558,10 +558,9 @@ def _sweep(
     return [sample_fiber_measure(LocalChart(metric, t), n, seed, threads=threads) for t in ts]
 
 
-def _edge_verdicts(
-    patches: Sequence[PatchEstimate], equal_name: str, ks_prefix: str, ks_limit: float
-) -> list[CheckVerdict]:
+def _edge_verdicts(res: PencilSampleResult, equal_name: str, ks_prefix: str, ks_limit: float) -> list[CheckVerdict]:
     """Equal masses on the tropical edges (worst pairwise gap) and a uniform density on each."""
+    patches = res.patches
     worst = max(
         (
             sigmas(p.mass_raw - q.mass_raw, math.hypot(p.stderr_raw, q.stderr_raw))
@@ -573,7 +572,9 @@ def _edge_verdicts(
         stat_check(
             equal_name,
             worst,
-            f"worst pairwise gap {worst:.2f} standard errors across {len(patches)} edges",
+            f"worst pairwise gap {worst:.2f} standard errors across {len(patches)} edges; each route's "
+            f"standard error is the spread of its {res.shifts} lattice shift means "
+            f"({res.shifts - 1} degrees of freedom)",
         )
     ]
     for p in patches:
@@ -740,15 +741,20 @@ def _run_sample_pencil(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     artifacts: dict[str, object] = {f"{name}.csv": rows}
     if hist_rows:
         artifacts[f"{name}-hist.csv"] = hist_rows
+    layout = ("n_samples", "rule_points", "shifts", "n_failures")
+    artifacts[f"{name}.json"] = {key: getattr(res, key) for key in layout}
 
     verdicts = [
-        exact_check("no-root-failures", res.n_failures, f"{res.n_failures} failed fiber solves")
+        exact_check(
+            "no-root-failures",
+            res.n_failures,
+            f"{res.n_failures} failed fiber solves in {res.n_samples} evaluations "
+            f"({res.shifts} shifts of a {res.rule_points}-point lattice rule per route)",
+        )
     ]
     if pen.has_tropical_edges:
         patches = res.patches
-        verdicts += _edge_verdicts(
-            patches, "edge-masses-pairwise-equal", "edge-uniformity-ks", cfg.tolerance
-        )
+        verdicts += _edge_verdicts(res, "edge-masses-pairwise-equal", "edge-uniformity-ks", cfg.tolerance)
         finite_t = math.log(1.0 / (t * pen.epsilon)) / math.log(1.0 / t)
         for p in patches:
             sig = sigmas(p.mass - finite_t, p.stderr)
@@ -1219,11 +1225,15 @@ def suite_base_change(seed: int = 0, quick: bool = False, threads: int = 1) -> l
 
 
 def suite_pencil(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
-    """Triangle degeneration at desk scale: equal edges, uniform edges, constant residues."""
+    """Triangle degeneration at desk scale: equal edges, uniform edges, constant residues.
+
+    The budgets give 16 shifts of the Fibonacci rules of 2584 points
+    (248,064 evaluations) and, when ``quick``, 987 points (94,752).
+    """
     pen = HypersurfacePencil.coordinate()
-    n = 100_000 if quick else 1_000_000
+    n = 100_000 if quick else 250_000
     res = sample_pencil(pen, 1e-5, n, seed, bins=25, threads=threads)
-    verdicts = _edge_verdicts(res.patches, "pencil-edge-masses-equal", "pencil-edge-ks", 0.02)
+    verdicts = _edge_verdicts(res, "pencil-edge-masses-equal", "pencil-edge-ks", 0.02)
     sk = TriangulatedSkeleton.from_dual_complex(build_dual_complex(coordinate_pencil(2)))
     verdicts.append(_residue_verdict(sk, "E0&E1", 1.0, "pencil-residue-propagation-constant")[0])
     return verdicts
@@ -1356,7 +1366,10 @@ COMMANDS: dict[str, Command] = {
         model=REQUIRED, t_schedule=REQUIRED, n_samples=100_000, bins=20, epsilon=0.1, tolerance=0.02,
         seed=REQUIRED, threads=1), own_flags={"model": {"--preset": {
             "metavar": "NAME", "choices": HypersurfacePencil.PRESETS,
-            "help": f"pencil preset: {list(HypersurfacePencil.PRESETS)}"}}}),
+            "help": f"pencil preset: {list(HypersurfacePencil.PRESETS)}"}},
+        "n_samples": {"--n-samples": {"type": int, "metavar": "N", "help": (
+            "evaluation budget, at least 96: 6 routes x 16 shifts of the largest Fibonacci "
+            "lattice rule of at most N / 96 points")}}}),
     "pushforward": Command(_run_pushforward, "histogram of the tropical image", dict(
         model=None, b=None, a=None, t_schedule=REQUIRED, n_samples=100_000, bins=50, tolerance=0.02,
         seed=REQUIRED, threads=1)),

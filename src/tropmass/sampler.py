@@ -32,7 +32,8 @@ table-driven ``e^{2 pi i u}`` within a few ulp of ``np.exp``.  Each identity
 evaluates all its test functions on the same points.  The test functions,
 `TrigPoly`, are real by construction and folded once; `_trig_block`
 evaluates ``k`` of them on a block, each power of each coordinate computed
-once.
+once.  The pencil's routes integrate on random shifts of a 2-D Fibonacci
+rule (`fibonacci_rule`, `fibonacci_points`).
 """
 
 from __future__ import annotations
@@ -641,6 +642,48 @@ def lattice_points(rule: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     np.abs(x, out=x)
     np.subtract(1.0, x, out=x)
     return x.T
+
+
+def fibonacci_rule(n_max: int) -> tuple[int, int]:
+    """The largest 2-D Fibonacci rule of at most ``n_max`` points: ``(N, g) = (F_k, F_{k-1})``.
+
+    Its points ``(j / N, j g / N mod 1)``, ``j < N``, form the classical good
+    two-dimensional rank-1 lattice (Niederreiter, *Random Number Generation
+    and Quasi-Monte Carlo Methods*, 1992, ch. 5), which needs no search.
+    The smallest rule has one point.
+
+    >>> fibonacci_rule(2600)
+    (2584, 1597)
+    """
+    if n_max < 1:
+        raise ValueError("a Fibonacci rule has at least one point")
+    g, n = 1, 1
+    while g + n <= n_max:
+        g, n = n, g + n
+    return n, g
+
+
+def fibonacci_points(
+    rule: tuple[int, int], shifts: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``rows`` of the ``rule`` stacked over its random ``shifts``: each row's shift and point.
+
+    Row ``i`` is point ``j = i mod N`` of shift ``s = i // N``, moved by
+    ``shifts[s]`` modulo 1 (Cranley and Patterson, 1976), with no tent
+    transform.  Returns ``s`` and the two coordinates, each uniform on
+    ``[0, 1)``; the points of one shift are independent of those of another.
+    """
+    n, g = rule
+    shift, j = np.divmod(rows, n)
+    x = j / n
+    x += shifts[shift, 0]
+    x -= np.floor(x)
+    j *= g
+    j %= n
+    y = j / n
+    y += shifts[shift, 1]
+    y -= np.floor(y)
+    return shift, x, y
 
 
 # ---------------------------------------------------------------------------

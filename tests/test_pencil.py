@@ -12,7 +12,6 @@ from tropmass import pencil
 from tropmass.measure import TWO_PI, assemble_limit_measure
 from tropmass.model import coordinate_pencil as coordinate_pencil_model
 from tropmass.pencil import (
-    _STRATA,
     RESIDUAL_TOLERANCE,
     HypersurfacePencil,
     PencilError,
@@ -22,10 +21,11 @@ from tropmass.pencil import (
     _patch_roots,
     _polished_roots,
     _rouche_rows,
+    _route_blocks,
     _sample_patch_route,
     sample_pencil,
 )
-from tropmass.sampler import TRIG_BLOCK, _moments, _shard_counts, fit_mass_asymptotics
+from tropmass.sampler import LATTICE_SHIFTS, TRIG_BLOCK, fibonacci_rule, fit_mass_asymptotics
 
 
 class TestPencilConfig:
@@ -98,8 +98,20 @@ class TestPencilConfig:
             sample_pencil(HypersurfacePencil.coordinate(), 1e-3, 10, seed=0)
 
     def test_sample_count_floor_is_a_pencil_error(self):
+        # The smallest layout is 6 routes x 16 shifts of a one-point rule.
         with pytest.raises(PencilError, match="sample count"):
-            sample_pencil(HypersurfacePencil.fermat(), 1e-3, 6 * _STRATA - 1, seed=0)
+            sample_pencil(HypersurfacePencil.fermat(), 1e-3, 6 * LATTICE_SHIFTS - 1, seed=0)
+
+    @pytest.mark.parametrize("shards", [0, LATTICE_SHIFTS + 1])
+    def test_a_shard_holds_at_least_one_shift(self, shards):
+        with pytest.raises(PencilError, match="shards"):
+            sample_pencil(HypersurfacePencil.coordinate(), 1e-3, 6000, seed=0, shards=shards)
+
+    @pytest.mark.parametrize("n, rule_points", [(96, 1), (191, 1), (192, 2), (6000, 55)])
+    def test_n_samples_counts_the_evaluations_used(self, n, rule_points):
+        # The budget buys the largest Fibonacci rule that fits 6 x 16 times.
+        res = sample_pencil(HypersurfacePencil.fermat(), 1e-3, n, seed=0)
+        assert (res.n_samples, res.rule_points, res.shifts) == (96 * rule_points, rule_points, LATTICE_SHIFTS)
 
 
 class TestResidueFormGluing:
@@ -422,15 +434,23 @@ def reference_roots(a, b, u):
     return v, relative_residual(a, b, u, v) <= RESIDUAL_TOLERANCE
 
 
-def reference_route(a, b, m, r_lo, log_scale, rng):
-    """`_sample_patch_route` as one unblocked pass over full ``(m, 3)`` arrays."""
-    strata = np.repeat(np.arange(_STRATA), _shard_counts(m, _STRATA))
-    quantile = (strata + rng.uniform(size=m)) / _STRATA
+def lattice_rows(rule, shifts):
+    """Every ``(quantile, turn)`` of the shifted ``rule`` at once, shift by shift, in row order."""
+    n, g = rule
+    j = np.arange(n)
+    quantile = (j / n + shifts[:, :1]) % 1.0
+    turn = ((j * g % n) / n + shifts[:, 1:]) % 1.0
+    return quantile.ravel(), turn.ravel()
+
+
+def reference_route(a, b, rule, shifts, r_lo, log_scale):
+    """`_sample_patch_route` as one unblocked pass over full ``(rows, 3)`` arrays."""
+    quantile, turn = lattice_rows(rule, shifts)
     if log_scale:
         rad = np.exp(-quantile * math.log(1.0 / r_lo))
     else:
         rad = np.sqrt(r_lo**2 + quantile * (1.0 - r_lo**2))
-    u = rad * np.exp(1j * TWO_PI * rng.uniform(size=m))
+    u = rad * np.exp(1j * TWO_PI * turn)
     v, residual_ok = reference_roots(a, b, u)
     uu = u[:, None]
     in_region = np.abs(v) <= 1.0
@@ -442,10 +462,8 @@ def reference_route(a, b, m, r_lo, log_scale, rng):
         q_v = _annulus_density(np.abs(v), r_lo, log_scale) * np.abs(fu) ** 2
         contrib = np.where(keep, 1.0 / (q_u + q_v), 0.0)
         w_edge = np.log(1.0 / np.abs(uu * np.ones_like(v))) / np.log(1.0 / np.abs(uu * v))
-    _, mean, m2 = _moments(contrib.sum(axis=1))
     return {
-        "mean": mean,
-        "m2": m2,
+        "sums": contrib.sum(axis=1).reshape(shifts.shape[0], rule[0]).sum(axis=1),
         "failures": int(np.sum(in_region & ~residual_ok)),
         "values": w_edge[keep],
         "weights": contrib[keep],
@@ -455,24 +473,27 @@ def reference_route(a, b, m, r_lo, log_scale, rng):
 
 class TestBlockedPencilRoute:
     @pytest.mark.parametrize(
-        "pen, t",
+        "pen, t, rule, n_shifts",
         [
-            (HypersurfacePencil.coordinate(), 1e-5),
-            (HypersurfacePencil.coordinate(), 0.3),
-            (HypersurfacePencil.coordinate(), 1e-150),
-            (HypersurfacePencil.fermat(), 0.3),
+            (HypersurfacePencil.coordinate(), 1e-5, (4181, 2584), LATTICE_SHIFTS),
+            (HypersurfacePencil.coordinate(), 0.3, (4181, 2584), LATTICE_SHIFTS),
+            (HypersurfacePencil.coordinate(), 1e-150, (4181, 2584), LATTICE_SHIFTS),
+            (HypersurfacePencil.fermat(), 0.3, (4181, 2584), LATTICE_SHIFTS),
+            (HypersurfacePencil.coordinate(), 1e-5, (17711, 10946), 3),
         ],
-        ids=["coordinate-1e-5", "coordinate-0.3", "coordinate-1e-150", "fermat-0.3"],
+        ids=["coordinate-1e-5", "coordinate-0.3", "coordinate-1e-150", "fermat-0.3", "coordinate-1e-5-long-shifts"],
     )
-    def test_matches_the_unblocked_route(self, pen, t):
-        # Three full blocks and a short one, from the same seeded draws.
+    def test_matches_the_unblocked_route(self, pen, t, rule, n_shifts):
+        # 16 shifts of 4181 points are five blocks of three shifts and a
+        # short one; 3 shifts of 17711 points are six blocks, two per shift.
         a, b = pen.coefficients(pen.validate_t(t))
         ratio = abs(a / b)
         r_lo = min(ratio, 1.0 / ratio, 1.0) / 4.0
-        args = (a, b, 3 * TRIG_BLOCK + 5, r_lo, pen.has_tropical_edges)
-        got = _sample_patch_route(*args, False, np.random.default_rng(21))
-        ref = reference_route(*args, np.random.default_rng(21))
-        assert got["m"] == 3 * TRIG_BLOCK + 5
+        shifts = np.random.default_rng(21).random((n_shifts, 2))
+        args = (a, b, rule, shifts, r_lo, pen.has_tropical_edges)
+        got = _sample_patch_route(*args, False)
+        ref = reference_route(*args)
+        assert len(list(_route_blocks(rule[0], n_shifts))) == 6
         assert got["failures"] == ref["failures"]
         assert got["n_points"] == ref["n_points"]
         if pen.has_tropical_edges:
@@ -483,8 +504,37 @@ class TestBlockedPencilRoute:
         else:
             # A smooth fiber has no edge: the route keeps no points.
             assert got["values"] == got["weights"] == []
-        for key in ("mean", "m2"):
-            assert got[key] == pytest.approx(ref[key], rel=1e-12)
+        np.testing.assert_allclose(got["sums"], ref["sums"], rtol=1e-12)
+
+    @pytest.mark.parametrize("rule", [(987, 610), (17711, 10946)], ids=["short-shifts", "long-shifts"])
+    def test_shift_sums_do_not_depend_on_the_split(self, rule):
+        # A shard takes a contiguous run of shifts; each shift is summed in
+        # the same pieces in every run, so the sums agree to the last bit.
+        pen = HypersurfacePencil.coordinate()
+        a, b = pen.coefficients(1e-5)
+        shifts = np.random.default_rng(25).random((3, 2))
+        args = (a, b, rule)
+        rest = (pen.epsilon * 1e-5 / 4.0, True, False)
+        whole = _sample_patch_route(*args, shifts, *rest)
+        parts = [_sample_patch_route(*args, shifts[k:m], *rest) for k, m in ((0, 1), (1, 3))]
+        np.testing.assert_array_equal(np.concatenate([p["sums"] for p in parts]), whole["sums"])
+        for key in ("values", "weights"):
+            np.testing.assert_array_equal(
+                np.concatenate([x for p in parts for x in p[key]]), np.concatenate(whole[key])
+            )
+
+    @pytest.mark.parametrize("n_rule", [1, 987, 2584, TRIG_BLOCK, TRIG_BLOCK + 1, 28657])
+    def test_blocks_cover_the_rows_in_whole_or_aligned_shifts(self, n_rule):
+        blocks = list(_route_blocks(n_rule, 5))
+        assert blocks[0].start == 0 and blocks[-1].stop == 5 * n_rule
+        assert all(x.stop == y.start for x, y in zip(blocks, blocks[1:]))
+        for block in blocks:
+            assert 0 < block.stop - block.start <= TRIG_BLOCK
+            first, last = block.start // n_rule, (block.stop - 1) // n_rule
+            # Whole shifts, or a piece of one shift starting at a multiple of TRIG_BLOCK within it.
+            assert block.start % n_rule == 0 and block.stop % n_rule == 0 or (
+                first == last and (block.start - first * n_rule) % TRIG_BLOCK == 0
+            )
 
     def test_residual_filter_counts_every_root_it_drops(self, monkeypatch):
         # Every other in-patch root is moved off by a relative 1e-6 and
@@ -494,8 +544,8 @@ class TestBlockedPencilRoute:
         # count exactly the roots above it, whatever the solver's last bit.
         pen = HypersurfacePencil.coordinate()
         a, b = pen.coefficients(1e-5)
-        args = (a, b, 2 * TRIG_BLOCK + 5, pen.epsilon * 1e-5 / 4.0, True, False)
-        kept = _sample_patch_route(*args, np.random.default_rng(22))
+        args = (a, b, (4181, 2584), np.random.default_rng(22).random((8, 2)), pen.epsilon * 1e-5 / 4.0, True, False)
+        kept = _sample_patch_route(*args)
         solve = pencil._patch_roots
         residuals = []
 
@@ -506,7 +556,7 @@ class TestBlockedPencilRoute:
             return row, v
 
         monkeypatch.setattr(pencil, "_patch_roots", moved_off)
-        _sample_patch_route(*args, np.random.default_rng(22))
+        _sample_patch_route(*args)
         recorded = np.concatenate(residuals)
         assert recorded.size == kept["n_points"]
         positive = np.sort(recorded[recorded > 0])
@@ -516,7 +566,7 @@ class TestBlockedPencilRoute:
         above = int(np.count_nonzero(recorded > tolerance))
         assert 0.4 * recorded.size < above < 0.6 * recorded.size
         monkeypatch.setattr(pencil, "RESIDUAL_TOLERANCE", tolerance)
-        dropped = _sample_patch_route(*args, np.random.default_rng(22))
+        dropped = _sample_patch_route(*args)
         assert kept["failures"] == 0
         assert dropped["failures"] == above
         assert dropped["failures"] + dropped["n_points"] == kept["n_points"]
@@ -526,15 +576,16 @@ class TestBlockedPencilRoute:
     def test_mirror_route_reports_the_reflected_coordinate(self):
         # The mirror route draws v and solves for u, which by the u <-> v
         # symmetry is the drawn route with each point reflected: on the same
-        # draws it gives the same weights and moments, and the edge
+        # shifts it gives the same weights and shift sums, and the edge
         # coordinate log|v| / log|uv| = 1 - log|u| / log|uv|.
         pen = HypersurfacePencil.coordinate()
         a, b = pen.coefficients(1e-5)
-        args = (a, b, 2 * TRIG_BLOCK + 5, pen.epsilon * 1e-5 / 4.0, True)
-        drawn = _sample_patch_route(*args, False, np.random.default_rng(24))
-        mirror = _sample_patch_route(*args, True, np.random.default_rng(24))
-        for key in ("m", "mean", "m2", "failures", "n_points"):
+        args = (a, b, (4181, 2584), np.random.default_rng(24).random((8, 2)), pen.epsilon * 1e-5 / 4.0, True)
+        drawn = _sample_patch_route(*args, False)
+        mirror = _sample_patch_route(*args, True)
+        for key in ("failures", "n_points"):
             assert mirror[key] == drawn[key]
+        np.testing.assert_array_equal(mirror["sums"], drawn["sums"])
         np.testing.assert_array_equal(
             np.concatenate(mirror["weights"]), np.concatenate(drawn["weights"])
         )
@@ -549,8 +600,8 @@ class TestBlockedPencilRoute:
         # dropped and counted like Cardano's.
         pen = HypersurfacePencil.coordinate()
         a, b = pen.coefficients(1e-5)
-        args = (a, b, 2 * TRIG_BLOCK + 5, pen.epsilon * 1e-5 / 4.0, True, False)
-        kept = _sample_patch_route(*args, np.random.default_rng(23))
+        args = (a, b, (4181, 2584), np.random.default_rng(23).random((8, 2)), pen.epsilon * 1e-5 / 4.0, True, False)
+        kept = _sample_patch_route(*args)
         solve = pencil._newton_patch_root
 
         def moved_off(p, q):
@@ -558,7 +609,7 @@ class TestBlockedPencilRoute:
             return v * (1.0 + 1e-8), converged
 
         monkeypatch.setattr(pencil, "_newton_patch_root", moved_off)
-        moved = _sample_patch_route(*args, np.random.default_rng(23))
+        moved = _sample_patch_route(*args)
         assert kept["failures"] == 0
         assert moved["failures"] > 0.8 * kept["n_points"]
         assert moved["failures"] + moved["n_points"] == kept["n_points"]
@@ -585,10 +636,11 @@ class TestCoordinatePencil:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_edge_law_is_uniform_at_a_million_draws(self, seed):
-        # Each edge keeps about 3.5e5 points with a Kish ESS of about 3e5.
-        # A mirror route reporting the drawn route's coordinate weighted the
-        # edge law by twice its balance-heuristic share, and the KS distance
-        # read 0.0035-0.0042 on every edge at these seeds.
+        # A budget of 1e6 buys 16 shifts of the 6765-point rule per route
+        # (649,440 evaluations), and each edge keeps about 2.3e5 points.  At
+        # 1e6 iid draws a mirror route reporting the drawn route's coordinate
+        # weighted the edge law by twice its balance-heuristic share, and the
+        # KS distance read 0.0035-0.0042 on every edge at these seeds.
         res = sample_pencil(HypersurfacePencil.coordinate(), 1e-5, 1_000_000, seed)
         for p in res.patches:
             assert p.ks_uniform < 0.002
@@ -630,13 +682,24 @@ class TestCoordinatePencil:
         assert measure.total_mass == pytest.approx(3.0)
 
     def test_determinism(self):
+        # Each route draws its 16 shifts up front, and a shard takes a
+        # contiguous run of them: neither shards nor threads move a bit.
         pen = HypersurfacePencil.coordinate()
         a = sample_pencil(pen, 1e-4, 20_000, seed=5)
         b = sample_pencil(pen, 1e-4, 20_000, seed=5)
         assert a.total_raw == b.total_raw
         c = sample_pencil(pen, 1e-4, 20_000, seed=5, shards=2, threads=2)
         d = sample_pencil(pen, 1e-4, 20_000, seed=5, shards=2)
-        assert c.total_raw == d.total_raw
+        for res in (b, c, d):
+            assert res.n_failures == a.n_failures
+            for p, q in zip(a.patches, res.patches):
+                assert (q.mass_raw, q.stderr_raw, q.ks_uniform, q.n_points) == (
+                    p.mass_raw,
+                    p.stderr_raw,
+                    p.ks_uniform,
+                    p.n_points,
+                )
+                assert np.array_equal(q.hist_masses, p.hist_masses)
 
     def test_threads_change_nothing_at_one_shard(self):
         # The verify path: default shards, each patch's two routes spread over threads.
@@ -655,13 +718,15 @@ class TestCoordinatePencil:
                 assert np.array_equal(b.hist_masses, a.hist_masses)
 
     def test_holds_one_patch_at_a_time(self):
-        # One patch's points (16 bytes each, about n / 3 of them), one
-        # route's draws (24 bytes each) and one block's temporaries: 10.0 MiB,
-        # 10.8 MiB on the first call in a process (numpy 2.4.6, x86-64).  It
-        # was 12.9 and 13.6 MiB when a block's temporaries lived on while the
-        # next block allocated its own, 15.5 MiB when a route held 40 bytes
-        # per draw and solved all three roots of every draw, and 21.1 MiB
-        # when the points of all six routes were held until the end.
+        # One patch's points (16 bytes each, about n_samples / 3 of them;
+        # n_samples = 401,376 here) and one block's temporaries: 4.9 MiB,
+        # 5.6 MiB on the first call in a process (numpy 2.4.6, x86-64).  It
+        # was 10.0 and 10.8 MiB when a route held its uniforms and per-draw
+        # sums (24 bytes per draw, n draws in all), 12.9 and 13.6 MiB when a
+        # block's temporaries lived on while the next block allocated its
+        # own, 15.5 MiB when a route held 40 bytes per draw and solved all
+        # three roots of every draw, and 21.1 MiB when the points of all six
+        # routes were held until the end.
         n = 600_000
         tracemalloc.start()
         try:
@@ -671,8 +736,8 @@ class TestCoordinatePencil:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert all(p.n_points > n / 4 for p in res.patches)
-        assert peak <= 21 * n
+        assert all(p.n_points > res.n_samples / 4 for p in res.patches)
+        assert peak <= 11 * n
 
     def test_phase_near_invariance(self):
         # Unlike the monomial models, the pencil fiber volume depends on

@@ -29,6 +29,8 @@ from tropmass.sampler import (
     MassFit,
     TrigPoly,
     enumerate_point_fiber,
+    fibonacci_points,
+    fibonacci_rule,
     fit_mass_asymptotics,
     ks_statistic,
     lattice_points,
@@ -194,9 +196,9 @@ class TestRunnerCsvDigests:
     by NPY_DISABLE_CPU_FEATURES on one AVX512_SPR machine, as for the
     polar-check pin.  The mixed chart moves with the kernels: the three
     AVX-512 sets write one digest, X86_V3 and the X86_V2 baseline another.
-    The degenerating pencil's files move too: three digests each (AVX-512,
-    X86_V3, X86_V2).  The smooth pencil's CSV does not move, and it writes
-    no histogram (``None``).  `base-change` is exact.
+    Both pencils' files move too: three digests each (AVX-512, X86_V3,
+    X86_V2).  The smooth pencil writes no histogram (``None``).
+    `base-change` is exact.
     """
 
     DIGESTS = {
@@ -220,18 +222,22 @@ class TestRunnerCsvDigests:
         },
         "sample-pencil --preset coordinate_pencil --t 1e-5 --n-samples 60000 --seed 3": {
             "sample-coordinate_pencil-t1e-05.csv": {
-                "fa0dcc9ff6ba3afdbe39acf979f58389362dca9e14cec90f56c99e73d3c7932b",
-                "e1ebd6ddd92c2b8b69a249edbe1a2dae85bc07901de9c4a58c59a40d012b081a",
-                "805173b784ffe2be71e23d01d949917732ab410a1e9057ee0403f2c1e5897f59",
+                "c76c4d077e4d66940a2d20070fc600397f2c25df5c70e603fbc48333df1f2fe8",
+                "a4b282934187a2d206914741a076a04b4ca894113e6c379765d861a75396b07c",
+                "c131616897aa0440b62ad34441c2a32d9260ea905a4f29f01f7d15e8ca71239e",
             },
             "sample-coordinate_pencil-t1e-05-hist.csv": {
-                "d43ec550d5167f184fdccdcb53d1fd1d03821a7fd27ec9f770ac45fb82242008",
-                "46733228d80e8d4bdf34ab7e14d48a043077cd2e8998f3b6612b740aae04a4b3",
-                "8f04045169584af97f90ceb7d8fa333caf97d94f2e33f394d4539e2c5bb5d6c5",
+                "a1a091fd376fc8f19d0271dbbbc74f93bf72b8b850f06faac2c923fa3dee234d",
+                "86b202ea669666f4d4202324e6c3e51d8039416509f0fbbf7da73169bd6f3219",
+                "6c99f3c7507276f5082491168ce0ff1a04bc8558e9db07f0f0c5342886203cbe",
             },
         },
         "sample-pencil --preset fermat_smooth --t 1e-2 --n-samples 60000 --seed 3": {
-            "sample-fermat_smooth-t0.01.csv": {"4a69ef3e5aaf9ebb262104ae9da3a2c5c88b8ec93b89b8e361e03a7d6012cc3e"},
+            "sample-fermat_smooth-t0.01.csv": {
+                "bf68a8d5a4d2c49d77a007ec6c93778d30287b3644da9d6b29fdb8ef8c001e22",
+                "b64d401fad9c609ac00991b8b039357d5f0dde3c6cad2e4e939dbf45704dde9a",
+                "97250ce37db83d2b02b48ae7afb47b9c00bff191192f8a720cf5263664c07f59",
+            },
             # A smooth fiber has no edge coordinate to bin.
             "sample-fermat_smooth-t0.01-hist.csv": None,
         },
@@ -595,7 +601,8 @@ class TestKsStatistic:
         a, b = HypersurfacePencil.coordinate().coefficients(1e-5)
         r_lo = abs(a / b) / 4.0
         for seed in (11, 12, 13):
-            route = _sample_patch_route(a, b, 10_000, r_lo, True, False, np.random.default_rng(seed))
+            shifts = np.random.default_rng(seed).random((16, 2))
+            route = _sample_patch_route(a, b, (610, 377), shifts, r_lo, True, False)
             values, weights = np.concatenate(route["values"]), np.concatenate(route["weights"])
             assert values.size > 1000
             assert ks_statistic(values, weights, UNIFORM) == pytest.approx(
@@ -1033,6 +1040,35 @@ class TestLatticeRule:
         for j in range(dim):
             x = (k * pow(LATTICE_A, j, LATTICE_N) % LATTICE_N / LATTICE_N + shift[j]) % 1.0
             np.testing.assert_allclose(u[:, j], 1.0 - np.abs(2.0 * x - 1.0), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "n_max, rule",
+        [(1, (1, 1)), (2, (2, 1)), (4, (3, 2)), (986, (610, 377)), (987, (987, 610)), (2604, (2584, 1597))],
+    )
+    def test_fibonacci_rule_is_the_largest_that_fits(self, n_max, rule):
+        assert fibonacci_rule(n_max) == rule
+        n, g = rule
+        # F_{k-1}^2 = +-1 mod F_k, so the rule is its own transpose up to a reflection.
+        assert g * g % n in (1 % n, n - 1)
+
+    def test_fibonacci_rule_needs_a_point(self):
+        with pytest.raises(ValueError, match="one point"):
+            fibonacci_rule(0)
+
+    def test_fibonacci_points_stack_the_shifts(self):
+        rule = (89, 55)
+        shifts = np.random.default_rng(5).random((3, 2))
+        rows = np.arange(20, 3 * 89)
+        shift, x, y = fibonacci_points(rule, shifts, rows)
+        np.testing.assert_array_equal(shift, rows // 89)
+        j = rows % 89
+        np.testing.assert_allclose(x, (j / 89 + shifts[shift, 0]) % 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(y, (j * 55 % 89 / 89 + shifts[shift, 1]) % 1.0, rtol=0, atol=1e-15)
+        assert x.min() >= 0.0 and y.min() >= 0.0 and x.max() < 1.0 and y.max() < 1.0
+        # Each shift holds every multiple of 1/89 once in each coordinate, moved by its shift.
+        whole = fibonacci_points(rule, shifts, np.arange(89, 178))
+        for coord, s in ((whole[1], shifts[1, 0]), (whole[2], shifts[1, 1])):
+            np.testing.assert_allclose(np.sort((coord - s) % 1.0 * 89), np.arange(89), atol=1e-9)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_constant_integrand_is_exact_on_every_shift(self, k):
