@@ -910,24 +910,37 @@ def _run_polar_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     return Outcome(verdicts, {f"polar-check-seed{seed}.csv": rows})
 
 
-def _random_bidisc_sequence(rng: np.random.Generator) -> tuple[float, int, np.ndarray]:
-    """A target ``w_star``, a kind, and 39 bidisc points ``(e^{-(1-w_k) L_k}, e^{-w_k L_k})``.
+HYBRID_CHUNK = 250  # `_run_hybrid_check`: random sequences generated and classified at once
 
-    Kind 0 converges to ``w_star``, kind 1 to ``w_star + 0.12``; along kind 2 ``L_k`` stalls.
+
+def _random_bidisc_sequences(
+    rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Targets ``w_star``, kinds, and ``(count, 39, 2)`` points of ``count`` random bidisc sequences.
+
+    The points are ``(e^{-(1-w_k) L_k}, e^{-w_k L_k})``.  Kind 0 converges to
+    ``w_star``, kind 1 to ``w_star + 0.12``; along kind 2 ``L_k`` stalls.
+    Each sequence draws ``w_star``, its kind and, for kind 0, 39 uniforms, in
+    that order, so the stream is the same as one sequence at a time.
     """
-    w_star = float(rng.uniform(0.15, 0.85))
-    kind = int(rng.integers(3))
     ks = np.arange(1, 40)
-    big_l = np.minimum(1.5 * 1.35**ks, 500.0)
-    if kind == 0:
-        wk = w_star + rng.uniform(-1, 1, ks.size) * 0.2 * 0.5**ks
-    elif kind == 1:
-        wk = w_star + 0.12 + 0.2 * 0.5**ks
-    else:
-        big_l = 1.5 + 0.01 * ks
-        wk = w_star
+    w_star, kind = [], []
+    jitter = np.zeros((count, ks.size))
+    for i in range(count):
+        w_star.append(float(rng.uniform(0.15, 0.85)))
+        kind.append(int(rng.integers(3)))
+        if kind[-1] == 0:
+            jitter[i] = rng.uniform(-1, 1, ks.size)
+    w_star, kind = np.array(w_star), np.array(kind)
+    w_col = w_star[:, None]
+    wk = np.where(
+        kind[:, None] == 0,
+        w_col + jitter * 0.2 * 0.5**ks,
+        np.where(kind[:, None] == 1, (w_col + 0.12) + 0.2 * 0.5**ks, w_col),
+    )
     wk = np.clip(wk, 0.02, 0.98)
-    return w_star, kind, np.column_stack((np.exp(-(1 - wk) * big_l), np.exp(-wk * big_l)))
+    big_l = np.where(kind[:, None] == 2, 1.5 + 0.01 * ks, np.minimum(1.5 * 1.35**ks, 500.0))
+    return w_star, kind, np.stack((np.exp(-(1 - wk) * big_l), np.exp(-wk * big_l)), axis=-1)
 
 
 def _run_hybrid_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
@@ -936,8 +949,9 @@ def _run_hybrid_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     Power sequences ``(2^-k, 2^-zeta k)`` must converge exactly to
     ``zeta/(1+zeta)`` and to no displaced target; the finite-sequence
     predicate must agree with membership in the shrinking closed
-    neighborhoods on randomized sequences; the seminorm must be
-    multiplicative and restrict to ``|t| = r`` on the hybrid circle.
+    neighborhoods on randomized sequences, classified `HYBRID_CHUNK` at a
+    time; the seminorm must be multiplicative and restrict to ``|t| = r``
+    on the hybrid circle.
     """
     n_seq = cfg.n_polys
     verdicts: list[CheckVerdict] = []
@@ -959,11 +973,11 @@ def _run_hybrid_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
 
     rng = np.random.default_rng(cfg.seed)
     mismatch = disagree = 0
-    for _ in range(n_seq):
-        w_star, kind, pts = _random_bidisc_sequence(rng)
+    for start in range(0, n_seq, HYBRID_CHUNK):
+        w_star, kind, pts = _random_bidisc_sequences(rng, min(HYBRID_CHUNK, n_seq - start))
         a = hybrid_converges(pts, w_star)
-        mismatch += a != (kind == 0)
-        disagree += a != basis_neighborhood_converges(pts, w_star)
+        mismatch += int((a != (kind == 0)).sum())
+        disagree += int((a != basis_neighborhood_converges(pts, w_star)).sum())
     verdicts.append(
         exact_check(
             "random-sequence-classification",

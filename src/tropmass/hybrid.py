@@ -11,7 +11,9 @@ face point ``w`` exactly when ``t -> 0`` and the chart map tends to ``w``.
 On a finite bidisc sequence, an ``(n, 2)`` array of pairs ``(z0, z1)``,
 `hybrid_converges` reads this off the tail (thresholds `T_FLOOR` and `TOL`),
 and `basis_neighborhood_converges` tests the same through the shrinking
-closed neighborhoods of `EPS_LADDER`.  `hybrid_seminorm` is the
+closed neighborhoods of `EPS_LADDER`.  Both take a stack ``(..., n, 2)`` of
+sequences as well, with the target broadcast over the leading axes, and
+answer for every sequence in a few array passes.  `hybrid_seminorm` is the
 one-variable shadow: a multiplicative seminorm on Laurent polynomials over
 the closed disc of radius ``r``, between the modulus inside and the order of
 vanishing at 0.
@@ -170,54 +172,79 @@ EPS_LADDER = (0.2, 0.1, 0.05, 0.02)  # `basis_neighborhood_converges`: the F(eps
 
 
 def _bidisc_moduli(points: object) -> np.ndarray:
-    """The ``(n, 2)`` moduli of a nonempty bidisc sequence, each in (0, 1)."""
+    """The ``(..., n, 2)`` moduli of a stack of nonempty bidisc sequences, each in (0, 1).
+
+    A bad modulus is reported at the first offending pair in row-major order.
+    """
     try:
-        a = np.abs(np.asarray(points, dtype=complex))
+        z = np.asarray(points)
+        # Doubles are their own moduli, without the hypot of a complex modulus.
+        a = np.abs(z if z.dtype == np.float64 else z.astype(complex))
     except ValueError:  # ragged
         raise ValueError("bidisc points are pairs (z0, z1)") from None
     if a.size == 0:
         raise ValueError("empty sequence")
-    if a.ndim != 2 or a.shape[1] != 2:
+    if a.ndim < 2 or a.shape[-1] != 2:
         raise ValueError("bidisc points are pairs (z0, z1)")
-    bad = ~((a > 0.0) & (a < 1.0)).all(axis=1)
+    bad = ~((a > 0.0) & (a < 1.0)).all(axis=-1)
     if bad.any():
-        a0, a1 = a[bad.argmax()].tolist()
+        a0, a1 = a.reshape(-1, 2)[bad.argmax()].tolist()
         raise ValueError(f"bidisc point moduli must lie in (0, 1), got ({a0}, {a1})")
     return a
 
 
-def hybrid_converges(points: object, w: float) -> bool:
-    """Whether a bidisc sequence converges to the edge point ``w`` in the limit topology.
+def _targets(w: object, interior: bool) -> np.ndarray:
+    """``w`` as a float array, each value in [0, 1], or in (0, 1) when ``interior``."""
+    w = np.asarray(w, dtype=float)
+    ok = (0.0 < w) & (w < 1.0) if interior else (0.0 <= w) & (w <= 1.0)
+    if not ok.all():
+        first = w.ravel()[(~ok).ravel().argmax()].item()
+        if interior:
+            raise ValueError(f"the neighborhood basis covers interior points only, got w = {first}")
+        raise ValueError(f"target must lie in [0, 1], got {first}")
+    return w
 
-    ``points`` is an ``(n, 2)`` array-like of pairs ``(z0, z1)``, real or
-    complex.  The sequence converges to ``w`` exactly when ``t = z0 z1``
-    tends to 0 and ``log|z1| / log|t|`` tends to ``w``.  On a finite
-    sequence this is rendered through the tail: the final point must have
-    ``|t| <= T_FLOOR`` and attain the sequence minimum of ``|t|`` (the
-    parameter is still heading down when the data ends), its chart value must
-    satisfy ``|log|z1|/log|t| - w| <= TOL``, and the last third of the
-    sequence must stay within ``2 * TOL`` (no late oscillation).  The loose
-    band on the last third accommodates the generic slow approach of this
-    topology, where the chart value drifts like ``1 / log|t|^{-1}``.
+
+def _verdict(out: np.ndarray) -> np.ndarray | bool:
+    """A Python `bool` for one sequence, the bool array for a stack."""
+    return bool(out) if out.ndim == 0 else out
+
+
+def hybrid_converges(points: object, w: object) -> np.ndarray | bool:
+    """Whether bidisc sequences converge to the edge point ``w`` in the limit topology.
+
+    ``points`` is an array-like of pairs ``(z0, z1)``, real or complex: one
+    ``(n, 2)`` sequence or a stack of shape ``(..., n, 2)``.  ``w`` is
+    broadcast over the leading axes.  Returns a Python `bool` for one
+    sequence and a bool array of the leading shape for a stack.
+
+    A sequence converges to ``w`` exactly when ``t = z0 z1`` tends to 0 and
+    ``log|z1| / log|t|`` tends to ``w``.  On a finite sequence this is
+    rendered through the tail: the final point must have ``|t| <= T_FLOOR``
+    and attain the sequence minimum of ``|t|`` (the parameter is still
+    heading down when the data ends), its chart value must satisfy
+    ``|log|z1|/log|t| - w| <= TOL``, and the last third of the sequence must
+    stay within ``2 * TOL`` (no late oscillation).  The loose band on the
+    last third accommodates the generic slow approach of this topology,
+    where the chart value drifts like ``1 / log|t|^{-1}``.
     """
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"target must lie in [0, 1], got {w}")
+    w = _targets(w, interior=False)
     a = _bidisc_moduli(points)
-    ts = a[:, 0] * a[:, 1]
+    ts = a[..., 0] * a[..., 1]
     log_a = np.log(a)
-    ws = log_a[:, 1] / log_a.sum(axis=1)
-    if ts[-1] > T_FLOOR or ts[-1] > ts.min() * (1.0 + 1e-12):
-        return False
-    if abs(ws[-1] - w) > TOL:
-        return False
-    return bool((np.abs(ws[-max(1, len(ws) // 3):] - w) <= 2.0 * TOL).all())
+    ws = log_a[..., 1] / log_a.sum(axis=-1)
+    end = ts[..., -1]
+    heading_down = (end <= T_FLOOR) & (end <= ts.min(axis=-1) * (1.0 + 1e-12))
+    tail = np.abs(ws[..., -max(1, ws.shape[-1] // 3):] - w[..., None]) <= 2.0 * TOL
+    return _verdict(heading_down & (np.abs(ws[..., -1] - w) <= TOL) & tail.all(axis=-1))
 
 
-def basis_neighborhood_converges(points: object, w: float) -> bool:
+def basis_neighborhood_converges(points: object, w: object) -> np.ndarray | bool:
     """Convergence to an interior edge point via the closed neighborhood basis.
 
-    ``points`` is an ``(n, 2)`` array-like of pairs ``(z0, z1)``, as in
-    `hybrid_converges`.  With ``zeta = w / (1 - w)``, the closed sets
+    ``points`` and ``w`` are as in `hybrid_converges`: one ``(n, 2)``
+    sequence or a stack of them, with ``w`` broadcast over the leading axes.
+    With ``zeta = w / (1 - w)``, the closed sets
 
         ``F(eps) = {0 < |z0|, |z1| <= eps,  |z0|^(zeta+eps) <= |z1| <= |z0|^(zeta-eps)}``
 
@@ -227,16 +254,15 @@ def basis_neighborhood_converges(points: object, w: float) -> bool:
     over ``EPS_LADDER`` and "eventually" means on a nonempty suffix, so
     only the last point decides (every point is still validated).
     """
-    if not 0.0 < w < 1.0:
-        raise ValueError(
-            f"the neighborhood basis covers interior points only, got w = {w}"
-        )
-    zeta = w / (1.0 - w)
-    a0, a1 = _bidisc_moduli(points)[-1].tolist()
-    log_a0, log_a1 = math.log(a0), math.log(a1)
+    w = _targets(w, interior=True)
+    zeta = (w / (1.0 - w))[..., None]
+    last = _bidisc_moduli(points)[..., -1, :]
+    a0, a1 = last[..., :1], last[..., 1:]
+    log_a0, log_a1 = np.log(a0), np.log(a1)
     eps = np.asarray(EPS_LADDER)
     lo, hi = (zeta + eps) * log_a0, (zeta - eps) * log_a0
-    return bool(((a0 <= eps) & (a1 <= eps) & (lo <= log_a1) & (log_a1 <= hi)).all())
+    inside = (a0 <= eps) & (a1 <= eps) & (lo <= log_a1) & (log_a1 <= hi)
+    return _verdict(inside.all(axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -1382,3 +1382,22 @@ class TestReadme:
             if argv[0] in self.EXACT_COMMANDS:
                 digests.update({a.name: hashlib.sha256(a.read_bytes()).hexdigest() for a in listed})
         assert digests == self.EXACT_DIGESTS
+
+    # sha256 of `hybrid-check.json` for the README line and for 200 sequences.
+    # The verdicts are counts but for the seminorm's relative defect, which
+    # passes through libm.  Recorded under numpy 2.4.6 on x86-64; each of the
+    # five kernel sets, selected with NPY_DISABLE_CPU_FEATURES, writes the
+    # same bytes.
+    HYBRID_DIGESTS = {
+        (): "8fc2bbdf22727554dcabd627c673d541660d965c4fe0c08ac1f1fd270a974125",
+        ("--n-sequences", "200"): "f77947c5b6e61e3999a347e17905ef82455fb2dceda947fc520a093ee449c965",
+    }
+
+    @pytest.mark.parametrize("extra", sorted(HYBRID_DIGESTS))
+    def test_hybrid_check_bytes_are_pinned(self, tmp_path, capsys, extra, recorded_build):
+        (line,) = [line for line in self.command_lines() if line.split()[1] == "hybrid-check"]
+        argv = shlex.split(line, comments=True)[1:]
+        assert main([*argv, *extra, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256((tmp_path / "hybrid-check.json").read_bytes()).hexdigest()
+        assert digest == self.HYBRID_DIGESTS[extra]

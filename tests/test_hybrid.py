@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropmass import hybrid
-from tropmass.cli import _random_bidisc_sequence
+from tropmass.cli import _random_bidisc_sequences
 from tropmass.hybrid import (
     ChartDomainError,
     LaurentSeriesPoly,
@@ -295,34 +295,49 @@ class TestHybridConverges:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
     def test_battery_sequences_match_the_scalar_construction(self, seed):
-        # One draw of 39 uniforms is the 39 scalar draws, so both streams stay in step.
+        # One draw of 39 uniforms is the 39 scalar draws, so both streams stay
+        # in step, across batches of any size.
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(200):
-            w_star, kind, pts = _random_bidisc_sequence(rng)
-            ref_w, ref_kind, ref_pts = scalar_random_sequence(ref_rng)
-            assert (w_star, kind) == (ref_w, ref_kind)
-            assert pts.shape == (39, 2)
-            np.testing.assert_array_max_ulp(pts, np.array(ref_pts), maxulp=4)
+        for count in (1, 63, 136):
+            w_star, kind, pts = _random_bidisc_sequences(rng, count)
+            assert pts.shape == (count, 39, 2)
+            refs = [scalar_random_sequence(ref_rng) for _ in range(count)]
+            assert w_star.tolist() == [w for w, _, _ in refs]
+            assert kind.tolist() == [k for _, k, _ in refs]
+            np.testing.assert_array_max_ulp(pts, np.array([p for _, _, p in refs]), maxulp=4)
             for w in (w_star, 0.5):
-                assert hybrid_converges(pts, w) == hybrid_converges(ref_pts, w)
-                assert basis_neighborhood_converges(pts, w) == basis_neighborhood_converges(ref_pts, w)
+                batched = hybrid_converges(pts, w), basis_neighborhood_converges(pts, w)
+                for i, (_, _, ref_pts) in enumerate(refs):
+                    wi = np.broadcast_to(w, count)[i]
+                    assert batched[0][i] == hybrid_converges(pts[i], wi) == hybrid_converges(ref_pts, wi)
+                    assert (
+                        batched[1][i]
+                        == basis_neighborhood_converges(pts[i], wi)
+                        == basis_neighborhood_converges(ref_pts, wi)
+                    )
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("kind", ["power", "vertex", "bounce", "stall", "random"])
-    def test_array_and_pair_lists_agree(self, kind):
-        ws = (0.0, 0.2, 1 / 3, 0.5, 2 / 3, 0.9, 1.0)
+    KINDS = ["power", "vertex", "bounce", "stall", "random"]
+    TARGETS = (0.0, 0.2, 1 / 3, 0.5, 2 / 3, 0.9, 1.0)
+
+    @staticmethod
+    def kind_sequences(kind: str) -> list[list[tuple[float, float]]]:
+        """Sequences of one kind, all of one length."""
         if kind == "power":
-            seqs = [power_sequence(zeta, [2**j for j in range(1, 60)]) for zeta in (0.5, 1.0, 2.0)]
-        elif kind == "vertex":
-            seqs = [[(1.0 / 2**j, 0.5) for j in range(1, 200)]]
-        elif kind == "bounce":
-            seqs = [[(10.0 ** -(3 + k), 0.5) for k in range(8)] + [(0.05, 0.5)]]
-        elif kind == "stall":
-            seqs = [[(0.3 * math.cos(0.01 * k), 0.4) for k in range(1, 50)]]
-        else:
-            rng = np.random.default_rng(3)
-            seqs = [scalar_random_sequence(rng)[2] for _ in range(30)]
-        for seq in seqs:
+            return [power_sequence(zeta, [2**j for j in range(1, 60)]) for zeta in (0.5, 1.0, 2.0)]
+        if kind == "vertex":
+            return [[(1.0 / 2**j, 0.5) for j in range(1, 200)]]
+        if kind == "bounce":
+            return [[(10.0 ** -(3 + k), 0.5) for k in range(8)] + [(0.05, 0.5)]]
+        if kind == "stall":
+            return [[(0.3 * math.cos(0.01 * k), 0.4) for k in range(1, 50)]]
+        rng = np.random.default_rng(3)
+        return [scalar_random_sequence(rng)[2] for _ in range(30)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_array_and_pair_lists_agree(self, kind):
+        ws = self.TARGETS
+        for seq in self.kind_sequences(kind):
             arr = np.array(seq)
             # Multiplying by i and by -1 is exact, so the moduli are the same floats.
             complex_pairs = [(1j * z0, -z1) for z0, z1 in seq]
@@ -357,6 +372,63 @@ class TestHybridConverges:
             hybrid_converges(points, 0.5)
         with pytest.raises(ValueError, match=match):
             basis_neighborhood_converges(points, 0.5)
+
+
+class TestStackedPredicates:
+    """Both predicates on a stack ``(..., n, 2)`` answer as one call per sequence."""
+
+    @pytest.mark.parametrize("kind", TestHybridConverges.KINDS)
+    def test_stack_agrees_with_one_call_per_sequence(self, kind):
+        seqs = TestHybridConverges.kind_sequences(kind)
+        stack = np.array(seqs)
+        ws = TestHybridConverges.TARGETS
+        # One target per row: cycling through the targets, and each row's own
+        # last chart value, at which the converging rows answer True.
+        rows = np.array(ws)[np.arange(len(seqs)) % len(ws)]
+        log_last = np.log(stack[:, -1])
+        own = log_last[:, 1] / log_last.sum(axis=1)
+        for points in (stack, 1j * stack):
+            for w in (*ws, rows, own):
+                per_row = np.broadcast_to(w, len(seqs))
+                got = hybrid_converges(points, w)
+                assert got.dtype == bool and got.shape == (len(seqs),)
+                assert got.tolist() == [hybrid_converges(s, wi) for s, wi in zip(seqs, per_row)]
+                assert hybrid_converges(points[None], w).tolist() == [got.tolist()]
+                if ((0.0 < per_row) & (per_row < 1.0)).all():
+                    got = basis_neighborhood_converges(points, w)
+                    assert got.shape == (len(seqs),)
+                    assert got.tolist() == [
+                        basis_neighborhood_converges(s, wi) for s, wi in zip(seqs, per_row)
+                    ]
+
+    def test_one_sequence_gives_a_python_bool(self):
+        seq = power_sequence(1.0, [2**j for j in range(1, 60)])
+        for points in (seq, np.array(seq)):
+            assert hybrid_converges(points, 0.5) is True
+            assert hybrid_converges(points, 0.6) is False
+            assert basis_neighborhood_converges(points, 0.5) is True
+            assert basis_neighborhood_converges(points, 0.6) is False
+
+    def test_empty_sequences_in_a_stack(self):
+        for fn in (hybrid_converges, basis_neighborhood_converges):
+            with pytest.raises(ValueError, match="empty sequence"):
+                fn(np.empty((4, 0, 2)), 0.5)
+
+    def test_first_bad_pair_in_row_major_order(self):
+        stack = np.full((3, 4, 2), 0.5)
+        stack[2, 0] = (0.25, 2.0)
+        stack[1, 3] = (0.0, 0.125)
+        stack[1, 2, 1] = -1.5
+        for fn in (hybrid_converges, basis_neighborhood_converges):
+            with pytest.raises(ValueError, match=r"got \(0.5, 1.5\)$"):
+                fn(stack, 0.5)
+
+    def test_first_bad_target_is_named(self):
+        stack = np.full((3, 4, 2), 0.5)
+        with pytest.raises(ValueError, match=r"target must lie in \[0, 1\], got 1.25$"):
+            hybrid_converges(stack, [0.5, 1.25, -1.0])
+        with pytest.raises(ValueError, match=r"interior points only, got w = 0.0$"):
+            basis_neighborhood_converges(stack, [0.5, 0.0, 1.0])
 
 
 class TestLaurentSeriesPoly:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import platform
 import tracemalloc
 from fractions import Fraction
 
@@ -177,18 +176,6 @@ class TestFiberMass:
         assert abs(res.mass - exact) < max(5 * res.stderr, 1e-9)
 
 
-# The numpy version and architecture under which the whole-CSV digests below
-# were recorded.
-DIGEST_NUMPY = "2.4.6"
-
-
-def skip_unless_recorded_build():
-    if np.__version__ != DIGEST_NUMPY:
-        pytest.skip(f"digests recorded under numpy {DIGEST_NUMPY}, not {np.__version__}")
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        pytest.skip(f"digests recorded on x86-64, not {platform.machine()}")
-
-
 class TestRunnerCsvDigests:
     """The sha256 of each CSV of each command line, on every x86-64 dispatch target.
 
@@ -247,8 +234,7 @@ class TestRunnerCsvDigests:
     }
 
     @pytest.mark.parametrize("line", sorted(DIGESTS))
-    def test_csv_bytes_are_pinned(self, tmp_path, capsys, line):
-        skip_unless_recorded_build()
+    def test_csv_bytes_are_pinned(self, tmp_path, capsys, line, recorded_build):
         assert cli.main([*line.split(), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         for name, digests in self.DIGESTS[line].items():
@@ -1353,10 +1339,9 @@ class TestPolarChecks:
         "07dd163c6ba6fcf7c2b85cd1e777c01df55df76e5812c445e689bbd716b859cb",
     }
 
-    def test_runner_csv_bytes_are_pinned(self, tmp_path):
+    def test_runner_csv_bytes_are_pinned(self, tmp_path, recorded_build):
         # Every estimate keeps its bits: a change to the sampler or to the
         # test-function evaluator that moves one changes this digest.
-        skip_unless_recorded_build()
         cli.run(ExperimentConfig(command="polar-check", seed=5, outdir=str(tmp_path)))
         digest = hashlib.sha256((tmp_path / "polar-check-seed5.csv").read_bytes()).hexdigest()
         assert digest in self.POLAR_CSV_DIGESTS
