@@ -40,8 +40,16 @@ class FaceBaseChange:
     e_lattice_check: int
 
     @property
+    def splits(self) -> bool:
+        return self.e * self.f * self.g == self.m
+
+    @property
+    def index_agrees(self) -> bool:
+        return self.e == self.e_lattice_check
+
+    @property
     def consistent(self) -> bool:
-        return self.e * self.f * self.g == self.m and self.e == self.e_lattice_check
+        return self.splits and self.index_agrees
 
 
 def _splitting_index(b: Sequence[int], m: int) -> int:

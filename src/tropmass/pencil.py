@@ -20,29 +20,30 @@ plain single-route estimator has infinite variance.
 Each route integrates its two inputs, the radius quantile and the turn of
 the drawn coordinate, on a randomized lattice rule: `LATTICE_SHIFTS` (16)
 random shifts of a 2-D Fibonacci rule (`fibonacci_rule`, Niederreiter 1992,
-ch. 5; Cranley and Patterson 1976).  The route's estimate is the mean of
-its 16 shift means and its standard error their spread, with 15 degrees of
-freedom.  The integrand is smooth except where a root crosses the patch
-boundary, so the rule's gain over independent draws levels off (He and
-Wang, SIAM J. Numer. Anal. 53, 2015) but stays large: at the suite's
-budget the total's standard error is about a sixth of that of four times
-as many independent draws.  The edge law is read off the same points.
+ch. 5; Cranley and Patterson 1976), whose table `sampler.lattice_rule`
+builds once per call.  The route's estimate is the mean of its 16 shift
+means and its standard error their spread, with 15 degrees of freedom.
+The integrand is smooth except where a root crosses the patch boundary, so
+the rule's gain over independent draws levels off (He and Wang, SIAM J.
+Numer. Anal. 53, 2015) but stays large: at the suite's budget the total's
+standard error is about a sixth of that of four times as many independent
+draws.  The edge law is read off the same points.
 
 A route's rows, one per point and shift, run one block of at most
-`TRIG_BLOCK` rows at a time: the points from the row indices, ``u`` from
-the table-driven `_unit_phasor`, the roots in the patch, and the weights
-only for those roots.  `_patch_roots` forms and rescales each block's cubic
-once.  Where a bound (Rouché's theorem) certifies that a row has exactly one
-root in the patch, Newton's iteration solves for that root alone; that holds
-for most rows of the degenerating pencil and for none of the smooth one.
-Every other row gets all three roots from Cardano's formula, polished by
-one Newton step.  Roots whose relative residual exceeds 1e-10 are excluded
-and counted.  The patches are sampled and reduced one at a time: a patch's
-two routes (times its shards) run, their points are joined once, give the
-patch's KS statistic and histogram, and are freed before the next patch
-starts, so a `PatchEstimate` holds estimates only and the points of one
-patch are held at a time.  The smooth pencil's fibers have no edge, and
-keep no points.
+`TRIG_BLOCK` rows at a time (`_route_blocks`): the points sliced from the
+table by `lattice_points`, ``u`` from the table-driven `_unit_phasor`, the
+roots in the patch, and the weights only for those roots.  `_patch_roots`
+forms and rescales each block's cubic once.  Where a bound (Rouché's
+theorem) certifies that a row has exactly one root in the patch, Newton's
+iteration solves for that root alone; that holds for most rows of the
+degenerating pencil and for none of the smooth one.  Every other row gets
+all three roots from Cardano's formula, polished by one Newton step.
+Roots whose relative residual exceeds 1e-10 are excluded and counted.  The
+patches are sampled and reduced one at a time: a patch's two routes (times
+its shards) run, their points are joined once, give the patch's KS
+statistic and histogram, and are freed before the next patch starts, so a
+`PatchEstimate` holds estimates only and the points of one patch are held
+at a time.  The smooth pencil's fibers have no edge, and keep no points.
 """
 
 from __future__ import annotations
@@ -59,11 +60,13 @@ from .sampler import (
     TRIG_BLOCK,
     _map_shards,
     _moments,
+    _route_blocks,
     _shard_counts,
     _unit_phasor,
-    fibonacci_points,
     fibonacci_rule,
     ks_statistic,
+    lattice_points,
+    lattice_rule,
     uniform_cdf,
 )
 
@@ -410,24 +413,10 @@ def _annulus_density(r: np.ndarray, r_lo: float, log_scale: bool) -> np.ndarray:
     return np.where((r >= r_lo) & (r <= 1.0), dens, 0.0)
 
 
-def _route_blocks(n_rule: int, n_shifts: int):
-    """Row blocks of ``n_shifts`` stacked shifts of an ``n_rule``-point rule.
-
-    A block holds as many whole shifts as fit in `TRIG_BLOCK` rows; a longer
-    shift is cut into pieces of `TRIG_BLOCK` rows from its start.  So each
-    shift is summed in the same pieces however the shifts are sharded.
-    """
-    per = max(1, TRIG_BLOCK // n_rule)
-    for first in range(0, n_shifts, per):
-        stop = min(first + per, n_shifts) * n_rule
-        for start in range(first * n_rule, stop, TRIG_BLOCK):
-            yield slice(start, min(start + TRIG_BLOCK, stop))
-
-
 def _sample_patch_route(
     a_coeff: complex,
     b_coeff: complex,
-    rule: tuple[int, int],
+    rule: np.ndarray,
     shifts: np.ndarray,
     r_lo: float,
     log_scale: bool,
@@ -435,11 +424,11 @@ def _sample_patch_route(
 ) -> dict:
     """One route of the two-route estimator on one patch, over some shifts of a lattice rule.
 
-    Each point of the Fibonacci ``rule`` under each of the random
-    ``shifts`` (`fibonacci_points`) is a radius quantile and a turn, so a
-    ``u`` on the annulus.  The route solves for ``v``, filters to the patch
-    region ``|u| <= 1, |v| <= 1``, and weights by the balance heuristic over
-    both routes.  By the ``u <-> v`` symmetry of the equation the ``mirror``
+    ``rule`` is the ``(2, N)`` table of a Fibonacci rule (`lattice_rule`);
+    each of its points under each of the random ``shifts`` is a radius
+    quantile and a turn, so a ``u`` on the annulus.  The route solves for
+    ``v``, filters to the patch region ``|u| <= 1, |v| <= 1``, and weights
+    by the balance heuristic over both routes.  By the ``u <-> v`` symmetry of the equation the ``mirror``
     route is this function with its own shifts and each point reflected, so
     it reports the edge coordinate ``log|v| / log|uv|``.  (The unreflected
     one would weight the edge law by twice the first route's
@@ -447,10 +436,10 @@ def _sample_patch_route(
     the ``log_scale`` (degenerating) pencil does the route keep its points.
 
     The rows, one per point and shift, run in the blocks of
-    `_route_blocks`.  Each block is one call, which forms its points from
-    its row indices, is built, solved and weighted, and frees its
-    temporaries before the next block starts; no array of one entry per row
-    outlives its block.  `_patch_roots` returns only the roots inside the
+    `_route_blocks`.  Each block is one call, which slices its points from
+    the table (`lattice_points`), is built, solved and weighted, and frees
+    its temporaries before the next block starts; no array of one entry per
+    row outlives its block.  `_patch_roots` returns only the roots inside the
     patch (about one of the three per row).  Only they get the residual
     filter and a weight; `np.bincount` on their shift index adds the
     weights of each shift into its sum.  The kept points' edge coordinates
@@ -461,7 +450,7 @@ def _sample_patch_route(
     abs_a = abs(a_coeff)
 
     def weigh(block: slice):
-        shift, quantile, turns = fibonacci_points(rule, shifts, np.arange(block.start, block.stop))
+        shift, (quantile, turns) = lattice_points(rule, shifts, block)
         if log_scale:
             rad = np.exp(-quantile * math.log(1.0 / r_lo))
         else:
@@ -497,7 +486,7 @@ def _sample_patch_route(
     n_points = 0
     values: list[np.ndarray] = []
     weights: list[np.ndarray] = []
-    for block in _route_blocks(rule[0], n_shifts):
+    for block in _route_blocks(rule.shape[1], n_shifts):
         block_sums, dropped, value, weight = weigh(block)
         sums += block_sums
         failures += dropped
@@ -522,7 +511,8 @@ def sample_pencil(
 
     ``n`` is a budget of evaluations.  Each of the 3 patches x 2 routes
     integrates over `LATTICE_SHIFTS` random shifts of the largest Fibonacci
-    rule (`fibonacci_rule`) with ``6 * LATTICE_SHIFTS * N <= n``, so
+    rule (`fibonacci_rule`) with ``6 * LATTICE_SHIFTS * N <= n``, whose
+    table (`lattice_rule`) is built once and shared by all six routes, so
     ``n_samples = 96 N`` of the budget is used; a budget below 96 raises
     `PencilError`.  A route's estimate is the mean of its shift means, and
     its standard error their spread, with ``LATTICE_SHIFTS - 1`` degrees of
@@ -549,7 +539,8 @@ def sample_pencil(
         raise PencilError(
             f"sample count {n} is below {per_point}: 6 routes x {LATTICE_SHIFTS} shifts of a one-point lattice rule"
         )
-    rule = fibonacci_rule(n // per_point)
+    n_rule, g = fibonacci_rule(n // per_point)
+    rule = lattice_rule(n_rule, (1, g))
     a_coeff, b_coeff = pencil.coefficients(t)
     ratio = abs(a_coeff / b_coeff)
     # The inner proposal radius must clear both the coverage bound
@@ -569,7 +560,7 @@ def sample_pencil(
         )
 
     lam_norm = TWO_PI * math.log(1.0 / abs(t))
-    per_route = LATTICE_SHIFTS * rule[0]
+    per_route = LATTICE_SHIFTS * n_rule
     patches: list[PatchEstimate] = []
     total_failures = 0
     for k, label in enumerate(pencil.patch_labels):
@@ -582,7 +573,7 @@ def sample_pencil(
         wts: list[np.ndarray] = []
         n_pts = 0
         for parts in (results[:shards], results[shards:]):
-            _, mean, m2 = _moments(np.concatenate([p["sums"] for p in parts]) / rule[0])
+            _, mean, m2 = _moments(np.concatenate([p["sums"] for p in parts]) / n_rule)
             mass += mean
             var += m2 / (LATTICE_SHIFTS - 1) / LATTICE_SHIFTS
             total_failures += sum(p["failures"] for p in parts)
@@ -621,7 +612,7 @@ def sample_pencil(
         epsilon=pencil.epsilon,
         t=t,
         n_samples=6 * per_route,
-        rule_points=rule[0],
+        rule_points=n_rule,
         shifts=LATTICE_SHIFTS,
         n_failures=total_failures,
         patches=tuple(patches),

@@ -23,17 +23,19 @@ hold the maximum sorted).  Both read the kept points one block of
 `TRIG_BLOCK` at a time, so a point kept on an edge costs 16 bytes, and the
 KS statistic about 6 more while it runs.  It also provides closed-form vs
 Monte-Carlo checks of the polar factorization identities, and a
-least-squares fit recovering the mass-asymptotics exponents.  Both
-identities integrate on a randomized lattice rule: 16 random shifts
-(`lattice_points`) of one Korobov rule with 8191 points (`lattice_rule`),
-whose spread gives the standard error.  The fiber identity's points reach
-the chart through `_chart_points`, its angles from `_unit_phasor`, a
-table-driven ``e^{2 pi i u}`` within a few ulp of ``np.exp``.  Each identity
+least-squares fit recovering the mass-asymptotics exponents.
+
+The polar identities (a tent-folded Korobov rule) and the pencil's routes
+(a Fibonacci rule) integrate on 16 random shifts of a rank-1 lattice rule,
+the spread of the shift means giving the standard error: `lattice_rule`
+builds the table once per estimate, and `lattice_points` slices each block
+of `_route_blocks` from it.  The fiber identity's points reach the chart
+through `_chart_points`, its angles from `_unit_phasor`, a table-driven
+``e^{2 pi i u}`` within a few ulp of ``np.exp``.  Each identity
 evaluates all its test functions on the same points.  The test functions,
 `TrigPoly`, are real by construction and folded once; `_trig_block`
 evaluates ``k`` of them on a block, each power of each coordinate computed
-once.  The pencil's routes integrate on random shifts of a 2-D Fibonacci
-rule (`fibonacci_rule`, `fibonacci_points`).
+once.
 """
 
 from __future__ import annotations
@@ -616,32 +618,45 @@ LATTICE_A = 481
 LATTICE_SHIFTS = 16
 
 
-def lattice_rule(dim: int) -> np.ndarray:
-    """The unshifted Korobov rule in ``dim`` dimensions: row ``j`` holds ``(k g_j mod N) / N``, ``k < N``."""
-    g = np.array([pow(LATTICE_A, j, LATTICE_N) for j in range(dim)], dtype=np.int64)
-    x = np.multiply.outer(g, np.arange(LATTICE_N, dtype=np.int64))
-    x %= LATTICE_N
-    return x / LATTICE_N
+def lattice_rule(n: int, g: Sequence[int]) -> np.ndarray:
+    """The unshifted rank-1 rule of ``n`` points with generator ``g``: row ``d`` is ``(k g_d mod n) / n``, ``k < n``."""
+    x = np.multiply.outer(np.asarray(g, dtype=np.int64), np.arange(n, dtype=np.int64))
+    x %= n
+    return x / n
 
 
-def lattice_points(rule: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One random shift of ``rule``, tent-transformed: ``(LATTICE_N, dim)`` points in ``[0, 1]``.
+def _route_blocks(n_rule: int, n_shifts: int):
+    """Row blocks of ``n_shifts`` stacked shifts of an ``n_rule``-point rule.
 
-    ``rule`` is ``lattice_rule(dim)``, built once for all shifts.  It moves
-    by one uniform vector from ``rng``, modulo 1 (Cranley and Patterson, SIAM
-    J. Numer. Anal. 13, 1976), and each coordinate is folded by the tent map
-    ``x -> 1 - |2 x - 1|`` (Hickernell, MCQMC 2000).  Each point is then
-    uniform on the cube, so the mean of an integrand over the points is
-    unbiased, and for a smooth integrand its error falls almost as ``N^-2``.
-    Independent shifts give independent means.  Each column is contiguous.
+    A block holds as many whole shifts as fit in `TRIG_BLOCK` rows; a longer
+    shift is cut into pieces of `TRIG_BLOCK` rows from its start.  So each
+    shift is summed in the same pieces however the shifts are sharded.
     """
-    x = rule + rng.random(rule.shape[0])[:, None]
+    per = max(1, TRIG_BLOCK // n_rule)
+    for first in range(0, n_shifts, per):
+        stop = min(first + per, n_shifts) * n_rule
+        for start in range(first * n_rule, stop, TRIG_BLOCK):
+            yield slice(start, min(start + TRIG_BLOCK, stop))
+
+
+def lattice_points(rule: np.ndarray, shifts: np.ndarray, block: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``block`` of ``rule`` stacked over its random ``shifts``: each row's shift and point.
+
+    Row ``i`` is point ``i mod N`` of shift ``s = i // N``, moved by
+    ``shifts[s]`` modulo 1 (Cranley and Patterson, SIAM J. Numer. Anal. 13,
+    1976), so it is uniform on ``[0, 1)``.  ``block`` is whole shifts or a
+    piece of one, as `_route_blocks` yields them, and is sliced from the
+    table; any other block raises `ValueError`.  Returns ``s`` and the
+    ``(dim, rows)`` points.
+    """
+    dim, n = rule.shape
+    first, start = divmod(block.start, n)
+    rows = block.stop - block.start
+    width = min(rows, n)
+    count = rows // width
+    x = (rule[:, None, start : start + width] + shifts[first : first + count].T[:, :, None]).reshape(dim, rows)
     x -= np.floor(x)  # x % 1.0, exactly, at a tenth of the cost
-    x *= 2.0
-    x -= 1.0
-    np.abs(x, out=x)
-    np.subtract(1.0, x, out=x)
-    return x.T
+    return np.repeat(np.arange(first, first + count), width), x
 
 
 def fibonacci_rule(n_max: int) -> tuple[int, int]:
@@ -650,7 +665,7 @@ def fibonacci_rule(n_max: int) -> tuple[int, int]:
     Its points ``(j / N, j g / N mod 1)``, ``j < N``, form the classical good
     two-dimensional rank-1 lattice (Niederreiter, *Random Number Generation
     and Quasi-Monte Carlo Methods*, 1992, ch. 5), which needs no search.
-    The smallest rule has one point.
+    Its table is ``lattice_rule(N, (1, g))``; the smallest has one point.
 
     >>> fibonacci_rule(2600)
     (2584, 1597)
@@ -661,29 +676,6 @@ def fibonacci_rule(n_max: int) -> tuple[int, int]:
     while g + n <= n_max:
         g, n = n, g + n
     return n, g
-
-
-def fibonacci_points(
-    rule: tuple[int, int], shifts: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows ``rows`` of the ``rule`` stacked over its random ``shifts``: each row's shift and point.
-
-    Row ``i`` is point ``j = i mod N`` of shift ``s = i // N``, moved by
-    ``shifts[s]`` modulo 1 (Cranley and Patterson, 1976), with no tent
-    transform.  Returns ``s`` and the two coordinates, each uniform on
-    ``[0, 1)``; the points of one shift are independent of those of another.
-    """
-    n, g = rule
-    shift, j = np.divmod(rows, n)
-    x = j / n
-    x += shifts[shift, 0]
-    x -= np.floor(x)
-    j *= g
-    j %= n
-    y = j / n
-    y += shifts[shift, 1]
-    y -= np.floor(y)
-    return shift, x, y
 
 
 # ---------------------------------------------------------------------------
@@ -900,20 +892,29 @@ def _lattice_estimate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``volume`` times the mean of each ``f`` over a randomized lattice rule, and its standard error.
 
-    The rule `lattice_rule` in ``dim`` dimensions is built once and moved by
-    `LATTICE_SHIFTS` random shifts (`lattice_points`) drawn from
-    ``default_rng(seed)``; ``points`` maps each shift's ``(LATTICE_N,
-    dim)`` points to the chart points, and one `_trig_block` call evaluates
-    every test function on them.  The estimate is ``volume`` times the mean
-    of the shift means, and its standard error their sample standard
-    deviation over ``sqrt(LATTICE_SHIFTS)``: one entry per ``f``, each
-    reduced as its one-function call reduces it.
+    The Korobov rule (`lattice_rule`, ``g_d = LATTICE_A^d mod LATTICE_N``)
+    in ``dim`` dimensions is built once and moved by `LATTICE_SHIFTS` random
+    shifts from ``default_rng(seed)``, one shift a block of `lattice_points`.
+    Each coordinate is folded by the tent map ``x -> 1 - |2 x - 1|``
+    (Hickernell, MCQMC 2000): the points stay uniform, and for a smooth
+    integrand the error falls almost as ``N^-2``.  ``points`` maps each
+    shift's ``(LATTICE_N, dim)`` points, columns contiguous, to the chart
+    points, and one `_trig_block` call evaluates every test function on
+    them.  The estimate is ``volume`` times the mean of the shift means, and
+    its standard error their sample standard deviation over
+    ``sqrt(LATTICE_SHIFTS)``: one entry per ``f``, each reduced as its
+    one-function call reduces it.
     """
-    rng = np.random.default_rng(seed)
-    rule = lattice_rule(dim)
-    means = np.stack(
-        [_trig_block(fs, points(lattice_points(rule, rng))).mean(axis=1) for _ in range(LATTICE_SHIFTS)], axis=1
-    )
+    rule = lattice_rule(LATTICE_N, [pow(LATTICE_A, d, LATTICE_N) for d in range(dim)])
+    shifts = np.random.default_rng(seed).random((LATTICE_SHIFTS, dim))
+    means = np.empty((len(fs), LATTICE_SHIFTS))
+    for s in range(LATTICE_SHIFTS):
+        _, x = lattice_points(rule, shifts, slice(s * LATTICE_N, (s + 1) * LATTICE_N))
+        x *= 2.0
+        x -= 1.0
+        np.abs(x, out=x)
+        np.subtract(1.0, x, out=x)
+        means[:, s] = _trig_block(fs, points(x.T)).mean(axis=1)
     return means.mean(axis=1) * volume, means.std(axis=1, ddof=1) * (volume / math.sqrt(LATTICE_SHIFTS))
 
 

@@ -37,6 +37,14 @@ class TestFaceBaseChange:
         assert r.residual_scale == Fraction(1, 4)
         assert r.consistent
 
+    @pytest.mark.parametrize(
+        "broken, halves", [({"g": 2}, (False, True)), ({"e_lattice_check": 0}, (True, False))]
+    )
+    def test_consistent_is_both_halves(self, broken, halves):
+        r = dataclasses.replace(face_base_change((2, 3), 3), **broken)
+        assert (r.splits, r.index_agrees) == halves
+        assert not r.consistent
+
     def test_coprime_point(self):
         r = face_base_change((3,), 2)
         assert (r.e, r.fg, r.b_prime) == (2, 1, 3)

@@ -21,11 +21,17 @@ from tropmass.pencil import (
     _patch_roots,
     _polished_roots,
     _rouche_rows,
-    _route_blocks,
     _sample_patch_route,
     sample_pencil,
 )
-from tropmass.sampler import LATTICE_SHIFTS, TRIG_BLOCK, fibonacci_rule, fit_mass_asymptotics
+from tropmass.sampler import (
+    LATTICE_SHIFTS,
+    TRIG_BLOCK,
+    _route_blocks,
+    fibonacci_rule,
+    fit_mass_asymptotics,
+    lattice_rule,
+)
 
 
 class TestPencilConfig:
@@ -443,6 +449,14 @@ def lattice_rows(rule, shifts):
     return quantile.ravel(), turn.ravel()
 
 
+def fibonacci_table(rule):
+    """The ``(2, N)`` table of the Fibonacci ``rule = (N, g)``, as `sample_pencil` builds it."""
+    return lattice_rule(rule[0], (1, rule[1]))
+
+
+FIBONACCI_4181 = fibonacci_table((4181, 2584))
+
+
 def reference_route(a, b, rule, shifts, r_lo, log_scale):
     """`_sample_patch_route` as one unblocked pass over full ``(rows, 3)`` arrays."""
     quantile, turn = lattice_rows(rule, shifts)
@@ -491,7 +505,7 @@ class TestBlockedPencilRoute:
         r_lo = min(ratio, 1.0 / ratio, 1.0) / 4.0
         shifts = np.random.default_rng(21).random((n_shifts, 2))
         args = (a, b, rule, shifts, r_lo, pen.has_tropical_edges)
-        got = _sample_patch_route(*args, False)
+        got = _sample_patch_route(a, b, fibonacci_table(rule), *args[3:], False)
         ref = reference_route(*args)
         assert len(list(_route_blocks(rule[0], n_shifts))) == 6
         assert got["failures"] == ref["failures"]
@@ -513,7 +527,7 @@ class TestBlockedPencilRoute:
         pen = HypersurfacePencil.coordinate()
         a, b = pen.coefficients(1e-5)
         shifts = np.random.default_rng(25).random((3, 2))
-        args = (a, b, rule)
+        args = (a, b, fibonacci_table(rule))
         rest = (pen.epsilon * 1e-5 / 4.0, True, False)
         whole = _sample_patch_route(*args, shifts, *rest)
         parts = [_sample_patch_route(*args, shifts[k:m], *rest) for k, m in ((0, 1), (1, 3))]
@@ -544,7 +558,7 @@ class TestBlockedPencilRoute:
         # count exactly the roots above it, whatever the solver's last bit.
         pen = HypersurfacePencil.coordinate()
         a, b = pen.coefficients(1e-5)
-        args = (a, b, (4181, 2584), np.random.default_rng(22).random((8, 2)), pen.epsilon * 1e-5 / 4.0, True, False)
+        args = (a, b, FIBONACCI_4181, np.random.default_rng(22).random((8, 2)), pen.epsilon * 1e-5 / 4.0, True, False)
         kept = _sample_patch_route(*args)
         solve = pencil._patch_roots
         residuals = []
@@ -580,7 +594,7 @@ class TestBlockedPencilRoute:
         # coordinate log|v| / log|uv| = 1 - log|u| / log|uv|.
         pen = HypersurfacePencil.coordinate()
         a, b = pen.coefficients(1e-5)
-        args = (a, b, (4181, 2584), np.random.default_rng(24).random((8, 2)), pen.epsilon * 1e-5 / 4.0, True)
+        args = (a, b, FIBONACCI_4181, np.random.default_rng(24).random((8, 2)), pen.epsilon * 1e-5 / 4.0, True)
         drawn = _sample_patch_route(*args, False)
         mirror = _sample_patch_route(*args, True)
         for key in ("failures", "n_points"):
@@ -600,7 +614,7 @@ class TestBlockedPencilRoute:
         # dropped and counted like Cardano's.
         pen = HypersurfacePencil.coordinate()
         a, b = pen.coefficients(1e-5)
-        args = (a, b, (4181, 2584), np.random.default_rng(23).random((8, 2)), pen.epsilon * 1e-5 / 4.0, True, False)
+        args = (a, b, FIBONACCI_4181, np.random.default_rng(23).random((8, 2)), pen.epsilon * 1e-5 / 4.0, True, False)
         kept = _sample_patch_route(*args)
         solve = pencil._newton_patch_root
 

@@ -28,7 +28,6 @@ from tropmass.sampler import (
     MassFit,
     TrigPoly,
     enumerate_point_fiber,
-    fibonacci_points,
     fibonacci_rule,
     fit_mass_asymptotics,
     ks_statistic,
@@ -41,6 +40,7 @@ from tropmass.sampler import (
     _merge_moments,
     _moments,
     _PHASOR_BITS,
+    _route_blocks,
     _sample_shard,
     _shard_counts,
     _trig_block,
@@ -588,7 +588,7 @@ class TestKsStatistic:
         r_lo = abs(a / b) / 4.0
         for seed in (11, 12, 13):
             shifts = np.random.default_rng(seed).random((16, 2))
-            route = _sample_patch_route(a, b, (610, 377), shifts, r_lo, True, False)
+            route = _sample_patch_route(a, b, lattice_rule(610, (1, 377)), shifts, r_lo, True, False)
             values, weights = np.concatenate(route["values"]), np.concatenate(route["weights"])
             assert values.size > 1000
             assert ks_statistic(values, weights, UNIFORM) == pytest.approx(
@@ -949,6 +949,10 @@ class TestUnitPhasor:
             np.testing.assert_array_equal(_unit_phasor(u + m, 1.5), _unit_phasor(u, 1.5))
 
 
+# The Korobov generator ``a^d mod N`` of the polar checks, ``d < 6``.
+KOROBOV = tuple(pow(LATTICE_A, d, LATTICE_N) for d in range(6))
+
+
 def shifted_rule(dim, seed):
     """All `LATTICE_SHIFTS` shifts of the folded rule at once: ``(shifts, N, dim)``."""
     rng = np.random.default_rng(seed)
@@ -1014,18 +1018,64 @@ class TestLatticeRule:
         merits = [self.p2(int(a), 4) for a in candidates]
         assert int(candidates[np.argmin(merits)]) == LATTICE_A
 
+    @staticmethod
+    def stacked_rule(n, g, shifts, rows):
+        """Rows ``rows`` of the ``(n, g)`` rule stacked over ``shifts``, from ``(k g_d mod n) / n + s_d mod 1``."""
+        shift, k = np.divmod(rows, n)
+        return shift, (np.outer(g, k) % n / n + shifts[shift].T) % 1.0
+
+    @pytest.mark.parametrize(
+        "n, g, n_shifts, kinds",
+        [
+            (LATTICE_N, KOROBOV[:1], LATTICE_SHIFTS, {"one", "several"}),
+            (LATTICE_N, KOROBOV[:4], LATTICE_SHIFTS, {"one", "several"}),
+            (LATTICE_N, KOROBOV[:6], LATTICE_SHIFTS, {"one", "several"}),
+            (89, (1, 55), 5, {"one", "several"}),
+            (28657, (1, 17711), 3, {"one", "piece"}),
+        ],
+        ids=["korobov-1", "korobov-4", "korobov-6", "fibonacci-89", "fibonacci-28657"],
+    )
+    def test_points_are_the_closed_form_on_every_block(self, n, g, n_shifts, kinds):
+        # The pencil's blocks, and one block per whole shift as the polar checks take them.
+        rule = lattice_rule(n, g)
+        assert rule.shape == (len(g), n)
+        shifts = np.random.default_rng(3).random((n_shifts, len(g)))
+        blocks = [*_route_blocks(n, n_shifts), *(slice(s * n, (s + 1) * n) for s in range(n_shifts))]
+        seen = set()
+        for block in blocks:
+            rows = block.stop - block.start
+            seen.add("piece" if rows < n else "one" if rows == n else "several")
+            shift, x = lattice_points(rule, shifts, block)
+            want_shift, want = self.stacked_rule(n, g, shifts, np.arange(block.start, block.stop))
+            np.testing.assert_array_equal(shift, want_shift)
+            np.testing.assert_array_equal(x, want)
+            assert x.shape == (len(g), rows) and x.min() >= 0.0 and x.max() < 1.0
+        assert seen == kinds
+
+    def test_points_refuse_a_block_across_a_shift_boundary(self):
+        rule = lattice_rule(89, (1, 55))
+        for block in (slice(20, 109), slice(20, 198), slice(0, 120)):
+            with pytest.raises(ValueError):
+                lattice_points(rule, np.zeros((3, 2)), block)
+
     @pytest.mark.parametrize("dim", [1, 4, 6])
-    def test_points_are_one_shift_of_the_rule_folded(self, dim):
-        u = lattice_points(lattice_rule(dim), np.random.default_rng(3))
-        assert u.shape == (LATTICE_N, dim) and u.dtype == float
-        assert u.min() >= 0.0 and u.max() <= 1.0
-        assert all(u[:, j].flags.c_contiguous for j in range(dim))
-        # Row k, coordinate j is the tent map of k a^j / N + s_j mod 1, s one uniform vector.
-        shift = np.random.default_rng(3).random(dim)
-        k = np.arange(LATTICE_N)
-        for j in range(dim):
-            x = (k * pow(LATTICE_A, j, LATTICE_N) % LATTICE_N / LATTICE_N + shift[j]) % 1.0
-            np.testing.assert_allclose(u[:, j], 1.0 - np.abs(2.0 * x - 1.0), rtol=0, atol=1e-15)
+    def test_polar_points_are_the_shifts_folded(self, dim):
+        # `_lattice_estimate` hands each shift of the Korobov rule, tent-folded, to ``points``.
+        seen = []
+
+        def points(u):
+            assert all(u[:, j].flags.c_contiguous for j in range(dim))
+            seen.append(u.copy())
+            return np.zeros((u.shape[0], 1), dtype=complex)
+
+        sampler._lattice_estimate([TrigPoly((((0,), (0,), 1 + 0j),))], dim, 3, points, 1.0)
+        shifts = np.random.default_rng(3).random((LATTICE_SHIFTS, dim))
+        assert len(seen) == LATTICE_SHIFTS
+        for s, u in enumerate(seen):
+            assert u.shape == (LATTICE_N, dim) and u.dtype == float
+            assert u.min() >= 0.0 and u.max() <= 1.0
+            _, x = self.stacked_rule(LATTICE_N, KOROBOV[:dim], shifts, np.arange(s * LATTICE_N, (s + 1) * LATTICE_N))
+            np.testing.assert_array_equal(u, (1.0 - np.abs(2.0 * x - 1.0)).T)
 
     @pytest.mark.parametrize(
         "n_max, rule",
@@ -1040,21 +1090,6 @@ class TestLatticeRule:
     def test_fibonacci_rule_needs_a_point(self):
         with pytest.raises(ValueError, match="one point"):
             fibonacci_rule(0)
-
-    def test_fibonacci_points_stack_the_shifts(self):
-        rule = (89, 55)
-        shifts = np.random.default_rng(5).random((3, 2))
-        rows = np.arange(20, 3 * 89)
-        shift, x, y = fibonacci_points(rule, shifts, rows)
-        np.testing.assert_array_equal(shift, rows // 89)
-        j = rows % 89
-        np.testing.assert_allclose(x, (j / 89 + shifts[shift, 0]) % 1.0, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(y, (j * 55 % 89 / 89 + shifts[shift, 1]) % 1.0, rtol=0, atol=1e-15)
-        assert x.min() >= 0.0 and y.min() >= 0.0 and x.max() < 1.0 and y.max() < 1.0
-        # Each shift holds every multiple of 1/89 once in each coordinate, moved by its shift.
-        whole = fibonacci_points(rule, shifts, np.arange(89, 178))
-        for coord, s in ((whole[1], shifts[1, 0]), (whole[2], shifts[1, 1])):
-            np.testing.assert_allclose(np.sort((coord - s) % 1.0 * 89), np.arange(89), atol=1e-9)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_constant_integrand_is_exact_on_every_shift(self, k):
