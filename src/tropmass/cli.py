@@ -28,7 +28,10 @@ carries its own limit); exact checks fail on any discrepancy.
 The ``verify`` subcommand runs named suites; each suite reproduces one
 acceptance scenario end to end (``tropmass verify --suite list`` prints the
 names).  The ``polar`` and ``hybrid`` suites are the ``polar-check`` and
-``hybrid-check`` runners at fixed configurations.  The output directory
+``hybrid-check`` runners at fixed configurations; the ``pushforward``,
+``pencil`` and ``chart-residual`` suites report verdicts of the
+``pushforward``, ``sample-pencil`` with ``skeleton-check``, and ``fit-mass``
+runners at fixed configurations, under their own names.  The output directory
 defaults to the ``TROPMASS_OUTDIR`` environment variable, then to
 ``./tropmass-out``.
 """
@@ -82,12 +85,11 @@ from .model import (
     simplex_model,
     weight_data,
 )
-from .pencil import HypersurfacePencil, PencilError, PencilSampleResult, elliptic_lattice_covolume, sample_pencil
+from .pencil import HypersurfacePencil, PencilError, elliptic_lattice_covolume, sample_pencil
 from .sampler import (
     FiberSampleResult,
     LocalChart,
     MassFit,
-    SimplexHistogram,
     TrigPoly,
     check_fit_schedule,
     enumerate_point_fiber,
@@ -366,7 +368,11 @@ def _load_model(cfg: ExperimentConfig) -> Loaded:
 
 
 def _chart_metric(cfg: ExperimentConfig, loaded: Loaded | None) -> MonomialChartMetric:
-    """Monomial chart from explicit ``--b/--a``, or that of the model's single top face."""
+    """Monomial chart from explicit ``--b/--a``, or that of the model's single top face.
+
+    A pencil preset is refused: the chart commands run charts, and its
+    pencil belongs to ``sample-pencil``.
+    """
     if cfg.b is not None:
         if not cfg.b or min(cfg.b) < 1:
             raise ConfigError(f"--b needs multiplicities >= 1, got {','.join(map(str, cfg.b))!r}")
@@ -374,6 +380,8 @@ def _chart_metric(cfg: ExperimentConfig, loaded: Loaded | None) -> MonomialChart
         if len(a) != len(cfg.b):
             raise ConfigError(f"--a needs {len(cfg.b)} entries, got {len(a)}")
         return MonomialChartMetric(b=cfg.b, a=a)
+    if loaded is not None and not loaded[3] and cfg.model in HypersurfacePencil.PRESETS:
+        raise ConfigError(f"{cfg.command} runs charts only: for the pencil, run sample-pencil --preset {cfg.model}")
     dual = build_dual_complex(loaded[0]) if loaded is not None else None
     if dual is None or len(dual.faces_of_dim(dual.dim)) != 1:
         raise ConfigError(f"{cfg.command}: needs --b (and optionally --a), or a model with one top face")
@@ -558,37 +566,6 @@ def _sweep(
     return [sample_fiber_measure(LocalChart(metric, t), n, seed, threads=threads) for t in ts]
 
 
-def _edge_verdicts(res: PencilSampleResult, equal_name: str, ks_prefix: str, ks_limit: float) -> list[CheckVerdict]:
-    """Equal masses on the tropical edges (worst pairwise gap) and a uniform density on each."""
-    patches = res.patches
-    worst = max(
-        (
-            sigmas(p.mass_raw - q.mass_raw, math.hypot(p.stderr_raw, q.stderr_raw))
-            for p, q in combinations(patches, 2)
-        ),
-        default=0.0,
-    )
-    verdicts = [
-        stat_check(
-            equal_name,
-            worst,
-            f"worst pairwise gap {worst:.2f} standard errors across {len(patches)} edges; each route's "
-            f"standard error is the spread of its {res.shifts} lattice shift means "
-            f"({res.shifts - 1} degrees of freedom)",
-        )
-    ]
-    for p in patches:
-        verdicts.append(
-            bound_check(
-                f"{ks_prefix}-{p.label}",
-                p.ks_uniform if p.ks_uniform is not None else math.inf,
-                ks_limit,
-                f"KS distance of edge {p.label} to the uniform edge density",
-            )
-        )
-    return verdicts
-
-
 def _chart_mass_verdicts(
     metric: MonomialChartMetric, results: Sequence[FiberSampleResult], names: Sequence[str]
 ) -> list[CheckVerdict]:
@@ -645,60 +622,7 @@ def _fit_verdicts(
     return verdicts, fit, predicted
 
 
-def _pushforward_verdicts(
-    metric: MonomialChartMetric,
-    hist: SimplexHistogram,
-    total_name: str,
-    ks_name: str,
-    ks_limit: float,
-) -> list[CheckVerdict]:
-    """Total pushforward mass against the limit mass; on an edge, KS to the uniform density."""
-    predicted = chart_limit_mass(metric)
-    verdicts = [
-        stat_check(
-            total_name,
-            sigmas(hist.total_mass - predicted, hist.total_stderr),
-            f"total {hist.total_mass:.6g} +- {hist.total_stderr:.2g} vs predicted {predicted:.6g}",
-        )
-    ]
-    if len(hist.coord_indices) == 1:
-        lo, hi = float(hist.edges[0][0]), float(hist.edges[0][-1])
-        ks = math.inf  # no accepted sample, as for a pencil edge with no points
-        if hist.weights.size:
-            ks = ks_statistic(hist.values[:, 0], hist.weights, uniform_cdf(lo, hi))
-        verdicts.append(
-            bound_check(
-                ks_name,
-                ks,
-                ks_limit,
-                f"KS distance to the uniform density on [{lo:g}, {hi:g}]",
-            )
-        )
-    return verdicts
-
-
-def _residue_verdict(
-    sk: TriangulatedSkeleton, anchor: str, rho: float, name: str
-) -> tuple[CheckVerdict, dict[str, float]]:
-    """Propagate the anchor's residue through the skeleton, one magnitude on every cell.
-
-    An anchor naming no cell raises `SkeletonError`.  A propagation that
-    succeeds is constant, so the check fails only on a skeleton that cannot
-    carry it (not closed, not strongly connected, or a cell with
-    ``b_sigma != 1``), with the reason in its detail.
-    """
-    sk.cell(anchor)
-    try:
-        magnitudes = residue_chain_propagate(sk, anchor, rho)
-    except SkeletonError as err:
-        return exact_check(name, 1.0, f"no propagation: {err}"), {}
-    detail = f"propagated magnitude {magnitudes[anchor]:g} on all {len(magnitudes)} cells"
-    return exact_check(name, 0.0, detail), magnitudes
-
-
 def _run_sample_chart(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
-    if loaded is not None and not loaded[3] and cfg.model in HypersurfacePencil.PRESETS:
-        raise ConfigError(f"sample runs charts only: for the pencil, run sample-pencil --preset {cfg.model}")
     metric = _chart_metric(cfg, loaded)
     ts = cfg.t_schedule
     results = _sweep(metric, ts, cfg.n_samples, cfg.seed, cfg.threads)
@@ -754,7 +678,31 @@ def _run_sample_pencil(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
     ]
     if pen.has_tropical_edges:
         patches = res.patches
-        verdicts += _edge_verdicts(res, "edge-masses-pairwise-equal", "edge-uniformity-ks", cfg.tolerance)
+        worst = max(
+            (
+                sigmas(p.mass_raw - q.mass_raw, math.hypot(p.stderr_raw, q.stderr_raw))
+                for p, q in combinations(patches, 2)
+            ),
+            default=0.0,
+        )
+        verdicts.append(
+            stat_check(
+                "edge-masses-pairwise-equal",
+                worst,
+                f"worst pairwise gap {worst:.2f} standard errors across {len(patches)} edges; each route's "
+                f"standard error is the spread of its {res.shifts} lattice shift means "
+                f"({res.shifts - 1} degrees of freedom)",
+            )
+        )
+        for p in patches:
+            verdicts.append(
+                bound_check(
+                    f"edge-uniformity-ks-{p.label}",
+                    p.ks_uniform if p.ks_uniform is not None else math.inf,
+                    cfg.tolerance,
+                    f"KS distance of edge {p.label} to the uniform edge density",
+                )
+            )
         finite_t = math.log(1.0 / (t * pen.epsilon)) / math.log(1.0 / t)
         for p in patches:
             sig = sigmas(p.mass - finite_t, p.stderr)
@@ -788,11 +736,28 @@ def _run_pushforward(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome:
         _check_bins(cfg)
     t = cfg.t_schedule[0]
     hist = pushforward_histogram(metric, cfg.n_samples, cfg.bins, cfg.seed, t=t, threads=cfg.threads)
-    verdicts = _pushforward_verdicts(
-        metric, hist, "pushforward-total-mass", "pushforward-uniformity-ks", cfg.tolerance
-    )
+    predicted = chart_limit_mass(metric)
+    verdicts = [
+        stat_check(
+            "pushforward-total-mass",
+            sigmas(hist.total_mass - predicted, hist.total_stderr),
+            f"total {hist.total_mass:.6g} +- {hist.total_stderr:.2g} vs predicted {predicted:.6g}",
+        )
+    ]
     if len(hist.coord_indices) == 1:
         e = hist.edges[0]
+        lo, hi = float(e[0]), float(e[-1])
+        # No weight to compare, from no accepted sample or only weights that
+        # underflow to 0: infinite, as for a pencil edge with no points.
+        ks = ks_statistic(hist.values[:, 0], hist.weights, uniform_cdf(lo, hi)) if hist.weights.any() else math.inf
+        verdicts.append(
+            bound_check(
+                "pushforward-uniformity-ks",
+                ks,
+                cfg.tolerance,
+                f"KS distance to the uniform density on [{lo:g}, {hi:g}]",
+            )
+        )
         rows = [
             {"bin_lo": e[k], "bin_hi": e[k + 1], "mass": hist.masses[k], "stderr": hist.stderrs[k]}
             for k in range(len(hist.masses))
@@ -1099,8 +1064,17 @@ def _run_skeleton_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome
         "closed": report.closed,
     }
     if anchor is not None:
-        verdict, magnitudes = _residue_verdict(sk, anchor, rho, "residue-propagation-constant")
-        verdicts.append(verdict)
+        # An anchor naming no cell raises `SkeletonError`.  A propagation
+        # that succeeds is constant, so the check fails only on a skeleton
+        # that cannot carry it (not closed, not strongly connected, or a cell
+        # with ``b_sigma != 1``), with the reason in its detail.
+        sk.cell(anchor)
+        try:
+            magnitudes = residue_chain_propagate(sk, anchor, rho)
+            detail = f"propagated magnitude {magnitudes[anchor]:g} on all {len(magnitudes)} cells"
+        except SkeletonError as err:
+            magnitudes, detail = {}, f"no propagation: {err}"
+        verdicts.append(exact_check("residue-propagation-constant", 0.0 if magnitudes else 1.0, detail))
         summary["residue_magnitudes"] = {k: magnitudes[k] for k in sorted(magnitudes)}
     name = f"skeleton-{_slug(cfg)}"
     return Outcome(verdicts, {f"{name}.csv": rows, f"{name}.json": summary})
@@ -1108,6 +1082,16 @@ def _run_skeleton_check(cfg: ExperimentConfig, loaded: Loaded | None) -> Outcome
 
 # ---------------------------------------------------------------------------
 # verification suites (one per acceptance scenario)
+
+
+def _renamed(verdicts: Sequence[CheckVerdict], names: Mapping[str, str]) -> list[CheckVerdict]:
+    """The verdicts that ``names`` maps, in its order, each under its new name.
+
+    A suite that runs a subcommand's runner reports some of its verdicts
+    under the suite's own names.  Raises `KeyError` for a name not in ``verdicts``.
+    """
+    by_name = {v.name: v for v in verdicts}
+    return [dataclasses.replace(by_name[old], name=new) for old, new in names.items()]
 
 
 def suite_lattice(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
@@ -1149,7 +1133,8 @@ def suite_chart_residual(seed: int = 0, quick: bool = False, threads: int = 1) -
     far below any standard error, so ``twisted-mass-pi`` is a z-score
     against ``pi`` with the pencil's limit of 4.  Its standard error is
     ``pi sqrt((L - 1) / n)``: 0.51% of ``pi`` at full size (a limit of
-    about 2.0%) and 1.6% at ``--quick``.
+    about 2.0%) and 1.6% at ``--quick``.  ``twisted-log-exponent`` is the
+    ``fit-mass`` runner's ``fit-log-exponent`` over `LADDER`.
     """
     metric = MonomialChartMetric(b=(1, 1), a=(Fraction(0), Fraction(1)))
     closed = residual_mass_closed_form(metric)
@@ -1171,19 +1156,19 @@ def suite_chart_residual(seed: int = 0, quick: bool = False, threads: int = 1) -
             limit=4.0,
         )
     )
-    n = 10_000 if quick else 100_000
-    fit = _fit_verdicts(metric, _sweep(metric, LADDER, n, seed, threads), "twisted")[0]
-    return verdicts + fit[:1]
+    fit = _run_fit_mass(ExperimentConfig(
+        command="fit-mass", b=metric.b, a=metric.a, t_schedule=LADDER, n_samples=10_000 if quick else 100_000,
+        tolerance=0.02, seed=seed, threads=threads), None)
+    return verdicts + _renamed(fit.verdicts, {"fit-log-exponent": "twisted-log-exponent"})
 
 
 def suite_pushforward(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
-    """Pushforward histogram of the (1,2) chart: mass 1/2, uniform on [0, 1/2]."""
-    metric = MonomialChartMetric(b=(1, 2), a=(Fraction(0), Fraction(0)))
-    n = 100_000 if quick else 1_000_000
-    hist = pushforward_histogram(metric, n, 50, seed, t=1e-6, threads=threads)
-    return _pushforward_verdicts(
-        metric, hist, "pushforward-total-half", "pushforward-uniform-ks", 0.02
-    )
+    """The ``pushforward`` runner on the (1,2) chart: mass 1/2, uniform on [0, 1/2]."""
+    cfg = ExperimentConfig(
+        command="pushforward", b=(1, 2), a=(Fraction(0), Fraction(0)), t_schedule=(1e-6,),
+        n_samples=100_000 if quick else 1_000_000, bins=50, tolerance=0.02, seed=seed, threads=threads)
+    return _renamed(_run_pushforward(cfg, None).verdicts, {
+        "pushforward-total-mass": "pushforward-total-half", "pushforward-uniformity-ks": "pushforward-uniform-ks"})
 
 
 def suite_decay(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
@@ -1240,16 +1225,22 @@ def suite_base_change(seed: int = 0, quick: bool = False, threads: int = 1) -> l
 def suite_pencil(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:
     """Triangle degeneration at desk scale: equal edges, uniform edges, constant residues.
 
-    The budgets give 16 shifts of the Fibonacci rules of 2584 points
-    (248,064 evaluations) and, when ``quick``, 987 points (94,752).
+    The ``sample-pencil`` runner on the coordinate pencil, then the
+    ``skeleton-check`` runner on its model.  The budgets give 16 shifts of
+    the Fibonacci rules of 2584 points (248,064 evaluations) and, when
+    ``quick``, 987 points (94,752).
     """
-    pen = HypersurfacePencil.coordinate()
-    n = 100_000 if quick else 250_000
-    res = sample_pencil(pen, 1e-5, n, seed, bins=25, threads=threads)
-    verdicts = _edge_verdicts(res, "pencil-edge-masses-equal", "pencil-edge-ks", 0.02)
-    sk = TriangulatedSkeleton.from_dual_complex(build_dual_complex(coordinate_pencil(2)))
-    verdicts.append(_residue_verdict(sk, "E0&E1", 1.0, "pencil-residue-propagation-constant")[0])
-    return verdicts
+    cfg = ExperimentConfig(
+        command="sample-pencil", model="coordinate_pencil", t_schedule=(1e-5,),
+        n_samples=100_000 if quick else 250_000, bins=25, epsilon=0.1, tolerance=0.02, seed=seed, threads=threads)
+    edges = {f"edge-uniformity-ks-{e}": f"pencil-edge-ks-{e}" for e in ("E1&E2", "E0&E2", "E0&E1")}
+    verdicts = _renamed(_run_sample_pencil(cfg, None).verdicts, {
+        "edge-masses-pairwise-equal": "pencil-edge-masses-equal", **edges})
+    cfg = ExperimentConfig(
+        command="skeleton-check", model="coordinate_pencil", subdivide=False, anchor="E0&E1", rho=1.0)
+    # The model itself: `_load_model` would read a file of that name in the working directory.
+    residue = _run_skeleton_check(cfg, (coordinate_pencil(2), None, None, b"")).verdicts
+    return verdicts + _renamed(residue, {"residue-propagation-constant": "pencil-residue-propagation-constant"})
 
 
 def suite_hybrid(seed: int = 0, quick: bool = False, threads: int = 1) -> list[CheckVerdict]:

@@ -329,18 +329,25 @@ def sample_fiber_measure(
         w.resize((n_accepted, len(keep)), refcheck=False)
         weights.resize(n_accepted, refcheck=False)
 
-    # Unrescaled fiber mass: divide the rescaling factor back out.
+    # Unrescaled fiber mass: divide the rescaling factor back out.  Past the
+    # float range, multiply by its inverse, taking |t|^kappa_min twice so that
+    # only the last product can round below the normal range (to 0.0 at worst).
     m = chart.metric
     d = m.active_dim
-    unscale = (chart.lam**d / TWO_PI**d) * abs(chart.t) ** (-2.0 * float(m.kappa_min))
+    try:
+        unscale = (chart.lam**d / TWO_PI**d) * abs(chart.t) ** (-2.0 * float(m.kappa_min))
+        mass_raw, stderr_raw = mean / unscale, stderr / unscale
+    except OverflowError:
+        half = abs(chart.t) ** float(m.kappa_min)
+        mass_raw, stderr_raw = (x / chart.lam**d * TWO_PI**d * half * half for x in (mean, stderr))
     return FiberSampleResult(
         t=chart.t,
         n_samples=n,
         n_accepted=n_accepted,
         mass=mean,
         stderr=stderr,
-        mass_raw=mean / unscale,
-        stderr_raw=stderr / unscale,
+        mass_raw=mass_raw,
+        stderr_raw=stderr_raw,
         w=w,
         weights=weights,
     )

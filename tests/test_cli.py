@@ -15,11 +15,13 @@ import json
 import math
 import re
 import shlex
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropmass import basechange, cli
 from tropmass.cli import (
@@ -405,7 +407,35 @@ class TestSkeletonSpecParsing:
 # exit codes
 
 
+@st.composite
+def chart_command_lines(draw) -> list[str]:
+    """A chart command line: p <= 3, each b_i <= 3, each a_i in {0, 1/2, 1, 3, 7}, n <= 1000.
+
+    ``--t`` draws from 0.5, 0.999, 1e-3, 1e-30, 1e-300 and 5e-324: one value
+    for ``pushforward``, a list for ``sample`` and ``fit-mass``.
+    """
+    command = draw(st.sampled_from(["sample", "pushforward", "fit-mass"]))
+    k = draw(st.integers(1, 4))
+    b = draw(st.lists(st.sampled_from("123"), min_size=k, max_size=k))
+    a = draw(st.lists(st.sampled_from(["0", "1/2", "1", "3", "7"]), min_size=k, max_size=k))
+    t_values = st.sampled_from(["0.5", "0.999", "1e-3", "1e-30", "1e-300", "5e-324"])
+    ts = draw(st.lists(t_values, min_size=1, max_size=1 if command == "pushforward" else 6, unique=True))
+    args = [command, "--b", ",".join(b), "--a", ",".join(a), "--t", ",".join(ts),
+            "--n-samples", str(draw(st.integers(1, 1000))), "--seed", str(draw(st.integers(0, 50)))]
+    if command == "pushforward":
+        args += ["--bins", str(draw(st.integers(1, 50)))]
+    return args
+
+
 class TestExitCodes:
+    @given(args=chart_command_lines())
+    @settings(max_examples=200, deadline=None)
+    def test_chart_command_lines_never_exit_three(self, args):
+        # Under the warnings-as-errors filter of the test configuration, so an
+        # overflow or 0/0 warning would exit 3 too.
+        with tempfile.TemporaryDirectory() as out:
+            assert main([*args, "--out", out]) in (0, 1, 2)
+
     def test_pass_run_exits_zero(self, tmp_path, capsys):
         code, out, _ = run_cli(["dual-complex", "--preset", "annulus"], tmp_path, capsys)
         assert code == 0
@@ -487,6 +517,23 @@ class TestExitCodes:
         assert len((tmp_path / "fit-mass-chart-1-1-1-1-1-1-1-1-1.csv").read_text().splitlines()) == 5
         summary = json.loads((tmp_path / "fit-mass-chart-1-1-1-1-1-1-1-1-1.json").read_text())
         assert summary["fit"] is None
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            # Every accepted weight underflows to 0: nothing to compare, as with no sample.
+            ("pushforward --b 1,1,1 --a 0,0,3 --t 1e-300 --n-samples 1 --bins 1 --seed 2", 1),
+            # |t|^(-2 kappa_min) overflows: the raw mass is a subnormal at 1e-160 and 0.0 below.
+            ("fit-mass --b 1,1 --a 1,1 --t 1e-2..1e-160 --n-samples 1000 --seed 1", 0),
+            ("sample --b 2,1 --a 1,1 --t 1e-310 --n-samples 1000 --seed 1", 0),
+            ("pushforward --b 1 --a 3 --t 1e-200 --n-samples 100 --seed 1", 0),
+        ],
+        ids=["zero-weights", "fit-overflow", "sample-overflow", "pushforward-overflow"],
+    )
+    def test_extreme_t_exits_by_its_verdicts(self, tmp_path, capsys, args, expected):
+        code, out, err = run_cli(args.split(), tmp_path, capsys)
+        assert (code, err) == (expected, "")
+        assert code == ("[FAIL]" in out)
 
     @pytest.mark.parametrize(
         "args",
@@ -622,11 +669,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("preset", HypersurfacePencil.PRESETS)
     def test_sample_refuses_a_pencil_preset(self, tmp_path, capsys, preset):
-        # The pencil presets belong to sample-pencil; sample runs charts only.
-        code, out, err = run_cli(["sample", "--preset", preset, "--t", "1e-4", "--seed", "1"], tmp_path, capsys)
-        assert code == 2
-        assert f"run sample-pencil --preset {preset}" in err
-        assert not list(tmp_path.glob("*.csv"))
+        # The pencil presets belong to sample-pencil; the chart commands run charts only.
+        for command, t in (("sample", "1e-4"), ("pushforward", "1e-4"), ("fit-mass", "1e-2..1e-6")):
+            code, out, err = run_cli([command, "--preset", preset, "--t", t, "--seed", "1"], tmp_path, capsys)
+            assert (code, out) == (2, "")
+            assert f"[error] {command} runs charts only: for the pencil, run sample-pencil --preset {preset}" in err
+            assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "args",
@@ -981,7 +1029,10 @@ class TestSubcommands:
     def test_chart_commands_need_one_top_face(self, tmp_path, capsys):
         spec = tmp_path / "cycle.skel"
         spec.write_text(cycle_spec_text())
-        for model_args in (["--model", str(spec)], ["--preset", "coordinate_pencil"], []):
+        # A pencil preset is refused before its faces are counted; its spec file is a model.
+        pencil = tmp_path / "coordinate_pencil.model"
+        pencil.write_text(format_model_spec(coordinate_pencil(2)))
+        for model_args in (["--model", str(spec)], ["--model", str(pencil)], []):
             args = ["pushforward", *model_args, "--t", "1e-4", "--seed", "1"]
             code, _, err = run_cli(args, tmp_path, capsys)
             assert code == 2
@@ -1181,15 +1232,52 @@ class TestSuiteRegistry:
         assert all(timings[key] >= 0 for key in suites)
         assert sum(timings[key] for key in suites) <= timings["verify"]
 
+    EDGES = ("E1&E2", "E0&E2", "E0&E1")
+
     @pytest.mark.parametrize(
         "suite, fields",
-        [("polar", {}), ("hybrid", {"n_polys": 200})],
+        [
+            ("polar", [({"command": "polar-check", "seed": 4}, None)]),
+            ("hybrid", [({"command": "hybrid-check", "seed": 4, "n_polys": 200}, None)]),
+            ("pushforward", [(
+                {"command": "pushforward", "b": (1, 2), "t_schedule": (1e-6,), "seed": 4},
+                {"pushforward-total-mass": "pushforward-total-half",
+                 "pushforward-uniformity-ks": "pushforward-uniform-ks"},
+            )]),
+            ("pencil", [
+                (
+                    {"command": "sample-pencil", "model": "coordinate_pencil", "t_schedule": (1e-5,), "bins": 25,
+                     "seed": 4},
+                    {"edge-masses-pairwise-equal": "pencil-edge-masses-equal",
+                     **{f"edge-uniformity-ks-{e}": f"pencil-edge-ks-{e}" for e in EDGES}},
+                ),
+                (
+                    {"command": "skeleton-check", "model": "coordinate_pencil", "anchor": "E0&E1"},
+                    {"residue-propagation-constant": "pencil-residue-propagation-constant"},
+                ),
+            ]),
+            ("chart-residual", [(
+                {"command": "fit-mass", "b": (1, 1), "a": (Fraction(0), Fraction(1)), "t_schedule": cli.LADDER,
+                 "n_samples": 10_000, "seed": 4},
+                {"fit-log-exponent": "twisted-log-exponent"},
+            )]),
+        ],
     )
     def test_suite_is_its_subcommand_runner(self, tmp_path, suite, fields):
-        report = cli.run(
-            ExperimentConfig(command=f"{suite}-check", seed=4, outdir=str(tmp_path), **fields)
-        )
-        assert SUITES[suite](seed=4, quick=True) == list(report.verdicts)
+        # ``fields`` holds each subcommand run the suite repeats at --quick and
+        # the runner verdicts it reports under its own names: each equals the
+        # run's verdict under that name, the other five fields unchanged.  The
+        # polar and hybrid suites report every verdict under the runner's name.
+        verdicts = SUITES[suite](seed=4, quick=True)
+        reported = []
+        for k, (config, names) in enumerate(fields):
+            report = cli.run(ExperimentConfig(outdir=str(tmp_path / str(k)), **config))
+            if names is None:
+                assert verdicts == list(report.verdicts)
+                return
+            by_name = {v.name: v for v in report.verdicts}
+            reported += [dataclasses.replace(by_name[old], name=new) for old, new in names.items()]
+        assert [v for v in verdicts if v.name in {r.name for r in reported}] == reported
 
     @pytest.mark.parametrize("faces", ["one", "all"])
     def test_regression_weights_are_compared_with_exact_values(self, monkeypatch, faces):

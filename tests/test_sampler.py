@@ -122,6 +122,18 @@ class TestFiberMass:
             assert (res.mass, res.stderr) == (1.0, 0.0)
             assert res.mass_raw / (TWO_PI * t * math.log(1.0 / t)) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [1e-155, 1e-160, 1e-165, 1e-310, 5e-324])
+    def test_raw_mass_past_the_float_range(self, t):
+        # Slopes (1, 1): the rescaled mass is 1 and the raw mass 2 pi log(1/|t|) |t|^2,
+        # whose factor |t|^-2 passes the float range below |t| ~ 1.3e-154.  Past it the
+        # raw mass still comes within two units in the last place, and is 0.0 below
+        # |t| ~ 1e-163.
+        res = sample_fiber_measure(chart((1, 1), (1, 1), t), 100, seed=1)
+        assert (res.mass, res.stderr, res.stderr_raw) == (1.0, 0.0, 0.0)
+        exact = float(Fraction(TWO_PI) * Fraction(-math.log(t)) * Fraction(t) ** 2)
+        assert abs(res.mass_raw - exact) <= 2 * math.ulp(exact)
+        assert (res.mass_raw == 0.0) == (t < 1e-163)
+
     def test_keep_samples_indexes_the_log_coordinates(self):
         c = chart((1, 1, 1), (0, 1, 1), 1e-3)
         for keep in ((3,), (0, -1)):
