@@ -80,7 +80,6 @@ from .model import (
     ModelSpecError,
     WeightedSncModel,
     build_dual_complex,
-    coordinate_pencil,
     load_preset,
     simplex_model,
     weight_data,
@@ -136,10 +135,11 @@ class ExperimentConfig:
     ``command`` names a row of `COMMANDS`.  A field that the row does not read
     must stay ``None``; a field that it reads and that is not given takes the
     row's default, and one whose default is `REQUIRED` must be given.
+    ``model`` is a preset name (``--preset``) or a spec file's `Path` (``--model``).
     """
 
     command: str
-    model: str | None = None
+    model: str | Path | None = None
     b: tuple[int, ...] | None = None
     a: tuple[Fraction, ...] | None = None
     n: int | None = None
@@ -194,9 +194,8 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"{self.command}: needs {' and '.join(missing)}")
         if "n" in given:
-            # `_load_model` reads an existing path as a spec file, whatever its name.
-            if self.model != "coordinate_pencil" or Path(self.model).exists():
-                raise ConfigError(f"--n sets the dimension of coordinate_pencil only, not of {self.model!r}")
+            if self.model != "coordinate_pencil":
+                raise ConfigError(f"--n sets the dimension of coordinate_pencil only, not of {str(self.model)!r}")
             if not 1 <= self.n <= N_MAX:
                 raise ConfigError(f"--n must lie in 1..{N_MAX}, got {self.n}")
         for name, default in row.reads.items():
@@ -210,10 +209,10 @@ class ExperimentConfig:
 
 
 def _plain(v: object) -> object:
-    """JSON-ready form of a config value: tuples as lists, fractions as strings."""
+    """JSON-ready form of a config value: tuples as lists, fractions and paths as strings."""
     if isinstance(v, tuple):
         return [_plain(x) for x in v]
-    return str(v) if isinstance(v, Fraction) else v
+    return str(v) if isinstance(v, (Fraction, Path)) else v
 
 
 @dataclass(frozen=True)
@@ -351,16 +350,16 @@ class Outcome(NamedTuple):
 def _load_model(cfg: ExperimentConfig) -> Loaded:
     """Resolve the model argument to a model, optional skeleton anchor and rho, input bytes.
 
-    The input bytes are those of a spec file, empty for a preset.
+    A `Path` is read as a spec file, whatever its name, and its bytes are the
+    input bytes; a name is a preset, with empty input bytes.
     """
-    path = Path(cfg.model)
-    if path.suffix or path.exists():
+    if isinstance(cfg.model, Path):
         try:
-            raw = path.read_bytes()
+            raw = cfg.model.read_bytes()
             text = raw.decode("utf-8")
         except (OSError, UnicodeDecodeError) as e:
-            raise ConfigError(f"cannot read model spec {cfg.model!r}: {e}") from None
-        model, anchor, rho = parse_skeleton_spec(text, name=path.stem)
+            raise ConfigError(f"cannot read model spec {str(cfg.model)!r}: {e}") from None
+        model, anchor, rho = parse_skeleton_spec(text, name=cfg.model.stem)
         return model, anchor, rho, raw
     # The chart commands do not read --n: the preset keeps its own default.
     preset = load_preset(cfg.model) if cfg.n is None else load_preset(cfg.model, cfg.n)
@@ -380,7 +379,7 @@ def _chart_metric(cfg: ExperimentConfig, loaded: Loaded | None) -> MonomialChart
         if len(a) != len(cfg.b):
             raise ConfigError(f"--a needs {len(cfg.b)} entries, got {len(a)}")
         return MonomialChartMetric(b=cfg.b, a=a)
-    if loaded is not None and not loaded[3] and cfg.model in HypersurfacePencil.PRESETS:
+    if cfg.model in HypersurfacePencil.PRESETS:
         raise ConfigError(f"{cfg.command} runs charts only: for the pencil, run sample-pencil --preset {cfg.model}")
     dual = build_dual_complex(loaded[0]) if loaded is not None else None
     if dual is None or len(dual.faces_of_dim(dual.dim)) != 1:
@@ -447,7 +446,7 @@ def _slug(cfg: ExperimentConfig) -> str:
     if cfg.suite:
         return cfg.suite
     if cfg.model:
-        base = Path(cfg.model).stem if Path(cfg.model).suffix else cfg.model
+        base = cfg.model.stem if isinstance(cfg.model, Path) else cfg.model
     elif cfg.b is not None:
         base = "chart-" + "-".join(str(x) for x in cfg.b)
     else:
@@ -1238,8 +1237,7 @@ def suite_pencil(seed: int = 0, quick: bool = False, threads: int = 1) -> list[C
         "edge-masses-pairwise-equal": "pencil-edge-masses-equal", **edges})
     cfg = ExperimentConfig(
         command="skeleton-check", model="coordinate_pencil", subdivide=False, anchor="E0&E1", rho=1.0)
-    # The model itself: `_load_model` would read a file of that name in the working directory.
-    residue = _run_skeleton_check(cfg, (coordinate_pencil(2), None, None, b"")).verdicts
+    residue = _run_skeleton_check(cfg, _load_model(cfg)).verdicts
     return verdicts + _renamed(residue, {"residue-propagation-constant": "pencil-residue-propagation-constant"})
 
 
@@ -1331,7 +1329,7 @@ class Command(NamedTuple):
 FIELDS: dict[str, Flags] = {
     "model": {
         "--preset": {"metavar": "NAME", "help": f"model preset: {sorted(PRESETS)}"},
-        "--model": {"metavar": "FILE", "help": "path to a model-spec file"},
+        "--model": {"type": Path, "metavar": "FILE", "help": "path to a model-spec file"},
     },
     "n": {"--n": {"type": int, "help": f"projective dimension for coordinate_pencil, 1..{N_MAX}"}},
     "b": {"--b": {"help": "chart multiplicities, e.g. 1,2"}},

@@ -130,7 +130,11 @@ class SkeletalMeasure:
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(e.weight for e in self.entries)
+        """The sum of the weights, correctly rounded: ``inf`` once it passes the float range."""
+        try:
+            return math.fsum(e.weight for e in self.entries)
+        except OverflowError:  # the weights are >= 0, so the sum overflows upward
+            return math.inf
 
     def to_rows(self) -> list[dict[str, object]]:
         return [

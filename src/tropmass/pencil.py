@@ -59,7 +59,7 @@ from .sampler import (
     LATTICE_SHIFTS,
     TRIG_BLOCK,
     _map_shards,
-    _moments,
+    _replicate_mean,
     _route_blocks,
     _shard_counts,
     _unit_phasor,
@@ -514,10 +514,11 @@ def sample_pencil(
     rule (`fibonacci_rule`) with ``6 * LATTICE_SHIFTS * N <= n``, whose
     table (`lattice_rule`) is built once and shared by all six routes, so
     ``n_samples = 96 N`` of the budget is used; a budget below 96 raises
-    `PencilError`.  A route's estimate is the mean of its shift means, and
-    its standard error their spread, with ``LATTICE_SHIFTS - 1`` degrees of
-    freedom.  For the triangle degeneration each patch contribution is the
-    mass of one dual-complex edge, and the pushforward coordinate
+    `PencilError`.  `_replicate_mean` reduces a route's shift means to its
+    estimate and variance, as in the polar checks (``LATTICE_SHIFTS - 1``
+    degrees of freedom); a patch adds its two routes'.  For the triangle
+    degeneration each patch contribution is the mass of one dual-complex
+    edge, and the pushforward coordinate
     ``log|z_i/z_k| / log|z_i z_j / z_k^2|`` of the same points is binned and
     tested for uniformity.  Root-solving failures are excluded and counted.
 
@@ -573,9 +574,9 @@ def sample_pencil(
         wts: list[np.ndarray] = []
         n_pts = 0
         for parts in (results[:shards], results[shards:]):
-            _, mean, m2 = _moments(np.concatenate([p["sums"] for p in parts]) / n_rule)
-            mass += mean
-            var += m2 / (LATTICE_SHIFTS - 1) / LATTICE_SHIFTS
+            mean, route_var = _replicate_mean(np.concatenate([p["sums"] for p in parts]) / n_rule)
+            mass += float(mean)
+            var += float(route_var)
             total_failures += sum(p["failures"] for p in parts)
             n_pts += sum(p["n_points"] for p in parts)
             for p in parts:

@@ -158,6 +158,16 @@ def _merge_moments(parts: Sequence[tuple[int, float, float]]) -> tuple[int, floa
     return n, mean, m2
 
 
+def _replicate_mean(means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean over the last axis of ``R`` replicate means, and its variance ``var(ddof=1) / R``.
+
+    The variance has ``R - 1`` degrees of freedom: the replicates are
+    independent shifts of one lattice rule (Owen, "Monte Carlo theory,
+    methods and examples", 2013).
+    """
+    return means.mean(axis=-1), means.var(axis=-1, ddof=1) / means.shape[-1]
+
+
 def _spacings(rng: np.random.Generator, k: int, n: int, total) -> np.ndarray:
     """``(k, n)`` array whose columns are uniform on ``{s >= 0, sum s = total}``.
 
@@ -907,9 +917,9 @@ def _lattice_estimate(
     integrand the error falls almost as ``N^-2``.  ``points`` maps each
     shift's ``(LATTICE_N, dim)`` points, columns contiguous, to the chart
     points, and one `_trig_block` call evaluates every test function on
-    them.  The estimate is ``volume`` times the mean of the shift means, and
-    its standard error their sample standard deviation over
-    ``sqrt(LATTICE_SHIFTS)``: one entry per ``f``, each reduced as its
+    them.  `_replicate_mean` reduces the shift means: the estimate is
+    ``volume`` times their mean, and its standard error ``volume`` times the
+    root of its variance, one entry per ``f``, each reduced as its
     one-function call reduces it.
     """
     rule = lattice_rule(LATTICE_N, [pow(LATTICE_A, d, LATTICE_N) for d in range(dim)])
@@ -922,7 +932,8 @@ def _lattice_estimate(
         np.abs(x, out=x)
         np.subtract(1.0, x, out=x)
         means[:, s] = _trig_block(fs, points(x.T)).mean(axis=1)
-    return means.mean(axis=1) * volume, means.std(axis=1, ddof=1) * (volume / math.sqrt(LATTICE_SHIFTS))
+    mean, var = _replicate_mean(means)
+    return mean * volume, np.sqrt(var) * volume
 
 
 def polar_full_check(fs: Sequence[TrigPoly], seed: int) -> list[PolarCheckResult]:

@@ -800,6 +800,74 @@ class TestExitCodes:
         assert code == 0
         assert out.split() == sorted(SUITES)
 
+    def test_limit_measure_past_the_float_range_exits_zero(self, tmp_path, capsys):
+        # The three weights sum past the largest float: the total is inf.
+        args = ["limit-measure", "--preset", "coordinate_pencil"]
+        for face in ("E0&E1", "E0&E2", "E1&E2"):
+            args += ["--residue", f"{face}=1e308"]
+        code, out, err = run_cli(args, tmp_path, capsys)
+        assert (code, err) == (0, "")
+        assert "[pass] positive-total-mass: total mass inf" in out
+        payload = json.loads((tmp_path / "limit-measure-coordinate_pencil.json").read_text())
+        assert payload["total_mass"] == "inf"
+
+
+SEGMENT_SPEC = "[components]\nE0 b=1 a=0\nE1 b=1 a=0\n[strata]\nE0\nE1\nE0 & E1\n"
+
+
+class TestModelArgument:
+    """``--preset`` names a preset and ``--model`` reads a file, whatever the working directory holds."""
+
+    @pytest.fixture
+    def stray(self, tmp_path, monkeypatch):
+        """A working directory with files named like two presets: a segment spec and a garbage line."""
+        (tmp_path / "coordinate_pencil").write_text(SEGMENT_SPEC)
+        (tmp_path / "fermat_smooth").write_text("garbage\n")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def test_preset_ignores_a_file_of_its_name(self, stray, capsys):
+        code, out, _ = run_cli(["skeleton-check", "--preset", "coordinate_pencil"], stray / "out", capsys)
+        assert code == 0
+        assert "[pass] closed: 0 boundary facets" in out
+
+    def test_pencil_preset_ignores_a_file_of_its_name(self, stray, capsys):
+        args = ["sample-pencil", "--preset", "fermat_smooth", "--t", "1e-2", "--n-samples", "6000", "--seed", "1"]
+        code, _, err = run_cli(args, stray / "out", capsys)
+        assert (code, err) == (0, "")
+
+    def test_preset_hash_ignores_a_file_of_its_name(self, stray, tmp_path_factory, monkeypatch, capsys):
+        args = ["sample-pencil", "--preset", "coordinate_pencil", "--t", "1e-2", "--n-samples", "6000", "--seed", "1"]
+        hashes = []
+        for directory in (stray, tmp_path_factory.mktemp("clean")):
+            monkeypatch.chdir(directory)
+            assert run_cli(args, directory / "out", capsys)[0] == 0
+            report = json.loads((directory / "out" / "sample-pencil-coordinate_pencil-report.json").read_text())
+            hashes.append(report["content_hash"])
+        assert hashes[0] == hashes[1]
+
+    def test_model_reads_a_file_named_like_a_preset(self, stray, capsys):
+        code, out, _ = run_cli(["skeleton-check", "--model", "coordinate_pencil"], stray / "out", capsys)
+        assert code == 1
+        assert "[FAIL] closed: 2 boundary facets" in out
+        report = json.loads((stray / "out" / "skeleton-check-coordinate_pencil-report.json").read_text())
+        assert report["config"]["model"] == "coordinate_pencil"
+
+    def test_spec_without_a_suffix_names_artifacts_by_its_stem(self, stray, capsys):
+        (stray / "specs").mkdir()
+        (stray / "specs" / "segment").write_text(SEGMENT_SPEC)
+        assert run_cli(["dual-complex", "--model", "specs/segment"], stray / "out", capsys)[0] == 0
+        assert sorted(p.name for p in (stray / "out").iterdir()) == [
+            "dual-complex-segment-report.json", "dual-complex-segment.csv", "dual-complex-segment.json"]
+
+    def test_preset_does_not_read_a_spec_path(self, tmp_path, capsys):
+        spec = tmp_path / "cycle.skel"
+        spec.write_text(cycle_spec_text())
+        code, out, err = run_cli(["skeleton-check", "--preset", str(spec)], tmp_path / "out", capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"[error] unknown preset {str(spec)!r}")
+        assert not list((tmp_path / "out").iterdir())
+
 
 # ---------------------------------------------------------------------------
 # subcommand artifacts

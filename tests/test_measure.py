@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tropmass.basechange import pushforward_identity_check
 from tropmass.measure import (
     MonomialChartMetric,
     assemble_limit_measure,
@@ -71,6 +72,12 @@ class TestAssembleLimitMeasure:
         measure = assemble_limit_measure(annulus(), {"E0&E1": 1.0})
         assert measure.total_mass == 1.0
         assert measure.d == 1
+
+    def test_total_mass_past_the_float_range_is_inf(self):
+        measure = assemble_limit_measure(coordinate_pencil(2), {f: 1e308 for f in ("E0&E1", "E0&E2", "E1&E2")})
+        assert measure.total_mass == math.inf
+        assert measure.to_json()["total_mass"] == math.inf
+        assert all(pushforward_identity_check(measure, m).passed for m in (1, 2, 6))
 
     def test_weighted_edge(self):
         from tropmass.model import Component, Stratum, WeightedSncModel

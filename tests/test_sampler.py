@@ -40,6 +40,7 @@ from tropmass.sampler import (
     _merge_moments,
     _moments,
     _PHASOR_BITS,
+    _replicate_mean,
     _route_blocks,
     _sample_shard,
     _shard_counts,
@@ -223,7 +224,7 @@ class TestRunnerCsvDigests:
             "sample-coordinate_pencil-t1e-05.csv": {
                 "c76c4d077e4d66940a2d20070fc600397f2c25df5c70e603fbc48333df1f2fe8",
                 "a4b282934187a2d206914741a076a04b4ca894113e6c379765d861a75396b07c",
-                "c131616897aa0440b62ad34441c2a32d9260ea905a4f29f01f7d15e8ca71239e",
+                "84bcab63efc97f6d5f713456349632bba281afb247bc9a3c0f57cb3e53e3467f",
             },
             "sample-coordinate_pencil-t1e-05-hist.csv": {
                 "a1a091fd376fc8f19d0271dbbbc74f93bf72b8b850f06faac2c923fa3dee234d",
@@ -233,8 +234,8 @@ class TestRunnerCsvDigests:
         },
         "sample-pencil --preset fermat_smooth --t 1e-2 --n-samples 60000 --seed 3": {
             "sample-fermat_smooth-t0.01.csv": {
-                "bf68a8d5a4d2c49d77a007ec6c93778d30287b3644da9d6b29fdb8ef8c001e22",
-                "b64d401fad9c609ac00991b8b039357d5f0dde3c6cad2e4e939dbf45704dde9a",
+                "96e8494eb44d35c5ba24fda0d06caa732547e79af5399f153ba985f968e5926b",
+                "9d89476649540e0927e48ddaa739e950d3373abe52197490c0f7dc7234e27d5f",
                 "97250ce37db83d2b02b48ae7afb47b9c00bff191192f8a720cf5263664c07f59",
             },
             # A smooth fiber has no edge coordinate to bin.
@@ -341,6 +342,18 @@ class TestStableVariance:
         assert mean == pytest.approx(pooled.mean(), rel=1e-15)
         assert m2 / n == pytest.approx(np.var(pooled), rel=1e-7)
         assert _moments(np.full(10, 0.1)) == (10, 0.1, 0.0)
+
+    def test_replicate_mean_reduces_the_last_axis(self):
+        # One row of shift means per test function, as `_lattice_estimate` holds them.
+        means = np.random.default_rng(9).normal(3.0, 0.01, (5, LATTICE_SHIFTS))
+        mean, var = _replicate_mean(means)
+        for row, m, v in zip(means, mean, var):
+            assert (m, v) == _replicate_mean(row)
+            assert v == pytest.approx(np.var(row, ddof=1) / LATTICE_SHIFTS, rel=1e-15)
+        # The polar checks' standard error keeps the bits of the sample
+        # standard deviation over sqrt(16) = 4: both scalings are exact.
+        volume = math.pi**2
+        assert np.array_equal(np.sqrt(var) * volume, means.std(axis=1, ddof=1) * (volume / 4.0))
 
     def test_histogram_stderrs_match_two_pass_reference(self):
         # Non-constant weights exp(-2 x_2) on the face coordinate w_1.
