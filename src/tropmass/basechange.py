@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import _multiplicities, sublattice_index
+from .lattice import _multiplicities, _multiplicity, sublattice_index
 from .measure import SkeletalMeasure
 from .model import Face, WeightedSncModel, build_dual_complex
 
@@ -74,9 +74,7 @@ def face_base_change(b: Sequence[int], m: int) -> FaceBaseChange:
     from `FaceBaseChange.consistent`.
     """
     b = _multiplicities(b)
-    if m < 1 or m != int(m):
-        raise ValueError("base-change order m must be a positive integer")
-    m = int(m)
+    m = _multiplicity(m, "base-change order m")
     b_sigma = math.gcd(*b)
     fg = math.gcd(m, b_sigma)
     return FaceBaseChange(
@@ -141,22 +139,17 @@ def pushforward_identity_check(measure: SkeletalMeasure, m: int) -> PushforwardC
     ``f = 1``, and have multiplicity ``b' = b / gcd(m,b)``; summing
     ``g * f * gcd^{-2} * (b')^{-1} * m^d Vol`` must equal
     ``m^d * b^{-1} * Vol`` exactly (the real factor ``R`` cancels, so the
-    comparison is in exact rationals).
+    comparison is of two exact rationals, one `Fraction` a side).
     """
     ok = True
     d = measure.d
+    scale = _multiplicity(m, "base-change order m") ** d
     for entry in measure.entries:
         face = entry.face
         r = face_base_change(face.simplex.b, m)
-        vol = entry.volume
-        lhs = (
-            Fraction(r.g)
-            * r.f
-            * r.residual_scale
-            * Fraction(1, r.b_prime)
-            * Fraction(m) ** d
-            * vol
-        )
-        rhs = Fraction(m) ** d * Fraction(1, face.multiplicity) * vol
+        rs, vol = r.residual_scale, entry.volume
+        mass = scale * vol.numerator  # m^d Vol, over vol.denominator
+        lhs = Fraction(r.g * r.f * rs.numerator * mass, rs.denominator * r.b_prime * vol.denominator)
+        rhs = Fraction(mass, face.multiplicity * vol.denominator)
         ok = ok and lhs == rhs
     return PushforwardCheck(m=m, d=d, passed=ok)

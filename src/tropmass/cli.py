@@ -1098,10 +1098,10 @@ def suite_lattice(seed: int = 0, quick: bool = False, threads: int = 1) -> list[
     mismatches = 0
     checked = 0
     for length in (1, 2, 3, 4):
+        target = Fraction(1, math.factorial(length - 1))
         for b in product(range(1, 7), repeat=length):
             checked += 1
-            p = length - 1
-            if simplex_volume(b) * lattice_index(b) != Fraction(1, math.factorial(p)):
+            if simplex_volume(b) * lattice_index(b) != target:
                 mismatches += 1
     return [
         exact_check(

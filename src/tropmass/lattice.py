@@ -7,8 +7,9 @@ This module computes, in exact integer/rational arithmetic:
 * the lattice-normalized volume of ``sigma``,
 * the index of the rescaling map between the tangent lattices of ``sigma``
   and of the reduced (all-multiplicities-one) simplex, via explicit integer
-  coordinates and the index of the lattice they span (independent of the
-  closed-form product formula),
+  coordinates and the index of the lattice they span: a Hermite normal form
+  by extended-gcd row operations on the columns, last to first (Cohen, 1993,
+  section 2.4.2), independent of the closed-form product formula,
 * the constant density of the lattice-normalized Lebesgue measure in the
   standard affine chart that drops one coordinate.
 
@@ -28,18 +29,25 @@ from itertools import accumulate
 from typing import Sequence
 
 
+def _integer(x: object, what: str) -> int:
+    """``x`` as an ``int`` by ``operator.index``; a bool, float or string raises `ValueError`."""
+    try:
+        if not isinstance(x, bool):
+            return operator.index(x)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} {x!r} is not an integer")
+
+
 def _multiplicity(x: object, what: str = "multiplicity") -> int:
     """The one rule for a multiplicity: an integer (``operator.index``), not a bool, at least 1.
 
     So ``2`` and ``numpy.int64(2)`` pass, while ``1.5``, ``2.0`` and ``True``
     raise `ValueError`.
     """
-    if isinstance(x, bool):
-        raise ValueError(f"{what} {x!r} is not an integer")
-    try:
-        value = operator.index(x)
-    except TypeError:
-        raise ValueError(f"{what} {x!r} is not an integer") from None
+    if type(x) is int and x >= 1:
+        return x
+    value = _integer(x, what)
     if value < 1:
         raise ValueError(f"{what} {value} must be >= 1")
     return value
@@ -49,7 +57,10 @@ def _multiplicities(b: Sequence[int]) -> tuple[int, ...]:
     """A nonempty multiplicity vector, each entry checked by `_multiplicity`."""
     if len(b) == 0:
         raise ValueError("multiplicity vector must be nonempty")
-    return tuple(_multiplicity(x, f"multiplicity b_{i} =") for i, x in enumerate(b))
+    return tuple(
+        x if type(x) is int and x >= 1 else _multiplicity(x, f"multiplicity b_{i} =")
+        for i, x in enumerate(b)
+    )
 
 
 @dataclass(frozen=True)
@@ -116,31 +127,24 @@ def _kernel_basis(b: tuple[int, ...]) -> list[tuple[int, ...]]:
     Returns a list of ``n - 1`` integer vectors (empty for ``n = 1``).
     """
     n = len(b)
-    if n == 1:
-        return []
-    # u[k] holds integer coefficients with sum(b[i]*u[i] for i <= k) == g_k.
-    u = [0] * n
-    u[0] = 1
+    # u holds integer coefficients with sum(b[i]*u[i] for i <= k) == g_k.
+    u = [1]
     g = b[0]
     basis: list[tuple[int, ...]] = []
     for k in range(1, n):
-        g_next = math.gcd(g, b[k])
-        vec = [0] * n
-        for i in range(k):
-            vec[i] = (b[k] // g_next) * u[i]
-        vec[k] = -(g // g_next)
-        basis.append(tuple(vec))
         # extended gcd step: g_next = s*g + t*b[k]
         s, t = _bezout(g, b[k])
-        for i in range(k):
-            u[i] *= s
-        u[k] = t
+        g_next = s * g + t * b[k]
+        e = b[k] // g_next
+        basis.append(tuple([e * x for x in u] + [-(g // g_next)] + [0] * (n - 1 - k)))
+        u = [s * x for x in u]
+        u.append(t)
         g = g_next
     return basis
 
 
 def _bezout(a: int, c: int) -> tuple[int, int]:
-    """Integers (s, t) with s*a + t*c == gcd(a, c)."""
+    """Integers (s, t) with s*a + t*c == gcd(a, c), the non-negative gcd, for signed a and c."""
     old_r, r = a, c
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -149,20 +153,7 @@ def _bezout(a: int, c: int) -> tuple[int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
-    return old_s, old_t
-
-
-def _reduced_coords(vec: Sequence[int]) -> list[int]:
-    """Coordinates of ``vec`` in ``_kernel_basis((1,) * n)``, which is ``{e_{k-1} - e_k}``.
-
-    ``vec = sum_k x_k (e_{k-1} - e_k)`` gives ``x_{j+1} = vec_0 + ... + vec_j``
-    for ``j < n - 1``; ``vec`` lies in the lattice exactly when its entries sum
-    to zero.
-    """
-    partial = list(accumulate(vec))
-    if partial[-1] != 0:
-        raise ValueError("vector not in the lattice spanned by the basis")
-    return partial[:-1]
+    return (old_s, old_t) if old_r >= 0 else (-old_s, -old_t)
 
 
 def lattice_index(b: Sequence[int]) -> int:
@@ -179,6 +170,11 @@ def lattice_index(b: Sequence[int]) -> int:
     oracle for `simplex_volume` through the identity
     ``simplex_volume(b) * lattice_index(b) == 1/p!``.
 
+    ``w = sum_k x_k (e_{k-1} - e_k)`` gives ``x_{j+1} = w_0 + ... + w_j``, and
+    ``w`` lies in ``T'`` exactly when its entries sum to zero.  The k-th basis
+    vector of ``T`` is supported on ``0..k``, so the coordinate matrix is
+    lower triangular and needs no row operation.
+
     Examples
     --------
     >>> lattice_index((1, 1))
@@ -187,7 +183,12 @@ def lattice_index(b: Sequence[int]) -> int:
     6
     """
     b = _multiplicities(b)
-    coords = [_reduced_coords([bi * wi for bi, wi in zip(b, v)]) for v in _kernel_basis(b)]
+    coords = []
+    for v in _kernel_basis(b):
+        partial = list(accumulate(map(operator.mul, b, v)))
+        if partial[-1] != 0:
+            raise ValueError("vector not in the lattice spanned by the basis")
+        coords.append(partial[:-1])
     return sublattice_index(coords, len(b) - 1)
 
 
@@ -238,33 +239,36 @@ def normalized_density_chart(b: Sequence[int], drop: int = 0) -> Fraction:
 def sublattice_index(generators: Sequence[Sequence[int]], n: int) -> int:
     """Index in ``Z^n`` of the sublattice spanned by integer generators.
 
-    Computes the absolute value of the product of pivots of the integer row
-    echelon (Hermite) form.  Raises if the generators do not span a
-    finite-index sublattice.
+    Returns the absolute product of the pivots of the integer row echelon
+    (Hermite) form, the gcd of the maximal minors.  Columns go last to first:
+    the first row nonzero in column ``c`` is the pivot, and each other one
+    meets it in the unimodular 2x2 step of the extended gcd, which leaves 0
+    in that row.  A lower triangular matrix with nonzero diagonal, such as
+    `lattice_index`'s, thus takes no row operation.  Entries pass `operator.index`; a bool, float or string raises
+    `ValueError`, as do generators of infinite index.
     """
-    rows = [list(map(int, g)) for g in generators]
+    rows = [[x if type(x) is int else _integer(x, "generator entry") for x in g] for g in generators]
     for r in rows:
         if len(r) != n:
             raise ValueError("generator length mismatch")
     det = 1
-    col_rows = rows
-    for c in range(n):
-        nz = [r for r in col_rows if r[c] != 0]
-        rest = [r for r in col_rows if r[c] == 0]
-        if not nz:
+    for c in range(n - 1, -1, -1):
+        pivot = None
+        rest = []
+        for r in rows:
+            if r[c] == 0:
+                rest.append(r)
+            elif pivot is None:
+                pivot = r
+            else:
+                p, q = pivot[c], r[c]
+                s, t = _bezout(p, q)
+                g = s * p + t * q
+                p, q = p // g, q // g
+                rest.append([p * y - q * x for x, y in zip(pivot, r)])
+                pivot = [s * x + t * y for x, y in zip(pivot, r)]
+        if pivot is None:
             raise ValueError("generators do not span a finite-index sublattice")
-        while len(nz) > 1:
-            nz.sort(key=lambda r: abs(r[c]))
-            head = nz[0]
-            reduced = []
-            for r in nz[1:]:
-                q = r[c] // head[c]
-                newr = [x - q * y for x, y in zip(r, head)]
-                if newr[c] != 0:
-                    reduced.append(newr)
-                else:
-                    rest.append(newr)
-            nz = [head] + reduced
-        det *= abs(nz[0][c])
-        col_rows = rest
+        det *= abs(pivot[c])
+        rows = rest
     return det

@@ -6,6 +6,11 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# A deeper property sweep, selected with ``--hypothesis-profile=ci``; runs
+# without that option keep hypothesis's default profile.
+settings.register_profile("ci", max_examples=2000)
 
 # The numpy version and architecture under which the whole-file digests of
 # `test_sampler.py` and `test_cli.py` were recorded.

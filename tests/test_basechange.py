@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -69,6 +70,11 @@ class TestFaceBaseChange:
         r = face_base_change(tuple(b), m)
         assert r.e == r.e_lattice_check == m // math.gcd(m, math.gcd(*b))
 
+    @pytest.mark.parametrize("m", [True, 2.0, 2.5, math.inf, math.nan, "3", 0, -1])
+    def test_rejects_a_bad_order(self, m):
+        with pytest.raises(ValueError, match="^base-change order m "):
+            face_base_change((2, 3), m)
+
     def test_volume_scaling_via_chart(self):
         # The pulled-back simplex is the m-fold dilation: its chart image
         # scales by m^p while the chart density is unchanged.
@@ -94,6 +100,12 @@ class TestPushforwardIdentity:
         measure = assemble_limit_measure(annulus(), {"E0&E1": 1.0})
         check = pushforward_identity_check(measure, 5)
         assert (check.m, check.d, check.passed) == (5, 1, True)
+
+    def test_order_taken_by_the_multiplicity_rule(self):
+        measure = assemble_limit_measure(edge_model(2, 2), {"E0&E1": 1.0})
+        assert pushforward_identity_check(measure, np.int64(2)).passed
+        with pytest.raises(ValueError, match="^base-change order m 2.0 is not an integer$"):
+            pushforward_identity_check(measure, 2.0)
 
     def test_doubled_edge_worked_example(self):
         # One upstairs face per gcd: g = 2 faces of multiplicity b' = 1, each

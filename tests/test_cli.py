@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from tropmass import basechange, cli
 from tropmass.cli import (
     SUITES,
+    CheckVerdict,
     ConfigError,
     ExperimentConfig,
     build_parser,
@@ -1287,6 +1288,34 @@ class TestSuiteRegistry:
             "polar",
             "pushforward",
             "regression",
+        ]
+
+    # The exact suites' verdicts, every field, as the normal-form oracle and
+    # the base-change identities must keep reporting them.
+    EXACT_SUITE_VERDICTS = {
+        "lattice": [
+            CheckVerdict(
+                "simplex-volume-vs-lattice-index", "exact", True, 0.0, 0.0,
+                "1554 multiplicity vectors (entries <= 6, length <= 4) checked exactly",
+            ),
+        ],
+        "base-change": [
+            CheckVerdict(
+                "base-change-splitting", "exact", True, 0.0, 0.0,
+                "e*f*g = m and lattice scales exact on 504 (b, m) pairs",
+            ),
+            CheckVerdict(
+                "base-change-pushforward", "exact", True, 0.0, 0.0,
+                "pushforward of the base-changed measure equals m^d * measure for every case",
+            ),
+        ],
+    }
+
+    @pytest.mark.parametrize("suite", EXACT_SUITE_VERDICTS)
+    def test_exact_suite_verdicts_are_pinned(self, suite):
+        verdicts = SUITES[suite](seed=0)
+        assert [dataclasses.astuple(v) for v in verdicts] == [
+            dataclasses.astuple(v) for v in self.EXACT_SUITE_VERDICTS[suite]
         ]
 
     def test_verify_reports_each_suite_time(self, tmp_path):

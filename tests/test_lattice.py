@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tropmass import basechange, lattice
 from tropmass.lattice import (
     ZSimplex,
+    _bezout,
     _kernel_basis,
     chart_volume,
     lattice_index,
@@ -26,6 +29,29 @@ from tropmass.model import Component, ModelError
 from tropmass.skeleton import SkeletonError, TopCell
 
 multiplicity_vectors = st.lists(st.integers(1, 9), min_size=1, max_size=5).map(tuple)
+
+
+@st.composite
+def generator_matrices(draw):
+    """Integer matrices of 0-7 rows and 1-4 columns, entries in [-20, 20].
+
+    Rows are drawn from a pool that holds the zero row, so zero and repeated
+    rows are common.
+    """
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n), min_size=1, max_size=7))
+    rows = draw(st.lists(st.sampled_from([[0] * n, *pool]), max_size=7))
+    return rows, n
+
+
+def leibniz_det(matrix) -> int:
+    """Determinant by the Leibniz sum over permutations."""
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(n))
+    return total
 
 
 class TestSimplexVolume:
@@ -87,6 +113,28 @@ class TestLatticeIndex:
     @given(multiplicity_vectors)
     def test_matches_product_formula(self, b):
         assert lattice_index(b) == math.prod(b) // math.gcd(*b)
+
+    def test_identity_with_volume_on_the_length_five_grid(self):
+        # All 3,125 vectors of length 5 with entries <= 5, a domain the
+        # lattice suite does not reach.
+        for b in product(range(1, 6), repeat=5):
+            assert simplex_volume(b) * lattice_index(b) == Fraction(1, 24), b
+
+    def test_each_call_computes_its_normal_form(self, monkeypatch):
+        # Nothing is memoized: a repeated vector runs the elimination again.
+        calls = []
+        real = lattice.sublattice_index
+        monkeypatch.setattr(lattice, "sublattice_index", lambda gens, n: calls.append(n) or real(gens, n))
+        assert lattice_index((2, 3, 4)) == lattice_index((2, 3, 4)) == 24
+        assert calls == [2, 2]
+
+
+@pytest.mark.parametrize("module", [lattice, basechange])
+def test_exact_modules_hold_no_cache(module):
+    for name, value in vars(module).items():
+        if not name.startswith("__"):
+            assert not isinstance(value, dict), name
+            assert not hasattr(value, "cache_info"), name
 
 
 class TestKernelBasis:
@@ -155,6 +203,35 @@ class TestSublatticeIndex:
         with pytest.raises(ValueError):
             sublattice_index([[1, 2]], 2)
 
+    @pytest.mark.parametrize("bad", [2.7, 2.0, "3", True])
+    def test_rejects_a_non_integer_entry(self, bad):
+        with pytest.raises(ValueError, match=f"generator entry {re.escape(repr(bad))} is not an integer"):
+            sublattice_index([[bad, 0], [0, 1]], 2)
+
+    def test_numpy_integers_pass(self):
+        index = sublattice_index([[np.int64(2), np.int32(0)], [np.int16(0), np.int64(3)]], 2)
+        assert repr(index) == "6"
+
+    @given(generator_matrices())
+    def test_index_is_gcd_of_maximal_minors(self, case):
+        rows, n = case
+        minors = math.gcd(*(leibniz_det(sub) for sub in combinations(rows, n)))
+        if minors == 0:
+            with pytest.raises(ValueError, match="finite-index"):
+                sublattice_index(rows, n)
+        else:
+            assert sublattice_index(rows, n) == minors
+
+
+class TestBezout:
+    @given(st.integers(), st.integers())
+    @example(4, -6)
+    @example(0, 0)
+    @example(0, -5)
+    def test_coefficients_of_the_non_negative_gcd(self, a, c):
+        s, t = _bezout(a, c)
+        assert s * a + t * c == math.gcd(a, c)
+
 
 class TestZSimplex:
     def test_validation(self):
@@ -165,13 +242,15 @@ class TestZSimplex:
 
 
 # Every place that takes a multiplicity applies the one rule of
-# `lattice.multiplicity`; each site maps x to what it keeps of (x, 3).
+# `lattice._multiplicity`; each site maps x to what it keeps of (x, 3), or
+# of x for the base-change order m.
 MULTIPLICITY_SITES = {
     "ZSimplex": (lambda x: ZSimplex((x, 3)).b, ValueError),
     "simplex_volume": (lambda x: simplex_volume((x, 3)), ValueError),
     "lattice_index": (lambda x: lattice_index((x, 3)), ValueError),
     "MonomialChartMetric": (lambda x: MonomialChartMetric(b=(x, 3), a=(0, 0)).b, ValueError),
     "face_base_change": (lambda x: face_base_change((x, 3), 2).b, ValueError),
+    "face_base_change m": (lambda x: face_base_change((2, 3), x).m, ValueError),
     "TopCell": (lambda x: TopCell("c", ("u", "v"), (x, 3)).multiplicities, SkeletonError),
     "Component": (lambda x: (Component("E0", x).b, 3), ModelError),
 }
