@@ -9,7 +9,10 @@ splits into ``g = gcd(m, b_sigma)`` faces upstairs, each mapping with degree
 residual masses by ``gcd(m, b_sigma)^{-2}``.  Everything here is exact
 integer/rational arithmetic; the splitting degree ``e = m / gcd(m, b_sigma)``
 is additionally computed as an independent lattice index, and a report
-whose two values differ is not `FaceBaseChange.consistent`.
+whose two values differ is not `FaceBaseChange.consistent`.  Both identities
+read one `face_base_change` report per face: the splitting identity its
+`FaceBaseChange.consistent`, the pushforward identity its ``g``, ``f``,
+``residual_scale``, ``b_prime`` and ``volume_scale``.
 """
 
 from __future__ import annotations
@@ -95,8 +98,6 @@ def face_base_change(b: Sequence[int], m: int) -> FaceBaseChange:
 class BaseChangeReport:
     """Per-face base-change table for a whole model."""
 
-    model: WeightedSncModel
-    m: int
     entries: tuple[tuple[Face, FaceBaseChange], ...]
 
     def rows(self) -> list[dict[str, object]]:
@@ -119,37 +120,36 @@ def model_base_change(m_model: WeightedSncModel, m: int) -> BaseChangeReport:
     """Base-change table over all faces of the dual complex."""
     dual = build_dual_complex(m_model)
     entries = tuple((face, face_base_change(face.simplex.b, m)) for face in dual.faces)
-    return BaseChangeReport(m_model, m, entries)
+    return BaseChangeReport(entries)
 
 
 @dataclass(frozen=True)
 class PushforwardCheck:
-    """Result of the exact pushforward identity test."""
+    """Result of the exact pushforward identity test, with the face reports it read."""
 
     m: int
     d: int
     passed: bool
+    faces: tuple[FaceBaseChange, ...]
 
 
 def pushforward_identity_check(measure: SkeletalMeasure, m: int) -> PushforwardCheck:
     """Verify that pushing the base-changed measure forward rescales by ``m^d``.
 
-    For each top face the ``g = gcd(m,b)`` upstairs faces each carry residual
-    mass ``gcd(m,b)^{-2} R`` and volume ``m^d Vol``, map with degree
-    ``f = 1``, and have multiplicity ``b' = b / gcd(m,b)``; summing
-    ``g * f * gcd^{-2} * (b')^{-1} * m^d Vol`` must equal
-    ``m^d * b^{-1} * Vol`` exactly (the real factor ``R`` cancels, so the
-    comparison is of two exact rationals, one `Fraction` a side).
+    The upstairs side of each top face reads only its `face_base_change`
+    report: ``g`` faces of residual mass ``residual_scale * R``, volume
+    ``volume_scale * Vol`` and multiplicity ``b_prime``, each mapping with
+    degree ``f``.  The downstairs side is ``m^d * R * Vol / b``, the only
+    ``m^d`` here.  ``R`` cancels, so each side is one exact `Fraction`.
+    ``faces`` holds the reports in the order of ``measure.entries``.
     """
     ok = True
     d = measure.d
     scale = _multiplicity(m, "base-change order m") ** d
-    for entry in measure.entries:
-        face = entry.face
-        r = face_base_change(face.simplex.b, m)
+    faces = tuple(face_base_change(entry.face.simplex.b, m) for entry in measure.entries)
+    for entry, r in zip(measure.entries, faces):
         rs, vol = r.residual_scale, entry.volume
-        mass = scale * vol.numerator  # m^d Vol, over vol.denominator
-        lhs = Fraction(r.g * r.f * rs.numerator * mass, rs.denominator * r.b_prime * vol.denominator)
-        rhs = Fraction(mass, face.multiplicity * vol.denominator)
-        ok = ok and lhs == rhs
-    return PushforwardCheck(m=m, d=d, passed=ok)
+        upstairs = r.g * r.f * rs.numerator * r.volume_scale * vol.numerator
+        lhs = Fraction(upstairs, rs.denominator * r.b_prime * vol.denominator)
+        ok = ok and lhs == Fraction(scale * vol.numerator, entry.b_sigma * vol.denominator)
+    return PushforwardCheck(m=m, d=d, passed=ok, faces=faces)

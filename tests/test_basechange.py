@@ -6,6 +6,7 @@ import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from tropmass.basechange import (
 )
 from tropmass.lattice import simplex_volume
 from tropmass.measure import assemble_limit_measure
-from tropmass.model import Component, Stratum, WeightedSncModel, annulus, coordinate_pencil
+from tropmass.model import Component, Stratum, WeightedSncModel, annulus, coordinate_pencil, simplex_model
+
+# The report fields the upstairs side of the pushforward identity reads.
+PUSHFORWARD_FIELDS = ("g", "f", "residual_scale", "b_prime", "volume_scale")
 
 
 def edge_model(b0, b1, a0=0, a1=0):
@@ -117,11 +121,12 @@ class TestPushforwardIdentity:
 
     @pytest.mark.parametrize(
         "field, wrong",
-        [("residual_scale", Fraction(1, 2)), ("b_prime", 2)],
+        [("residual_scale", Fraction(1, 2)), ("b_prime", 2), ("volume_scale", 12345), ("g", 1), ("f", 2)],
     )
     def test_wrong_base_change_fails(self, monkeypatch, field, wrong):
-        # The identity reads g, f, residual_scale and b_prime of each face's
-        # report; one wrong entry must make it fail.
+        # The identity reads g, f, residual_scale, b_prime and volume_scale of
+        # each face's report; one wrong entry must make it fail, and the check
+        # returns the reports it read.
         real = basechange.face_base_change
 
         def broken(b, m):
@@ -129,7 +134,17 @@ class TestPushforwardIdentity:
 
         monkeypatch.setattr(basechange, "face_base_change", broken)
         measure = assemble_limit_measure(edge_model(2, 2), {"E0&E1": 1.0})
-        assert not pushforward_identity_check(measure, 2).passed
+        check = pushforward_identity_check(measure, 2)
+        assert not check.passed
+        assert check.faces == tuple(broken(e.face.simplex.b, 2) for e in measure.entries)
+
+    def test_faces_are_the_reports_in_entry_order(self):
+        # The triangle's boundary: three top edges with three different b.
+        measure = assemble_limit_measure(simplex_model((1, 2, 3), boundary=True))
+        check = pushforward_identity_check(measure, 6)
+        assert check.passed
+        assert [r.b for r in check.faces] == [(1, 2), (1, 3), (2, 3)]
+        assert check.faces == tuple(face_base_change(e.face.simplex.b, 6) for e in measure.entries)
 
     def test_exhaustive_grid(self):
         for b0, b1, m in product(range(1, 5), range(1, 5), range(1, 7)):
@@ -140,3 +155,31 @@ class TestPushforwardIdentity:
     def test_identity_property(self, b0, b1, m):
         measure = assemble_limit_measure(edge_model(b0, b1), {"E0&E1": 1.0})
         assert pushforward_identity_check(measure, m).passed
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 12), st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)])),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 24),
+        st.sampled_from(PUSHFORWARD_FIELDS),
+        st.integers(1, 50),
+    )
+    def test_simplex_models_read_every_field(self, ba, m, field, shift):
+        # The weights pick the top active face, so its dimension varies with
+        # them; each of the five fields, moved off its value in every report,
+        # breaks the identity.
+        b, a = zip(*ba)
+        measure = assemble_limit_measure(simplex_model(b, a))
+        check = pushforward_identity_check(measure, m)
+        assert check.passed
+        assert len(check.faces) == len(measure.entries)
+        real = basechange.face_base_change
+
+        def broken(bb, mm):
+            r = real(bb, mm)
+            return dataclasses.replace(r, **{field: getattr(r, field) + shift})
+
+        with mock.patch.object(basechange, "face_base_change", broken):
+            assert not pushforward_identity_check(measure, m).passed

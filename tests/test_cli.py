@@ -205,7 +205,8 @@ class TestParser:
 # the command table
 
 
-# The 21 (subcommand, flag) pairs that the parent's parser accepted and never read.
+# The 21 (subcommand, flag) pairs that the parent's parser accepted and never
+# read, and sample-pencil's --threads, which measured no faster at 2 than at 1.
 UNREAD = [
     *(
         (command, flag)
@@ -218,6 +219,7 @@ UNREAD = [
     ("verify", "--tolerance"),
     ("pushforward", "--n"),
     ("fit-mass", "--n"),
+    ("sample-pencil", "--threads"),
 ]
 # The chart row of sample reads none of the pencil's flags; the pencil row
 # takes no chart and no --n (it samples plane curves only).
@@ -470,6 +472,40 @@ class TestExitCodes:
         assert "[FAIL] base-change-splitting" in out
         assert "[pass] base-change-pushforward" in out
         assert (tmp_path / "v" / "verify-base-change-report.json").exists()
+
+    def test_wrong_volume_scale_fails_the_pushforward(self, tmp_path, capsys, monkeypatch):
+        # Both runners read the volume scale from the face report, so a wrong
+        # one fails every pushforward case and leaves the splitting verdicts.
+        real = basechange.face_base_change
+        monkeypatch.setattr(
+            basechange, "face_base_change", lambda b, m: dataclasses.replace(real(b, m), volume_scale=12345)
+        )
+        split, push = SUITES["base-change"]()
+        assert (split.name, split.passed) == ("base-change-splitting", True)
+        assert (push.name, push.passed, push.discrepancy) == ("base-change-pushforward", False, 504.0)
+        code, out, _ = run_cli(["base-change", "--preset", "coordinate_pencil", "--m", "3"], tmp_path, capsys)
+        assert code == 1
+        assert "[FAIL] pushforward-identity" in out
+        assert "[pass] splitting-identity" in out
+
+    def test_base_change_suite_builds_one_report_per_pair(self, monkeypatch):
+        # Counted at the name the pushforward check looks up, and at the
+        # report's constructor, which sees every build whoever calls it.
+        calls, built = Counter(), []
+        real, report = basechange.face_base_change, basechange.FaceBaseChange
+
+        def counted(b, m):
+            calls[b, m] += 1
+            return real(b, m)
+
+        def build(**fields):
+            built.append(fields["b"])
+            return report(**fields)
+
+        monkeypatch.setattr(basechange, "face_base_change", counted)
+        monkeypatch.setattr(basechange, "FaceBaseChange", build)
+        SUITES["base-change"]()
+        assert sum(calls.values()) == len(calls) == len(built) == 504
 
     # Seven non-active coordinates reject every one of these draws.
     NO_ACCEPT = ["--b", "1,1,1,1,1,1,1,1,1", "--a", "0,0,1,1,1,1,1,1,1"]
@@ -1205,10 +1241,9 @@ class TestDeterminism:
         [
             ["sample", "--b", "1,2", "--a", "0,1", "--t", "1e-4", "--n-samples", "400000"],
             ["pushforward", "--b", "1,2", "--t", "1e-6", "--n-samples", "1000000", "--bins", "50"],
-            ["sample-pencil", "--preset", "coordinate_pencil", "--t", "1e-5", "--n-samples", "20000"],
             ["verify", "--suite", "all", "--quick"],
         ],
-        ids=["sample-chart", "pushforward", "sample-pencil", "verify-all"],
+        ids=["sample-chart", "pushforward", "verify-all"],
     )
     def test_threads_do_not_change_csv_bytes(self, tmp_path, capsys, args):
         # The CSVs keep their bytes and each report its verdicts; verify writes no CSV.
